@@ -1,74 +1,56 @@
-"""Compiled execution plans vs. the interpreted schedule path.
+"""Matrix execution of the lowered plan vs lockstep over its rank views.
 
-The plan compiler (:mod:`repro.core.plan`) targets exactly the workload
-Prop. 3.1 makes common: one cached schedule executed many times
-(persistent collectives, the paper's 31-run measurement loops).  This
-benchmark times repeated executions of a cached combining alltoall on a
-3D torus in both modes — lowered :class:`ExecPlan` kernels versus the
-per-call interpreted block sets (``plans_disabled()``) — for
+A schedule lowers to one rank-free :class:`~repro.core.plan.BatchedPlan`
+(:mod:`repro.core.plan`); the ``batched`` backend executes it whole —
+the mesh as one data-parallel numpy program — while the ``lockstep``
+backend walks the same plan's per-rank views, one interpreter per rank.
+This benchmark times both on a (8, 8, 8) torus combining alltoallw
+(512 ranks, 4-byte pieces interleaved with gaps so nothing coalesces
+and every round runs its gather/scatter index kernels).  Its bar is
+**10x**, with byte-identical buffers and a balanced pool.
 
-* a **regular** contiguous layout (where lowering degrades to single
-  slice copies and mostly removes per-round Python), and
-* a **fragmented alltoallw** layout (4-byte pieces interleaved with
-  gaps, so nothing coalesces) where the vectorized gather/scatter index
-  kernels replace hundreds of per-run Python copies.
-
-Acceptance (the ISSUE's bar): the compiled path is at least **3x**
-faster on the fragmented w case, and produces byte-identical buffers
-across the threaded, lockstep and shm backends.
-
-A second test times the **batched** backend — the whole mesh as one
-data-parallel numpy program — against the interpreted lockstep executor
-on a (8, 8, 8) torus combining alltoallw (512 ranks).  Its bar is
-**10x**, and its ``batched-w`` case rides the same perf gate.
+(There is no uncompiled runtime mode to compare against; the
+fragmented-``w`` index kernels are measured end to end by the
+``cannon_w`` workload of ``BENCHMARK.json``.)
 
 Results are persisted twice: a human-readable table
-(``benchmarks/out/plan.txt``) and a machine-readable perf trajectory
-(``benchmarks/out/plan.json``).  With ``REPRO_PERF_GATE=1`` the JSON is
-additionally compared against the committed baseline
-(``benchmarks/BENCH_plan.json``): the gate fails when the compiled
-path's speedup falls more than ``GATE_TOLERANCE``x below the baseline's
-— a perf regression in the plan path cannot land silently.
+(``benchmarks/out/plan_batched.txt``) and a machine-readable perf
+trajectory (``benchmarks/out/plan_batched.json``).  With
+``REPRO_PERF_GATE=1`` the JSON is additionally compared against the
+committed baseline (``benchmarks/BENCH_plan.json``): the gate fails
+when the speedup falls more than ``GATE_TOLERANCE``x below the
+baseline's — a perf regression in the plan path cannot land silently.
 
 ``BENCH_SMOKE=1`` (the CI setting) reduces repetitions and fragment
 counts; assertions and the gate are identical.
 """
 
 import json
-import multiprocessing
 import os
 import time
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import write_artifact, write_json_artifact
 from repro.core import plan as plan_mod
 from repro.core.alltoall_schedule import build_alltoall_schedule
 from repro.core.backend import get_backend
-from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import BlockRef, BlockSet
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 REPS = 5 if SMOKE else 20
-#: 4-byte fragments per neighbor block in the w layout
-PIECES = 16 if SMOKE else 48
 FRAG = 4
 
-DIMS = (3, 3, 3)
-#: torus for the batched-backend case: large enough that per-rank Python
-#: dominates the interpreted path (the regime the backend exists for)
+#: large enough that the per-rank Python loop dominates the lockstep
+#: side (the regime the batched backend exists for)
 BATCHED_DIMS = (8, 8, 8)
-#: fragments per neighbor block for the batched case (smaller than
-#: PIECES: the interpreted reference at p=512 is the slow side here)
+#: 4-byte fragments per neighbor block in the w layout
 BATCHED_PIECES = 8 if SMOKE else 16
 BASELINE = os.path.join(os.path.dirname(__file__), "BENCH_plan.json")
 #: gate: fail when a case's speedup drops below baseline/GATE_TOLERANCE
 GATE_TOLERANCE = 1.5
-
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _best_of(fn, reps):
@@ -80,11 +62,9 @@ def _best_of(fn, reps):
     return best
 
 
-def _fragmented_layout(t, buffer, pieces=None):
+def _fragmented_layout(t, buffer, pieces):
     """Per-neighbor block sets of ``pieces`` 4-byte fragments, each
     fragment followed by a FRAG-byte gap so no two ever coalesce."""
-    if pieces is None:
-        pieces = PIECES
     region = pieces * 2 * FRAG
     sets = [
         BlockSet(
@@ -98,10 +78,6 @@ def _fragmented_layout(t, buffer, pieces=None):
     return sets, t * region
 
 
-def _regular_layout(t, buffer, m=256):
-    return uniform_block_layout([m] * t, buffer), t * m
-
-
 def _make_bufs(p, send_total, recv_total):
     bufs = []
     for r in range(p):
@@ -113,65 +89,6 @@ def _make_bufs(p, send_total, recv_total):
             }
         )
     return bufs
-
-
-def _cases():
-    nbh = moore_neighborhood(3, 1, include_self=False)
-    regular_send, s_total = _regular_layout(nbh.t, "send")
-    regular_recv, r_total = _regular_layout(nbh.t, "recv")
-    frag_send, fs_total = _fragmented_layout(nbh.t, "send")
-    frag_recv, fr_total = _fragmented_layout(nbh.t, "recv")
-    return nbh, [
-        ("regular", regular_send, regular_recv, s_total, r_total),
-        ("fragmented-w", frag_send, frag_recv, fs_total, fr_total),
-    ]
-
-
-def _time_case(topo, sched, send_total, recv_total):
-    """Best-of wall time per execution, compiled and interpreted, on the
-    deterministic lockstep executor (identical driver code on both
-    sides, so the delta is the pack/unpack and peer-resolution path)."""
-    backend = get_backend("lockstep")
-    bufs = _make_bufs(topo.size, send_total, recv_total)
-
-    def run():
-        backend.execute_all(topo, sched, bufs)
-
-    with plan_mod.plans_forced():
-        run()  # warm the per-rank plan cache once, like a real caller
-        compiled_s = _best_of(run, REPS)
-    with plan_mod.plans_disabled():
-        run()
-        interpreted_s = _best_of(run, REPS)
-    return compiled_s, interpreted_s
-
-
-def _certify_backends(topo, sched, send_total, recv_total):
-    """Byte-identical recv buffers across every backend, compiled and
-    interpreted."""
-    reference = None
-    modes = [("compiled", plan_mod.plans_forced)]
-    modes.append(("interpreted", plan_mod.plans_disabled))
-    certified = []
-    for backend_name in ("threaded", "lockstep", "shm"):
-        if backend_name == "shm" and not HAVE_FORK:
-            continue
-        backend = get_backend(backend_name)
-        for mode_name, scope in modes:
-            bufs = _make_bufs(topo.size, send_total, recv_total)
-            with scope():
-                backend.execute_all(topo, sched, bufs)
-            got = [b["recv"].copy() for b in bufs]
-            if reference is None:
-                reference = got
-            else:
-                for r in range(topo.size):
-                    assert np.array_equal(reference[r], got[r]), (
-                        f"divergence at rank {r}: {backend_name}/"
-                        f"{mode_name} vs reference"
-                    )
-            certified.append(f"{backend_name}/{mode_name}")
-    return certified
 
 
 def _apply_gate(payload):
@@ -203,110 +120,26 @@ def _apply_gate(payload):
     return lines
 
 
-def test_plan_speedup_and_parity():
-    nbh, cases = _cases()
-    topo = CartTopology(DIMS)
-    plan_mod.plan_cache_reset()
-    plan_mod.GLOBAL_POOL.clear()
-
-    lines = [
-        "compiled execution plans vs interpreted schedule path",
-        f"combining alltoall, {DIMS} torus, Moore t={nbh.t}, "
-        f"best of {REPS}, lockstep executor, smoke={SMOKE}",
-        "",
-        f"{'case':>14s} {'interpreted (ms)':>17s} {'compiled (ms)':>14s} "
-        f"{'speedup':>8s}",
-    ]
-    payload = {
-        "benchmark": "plan",
-        "dims": list(DIMS),
-        "stencil": "moore-3d",
-        "t": nbh.t,
-        "reps": REPS,
-        "pieces": PIECES,
-        "smoke": SMOKE,
-        "cores": os.cpu_count(),
-        "cases": [],
-    }
-    speedups = {}
-    for case, send_layout, recv_layout, s_total, r_total in cases:
-        sched = build_alltoall_schedule(
-            nbh, send_layout, recv_layout
-        ).prepare()
-        compiled_s, interpreted_s = _time_case(topo, sched, s_total, r_total)
-        speedup = interpreted_s / compiled_s
-        speedups[case] = speedup
-        certified = _certify_backends(topo, sched, s_total, r_total)
-        lines.append(
-            f"{case:>14s} {interpreted_s * 1e3:17.3f} "
-            f"{compiled_s * 1e3:14.3f} {speedup:7.2f}x"
-        )
-        payload["cases"].append(
-            {
-                "case": case,
-                "interpreted_s": interpreted_s,
-                "compiled_s": compiled_s,
-                "speedup": speedup,
-                "wire_bytes_per_rank": sched.volume_bytes,
-                "certified": certified,
-            }
-        )
-
-    info = plan_mod.plan_cache_info()
-    pool = plan_mod.GLOBAL_POOL.stats()
-    payload["plan_cache"] = {
-        "hits": info.hits,
-        "misses": info.misses,
-        "compile_seconds": info.compile_seconds,
-    }
-    payload["pool"] = {
-        "acquires": pool.acquires,
-        "reuses": pool.reuses,
-        "high_water_bytes": pool.high_water_bytes,
-    }
-    lines += [
-        "",
-        f"plan cache: {info.hits} hits / {info.misses} compiles "
-        f"({info.compile_seconds * 1e3:.2f} ms compiling)",
-        f"buffer pool: {pool.reuses}/{pool.acquires} acquires served "
-        f"from the pool, high water {pool.high_water_bytes} B",
-    ]
-    lines += [""] + _apply_gate(payload)
-
-    text = "\n".join(lines)
-    write_artifact("plan.txt", text)
-    path = write_json_artifact("plan.json", payload)
-    print("\n" + text + f"\nwrote {path}")
-
-    # the ISSUE's acceptance bar: >= 3x on the fragmented w layout
-    assert speedups["fragmented-w"] >= 3.0, text
-    # plans must have been compiled once per rank and reused thereafter
-    assert info.misses > 0 and info.hits > info.misses, info
-
-
 def test_batched_backend_speedup():
-    """The batched backend vs the interpreted lockstep executor on a
-    (8, 8, 8) torus combining alltoallw — the workload ROADMAP item 1
-    calls out.  Bar: >= 10x, byte-identical results, balanced pool."""
+    """Matrix execution vs lockstep over the rank views of the same
+    plan, (8, 8, 8) torus combining alltoallw.  Bar: >= 10x,
+    byte-identical results, one lowering, balanced pool."""
     nbh = moore_neighborhood(3, 1, include_self=False)
-    send_layout, s_total = _fragmented_layout(
-        nbh.t, "send", pieces=BATCHED_PIECES
-    )
-    recv_layout, r_total = _fragmented_layout(
-        nbh.t, "recv", pieces=BATCHED_PIECES
-    )
+    send_layout, s_total = _fragmented_layout(nbh.t, "send", BATCHED_PIECES)
+    recv_layout, r_total = _fragmented_layout(nbh.t, "recv", BATCHED_PIECES)
     topo = CartTopology(BATCHED_DIMS)
     sched = build_alltoall_schedule(nbh, send_layout, recv_layout).prepare()
     batched = get_backend("batched")
     lockstep = get_backend("lockstep")
     pool_before = plan_mod.GLOBAL_POOL.stats().outstanding_bytes
+    plan_mod.plan_cache_reset()
 
-    # parity first: identical inputs through both executors
+    # parity first: identical inputs through both executors (this also
+    # lowers the plan and takes every rank's view, outside the timing)
     a = _make_bufs(topo.size, s_total, r_total)
     b = _make_bufs(topo.size, s_total, r_total)
-    with plan_mod.plans_forced():
-        batched.execute_all(topo, sched, a)
-        lockstep.execute_all(topo, sched, b)
+    batched.execute_all(topo, sched, a)
+    lockstep.execute_all(topo, sched, b)
     for r in range(topo.size):
         assert np.array_equal(a[r]["recv"], b[r]["recv"]), (
             f"batched diverges from lockstep at rank {r}"
@@ -317,25 +150,25 @@ def test_batched_backend_speedup():
     def run_batched():
         batched.execute_all(topo, sched, bufs)
 
-    def run_interpreted():
+    def run_lockstep():
         lockstep.execute_all(topo, sched, bufs)
 
-    with plan_mod.plans_forced():
-        run_batched()  # plan cache is warm from the parity pass anyway
-        batched_s = _best_of(run_batched, REPS)
-    with plan_mod.plans_disabled():
-        interpreted_s = _best_of(run_interpreted, 1 if SMOKE else 2)
-    speedup = interpreted_s / batched_s
+    batched_s = _best_of(run_batched, REPS)
+    lockstep_s = _best_of(run_lockstep, 2 if SMOKE else 4)
+    speedup = lockstep_s / batched_s
+    info = plan_mod.plan_cache_info()
 
     p = topo.size
     lines = [
-        "batched backend vs interpreted lockstep",
+        "batched backend vs lockstep over the rank views",
         f"combining alltoallw, {BATCHED_DIMS} torus (p={p}), Moore "
         f"t={nbh.t}, {BATCHED_PIECES} fragments/block, smoke={SMOKE}",
         "",
-        f"interpreted {interpreted_s * 1e3:10.1f} ms/exec",
+        f"lockstep    {lockstep_s * 1e3:10.1f} ms/exec",
         f"batched     {batched_s * 1e3:10.1f} ms/exec",
         f"speedup     {speedup:10.1f}x",
+        f"plan cache: {info.hits} hits / {info.misses} compiles "
+        f"({info.compile_seconds * 1e3:.2f} ms compiling)",
     ]
     payload = {
         "benchmark": "plan-batched",
@@ -349,13 +182,18 @@ def test_batched_backend_speedup():
         "cases": [
             {
                 "case": "batched-w",
-                "interpreted_s": interpreted_s,
-                "compiled_s": batched_s,
+                "lockstep_s": lockstep_s,
+                "batched_s": batched_s,
                 "speedup": speedup,
                 "wire_bytes_per_rank": sched.volume_bytes,
-                "certified": ["lockstep/compiled", "batched/compiled"],
+                "certified": ["lockstep", "batched"],
             }
         ],
+        "plan_cache": {
+            "hits": info.hits,
+            "misses": info.misses,
+            "compile_seconds": info.compile_seconds,
+        },
     }
     lines += [""] + _apply_gate(payload)
     text = "\n".join(lines)
@@ -366,5 +204,7 @@ def test_batched_backend_speedup():
     assert (
         plan_mod.GLOBAL_POOL.stats().outstanding_bytes == pool_before
     ), "batched benchmark leaked pooled scratch"
-    # the ISSUE's acceptance bar: >= 10x over interpreted lockstep
+    # one lowering served both backends and every timed repetition
+    assert info.misses == 1, info
+    # the acceptance bar: >= 10x over lockstep's per-rank Python loop
     assert speedup >= 10.0, text

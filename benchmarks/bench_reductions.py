@@ -6,11 +6,11 @@ modeled on the Table 2 machines, plus real full-mesh executions and a
 locality ablation tying the remap extension to the network model.
 
 The headline measurement is **batched fused-kernel reduce vs the
-interpreted path**: one combining reduce on an (8, 8, 8) torus driven
-by the batched SPMD backend (every round a shared kernel over the
-``(p, n)`` matrix, combines fused into the unpack) against the same
-schedule interpreted rank by rank under ``plans_disabled()``.  The bar
-is **5x**, and with ``REPRO_PERF_GATE=1`` the speedup is additionally
+per-rank path**: one combining reduce on an (8, 8, 8) torus driven by
+the batched SPMD backend (every round a shared kernel over the
+``(p, n)`` matrix, combines fused into the unpack) against the lockstep
+backend walking the same plan's rank views, one interpreter and one
+fused ``CombineProgram`` per rank.  The bar is **5x**, and with ``REPRO_PERF_GATE=1`` the speedup is additionally
 gated against the committed baseline
 (``benchmarks/BENCH_reductions.json``) so a regression in the fused
 reduce path cannot land silently.
@@ -30,7 +30,6 @@ from benchmarks.conftest import write_artifact, write_json_artifact
 from repro.core import plan as plan_mod
 from repro.core.api import run_cartesian
 from repro.core.backend import get_backend
-from repro.core.plan import plans_disabled
 from repro.core.reduce_schedule import build_reduce_schedule
 from repro.core.stencils import moore_neighborhood, parameterized_stencil
 from repro.core.topology import CartTopology
@@ -39,9 +38,9 @@ from repro.netsim.machines import get_machine
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 REPS = 3 if SMOKE else 7
-#: torus for the measured batched case: large enough that per-rank
-#: Python dominates the interpreted path (the regime the batched
-#: backend and the fused combine kernels exist for)
+#: torus for the measured batched case: large enough that the per-rank
+#: Python loop dominates the lockstep side (the regime the batched
+#: backend exists for)
 MEASURED_DIMS = (8, 8, 8)
 #: int64 elements per neighbor contribution in the measured case
 MEASURED_ELEMS = 32
@@ -122,9 +121,9 @@ def _reduce_bufs(p, m_bytes):
 
 
 def measured_batched_reduce():
-    """Time one combining reduce on the measured torus: batched fused
-    kernels (compiled ``BatchedReduceRound`` + ``CombineProgram``) vs
-    the interpreted per-rank lockstep driver with plans disabled.
+    """Time one combining reduce on the measured torus: the plan's
+    ``BatchedReduceRound`` kernels over the rank matrices vs the
+    lockstep driver over its rank views (per-rank ``CombineProgram``).
     Returns the payload row; asserts bit parity between the paths."""
     nbh = moore_neighborhood(3, 1, include_self=False)  # t = 26
     m_bytes = MEASURED_ELEMS * 8
@@ -132,27 +131,24 @@ def measured_batched_reduce():
     p = topo.size
     sched = build_reduce_schedule(nbh, m_bytes=m_bytes, dtype="int64")
     batched = get_backend("batched")
+    lockstep = get_backend("lockstep")
 
-    # parity first (also warms the plan cache so compile time is not
-    # inside the timed region)
+    # parity first (also lowers the plan and takes every rank's view, so
+    # neither is inside the timed region)
     bufs_b = _reduce_bufs(p, m_bytes)
     batched.execute_all(topo, sched, bufs_b)
-    bufs_i = _reduce_bufs(p, m_bytes)
-    with plans_disabled():
-        batched.execute_all(topo, sched, bufs_i)
+    bufs_l = _reduce_bufs(p, m_bytes)
+    lockstep.execute_all(topo, sched, bufs_l)
     for r in range(p):
-        assert np.array_equal(bufs_b[r]["recv"], bufs_i[r]["recv"]), (
-            f"batched/interpreted divergence at rank {r}"
+        assert np.array_equal(bufs_b[r]["recv"], bufs_l[r]["recv"]), (
+            f"batched/lockstep divergence at rank {r}"
         )
 
     bufs = _reduce_bufs(p, m_bytes)
     t_batched = _best_of(lambda: batched.execute_all(topo, sched, bufs), REPS)
-
-    def interpreted():
-        with plans_disabled():
-            batched.execute_all(topo, sched, bufs)
-
-    t_interp = _best_of(interpreted, max(2, REPS // 2))
+    t_lockstep = _best_of(
+        lambda: lockstep.execute_all(topo, sched, bufs), max(2, REPS // 2)
+    )
     return {
         "dims": list(MEASURED_DIMS),
         "stencil": "moore-3d",
@@ -162,9 +158,9 @@ def measured_batched_reduce():
         "op": "sum",
         "reps": REPS,
         "smoke": SMOKE,
-        "interpreted_s": t_interp,
+        "lockstep_s": t_lockstep,
         "batched_s": t_batched,
-        "speedup": t_interp / t_batched,
+        "speedup": t_lockstep / t_batched,
     }
 
 
@@ -192,7 +188,7 @@ def _apply_gate(payload):
 
 def test_batched_reduce_speedup():
     """Acceptance bar: the batched fused-kernel reduce is at least
-    ``SPEEDUP_FLOOR``x faster than the interpreted path on the
+    ``SPEEDUP_FLOOR``x faster than lockstep over the rank views on the
     measured torus, byte-identical results."""
     plan_mod.plan_cache_reset()
     plan_mod.GLOBAL_POOL.clear()
@@ -200,7 +196,7 @@ def test_batched_reduce_speedup():
     text = (
         f"batched fused-kernel reduce, {tuple(row['dims'])} torus, "
         f"moore-3d t={row['t']}, m={row['m_bytes']}B int64 sum\n"
-        f"interpreted: {row['interpreted_s'] * 1e3:8.2f} ms\n"
+        f"lockstep:    {row['lockstep_s'] * 1e3:8.2f} ms\n"
         f"batched:     {row['batched_s'] * 1e3:8.2f} ms\n"
         f"speedup:     {row['speedup']:8.2f}x (floor {SPEEDUP_FLOOR}x)"
     )
@@ -213,7 +209,7 @@ def test_reductions_perf_artifact():
     """Machine-readable perf trajectory for the reduction extension
     (``benchmarks/out/reductions.json``; committed baseline
     ``benchmarks/BENCH_reductions.json``): the modeled combining/trivial
-    ratios per configuration, the measured batched-vs-interpreted
+    ratios per configuration, the measured batched-vs-lockstep
     full-execution times, reduce-verifier certification timings, and
     the analyzer wall time for the full effect sweep — so both the
     fused reduce path and verification overhead are tracked release
@@ -232,6 +228,7 @@ def test_reductions_perf_artifact():
     def build_payload():
         payload = {
             "machine": "hydra-openmpi",
+            "cores": os.cpu_count(),
             "modeled": {},
             "measured": {},
             "verifier": {},

@@ -12,8 +12,8 @@ Two subcommands, both CI gates:
     Verify one stencil/torus combination (all kinds unless ``--kind``).
 
 ``python -m repro.analyze effects --all-stencils``
-    Run only the byte-interval effect system (V701-V709) over both the
-    per-rank and batched lowerings of every paper stencil; exit 1 on
+    Run only the byte-interval effect system (V701-V709) over the
+    lowered plan and its rank views of every paper stencil; exit 1 on
     any violation.
 
 ``python -m repro.analyze lint <paths...>``
@@ -114,7 +114,7 @@ def _cmd_effects(ns: argparse.Namespace) -> int:
                     print(f"      {v.describe()}")
         print(
             f"{len(results) - bad}/{len(results)} stencil/kind combinations "
-            "effect-certified (per-rank + batched lowerings)"
+            "effect-certified (plan + rank views)"
         )
         return 1 if bad else 0
 
@@ -186,7 +186,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_effects.add_argument(
         "--all-stencils",
         action="store_true",
-        help="effect-check both lowerings of every paper stencil",
+        help="effect-check the lowered plan of every paper stencil",
     )
     p_effects.add_argument("--stencil", help="stencil name, e.g. 9-point")
     p_effects.add_argument(

@@ -2,11 +2,11 @@
 
 The verifier's V1xx-V4xx checks certify the *schedule*; the V5xx checks
 certify that lowering preserved it.  This module closes the remaining
-gap: it proves the lowered artifacts themselves — the numpy selector
-kernels, the fused copy program, the batched row permutation and the shm
-segment layout — are race- and lifetime-free, by deriving symbolic
-``(buffer, lo, hi)`` read/write summaries for every compiled object and
-checking disjointness directly on the intervals.
+gap: it proves the lowered artifacts themselves — the plan's numpy
+selector kernels, fused copy program, row permutations and rank views,
+and the shm segment layout — are race- and lifetime-free, by deriving
+symbolic ``(buffer, lo, hi)`` read/write summaries for every compiled
+object and checking disjointness directly on the intervals.
 
 Everything is static: no kernel is executed, no buffer allocated.  The
 checks map to violation codes V701-V709 (:mod:`repro.analyze.report`):
@@ -30,8 +30,9 @@ V806  a fused combine kernel has order-dependent effects (double
 ====  ==============================================================
 
 Reduction schedules thread their accumulator state through the fused
-combine kernels (:class:`~repro.core.plan.CombineProgram` per rank,
-:class:`~repro.core.plan.BatchedReduceRound` for the all-ranks form):
+combine kernels (:class:`~repro.core.plan.BatchedReduceRound` in the
+plan, the :class:`~repro.core.plan.CombineProgram` each rank view
+derives from it):
 the pre-step seed program writes before phase 0 and each phase's fold
 program writes after its delivery, so the lifetime ledger (V709) counts
 those writes exactly where the interpreter performs them.
@@ -63,7 +64,7 @@ from repro.core.plan import (
     CombineProgram,
     CompiledBlockSet,
     CompiledCopyProgram,
-    ExecPlan,
+    RankPlan,
 )
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
@@ -381,7 +382,7 @@ def check_batched_combine(
 
 
 # ---------------------------------------------------------------------------
-# per-rank plan rounds: disjointness + lifetime
+# rank-view rounds: disjointness + lifetime
 # ---------------------------------------------------------------------------
 
 
@@ -399,7 +400,7 @@ def _overlap_by_buffer(
 
 
 def check_plan_effects(
-    plan: ExecPlan,
+    plan: RankPlan,
     sizes: Mapping[str, int],
     report: VerificationReport,
     *,
@@ -407,7 +408,7 @@ def check_plan_effects(
     rank: Optional[int] = None,
     check_kernels: bool = True,
 ) -> None:
-    """Effect-check one per-rank :class:`ExecPlan`: per-round kernel
+    """Effect-check one rank's :class:`RankPlan` view: per-round kernel
     soundness, per-phase send/recv disjointness (V702/V703) and, on
     fully periodic tori, the scratch lifetime discipline (V709)."""
     written: dict[str, IntervalSet] = {
@@ -864,19 +865,29 @@ def run_effect_checks(
     *,
     sizes: Optional[Mapping[str, int]] = None,
     sample_limit: int = 16,
+    plan: Optional[BatchedPlan] = None,
 ) -> None:
-    """Append every effect-system violation of ``schedule``'s lowerings
-    to ``report``: per-rank plans over sampled ranks (violations
-    deduplicated across ranks — the kernels are rank-independent),
-    the batched plan, the fused copy program and the shm segment
-    layout."""
+    """Append every effect-system violation of ``schedule``'s lowering
+    to ``report``: the plan itself (peer vectors, shared kernels — each
+    checked once — the fused copy program), its sampled rank views
+    (violations deduplicated across ranks) and the shm segment layout.
+    ``plan`` is the lowering to check (the verifier passes the one it
+    already certified); without it the schedule is lowered here."""
     from repro.analyze.schedule_verifier import _plan_sizes, _sample_ranks
+    from repro.mpisim.exceptions import ScheduleError
 
-    if sizes is None:
+    if plan is not None:
+        sizes = plan.sizes
+    elif sizes is None:
         sizes = _plan_sizes(schedule)
     schedule.prepare()
     periodic = all(topo.periods)
     seen: set[tuple[object, ...]] = set()
+
+    def fresh() -> VerificationReport:
+        return VerificationReport(
+            kind=report.kind, dims=report.dims, periods=report.periods
+        )
 
     def merge(sub: VerificationReport) -> None:
         for v in sub.violations:
@@ -885,46 +896,28 @@ def run_effect_checks(
                 seen.add(key)
                 report.violations.append(v)
 
-    # a schedule bad enough that a lowering *refuses to compile* is
+    # a schedule bad enough that lowering *refuses to compile* is
     # already reported by the structural/lowering checks (and by
     # certify-on-build); the effect system only reasons about artifacts
     # that exist, so compile refusals are skipped, not re-reported
-    from repro.mpisim.exceptions import ScheduleError
-
-    plan: Optional[ExecPlan] = None
-    try:
-        for rank in _sample_ranks(topo.size, sample_limit):
-            plan, _ = plan_mod.get_or_compile(
-                schedule, topo, rank, sizes=sizes
-            )
-            sub = VerificationReport(
-                kind=report.kind, dims=report.dims, periods=report.periods
-            )
-            check_plan_effects(
-                plan, sizes, sub, periodic=periodic, rank=rank
-            )
-            merge(sub)
-    except ScheduleError:
-        plan = None
+    if plan is None:
+        try:
+            plan, _ = plan_mod.get_or_compile(schedule, topo, sizes=sizes)
+        except ScheduleError:
+            plan = None
     if plan is not None:
-        sub = VerificationReport(
-            kind=report.kind, dims=report.dims, periods=report.periods
-        )
+        sub = fresh()
+        check_batched_effects(plan, sub)
         check_copy_program(plan.copy_program, sizes, sub)
         merge(sub)
-    try:
-        bplan, _ = plan_mod.get_or_compile_batched(
-            schedule, topo, sizes=sizes
-        )
-    except ScheduleError:
-        bplan = None
-    if bplan is not None:
-        sub = VerificationReport(
-            kind=report.kind, dims=report.dims, periods=report.periods
-        )
-        # the batched kernels are the same compiled objects checked above
-        check_batched_effects(bplan, sub, check_kernels=False)
-        merge(sub)
+        for rank in _sample_ranks(topo.size, sample_limit):
+            sub = fresh()
+            # the views share the plan's kernel objects, checked above
+            check_plan_effects(
+                plan.for_rank(rank), sizes, sub,
+                periodic=periodic, rank=rank, check_kernels=False,
+            )
+            merge(sub)
     from repro.core.backend.shm import compute_segment_layout
 
     try:
@@ -934,9 +927,7 @@ def run_effect_checks(
         )
     except ScheduleError:
         return
-    sub = VerificationReport(
-        kind=report.kind, dims=report.dims, periods=report.periods
-    )
+    sub = fresh()
     check_shm_layout(buffer_table, slots, topo.size, total, sub)
     merge(sub)
 
@@ -966,7 +957,7 @@ def verify_effects(
 def sweep_effects() -> list[
     tuple[str, str, tuple[int, ...], VerificationReport]
 ]:
-    """Effect-verify both lowerings of every sweep kind for every paper
+    """Effect-verify the lowering of every sweep kind for every paper
     stencil — the ``repro.analyze effects --all-stencils`` sweep."""
     from repro.analyze.schedule_verifier import (
         SWEEP_KINDS,

@@ -1,8 +1,8 @@
 """Mutation-adversary harness for the static analyzer.
 
 A verifier that has never seen a bug is untested hypothesis.  This
-module is the adversary: it takes *real* artifacts — the compiled
-9-point alltoall plan on a 4×4 torus, the batched lowering, the shm
+module is the adversary: it takes *real* artifacts — the lowered
+9-point alltoall plan on a 4×4 torus and its rank-0 view, the shm
 segment layout, and the actual sources of ``lockstep.py`` / ``plan.py``
 / ``mailbox.py`` — applies one seeded corruption at a time (alias two
 recv intervals, shift an unpack offset, swap batched rows, drop a
@@ -42,8 +42,8 @@ from repro.core.plan import (
     BatchedRound,
     CompiledBlockSet,
     CompiledCopyProgram,
-    ExecPlan,
     PlanRound,
+    RankPlan,
 )
 from repro.core.topology import CartTopology
 
@@ -73,28 +73,24 @@ class _Fixture:
         self.topo = CartTopology(_DIMS, _PERIODS)
         self.schedule = build_for_kind("alltoall", nbh)
         self.sizes: dict[str, int] = dict(_plan_sizes(self.schedule))
-        plan, _ = plan_mod.get_or_compile(
-            self.schedule, self.topo, 0, sizes=self.sizes
-        )
-        self.plan: ExecPlan = plan
-        bplan, _ = plan_mod.get_or_compile_batched(
+        # one lowering per schedule; the per-rank mutants corrupt copies
+        # of its rank-0 view
+        bplan, _ = plan_mod.get_or_compile(
             self.schedule, self.topo, sizes=self.sizes
         )
         self.bplan: BatchedPlan = bplan
+        self.plan: RankPlan = bplan.for_rank(0)
         # reduction fixtures: the combining reverse-tree reduce, its
-        # per-rank fused combine programs and the batched combine round
+        # masked combine rounds and rank 0's fused combine programs
         self.reduce_schedule = build_for_kind("reduce", nbh)
         self.reduce_sizes: dict[str, int] = dict(
             _plan_sizes(self.reduce_schedule)
         )
-        rplan, _ = plan_mod.get_or_compile(
-            self.reduce_schedule, self.topo, 0, sizes=self.reduce_sizes
-        )
-        self.reduce_plan: ExecPlan = rplan
-        rbplan, _ = plan_mod.get_or_compile_batched(
+        rbplan, _ = plan_mod.get_or_compile(
             self.reduce_schedule, self.topo, sizes=self.reduce_sizes
         )
         self.reduce_bplan: BatchedPlan = rbplan
+        self.reduce_plan: RankPlan = rbplan.for_rank(0)
         shared = {n: c for n, c in self.sizes.items() if n != "temp"}
         self.buffer_table, self.slots, self.total = compute_segment_layout(
             self.schedule, [shared] * self.topo.size
@@ -200,8 +196,8 @@ def _dup_first_op(kernel: CompiledBlockSet) -> CompiledBlockSet:
 
 
 def _replace_round(
-    plan: ExecPlan, pi: int, ri: int, **halves: Optional[CompiledBlockSet]
-) -> ExecPlan:
+    plan: RankPlan, pi: int, ri: int, **halves: Optional[CompiledBlockSet]
+) -> RankPlan:
     p2 = copy.copy(plan)
     phases = [list(phase) for phase in plan.phases]
     rnd = phases[pi][ri]
@@ -222,7 +218,7 @@ def _mut_batched(rnd: BatchedRound, **attrs: object) -> BatchedRound:
     return r2
 
 
-def _plan_codes(fx: _Fixture, plan: ExecPlan) -> set[str]:
+def _plan_codes(fx: _Fixture, plan: RankPlan) -> set[str]:
     rep = _report()
     check_plan_effects(plan, fx.sizes, rep, periodic=True, rank=0)
     return rep.codes()

@@ -54,8 +54,7 @@ CODES: dict[str, str] = {
     "V502": "lowered plan peer ranks differ from topology translation",
     "V503": "compiled pack/unpack bytes differ from the block sets",
     "V504": "compiled local-copy program differs from the schedule's",
-    "V505": "batched lowering disagrees with the per-rank plans",
-    "V506": "batched execution differs from per-rank lockstep execution",
+    "V506": "matrix execution differs from lockstep over the rank views",
     # --- all-to-all broadcast optimality (Jung & Sakho bounds) ---------
     "V601": "broadcast neighborhood does not cover the whole torus",
     "V602": "broadcast volume differs from the p-1 block optimum",

@@ -22,10 +22,13 @@ instantiates the schedule for every rank of the torus and checks:
 (d) **quantitative conformance** — round count ``C = Σ_k C_k`` and
     volume ``V = Σ_i z_i`` for the alltoall (Props. 3.1/3.2), tree-edge
     volume for the allgather (Prop. 3.3) (V401–V403);
-(e) **plan-lowering conformance** — the per-rank :class:`ExecPlan`
-    lowering of :mod:`repro.core.plan` preserves round structure, peer
-    resolution, pack/unpack bytes and local-copy results, so Props.
-    3.1–3.3 remain certified for the compiled form (V501–V504);
+(e) **plan-lowering conformance** — the one
+    :class:`~repro.core.plan.BatchedPlan` lowering of
+    :mod:`repro.core.plan` and its sampled rank views preserve round
+    structure, peer resolution, pack/unpack bytes and local-copy
+    results, so Props. 3.1–3.3 remain certified for the compiled form
+    (V501–V504), and its matrix execution agrees with a lockstep
+    execution of its rank views (V506);
 
 plus a concrete **content simulation**: a single-threaded interpretation
 of the schedule over all ranks with rank-unique sentinel bytes, proving
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Iterable,
     Iterator,
@@ -58,6 +62,9 @@ from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import BlockRef, BlockSet
+
+if TYPE_CHECKING:
+    from repro.core.plan import BatchedPlan
 
 ALLTOALL_KINDS = frozenset({"alltoall", "trivial-alltoall", "direct-alltoall"})
 ALLGATHER_KINDS = frozenset(
@@ -677,46 +684,108 @@ def _sentinel_buffers(
 
 def _check_plan_lowering(
     schedule: Schedule, topo: CartTopology, report: VerificationReport
-) -> None:
+) -> Optional["BatchedPlan"]:
     """Certify that lowering (:mod:`repro.core.plan`) is semantics-
-    preserving: for sampled ranks the compiled plan must keep the round
-    structure (V501), resolve exactly the peers ``topo.translate`` gives
-    (V502), pack/unpack byte-identically to the interpreted block sets
-    (V503), and its fused local-copy program must leave every buffer in
-    the state the schedule's sequential copies produce (V504).  A clean
-    pass re-certifies Props. 3.1-3.3 for the lowered form: structure,
-    peers and per-round bytes are unchanged, so the already-checked round
-    counts and volumes carry over."""
-    from repro.core.plan import compile_plan
+    preserving.  The schedule is lowered *once*; the plan must keep the
+    round structure (V501), its shared kernels must pack/unpack byte-
+    identically to the reference block sets (V503), its fused local-copy
+    program must leave every buffer in the state the schedule's
+    sequential copies produce (V504), and every sampled rank's row view
+    must resolve exactly the peers ``topo.translate`` gives (V502) and
+    carry the plan's own kernel objects for exactly the halves whose
+    peer exists (V501).  A clean pass re-certifies Props. 3.1-3.3 for
+    the lowered form: structure, peers and per-round bytes are
+    unchanged, so the already-checked round counts and volumes carry
+    over.  Returns the plan (``None`` when it cannot be used further)
+    so the later passes check the same object."""
+    from repro.core.plan import compile_batched_plan
     from repro.mpisim.exceptions import ScheduleError
 
     schedule.prepare()
     sizes = _plan_sizes(schedule)
+    try:
+        plan = compile_batched_plan(schedule, topo, sizes)
+    except ScheduleError as exc:
+        report.add("V501", f"plan lowering refused the schedule: {exc}")
+        return None
+    shape = tuple(len(ph) for ph in plan.phases)
+    want_shape = tuple(len(ph.rounds) for ph in schedule.phases)
+    if shape != want_shape:
+        report.add(
+            "V501",
+            f"plan has phase/round shape {shape}, schedule has "
+            f"{want_shape}",
+        )
+        return None
+    buffers = _sentinel_buffers(sizes, seed=0)
+    for pi, (ph, plan_rounds) in enumerate(zip(schedule.phases, plan.phases)):
+        for ri, (rnd, br) in enumerate(zip(ph.rounds, plan_rounds)):
+            if br.send is not None:
+                ref = rnd.send_blocks.pack(buffers)
+                if br.send.pack(buffers).tobytes() != ref:
+                    report.add(
+                        "V503",
+                        f"compiled pack produces different bytes "
+                        f"for the round to {rnd.offset}",
+                        phase=pi,
+                        round_index=ri,
+                    )
+            if br.recv is not None:
+                n = rnd.recv_blocks.total_nbytes
+                if br.recv.total_nbytes != n:
+                    report.add(
+                        "V503",
+                        f"compiled unpack expects "
+                        f"{br.recv.total_nbytes} B, block set "
+                        f"carries {n} B",
+                        phase=pi,
+                        round_index=ri,
+                    )
+                    continue
+                payload = np.random.default_rng(pi * 31 + ri).integers(
+                    0, 256, n
+                ).astype(np.uint8)
+                ref_bufs = {k: v.copy() for k, v in buffers.items()}
+                got_bufs = {k: v.copy() for k, v in buffers.items()}
+                rnd.recv_blocks.unpack(ref_bufs, payload.tobytes())
+                br.recv.unpack_from(got_bufs, payload)
+                if any(
+                    not np.array_equal(ref_bufs[k], got_bufs[k])
+                    for k in ref_bufs
+                ):
+                    report.add(
+                        "V503",
+                        f"compiled unpack scatters different bytes "
+                        f"for the round to {rnd.offset}",
+                        phase=pi,
+                        round_index=ri,
+                    )
+    # V504: fused local-copy program vs. sequential schedule copies
+    ref_bufs = {k: v.copy() for k, v in buffers.items()}
+    got_bufs = {k: v.copy() for k, v in buffers.items()}
+    schedule.run_local_copies(ref_bufs)
+    moved = plan.copy_program.run(got_bufs)
+    if moved != schedule.local_copy_bytes:
+        report.add(
+            "V504",
+            f"plan reports {moved} B copied locally, schedule "
+            f"copies {schedule.local_copy_bytes} B",
+        )
+    bad = [k for k in ref_bufs if not np.array_equal(ref_bufs[k], got_bufs[k])]
+    if bad:
+        report.add(
+            "V504",
+            f"compiled local-copy program leaves buffer(s) "
+            f"{sorted(bad)} in a different state",
+        )
+    # the sampled row views: peers by translation, kernels by identity
     for rank in _sample_ranks(topo.size):
-        try:
-            plan = compile_plan(schedule, topo, rank, sizes)
-        except ScheduleError as exc:
-            report.add(
-                "V501",
-                f"plan lowering refused the schedule: {exc}",
-                rank=rank,
-            )
-            return
-        shape = tuple(len(ph) for ph in plan.phases)
-        want_shape = tuple(len(ph.rounds) for ph in schedule.phases)
-        if shape != want_shape:
-            report.add(
-                "V501",
-                f"plan has phase/round shape {shape}, schedule has "
-                f"{want_shape}",
-                rank=rank,
-            )
-            continue
-        buffers = _sentinel_buffers(sizes, seed=rank)
+        view = plan.for_rank(rank)
         for pi, (ph, plan_rounds) in enumerate(
             zip(schedule.phases, plan.phases)
         ):
-            for ri, (rnd, pr) in enumerate(zip(ph.rounds, plan_rounds)):
+            for ri, (rnd, br) in enumerate(zip(ph.rounds, plan_rounds)):
+                pr = view.phases[pi][ri]
                 target = topo.translate(rank, rnd.offset)
                 source = topo.translate(
                     rank, tuple(-o for o in rnd.recv_source_offset)
@@ -731,213 +800,91 @@ def _check_plan_lowering(
                         phase=pi,
                         round_index=ri,
                     )
-                    continue
-                if (pr.send is None) != (target is None) or (
-                    pr.recv is None
-                ) != (source is None):
+                elif pr.send is not (
+                    None if target is None else br.send
+                ) or pr.recv is not (None if source is None else br.recv):
                     report.add(
                         "V501",
-                        "plan compiles a block program for a missing "
+                        "rank view carries a block program for a missing "
                         "peer (or drops one for a present peer)",
                         rank=rank,
                         phase=pi,
                         round_index=ri,
                     )
-                    continue
-                if pr.send is not None:
-                    ref = rnd.send_blocks.pack(buffers)
-                    got = pr.send.pack(buffers)
-                    if got.tobytes() != ref:
-                        report.add(
-                            "V503",
-                            f"compiled pack produces different bytes "
-                            f"for the round to {rnd.offset}",
-                            rank=rank,
-                            phase=pi,
-                            round_index=ri,
-                        )
-                if pr.recv is not None:
-                    n = rnd.recv_blocks.total_nbytes
-                    if pr.recv.total_nbytes != n:
-                        report.add(
-                            "V503",
-                            f"compiled unpack expects "
-                            f"{pr.recv.total_nbytes} B, block set "
-                            f"carries {n} B",
-                            rank=rank,
-                            phase=pi,
-                            round_index=ri,
-                        )
-                        continue
-                    payload = np.random.default_rng(
-                        (rank * 31 + pi) * 31 + ri
-                    ).integers(0, 256, n).astype(np.uint8)
-                    ref_bufs = {k: v.copy() for k, v in buffers.items()}
-                    got_bufs = {k: v.copy() for k, v in buffers.items()}
-                    rnd.recv_blocks.unpack(ref_bufs, payload.tobytes())
-                    pr.recv.unpack_from(got_bufs, payload)
-                    if any(
-                        not np.array_equal(ref_bufs[k], got_bufs[k])
-                        for k in ref_bufs
-                    ):
-                        report.add(
-                            "V503",
-                            f"compiled unpack scatters different bytes "
-                            f"for the round to {rnd.offset}",
-                            rank=rank,
-                            phase=pi,
-                            round_index=ri,
-                        )
-        # V504: fused local-copy program vs. sequential schedule copies
-        ref_bufs = {k: v.copy() for k, v in buffers.items()}
-        got_bufs = {k: v.copy() for k, v in buffers.items()}
-        schedule.run_local_copies(ref_bufs)
-        moved = plan.run_local_copies(got_bufs)
-        if moved != schedule.local_copy_bytes:
-            report.add(
-                "V504",
-                f"plan reports {moved} B copied locally, schedule "
-                f"copies {schedule.local_copy_bytes} B",
-                rank=rank,
-            )
-        bad = [
-            k
-            for k in ref_bufs
-            if not np.array_equal(ref_bufs[k], got_bufs[k])
-        ]
-        if bad:
-            report.add(
-                "V504",
-                f"compiled local-copy program leaves buffer(s) "
-                f"{sorted(bad)} in a different state",
-                rank=rank,
-            )
+    return plan
 
 
 # ----------------------------------------------------------------------
-# check (f): batched-lowering conformance (V505-V506)
+# check (f): matrix execution vs row-view execution (V506)
 # ----------------------------------------------------------------------
 
 
-def _check_batched_lowering(
+def _check_matrix_execution(
     schedule: Schedule,
     topo: CartTopology,
+    plan: "BatchedPlan",
     report: VerificationReport,
     max_bytes: int = DEFAULT_CONTENT_BUDGET,
 ) -> None:
-    """Certify that the all-ranks batched lowering
-    (:class:`repro.core.plan.BatchedPlan`) agrees with the certified
-    per-rank plans: on sampled ranks, the batched peer arrays and kernel
-    shapes must match the rank's own compiled plan (V505), and — within
-    a byte budget — an end-to-end batched execution must leave every
-    rank's buffers byte-identical to the interpreted lockstep execution
-    of the same sentinel inputs (V506).  The comparison binds an
-    explicit sentinel ``temp`` buffer on both paths, so even scratch
-    staged through mesh-edge slots is compared bit-exactly."""
-    from repro.core.backend.lockstep import LockstepBackend
-    from repro.core.plan import compile_batched_plan, compile_plan
+    """Certify that the two ways of running the one plan agree: within a
+    byte budget, :meth:`BatchedPlan.execute` over the rank matrices must
+    leave every rank's buffers byte-identical to a lockstep execution of
+    the same plan's row views on the same sentinel inputs (V506).  The
+    comparison binds an explicit sentinel ``temp`` buffer on both paths,
+    so even scratch staged through mesh-edge slots is compared
+    bit-exactly."""
+    from repro.core.backend.interpreter import ScheduleInterpreter
+    from repro.core.backend.lockstep import (
+        LockstepExchange,
+        LockstepTransport,
+        drive_lockstep,
+    )
+    from repro.mpisim.datatypes import byte_view
 
-    schedule.prepare()
-    sizes = _plan_sizes(schedule)
-    try:
-        bplan = compile_batched_plan(schedule, topo, sizes)
-    except Exception as exc:  # lowering itself must never fail
-        report.add("V505", f"batched lowering failed to compile: {exc}")
-        return
-    shape = tuple(len(ph) for ph in bplan.phases)
-    want_shape = tuple(len(ph.rounds) for ph in schedule.phases)
-    if shape != want_shape:
-        report.add(
-            "V505",
-            f"batched plan has phase/round shape {shape}, schedule has "
-            f"{want_shape}",
-        )
-        return
-    for rank in _sample_ranks(topo.size):
-        try:
-            plan = compile_plan(schedule, topo, rank, sizes)
-        except Exception:
-            # per-rank refusal is already reported by the V501 pass
-            return
-        for pi, (plan_rounds, batched_rounds) in enumerate(
-            zip(plan.phases, bplan.phases)
-        ):
-            for ri, (pr, br) in enumerate(
-                zip(plan_rounds, batched_rounds)
-            ):
-                bsrc = int(br.sources[rank])
-                btgt = int(br.targets[rank])
-                peers = (
-                    None if bsrc < 0 else bsrc,
-                    None if btgt < 0 else btgt,
-                )
-                if peers != (pr.source, pr.target):
-                    report.add(
-                        "V505",
-                        f"batched peers {peers} differ from the rank's "
-                        f"plan ({pr.source}, {pr.target})",
-                        rank=rank,
-                        phase=pi,
-                        round_index=ri,
-                    )
-                    continue
-                if pr.send is not None and (
-                    br.send is None
-                    or br.send.total_nbytes != pr.send.total_nbytes
-                ):
-                    report.add(
-                        "V505",
-                        "batched send kernel missing or sized unlike the "
-                        "rank's plan",
-                        rank=rank,
-                        phase=pi,
-                        round_index=ri,
-                    )
-                if pr.recv is not None and (
-                    br.recv is None
-                    or br.recv.total_nbytes != pr.recv.total_nbytes
-                ):
-                    report.add(
-                        "V505",
-                        "batched recv kernel missing or sized unlike the "
-                        "rank's plan",
-                        rank=rank,
-                        phase=pi,
-                        round_index=ri,
-                    )
-    # V506: end-to-end execution equivalence, within the byte budget
+    sizes = plan.sizes
     p = topo.size
-    per_rank_bytes = sum(sizes.values())
-    if p * per_rank_bytes > max_bytes:
+    if p * sum(sizes.values()) > max_bytes:
         return
     ref_bufs = [_sentinel_buffers(sizes, seed=r) for r in range(p)]
     got_bufs = [
         {k: v.copy() for k, v in ref_bufs[r].items()} for r in range(p)
     ]
+    exchange = LockstepExchange()
     try:
         # random sentinel bytes form NaN/inf patterns under float combine
         # dtypes; both paths run the identical numpy ops in identical
         # order, so the comparison stays bit-exact — only mute the noise
         with np.errstate(all="ignore"):
-            LockstepBackend().execute_all(topo, schedule, ref_bufs)
+            drive_lockstep(
+                [
+                    ScheduleInterpreter(
+                        LockstepTransport(exchange, r),
+                        topo,
+                        schedule,
+                        ref_bufs[r],
+                        observe=False,
+                        plan=plan.for_rank(r),
+                    )
+                    for r in range(p)
+                ],
+                exchange,
+            )
     except Exception:
         # schedules the lockstep executor itself rejects are covered by
         # the matching/aliasing checks; there is nothing to compare
         return
-    from repro.mpisim.datatypes import byte_view
-
     matrices = {
         name: np.stack([byte_view(got_bufs[r][name]) for r in range(p)])
         for name in sizes
     }
     try:
         with np.errstate(all="ignore"):
-            bplan.execute(matrices)
-            bplan.run_local_copies(matrices)
+            plan.execute(matrices)
+            plan.run_local_copies(matrices)
     except Exception as exc:
         report.add(
             "V506",
-            f"batched execution raised {exc!r} where lockstep succeeded",
+            f"matrix execution raised {exc!r} where lockstep succeeded",
         )
         return
     for rank in range(p):
@@ -951,8 +898,8 @@ def _check_batched_lowering(
         if bad:
             report.add(
                 "V506",
-                f"batched execution leaves buffer(s) {sorted(bad)} in a "
-                f"different state than lockstep",
+                f"matrix execution leaves buffer(s) {sorted(bad)} in a "
+                f"different state than lockstep over the rank views",
                 rank=rank,
             )
             return
@@ -994,7 +941,7 @@ def verify_schedule(
     Returns a :class:`VerificationReport` listing *every* violation
     found; ``report.ok`` means the schedule is certified for the given
     ``(dims, periods)`` — including its plan-lowered form (``plans``
-    controls the V501-V504 pass).
+    controls the V501-V506 and effect passes, which share one lowering).
     """
     dims_t = tuple(int(n) for n in dims)
     if isinstance(periods, bool):
@@ -1029,15 +976,16 @@ def verify_schedule(
         ):
             report.checks_run.append("content")
     if plans:
-        _check_plan_lowering(schedule, topo, report)
+        plan = _check_plan_lowering(schedule, topo, report)
         report.checks_run.append("plan-lowering")
-        _check_batched_lowering(
-            schedule, topo, report, max_bytes=max_content_bytes
-        )
-        report.checks_run.append("batched-lowering")
+        if plan is not None:
+            _check_matrix_execution(
+                schedule, topo, plan, report, max_bytes=max_content_bytes
+            )
+            report.checks_run.append("matrix-execution")
         from repro.analyze.effects import run_effect_checks
 
-        run_effect_checks(schedule, topo, report)
+        run_effect_checks(schedule, topo, report, plan=plan)
         report.checks_run.append("effects")
     return report
 

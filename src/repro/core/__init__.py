@@ -24,18 +24,16 @@ Modules
     process-wide, thread-safe LRU of built schedules keyed by the
     canonical (kind, neighborhood, layout, block-signature) fingerprint.
 ``plan``
-    schedule lowering: per-rank ``ExecPlan`` compilation (precomputed
-    peers, vectorized pack/unpack kernels, fused local copies) and the
-    size-classed scratch ``BufferPool``.
+    schedule lowering: the one rank-free ``BatchedPlan`` per (topology,
+    buffer signature) — peers as ``(p,)`` arrays, vectorized pack/unpack
+    kernels compiled once, fused local copies, masked combine steps —
+    its per-rank ``RankPlan`` row views, and the size-classed scratch
+    ``BufferPool``.
 ``backend``
-    execution backends: the ``Transport`` verb protocol, the single
-    schedule interpreter shared by every execution mode, and the
-    ``threaded`` / ``lockstep`` / ``shm`` backends behind
-    ``CartComm(backend=...)`` and ``$REPRO_BACKEND``.
-``executor`` / ``lockstep``
-    Listing 5 — thin front-ends over ``backend``: blocking execution on
-    the threaded engine, and the deterministic all-ranks executor for
-    correctness tests at large p.
+    Listing 5 — execution backends: the ``Transport`` verb protocol, the
+    single schedule interpreter shared by every per-rank execution mode,
+    and the ``threaded`` / ``lockstep`` / ``batched`` / ``shm`` backends
+    behind ``CartComm(backend=...)`` and ``$REPRO_BACKEND``.
 ``cartcomm``
     the public API of Listings 1 and 2 (``cart_neighborhood_create``,
     ``CartComm`` with alltoall/allgather in regular, v and w variants,
@@ -68,11 +66,8 @@ from repro.core.distgraph import (
 from repro.core.plan import (
     BufferPool,
     CompiledBlockSet,
-    ExecPlan,
     compile_plan,
     plan_cache_info,
-    plans_disabled,
-    plans_enabled,
 )
 from repro.core.schedule_cache import (
     ScheduleCache,
@@ -101,11 +96,8 @@ __all__ = [
     "dist_graph_create_adjacent",
     "BufferPool",
     "CompiledBlockSet",
-    "ExecPlan",
     "compile_plan",
     "plan_cache_info",
-    "plans_disabled",
-    "plans_enabled",
     "ScheduleCache",
     "cache_clear",
     "cache_info",

@@ -6,18 +6,15 @@ loops, ``p`` pack/unpack calls per round, minutes of Python at the
 paper's Titan scale (1024×16 ranks).  Because schedules are SPMD
 (Prop. 3.1–3.3: every rank runs the identical phase/round structure),
 the per-rank loops can be folded away entirely: this backend stacks all
-rank buffers into one ``(p, nbytes)`` matrix per buffer name and drives
-a :class:`~repro.core.plan.BatchedPlan`, in which each round is a
+rank buffers into one ``(p, nbytes)`` matrix per buffer name and runs
+the schedule's :class:`~repro.core.plan.BatchedPlan` whole
+(:meth:`~repro.core.plan.BatchedPlan.execute`), in which each round is a
 handful of vectorized numpy operations — gather all rows into a
 ``(p, n)`` wire matrix, permute its rows by the source-rank array,
 scatter.  Semantics are identical to lockstep (same pack-all-then-
-deliver discipline per phase, same plan kernels); only the Python-loop
-dimension is gone, which is what makes interactive large-mesh and
-netsim sweeps feasible.
-
-When plan lowering is disabled (``REPRO_PLANS=0`` /
-:func:`~repro.core.plan.plans_disabled`), there is nothing to batch and
-execution falls back to the interpreted lockstep driver.
+deliver discipline per phase, and the very same plan — lockstep walks
+its rank views); only the Python-loop dimension is gone, which is what
+makes interactive large-mesh and netsim sweeps feasible.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import numpy as np
 from repro.core import plan as plan_mod
 from repro.core.backend.base import Backend, TransportCapabilities
 from repro.core.backend.interpreter import CARTTAG
-from repro.core.backend.lockstep import LockstepBackend
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import byte_view
@@ -78,12 +74,6 @@ class BatchedBackend(Backend):
                     f"layout on every rank: rank {r} has {sorted(got)} "
                     f"sizes differing from rank 0"
                 )
-        if not plan_mod.plans_enabled():
-            # nothing to batch without lowered plans — run interpreted
-            LockstepBackend().execute_all(
-                topo, schedule, rank_buffers, tag=tag, validate=validate
-            )
-            return
         if validate:
             # layouts are uniform, so one rank's validation covers all
             check = dict(rank_buffers[0])
@@ -91,9 +81,7 @@ class BatchedBackend(Backend):
                 check["temp"] = np.empty(schedule.temp_nbytes, np.uint8)
             schedule.validate(check)
         sizes = plan_mod.effective_sizes(schedule, rank_buffers[0])
-        bplan, _ = plan_mod.get_or_compile_batched(
-            schedule, topo, sizes=sizes
-        )
+        bplan, _ = plan_mod.get_or_compile(schedule, topo, sizes=sizes)
         flats: list[np.ndarray] = []
         matrices: dict[str, np.ndarray] = {}
         try:

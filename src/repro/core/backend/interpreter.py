@@ -1,20 +1,21 @@
 """The one schedule interpreter (Listing 5, transport-agnostic).
 
-Every execution mode in the library — blocking collectives, the
-split-phase ``i*`` operations, persistent handles, the all-ranks
+Every per-rank execution mode in the library — blocking collectives,
+the split-phase ``i*`` operations, persistent handles, the all-ranks
 lockstep and shared-memory paths, and the certification helpers in
 ``verify.py`` — drives a :class:`ScheduleInterpreter` over some
-:class:`~repro.core.backend.base.Transport`.  The phase/round
-interpretation of a :class:`~repro.core.schedule.Schedule` lives *only*
-here:
+:class:`~repro.core.backend.base.Transport`.  It executes the calling
+rank's :class:`~repro.core.plan.RankPlan` — its row view of the
+schedule's one lowered plan — and the phase/round walk over that view
+lives *only* here:
 
 * per round, the receive is posted before the send (so a self-send
   matches immediately);
-* source = ``translate(rank, -recv_source_offset)``, target =
-  ``translate(rank, offset)``; a missing source/target (non-periodic
-  mesh boundary) skips that half of the round — the halo semantics of
-  stencil codes;
-* one ``waitall`` completes each phase;
+* source and target are the plan's resolved peers; a missing
+  source/target (non-periodic mesh boundary) skips that half of the
+  round — the halo semantics of stencil codes;
+* one ``waitall`` completes each phase (reductions then fold the
+  phase's staging regions with the rank's fused combine program);
 * the final non-communication phase performs the rank-local copies.
 
 Blocking execution is :meth:`run`.  Split-phase front-ends call
@@ -31,9 +32,8 @@ import numpy as np
 
 from repro.core import plan as plan_mod
 from repro.core.backend.base import Transport, allocate_buffers
-from repro.core.schedule import LocalCombine, Schedule
+from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
-from repro.mpisim.datatypes import byte_view
 from repro.mpisim.exceptions import ScheduleError
 
 #: Tag used by Cartesian collective schedules (the paper's ``CARTTAG``);
@@ -63,8 +63,7 @@ class ScheduleInterpreter:
         validate: bool = False,
         observe: bool = True,
         skip_empty_phases: bool = False,
-        plan: "plan_mod.ExecPlan | None" = None,
-        use_plans: bool | None = None,
+        plan: "plan_mod.RankPlan | None" = None,
     ) -> None:
         self.transport = transport
         self.topo = topo
@@ -83,14 +82,12 @@ class ScheduleInterpreter:
         self.validate = validate
         self.observe = observe
         self.skip_empty_phases = skip_empty_phases
-        #: the lowered execution plan (compiled or fetched in
-        #: :meth:`begin` unless injected here or disabled)
+        #: this rank's view of the lowered plan (fetched in
+        #: :meth:`begin` unless injected here)
         self.plan = plan
-        #: None until begin(); then True (cache hit) / False (compiled).
-        #: Stays None when lowering is disabled.
+        #: None until begin() looks the plan up; then True (cache hit) /
+        #: False (this call compiled it)
         self.plan_hit: bool | None = None
-        self._use_plans = use_plans
-        self._peers: tuple | None = None
         #: wire bytes this execution packed / local bytes it copied
         #: (filled during the run; consumed by OpStats wiring)
         self.bytes_packed = 0
@@ -99,12 +96,6 @@ class ScheduleInterpreter:
         self._phase_index = 0
         self.pending: list[Any] = []
         self._finished = False
-        #: accumulator regions initialized so far (uncompiled reduction
-        #: path only): first write to a region copies, later ones apply
-        #: the combine operator — no identity element is materialized
-        self._inited: set[tuple[str, int, int]] = set()
-        self._combine_fn = None
-        self._combine_view_dtype = None
 
     # ------------------------------------------------------------------
     @property
@@ -124,29 +115,15 @@ class ScheduleInterpreter:
         # schedules get their coalesced-copy plans computed before the
         # timed phases.
         self.schedule.prepare()
-        use_plans = (
-            self._use_plans
-            if self._use_plans is not None
-            else plan_mod.plans_enabled()
-        )
-        if self.plan is None and use_plans:
-            self.plan, self.plan_hit = plan_mod.get_or_compile(
-                self.schedule, self.topo, self.transport.rank, self.buffers
-            )
         if self.plan is None:
-            # Uncompiled path: peers still resolve once per (schedule,
-            # rank), not once per round per execution.
-            self._peers = plan_mod.peer_table(
-                self.schedule, self.topo, self.transport.rank
+            plan, self.plan_hit = plan_mod.get_or_compile(
+                self.schedule, self.topo, self.buffers
             )
-        if self.schedule.is_reduction:
+            self.plan = plan.for_rank(self.transport.rank)
+        if self.plan.pre_program is not None:
             # Seed accumulators from the send buffer *before* phase 0
             # posts any send (phase-0 rounds ship accumulator slots).
-            if self.plan is not None:
-                if self.plan.pre_program is not None:
-                    self.plan.pre_program.run(self.buffers)
-            else:
-                self._run_combine_steps(self.schedule.pre_steps, None)
+            self.plan.pre_program.run(self.buffers)
         if self.observe:
             self.transport.mark(f"begin {self.schedule.kind}")
             self.transport.progress(op=self.schedule.kind)
@@ -157,10 +134,11 @@ class ScheduleInterpreter:
         Returns ``False`` when no phase remains to post.  This is the
         single phase/round interpretation loop of the library.
         """
-        phases = self.schedule.phases
+        assert self.plan is not None, "begin() first"
+        phases = self.plan.phases
         while self._phase_index < len(phases):
             phase = phases[self._phase_index]
-            if self.skip_empty_phases and not phase.rounds:
+            if self.skip_empty_phases and not phase:
                 self._phase_index += 1
                 continue
             if self.observe:
@@ -168,44 +146,20 @@ class ScheduleInterpreter:
             t = self.transport
             buffers = self.buffers
             pending: list[Any] = []
-            if self.plan is not None:
-                for round_index, pr in enumerate(
-                    self.plan.phases[self._phase_index]
-                ):
-                    seq = (self._phase_index, round_index)
-                    if pr.source is not None:
-                        pending.append(
-                            t.post_recv(
-                                pr.recv, buffers, pr.source, self.tag, seq
-                            )
+            for round_index, pr in enumerate(phase):
+                seq = (self._phase_index, round_index)
+                if pr.source is not None:
+                    pending.append(
+                        t.post_recv(
+                            pr.recv, buffers, pr.source, self.tag, seq
                         )
-                    if pr.target is not None:
-                        pending.append(
-                            t.post_send(
-                                pr.send, buffers, pr.target, self.tag, seq
-                            )
+                    )
+                if pr.target is not None:
+                    pending.append(
+                        t.post_send(
+                            pr.send, buffers, pr.target, self.tag, seq
                         )
-            else:
-                assert self._peers is not None
-                peers = self._peers[self._phase_index]
-                for round_index, rnd in enumerate(phase.rounds):
-                    source, target = peers[round_index]
-                    seq = (self._phase_index, round_index)
-                    if source is not None:
-                        pending.append(
-                            t.post_recv(
-                                rnd.recv_blocks, buffers, source,
-                                self.tag, seq,
-                            )
-                        )
-                    if target is not None:
-                        pending.append(
-                            t.post_send(
-                                rnd.send_blocks, buffers, target,
-                                self.tag, seq,
-                            )
-                        )
-                        self.bytes_packed += rnd.nbytes
+                    )
             self.pending = pending
             return True
         return False
@@ -220,46 +174,22 @@ class ScheduleInterpreter:
         deterministic order."""
         self.transport.waitall(self.pending)
         self.pending = []
-        pi = self._phase_index
-        if self.schedule.is_reduction:
-            if self.plan is not None:
-                prog = self.plan.combine_programs[pi]
-                if prog is not None:
-                    prog.run(self.buffers)
-            else:
-                steps = self.schedule.phases[pi].combine_steps
-                if steps:
-                    assert self._peers is not None
-                    live = [
-                        source is not None
-                        for source, _target in self._peers[pi]
-                    ]
-                    self._run_combine_steps(steps, live)
+        prog = self.plan.combine_programs[self._phase_index]
+        if prog is not None:
+            prog.run(self.buffers)
         self._phase_index += 1
 
     def finish(self) -> None:
         """The final non-communication phase: rank-local copies (and,
         for reductions, the check that every required output received at
         least one contribution)."""
-        if self.schedule.is_reduction:
-            missing = (
-                not self.plan.reduce_outputs_ok
-                if self.plan is not None
-                else any(
-                    (ref.buffer, ref.offset, ref.nbytes) not in self._inited
-                    for ref in self.schedule.required_outputs
-                )
+        if not self.plan.reduce_outputs_ok:
+            raise ScheduleError(
+                "reduction received no contributions "
+                "(all neighbors off the mesh)"
             )
-            if missing:
-                raise ScheduleError(
-                    "reduction received no contributions "
-                    "(all neighbors off the mesh)"
-                )
-        if self.plan is not None:
-            moved = self.plan.run_local_copies(self.buffers)
-            self.bytes_packed = self.plan.wire_bytes
-        else:
-            moved = self.schedule.run_local_copies(self.buffers)
+        moved = self.plan.run_local_copies(self.buffers)
+        self.bytes_packed = self.plan.wire_bytes
         self.bytes_copied = moved
         if self.observe:
             if moved:
@@ -286,44 +216,6 @@ class ScheduleInterpreter:
             plan_mod.GLOBAL_POOL.release(self._pooled_temp)
             self._pooled_temp = None
         self._finished = True
-
-    # ------------------------------------------------------------------
-    def _run_combine_steps(
-        self,
-        steps: "list[LocalCombine]",
-        live: "list[bool] | None",
-    ) -> None:
-        """Uncompiled combine execution: apply each step in order, with
-        first-write-wins initialization and ``when_round`` gating
-        (``live[r]`` = round ``r`` of the current phase had an on-mesh
-        receive source; ``None`` for the ungated pre-steps)."""
-        if self._combine_fn is None:
-            from repro.core.reduce_schedule import resolve_op_token
-
-            self._combine_fn = resolve_op_token(self.schedule.combine_op)
-            self._combine_view_dtype = np.dtype(self.schedule.combine_dtype)
-        op = self._combine_fn
-        dt = self._combine_view_dtype
-        buffers = self.buffers
-        inited = self._inited
-        for step in steps:
-            if step.when_round is not None and not live[step.when_round]:
-                continue
-            if step.src.nbytes == 0:  # zero-size blocks carry no data
-                inited.add((step.dst.buffer, step.dst.offset, step.dst.nbytes))
-                continue
-            src = byte_view(buffers[step.src.buffer])[
-                step.src.offset : step.src.offset + step.src.nbytes
-            ].view(dt)
-            dst = byte_view(buffers[step.dst.buffer])[
-                step.dst.offset : step.dst.offset + step.dst.nbytes
-            ].view(dt)
-            key = (step.dst.buffer, step.dst.offset, step.dst.nbytes)
-            if key in inited:
-                dst[...] = op(dst, src)
-            else:
-                dst[...] = src
-                inited.add(key)
 
     # ------------------------------------------------------------------
     def run(self) -> None:

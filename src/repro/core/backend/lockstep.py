@@ -112,7 +112,7 @@ class LockstepTransport(Transport):
             payload = self.exchange.messages.pop(
                 (token.source, self.rank, token.seq), None
             )
-            if payload is None:  # pragma: no cover - mesh symmetry
+            if payload is None:  # pragma: no cover - refused at lowering
                 raise ScheduleError(
                     f"rank {self.rank} expects a message from "
                     f"{token.source} which sent none"
@@ -124,6 +124,35 @@ class LockstepTransport(Transport):
                 # (bad block set, fault injection) — an unpack failure
                 # must not leak pool bytes
                 GLOBAL_POOL.release(payload)
+
+
+def drive_lockstep(
+    interps: Sequence[ScheduleInterpreter], exchange: LockstepExchange
+) -> None:
+    """Run one interpreter per rank over ``exchange``, phase-interleaved
+    (the verifier drives explicit plan views through this too)."""
+    try:
+        for it in interps:
+            it.begin()
+        for _ in range(len(interps[0].schedule.phases)):
+            # all ranks post (and pack) the phase first …
+            for it in interps:
+                it.post_next_phase()
+            # … then all ranks deliver it.
+            for it in interps:
+                it.complete_phase()
+        for it in interps:
+            it.finish()
+    except BaseException:
+        # return every rank's pooled scratch and drain the packed
+        # payloads still sitting on the wire, so a failed run leaves
+        # outstanding_bytes exactly where it found them
+        for it in interps:
+            it.abort()
+        for payload in exchange.messages.values():
+            GLOBAL_POOL.release(payload)
+        exchange.messages.clear()
+        raise
 
 
 class LockstepBackend(Backend):
@@ -147,37 +176,18 @@ class LockstepBackend(Backend):
                 f"need one buffer set per rank: p={p}, got {len(rank_buffers)}"
             )
         exchange = LockstepExchange()
-        interps = [
-            ScheduleInterpreter(
-                LockstepTransport(exchange, r),
-                topo,
-                schedule,
-                rank_buffers[r],
-                tag=tag,
-                validate=validate,
-                observe=False,
-            )
-            for r in range(p)
-        ]
-        try:
-            for it in interps:
-                it.begin()
-            for _ in range(len(schedule.phases)):
-                # all ranks post (and pack) the phase first …
-                for it in interps:
-                    it.post_next_phase()
-                # … then all ranks deliver it.
-                for it in interps:
-                    it.complete_phase()
-            for it in interps:
-                it.finish()
-        except BaseException:
-            # return every rank's pooled scratch and drain the packed
-            # payloads still sitting on the wire, so a failed run leaves
-            # outstanding_bytes exactly where it found them
-            for it in interps:
-                it.abort()
-            for payload in exchange.messages.values():
-                GLOBAL_POOL.release(payload)
-            exchange.messages.clear()
-            raise
+        drive_lockstep(
+            [
+                ScheduleInterpreter(
+                    LockstepTransport(exchange, r),
+                    topo,
+                    schedule,
+                    rank_buffers[r],
+                    tag=tag,
+                    validate=validate,
+                    observe=False,
+                )
+                for r in range(p)
+            ],
+            exchange,
+        )

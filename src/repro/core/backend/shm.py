@@ -201,26 +201,20 @@ class ShmBackend(Backend):
         timeout = float(os.environ.get(_TIMEOUT_ENV, _DEFAULT_TIMEOUT))
         # Compute coalesced-run plans once, in the parent, before forking.
         schedule.prepare()
-        # Lower the per-rank execution plans here too: children inherit
-        # them copy-on-write through the fork, so every worker starts
-        # with a plan-cache hit instead of compiling its own.  Strictly
-        # best-effort: a schedule that cannot compile (e.g. undersized
-        # buffers) must fail inside the worker, where the error funnels
-        # through the queue as a BackendError like any other failure.
-        if plan_mod.plans_enabled():
-            for r in range(p):
-                try:
-                    plan_mod.get_or_compile(
-                        schedule,
-                        topo,
-                        r,
-                        sizes=plan_mod.effective_sizes(
-                            schedule,
-                            rank_buffers[r],
-                        ),
-                    )
-                except Exception:
-                    break
+        # Lower the plan and take every rank's view here too: children
+        # inherit them copy-on-write through the fork, so every worker
+        # starts with a plan-cache hit instead of compiling its own.
+        # Strictly best-effort: a schedule that cannot compile (e.g.
+        # undersized buffers) must fail inside the worker, where the
+        # error funnels through the queue as a BackendError like any
+        # other failure.
+        for r in range(p):
+            try:
+                plan_mod.get_or_compile(
+                    schedule, topo, rank_buffers[r]
+                )[0].for_rank(r)
+            except Exception:
+                break
 
         # ---- segment layout ------------------------------------------------
         # (rank, name) -> (segment offset, nbytes) regions, then the

@@ -246,10 +246,9 @@ class CartComm:
             )
             interp.run()
             if self.stats is not None:
-                if interp.plan_hit is not None:
-                    self.stats.record_plan(
-                        interp.plan_hit, backend=self.backend.name
-                    )
+                self.stats.record_plan(
+                    bool(interp.plan_hit), backend=self.backend.name
+                )
                 self.stats.record_bytes(
                     interp.bytes_packed,
                     interp.bytes_copied,
@@ -275,10 +274,8 @@ class CartComm:
             # Rank 0 drives every rank's execution, but each rank still
             # accounts one logical plan lookup per collective (the
             # per-rank path's contract): a hit unless driving the mesh
-            # compiled something new, ``None`` when plans are off and no
-            # lookup happened at all.
-            looked_up = (after.hits + after.misses) > (before.hits + before.misses)
-            hit = (after.misses == before.misses) if looked_up else None
+            # compiled something new.
+            hit = after.misses == before.misses
             for r in range(1, self.size):
                 self.comm.send((gathered[r], hit), r, tag=_FUNNEL_TAG)
         else:
@@ -287,10 +284,9 @@ class CartComm:
                 byte_view(arr)[:] = byte_view(
                     np.ascontiguousarray(result[name])
                 )
-        if self.stats is not None and hit is not None:
-            self.stats.record_plan(hit, backend=self.backend.name)
         if self.stats is not None:
             # per-process accounting, mirroring the per-rank path
+            self.stats.record_plan(hit, backend=self.backend.name)
             self.stats.record_bytes(
                 schedule.volume_bytes,
                 schedule.local_copy_bytes,

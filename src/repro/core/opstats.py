@@ -66,7 +66,7 @@ class OpStats:
     #: backend name -> [hits, misses]
     cache_by_backend: dict = field(default_factory=dict)
     #: plan-cache observability (see :mod:`repro.core.plan`): how often
-    #: executions reused a lowered per-rank plan vs. compiled one.
+    #: executions reused the schedule's lowered plan vs. compiled it.
     plan_hits: int = 0
     plan_misses: int = 0
     #: per-backend split of the plan counters: backend -> [hits, misses]

@@ -1,19 +1,21 @@
-"""Schedule lowering: per-rank execution plans and the buffer pool.
+"""Schedule lowering: the rank-free execution plan and the buffer pool.
 
 Proposition 3.1 makes a schedule pure, rank-independent data — which is
 what lets one object serve every rank — but executing it still paid
 per-call Python costs: ``topo.translate`` per round, a Python loop over
 coalesced runs per pack/unpack, and fresh temp/wire allocations per
 invocation.  This module *lowers* a prepared
-:class:`~repro.core.schedule.Schedule` into an immutable per-rank
-:class:`ExecPlan` in which all of that is precomputed:
+:class:`~repro.core.schedule.Schedule` once, for all ranks of a
+topology, into an immutable :class:`BatchedPlan` in which all of that
+is precomputed:
 
-* **peer ranks** — every round's (source, target) pair is resolved once
-  at compile time; rounds falling off a non-periodic mesh edge carry
-  ``None`` and compile no block program for the missing half;
+* **peer ranks** — every round's sources and targets are resolved once
+  for the whole mesh as ``(p,)`` arrays (:func:`translate_all`), ``-1``
+  where a peer falls off a non-periodic mesh edge;
 * **gather/scatter programs** — each round's block sets become
-  :class:`CompiledBlockSet` kernels: contiguous layouts degrade to a
-  single slice copy, fragmented ``v``/``w`` layouts become one numpy
+  :class:`CompiledBlockSet` kernels, compiled exactly once because they
+  are the same for every rank: contiguous layouts degrade to a single
+  slice copy, fragmented ``v``/``w`` layouts become one numpy
   fancy-indexing operation over precomputed ``int64`` index arrays, and
   layouts with few large runs keep a precomputed slice loop (a handful
   of big ``memcpy``\\ s beats byte-granular index gathering);
@@ -21,19 +23,26 @@ invocation.  This module *lowers* a prepared
   compiled the same way (:class:`CompiledCopyProgram`), falling back to
   the schedule's sequential order whenever source and destination
   regions could interact;
-* **pooled scratch** — temp and lockstep wire buffers come from the
-  process-wide size-classed :class:`BufferPool` instead of ``np.empty``
-  per execution.
+* **combine steps with row masks** — reductions lower to per-step
+  kernels whose ``when_round`` gating and first-write-wins timing are
+  resolved into per-step rank-row sets;
+* **pooled scratch** — temp and wire buffers come from the process-wide
+  size-classed :class:`BufferPool` instead of ``np.empty`` per
+  execution.
 
-Plans are cached on the schedule object itself (``Schedule._plans``)
-under a per-rank key, so they share the lifetime of the schedule-cache
-entry they belong to and are invalidated with it; compilation is
-single-flight under a module lock.  The
-:class:`~repro.core.backend.interpreter.ScheduleInterpreter` consumes
-plans transparently, which is how all three backends benefit — the shm
-transport's ``pack_into`` packs straight into its shared-memory slot
-through the plan's index arrays.  ``REPRO_PLANS=0`` disables lowering
-globally; :func:`plans_disabled` scopes that for comparisons.
+The plan runs two ways.  :meth:`BatchedPlan.execute` drives all ``p``
+ranks at once over ``(p, nbytes)`` matrices (the batched backend).
+:meth:`BatchedPlan.for_rank` is one rank's memoized *row view* of the
+same plan — a :class:`RankPlan` of ``(source, target, send, recv)``
+rounds read off row ``r`` of the peer arrays, sharing the plan's kernel
+objects — which is what the
+:class:`~repro.core.backend.interpreter.ScheduleInterpreter` consumes on
+the threaded, lockstep and shm backends.
+
+Plans are cached on the schedule object itself (``Schedule._plans``),
+one entry per ``(dims, periods, buffer signature)``, so they share the
+lifetime of the schedule-cache entry they belong to and are invalidated
+with it; compilation is single-flight (:func:`get_or_compile`).
 """
 
 from __future__ import annotations
@@ -43,17 +52,7 @@ import threading
 import time
 import weakref
 from collections import namedtuple
-from contextlib import contextmanager
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Iterator,
-    Mapping,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,8 +75,6 @@ _MIN_CLASS = 64
 
 _POOL_MAX_ENV = "REPRO_BUFFER_POOL_MAX"
 _DEFAULT_POOL_MAX = 64 << 20  # retained (idle) bytes cap
-
-_PLANS_ENV = "REPRO_PLANS"
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +557,10 @@ class CombineProgram:
     """One rank's fused combine kernel for a step list (the pre-steps, or
     one phase's post-``waitall`` folds), fully resolved at compile time.
 
-    The compiler statically evaluates ``when_round`` gating (the peer
-    ranks are known) and first-write-wins initialization (the execution
-    order is known), so at run time only three op shapes remain:
+    It is derived from the rank's rows of a :class:`BatchedReduceRound`:
+    the lowering's row masks already decide ``when_round`` gating (the
+    peer ranks are known) and first-write-wins initialization (the
+    execution order is known), so at run time only three op shapes remain:
 
     * ``copy`` — plain byte-slice copies (accumulator initialization);
     * ``op`` — sliced in-place ufunc applications over contiguous runs
@@ -638,78 +636,38 @@ class CombineProgram:
         )
 
 
-def _coalesce_steps(
-    steps: Sequence[tuple["LocalCombine", bool]],
-) -> list[tuple[bool, str, int, str, int, int]]:
+#: One rank's resolved combine step: (is_copy, src buffer, src offset,
+#: dst buffer, dst offset, nbytes).
+ResolvedStep = tuple[bool, str, int, str, int, int]
+
+
+def _coalesce_steps(steps: Sequence[ResolvedStep]) -> list[ResolvedStep]:
     """Merge adjacent same-kind steps whose source *and* destination
-    regions are contiguous: (is_copy, src buf, src off, dst buf, dst off,
-    nbytes) runs in program order."""
-    runs: list[tuple[bool, str, int, str, int, int]] = []
-    for step, is_copy in steps:
+    regions are contiguous, in program order."""
+    runs: list[ResolvedStep] = []
+    for step in steps:
+        is_copy, src, soff, dst, doff, nbytes = step
         if runs:
             k, sb, so, db, do, n = runs[-1]
             if (
-                k == is_copy
-                and sb == step.src.buffer
-                and db == step.dst.buffer
-                and so + n == step.src.offset
-                and do + n == step.dst.offset
+                (k, sb, db) == (is_copy, src, dst)
+                and so + n == soff
+                and do + n == doff
             ):
-                runs[-1] = (k, sb, so, db, do, n + step.src.nbytes)
+                runs[-1] = (k, sb, so, db, do, n + nbytes)
                 continue
-        runs.append(
-            (
-                is_copy,
-                step.src.buffer,
-                step.src.offset,
-                step.dst.buffer,
-                step.dst.offset,
-                step.src.nbytes,
-            )
-        )
+        runs.append(step)
     return runs
 
 
-def _compile_combine_program(
-    schedule: "Schedule",
-    steps: Sequence["LocalCombine"],
-    live: Optional[Sequence[bool]],
-    inited: set[tuple[str, int, int]],
+def _fuse_combine_program(
+    token: str,
+    dt: np.dtype,
+    resolved: Sequence[ResolvedStep],
     sizes: Mapping[str, int],
-) -> Optional[CombineProgram]:
-    """Lower one step list for one rank, mutating ``inited`` (the
-    rank's first-write-wins state threaded from the pre-steps through
-    every phase)."""
-    dt = np.dtype(schedule.combine_dtype)
-    resolved: list[tuple["LocalCombine", bool]] = []
-    for step in steps:
-        if step.when_round is not None:
-            if live is None or not (0 <= step.when_round < len(live)):
-                raise ScheduleError(
-                    f"combine gate names round {step.when_round}, the "
-                    f"step list has "
-                    f"{0 if live is None else len(live)} round(s)"
-                )
-            if not live[step.when_round]:
-                continue
-        for ref in (step.src, step.dst):
-            cap = sizes.get(ref.buffer)
-            if cap is None:
-                raise ScheduleError(
-                    f"combine step references unknown buffer {ref.buffer!r}"
-                )
-            if ref.end() > cap:
-                raise TruncationError(
-                    f"combine block {ref} exceeds buffer {ref.buffer!r} "
-                    f"of {cap} bytes"
-                )
-        key = (step.dst.buffer, step.dst.offset, step.dst.nbytes)
-        is_copy = key not in inited
-        inited.add(key)
-        if step.src.nbytes:
-            resolved.append((step, is_copy))
-    if not resolved:
-        return None
+) -> CombineProgram:
+    """Fuse one rank's resolved step list (gating and first-write-wins
+    already decided by the lowering's row masks) into its kernel."""
     from repro.core.reduce_schedule import ufunc_for_token
 
     runs = _coalesce_steps(resolved)
@@ -717,7 +675,7 @@ def _compile_combine_program(
     combine_runs = [r[1:] for r in runs if not r[0]]
     op_ops: list[tuple[str, int, str, int, int]] = []
     at_ops: list[tuple[str, np.ndarray, str, np.ndarray]] = []
-    ufunc = ufunc_for_token(schedule.combine_op)
+    ufunc = ufunc_for_token(token)
     dst_keys = [(db, do, n) for _, _, db, do, n in combine_runs]
     duplicates = len(dst_keys) != len(set(dst_keys)) or any(
         a[0] == b[0] and a[1] < b[1] + b[2] and b[1] < a[1] + a[2]
@@ -758,57 +716,16 @@ def _compile_combine_program(
             op_ops = combine_runs
     else:
         op_ops = combine_runs
-    return CombineProgram(
-        schedule.combine_op, dt, copy_ops, op_ops, at_ops
-    )
-
-
-def _compile_combines(
-    schedule: "Schedule",
-    topo: "CartTopology",
-    rank: int,
-    sizes: Mapping[str, int],
-) -> tuple[
-    Optional[CombineProgram], tuple[Optional[CombineProgram], ...], bool
-]:
-    """All combine programs of one rank: the pre-step seed program, one
-    program per phase, and whether every required output ends up
-    initialized (a mesh rank whose contributors all fell off the edge
-    must raise at finish, exactly like the dynamic path)."""
-    if not schedule.is_reduction:
-        return None, (None,) * len(schedule.phases), True
-    inited: set[tuple[str, int, int]] = set()
-    pre = _compile_combine_program(
-        schedule, schedule.pre_steps, None, inited, sizes
-    )
-    per_phase: list[Optional[CombineProgram]] = []
-    for phase in schedule.phases:
-        live = [
-            topo.translate(
-                rank, tuple(-o for o in rnd.recv_source_offset)
-            )
-            is not None
-            for rnd in phase.rounds
-        ]
-        per_phase.append(
-            _compile_combine_program(
-                schedule, phase.combine_steps, live, inited, sizes
-            )
-        )
-    outputs_ok = all(
-        (ref.buffer, ref.offset, ref.nbytes) in inited
-        for ref in schedule.required_outputs
-    )
-    return pre, tuple(per_phase), outputs_ok
+    return CombineProgram(token, dt, copy_ops, op_ops, at_ops)
 
 
 # ---------------------------------------------------------------------------
-# the plan
+# one rank's view of the plan
 # ---------------------------------------------------------------------------
 
 
 class PlanRound:
-    """One round with peers resolved and block programs compiled.
+    """One round of one rank: peers resolved, block programs shared.
 
     ``source``/``target`` are absolute ranks (``None`` off a
     non-periodic mesh edge, in which case the corresponding program is
@@ -833,18 +750,17 @@ class PlanRound:
         return f"PlanRound(source={self.source}, target={self.target})"
 
 
-class ExecPlan:
-    """An immutable, per-rank lowering of one schedule.
-
-    Everything the interpreter needs per execution is precomputed: the
-    peer ranks of every round, the pack/unpack kernels, the fused
-    local-copy program, and the wire-byte total this rank actually sends
-    (mesh-boundary rounds excluded)."""
+class RankPlan:
+    """One rank's row of a :class:`BatchedPlan` (or of a mapped plan
+    image): everything the interpreter needs per execution — the peer
+    ranks of every round, the plan's shared pack/unpack kernels, the
+    fused local-copy program, the rank's combine programs, and the
+    wire-byte total this rank actually sends (mesh-boundary rounds
+    excluded)."""
 
     __slots__ = (
         "kind",
         "rank",
-        "key",
         "phases",
         "copy_program",
         "pre_program",
@@ -853,26 +769,22 @@ class ExecPlan:
         "temp_nbytes",
         "wire_bytes",
         "local_bytes",
-        "compile_seconds",
     )
 
     def __init__(
         self,
         kind: str,
         rank: int,
-        key: tuple,
         phases: Sequence[Sequence[PlanRound]],
         copy_program: CompiledCopyProgram,
         temp_nbytes: int,
         wire_bytes: int,
-        compile_seconds: float,
         pre_program: Optional[CombineProgram] = None,
         combine_programs: Sequence[Optional[CombineProgram]] = (),
         reduce_outputs_ok: bool = True,
     ) -> None:
         self.kind = kind
         self.rank = rank
-        self.key = key
         self.phases = tuple(tuple(rs) for rs in phases)
         self.copy_program = copy_program
         #: fused accumulator-seeding kernel (reductions; run in begin)
@@ -890,7 +802,6 @@ class ExecPlan:
         self.temp_nbytes = temp_nbytes
         self.wire_bytes = wire_bytes
         self.local_bytes = copy_program.nbytes
-        self.compile_seconds = compile_seconds
 
     def run_local_copies(self, buffers: Mapping[str, np.ndarray]) -> int:
         return self.copy_program.run(buffers)
@@ -901,81 +812,10 @@ class ExecPlan:
 
     def __repr__(self) -> str:
         return (
-            f"ExecPlan({self.kind}, rank={self.rank}, "
+            f"RankPlan({self.kind}, rank={self.rank}, "
             f"phases={len(self.phases)}, rounds={self.num_rounds}, "
             f"wire={self.wire_bytes} B)"
         )
-
-
-# ---------------------------------------------------------------------------
-# compilation and the per-schedule plan cache
-# ---------------------------------------------------------------------------
-
-_CACHE_LOCK = threading.Lock()
-#: (schedule identity, plan key) -> Event for compiles in flight: plan
-#: compilation is single-flight per key but runs *outside* the module
-#: lock, so concurrent compilation — distinct ranks, distinct schedules,
-#: the schedule service's worker pool — no longer serializes on one
-#: global lock.
-_BUILDING: dict[tuple, threading.Event] = {}
-_hits = 0
-_misses = 0
-_compile_seconds = 0.0
-
-PlanCacheInfo = namedtuple(
-    "PlanCacheInfo", ["hits", "misses", "compile_seconds"]
-)
-
-
-def invalidate_plans(schedule: "Schedule") -> None:
-    """Drop every cached plan/peer table of ``schedule`` and bump its
-    plan generation (under the module lock), so a compile that was in
-    flight when the invalidation happened can never file its result
-    afterwards — the backing store of
-    :meth:`~repro.core.schedule.Schedule.clear_plans`."""
-    with _CACHE_LOCK:
-        schedule._plans.clear()
-        schedule._plans_generation += 1
-
-
-def _get_or_compile_cached(
-    schedule: "Schedule",
-    key: tuple,
-    compile_fn: "Callable[[], Any]",
-) -> tuple[Any, bool]:
-    """Single-flight plan cache: one compile per key however many
-    threads ask, the compile itself outside the lock, and a generation
-    guard so a compile racing :func:`invalidate_plans` is returned to
-    its caller but never cached (no resurrected entries, no leaked
-    plans)."""
-    global _hits, _misses, _compile_seconds
-    cache = schedule._plans
-    token = (id(schedule), key)
-    while True:
-        with _CACHE_LOCK:
-            plan = cache.get(key)
-            if plan is not None:
-                _hits += 1
-                return plan, True
-            pending = _BUILDING.get(token)
-            if pending is None:
-                pending = _BUILDING[token] = threading.Event()
-                generation = schedule._plans_generation
-                break
-        # another thread is compiling this key: wait and re-check
-        pending.wait()
-    try:
-        compiled = compile_fn()
-        with _CACHE_LOCK:
-            _misses += 1
-            _compile_seconds += compiled.compile_seconds
-            if schedule._plans_generation == generation:
-                cache[key] = compiled
-        return compiled, False
-    finally:
-        with _CACHE_LOCK:
-            _BUILDING.pop(token, None)
-        pending.set()
 
 
 def effective_sizes(
@@ -994,123 +834,13 @@ def buffer_signature(sizes: Mapping[str, int]) -> tuple:
     return tuple(sorted(sizes.items()))
 
 
-def plan_key(rank: int, topo: "CartTopology", signature: tuple) -> tuple:
-    return ("plan", rank, topo.dims, topo.periods, signature)
-
-
-def compile_plan(
-    schedule: "Schedule",
-    topo: "CartTopology",
-    rank: int,
-    sizes: Mapping[str, int],
-) -> ExecPlan:
-    """Lower ``schedule`` for one rank (no caching — see
-    :func:`get_or_compile`)."""
-    t0 = time.perf_counter()
-    schedule.prepare()
-    phases: list[list[PlanRound]] = []
-    wire_bytes = 0
-    for phase in schedule.phases:
-        rounds: list[PlanRound] = []
-        for rnd in phase.rounds:
-            neg = tuple(-o for o in rnd.recv_source_offset)
-            source = topo.translate(rank, neg)
-            target = topo.translate(rank, rnd.offset)
-            send = recv = None
-            if target is not None:
-                send = compile_blockset(
-                    rnd.send_blocks.coalesced_runs(), sizes
-                )
-                wire_bytes += send.total_nbytes
-            if source is not None:
-                recv = compile_blockset(
-                    rnd.recv_blocks.coalesced_runs(), sizes
-                )
-            rounds.append(PlanRound(source, target, send, recv))
-        phases.append(rounds)
-    copy_program = compile_copies(schedule.prepared_copy_runs(), sizes)
-    pre_program, combine_programs, outputs_ok = _compile_combines(
-        schedule, topo, rank, sizes
-    )
-    key = plan_key(rank, topo, buffer_signature(sizes))
-    return ExecPlan(
-        schedule.kind,
-        rank,
-        key,
-        phases,
-        copy_program,
-        schedule.temp_nbytes,
-        wire_bytes,
-        time.perf_counter() - t0,
-        pre_program=pre_program,
-        combine_programs=combine_programs,
-        reduce_outputs_ok=outputs_ok,
-    )
-
-
-def get_or_compile(
-    schedule: "Schedule",
-    topo: "CartTopology",
-    rank: int,
-    buffers: Optional[Mapping[str, np.ndarray]] = None,
-    *,
-    sizes: Optional[Mapping[str, int]] = None,
-) -> tuple[ExecPlan, bool]:
-    """Return ``(plan, hit)`` — the cached per-rank plan or a freshly
-    compiled one.  Plans live on the schedule object itself, so they are
-    invalidated exactly when the schedule-cache entry is; compilation is
-    single-flight per key and runs outside the module lock, so compiles
-    for different ranks or schedules proceed concurrently."""
-    if sizes is None:
-        if buffers is None:
-            raise ValueError("need buffers or sizes to key a plan")
-        sizes = effective_sizes(schedule, buffers)
-    frozen_sizes = dict(sizes)
-    key = plan_key(rank, topo, buffer_signature(frozen_sizes))
-    return _get_or_compile_cached(
-        schedule,
-        key,
-        lambda: compile_plan(schedule, topo, rank, frozen_sizes),
-    )
-
-
-def peer_table(
-    schedule: "Schedule", topo: "CartTopology", rank: int
-) -> tuple[tuple[tuple[Optional[int], Optional[int]], ...], ...]:
-    """Per-(phase, round) resolved (source, target) pairs for the
-    *uncompiled* interpreter path — so even with lowering disabled,
-    ``topo.translate`` runs once per (schedule, rank), not per
-    execution.  Memoized next to the plans (same invalidation)."""
-    key = ("peers", rank, topo.dims, topo.periods)
-    cache = schedule._plans
-    with _CACHE_LOCK:
-        generation = schedule._plans_generation
-        cached = cache.get(key)
-    if cached is not None:
-        return cached
-    table = tuple(
-        tuple(
-            (
-                topo.translate(
-                    rank, tuple(-o for o in rnd.recv_source_offset)
-                ),
-                topo.translate(rank, rnd.offset),
-            )
-            for rnd in phase.rounds
-        )
-        for phase in schedule.phases
-    )
-    with _CACHE_LOCK:
-        existing = cache.get(key)
-        if existing is not None:
-            return existing
-        if schedule._plans_generation == generation:
-            cache[key] = table
-    return table
+def _plan_key(topo: "CartTopology", sizes: Mapping[str, int]) -> tuple:
+    """The one plan-cache key: rank-free."""
+    return ("plan", topo.dims, topo.periods, buffer_signature(sizes))
 
 
 # ---------------------------------------------------------------------------
-# batched (all-ranks SPMD) lowering
+# the plan: the rank-free (all-ranks SPMD) lowering
 # ---------------------------------------------------------------------------
 
 
@@ -1144,9 +874,9 @@ class BatchedRound:
     """One round of a :class:`BatchedPlan`: all ranks' exchanges as a
     handful of matrix operations.
 
-    The per-rank :class:`ExecPlan` kernels of one round are identical
-    across ranks (the schedule is SPMD data; only the resolved peers
-    differ), so the stacked ``(p, n)`` gather/scatter index matrix
+    The pack/unpack kernels of one round are identical across ranks
+    (the schedule is SPMD data; only the resolved peers differ), so the
+    stacked ``(p, n)`` gather/scatter index matrix
     factors into one shared column selector (``send``/``recv`` —
     ordinary :class:`CompiledBlockSet` kernels) broadcast over rank
     rows.  The rank-varying part is held as peer arrays: ``sources`` /
@@ -1256,9 +986,11 @@ class BatchedReduceRound:
     fancy-row read-modify-write (fancy-indexed assignment cannot take
     ``out=``).  Per-rank step order equals the batched step order, so
     the fold sequence — and therefore the result — is bit-identical to
-    driving ``p`` interpreters."""
+    driving ``p`` interpreters — whose per-rank
+    :class:`CombineProgram`\\ s are :meth:`for_rank` readings of the same
+    step list."""
 
-    __slots__ = ("token", "dtype", "steps", "_ufunc", "_fn")
+    __slots__ = ("token", "dtype", "steps", "_ufunc", "_fn", "_programs")
 
     def __init__(
         self,
@@ -1281,6 +1013,34 @@ class BatchedReduceRound:
         self.steps = tuple(steps)
         self._ufunc = ufunc_for_token(token)
         self._fn = None if self._ufunc is not None else resolve_op_token(token)
+        #: per-step (skip | copy | fold) pattern -> the fused program
+        #: every rank with that pattern shares (one entry on a torus;
+        #: rank threads racing on a pattern build equal programs)
+        self._programs: dict[bytes, Optional[CombineProgram]] = {}
+
+    def for_rank(
+        self, rank: int, sizes: Mapping[str, int]
+    ) -> Optional[CombineProgram]:
+        """Rank ``rank``'s fused program: the steps whose copy rows or
+        fold rows contain it, in step order."""
+        pattern = bytes(
+            1 if copy_rows is None or rank in copy_rows
+            else 2 if comb_rows is None or rank in comb_rows
+            else 0
+            for *_, copy_rows, comb_rows in self.steps
+        )
+        if pattern not in self._programs:
+            resolved = [
+                (action == 1, *step[:5])
+                for action, step in zip(pattern, self.steps)
+                if action
+            ]
+            self._programs[pattern] = (
+                _fuse_combine_program(self.token, self.dtype, resolved, sizes)
+                if resolved
+                else None
+            )
+        return self._programs[pattern]
 
     def run(self, matrices: Mapping[str, np.ndarray]) -> None:
         dt = self.dtype
@@ -1331,15 +1091,20 @@ def _compile_batched_combines(
     Optional[BatchedReduceRound],
     tuple[Optional[BatchedReduceRound], ...],
     np.ndarray,
+    Optional[str],
 ]:
-    """All-ranks combine lowering: (pre-step kernel, per-phase kernels,
-    ranks whose required outputs never receive a contribution)."""
+    """Combine lowering for all ranks: (pre-step kernel, per-phase
+    kernels, ranks whose required outputs never receive a contribution,
+    why the buffers cannot run as ``(p, n)`` dtype matrices — ``None``
+    when they can).  ``when_round`` gating, first-write-wins and bounds
+    are resolved here, once; rank views read the result off the masks."""
     nphases = len(schedule.phases)
     if not schedule.is_reduction:
-        return None, (None,) * nphases, np.empty(0, dtype=np.int64)
+        return None, (None,) * nphases, np.empty(0, dtype=np.int64), None
     dt = np.dtype(schedule.combine_dtype)
     token = schedule.combine_op
     inited: dict[tuple[str, int, int], np.ndarray] = {}
+    unviewable: list[str] = []
 
     def lower(
         steps: Sequence["LocalCombine"],
@@ -1360,7 +1125,9 @@ def _compile_batched_combines(
                         f"{ref.buffer!r} of {cap} bytes"
                     )
                 if cap % dt.itemsize:
-                    raise ScheduleError(
+                    # per-rank kernels view byte slices, not whole
+                    # buffers: only the matrix execution needs this
+                    unviewable.append(
                         f"buffer {ref.buffer!r} of {cap} B cannot be "
                         f"viewed as {dt.str} rank matrices"
                     )
@@ -1414,20 +1181,27 @@ def _compile_batched_combines(
             missing[:] = True
         else:
             missing |= ~got
-    return pre, per_phase, np.nonzero(missing)[0]
+    return (
+        pre,
+        per_phase,
+        np.nonzero(missing)[0],
+        unviewable[0] if unviewable else None,
+    )
 
 
 class BatchedPlan:
-    """An immutable all-ranks lowering of one schedule: the whole
-    ``p``-rank lockstep execution as one data-parallel numpy program.
+    """The one plan IR: an immutable lowering of one schedule for all
+    ranks of one topology and buffer signature.
 
-    Rank buffers are held as one ``(p, nbytes)`` matrix per buffer name
-    (``matrices``); each (phase, round) packs a ``(p, n)`` wire matrix,
-    and delivery is a row permutation of it (``wire[sources]``).  The
-    pack-all-then-deliver-all discipline of the lockstep backend is kept
-    per phase, so the batched execution is byte-identical to driving
-    ``p`` per-rank interpreters — there is simply no per-rank Python
-    loop left.
+    :meth:`execute` runs the whole ``p``-rank lockstep execution as one
+    data-parallel numpy program.  Rank buffers are held as one
+    ``(p, nbytes)`` matrix per buffer name (``matrices``); each (phase,
+    round) packs a ``(p, n)`` wire matrix, and delivery is a row
+    permutation of it (``wire[sources]``).  The pack-all-then-
+    deliver-all discipline of the lockstep backend is kept per phase, so
+    the matrix execution is byte-identical to driving ``p`` per-rank
+    interpreters over the plan's :meth:`for_rank` views — there is
+    simply no per-rank Python loop left.
     """
 
     __slots__ = (
@@ -1439,10 +1213,12 @@ class BatchedPlan:
         "pre_program",
         "combine_programs",
         "reduce_missing",
+        "matrix_error",
         "temp_nbytes",
         "sizes",
         "wire_bytes",
         "compile_seconds",
+        "_views",
     )
 
     def __init__(
@@ -1456,9 +1232,10 @@ class BatchedPlan:
         sizes: Mapping[str, int],
         wire_bytes: int,
         compile_seconds: float,
-        pre_program: Optional[BatchedReduceRound] = None,
-        combine_programs: Sequence[Optional[BatchedReduceRound]] = (),
-        reduce_missing: Optional[np.ndarray] = None,
+        pre_program: Optional[BatchedReduceRound],
+        combine_programs: Sequence[Optional[BatchedReduceRound]],
+        reduce_missing: np.ndarray,
+        matrix_error: Optional[str],
     ) -> None:
         self.kind = kind
         self.key = key
@@ -1468,22 +1245,63 @@ class BatchedPlan:
         #: all-ranks accumulator seeding (reductions; runs before phase 0)
         self.pre_program = pre_program
         #: per-phase all-ranks combine kernels (aligned with ``phases``)
-        self.combine_programs = (
-            tuple(combine_programs)
-            if combine_programs
-            else (None,) * len(self.phases)
-        )
+        self.combine_programs = tuple(combine_programs)
         #: ranks whose required reduction outputs receive no contribution
         #: (raises at execute, matching the per-rank interpreters)
-        self.reduce_missing = (
-            reduce_missing
-            if reduce_missing is not None
-            else np.empty(0, dtype=np.int64)
-        )
+        self.reduce_missing = reduce_missing
+        #: why :meth:`execute` must refuse (a combine buffer that is not
+        #: a whole number of dtype elements); rank views are unaffected
+        self.matrix_error = matrix_error
         self.temp_nbytes = temp_nbytes
         self.sizes = dict(sizes)
         self.wire_bytes = wire_bytes
         self.compile_seconds = compile_seconds
+        self._views: dict[int, RankPlan] = {}
+
+    def for_rank(self, rank: int) -> RankPlan:
+        """Rank ``rank``'s memoized row view: its peers read off row
+        ``rank`` of every round's ``sources``/``targets``, the *shared*
+        kernel objects (``None`` for the half whose peer is missing),
+        and its combine programs read off the masked step lists."""
+        view = self._views.get(rank)
+        if view is not None:
+            return view
+        if not 0 <= rank < self.p:
+            raise ScheduleError(f"rank {rank} outside 0..{self.p - 1}")
+        phases: list[list[PlanRound]] = []
+        wire_bytes = 0
+        for phase in self.phases:
+            rounds: list[PlanRound] = []
+            for rnd in phase:
+                source = int(rnd.sources[rank])
+                target = int(rnd.targets[rank])
+                if target >= 0:
+                    wire_bytes += rnd.wire_nbytes
+                rounds.append(
+                    PlanRound(
+                        source if source >= 0 else None,
+                        target if target >= 0 else None,
+                        rnd.send if target >= 0 else None,
+                        rnd.recv if source >= 0 else None,
+                    )
+                )
+            phases.append(rounds)
+        combines = [
+            None if comb is None else comb.for_rank(rank, self.sizes)
+            for comb in (self.pre_program, *self.combine_programs)
+        ]
+        view = self._views[rank] = RankPlan(
+            self.kind,
+            rank,
+            phases,
+            self.copy_program,
+            self.temp_nbytes,
+            wire_bytes,
+            pre_program=combines[0],
+            combine_programs=combines[1:],
+            reduce_outputs_ok=rank not in self.reduce_missing,
+        )
+        return view
 
     def execute(self, matrices: Mapping[str, np.ndarray]) -> None:
         """Run every communication phase on the stacked buffer matrices
@@ -1496,6 +1314,8 @@ class BatchedPlan:
                 "reduction received no contributions "
                 "(all neighbors off the mesh)"
             )
+        if self.matrix_error is not None:
+            raise ScheduleError(self.matrix_error)
         if self.pre_program is not None:
             self.pre_program.run(matrices)
         for phase, combine in zip(self.phases, self.combine_programs):
@@ -1549,25 +1369,19 @@ class BatchedPlan:
         )
 
 
-def batched_plan_key(topo: "CartTopology", signature: tuple) -> tuple:
-    return ("batched", topo.dims, topo.periods, signature)
-
-
 def compile_batched_plan(
     schedule: "Schedule",
     topo: "CartTopology",
     sizes: Mapping[str, int],
 ) -> BatchedPlan:
-    """Lower ``schedule`` for *all* ranks of ``topo`` at once (no
-    caching — see :func:`get_or_compile_batched`).
+    """*The* lowering: ``schedule`` for all ranks of ``topo`` at once
+    (no caching — see :func:`get_or_compile`).
 
     The per-round kernels are compiled exactly once (they are rank-
-    independent — stacking the per-rank :class:`ExecPlan` index arrays
-    would produce ``p`` identical rows); the rank-varying peers come
-    from :func:`translate_all`.  Rounds whose receivers expect a message
-    no rank sends (an asymmetric ``recv_offset`` on a mesh) are rejected
-    here with the same :class:`ScheduleError` the lockstep transport
-    raises at delivery time.
+    independent — per-rank lowerings would produce ``p`` identical
+    sets); the rank-varying peers come from :func:`translate_all`.
+    Rounds whose receivers expect a message no rank sends (an asymmetric
+    ``recv_offset`` on a mesh) are rejected here, for every backend.
     """
     t0 = time.perf_counter()
     schedule.prepare()
@@ -1614,13 +1428,12 @@ def compile_batched_plan(
         phases.append(rounds)
         live_by_phase.append(live_rounds)
     copy_program = compile_copies(schedule.prepared_copy_runs(), sizes)
-    pre_program, combine_programs, reduce_missing = _compile_batched_combines(
-        schedule, p, live_by_phase, sizes
+    pre_program, combine_programs, reduce_missing, matrix_error = (
+        _compile_batched_combines(schedule, p, live_by_phase, sizes)
     )
-    key = batched_plan_key(topo, buffer_signature(sizes))
     return BatchedPlan(
         schedule.kind,
-        key,
+        _plan_key(topo, sizes),
         p,
         phases,
         copy_program,
@@ -1631,31 +1444,99 @@ def compile_batched_plan(
         pre_program=pre_program,
         combine_programs=combine_programs,
         reduce_missing=reduce_missing,
+        matrix_error=matrix_error,
     )
 
 
-def get_or_compile_batched(
+def compile_plan(
+    schedule: "Schedule",
+    topo: "CartTopology",
+    rank: int,
+    sizes: Mapping[str, int],
+) -> RankPlan:
+    """Lower ``schedule`` and take ``rank``'s view (no caching)."""
+    return compile_batched_plan(schedule, topo, sizes).for_rank(rank)
+
+
+# ---------------------------------------------------------------------------
+# the per-schedule plan cache
+# ---------------------------------------------------------------------------
+
+_CACHE_LOCK = threading.Lock()
+#: (schedule identity, plan key) -> Event for compiles in flight: plan
+#: compilation is single-flight per key but runs *outside* the module
+#: lock, so concurrent compilation — distinct schedules, the schedule
+#: service's worker pool — does not serialize on one global lock.
+_BUILDING: dict[tuple, threading.Event] = {}
+_hits = 0
+_misses = 0
+_compile_seconds = 0.0
+
+PlanCacheInfo = namedtuple(
+    "PlanCacheInfo", ["hits", "misses", "compile_seconds"]
+)
+
+
+def invalidate_plans(schedule: "Schedule") -> None:
+    """Drop every cached plan of ``schedule`` and bump its plan
+    generation (under the module lock), so a compile that was in flight
+    when the invalidation happened can never file its result afterwards
+    — the backing store of
+    :meth:`~repro.core.schedule.Schedule.clear_plans`."""
+    with _CACHE_LOCK:
+        schedule._plans.clear()
+        schedule._plans_generation += 1
+
+
+def get_or_compile(
     schedule: "Schedule",
     topo: "CartTopology",
     buffers: Optional[Mapping[str, np.ndarray]] = None,
     *,
     sizes: Optional[Mapping[str, int]] = None,
 ) -> tuple[BatchedPlan, bool]:
-    """Return ``(plan, hit)`` — the cached all-ranks plan or a freshly
-    compiled one.  Batched plans live in ``Schedule._plans`` next to the
-    per-rank entries (same lifetime, same invalidation, same single-
-    flight machinery) under a rank-free key."""
+    """Return ``(plan, hit)`` — the cached plan for ``topo`` and this
+    buffer signature, or a freshly compiled one.  Plans live on the
+    schedule object itself, so they are invalidated exactly when the
+    schedule-cache entry is.  Single-flight: one compile per key however
+    many rank threads ask (the others wait and count a hit), the compile
+    itself outside the lock, and a generation guard so a compile racing
+    :func:`invalidate_plans` is returned to its caller but never cached
+    (no resurrected entries, no leaked plans)."""
+    global _hits, _misses, _compile_seconds
     if sizes is None:
         if buffers is None:
             raise ValueError("need buffers or sizes to key a plan")
         sizes = effective_sizes(schedule, buffers)
-    frozen_sizes = dict(sizes)
-    key = batched_plan_key(topo, buffer_signature(frozen_sizes))
-    return _get_or_compile_cached(
-        schedule,
-        key,
-        lambda: compile_batched_plan(schedule, topo, frozen_sizes),
-    )
+    sizes = dict(sizes)
+    key = _plan_key(topo, sizes)
+    cache = schedule._plans
+    token = (id(schedule), key)
+    while True:
+        with _CACHE_LOCK:
+            plan = cache.get(key)
+            if plan is not None:
+                _hits += 1
+                return plan, True
+            pending = _BUILDING.get(token)
+            if pending is None:
+                pending = _BUILDING[token] = threading.Event()
+                generation = schedule._plans_generation
+                break
+        # another thread is compiling this key: wait and re-check
+        pending.wait()
+    try:
+        compiled = compile_batched_plan(schedule, topo, sizes)
+        with _CACHE_LOCK:
+            _misses += 1
+            _compile_seconds += compiled.compile_seconds
+            if schedule._plans_generation == generation:
+                cache[key] = compiled
+        return compiled, False
+    finally:
+        with _CACHE_LOCK:
+            _BUILDING.pop(token, None)
+        pending.set()
 
 
 def plan_cache_info() -> PlanCacheInfo:
@@ -1673,50 +1554,3 @@ def plan_cache_reset() -> None:
         _hits = 0
         _misses = 0
         _compile_seconds = 0.0
-
-
-# ---------------------------------------------------------------------------
-# enable/disable toggles
-# ---------------------------------------------------------------------------
-
-_override: Optional[bool] = None
-
-
-def plans_enabled() -> bool:
-    """Whether the interpreter lowers schedules to plans: the scoped
-    override if set, else ``REPRO_PLANS`` (default on)."""
-    if _override is not None:
-        return _override
-    return os.environ.get(_PLANS_ENV, "1") != "0"
-
-
-def set_plans_enabled(enabled: Optional[bool]) -> None:
-    """Force lowering on/off process-wide; ``None`` restores the
-    environment default."""
-    global _override
-    _override = enabled
-
-
-@contextmanager
-def plans_disabled() -> Iterator[None]:
-    """Scope with lowering off — the pre-plan interpreter path, used for
-    parity tests and the compiled-vs-interpreted benchmark."""
-    global _override
-    prev = _override
-    _override = False
-    try:
-        yield
-    finally:
-        _override = prev
-
-
-@contextmanager
-def plans_forced() -> Iterator[None]:
-    """Scope with lowering on regardless of the environment."""
-    global _override
-    prev = _override
-    _override = True
-    try:
-        yield
-    finally:
-        _override = prev

@@ -90,7 +90,7 @@ class LocalCombine:
     plain copy (no operator identity element is ever materialized), every
     later one applies the operator.  The resolution from "step" to
     "copy or combine" is static per rank, so the plan compiler bakes it
-    into the fused combine kernels.
+    into per-step rank-row masks and the fused combine kernels.
 
     ``when_round`` gates the step on delivery: the step only executes if
     round ``when_round`` of the owning phase actually received (its
@@ -180,8 +180,8 @@ class Schedule:
     _copy_runs: list[LocalCopy] | None = field(
         default=None, repr=False, compare=False
     )
-    #: per-rank lowered execution plans and peer tables, keyed and
-    #: populated by :mod:`repro.core.plan` (under its module lock).
+    #: lowered execution plans, one per (dims, periods, buffer
+    #: signature), keyed and populated by :mod:`repro.core.plan`.
     #: Living on the schedule object, they share its cache lifetime:
     #: evicting the schedule-cache entry invalidates its plans with it.
     _plans: dict[tuple, object] = field(
@@ -318,10 +318,10 @@ class Schedule:
         return sum(lc.src.nbytes for lc in self.prepared_copy_runs())
 
     def clear_plans(self) -> None:
-        """Drop all lowered per-rank plans and peer tables (called when
-        this schedule's cache entry is evicted; plans recompile lazily on
-        the next execution).  A compile in flight when this runs is
-        never cached afterwards (generation guard in the plan module)."""
+        """Drop all lowered plans (called when this schedule's cache
+        entry is evicted; plans recompile lazily on the next execution).
+        A compile in flight when this runs is never cached afterwards
+        (generation guard in the plan module)."""
         from repro.core import plan as plan_mod
 
         plan_mod.invalidate_plans(self)

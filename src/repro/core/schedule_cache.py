@@ -106,7 +106,7 @@ def _default_shards() -> int:
 
 
 def _discard(entry: object) -> None:
-    """Invalidate an entry leaving the cache: lowered per-rank plans
+    """Invalidate an entry leaving the cache: lowered execution plans
     (see :mod:`repro.core.plan`) live on the schedule object and share
     its cache lifetime, so they are dropped with it — a stale schedule
     still referenced elsewhere recompiles its plans on next use."""

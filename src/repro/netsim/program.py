@@ -35,8 +35,8 @@ def program_from_schedule(
 ) -> list[Op]:
     """Synthesize rank ``rank``'s program for one execution of
     ``schedule`` on ``topo`` (mirrors
-    :func:`repro.core.executor.execute_schedule`, including the
-    receive-before-send posting order)."""
+    :class:`repro.core.backend.interpreter.ScheduleInterpreter`,
+    including the receive-before-send posting order)."""
     ops: list[Op] = []
     for phase in schedule.phases:
         posted = 0

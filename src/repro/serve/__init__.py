@@ -16,7 +16,7 @@ economy over a socket:
   verifier certification before any schedule is first served;
 * :mod:`repro.serve.client` — sync and asyncio clients;
 * :mod:`repro.serve.shm_plans` — the shared-memory plan store: a
-  compiled :class:`~repro.core.plan.ExecPlan` is published once and
+  rank's :class:`~repro.core.plan.RankPlan` is published once and
   mapped zero-copy, read-only, by every forked worker process.
 
 Run a daemon with ``python -m repro.serve --socket /tmp/repro.sock``.

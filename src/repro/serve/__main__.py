@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import sys
 from typing import Optional, Sequence
 
 from repro.serve.server import ScheduleServer
+
+#: Interpreter switch interval of the daemon process.  Ready hits are
+#: answered on the event-loop thread while CPU-bound builds hold the GIL
+#: on the worker threads; at CPython's default 5 ms a ready hit can sit
+#: behind one pure-Python stretch of a build for longer than it takes to
+#: serve.
+SWITCH_INTERVAL_S = 5e-4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,6 +80,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.socket is None and args.host is None:
         args.host = "127.0.0.1"
+    sys.setswitchinterval(SWITCH_INTERVAL_S)
     try:
         asyncio.run(_run(args))
     except KeyboardInterrupt:

@@ -10,7 +10,7 @@ server-side exception type) on ``status: error`` answers.
 Plan references returned by ``plan`` requests are resolved through
 :meth:`map_plan`: the client attaches the server's shared-memory
 segment once and reconstructs every referenced
-:class:`~repro.core.plan.ExecPlan` zero-copy from it.
+:class:`~repro.core.plan.RankPlan` zero-copy from it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import asyncio
 import socket
 from typing import Any, Optional
 
-from repro.core.plan import ExecPlan
+from repro.core.plan import RankPlan
 from repro.core.schedule import Schedule
 from repro.core.serialize import schedule_from_dict
 from repro.serve.protocol import (
@@ -51,9 +51,9 @@ class _PlanMapper:
     def __init__(self) -> None:
         self._stores: dict[str, ShmPlanStore] = {}
 
-    def map_plan(self, response: dict) -> ExecPlan:
-        """Resolve a ``plan`` response's shared-memory reference into an
-        :class:`ExecPlan` whose kernels run off the shared pages."""
+    def map_plan(self, response: dict) -> RankPlan:
+        """Resolve a ``plan`` response's shared-memory reference into a
+        :class:`RankPlan` whose kernels run off the shared pages."""
         ref = response.get("shm")
         if not isinstance(ref, dict):
             raise ProtocolError(f"plan response without 'shm': {response!r}")
@@ -121,7 +121,7 @@ class ScheduleClient(_PlanMapper):
 
     def request_plan(
         self, request: ScheduleRequest
-    ) -> tuple[ExecPlan, dict]:
+    ) -> tuple[RankPlan, dict]:
         """``(plan, response)`` — the plan is mapped zero-copy from the
         server's shared-memory store (same machine only)."""
         response = self.request(request.to_dict("plan"))
@@ -194,7 +194,7 @@ class AsyncScheduleClient(_PlanMapper):
 
     async def request_plan(
         self, request: ScheduleRequest
-    ) -> tuple[ExecPlan, dict]:
+    ) -> tuple[RankPlan, dict]:
         response = await self.request(request.to_dict("plan"))
         return self.map_plan(response), response
 

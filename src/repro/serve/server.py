@@ -29,7 +29,8 @@ build cache does not invalidate it.
 
 With ``shm_plans=True`` the daemon also owns a
 :class:`~repro.serve.shm_plans.ShmPlanStore`: ``plan`` requests lower
-the schedule for one rank and publish the compiled plan into the store,
+the schedule (once per topology and buffer signature) and publish the
+requested rank's view of the plan into the store,
 answering with a ``(segment, offset, nbytes)`` reference that
 same-machine clients map zero-copy.
 """
@@ -206,33 +207,38 @@ class ScheduleServer:
         if self._stopped is None or self._stopped.is_set():
             return
         self._stopped.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # unblock handlers parked in read_message, then wait them out
-        for writer in list(self._writers):
-            writer.close()
-        if self._conn_tasks:
-            await asyncio.gather(
-                *list(self._conn_tasks), return_exceptions=True
-            )
-        if self._drain_task is not None:
-            assert self._kick is not None
-            self._kick.set()
-            await self._drain_task
-        for fut in list(self._inflight.values()) + list(
-            self._plan_inflight.values()
-        ):
-            if not fut.done():
-                fut.cancel()
-        self._inflight.clear()
-        self._plan_inflight.clear()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-        if self._plan_store is not None:
-            self._plan_store.close()
-            self._plan_store.unlink()
-            self._plan_store = None
+        try:
+            if self._server is not None:
+                self._server.close()
+                await self._server.wait_closed()
+            # unblock handlers parked in read_message, then wait them out
+            for writer in list(self._writers):
+                writer.close()
+            if self._conn_tasks:
+                await asyncio.gather(
+                    *list(self._conn_tasks), return_exceptions=True
+                )
+            if self._drain_task is not None:
+                assert self._kick is not None
+                self._kick.set()
+                await self._drain_task
+            for fut in list(self._inflight.values()) + list(
+                self._plan_inflight.values()
+            ):
+                if not fut.done():
+                    fut.cancel()
+            self._inflight.clear()
+            self._plan_inflight.clear()
+        finally:
+            # a stop() cancelled at any await above returns early on
+            # retry (_stopped is set), so what outlives the process —
+            # worker threads, the /dev/shm segment — is released here
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+            if self._plan_store is not None:
+                self._plan_store.close()
+                self._plan_store.unlink()
+                self._plan_store = None
 
     # -- connection handling -------------------------------------------
     async def _handle(
@@ -452,6 +458,11 @@ class ScheduleServer:
             raise ProtocolError("plan requests need 'dims'")
         key = request.canonical_key()
         digest = key_digest((key, request.rank, request.sizes))
+        published = self._plan_store.locate(digest)
+        if published is not None:
+            # a store hit is a dict lookup: answer on the loop instead
+            # of hopping through a worker thread behind running builds
+            return self._ok_plan(digest, *published, True)
         inflight = self._plan_inflight.get(digest)
         if inflight is not None:
             self.stats.single_flight_hits += 1
@@ -495,8 +506,9 @@ class ScheduleServer:
     def _build_plan(
         self, request: ScheduleRequest, key: tuple, digest: str
     ) -> tuple[int, int, bool]:
-        """Worker-thread body: certified schedule, per-rank lowering,
-        publish into the shared store (idempotent on the digest)."""
+        """Worker-thread body: certified schedule, the cached lowering's
+        view for the requested rank, publish into the shared store
+        (idempotent on the digest)."""
         store = self._plan_store
         if store is None:
             raise ServeError("plan store closed")
@@ -510,10 +522,10 @@ class ScheduleServer:
         assert request.dims is not None and request.rank is not None
         topo = CartTopology(request.dims, request.periods)
         sizes = dict(request.sizes or ())
-        plan_obj, _plan_hit = plan_mod.get_or_compile(
-            sched, topo, request.rank, sizes=sizes
+        plan, _plan_hit = plan_mod.get_or_compile(sched, topo, sizes=sizes)
+        offset, nbytes = store.put(
+            digest, plan_to_image(plan.for_rank(request.rank))
         )
-        offset, nbytes = store.put(digest, plan_to_image(plan_obj))
         return offset, nbytes, False
 
     # -- telemetry -----------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared-memory plan cache: compile once, map everywhere.
 
 The shm backend already exploits fork's copy-on-write pages: the parent
-compiles every per-rank :class:`~repro.core.plan.ExecPlan` *before*
-forking, so each worker starts with a warm plan cache for free.  That
+lowers the plan and takes every rank's
+:class:`~repro.core.plan.RankPlan` view *before* forking, so each
+worker starts with a warm plan cache for free.  That
 trick only covers plans that exist at fork time.  This module extends
 it to the daemon's steady state: a bounded append-only **plan store**
 in one ``multiprocessing.shared_memory`` segment, created by the
@@ -46,8 +47,8 @@ import numpy as np
 from repro.core.plan import (
     CompiledBlockSet,
     CompiledCopyProgram,
-    ExecPlan,
     PlanRound,
+    RankPlan,
 )
 from repro.core.serialize import CorruptFrameError
 from repro.mpisim.exceptions import ScheduleError
@@ -142,8 +143,8 @@ def _cbs_from_wire(
     )
 
 
-def plan_to_image(plan: ExecPlan) -> bytes:
-    """Serialize a data-movement :class:`ExecPlan` into one shareable
+def plan_to_image(plan: RankPlan) -> bytes:
+    """Serialize a data-movement :class:`RankPlan` into one shareable
     image (JSON skeleton + aligned ``int64`` blob region)."""
     if plan.pre_program is not None or any(
         p is not None for p in plan.combine_programs
@@ -194,8 +195,8 @@ def plan_to_image(plan: ExecPlan) -> bytes:
     )
 
 
-def plan_from_image(buf: memoryview) -> ExecPlan:
-    """Rebuild an :class:`ExecPlan` from a plan image.  Index arrays are
+def plan_from_image(buf: memoryview) -> RankPlan:
+    """Rebuild a :class:`RankPlan` from a plan image.  Index arrays are
     read-only views of ``buf`` — pass a shared-memory mapping and the
     plan's kernels execute straight off the shared pages."""
     view = memoryview(buf).toreadonly()
@@ -245,15 +246,13 @@ def plan_from_image(buf: memoryview) -> ExecPlan:
             for src, dst, so, do, n in cp["run"]
         ],
     )
-    return ExecPlan(
+    return RankPlan(
         str(meta["kind"]),
         int(meta["rank"]),
-        ("shm-plan", meta["kind"], meta["rank"]),
         phases,
         copy_program,
         int(meta["temp_nbytes"]),
         int(meta["wire_bytes"]),
-        0.0,
     )
 
 

@@ -6,7 +6,10 @@ lockstep executor, the vectorized batched executor and the
 process-parallel shm backend must produce byte-identical user buffers
 for any schedule.  This suite drives the
 full algorithm × operation × layout matrix through every backend and
-diffs the results, plus a hypothesis property over random topologies.
+diffs the results — against each other and against a definition oracle
+that shares nothing with the execution stack (Section 2: receive block
+``i`` of rank ``r`` is send block ``i`` of rank ``r − N[i]``; reductions
+by brute force) — plus a hypothesis property over random topologies.
 """
 
 import multiprocessing
@@ -148,6 +151,32 @@ def _run_on(backend, topo, sched, ssize, rsize):
     return bufs
 
 
+def assert_matches_definition(topo, sched, before, after):
+    """Harness-independent oracle for alltoall/allgather schedules:
+    every receive slot whose source exists holds exactly the bytes its
+    source's send block held, and no send buffer changed.  Slots whose
+    source falls off a mesh edge are undefined and not compared."""
+    allgather = len(sched.send_layout) == 1
+    for r in range(topo.size):
+        assert np.array_equal(after[r]["send"], before[r]["send"]), r
+        for i, off in enumerate(sched.neighborhood):
+            src = topo.translate(r, tuple(-o for o in off))
+            if src is None:
+                continue
+            want = sched.send_layout[0 if allgather else i].pack(before[src])
+            got = sched.recv_layout[i].pack(after[r])
+            assert got == want, (
+                f"rank {r} slot {i} (offset {off}) does not hold the "
+                f"block of rank {src}"
+            )
+
+
+def assert_definition_on(backend, topo, sched, ssize, rsize):
+    before = _make_bufs(topo.size, ssize, rsize)
+    after = _run_on(backend, topo, sched, ssize, rsize)
+    assert_matches_definition(topo, sched, before, after)
+
+
 def assert_backends_agree(topo, sched, ssize, rsize, backends):
     reference, *others = backends
     ref = _run_on(reference, topo, sched, ssize, rsize)
@@ -181,16 +210,14 @@ class TestParityMatrix:
         assert_backends_agree(topo, sched, ssize, rsize, ["lockstep", "batched"])
 
     def test_batched_vs_lockstep_interpreted(self, op, algorithm, variant):
-        """With lowering disabled the batched backend must fall back to
-        the interpreted lockstep driver, still byte-identical."""
-        from repro.core.plan import plans_disabled
-
+        """Both ways of running the one plan — matrix execution and
+        lockstep over its rank views — against the definition oracle
+        (the reference this test used to have, an interpreted runtime
+        mode, no longer exists; the test id is kept)."""
         topo = CartTopology((3, 3))
         sched, ssize, rsize = _make_case(op, algorithm, variant)
-        with plans_disabled():
-            assert_backends_agree(
-                topo, sched, ssize, rsize, ["lockstep", "batched"]
-            )
+        for backend in ("lockstep", "batched"):
+            assert_definition_on(backend, topo, sched, ssize, rsize)
 
     @shm_mark
     @pytest.mark.shm
@@ -201,13 +228,13 @@ class TestParityMatrix:
 
 
 # ----------------------------------------------------------------------
-# reduction parity: the reduce family on every backend, plans on/off
+# reduction parity: the reduce family on every backend and vs brute force
 # ----------------------------------------------------------------------
 
 _REDUCE_M = 16  # two int64 elements per block
 
 
-def _make_reduce_case(kind, op="sum"):
+def _make_reduce_case(kind, op="sum", nbh=NBH):
     """(schedule, send size, recv size) for one reduce-family kind."""
     from repro.core.reduce_schedule import (
         REDUCE_BUILDERS,
@@ -215,8 +242,8 @@ def _make_reduce_case(kind, op="sum"):
     )
 
     builder = {**REDUCE_BUILDERS, **TRIVIAL_REDUCE_BUILDERS}[kind]
-    sched = builder(NBH, m_bytes=_REDUCE_M, dtype="int64", op=op)
-    t, m = NBH.t, _REDUCE_M
+    sched = builder(nbh, m_bytes=_REDUCE_M, dtype="int64", op=op)
+    t, m = nbh.t, _REDUCE_M
     ssize = t * m if kind.endswith("reduce-scatter") else m
     rsize = t * m if kind == "allreduce" else m
     return sched, ssize, rsize
@@ -227,6 +254,39 @@ REDUCE_PARITY_OPS = {
     "max": "max",
     "custom": lambda a, b: a | b,  # associative, exact on int64
 }
+
+
+def assert_reduce_matches_definition(kind, op, topo, before, after, nbh=NBH):
+    """Brute-force oracle for the reduce family on int64 blocks (exact,
+    so fold order is irrelevant): ``R(r)`` folds block ``i`` (or the one
+    block) of every existing source ``r − N[i]``; ``allreduce`` slot
+    ``i`` holds ``R(r − N[i])``."""
+    from repro.core.reduce_schedule import resolve_op
+
+    fold = resolve_op(op)
+    scatter = kind.endswith("reduce-scatter")
+    m = _REDUCE_M // 8
+
+    def reduced(r):
+        acc = None
+        for i, off in enumerate(nbh):
+            src = topo.translate(r, tuple(-o for o in off))
+            if src is None:
+                continue
+            block = before[src]["send"].view(np.int64)
+            if scatter:
+                block = block[i * m : (i + 1) * m]
+            acc = block.copy() if acc is None else fold(acc, block)
+        return acc
+
+    for r in range(topo.size):
+        got = after[r]["recv"].view(np.int64)
+        if kind != "allreduce":
+            assert np.array_equal(got, reduced(r)), (kind, r)
+            continue
+        for i, off in enumerate(nbh):
+            src = topo.translate(r, tuple(-o for o in off))
+            assert np.array_equal(got[i * m : (i + 1) * m], reduced(src)), (r, i)
 
 
 @pytest.mark.parametrize("op_name", sorted(REDUCE_PARITY_OPS))
@@ -242,7 +302,7 @@ REDUCE_PARITY_OPS = {
 )
 class TestReduceParityMatrix:
     """Reductions are schedules like any other: every backend must
-    produce byte-identical buffers, with and without plan lowering."""
+    produce byte-identical buffers, equal to the brute-force fold."""
 
     def test_threaded_vs_lockstep(self, kind, op_name):
         topo = CartTopology((3, 3))
@@ -255,26 +315,25 @@ class TestReduceParityMatrix:
         assert_backends_agree(topo, sched, ssize, rsize, ["lockstep", "batched"])
 
     def test_batched_vs_lockstep_interpreted(self, kind, op_name):
-        from repro.core.plan import plans_disabled
-
+        """Matrix execution of the masked step lists vs brute force (the
+        interpreted reference mode is gone; the test id is kept)."""
         topo = CartTopology((3, 3))
-        sched, ssize, rsize = _make_reduce_case(kind, REDUCE_PARITY_OPS[op_name])
-        with plans_disabled():
-            assert_backends_agree(
-                topo, sched, ssize, rsize, ["lockstep", "batched"]
-            )
+        op = REDUCE_PARITY_OPS[op_name]
+        sched, ssize, rsize = _make_reduce_case(kind, op)
+        before = _make_bufs(topo.size, ssize, rsize)
+        after = _run_on("batched", topo, sched, ssize, rsize)
+        assert_reduce_matches_definition(kind, op, topo, before, after)
 
     def test_plans_on_vs_off_identical(self, kind, op_name):
-        from repro.core.plan import plans_disabled
-
+        """The rank views' fused combine programs vs brute force, on
+        both per-rank transports (formerly: vs the uncompiled mode)."""
         topo = CartTopology((3, 3))
-        sched, ssize, rsize = _make_reduce_case(kind, REDUCE_PARITY_OPS[op_name])
-        compiled = _run_on("lockstep", topo, sched, ssize, rsize)
-        with plans_disabled():
-            interp = _run_on("lockstep", topo, sched, ssize, rsize)
-        for r in range(topo.size):
-            for buf in ("send", "recv"):
-                assert np.array_equal(compiled[r][buf], interp[r][buf])
+        op = REDUCE_PARITY_OPS[op_name]
+        sched, ssize, rsize = _make_reduce_case(kind, op)
+        before = _make_bufs(topo.size, ssize, rsize)
+        for backend in ("lockstep", "threaded"):
+            after = _run_on(backend, topo, sched, ssize, rsize)
+            assert_reduce_matches_definition(kind, op, topo, before, after)
 
     @shm_mark
     @pytest.mark.shm

@@ -1,8 +1,9 @@
-"""Batched (all-ranks SPMD) lowering and backend.
+"""The rank-free lowering and the batched (all-ranks SPMD) backend.
 
-The batched layer folds the lockstep backend's per-rank interpreter
-loops into one data-parallel numpy program: rank buffers stacked into
-``(p, nbytes)`` matrices, every round a gather / row-permute / scatter.
+Matrix execution of the plan folds the lockstep backend's per-rank
+interpreter loops into one data-parallel numpy program: rank buffers
+stacked into ``(p, nbytes)`` matrices, every round a gather /
+row-permute / scatter.
 These tests pin the lowering itself (vectorized peer resolution, cache
 lifetime, mesh-edge masks), the backend's input contract, and the
 pool-lifecycle invariant on success and error paths.
@@ -19,7 +20,7 @@ from repro.core.backend.lockstep import LockstepBackend
 from repro.core.plan import (
     BatchedPlan,
     compile_batched_plan,
-    get_or_compile_batched,
+    get_or_compile,
     translate_all,
 )
 from repro.core.schedule import uniform_block_layout
@@ -133,34 +134,44 @@ class TestBatchedLowering:
         topo = CartTopology((4, 4))
         sched = make_sched(NBH)
         bufs = make_bufs(1, NBH.t, 6)[0]
-        a, hit_a = get_or_compile_batched(sched, topo, bufs)
-        b, hit_b = get_or_compile_batched(sched, topo, bufs)
+        a, hit_a = get_or_compile(sched, topo, bufs)
+        b, hit_b = get_or_compile(sched, topo, bufs)
         assert not hit_a and hit_b
         assert a is b
-        assert a.key[0] == "batched"
+        assert a.key[0] == "plan"
         # invalidated with the schedule's plan cache
         sched.clear_plans()
-        c, hit_c = get_or_compile_batched(sched, topo, bufs)
+        c, hit_c = get_or_compile(sched, topo, bufs)
         assert not hit_c and c is not a
 
     def test_distinct_topologies_get_distinct_plans(self):
         sched = make_sched(NBH)
         bufs = make_bufs(1, NBH.t, 6)[0]
-        a, _ = get_or_compile_batched(sched, CartTopology((4, 4)), bufs)
-        b, _ = get_or_compile_batched(sched, CartTopology((2, 8)), bufs)
+        a, _ = get_or_compile(sched, CartTopology((4, 4)), bufs)
+        b, _ = get_or_compile(sched, CartTopology((2, 8)), bufs)
         assert a is not b
 
     def test_wire_bytes_sum_per_rank_plans(self):
-        """Aggregate wire bytes equal the sum of the per-rank plans'."""
+        """Aggregate wire bytes equal the sum over the rank views, each
+        counting only the rounds whose target is on the mesh."""
         topo = CartTopology((3, 4), (False, True))
         sched = make_sched(NBH)
         sizes = plan_mod.effective_sizes(sched, make_bufs(1, NBH.t, 6)[0])
         bplan = compile_batched_plan(sched, topo, sizes)
-        per_rank = sum(
-            plan_mod.compile_plan(sched, topo, r, sizes).wire_bytes
+        per_rank = [
+            sum(
+                rnd.send_blocks.total_nbytes
+                for ph in sched.phases
+                for rnd in ph.rounds
+                if topo.translate(r, rnd.offset) is not None
+            )
             for r in range(topo.size)
-        )
-        assert bplan.wire_bytes == per_rank
+        ]
+        assert min(per_rank) < max(per_rank)  # edge rows send less
+        assert per_rank == [
+            bplan.for_rank(r).wire_bytes for r in range(topo.size)
+        ]
+        assert bplan.wire_bytes == sum(per_rank)
 
 
 # ----------------------------------------------------------------------
@@ -320,27 +331,31 @@ class TestPoolBalance:
         assert _outstanding() == before
 
     def test_lockstep_interpreted_failure_balances(self, monkeypatch):
-        """Same drain discipline on the uncompiled (peer-table) path,
-        where the pooled temp is held by each interpreter."""
-        from repro.mpisim.datatypes import BlockSet
+        """Same drain discipline when the failure comes a phase later
+        (every rank holds its pooled temp and later phases' payloads are
+        already on the wire); the test id predates the removal of the
+        uncompiled path, whose ``BlockSet.unpack_from`` it used to
+        patch."""
+        from repro.core.plan import CompiledBlockSet
 
         before = _outstanding()
         topo = CartTopology((4, 4))
         sched = make_sched(NBH)
+        assert sched.temp_nbytes > 0 and len(sched.phases) > 1
+        first_phase = topo.size * len(sched.phases[0].rounds)
         bufs = make_bufs(topo.size, NBH.t, 6)
         calls = {"n": 0}
-        orig = BlockSet.unpack_from
+        orig = CompiledBlockSet.unpack_from
 
         def flaky(self, buffers, data):
             calls["n"] += 1
-            if calls["n"] == 5:
+            if calls["n"] == first_phase + 5:
                 raise RuntimeError("injected unpack failure")
             return orig(self, buffers, data)
 
-        monkeypatch.setattr(BlockSet, "unpack_from", flaky)
-        with plan_mod.plans_disabled():
-            with pytest.raises(RuntimeError, match="injected unpack"):
-                LockstepBackend().execute_all(topo, sched, bufs)
+        monkeypatch.setattr(CompiledBlockSet, "unpack_from", flaky)
+        with pytest.raises(RuntimeError, match="injected unpack"):
+            LockstepBackend().execute_all(topo, sched, bufs)
         assert _outstanding() == before
 
     def test_interpreter_abort_is_idempotent(self):

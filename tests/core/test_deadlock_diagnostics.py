@@ -9,7 +9,7 @@ than a bare timeout.
 import numpy as np
 import pytest
 
-from repro.core.executor import execute_schedule
+from repro.core.backend import ScheduleInterpreter, ThreadedTransport
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import Phase, Round, Schedule, uniform_block_layout
 from repro.core.topology import CartTopology
@@ -55,7 +55,7 @@ class TestMisorderedSchedule:
                 "send": np.full(m, comm.rank, np.uint8),
                 "recv": np.zeros(m, np.uint8),
             }
-            execute_schedule(comm, topo, sched, bufs)
+            ScheduleInterpreter(ThreadedTransport(comm), topo, sched, bufs).run()
 
         with pytest.raises(DeadlockError) as ei:
             engine.run(fn)
@@ -90,7 +90,7 @@ class TestMisorderedSchedule:
                 "send": np.zeros(8, np.uint8),
                 "recv": np.zeros(8, np.uint8),
             }
-            execute_schedule(comm, topo, sched, bufs)
+            ScheduleInterpreter(ThreadedTransport(comm), topo, sched, bufs).run()
 
         with pytest.raises(DeadlockError) as ei:
             engine.run(fn)

@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.alltoall_schedule import build_alltoall_schedule
 from repro.core.allgather_schedule import build_allgather_schedule
-from repro.core.executor import allocate_buffers, execute_schedule
+from repro.core.backend import (
+    ScheduleInterpreter,
+    ThreadedTransport,
+    allocate_buffers,
+)
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import listing3_9point, parameterized_stencil
@@ -30,8 +34,10 @@ def run_alltoall(dims, nbh, builder, m_elems=2, timeout=60):
     def fn(comm):
         send = fill_send_alltoall(comm.rank, nbh.t, m_elems)
         recv = np.zeros_like(send)
-        execute_schedule(comm, topo, sched, {"send": send, "recv": recv},
-                         validate=True)
+        ScheduleInterpreter(
+            ThreadedTransport(comm), topo, sched,
+            {"send": send, "recv": recv}, validate=True,
+        ).run()
         expect = expected_alltoall(topo, nbh, comm.rank, m_elems)
         assert np.array_equal(recv, expect), (comm.rank, recv, expect)
         return True
@@ -95,7 +101,10 @@ class TestAllgatherOnThreads:
         def fn(comm):
             send = np.full(m, comm.rank + 1, np.uint8)
             recv = np.zeros(nbh.t * m, np.uint8)
-            execute_schedule(comm, topo, sched, {"send": send, "recv": recv})
+            ScheduleInterpreter(
+                ThreadedTransport(comm), topo, sched,
+                {"send": send, "recv": recv},
+            ).run()
             for i, off in enumerate(nbh):
                 src = topo.translate(comm.rank, tuple(-o for o in off))
                 assert (recv[i * m : (i + 1) * m] == src + 1).all()
@@ -142,7 +151,10 @@ class TestBufferPlumbing:
         def fn(comm):
             send = np.zeros(nbh.t * m, np.uint8)
             recv = np.zeros(nbh.t * m, np.uint8)
-            execute_schedule(comm, topo, sched, {"send": send, "recv": recv})
+            ScheduleInterpreter(
+                ThreadedTransport(comm), topo, sched,
+                {"send": send, "recv": recv},
+            ).run()
 
         eng.run(fn)
         phases = eng.trace.phases(0)

@@ -1,12 +1,13 @@
 """Plan-compiler and buffer-pool suite.
 
-Lowering a schedule to a per-rank :class:`~repro.core.plan.ExecPlan`
+Lowering a schedule to its one :class:`~repro.core.plan.BatchedPlan`
+(and reading per-rank :class:`~repro.core.plan.RankPlan` views off it)
 must be invisible except for speed: the compiled gather/scatter kernels,
 the fused local-copy program and the pooled scratch have to produce the
-same bytes the interpreted block sets produce, on every backend.  This
-suite diffs the two paths over the full algorithm × operation × layout
-matrix, drives a hypothesis property over random topologies, and unit-
-tests the pool, the kernels, the cache lifetime coupling and the
+bytes the collective's definition demands, on every backend.  This
+suite checks that over the full algorithm × operation × layout matrix,
+drives a hypothesis property over random topologies, and unit-tests the
+pool, the kernels, the row views, the cache lifetime coupling and the
 ``OpStats`` counters.
 """
 
@@ -40,54 +41,14 @@ from tests.core.test_backends import (
     NBH_SELF,
     _make_bufs,
     _make_case,
+    assert_definition_on as assert_plan_parity,
     shm_mark,
 )
 
-
-def _run_mode(backend, topo, sched, ssize, rsize, *, compiled):
-    bufs = _make_bufs(topo.size, ssize, rsize)
-    scope = plan_mod.plans_forced if compiled else plan_mod.plans_disabled
-    with scope():
-        get_backend(backend).execute_all(topo, sched, bufs)
-    return bufs
-
-
-def _mask_undefined_slots(topo, sched, bufs):
-    """Zero the recv slots whose source neighbor falls off a mesh edge.
-
-    Those slots are never delivered to (their receive is never posted)
-    and multi-hop combining rounds stage scratch bytes through them, so
-    their final content is unspecified — it legitimately differs between
-    execution modes (and between backends, compiled or not).  Every slot
-    whose source exists is fully written: combining routes move
-    coordinate-wise, so all intermediate hops of an in-mesh pair exist.
-    """
-    if all(topo.periods) or sched.recv_layout is None:
-        return
-    for r in range(topo.size):
-        for i, off in enumerate(sched.neighborhood):
-            if topo.translate(r, tuple(-o for o in off)) is None:
-                for ref in sched.recv_layout[i]:
-                    byte_view(bufs[r][ref.buffer])[
-                        ref.offset : ref.offset + ref.nbytes
-                    ] = 0
-
-
-def assert_plan_parity(backend, topo, sched, ssize, rsize):
-    ref = _run_mode(backend, topo, sched, ssize, rsize, compiled=False)
-    got = _run_mode(backend, topo, sched, ssize, rsize, compiled=True)
-    _mask_undefined_slots(topo, sched, ref)
-    _mask_undefined_slots(topo, sched, got)
-    for r in range(topo.size):
-        for buf in ("send", "recv"):
-            assert np.array_equal(got[r][buf], ref[r][buf]), (
-                f"compiled {backend} diverges from interpreted: "
-                f"rank {r}, buffer {buf!r}"
-            )
-
-
 # ----------------------------------------------------------------------
-# compiled vs interpreted over the full matrix
+# the lowered plan vs the definition oracle over the full matrix (slots
+# whose source falls off a mesh edge are unspecified and not compared:
+# combining rounds stage scratch bytes through them)
 # ----------------------------------------------------------------------
 
 
@@ -123,8 +84,8 @@ def test_plan_parity_self_offset_local_copies():
 
 
 def test_plan_parity_nonperiodic_mesh():
-    """Mesh boundaries: rounds with a missing peer compile no kernel for
-    that half and must still agree with the interpreted path."""
+    """Mesh boundaries: a rank view carries no kernel for the half of a
+    round whose peer is missing; every defined slot is still right."""
     topo = CartTopology((3, 3), (False, False))
     sched, ssize, rsize = _make_case("alltoall", "combining", "w")
     assert_plan_parity("lockstep", topo, sched, ssize, rsize)
@@ -139,7 +100,7 @@ def test_plan_parity_nonperiodic_mesh():
 )
 @settings(deadline=None, max_examples=20)
 def test_plan_parity_property(dims, m, algorithm, periodic, data):
-    """Compiled and interpreted paths agree byte-for-byte on random
+    """Lowered execution matches the definition byte-for-byte on random
     tori/meshes, neighborhoods and block sizes."""
     d = len(dims)
     offsets = data.draw(
@@ -497,8 +458,8 @@ class TestPlanCacheLifetime:
         sched, bufs = _schedule_and_buffers()
         topo = CartTopology((3, 3))
         before = plan_mod.plan_cache_info()
-        plan0, hit0 = get_or_compile(sched, topo, 0, bufs)
-        plan1, hit1 = get_or_compile(sched, topo, 0, bufs)
+        plan0, hit0 = get_or_compile(sched, topo, bufs)
+        plan1, hit1 = get_or_compile(sched, topo, bufs)
         assert not hit0 and hit1 and plan1 is plan0
         after = plan_mod.plan_cache_info()
         assert after.misses == before.misses + 1
@@ -506,14 +467,21 @@ class TestPlanCacheLifetime:
         assert after.compile_seconds > before.compile_seconds
 
     def test_distinct_rank_and_layout_keys(self):
+        """Ranks share one plan entry (their views differ); a different
+        buffer signature or topology keys its own plan."""
         sched, bufs = _schedule_and_buffers()
         topo = CartTopology((3, 3))
-        p0, _ = get_or_compile(sched, topo, 0, bufs)
-        p1, _ = get_or_compile(sched, topo, 1, bufs)
-        assert p0 is not p1 and p0.key != p1.key
+        plan, _ = get_or_compile(sched, topo, bufs)
+        assert plan.for_rank(0) is not plan.for_rank(1)
+        assert plan.key == ("plan", topo.dims, topo.periods,
+                            plan_mod.buffer_signature(plan.sizes))
+        assert list(sched._plans) == [plan.key]
         bigger = {k: np.zeros(v.nbytes + 64, np.uint8) for k, v in bufs.items()}
-        p2, hit = get_or_compile(sched, topo, 0, bigger)
-        assert not hit and p2 is not p0
+        p2, hit = get_or_compile(sched, topo, bigger)
+        assert not hit and p2 is not plan
+        p3, hit = get_or_compile(sched, CartTopology((2, 8)), bufs)
+        assert not hit and p3 is not plan
+        assert len(sched._plans) == 3
 
     def test_cache_clear_invalidates_plans(self):
         """Regression: evicting/clearing the schedule cache must drop the
@@ -536,12 +504,12 @@ class TestPlanCacheLifetime:
             "send": np.zeros(NBH.t * 5, np.uint8),
             "recv": np.zeros(NBH.t * 5, np.uint8),
         }
-        _, hit0 = get_or_compile(sched, topo, 0, bufs)
-        _, hit1 = get_or_compile(sched, topo, 0, bufs)
+        _, hit0 = get_or_compile(sched, topo, bufs)
+        _, hit1 = get_or_compile(sched, topo, bufs)
         assert not hit0 and hit1
         schedule_cache.cache_clear()
         assert len(sched._plans) == 0
-        _, hit2 = get_or_compile(sched, topo, 0, bufs)
+        _, hit2 = get_or_compile(sched, topo, bufs)
         assert not hit2
 
     def test_lru_eviction_invalidates_plans(self):
@@ -550,28 +518,83 @@ class TestPlanCacheLifetime:
         sched_b, _ = _schedule_and_buffers(m=7)
         cache.get_or_build(("a",), lambda: sched_a)
         topo = CartTopology((3, 3))
-        get_or_compile(sched_a, topo, 0, bufs)
+        get_or_compile(sched_a, topo, bufs)
         assert len(sched_a._plans) > 0
         cache.get_or_build(("b",), lambda: sched_b)  # evicts a
         assert len(sched_a._plans) == 0
 
-    def test_peer_table_memoized(self):
-        sched, _ = _schedule_and_buffers()
+    def test_rank_views_memoized_and_share_kernels(self):
+        """A rank's plan is a row view: memoized, peers equal to the
+        scalar translation, and its kernels *the same objects* as every
+        other rank's (one kernel set per plan, not per rank)."""
+        sched, bufs = _schedule_and_buffers()
         topo = CartTopology((3, 3))
-        t0 = plan_mod.peer_table(sched, topo, 4)
-        t1 = plan_mod.peer_table(sched, topo, 4)
-        assert t0 is t1
-        want = tuple(
-            tuple(
-                (
-                    topo.translate(4, tuple(-o for o in rnd.recv_source_offset)),
-                    topo.translate(4, rnd.offset),
-                )
-                for rnd in ph.rounds
-            )
-            for ph in sched.phases
+        plan, _ = get_or_compile(sched, topo, bufs)
+        first, last = plan.for_rank(0), plan.for_rank(topo.size - 1)
+        assert plan.for_rank(0) is first
+        assert first.copy_program is last.copy_program is plan.copy_program
+        for pi, ph in enumerate(sched.phases):
+            for ri, rnd in enumerate(ph.rounds):
+                a, b = first.phases[pi][ri], last.phases[pi][ri]
+                assert a.send is b.send is plan.phases[pi][ri].send
+                assert a.recv is b.recv is plan.phases[pi][ri].recv
+                neg = tuple(-o for o in rnd.recv_source_offset)
+                for view, r in ((a, 0), (b, topo.size - 1)):
+                    assert view.source == topo.translate(r, neg)
+                    assert view.target == topo.translate(r, rnd.offset)
+        with pytest.raises(ScheduleError, match="outside"):
+            plan.for_rank(topo.size)
+
+    @pytest.mark.parametrize("backend", ["threaded", "lockstep", "batched"])
+    def test_one_lowering_per_p_rank_run(self, backend):
+        """A p-rank run of one schedule lowers it once (was: once per
+        rank on the per-rank backends) and files one plan entry."""
+        sched, ssize, rsize = _make_case("alltoall", "combining", "w")
+        topo = CartTopology((3, 3))
+        before = plan_mod.plan_cache_info()
+        get_backend(backend).execute_all(
+            topo, sched, _make_bufs(topo.size, ssize, rsize)
         )
-        assert t0 == want
+        after = plan_mod.plan_cache_info()
+        assert after.misses == before.misses + 1
+        lookups = 1 if backend == "batched" else topo.size
+        assert after.hits == before.hits + lookups - 1
+        assert len(sched._plans) == 1
+
+
+def test_reduce_rank_views_share_fused_programs():
+    """On a torus every rank has the same copy/fold pattern, so all views
+    share one fused CombineProgram per schedule point; on a mesh the
+    views split by boundary situation and edge ranks drop gated folds."""
+    from repro.core.reduce_schedule import (
+        build_reduce_schedule,
+        build_trivial_reduce_schedule,
+    )
+
+    sizes = {"send": 16, "recv": 16}
+    torus = CartTopology((3, 3))
+    sched = build_reduce_schedule(NBH, m_bytes=16, dtype="int64")
+    plan = plan_mod.compile_batched_plan(
+        sched, torus, {**sizes, "temp": sched.temp_nbytes}
+    )
+    first, last = plan.for_rank(0), plan.for_rank(torus.size - 1)
+    assert first.pre_program is not None
+    assert first.pre_program is last.pre_program
+    assert all(
+        a is b for a, b in zip(first.combine_programs, last.combine_programs)
+    )
+    mesh = CartTopology((3, 3), (False, False))
+    tsched = build_trivial_reduce_schedule(NBH, m_bytes=16, dtype="int64")
+    tplan = plan_mod.compile_batched_plan(
+        tsched, mesh, {**sizes, "temp": tsched.temp_nbytes}
+    )
+    corner, centre = tplan.for_rank(0), tplan.for_rank(4)
+
+    def folded_bytes(view):
+        return sum(p.nbytes for p in view.combine_programs if p is not None)
+
+    assert 0 < folded_bytes(corner) < folded_bytes(centre)
+    assert corner.reduce_outputs_ok and centre.reduce_outputs_ok
 
 
 def test_compile_plan_wire_bytes_excludes_mesh_boundaries():
@@ -588,23 +611,6 @@ def test_compile_plan_wire_bytes_excludes_mesh_boundaries():
         for ph in corner.phases
         for pr in ph
     )
-
-
-def test_plans_env_and_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_PLANS", "0")
-    plan_mod.set_plans_enabled(None)
-    try:
-        assert not plan_mod.plans_enabled()
-        with plan_mod.plans_forced():
-            assert plan_mod.plans_enabled()
-        assert not plan_mod.plans_enabled()
-        monkeypatch.setenv("REPRO_PLANS", "1")
-        assert plan_mod.plans_enabled()
-        with plan_mod.plans_disabled():
-            assert not plan_mod.plans_enabled()
-        assert plan_mod.plans_enabled()
-    finally:
-        plan_mod.set_plans_enabled(None)
 
 
 # ----------------------------------------------------------------------
@@ -646,9 +652,8 @@ class TestOpStatsCounters:
             t = cart.nbh.t
             send = np.zeros(t * 4, np.uint8)
             recv = np.zeros(t * 4, np.uint8)
-            with plan_mod.plans_forced():
-                cart.alltoall(send, recv, algorithm="combining")
-                cart.alltoall(send, recv, algorithm="combining")
+            cart.alltoall(send, recv, algorithm="combining")
+            cart.alltoall(send, recv, algorithm="combining")
             s = cart.stats
             packed = sum(s.bytes_packed.values())
             return (s.plan_hits + s.plan_misses, s.plan_hits >= 1, packed > 0)

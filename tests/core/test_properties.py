@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.allgather_schedule import AllgatherTree, build_allgather_schedule
 from repro.core.alltoall_schedule import build_alltoall_schedule
-from repro.core.lockstep import execute_lockstep
+from repro.core.backend import get_backend
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import random_neighborhood
@@ -115,8 +115,8 @@ class TestDifferential:
 
         ref = _fresh_buffers(topo.size, nbh.t * m, nbh.t * m)
         got = _fresh_buffers(topo.size, nbh.t * m, nbh.t * m)
-        execute_lockstep(topo, trivial, ref)
-        execute_lockstep(topo, combining, got)
+        get_backend("lockstep").execute_all(topo, trivial, ref)
+        get_backend("lockstep").execute_all(topo, combining, got)
         for r in range(topo.size):
             assert np.array_equal(got[r]["recv"], ref[r]["recv"]), (
                 f"rank {r}: combining alltoall differs from trivial "
@@ -134,8 +134,8 @@ class TestDifferential:
 
         ref = _fresh_buffers(topo.size, m, nbh.t * m)
         got = _fresh_buffers(topo.size, m, nbh.t * m)
-        execute_lockstep(topo, trivial, ref)
-        execute_lockstep(topo, combining, got)
+        get_backend("lockstep").execute_all(topo, trivial, ref)
+        get_backend("lockstep").execute_all(topo, combining, got)
         for r in range(topo.size):
             assert np.array_equal(got[r]["recv"], ref[r]["recv"]), (
                 f"rank {r}: combining allgather differs from trivial "
@@ -154,18 +154,22 @@ class TestDifferential:
         recv = uniform_block_layout(sizes, "recv")
         ref = _fresh_buffers(topo.size, nbh.t * m, nbh.t * m)
         got = _fresh_buffers(topo.size, nbh.t * m, nbh.t * m)
-        execute_lockstep(topo, build_trivial_alltoall_schedule(nbh, send, recv), ref)
-        execute_lockstep(topo, build_direct_alltoall_schedule(nbh, send, recv), got)
+        get_backend("lockstep").execute_all(
+            topo, build_trivial_alltoall_schedule(nbh, send, recv), ref
+        )
+        get_backend("lockstep").execute_all(
+            topo, build_direct_alltoall_schedule(nbh, send, recv), got
+        )
         for r in range(topo.size):
             assert np.array_equal(got[r]["recv"], ref[r]["recv"])
 
         sendg = uniform_block_layout([m], "send")[0]
         refg = _fresh_buffers(topo.size, m, nbh.t * m)
         gotg = _fresh_buffers(topo.size, m, nbh.t * m)
-        execute_lockstep(
+        get_backend("lockstep").execute_all(
             topo, build_trivial_allgather_schedule(nbh, sendg, recv), refg
         )
-        execute_lockstep(
+        get_backend("lockstep").execute_all(
             topo, build_direct_allgather_schedule(nbh, sendg, recv), gotg
         )
         for r in range(topo.size):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.allgather_schedule import build_allgather_schedule
 from repro.core.alltoall_schedule import build_alltoall_schedule
-from repro.core.lockstep import execute_lockstep
+from repro.core.backend import get_backend
 from repro.core.schedule import uniform_block_layout
 from repro.core.serialize import (
     FRAME_HEADER_SIZE,
@@ -96,8 +96,8 @@ class TestRoundTrip:
             return out
 
         a, b = bufs(), bufs()
-        execute_lockstep(topo, orig, a)
-        execute_lockstep(topo, back, b)
+        get_backend("lockstep").execute_all(topo, orig, a)
+        get_backend("lockstep").execute_all(topo, back, b)
         for x, y in zip(a, b):
             assert np.array_equal(x["recv"], y["recv"])
 

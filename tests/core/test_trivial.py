@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.lockstep import execute_lockstep
+from repro.core.backend import get_backend
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import parameterized_stencil
@@ -89,7 +89,7 @@ class TestDirectAlltoall:
             for i in range(nbh.t):
                 send[i * m : (i + 1) * m] = (r * 17 + i) % 251
             bufs.append({"send": send, "recv": np.zeros(nbh.t * m, np.uint8)})
-        execute_lockstep(topo, sched, bufs)
+        get_backend("lockstep").execute_all(topo, sched, bufs)
         for r in range(topo.size):
             for i, off in enumerate(nbh):
                 src = topo.translate(r, tuple(-o for o in off))
@@ -129,7 +129,7 @@ class TestAllgatherShapes:
             }
             for r in range(topo.size)
         ]
-        execute_lockstep(topo, sched, bufs)
+        get_backend("lockstep").execute_all(topo, sched, bufs)
         for r in range(topo.size):
             for i, off in enumerate(nbh):
                 src = topo.translate(r, tuple(-o for o in off))
@@ -152,7 +152,7 @@ class TestNonPeriodicTrivial:
             }
             for r in range(topo.size)
         ]
-        execute_lockstep(topo, sched, bufs)
+        get_backend("lockstep").execute_all(topo, sched, bufs)
         # middle rank gets both neighbors
         assert (bufs[1]["recv"][:m] == 1).all()  # from rank 0 (offset +1)
         assert (bufs[1]["recv"][m:] == 3).all()  # from rank 2 (offset -1)

@@ -105,8 +105,11 @@ def test_threaded_matches_lockstep(data):
     """The two executors must produce bit-identical results for the
     same schedule and inputs."""
     from repro.core.alltoall_schedule import build_alltoall_schedule
-    from repro.core.executor import execute_schedule
-    from repro.core.lockstep import execute_lockstep
+    from repro.core.backend import (
+        ScheduleInterpreter,
+        ThreadedTransport,
+        get_backend,
+    )
     from repro.core.schedule import uniform_block_layout
     from repro.mpisim.engine import run_ranks
 
@@ -130,14 +133,15 @@ def test_threaded_matches_lockstep(data):
         {"send": sends[r].copy(), "recv": np.zeros(nbh.t * m, np.uint8)}
         for r in range(topo.size)
     ]
-    execute_lockstep(topo, sched, bufs)
+    get_backend("lockstep").execute_all(topo, sched, bufs)
 
     # threaded
     def fn(comm):
         recv = np.zeros(nbh.t * m, np.uint8)
-        execute_schedule(
-            comm, topo, sched, {"send": sends[comm.rank].copy(), "recv": recv}
-        )
+        ScheduleInterpreter(
+            ThreadedTransport(comm), topo, sched,
+            {"send": sends[comm.rank].copy(), "recv": recv},
+        ).run()
         return recv
 
     threaded = run_ranks(topo.size, fn, timeout=120)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.alltoall_schedule import build_alltoall_schedule
-from repro.core.executor import execute_schedule
+from repro.core.backend import ScheduleInterpreter, ThreadedTransport
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import parameterized_stencil
 from repro.core.topology import CartTopology
@@ -91,7 +91,10 @@ class TestTraceEquivalence:
             m = 4
             send = np.zeros(nbh.t * m, np.uint8)
             recv = np.zeros(nbh.t * m, np.uint8)
-            execute_schedule(comm, topo, sched, {"send": send, "recv": recv})
+            ScheduleInterpreter(
+                ThreadedTransport(comm), topo, sched,
+                {"send": send, "recv": recv},
+            ).run()
 
         eng.run(fn)
         for rank in range(topo.size):

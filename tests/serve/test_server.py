@@ -380,6 +380,48 @@ class TestPlanService:
         drive(main())
 
 
+class TestStopReleasesSegment:
+    def test_stop_cancelled_mid_drain_still_unlinks_plan_store(self, tmp_path):
+        """Regression: ``stop()`` marks itself stopped first and used to
+        unlink the shm plan store last, so a ``stop()`` cancelled at any
+        of its awaits (Ctrl-C through ``serve/__main__``'s ``finally``)
+        returned early on retry and left ``/dev/shm/<segment>`` behind."""
+        import os
+
+        async def main():
+            cache = _GatedCache()
+            server = ScheduleServer(
+                sock_path(tmp_path), shm_plans=True, cache=cache
+            )
+            await server.start()
+            segment = server.plan_segment
+            assert os.path.exists(f"/dev/shm/{segment}")
+            client = await AsyncScheduleClient.connect(server.address)
+            # a build parked on the gate keeps the drain (and the
+            # connection handler awaiting it) busy
+            parked = asyncio.create_task(
+                client.request_schedule(
+                    ScheduleRequest.from_dict(stencil_dict())
+                )
+            )
+            await asyncio.sleep(0.1)
+            stopping = asyncio.create_task(server.stop())
+            await asyncio.sleep(0.1)
+            assert not stopping.done(), "stop() should be waiting on the drain"
+            stopping.cancel()
+            cache.release.set()  # let the worker thread finish
+            with pytest.raises(asyncio.CancelledError):
+                await stopping
+            assert not os.path.exists(f"/dev/shm/{segment}")
+            assert server.plan_segment is None
+            await server.stop()  # the retry is a no-op, not an error
+            parked.cancel()
+            await asyncio.gather(parked, return_exceptions=True)
+            await client.close()
+
+        drive(main())
+
+
 class TestSyncClientAndShutdown:
     def test_blocking_client_and_shutdown_op(self, tmp_path):
         """The blocking client drives a daemon thread end to end, and a

@@ -223,7 +223,7 @@ class TestStore:
         plan, byte_sizes = compiled_plan(rank=4)
         store = ShmPlanStore.create()
         try:
-            digest = key_digest(plan.key)
+            digest = key_digest(("plan", plan.kind, plan.rank))
             offset, nbytes = store.put(digest, plan_to_image(plan))
             reader = ShmPlanStore.attach(store.name)
             try:

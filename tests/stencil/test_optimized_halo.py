@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import run_cartesian
-from repro.core.lockstep import execute_lockstep
+from repro.core.backend import get_backend
 from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
 from repro.stencil.apps import DistributedStencil
@@ -101,7 +101,7 @@ class TestCorrectness:
             local = np.zeros(tuple(n + 2 * depth for n in interior))
             local[depth:-depth, depth:-depth] = decomp.scatter(g)[r]
             bufs.append({"grid": local})
-        execute_lockstep(topo, sched, bufs)
+        get_backend("lockstep").execute_all(topo, sched, bufs)
         for r in range(topo.size):
             expect = self._ghost_expectation(topo, decomp, g, depth, r)
             assert np.array_equal(bufs[r]["grid"], expect), r
@@ -119,7 +119,7 @@ class TestCorrectness:
             local = np.zeros(tuple(n + 2 * depth for n in interior))
             local[depth:-depth, depth:-depth] = decomp.scatter(g)[r]
             bufs.append({"grid": local})
-        execute_lockstep(topo, sched, bufs)
+        get_backend("lockstep").execute_all(topo, sched, bufs)
         for r in range(topo.size):
             expect = self._ghost_expectation(topo, decomp, g, depth, r)
             assert np.array_equal(bufs[r]["grid"], expect), r
@@ -137,7 +137,7 @@ class TestCorrectness:
             local = np.zeros(tuple(n + 2 for n in interior))
             local[1:-1, 1:-1, 1:-1] = decomp.scatter(g)[r]
             bufs.append({"grid": local})
-        execute_lockstep(topo, sched, bufs)
+        get_backend("lockstep").execute_all(topo, sched, bufs)
         for r in range(topo.size):
             sl = decomp.local_slices(r)
             expect = padded[
@@ -166,8 +166,8 @@ class TestCorrectness:
             return out
 
         a, b = make_bufs(), make_bufs()
-        execute_lockstep(topo, combined, a)
-        execute_lockstep(topo, plain, b)
+        get_backend("lockstep").execute_all(topo, combined, a)
+        get_backend("lockstep").execute_all(topo, plain, b)
         for x, y in zip(a, b):
             assert np.allclose(x["grid"], y["grid"])
 
