@@ -44,7 +44,7 @@ def worker(cart):
         assert (recvg[i * M : (i + 1) * M] == source).all()
 
     if rank == 0:
-        sched = cart._regular_alltoall_schedule(M * 4, "combining")
+        sched = cart.alltoall_init(send, recv, algorithm="combining").schedule
         print("alltoall schedule on rank 0:")
         print(sched.describe())
     return True

@@ -58,6 +58,7 @@ import numpy as np
 from repro.analyze import match_graph
 from repro.analyze.report import VerificationReport
 from repro.core.allgather_schedule import AllgatherTree
+from repro.core.builders import SCHEDULE_BUILDERS
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
@@ -1540,19 +1541,8 @@ def paper_stencil_grid() -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
-SWEEP_KINDS = (
-    "alltoall",
-    "trivial-alltoall",
-    "direct-alltoall",
-    "allgather",
-    "trivial-allgather",
-    "direct-allgather",
-    "reduce",
-    "reduce-scatter",
-    "allreduce",
-    "trivial-reduce",
-    "trivial-reduce-scatter",
-)
+#: the sweep covers every kind the builder table can produce
+SWEEP_KINDS = tuple(SCHEDULE_BUILDERS)
 
 
 def build_for_kind(
@@ -1560,44 +1550,20 @@ def build_for_kind(
 ) -> Schedule:
     """Build one schedule of the named shape with the standard uniform
     buffer layout (used by the sweep and the conformance tests)."""
-    from repro.core.alltoall_schedule import (
-        build_alltoall_schedule,
-        build_trivial_alltoall_blocksets,
-    )
-    from repro.core.allgather_schedule import build_allgather_schedule
-    from repro.core.reduce_schedule import (
-        REDUCE_BUILDERS,
-        TRIVIAL_REDUCE_BUILDERS,
-    )
+    from repro.core.alltoall_schedule import build_trivial_alltoall_blocksets
     from repro.core.schedule import uniform_block_layout
-    from repro.core.trivial import (
-        build_direct_allgather_schedule,
-        build_direct_alltoall_schedule,
-        build_trivial_allgather_schedule,
-        build_trivial_alltoall_schedule,
-    )
 
+    builder = SCHEDULE_BUILDERS[kind]
     if kind in REDUCE_KINDS:
         # int64 keeps the content checks exact under every named operator
         m = ((int(block_bytes) + 7) // 8) * 8
-        builder = {**REDUCE_BUILDERS, **TRIVIAL_REDUCE_BUILDERS}[kind]
         return builder(nbh, m_bytes=m, dtype="int64", op="sum")
-    if kind.endswith("allgather"):
+    if kind in ALLGATHER_KINDS:
         send_block = BlockSet([BlockRef("send", 0, block_bytes)])
         recv_blocks = uniform_block_layout([block_bytes] * nbh.t, "recv")
-        builder = {
-            "allgather": build_allgather_schedule,
-            "trivial-allgather": build_trivial_allgather_schedule,
-            "direct-allgather": build_direct_allgather_schedule,
-        }[kind]
         return builder(nbh, send_block, recv_blocks)
     sizes = [block_bytes * (1 + i % 3) for i in range(nbh.t)]
     send_blocks, recv_blocks = build_trivial_alltoall_blocksets(sizes)
-    builder = {
-        "alltoall": build_alltoall_schedule,
-        "trivial-alltoall": build_trivial_alltoall_schedule,
-        "direct-alltoall": build_direct_alltoall_schedule,
-    }[kind]
     return builder(nbh, send_blocks, recv_blocks)
 
 

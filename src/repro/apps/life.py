@@ -27,8 +27,8 @@ from repro.apps.base import AppRun, CartesianApp, merge_stats
 from repro.core.api import run_cartesian
 from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
+from repro.stencil.apps import DistributedStencil
 from repro.stencil.decomp import GridDecomposition
-from repro.stencil.halo import halo_specs
 from repro.stencil.kernels import glider, life_step_local
 
 __all__ = [
@@ -173,26 +173,18 @@ class GameOfLife(CartesianApp):
 
         def worker(cart: Any) -> tuple[np.ndarray, Any]:
             stats = cart.enable_stats()
-            block = blocks[cart.rank]
-            interior = block.shape
-            grid = np.zeros(
-                (interior[0] + 2, interior[1] + 2), dtype=np.uint8
-            )
-            inner = (slice(1, 1 + interior[0]), slice(1, 1 + interior[1]))
-            grid[inner] = block
-            sends, recvs = halo_specs(
-                interior, 1, cart.nbh, grid.itemsize, buffer="grid"
-            )
-            halo = cart.alltoallw_init(
-                {"grid": grid}, sends, recvs, algorithm=algorithm
+            stencil = DistributedStencil(
+                cart,
+                self.decomp,
+                blocks[cart.rank],
+                lambda grid: life_step_local(grid, 1),
+                algorithm=algorithm,
             )
             try:
-                for _ in range(generations):
-                    halo.execute()
-                    grid[inner] = life_step_local(grid, 1)
+                final = stencil.run(generations)
             finally:
-                halo.free()
-            return pack_rows(grid[inner]), stats
+                stencil.free()
+            return pack_rows(final), stats
 
         results = run_cartesian(
             self.dims,

@@ -54,7 +54,6 @@ from repro.core.backend import (
     BackendError,
     ScheduleInterpreter,
     Transport,
-    TransportCapabilities,
     get_backend,
 )
 from repro.core.cartcomm import CartComm, cart_neighborhood_create
@@ -87,7 +86,6 @@ __all__ = [
     "BackendError",
     "ScheduleInterpreter",
     "Transport",
-    "TransportCapabilities",
     "get_backend",
     "CartComm",
     "cart_neighborhood_create",

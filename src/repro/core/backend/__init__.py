@@ -18,7 +18,6 @@ from repro.core.backend.base import (
     Backend,
     BackendError,
     Transport,
-    TransportCapabilities,
     allocate_buffers,
     allocate_rank_buffers,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "ThreadedBackend",
     "ThreadedTransport",
     "Transport",
-    "TransportCapabilities",
     "allocate_buffers",
     "allocate_rank_buffers",
     "get_backend",

@@ -4,23 +4,26 @@ Proposition 3.1 makes a schedule pure local data; *executing* one only
 needs four verbs — post a receive, post a send, complete the posted
 operations of a phase, and (for process-parallel transports) a barrier.
 :class:`Transport` is that verb set for a single rank;
-:class:`Backend` is the factory/driver layer above it: it either hands
-out per-rank transports (threaded execution inside an engine) or runs a
-schedule for *all* ranks at once (lockstep, shared-memory processes).
+:class:`Backend` is the driver layer above it, with two entry points:
+:meth:`Backend.execute_all` runs a schedule for *all* ranks in one call
+(buffers supplied per rank), and :meth:`Backend.run` runs it for the
+*calling* rank of a live communicator — what ``CartComm`` launches a
+bound collective through.  The default ``run`` funnels every rank's
+buffers to rank 0 and drives ``execute_all`` there; the threaded
+backend overrides it with the interpreter over its own transport.
 
-The capability flags let callers pick front-ends honestly: split-phase
-(non-blocking) execution needs a per-rank transport; all-ranks backends
-are driven collectively and fall back to the threaded transport for
-``i*`` operations.
+Split-phase (non-blocking) execution needs a per-rank transport and
+always runs over the threaded one, whatever backend is selected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
+from repro.core import plan as plan_mod
+from repro.mpisim.datatypes import byte_view
 from repro.mpisim.exceptions import MpiSimError
 
 if TYPE_CHECKING:
@@ -66,30 +69,6 @@ def allocate_rank_buffers(
     return [allocate_buffers(schedule, b) for b in user_buffers]
 
 
-# ---------------------------------------------------------------------------
-# capabilities
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransportCapabilities:
-    """What a backend's transports can honestly promise."""
-
-    #: registry name ("threaded", "lockstep", "shm")
-    name: str
-    #: ranks make progress concurrently (threads or processes)
-    true_parallel: bool
-    #: sends are captured at post time and delivered at ``waitall``
-    #: (pack-then-unpack discipline) rather than flowing eagerly
-    deferred_delivery: bool
-    #: a single rank can drive phases incrementally (``i*`` operations)
-    split_phase: bool
-    #: one transport per rank, usable from inside an engine rank thread
-    per_rank: bool
-    #: the backend executes a schedule for all ranks in one call
-    all_ranks: bool
-
-
 class Transport:
     """One rank's executor verbs.
 
@@ -100,7 +79,6 @@ class Transport:
     to no-ops — only the threaded transport has a trace to feed.
     """
 
-    capabilities: TransportCapabilities
     rank: int
 
     def post_recv(
@@ -143,19 +121,57 @@ class Transport:
         """Attribute rank-local data movement (no-op by default)."""
 
 
+#: Tag of the funnel's result distribution.  Safe as a fixed tag: the
+#: funnel is fully synchronous, so no two funnelled operations are ever
+#: in flight at once.
+_FUNNEL_TAG = -9
+
+
 class Backend:
-    """Factory/driver for one execution strategy."""
+    """Driver for one execution strategy."""
 
     name: str
-    capabilities: TransportCapabilities
 
-    def transport(self, comm: Any) -> Transport:
-        """A per-rank transport bound to ``comm`` (per-rank backends
-        only)."""
-        raise BackendError(
-            f"backend {self.name!r} has no per-rank transports; drive it "
-            f"with execute_all()"
-        )
+    def run(
+        self,
+        comm: Any,
+        topo: "CartTopology",
+        schedule: "Schedule",
+        buffers: Mapping[str, np.ndarray],
+    ) -> tuple[bool, int, int]:
+        """Execute ``schedule`` for the calling rank of ``comm``
+        (collective); returns this rank's ``(plan_hit, bytes_packed,
+        bytes_copied)``.
+
+        The default is the rank-0 funnel for all-ranks backends: gather
+        every rank's buffers at rank 0, run :meth:`execute_all` there,
+        and distribute the mutated buffers back.  Rank 0's own arrays
+        are mutated in place (object-mode gather passes them by
+        reference); the other ranks copy the returned contents into
+        theirs."""
+        gathered = comm.gather(dict(buffers), root=0)
+        if comm.rank == 0:
+            assert gathered is not None
+            # Rank 0 drives every rank's execution, but each rank still
+            # accounts one logical plan lookup per collective (a hit
+            # unless the mesh's plan had to be lowered first) and its own
+            # view's wire bytes (edge ranks skip missing neighbours).
+            lowered, hit = plan_mod.get_or_compile(schedule, topo, gathered[0])
+            self.execute_all(topo, schedule, gathered)
+            for r in range(1, comm.size):
+                comm.send(
+                    (gathered[r], hit, lowered.for_rank(r).wire_bytes),
+                    r,
+                    tag=_FUNNEL_TAG,
+                )
+            packed = lowered.for_rank(0).wire_bytes
+        else:
+            result, hit, packed = comm.recv(source=0, tag=_FUNNEL_TAG)
+            for name, arr in buffers.items():
+                byte_view(arr)[:] = byte_view(
+                    np.ascontiguousarray(result[name])
+                )
+        return hit, packed, schedule.local_copy_bytes
 
     def execute_all(
         self,

@@ -24,28 +24,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core import plan as plan_mod
-from repro.core.backend.base import Backend, TransportCapabilities
+from repro.core.backend.base import Backend
 from repro.core.backend.interpreter import CARTTAG
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import byte_view
 from repro.mpisim.exceptions import ScheduleError
 
-BATCHED_CAPS = TransportCapabilities(
-    name="batched",
-    true_parallel=False,
-    deferred_delivery=True,
-    split_phase=False,
-    per_rank=False,
-    all_ranks=True,
-)
-
-
 class BatchedBackend(Backend):
     """All ranks in one process as one vectorized numpy program."""
 
     name = "batched"
-    capabilities = BATCHED_CAPS
 
     def execute_all(
         self,

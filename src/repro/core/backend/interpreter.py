@@ -106,6 +106,11 @@ class ScheduleInterpreter:
     def phases_remaining(self) -> int:
         return len(self.schedule.phases) - self._phase_index
 
+    @property
+    def outcome(self) -> tuple[bool, int, int]:
+        """``(plan_hit, bytes_packed, bytes_copied)`` once finished."""
+        return bool(self.plan_hit), self.bytes_packed, self.bytes_copied
+
     # ------------------------------------------------------------------
     def begin(self) -> None:
         """Prepare the schedule and open the (optional) trace region."""

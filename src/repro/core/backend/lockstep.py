@@ -24,23 +24,13 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.backend.base import Backend, Transport, TransportCapabilities
+from repro.core.backend.base import Backend, Transport
 from repro.core.backend.interpreter import CARTTAG, ScheduleInterpreter
 from repro.core.plan import GLOBAL_POOL
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import BlockSet
 from repro.mpisim.exceptions import ScheduleError
-
-LOCKSTEP_CAPS = TransportCapabilities(
-    name="lockstep",
-    true_parallel=False,
-    deferred_delivery=True,
-    split_phase=False,
-    per_rank=False,
-    all_ranks=True,
-)
-
 
 class LockstepExchange:
     """The shared in-memory "wire": packed payloads keyed by
@@ -66,8 +56,6 @@ _SEND_TOKEN = object()
 
 class LockstepTransport(Transport):
     """One rank's verbs over the shared exchange."""
-
-    capabilities = LOCKSTEP_CAPS
 
     def __init__(self, exchange: LockstepExchange, rank: int) -> None:
         self.exchange = exchange
@@ -159,7 +147,6 @@ class LockstepBackend(Backend):
     """All ranks in one process, phases interleaved across ranks."""
 
     name = "lockstep"
-    capabilities = LOCKSTEP_CAPS
 
     def execute_all(
         self,

@@ -46,7 +46,6 @@ from repro.core.backend.base import (
     Backend,
     BackendError,
     Transport,
-    TransportCapabilities,
 )
 from repro.core import plan as plan_mod
 from repro.core.backend.interpreter import CARTTAG, ScheduleInterpreter
@@ -55,20 +54,11 @@ from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import BlockSet, byte_view
 from repro.mpisim.exceptions import ScheduleError
 
-SHM_CAPS = TransportCapabilities(
-    name="shm",
-    true_parallel=True,   # real processes, no GIL between ranks
-    deferred_delivery=True,
-    split_phase=False,
-    per_rank=False,
-    all_ranks=True,
-)
-
 #: Refuse to fork absurd process counts; override for big-machine runs.
 _MAX_RANKS_ENV = "REPRO_SHM_MAX_RANKS"
 _DEFAULT_MAX_RANKS = 64
-_TIMEOUT_ENV = "REPRO_SHM_TIMEOUT"
-_DEFAULT_TIMEOUT = 60.0
+#: seconds a worker waits at a phase barrier before giving up
+_TIMEOUT = 60.0
 
 
 @dataclass
@@ -115,8 +105,6 @@ def compute_segment_layout(
 
 class ShmTransport(Transport):
     """One rank's verbs over the mapped segment."""
-
-    capabilities = SHM_CAPS
 
     def __init__(
         self,
@@ -176,7 +164,6 @@ class ShmBackend(Backend):
     """One forked process per rank over one shared segment."""
 
     name = "shm"
-    capabilities = SHM_CAPS
 
     def execute_all(
         self,
@@ -198,7 +185,6 @@ class ShmBackend(Backend):
                 f"shm backend refuses {p} ranks (> {_MAX_RANKS_ENV}="
                 f"{max_ranks}); raise the limit explicitly for large runs"
             )
-        timeout = float(os.environ.get(_TIMEOUT_ENV, _DEFAULT_TIMEOUT))
         # Compute coalesced-run plans once, in the parent, before forking.
         schedule.prepare()
         # Lower the plan and take every rank's view here too: children
@@ -246,7 +232,7 @@ class ShmBackend(Backend):
                         name: seg[off : off + n]
                         for name, (off, n) in buffer_table[rank].items()
                     }
-                    transport = ShmTransport(rank, seg, slots, barrier, timeout)
+                    transport = ShmTransport(rank, seg, slots, barrier, _TIMEOUT)
                     ScheduleInterpreter(
                         transport,
                         topo,
@@ -266,7 +252,7 @@ class ShmBackend(Backend):
                 proc.start()
             failed = False
             for proc in procs:
-                proc.join(timeout + 30.0)
+                proc.join(_TIMEOUT + 30.0)
                 if proc.is_alive():  # pragma: no cover - hang safety net
                     proc.terminate()
                     proc.join(5.0)

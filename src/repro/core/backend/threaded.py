@@ -1,10 +1,11 @@
 """Threaded backend: the mpisim engine as a transport.
 
 The per-rank transport is a thin adapter over
-:class:`~repro.mpisim.comm.Communicator`'s block mode — it is what the
-original ``executor.py`` hard-wired.  ``execute_all`` exists for parity
-testing and certification: it spins up a fresh engine with one thread
-per rank and runs the interpreter in each.
+:class:`~repro.mpisim.comm.Communicator`'s block mode.  ``run`` is the
+interpreter over that transport on the calling rank's own thread;
+``execute_all`` exists for parity testing and certification: it spins
+up a fresh engine with one thread per rank and runs the interpreter in
+each.
 """
 
 from __future__ import annotations
@@ -13,27 +14,16 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.backend.base import Backend, Transport, TransportCapabilities
+from repro.core.backend.base import Backend, Transport
 from repro.core.backend.interpreter import CARTTAG, ScheduleInterpreter
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.comm import Communicator
 from repro.mpisim.datatypes import BlockSet
 
-THREADED_CAPS = TransportCapabilities(
-    name="threaded",
-    true_parallel=True,   # concurrent threads (GIL-bound for compute)
-    deferred_delivery=False,
-    split_phase=True,
-    per_rank=True,
-    all_ranks=True,       # via a private engine in execute_all
-)
-
 
 class ThreadedTransport(Transport):
     """One rank's verbs over an mpisim communicator."""
-
-    capabilities = THREADED_CAPS
 
     def __init__(self, comm: Communicator) -> None:
         self.comm = comm
@@ -82,10 +72,21 @@ class ThreadedBackend(Backend):
     """One OS thread per rank (the mpisim engine)."""
 
     name = "threaded"
-    capabilities = THREADED_CAPS
 
-    def transport(self, comm: Any) -> ThreadedTransport:
-        return ThreadedTransport(comm)
+    def run(
+        self,
+        comm: Communicator,
+        topo: CartTopology,
+        schedule: Schedule,
+        buffers: Mapping[str, np.ndarray],
+    ) -> tuple[bool, int, int]:
+        """Per-rank execution: the interpreter right here, on the
+        calling rank's transport — no funnel."""
+        interp = ScheduleInterpreter(
+            ThreadedTransport(comm), topo, schedule, buffers
+        )
+        interp.run()
+        return interp.outcome
 
     def execute_all(
         self,

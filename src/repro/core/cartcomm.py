@@ -23,7 +23,12 @@ check of Section 2.2 unless disabled.
   ``m < (α/β)·(t−C)/(V−t)``;
 * the persistent ``*_init`` variants which precompute and reuse the
   schedule (the paper's handles for the upcoming MPI persistent
-  collectives).
+  collectives), and the non-blocking ``ialltoall``/``iallgather``.
+
+Every collective exists once, as a private ``_bind_<op>`` that checks
+the arguments, resolves the algorithm and fetches the schedule into a
+:class:`~repro.core.schedule.BoundOp`; the public methods only launch
+it — blocking (``Backend.run``), ``i*`` (start), ``*_init`` (keep).
 
 ``Cart_allgatherw`` — absent from MPI, argued for in Section 2.1 — is
 implemented as well.
@@ -31,37 +36,28 @@ implemented as well.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from repro.core.nonblocking import SplitPhaseOp
-    from repro.core.opstats import OpStats
-    from repro.core.persistent import PersistentOp, PersistentReduce
-
 from repro.core import plan, schedule_cache
-from repro.core.allgather_schedule import build_allgather_schedule
-from repro.core.alltoall_schedule import build_alltoall_schedule
-from repro.core.backend import Backend, ScheduleInterpreter, get_backend
+from repro.core import reduce_schedule as rs
+from repro.core.backend import Backend, ThreadedBackend, get_backend
+from repro.core.builders import SCHEDULE_BUILDERS, algorithm_of, schedule_kind
 from repro.core.neighborhood import Neighborhood
-from repro.core.schedule import Schedule, uniform_block_layout
-from repro.core.schedule_cache import blockset_signature, layout_signature
+from repro.core.nonblocking import SplitPhaseOp
+from repro.core.opstats import OpStats
+from repro.core.persistent import PersistentOp, PersistentReduce
+from repro.core.schedule import BoundOp, Schedule, uniform_block_layout
+from repro.core.schedule_cache import layout_signature
 from repro.core.topology import CartTopology
-from repro.core.trivial import (
-    build_direct_allgather_schedule,
-    build_direct_alltoall_schedule,
-    build_trivial_allgather_schedule,
-    build_trivial_alltoall_schedule,
-)
 from repro.mpisim.comm import Communicator
 from repro.mpisim.datatypes import (
     BlockRef,
     BlockSet,
     Datatype,
     blockset_from_datatype,
-    byte_view,
 )
 from repro.mpisim.exceptions import NeighborhoodError, ScheduleError, TopologyError
 
@@ -73,10 +69,8 @@ DEFAULT_BETA = 1.0e-10
 
 ALGORITHMS = ("auto", "combining", "trivial", "direct")
 
-#: Tag for the funnel pattern's result distribution (all-ranks backends
-#: executed at rank 0).  Safe as a fixed tag: the funnel is fully
-#: synchronous, so no two funnelled operations are ever in flight at once.
-_FUNNEL_TAG = -9
+#: level-1 cache-key prefix of the regular (uniform-block) operations
+_REGULAR_KEY = {"alltoall": "a2a", "allgather": "ag"}
 
 #: Things accepted as a per-neighbor "datatype" by the ``w`` variants:
 #: a ready BlockSet, or a (buffer name, Datatype, byte displacement,
@@ -134,6 +128,13 @@ def select_algorithm(
     return "trivial"
 
 
+def _check_algorithm(algorithm: str) -> None:
+    if algorithm not in ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+        )
+
+
 class CartComm:
     """A communicator with Cartesian layout and isomorphic neighborhood
     attached (the object ``cart_neighborhood_create`` returns)."""
@@ -153,9 +154,6 @@ class CartComm:
                 f"communicator size {comm.size} != topology size {topo.size}"
             )
         nbh.validate_for_dims(topo.dims)
-        if not topo.is_fully_periodic and info is None:
-            # allowed — but the combining algorithms will refuse below
-            pass
         self.comm = comm.dup()
         self.topo = topo
         self.nbh = nbh
@@ -166,11 +164,6 @@ class CartComm:
         # then $REPRO_BACKEND, then "threaded" (see repro.core.backend).
         self.backend = get_backend(
             backend if backend is not None else self.info.get("backend")
-        )
-        self._transport = (
-            self.backend.transport(self.comm)
-            if self.backend.capabilities.per_rank
-            else None
         )
         if validate:
             verify_isomorphic(self.comm, nbh)
@@ -183,11 +176,9 @@ class CartComm:
     # ------------------------------------------------------------------
     # operation statistics (observability)
     # ------------------------------------------------------------------
-    def enable_stats(self) -> "OpStats":
+    def enable_stats(self) -> OpStats:
         """Start recording per-operation counters (see
         :mod:`repro.core.opstats`); returns the collector."""
-        from repro.core.opstats import OpStats
-
         if self.stats is None:
             self.stats = OpStats()
         return self.stats
@@ -214,84 +205,43 @@ class CartComm:
         """Counters of the process-wide scratch-buffer pool."""
         return plan.GLOBAL_POOL.stats()
 
-    @staticmethod
-    def _algorithm_of(schedule: Schedule) -> str:
-        kind = schedule.kind
-        if kind.startswith("trivial"):
-            return "trivial"
-        if kind.startswith("direct"):
-            return "direct"
-        return "combining"
-
-    def _note_op(self, op: str, schedule: Schedule) -> None:
-        if self.stats is not None:
-            self.stats.record_schedule(
-                op, self._algorithm_of(schedule), schedule,
-                backend=self.backend.name,
-            )
-
     # ------------------------------------------------------------------
-    # schedule execution (backend dispatch)
+    # launchers: the three ways to start a bound operation
     # ------------------------------------------------------------------
-    def _execute(
-        self, schedule: Schedule, buffers: Mapping[str, np.ndarray]
+    def _record(
+        self, bound: BoundOp, backend: str, plan_hit: bool, packed: int, copied: int
     ) -> None:
-        """Execute ``schedule`` for the calling rank on the selected
-        backend: per-rank backends run the interpreter right here, on
-        this rank's transport; all-ranks backends are driven collectively
-        through rank 0 (:meth:`_execute_funneled`)."""
-        if self._transport is not None:
-            interp = ScheduleInterpreter(
-                self._transport, self.topo, schedule, buffers
-            )
-            interp.run()
-            if self.stats is not None:
-                self.stats.record_plan(
-                    bool(interp.plan_hit), backend=self.backend.name
-                )
-                self.stats.record_bytes(
-                    interp.bytes_packed,
-                    interp.bytes_copied,
-                    backend=self.backend.name,
-                )
-        else:
-            self._execute_funneled(schedule, buffers)
+        """Account one completed execution under ``(op, algorithm,
+        backend)`` — the one place, for every launcher."""
+        if self.stats is None:
+            return
+        self.stats.record_schedule(
+            bound.op, algorithm_of(bound.schedule.kind), bound.schedule,
+            backend=backend,
+        )
+        self.stats.record_plan(plan_hit, backend=backend)
+        self.stats.record_bytes(packed, copied, backend=backend)
 
-    def _execute_funneled(
-        self, schedule: Schedule, buffers: Mapping[str, np.ndarray]
-    ) -> None:
-        """The collective driver for all-ranks backends: gather every
-        rank's buffers at rank 0, run ``backend.execute_all`` there, and
-        distribute the mutated buffers back.  Rank 0's own arrays are
-        mutated in place (object-mode gather passes them by reference);
-        the other ranks copy the returned contents into theirs."""
-        gathered = self.comm.gather(dict(buffers), root=0)
-        if self.rank == 0:
-            assert gathered is not None
-            before = plan.plan_cache_info()
-            self.backend.execute_all(self.topo, schedule, gathered)
-            after = plan.plan_cache_info()
-            # Rank 0 drives every rank's execution, but each rank still
-            # accounts one logical plan lookup per collective (the
-            # per-rank path's contract): a hit unless driving the mesh
-            # compiled something new.
-            hit = after.misses == before.misses
-            for r in range(1, self.size):
-                self.comm.send((gathered[r], hit), r, tag=_FUNNEL_TAG)
-        else:
-            result, hit = self.comm.recv(source=0, tag=_FUNNEL_TAG)
-            for name, arr in buffers.items():
-                byte_view(arr)[:] = byte_view(
-                    np.ascontiguousarray(result[name])
-                )
-        if self.stats is not None:
-            # per-process accounting, mirroring the per-rank path
-            self.stats.record_plan(hit, backend=self.backend.name)
-            self.stats.record_bytes(
-                schedule.volume_bytes,
-                schedule.local_copy_bytes,
-                backend=self.backend.name,
-            )
+    def _run(self, bound: BoundOp) -> None:
+        """Blocking launch (direct calls and persistent handles): run on
+        the selected backend, for the calling rank."""
+        moved = self.backend.run(
+            self.comm, self.topo, bound.schedule, bound.buffers
+        )
+        self._record(bound, self.backend.name, *moved)
+
+    def _start(self, bound: BoundOp) -> SplitPhaseOp:
+        """Non-blocking launch.  A fresh tag per started collective: all
+        ranks start their collectives in the same order (the MPI rule),
+        so the sequence — and hence the tag — agrees across ranks, and
+        overlapping non-blocking operations can never cross-match
+        messages.  Split-phase always runs on the threaded transport."""
+        self._op_seq += 1
+        return SplitPhaseOp(
+            self.comm, self.topo, bound.schedule, bound.buffers,
+            -500 - (self._op_seq % 100000),
+            on_done=partial(self._record, bound, ThreadedBackend.name),
+        )
 
     # ------------------------------------------------------------------
     # identity / layout
@@ -353,51 +303,32 @@ class CartComm:
         return self.nbh.weights
 
     # ------------------------------------------------------------------
-    # algorithm selection and schedule building
+    # algorithm selection and the two-level schedule cache
     # ------------------------------------------------------------------
-    def _resolve_algorithm(self, algorithm: str, kind: str, m_bytes: int) -> str:
-        if algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        if algorithm == "auto":
-            if not self.topo.is_fully_periodic:
+    def _resolve_algorithm(self, algorithm: str, kind: str, m_bytes: int = 0) -> str:
+        """``auto`` is the paper's cut-off rule for ``kind`` alltoall /
+        allgather and the round-count rule for ``kind="reduce"``
+        (combining iff the torus is fully periodic and ``C < t``; there
+        is no ``direct`` reduction, so ``direct`` defers to it too)."""
+        _check_algorithm(algorithm)
+        periodic = self.topo.is_fully_periodic
+        if kind == "reduce":
+            if algorithm in ("auto", "direct"):
+                algorithm = rs.select_reduce_algorithm(self.topo, self.nbh)
+        elif algorithm == "auto":
+            if not periodic:
                 # combining needs a torus; on meshes auto degrades to the
                 # trivial algorithm (which skips missing neighbors)
                 return "trivial"
             algorithm = select_algorithm(
                 self.nbh, kind, m_bytes, self.alpha, self.beta
             )
-        if algorithm == "combining" and not self.topo.is_fully_periodic:
+        if algorithm == "combining" and not periodic:
             raise TopologyError(
                 "message-combining schedules require a fully periodic "
                 "torus; use algorithm='trivial' on meshes"
             )
         return algorithm
-
-    def _build_alltoall(
-        self,
-        algorithm: str,
-        send_blocks: Sequence[BlockSet],
-        recv_blocks: Sequence[BlockSet],
-    ) -> Schedule:
-        if algorithm == "combining":
-            return build_alltoall_schedule(self.nbh, send_blocks, recv_blocks)
-        if algorithm == "trivial":
-            return build_trivial_alltoall_schedule(self.nbh, send_blocks, recv_blocks)
-        return build_direct_alltoall_schedule(self.nbh, send_blocks, recv_blocks)
-
-    def _build_allgather(
-        self,
-        algorithm: str,
-        send_block: BlockSet,
-        recv_blocks: Sequence[BlockSet],
-    ) -> Schedule:
-        if algorithm == "combining":
-            return build_allgather_schedule(self.nbh, send_block, recv_blocks)
-        if algorithm == "trivial":
-            return build_trivial_allgather_schedule(self.nbh, send_block, recv_blocks)
-        return build_direct_allgather_schedule(self.nbh, send_block, recv_blocks)
 
     def _cached(self, key: tuple, kind: str, make) -> Schedule:
         """Two-level schedule lookup.
@@ -413,18 +344,16 @@ class CartComm:
         ``(layout_signature, build_callable)``.
         """
         sched = self._schedule_cache.get(key)
-        if sched is not None:
-            if self.stats is not None:
-                self.stats.record_cache(True, backend=self.backend.name)
-            return sched
-        layout_sig, build = make()
-        gkey = schedule_cache.schedule_key(
-            kind, self.nbh, layout_sig, self.dims, self.periods
-        )
-        sched, hit, build_seconds = schedule_cache.get_or_build(
-            gkey, build, self._build_verifier()
-        )
-        self._schedule_cache[key] = sched
+        hit, build_seconds = True, 0.0
+        if sched is None:
+            layout_sig, build = make()
+            gkey = schedule_cache.schedule_key(
+                kind, self.nbh, layout_sig, self.dims, self.periods
+            )
+            sched, hit, build_seconds = schedule_cache.get_or_build(
+                gkey, build, self._build_verifier()
+            )
+            self._schedule_cache[key] = sched
         if self.stats is not None:
             self.stats.record_cache(
                 hit, build_seconds, backend=self.backend.name
@@ -439,68 +368,56 @@ class CartComm:
 
         if not config.verify_on_build():
             return None
-        dims, periods = self.dims, self.periods
+        from repro.analyze.schedule_verifier import certify_schedule
 
-        def _verify(sched: object) -> None:
-            if isinstance(sched, Schedule):
-                from repro.analyze.schedule_verifier import certify_schedule
+        return lambda sched: certify_schedule(sched, self.dims, self.periods)
 
-                certify_schedule(sched, dims, periods)
-
-        return _verify
-
-    def _layout_cached(
-        self,
-        op: str,  # "alltoall" | "allgather"
-        algorithm: str,
-        send_blocks: Sequence[BlockSet],
-        recv_blocks: Sequence[BlockSet],
-    ) -> Schedule:
-        """Cache lookup for the v/w variants, whose block layouts come
-        from user arguments: the canonical layout signature doubles as
-        the per-communicator key.  Layouts identical to a regular call's
-        share the same global entry."""
+    def _layout_entry(self, op, algorithm, send_blocks, recv_blocks) -> tuple:
+        """What :meth:`_cached` asks for on a level-1 miss, for a
+        data-movement schedule: its canonical layout signature and the
+        build callable (the builder comes from the one table)."""
         sig = (layout_signature(send_blocks), layout_signature(recv_blocks))
-        if op == "allgather":
-            build = lambda: self._build_allgather(
-                algorithm, send_blocks[0], recv_blocks
+        kind = schedule_kind(op, algorithm)
+        send = send_blocks[0] if op == "allgather" else send_blocks
+        return sig, lambda: SCHEDULE_BUILDERS[kind](self.nbh, send, recv_blocks)
+
+    def _regular_schedule(self, op: str, m_bytes: int, algorithm: str) -> Schedule:
+        """Schedule of a regular operation (equal ``m_bytes`` blocks)
+        under the cheap ``(op, algorithm, m)`` level-1 key."""
+        algorithm = self._resolve_algorithm(algorithm, op, m_bytes)
+
+        def make():
+            t = self.nbh.t
+            send_t = 1 if op == "allgather" else t  # one contributed block
+            return self._layout_entry(
+                op, algorithm,
+                uniform_block_layout([m_bytes] * send_t, "send"),
+                uniform_block_layout([m_bytes] * t, "recv"),
             )
-        else:
-            build = lambda: self._build_alltoall(
-                algorithm, send_blocks, recv_blocks
-            )
+
         return self._cached(
-            (op, algorithm, sig), f"{op}/{algorithm}", lambda: (sig, build)
+            (_REGULAR_KEY[op], algorithm, m_bytes), f"{op}/{algorithm}", make
         )
+
+    def _bind_layout(
+        self, name, op, algorithm, send_blocks, recv_blocks, buffers
+    ) -> BoundOp:
+        """Bind a v/w variant, whose block layouts come from user
+        arguments: the canonical layout signature doubles as the
+        per-communicator key.  Layouts identical to a regular call's
+        share the same global entry."""
+        m_bytes = max((b.total_nbytes for b in send_blocks), default=0)
+        algorithm = self._resolve_algorithm(algorithm, op, m_bytes)
+        entry = self._layout_entry(op, algorithm, send_blocks, recv_blocks)
+        sched = self._cached(
+            (op, algorithm, entry[0]), f"{op}/{algorithm}", lambda: entry
+        )
+        return BoundOp(name, sched, buffers)
 
     # ------------------------------------------------------------------
     # regular operations
     # ------------------------------------------------------------------
-    def _regular_alltoall_schedule(self, m_bytes: int, algorithm: str) -> Schedule:
-        algorithm = self._resolve_algorithm(algorithm, "alltoall", m_bytes)
-
-        def make():
-            sizes = [m_bytes] * self.nbh.t
-            send_blocks = uniform_block_layout(sizes, "send")
-            recv_blocks = uniform_block_layout(sizes, "recv")
-            sig = (layout_signature(send_blocks), layout_signature(recv_blocks))
-            return sig, lambda: self._build_alltoall(
-                algorithm, send_blocks, recv_blocks
-            )
-
-        return self._cached(
-            ("a2a", algorithm, m_bytes), f"alltoall/{algorithm}", make
-        )
-
-    def alltoall(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray,
-        algorithm: str = "auto",
-    ) -> np.ndarray:
-        """``Cart_alltoall``: block ``i`` of ``sendbuf`` goes to target
-        ``N[i]``; block ``i`` of ``recvbuf`` receives from source
-        ``−N[i]``.  Both buffers hold ``t`` equal blocks."""
+    def _bind_alltoall(self, sendbuf, recvbuf, algorithm="auto") -> BoundOp:
         t = self.nbh.t
         if sendbuf.size % t or recvbuf.size % t:
             raise ValueError(
@@ -509,43 +426,33 @@ class CartComm:
             )
         if sendbuf.nbytes != recvbuf.nbytes:
             raise ValueError("send and receive buffers must match in bytes")
-        m_bytes = sendbuf.nbytes // t
-        sched = self._regular_alltoall_schedule(m_bytes, algorithm)
-        self._note_op("alltoall", sched)
-        self._execute(sched, {"send": sendbuf, "recv": recvbuf})
+        sched = self._regular_schedule("alltoall", sendbuf.nbytes // t, algorithm)
+        return BoundOp("alltoall", sched, {"send": sendbuf, "recv": recvbuf})
+
+    def alltoall(
+        self, sendbuf: np.ndarray, recvbuf: np.ndarray, algorithm: str = "auto"
+    ) -> np.ndarray:
+        """``Cart_alltoall``: block ``i`` of ``sendbuf`` goes to target
+        ``N[i]``; block ``i`` of ``recvbuf`` receives from source
+        ``−N[i]``.  Both buffers hold ``t`` equal blocks."""
+        self._run(self._bind_alltoall(sendbuf, recvbuf, algorithm))
         return recvbuf
 
-    def _regular_allgather_schedule(self, m_bytes: int, algorithm: str) -> Schedule:
-        algorithm = self._resolve_algorithm(algorithm, "allgather", m_bytes)
-
-        def make():
-            send_block = BlockSet([BlockRef("send", 0, m_bytes)])
-            recv_blocks = uniform_block_layout([m_bytes] * self.nbh.t, "recv")
-            sig = (layout_signature([send_block]), layout_signature(recv_blocks))
-            return sig, lambda: self._build_allgather(
-                algorithm, send_block, recv_blocks
-            )
-
-        return self._cached(
-            ("ag", algorithm, m_bytes), f"allgather/{algorithm}", make
-        )
-
-    def allgather(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray,
-        algorithm: str = "auto",
-    ) -> np.ndarray:
-        """``Cart_allgather``: the whole of ``sendbuf`` goes to every
-        target; ``recvbuf`` holds ``t`` blocks in source order."""
+    def _bind_allgather(self, sendbuf, recvbuf, algorithm="auto") -> BoundOp:
         t = self.nbh.t
         if recvbuf.nbytes != sendbuf.nbytes * t:
             raise ValueError(
                 f"recvbuf must hold t={t} blocks of {sendbuf.nbytes} bytes"
             )
-        sched = self._regular_allgather_schedule(sendbuf.nbytes, algorithm)
-        self._note_op("allgather", sched)
-        self._execute(sched, {"send": sendbuf, "recv": recvbuf})
+        sched = self._regular_schedule("allgather", sendbuf.nbytes, algorithm)
+        return BoundOp("allgather", sched, {"send": sendbuf, "recv": recvbuf})
+
+    def allgather(
+        self, sendbuf: np.ndarray, recvbuf: np.ndarray, algorithm: str = "auto"
+    ) -> np.ndarray:
+        """``Cart_allgather``: the whole of ``sendbuf`` goes to every
+        target; ``recvbuf`` holds ``t`` blocks in source order."""
+        self._run(self._bind_allgather(sendbuf, recvbuf, algorithm))
         return recvbuf
 
     # ------------------------------------------------------------------
@@ -572,6 +479,24 @@ class CartComm:
             for c, d in zip(counts, displs)
         ]
 
+    def _bind_alltoallv(
+        self, sendbuf, sendcounts, recvbuf, recvcounts,
+        sdispls=None, rdispls=None, algorithm="auto",
+    ) -> BoundOp:
+        for i, (sc, rc) in enumerate(zip(sendcounts, recvcounts)):
+            if sc != rc:
+                raise ValueError(
+                    f"neighbor {i}: sendcounts[{i}]={sc} != recvcounts[{i}]="
+                    f"{rc}; Cartesian alltoallv requires matching counts "
+                    f"(blocks keep their size along the route)"
+                )
+        return self._bind_layout(
+            "alltoallv", "alltoall", algorithm,
+            self._v_layout(sendcounts, sdispls, sendbuf.itemsize, "send"),
+            self._v_layout(recvcounts, rdispls, recvbuf.itemsize, "recv"),
+            {"send": sendbuf, "recv": recvbuf},
+        )
+
     def alltoallv(
         self,
         sendbuf: np.ndarray,
@@ -591,23 +516,27 @@ class CartComm:
         ``sendcounts[i] == recvcounts[i]`` (block ``i`` keeps its size
         along its route); this is checked at schedule construction.
         """
-        for i, (sc, rc) in enumerate(zip(sendcounts, recvcounts)):
-            if sc != rc:
-                raise ValueError(
-                    f"neighbor {i}: sendcounts[{i}]={sc} != recvcounts[{i}]="
-                    f"{rc}; Cartesian alltoallv requires matching counts "
-                    f"(blocks keep their size along the route)"
-                )
-        send_blocks = self._v_layout(sendcounts, sdispls, sendbuf.itemsize, "send")
-        recv_blocks = self._v_layout(recvcounts, rdispls, recvbuf.itemsize, "recv")
-        m_bytes = max((b.total_nbytes for b in send_blocks), default=0)
-        algorithm = self._resolve_algorithm(algorithm, "alltoall", m_bytes)
-        sched = self._layout_cached(
-            "alltoall", algorithm, send_blocks, recv_blocks
-        )
-        self._note_op("alltoallv", sched)
-        self._execute(sched, {"send": sendbuf, "recv": recvbuf})
+        self._run(self._bind_alltoallv(
+            sendbuf, sendcounts, recvbuf, recvcounts, sdispls, rdispls, algorithm
+        ))
         return recvbuf
+
+    def _bind_allgatherv(
+        self, sendbuf, recvbuf, recvcounts, rdispls=None, algorithm="auto"
+    ) -> BoundOp:
+        n = sendbuf.size
+        for i, rc in enumerate(recvcounts):
+            if rc != n:
+                raise ValueError(
+                    f"recvcounts[{i}]={rc} != send count {n}: Cartesian "
+                    f"allgather blocks are uniform by isomorphism"
+                )
+        return self._bind_layout(
+            "allgatherv", "allgather", algorithm,
+            [BlockSet([BlockRef("send", 0, sendbuf.nbytes)])],
+            self._v_layout(recvcounts, rdispls, recvbuf.itemsize, "recv"),
+            {"send": sendbuf, "recv": recvbuf},
+        )
 
     def allgatherv(
         self,
@@ -625,26 +554,22 @@ class CartComm:
         ``v`` freedom that remains (and that MPI's interface offers) is
         the per-source placement via ``rdispls``.
         """
-        n = sendbuf.size
-        for i, rc in enumerate(recvcounts):
-            if rc != n:
-                raise ValueError(
-                    f"recvcounts[{i}]={rc} != send count {n}: Cartesian "
-                    f"allgather blocks are uniform by isomorphism"
-                )
-        send_block = BlockSet([BlockRef("send", 0, sendbuf.nbytes)])
-        recv_blocks = self._v_layout(recvcounts, rdispls, recvbuf.itemsize, "recv")
-        algorithm = self._resolve_algorithm(algorithm, "allgather", sendbuf.nbytes)
-        sched = self._layout_cached(
-            "allgather", algorithm, [send_block], recv_blocks
+        self._run(
+            self._bind_allgatherv(sendbuf, recvbuf, recvcounts, rdispls, algorithm)
         )
-        self._note_op("allgatherv", sched)
-        self._execute(sched, {"send": sendbuf, "recv": recvbuf})
         return recvbuf
 
     # ------------------------------------------------------------------
     # typed (w) operations
     # ------------------------------------------------------------------
+    def _bind_alltoallw(self, buffers, sendtypes, recvtypes, algorithm="auto") -> BoundOp:
+        return self._bind_layout(
+            "alltoallw", "alltoall", algorithm,
+            [_as_blockset(s) for s in sendtypes],
+            [_as_blockset(s) for s in recvtypes],
+            buffers,
+        )
+
     def alltoallw(
         self,
         buffers: Mapping[str, np.ndarray],
@@ -655,15 +580,15 @@ class CartComm:
         """``Cart_alltoallw``: one datatype per neighbor on each side,
         addressing arbitrary named buffers (Listing 3's usage: ROW/COL/
         COR types straight into the application matrix, no staging)."""
-        send_blocks = [_as_blockset(s) for s in sendtypes]
-        recv_blocks = [_as_blockset(s) for s in recvtypes]
-        m_bytes = max((b.total_nbytes for b in send_blocks), default=0)
-        algorithm = self._resolve_algorithm(algorithm, "alltoall", m_bytes)
-        sched = self._layout_cached(
-            "alltoall", algorithm, send_blocks, recv_blocks
+        self._run(self._bind_alltoallw(buffers, sendtypes, recvtypes, algorithm))
+
+    def _bind_allgatherw(self, buffers, sendtype, recvtypes, algorithm="auto") -> BoundOp:
+        return self._bind_layout(
+            "allgatherw", "allgather", algorithm,
+            [_as_blockset(sendtype)],
+            [_as_blockset(s) for s in recvtypes],
+            buffers,
         )
-        self._note_op("alltoallw", sched)
-        self._execute(sched, buffers)
 
     def allgatherw(
         self,
@@ -674,110 +599,60 @@ class CartComm:
     ) -> None:
         """``Cart_allgatherw`` — the operation the paper proposes adding
         to MPI: same contributed block, per-source receive datatypes."""
-        send_block = _as_blockset(sendtype)
-        recv_blocks = [_as_blockset(s) for s in recvtypes]
-        algorithm = self._resolve_algorithm(
-            algorithm, "allgather", send_block.total_nbytes
-        )
-        sched = self._layout_cached(
-            "allgather", algorithm, [send_block], recv_blocks
-        )
-        self._note_op("allgatherw", sched)
-        self._execute(sched, buffers)
+        self._run(self._bind_allgatherw(buffers, sendtype, recvtypes, algorithm))
 
     # ------------------------------------------------------------------
     # non-blocking (split-phase) operations
     # ------------------------------------------------------------------
-    def _next_op_tag(self) -> int:
-        """A fresh tag per started collective.  All ranks start their
-        collectives in the same order (the MPI rule), so the sequence —
-        and hence the tag — agrees across ranks, and overlapping
-        non-blocking operations can never cross-match messages."""
-        self._op_seq += 1
-        return -500 - (self._op_seq % 100000)
-
     def ialltoall(
         self, sendbuf: np.ndarray, recvbuf: np.ndarray, algorithm: str = "auto"
-    ) -> "SplitPhaseOp":
+    ) -> SplitPhaseOp:
         """Non-blocking ``Cart_alltoall``: posts the first phase and
         returns a :class:`~repro.core.nonblocking.SplitPhaseOp` —
         ``test()`` to progress, ``wait()`` to complete.  Computation can
         overlap between ``start`` and ``wait``."""
-        from repro.core.nonblocking import start_schedule
-
-        t = self.nbh.t
-        if sendbuf.size % t or sendbuf.nbytes != recvbuf.nbytes:
-            raise ValueError("buffers must hold t equal blocks each")
-        m_bytes = sendbuf.nbytes // t
-        sched = self._regular_alltoall_schedule(m_bytes, algorithm)
-        return start_schedule(
-            self.comm, self.topo, sched,
-            {"send": sendbuf, "recv": recvbuf}, self._next_op_tag(),
-        )
+        return self._start(self._bind_alltoall(sendbuf, recvbuf, algorithm))
 
     def iallgather(
         self, sendbuf: np.ndarray, recvbuf: np.ndarray, algorithm: str = "auto"
-    ) -> "SplitPhaseOp":
+    ) -> SplitPhaseOp:
         """Non-blocking ``Cart_allgather`` (see :meth:`ialltoall`)."""
-        from repro.core.nonblocking import start_schedule
-
-        t = self.nbh.t
-        if recvbuf.nbytes != sendbuf.nbytes * t:
-            raise ValueError(f"recvbuf must hold t={t} send-sized blocks")
-        sched = self._regular_allgather_schedule(sendbuf.nbytes, algorithm)
-        return start_schedule(
-            self.comm, self.topo, sched,
-            {"send": sendbuf, "recv": recvbuf}, self._next_op_tag(),
-        )
+        return self._start(self._bind_allgather(sendbuf, recvbuf, algorithm))
 
     # ------------------------------------------------------------------
     # neighborhood reductions (extension; see reduce_schedule.py)
     # ------------------------------------------------------------------
-    def _resolve_reduce_algorithm(self, algorithm: str) -> str:
-        """Reduction flavour of :meth:`_resolve_algorithm`.  There is no
-        ``direct`` reduction algorithm; both ``auto`` and ``direct``
-        defer to the round-count rule (combining iff the torus is fully
-        periodic and ``C < t``)."""
-        from repro.core import reduce_schedule as rs
-
-        if algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        if algorithm in ("auto", "direct"):
-            algorithm = rs.select_reduce_algorithm(self.topo, self.nbh)
-        if algorithm == "combining" and not self.topo.is_fully_periodic:
-            raise TopologyError(
-                "message-combining reductions require a fully periodic "
-                "torus; use algorithm='trivial' on meshes"
-            )
-        return algorithm
-
-    def _reduce_schedule(
-        self,
-        family: str,  # "reduce" | "reduce-scatter" | "allreduce"
-        algorithm: str,  # "combining" | "trivial" (already resolved)
-        m_bytes: int,
-        dtype: np.dtype,
-        op: Union[str, Callable[[np.ndarray, np.ndarray], np.ndarray]],
-    ) -> Schedule:
-        """Reduction schedules through the same two-level cache the
-        collectives use; the layout signature is ``(block bytes, dtype,
-        operator token)``, so schedules for different operators or
-        element types never alias."""
-        from repro.core import reduce_schedule as rs
-
-        kind = family if algorithm == "combining" else f"trivial-{family}"
-        build_fn = {**rs.REDUCE_BUILDERS, **rs.TRIVIAL_REDUCE_BUILDERS}[kind]
-        sig = (int(m_bytes), np.dtype(dtype).str, rs.op_token(op))
+    def _bind_reduction(
+        self, name, family, algorithm, block, op, sendbuf, recvbuf
+    ) -> BoundOp:
+        """Reduction schedules (``family`` under an already resolved
+        ``algorithm``; ``block`` is the buffer holding exactly one
+        block) through the same two-level cache the collectives use;
+        the layout signature is ``(block bytes, dtype, operator
+        token)``, so schedules for different operators or element types
+        never alias."""
+        kind = schedule_kind(family, algorithm)
+        m_bytes, dtype = int(block.nbytes), block.dtype
+        sig = (m_bytes, dtype.str, rs.op_token(op))
 
         def make():
-            build = lambda: build_fn(
-                self.nbh, m_bytes=int(m_bytes), dtype=dtype, op=op
+            return sig, lambda: SCHEDULE_BUILDERS[kind](
+                self.nbh, m_bytes=m_bytes, dtype=dtype, op=op
             )
-            return sig, build
 
-        return self._cached((kind, sig), kind, make)
+        sched = self._cached((kind, sig), kind, make)
+        return BoundOp(name, sched, {"send": sendbuf, "recv": recvbuf})
+
+    def _bind_reduce(self, sendbuf, recvbuf, op="sum", algorithm="auto") -> BoundOp:
+        if recvbuf.shape != sendbuf.shape or recvbuf.dtype != sendbuf.dtype:
+            raise ValueError(
+                "recvbuf must match sendbuf in shape and dtype for reductions"
+            )
+        return self._bind_reduction(
+            "reduce_neighbors", "reduce",
+            self._resolve_algorithm(algorithm, "reduce"),
+            sendbuf, op, sendbuf, recvbuf,
+        )
 
     def reduce_neighbors(
         self,
@@ -796,17 +671,34 @@ class CartComm:
         ``combining`` algorithm runs the allgather tree in reverse —
         ``C`` rounds instead of ``t``.
         """
-        if recvbuf.shape != sendbuf.shape or recvbuf.dtype != sendbuf.dtype:
-            raise ValueError(
-                "recvbuf must match sendbuf in shape and dtype for reductions"
-            )
-        algorithm = self._resolve_reduce_algorithm(algorithm)
-        sched = self._reduce_schedule(
-            "reduce", algorithm, sendbuf.nbytes, sendbuf.dtype, op
-        )
-        self._note_op("reduce_neighbors", sched)
-        self._execute(sched, {"send": sendbuf, "recv": recvbuf})
+        self._run(self._bind_reduce(sendbuf, recvbuf, op, algorithm))
         return recvbuf
+
+    def _bind_allreduce(self, sendbuf, recvbuf, op="sum", algorithm="auto") -> BoundOp:
+        t = self.nbh.t
+        if (
+            recvbuf.dtype != sendbuf.dtype
+            or recvbuf.nbytes != sendbuf.nbytes * t
+        ):
+            raise ValueError(
+                f"recvbuf must hold t={t} blocks matching sendbuf in "
+                f"dtype and block size for allreduce"
+            )
+        _check_algorithm(algorithm)
+        if algorithm == "trivial":
+            raise ScheduleError(
+                "neighborhood allreduce has no trivial algorithm; it is "
+                "the reverse-tree + forward-broadcast composition"
+            )
+        if not self.topo.is_fully_periodic:
+            raise TopologyError(
+                "message-combining reductions require a fully periodic "
+                "torus; neighborhood allreduce has no mesh variant"
+            )
+        return self._bind_reduction(
+            "reduce_neighbors_allreduce", "allreduce", "combining",
+            sendbuf, op, sendbuf, recvbuf,
+        )
 
     def reduce_neighbors_allreduce(
         self,
@@ -825,35 +717,26 @@ class CartComm:
         Only the message-combining composition exists, so the operation
         requires a fully periodic torus.
         """
+        self._run(self._bind_allreduce(sendbuf, recvbuf, op, algorithm))
+        return recvbuf
+
+    def _bind_reduce_scatter(
+        self, sendbuf, recvbuf, op="sum", algorithm="auto"
+    ) -> BoundOp:
         t = self.nbh.t
         if (
             recvbuf.dtype != sendbuf.dtype
-            or recvbuf.nbytes != sendbuf.nbytes * t
+            or sendbuf.nbytes != recvbuf.nbytes * t
         ):
             raise ValueError(
-                f"recvbuf must hold t={t} blocks matching sendbuf in "
-                f"dtype and block size for allreduce"
+                f"sendbuf must hold t={t} blocks matching recvbuf in "
+                f"dtype and block size for reduce_scatter_block"
             )
-        if algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        if algorithm == "trivial":
-            raise ScheduleError(
-                "neighborhood allreduce has no trivial algorithm; it is "
-                "the reverse-tree + forward-broadcast composition"
-            )
-        if not self.topo.is_fully_periodic:
-            raise TopologyError(
-                "message-combining reductions require a fully periodic "
-                "torus; neighborhood allreduce has no mesh variant"
-            )
-        sched = self._reduce_schedule(
-            "allreduce", "combining", sendbuf.nbytes, sendbuf.dtype, op
+        return self._bind_reduction(
+            "reduce_scatter_block", "reduce-scatter",
+            self._resolve_algorithm(algorithm, "reduce"),
+            recvbuf, op, sendbuf, recvbuf,
         )
-        self._note_op("reduce_neighbors_allreduce", sched)
-        self._execute(sched, {"send": sendbuf, "recv": recvbuf})
-        return recvbuf
 
     def reduce_scatter_block(
         self,
@@ -872,21 +755,7 @@ class CartComm:
         non-pipelined reduce-scatter round structure (Träff 2024,
         arXiv:2410.14234) — in ``C`` rounds instead of ``t``.
         """
-        t = self.nbh.t
-        if (
-            recvbuf.dtype != sendbuf.dtype
-            or sendbuf.nbytes != recvbuf.nbytes * t
-        ):
-            raise ValueError(
-                f"sendbuf must hold t={t} blocks matching recvbuf in "
-                f"dtype and block size for reduce_scatter_block"
-            )
-        algorithm = self._resolve_reduce_algorithm(algorithm)
-        sched = self._reduce_schedule(
-            "reduce-scatter", algorithm, recvbuf.nbytes, recvbuf.dtype, op
-        )
-        self._note_op("reduce_scatter_block", sched)
-        self._execute(sched, {"send": sendbuf, "recv": recvbuf})
+        self._run(self._bind_reduce_scatter(sendbuf, recvbuf, op, algorithm))
         return recvbuf
 
     # ------------------------------------------------------------------
@@ -894,27 +763,15 @@ class CartComm:
     # ------------------------------------------------------------------
     def alltoall_init(
         self, sendbuf: np.ndarray, recvbuf: np.ndarray, algorithm: str = "auto"
-    ) -> "PersistentOp":
+    ) -> PersistentOp:
         """``Cart_alltoall_init``: precompute the schedule and bind the
         buffers; returns a reusable handle (see Listing 3's usage)."""
-        from repro.core.persistent import PersistentOp
-
-        t = self.nbh.t
-        m_bytes = sendbuf.nbytes // t
-        sched = self._regular_alltoall_schedule(m_bytes, algorithm)
-        return PersistentOp(
-            self, sched, {"send": sendbuf, "recv": recvbuf}, op="alltoall"
-        )
+        return PersistentOp(self, self._bind_alltoall(sendbuf, recvbuf, algorithm))
 
     def allgather_init(
         self, sendbuf: np.ndarray, recvbuf: np.ndarray, algorithm: str = "auto"
-    ) -> "PersistentOp":
-        from repro.core.persistent import PersistentOp
-
-        sched = self._regular_allgather_schedule(sendbuf.nbytes, algorithm)
-        return PersistentOp(
-            self, sched, {"send": sendbuf, "recv": recvbuf}, op="allgather"
-        )
+    ) -> PersistentOp:
+        return PersistentOp(self, self._bind_allgather(sendbuf, recvbuf, algorithm))
 
     def alltoallv_init(
         self,
@@ -926,19 +783,10 @@ class CartComm:
         sdispls: Optional[Sequence[int]] = None,
         rdispls: Optional[Sequence[int]] = None,
         algorithm: str = "auto",
-    ) -> "PersistentOp":
-        from repro.core.persistent import PersistentOp
-
-        send_blocks = self._v_layout(sendcounts, sdispls, sendbuf.itemsize, "send")
-        recv_blocks = self._v_layout(recvcounts, rdispls, recvbuf.itemsize, "recv")
-        m_bytes = max((b.total_nbytes for b in send_blocks), default=0)
-        algorithm = self._resolve_algorithm(algorithm, "alltoall", m_bytes)
-        sched = self._layout_cached(
-            "alltoall", algorithm, send_blocks, recv_blocks
-        )
-        return PersistentOp(
-            self, sched, {"send": sendbuf, "recv": recvbuf}, op="alltoallv"
-        )
+    ) -> PersistentOp:
+        return PersistentOp(self, self._bind_alltoallv(
+            sendbuf, sendcounts, recvbuf, recvcounts, sdispls, rdispls, algorithm
+        ))
 
     def alltoallw_init(
         self,
@@ -946,17 +794,10 @@ class CartComm:
         sendtypes: Sequence[TypeSpecLike],
         recvtypes: Sequence[TypeSpecLike],
         algorithm: str = "auto",
-    ) -> "PersistentOp":
-        from repro.core.persistent import PersistentOp
-
-        send_blocks = [_as_blockset(s) for s in sendtypes]
-        recv_blocks = [_as_blockset(s) for s in recvtypes]
-        m_bytes = max((b.total_nbytes for b in send_blocks), default=0)
-        algorithm = self._resolve_algorithm(algorithm, "alltoall", m_bytes)
-        sched = self._layout_cached(
-            "alltoall", algorithm, send_blocks, recv_blocks
+    ) -> PersistentOp:
+        return PersistentOp(
+            self, self._bind_alltoallw(buffers, sendtypes, recvtypes, algorithm)
         )
-        return PersistentOp(self, sched, dict(buffers), op="alltoallw")
 
     def reduce_neighbors_init(
         self,
@@ -964,12 +805,12 @@ class CartComm:
         recvbuf: np.ndarray,
         op: Union[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = "sum",
         algorithm: str = "auto",
-    ) -> "PersistentReduce":
+    ) -> PersistentReduce:
         """Persistent neighborhood reduction: schedule and accumulator
         layout precomputed, buffers bound."""
-        from repro.core.persistent import PersistentReduce
-
-        return PersistentReduce(self, sendbuf, recvbuf, op, algorithm)
+        return PersistentReduce(
+            self, self._bind_reduce(sendbuf, recvbuf, op, algorithm)
+        )
 
     def allgatherw_init(
         self,
@@ -977,18 +818,10 @@ class CartComm:
         sendtype: TypeSpecLike,
         recvtypes: Sequence[TypeSpecLike],
         algorithm: str = "auto",
-    ) -> "PersistentOp":
-        from repro.core.persistent import PersistentOp
-
-        send_block = _as_blockset(sendtype)
-        recv_blocks = [_as_blockset(s) for s in recvtypes]
-        algorithm = self._resolve_algorithm(
-            algorithm, "allgather", send_block.total_nbytes
+    ) -> PersistentOp:
+        return PersistentOp(
+            self, self._bind_allgatherw(buffers, sendtype, recvtypes, algorithm)
         )
-        sched = self._layout_cached(
-            "allgather", algorithm, [send_block], recv_blocks
-        )
-        return PersistentOp(self, sched, dict(buffers), op="allgatherw")
 
     def __repr__(self) -> str:
         return (

@@ -23,13 +23,13 @@ collectives in the same order — the usual MPI requirement), so FIFO
 channel matching can never pair messages across operations.
 
 Split-phase execution requires a per-rank transport; it always runs
-over the threaded one (capability flag ``split_phase``), regardless of
-the backend selected for blocking collectives.
+over the threaded one, regardless of the backend selected for blocking
+collectives.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -41,7 +41,9 @@ from repro.mpisim.comm import Communicator
 
 
 class SplitPhaseOp:
-    """One started non-blocking collective execution."""
+    """One started non-blocking collective execution.  ``on_done`` is
+    called once, with the interpreter's ``(plan_hit, bytes_packed,
+    bytes_copied)``, when the execution completes."""
 
     def __init__(
         self,
@@ -50,11 +52,13 @@ class SplitPhaseOp:
         schedule: Schedule,
         buffers: Mapping[str, np.ndarray],
         tag: int,
+        on_done: Optional[Callable[[bool, int, int], None]] = None,
     ):
         self.comm = comm
         self.topo = topo
         self.schedule = schedule
         self.tag = tag
+        self._on_done = on_done
         self._interp = ScheduleInterpreter(
             ThreadedTransport(comm),
             topo,
@@ -65,23 +69,24 @@ class SplitPhaseOp:
             skip_empty_phases=True,
         )
         self.buffers = self._interp.buffers
-        try:
-            self._interp.begin()
-            if not self._interp.post_next_phase():
-                self._interp.finish()  # nothing to communicate
-        except BaseException:
-            self._interp.abort()
-            raise
+        self._advance(first=True)
 
     # ------------------------------------------------------------------
-    def _advance(self) -> None:
-        """Complete the posted phase; post the next or finish locally."""
+    def _advance(self, first: bool = False) -> None:
+        """Complete the posted phase (``first``: begin instead); post
+        the next or finish locally."""
+        interp = self._interp
         try:
-            self._interp.complete_phase()
-            if not self._interp.post_next_phase():
-                self._interp.finish()
+            if first:
+                interp.begin()
+            else:
+                interp.complete_phase()
+            if not interp.post_next_phase():
+                interp.finish()  # nothing left to communicate
+                if self._on_done is not None:
+                    self._on_done(*interp.outcome)
         except BaseException:
-            self._interp.abort()
+            interp.abort()
             raise
 
     # ------------------------------------------------------------------
@@ -114,13 +119,3 @@ class SplitPhaseOp:
             f"{len(self.schedule.phases)}, done={self.completed})"
         )
 
-
-def start_schedule(
-    comm: Communicator,
-    topo: CartTopology,
-    schedule: Schedule,
-    buffers: Mapping[str, np.ndarray],
-    tag: int,
-) -> SplitPhaseOp:
-    """Begin a non-blocking execution of ``schedule``."""
-    return SplitPhaseOp(comm, topo, schedule, buffers, tag)

@@ -12,31 +12,25 @@ operation and ``wait`` validates pairing.
 from __future__ import annotations
 
 import weakref
-from typing import Mapping
-
-import numpy as np
 
 from repro.core import plan as plan_mod
-from repro.core.schedule import Schedule
+from repro.core.builders import algorithm_of
+from repro.core.schedule import BoundOp
 from repro.mpisim.exceptions import MpiSimError
 
 
 class PersistentOp:
-    """A precomputed, reusable Cartesian collective operation."""
+    """A precomputed, reusable Cartesian collective operation: one
+    :class:`~repro.core.schedule.BoundOp` kept, with its scratch, for
+    any number of executions."""
 
-    def __init__(
-        self,
-        cart,  # CartComm; untyped to avoid the import cycle
-        schedule: Schedule,
-        buffers: Mapping[str, np.ndarray],
-        op: str | None = None,
-    ):
+    def __init__(self, cart, bound: BoundOp):  # cart: CartComm (import cycle)
         self.cart = cart
-        self.schedule = schedule
         #: operation name under which executions are recorded in the
         #: communicator's OpStats (same keys as the direct calls)
-        self.op = op or schedule.kind.split("-")[-1]
-        self.buffers = dict(buffers)
+        self.op = bound.op
+        self.schedule = schedule = bound.schedule
+        self.buffers = dict(bound.buffers)
         # Scratch space acquired once from the process pool and reused
         # across executions — the point of schedule persistence.  The
         # finalizer returns it when the handle is dropped; :meth:`free`
@@ -67,11 +61,10 @@ class PersistentOp:
         execution of the operation."""
         if self._started:
             raise MpiSimError("persistent operation already started")
-        # Persistent executions count in the communicator's stats with
-        # the same (op, algorithm) keys as the direct calls, and run on
-        # the communicator's selected backend.
-        self.cart._note_op(self.op, self.schedule)
-        self.cart._execute(self.schedule, self.buffers)
+        # Persistent executions run on the communicator's selected
+        # backend and count in its stats with the same (op, algorithm)
+        # keys as the direct calls: they are the same launch.
+        self.cart._run(BoundOp(self.op, self.schedule, self.buffers))
         self._started = True
         return self
 
@@ -91,87 +84,8 @@ class PersistentOp:
 
     # ------------------------------------------------------------------
     @property
-    def rounds(self) -> int:
-        return self.schedule.num_rounds
-
-    @property
-    def volume_blocks(self) -> int:
-        return self.schedule.volume_blocks
-
-    def __repr__(self) -> str:
-        return (
-            f"PersistentOp({self.schedule.kind}, rounds={self.rounds}, "
-            f"executions={self.executions})"
-        )
-
-
-class PersistentReduce:
-    """Persistent neighborhood reduction (``Cart_reduce_init`` flavour):
-    the reduction schedule — reverse allgather tree for ``combining``,
-    per-neighbor rounds for ``trivial`` — is computed once, the scratch
-    accumulators are acquired from the process pool once, and every
-    ``execute`` re-reads the bound send buffer and refills the bound
-    receive buffer through the common schedule interpreter."""
-
-    def __init__(self, cart, sendbuf: np.ndarray, recvbuf: np.ndarray,
-                 op="sum", algorithm: str = "auto"):
-        from repro.core import reduce_schedule as rs
-
-        if recvbuf.shape != sendbuf.shape or recvbuf.dtype != sendbuf.dtype:
-            raise ValueError(
-                "recvbuf must match sendbuf in shape and dtype for reductions"
-            )
-        rs.resolve_op(op)  # reject unknown names eagerly
-        self.cart = cart
-        self.sendbuf = sendbuf
-        self.recvbuf = recvbuf
-        self.op = op
-        # one shared selection path with CartComm.reduce_neighbors — the
-        # two cannot diverge
-        self.algorithm = cart._resolve_reduce_algorithm(algorithm)
-        self.schedule = cart._reduce_schedule(
-            "reduce", self.algorithm, sendbuf.nbytes, sendbuf.dtype, op
-        )
-        self.buffers: dict[str, np.ndarray] = {
-            "send": sendbuf, "recv": recvbuf,
-        }
-        self._temp_finalizer = None
-        if self.schedule.temp_nbytes > 0:
-            temp = plan_mod.GLOBAL_POOL.acquire(self.schedule.temp_nbytes)
-            self.buffers["temp"] = temp
-            self._temp_finalizer = weakref.finalize(
-                self, plan_mod.GLOBAL_POOL.release, temp
-            )
-        self.schedule.validate(self.buffers)
-        self._started = False
-        self.executions = 0
-
-    def free(self) -> None:
-        """Return the pooled accumulator scratch early (idempotent)."""
-        if self._temp_finalizer is not None:
-            self._temp_finalizer()
-            self._temp_finalizer = None
-            self.buffers.pop("temp", None)
-
-    def start(self) -> "PersistentReduce":
-        if self._started:
-            raise MpiSimError("persistent operation already started")
-        self.cart._note_op("reduce_neighbors", self.schedule)
-        self.cart._execute(self.schedule, self.buffers)
-        self._started = True
-        return self
-
-    def wait(self) -> None:
-        if not self._started:
-            raise MpiSimError("wait() without a matching start()")
-        self._started = False
-        self.executions += 1
-
-    def execute(self) -> None:
-        self.start()
-        self.wait()
-
-    __call__ = execute
+    def algorithm(self) -> str:
+        return algorithm_of(self.schedule.kind)
 
     @property
     def rounds(self) -> int:
@@ -183,6 +97,22 @@ class PersistentReduce:
 
     def __repr__(self) -> str:
         return (
-            f"PersistentReduce({self.algorithm}, op={self.op!r}, "
+            f"{type(self).__name__}({self.schedule.kind}, "
             f"rounds={self.rounds}, executions={self.executions})"
         )
+
+
+class PersistentReduce(PersistentOp):
+    """Persistent neighborhood reduction (``Cart_reduce_init`` flavour):
+    a :class:`PersistentOp` over the bound reduction schedule — reverse
+    allgather tree for ``combining``, per-neighbor rounds for
+    ``trivial`` — so every ``execute`` re-reads the bound send buffer
+    and refills the bound receive buffer through the common schedule
+    interpreter, with the accumulator scratch acquired once."""
+
+    # its own function, not an alias of PersistentOp.execute: tools that
+    # wrap methods per class (benchmarks/e2e) must see one span per call
+    def execute(self) -> None:
+        """One full blocking reduction (start + wait)."""
+        self.start()
+        self.wait()

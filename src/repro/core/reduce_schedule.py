@@ -533,18 +533,3 @@ def build_trivial_reduce_scatter_schedule(
         required_outputs=(root_dst,),
     )
 
-
-#: builder dispatch used by the schedule cache and the serializer
-REDUCE_BUILDERS = {
-    "reduce": build_reduce_schedule,
-    "reduce-scatter": build_reduce_scatter_schedule,
-    "allreduce": build_allreduce_schedule,
-}
-
-TRIVIAL_REDUCE_BUILDERS = {
-    "trivial-reduce": build_trivial_reduce_schedule,
-    "trivial-reduce-scatter": build_trivial_reduce_scatter_schedule,
-}
-
-#: every reduction schedule kind
-REDUCE_KINDS = frozenset(REDUCE_BUILDERS) | frozenset(TRIVIAL_REDUCE_BUILDERS)

@@ -25,7 +25,7 @@ persistent operations hand back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -363,6 +363,18 @@ class Schedule:
                     f"    -> {r.offset}: {r.block_count} blocks, {r.nbytes} B"
                 )
         return "\n".join(lines)
+
+
+class BoundOp(NamedTuple):
+    """One collective resolved against a communicator — the record every
+    launcher (blocking call, ``i*`` start, ``*_init`` handle) runs.
+    ``CartComm._bind_*`` is the one place these are made from user
+    arguments."""
+
+    #: operation name the execution is recorded under in OpStats
+    op: str
+    schedule: Schedule
+    buffers: Mapping[str, np.ndarray]
 
 
 def uniform_block_layout(sizes: Sequence[int], buffer: str) -> list[BlockSet]:

@@ -54,7 +54,6 @@ empties it (tests, long-running services rotating neighborhoods).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict, namedtuple
@@ -69,7 +68,7 @@ from repro.mpisim.datatypes import BlockSet
 #: without limit, not to save memory in the common case.
 DEFAULT_MAXSIZE = 512
 
-#: Default shard count (``REPRO_CACHE_SHARDS`` overrides).  Eight locks
+#: Default shard count (``ScheduleCache(shards=)`` overrides).  Eight locks
 #: is plenty for the thread counts the backends fork; the count is
 #: clamped so every shard keeps at least ``MIN_ENTRIES_PER_SHARD``
 #: entries — tiny caches degenerate to one shard (exact global LRU).
@@ -94,15 +93,6 @@ ShardInfo = namedtuple(
     "ShardInfo",
     ["hits", "misses", "builds", "currsize", "maxsize", "contended"],
 )
-
-
-def _default_shards() -> int:
-    raw = os.environ.get("REPRO_CACHE_SHARDS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return DEFAULT_SHARDS
-    return n if n > 0 else DEFAULT_SHARDS
 
 
 def _discard(entry: object) -> None:
@@ -208,7 +198,7 @@ class ScheduleCache:
     ):
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
-        requested = _default_shards() if shards is None else int(shards)
+        requested = DEFAULT_SHARDS if shards is None else int(shards)
         if requested <= 0:
             raise ValueError("shards must be positive")
         if shards is None:

@@ -17,8 +17,8 @@ artifact format: a fixed 16-byte header (magic, format version, payload
 length) followed by the JSON payload and guarded by a CRC32.  A
 truncated, corrupted, or hand-edited frame is rejected with a typed
 error (:class:`TruncatedFrameError` / :class:`CorruptFrameError` /
-:class:`FrameError`) instead of being silently misparsed.  Legacy plain
-JSON files (written before the frame format) still load.
+:class:`FrameError`) instead of being silently misparsed; that
+includes a bare JSON file, which is not an artifact.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ FORMAT_VERSION = 1
 # framed wire format
 # ---------------------------------------------------------------------------
 
-#: First bytes of every frame; doubles as the file signature that
-#: distinguishes framed artifacts from legacy plain-JSON ones.
+#: First bytes of every frame; doubles as the artifact file signature.
 FRAME_MAGIC = b"RPRO"
 #: Version of the *frame envelope* (header layout), independent of the
 #: schedule payload's ``FORMAT_VERSION``.
@@ -408,17 +407,7 @@ def save_schedule(sched: Schedule, path: str) -> None:
 
 
 def load_schedule(path: str) -> Schedule:
-    """Load a schedule artifact — framed, or legacy plain JSON (files
-    written before the frame format; no integrity check is possible for
-    those)."""
+    """Load a schedule artifact written by :func:`save_schedule`;
+    anything else (bare JSON included) raises a :class:`FrameError`."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:len(FRAME_MAGIC)] == FRAME_MAGIC:
-        return schedule_from_frame(raw)
-    stripped = raw.lstrip()
-    if stripped[:1] != b"{":
-        raise FrameError(
-            f"{path!r} is neither a schedule frame (magic "
-            f"{FRAME_MAGIC!r}) nor legacy schedule JSON"
-        )
-    return schedule_from_json(raw.decode("utf-8"))
+        return schedule_from_frame(fh.read())

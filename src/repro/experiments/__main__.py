@@ -7,10 +7,9 @@ Usage::
 
 ``all`` (the default) runs everything and, with ``--out``, writes the
 rendered text plus per-figure CSVs into the given directory.
-``--certify-backend lockstep`` (or ``$REPRO_CERTIFY_BACKEND``) makes the
-harness execution-certify every measured schedule on that backend before
-timing it, so no artifact can be produced from a schedule that delivers
-wrong bytes.
+``--certify-backend lockstep`` makes the harness execution-certify every
+measured schedule on that backend before timing it, so no artifact can
+be produced from a schedule that delivers wrong bytes.
 """
 
 from __future__ import annotations
@@ -115,10 +114,10 @@ def main(argv=None) -> int:
 
     if args.certify_backend:
         from repro.core.backend import get_backend
-        from repro.experiments.runner import CERTIFY_ENV
+        from repro.experiments import runner
 
         get_backend(args.certify_backend)  # fail fast on unknown names
-        os.environ[CERTIFY_ENV] = args.certify_backend
+        runner.CERTIFY_BACKEND = args.certify_backend
 
     names = ARTIFACTS if args.artifact == "all" else [args.artifact]
     for name in names:

@@ -17,7 +17,6 @@ Variant naming matches the figure legends:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -42,11 +41,11 @@ from repro.stats import ReportedStat, normalize_to_baseline, summarize
 #: the element type of all paper benchmarks (MPI_INT)
 INT_BYTES = 4
 
-#: setting this to a backend name ("lockstep", "shm", "threaded") makes
-#: every measured schedule pass execution certification on that backend
-#: before its cost samples count — the artifact pipeline then cannot
-#: time a schedule that delivers wrong bytes.
-CERTIFY_ENV = "REPRO_CERTIFY_BACKEND"
+#: process default of ``measure_schedule(certify_backend=)`` (the CLI's
+#: ``--certify-backend`` sets it): a backend name makes every measured
+#: schedule pass execution certification there before its cost samples
+#: count — the pipeline then cannot time a schedule that delivers wrong bytes.
+CERTIFY_BACKEND: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -228,13 +227,13 @@ def measure_schedule(
 ) -> ExperimentPoint:
     """Measure all variants of one experiment point.
 
-    ``certify_backend`` (or ``$REPRO_CERTIFY_BACKEND``) names an
+    ``certify_backend`` (default: :data:`CERTIFY_BACKEND`) names an
     execution backend on which every distinct schedule is certified
     byte-for-byte before it is timed.
     """
     reps = repetitions if repetitions is not None else repetitions_for(machine, m_ints)
     system = "titan" if machine.name.startswith("titan") else "hydra"
-    certify = certify_backend or os.environ.get(CERTIFY_ENV) or None
+    certify = certify_backend or CERTIFY_BACKEND
     point = ExperimentPoint(label=label, machine=machine.name, nprocs=nprocs)
     rng = np.random.default_rng(seed)
     for variant in variants:

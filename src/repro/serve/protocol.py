@@ -44,34 +44,20 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.core import schedule_cache
-from repro.core.allgather_schedule import build_allgather_schedule
-from repro.core.alltoall_schedule import build_alltoall_schedule
+from repro.core.builders import SCHEDULE_BUILDERS, schedule_kind
 from repro.core.neighborhood import Neighborhood
-from repro.core.reduce_schedule import (
-    build_allreduce_schedule,
-    build_reduce_scatter_schedule,
-    build_reduce_schedule,
-    build_trivial_reduce_scatter_schedule,
-    build_trivial_reduce_schedule,
-    op_token,
-)
+from repro.core.reduce_schedule import op_token
 from repro.core.schedule import Schedule
 from repro.core.serialize import (
     FRAME_HEADER_SIZE,
     frame_payload_length,
     pack_frame,
     unpack_frame,
-)
-from repro.core.trivial import (
-    build_direct_allgather_schedule,
-    build_direct_alltoall_schedule,
-    build_trivial_allgather_schedule,
-    build_trivial_alltoall_schedule,
 )
 from repro.mpisim.datatypes import BlockRef, BlockSet
 from repro.mpisim.exceptions import ScheduleError
@@ -146,28 +132,16 @@ def _recv_exact(sock: Any, n: int) -> bytes:
 # schedule-request model
 # ---------------------------------------------------------------------------
 
-#: data-movement builders: (kind, algorithm) -> builder(nbh, send, recv)
-_LAYOUT_BUILDERS: dict[tuple[str, str], Callable[..., Schedule]] = {
-    ("alltoall", "combining"): build_alltoall_schedule,
-    ("alltoall", "trivial"): build_trivial_alltoall_schedule,
-    ("alltoall", "direct"): build_direct_alltoall_schedule,
-    ("allgather", "combining"): build_allgather_schedule,
-    ("allgather", "trivial"): build_trivial_allgather_schedule,
-    ("allgather", "direct"): build_direct_allgather_schedule,
-}
+#: the wire's request kinds; a (kind, algorithm) pair is servable when
+#: :func:`_builder_key` names an entry of the one builder table
+SCHEDULE_KINDS = ["allgather", "allreduce", "alltoall", "reduce", "reduce_scatter"]
+_REDUCE_KINDS = frozenset({"allreduce", "reduce", "reduce_scatter"})
 
-#: reduction builders: (kind, algorithm) -> builder(nbh, **layout)
-_REDUCE_BUILDERS: dict[tuple[str, str], Callable[..., Schedule]] = {
-    ("reduce", "combining"): build_reduce_schedule,
-    ("reduce", "trivial"): build_trivial_reduce_schedule,
-    ("reduce_scatter", "combining"): build_reduce_scatter_schedule,
-    ("reduce_scatter", "trivial"): build_trivial_reduce_scatter_schedule,
-    ("allreduce", "combining"): build_allreduce_schedule,
-}
 
-SCHEDULE_KINDS = sorted(
-    {k for k, _ in _LAYOUT_BUILDERS} | {k for k, _ in _REDUCE_BUILDERS}
-)
+def _builder_key(kind: str, algorithm: str) -> str:
+    """The ``Schedule.kind`` a request builds (the wire spells
+    ``reduce-scatter`` with an underscore)."""
+    return schedule_kind(kind.replace("_", "-"), algorithm)
 
 
 def _blocksets_from_wire(data: Any, what: str) -> list[BlockSet]:
@@ -224,7 +198,7 @@ class ScheduleRequest:
 
     @property
     def is_reduction(self) -> bool:
-        return (self.kind, self.algorithm) in _REDUCE_BUILDERS
+        return self.kind in _REDUCE_KINDS
 
     # -- parsing -------------------------------------------------------
     @classmethod
@@ -246,8 +220,10 @@ class ScheduleRequest:
             raise ProtocolError(
                 f"ragged neighborhood offsets (row widths {sorted(widths)})"
             )
-        key = (kind, algorithm)
-        if key not in _LAYOUT_BUILDERS and key not in _REDUCE_BUILDERS:
+        if (
+            kind not in SCHEDULE_KINDS
+            or _builder_key(kind, algorithm) not in SCHEDULE_BUILDERS
+        ):
             raise ProtocolError(
                 f"unknown schedule request ({kind!r}, {algorithm!r}); "
                 f"kinds: {SCHEDULE_KINDS}"
@@ -366,16 +342,14 @@ class ScheduleRequest:
     def build(self) -> Schedule:
         """Construct the requested schedule (runs on a worker thread)."""
         nbh = self.neighborhood()
-        key = (self.kind, self.algorithm)
-        reduce_builder = _REDUCE_BUILDERS.get(key)
-        if reduce_builder is not None:
-            return reduce_builder(
+        builder = SCHEDULE_BUILDERS[_builder_key(self.kind, self.algorithm)]
+        if self.is_reduction:
+            return builder(
                 nbh,
                 m_bytes=self.m_bytes,
                 dtype=self.dtype,
                 op=self.reduce_op,
             )
-        builder = _LAYOUT_BUILDERS[key]
         send = [
             BlockSet([BlockRef(b, o, n) for b, o, n in bs])
             for bs in self.send

@@ -8,7 +8,7 @@ place in the grid array) and applies the kernel to the interior.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -77,6 +77,7 @@ class DistributedStencil:
             # faces transitively; minimal volume, 2d rounds.  Requires a
             # uniform decomposition (all ranks share one SPMD schedule).
             from repro.core.persistent import PersistentOp
+            from repro.core.schedule import BoundOp
             from repro.stencil.optimized_halo import (
                 build_combined_halo_schedule,
             )
@@ -90,7 +91,9 @@ class DistributedStencil:
             sched = build_combined_halo_schedule(
                 interior, self.depth, self.grid.itemsize, buffer="grid"
             )
-            self._halo_op = PersistentOp(cart, sched, {"grid": self.grid})
+            self._halo_op = PersistentOp(
+                cart, BoundOp("combined", sched, {"grid": self.grid})
+            )
         elif halo == "per-neighbor":
             sends, recvs = halo_specs(
                 interior, self.depth, cart.nbh, self.grid.itemsize,

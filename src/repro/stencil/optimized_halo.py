@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import Phase, Round, Schedule
 from repro.core.stencils import moore_neighborhood
@@ -120,21 +118,15 @@ def plain_halo_schedule(
 ) -> Schedule:
     """The baseline for comparison: per-neighbor halo blocks (Listing 3
     style) through the direct / trivial / combining alltoall shapes."""
-    from repro.core.alltoall_schedule import build_alltoall_schedule
-    from repro.core.trivial import (
-        build_direct_alltoall_schedule,
-        build_trivial_alltoall_schedule,
-    )
+    from repro.core.builders import SCHEDULE_BUILDERS, schedule_kind
 
     interior = tuple(int(x) for x in interior)
     if nbh is None:
         nbh = moore_neighborhood(len(interior), 1, include_self=False)
     sends, recvs = halo_specs(interior, depth, nbh, itemsize, buffer)
-    if algorithm == "combining":
-        return build_alltoall_schedule(nbh, sends, recvs)
-    if algorithm == "trivial":
-        return build_trivial_alltoall_schedule(nbh, sends, recvs)
-    return build_direct_alltoall_schedule(nbh, sends, recvs)
+    return SCHEDULE_BUILDERS[schedule_kind("alltoall", algorithm)](
+        nbh, sends, recvs
+    )
 
 
 def halo_volume_comparison(

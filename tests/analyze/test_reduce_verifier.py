@@ -10,18 +10,16 @@ import numpy as np
 import pytest
 
 from repro.analyze import verify_reduce_schedule, verify_schedule
-from repro.core.reduce_schedule import (
-    OPS,
-    REDUCE_BUILDERS,
-    TRIVIAL_REDUCE_BUILDERS,
-    build_reduce_schedule,
-)
+from repro.analyze.schedule_verifier import REDUCE_KINDS
+from repro.core.builders import SCHEDULE_BUILDERS
+from repro.core.reduce_schedule import OPS, build_reduce_schedule
 from repro.core.stencils import named_stencil
 
 
 def build(name="9-point", *, op="sum", kind="reduce", m=8):
-    builder = {**REDUCE_BUILDERS, **TRIVIAL_REDUCE_BUILDERS}[kind]
-    return builder(named_stencil(name), m_bytes=m, dtype="int64", op=op)
+    return SCHEDULE_BUILDERS[kind](
+        named_stencil(name), m_bytes=m, dtype="int64", op=op
+    )
 
 
 class TestCleanSchedules:
@@ -39,10 +37,7 @@ class TestCleanSchedules:
         assert report.ok, report.summary()
         assert "reduce-content" in report.checks_run
 
-    @pytest.mark.parametrize(
-        "kind",
-        sorted(REDUCE_BUILDERS) + sorted(TRIVIAL_REDUCE_BUILDERS),
-    )
+    @pytest.mark.parametrize("kind", sorted(REDUCE_KINDS))
     def test_every_kind_certifies(self, kind):
         report = verify_reduce_schedule(build(kind=kind), (4, 4), True)
         assert report.ok, (kind, report.summary())

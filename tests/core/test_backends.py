@@ -236,13 +236,9 @@ _REDUCE_M = 16  # two int64 elements per block
 
 def _make_reduce_case(kind, op="sum", nbh=NBH):
     """(schedule, send size, recv size) for one reduce-family kind."""
-    from repro.core.reduce_schedule import (
-        REDUCE_BUILDERS,
-        TRIVIAL_REDUCE_BUILDERS,
-    )
+    from repro.core.builders import SCHEDULE_BUILDERS
 
-    builder = {**REDUCE_BUILDERS, **TRIVIAL_REDUCE_BUILDERS}[kind]
-    sched = builder(nbh, m_bytes=_REDUCE_M, dtype="int64", op=op)
+    sched = SCHEDULE_BUILDERS[kind](nbh, m_bytes=_REDUCE_M, dtype="int64", op=op)
     t, m = nbh.t, _REDUCE_M
     ssize = t * m if kind.endswith("reduce-scatter") else m
     rsize = t * m if kind == "allreduce" else m
@@ -381,7 +377,7 @@ def test_parity_property_random_topologies(dims, m, algorithm, data):
 
 
 # ----------------------------------------------------------------------
-# registry, capabilities, selection
+# registry, selection
 # ----------------------------------------------------------------------
 
 
@@ -390,7 +386,7 @@ class TestRegistry:
         assert set(BACKENDS) >= {"threaded", "lockstep", "batched", "shm"}
         for name, backend in BACKENDS.items():
             assert isinstance(backend, Backend)
-            assert backend.name == name == backend.capabilities.name
+            assert backend.name == name
 
     def test_get_backend_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -411,22 +407,6 @@ class TestRegistry:
     def test_get_backend_unknown(self):
         with pytest.raises(BackendError, match="unknown backend"):
             get_backend("smoke-signals")
-
-    def test_capability_flags(self):
-        threaded = BACKENDS["threaded"].capabilities
-        lockstep = BACKENDS["lockstep"].capabilities
-        batched = BACKENDS["batched"].capabilities
-        shm = BACKENDS["shm"].capabilities
-        assert threaded.per_rank and threaded.split_phase
-        assert not lockstep.per_rank and lockstep.deferred_delivery
-        assert batched.all_ranks and not batched.per_rank
-        assert batched.deferred_delivery and not batched.true_parallel
-        assert shm.true_parallel and not shm.per_rank
-
-    def test_all_ranks_backends_reject_per_rank_transport(self):
-        for name in ("lockstep", "batched", "shm"):
-            with pytest.raises(BackendError, match="no per-rank transports"):
-                BACKENDS[name].transport(object())
 
     def test_lockstep_requires_one_buffer_set_per_rank(self):
         topo = CartTopology((2, 2))

@@ -325,13 +325,70 @@ class TestOperationErrors:
             run_cartesian((2, 2), Neighborhood([(1, 0), (0, 1)]), fn)
 
 
+class TestLauncherParity:
+    """Blocking, ``i*`` and ``*_init`` launch the same bound operation,
+    so they reject the same bad arguments with the same ValueError."""
+
+    # case -> (operation, positional arguments on a t=8 neighborhood)
+    CASES = {
+        "size-not-divisible-by-t": (
+            "alltoall",
+            lambda: (np.zeros(29, np.uint8), np.zeros(29, np.uint8)),
+        ),
+        "send-recv-byte-mismatch": (
+            "alltoall",
+            lambda: (np.zeros(16, np.uint8), np.zeros(32, np.uint8)),
+        ),
+        "oversized-allgather-recvbuf": (
+            "allgather",
+            lambda: (np.zeros(2, np.uint8), np.zeros(24, np.uint8)),
+        ),
+        "sendcounts-ne-recvcounts": (
+            "alltoallv",
+            lambda: (
+                np.zeros(8, np.uint8), [1] * 8,
+                np.zeros(9, np.uint8), [2] + [1] * 7,
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_value_error_from_every_launcher(self, case):
+        op, make_args = self.CASES[case]
+
+        def fn(cart):
+            launchers = [op, f"{op}_init"]
+            if hasattr(cart, f"i{op}"):
+                launchers.append(f"i{op}")
+            seen = {}
+            for name in launchers:
+                try:
+                    getattr(cart, name)(*make_args())
+                except Exception as exc:  # noqa: BLE001 - compared below
+                    seen[name] = (type(exc), str(exc))
+                else:
+                    seen[name] = None
+            return seen
+
+        seen = run_cartesian((3, 3), NBH9, fn)[0]
+        assert len(seen) == (2 if op == "alltoallv" else 3)
+        outcomes = set(seen.values())
+        assert len(outcomes) == 1, seen
+        (outcome,) = outcomes
+        assert outcome is not None and outcome[0] is ValueError, seen
+
+
 class TestScheduleCache:
     def test_regular_schedules_cached(self):
         def fn(cart):
-            a = cart._regular_alltoall_schedule(8, "combining")
-            b = cart._regular_alltoall_schedule(8, "combining")
-            c = cart._regular_alltoall_schedule(16, "combining")
-            d = cart._regular_alltoall_schedule(8, "trivial")
+            def sched(m, algorithm):
+                send, recv = np.zeros(m, np.uint8), np.zeros(m, np.uint8)
+                return cart.alltoall_init(send, recv, algorithm).schedule
+
+            a = sched(8, "combining")
+            b = sched(8, "combining")
+            c = sched(16, "combining")
+            d = sched(8, "trivial")
             return (a is b, a is not c, a is not d)
 
         res = run_cartesian((2, 2), Neighborhood([(1, 0)]), fn)

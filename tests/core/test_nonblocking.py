@@ -167,7 +167,7 @@ class TestProgressInterface:
         def fn(cart):
             cart.ialltoall(np.zeros(7), np.zeros(7))
 
-        with pytest.raises(Exception, match="equal blocks"):
+        with pytest.raises(Exception, match="not divisible"):
             run_cartesian((3, 3), NBH, fn, timeout=60)
 
     def test_iallgather_buffer_validation(self):

@@ -1,5 +1,7 @@
 """Operation statistics collection."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,74 @@ class TestCartCommIntegration:
 
         res = run_cartesian((3, 3), NBH, fn, timeout=60)
         assert res[0] == {"alltoallv", "allgatherv"}
+
+    def test_nonblocking_collectives_recorded(self):
+        """``i*`` operations count under the blocking calls' keys, on
+        the transport split-phase always runs on."""
+
+        def fn(cart):
+            t = cart.nbh.t
+            a, b = np.zeros(t), np.zeros(t)
+            req = cart.ialltoall(a, b, algorithm="trivial")
+            started = cart.stats.total_calls
+            req.wait()
+            cart.iallgather(np.zeros(1), np.zeros(t), algorithm="trivial").wait()
+            s = cart.stats
+            return (
+                started,
+                s.total_calls,
+                sorted(s.records),
+                s.plan_hits + s.plan_misses,
+                s.bytes_packed,
+            )
+
+        res = run_cartesian(
+            (3, 3), NBH, fn, info={"collect_stats": True, "backend": "lockstep"},
+            timeout=60,
+        )
+        started, calls, keys, plans, packed = res[0]
+        assert started == 0  # recorded on completion, like the blocking calls
+        assert calls == 2 and plans == 2
+        assert keys == [
+            ("allgather", "trivial", "threaded"),
+            ("alltoall", "trivial", "threaded"),
+        ]
+        assert set(packed) == {"threaded"} and packed["threaded"] > 0
+
+    @pytest.mark.parametrize("periods", [(True, True), (False, False)])
+    def test_bytes_packed_agree_across_backends(self, periods):
+        """Every backend charges each rank the wire bytes of its own
+        plan view — on a mesh, edge ranks skip their missing neighbours
+        whether the rank packs itself or rank 0 funnels for it."""
+        from repro.apps import merge_stats
+        from repro.core.backend import BACKENDS
+
+        def fn(cart):
+            t = cart.nbh.t
+            cart.alltoall(
+                np.zeros(2 * t, np.uint8), np.zeros(2 * t, np.uint8),
+                algorithm="trivial",
+            )
+            return cart.stats
+
+        backends = sorted(BACKENDS)
+        if "fork" not in multiprocessing.get_all_start_methods():
+            backends.remove("shm")
+        packed = {}
+        for backend in backends:
+            merged = merge_stats(
+                run_cartesian(
+                    (3, 3), NBH, fn, periods=periods,
+                    info={"collect_stats": True, "backend": backend},
+                    timeout=60,
+                )
+            )
+            assert set(merged.bytes_packed) == {backend}
+            packed[backend] = merged.bytes_packed[backend]
+        # 9 ranks x 8 neighbours x 2 B on the torus; 40 present
+        # (rank, neighbour) pairs on the mesh
+        expect = 144 if all(periods) else 80
+        assert packed == dict.fromkeys(backends, expect), packed
 
 
 class TestJsonRoundTrip:

@@ -163,7 +163,9 @@ class TestKeying:
 
 
 def _grab_alltoall_schedule(cart, m_bytes, algorithm):
-    return cart._regular_alltoall_schedule(m_bytes, algorithm)
+    """The regular alltoall schedule as the communicator binds it."""
+    buf = np.zeros(cart.nbh.t * m_bytes, np.uint8)
+    return cart._bind_alltoall(buf, buf.copy(), algorithm).schedule
 
 
 class TestCachedScheduleEquivalence:
@@ -175,7 +177,7 @@ class TestCachedScheduleEquivalence:
         m = 8
 
         def fn(cart):
-            return cart._regular_alltoall_schedule(m, algorithm)
+            return _grab_alltoall_schedule(cart, m, algorithm)
 
         scheds = run_cartesian((3, 3), NBH, fn)
         # every rank thread shares the one cached object
@@ -200,7 +202,9 @@ class TestCachedScheduleEquivalence:
         m = 16
 
         def fn(cart):
-            return cart._regular_allgather_schedule(m, "combining")
+            return cart._bind_allgather(
+                np.zeros(m, np.uint8), np.zeros(m * NBH.t, np.uint8), "combining"
+            ).schedule
 
         scheds = run_cartesian((3, 3), NBH, fn)
         expected = build_allgather_schedule(
@@ -251,9 +255,9 @@ class TestCachedScheduleEquivalence:
                 "r": np.zeros(m * t, dtype=np.uint8),
             }
             cart.allgatherw(bufs, send_t, recv_ts, algorithm="combining")
-            return cart._layout_cached(
-                "allgather", "combining", [send_t], recv_ts
-            )
+            return cart._bind_allgatherw(
+                bufs, send_t, recv_ts, "combining"
+            ).schedule
 
         scheds = run_cartesian((3, 3), NBH, fn)
         expected = build_allgather_schedule(NBH, send_t, recv_ts)
@@ -261,9 +265,9 @@ class TestCachedScheduleEquivalence:
 
     def test_reduce_schedule_shared(self):
         def fn(cart):
-            return cart._reduce_schedule(
-                "reduce", "combining", 8, np.dtype("float64"), "sum"
-            )
+            return cart._bind_reduce(
+                np.zeros(1), np.zeros(1), "sum", "combining"
+            ).schedule
 
         scheds = run_cartesian((3, 3), NBH, fn)
         assert all(s is scheds[0] for s in scheds)

@@ -147,10 +147,11 @@ class TestCertification:
         )
         assert point.absolute_ms(point.baseline) > 0
 
-    def test_certify_env_variable(self, monkeypatch):
-        from repro.experiments.runner import CERTIFY_ENV
+    def test_certify_process_default(self, monkeypatch):
+        """What the CLI's ``--certify-backend`` sets."""
+        from repro.experiments import runner
 
-        monkeypatch.setenv(CERTIFY_ENV, "lockstep")
+        monkeypatch.setattr(runner, "CERTIFY_BACKEND", "lockstep")
         nbh = parameterized_stencil(2, 2, -1)
         point = measure_schedule(
             alltoall_variants(nbh, [4] * nbh.t),

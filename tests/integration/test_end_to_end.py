@@ -144,9 +144,9 @@ def test_trace_to_network_model_pipeline():
         comm.mark("start-measured-region")
         cart.alltoall(send, recv, algorithm="combining")
         if comm.rank == 0:
-            schedules["combining"] = cart._regular_alltoall_schedule(
-                4, "combining"
-            )
+            schedules["combining"] = cart.alltoall_init(
+                send, recv, algorithm="combining"
+            ).schedule
 
     eng.run(fn)
     machine = get_machine("hydra-openmpi").without_noise()
