@@ -9,8 +9,9 @@ The headline measurement is **batched fused-kernel reduce vs the
 per-rank path**: one combining reduce on an (8, 8, 8) torus driven by
 the batched SPMD backend (every round a shared kernel over the
 ``(p, n)`` matrix, combines fused into the unpack) against the lockstep
-backend walking the same plan's rank views, one interpreter and one
-fused ``CombineProgram`` per rank.  The bar is **5x**, and with ``REPRO_PERF_GATE=1`` the speedup is additionally
+backend walking the same plan's rank views, one interpreter per rank
+running its rows of the same combine steps one by one.  The bar is
+**5x**, and with ``REPRO_PERF_GATE=1`` the speedup is additionally
 gated against the committed baseline
 (``benchmarks/BENCH_reductions.json``) so a regression in the fused
 reduce path cannot land silently.
@@ -123,7 +124,8 @@ def _reduce_bufs(p, m_bytes):
 def measured_batched_reduce():
     """Time one combining reduce on the measured torus: the plan's
     ``BatchedReduceRound`` kernels over the rank matrices vs the
-    lockstep driver over its rank views (per-rank ``CombineProgram``).
+    lockstep driver over its rank views (each rank's rows of the same
+    step lists).
     Returns the payload row; asserts bit parity between the paths."""
     nbh = moore_neighborhood(3, 1, include_self=False)  # t = 26
     m_bytes = MEASURED_ELEMS * 8
@@ -211,13 +213,13 @@ def test_reductions_perf_artifact():
     ``benchmarks/BENCH_reductions.json``): the modeled combining/trivial
     ratios per configuration, the measured batched-vs-lockstep
     full-execution times, reduce-verifier certification timings, and
-    the analyzer wall time for the full effect sweep — so both the
-    fused reduce path and verification overhead are tracked release
-    over release."""
-    from repro.analyze.effects import sweep_effects
+    the analyzer wall time for the full stencil sweep (build vs
+    certification seconds) — so both the fused reduce path and
+    verification overhead are tracked release over release."""
     from repro.analyze.schedule_verifier import (
         SWEEP_KINDS,
         paper_stencil_grid,
+        sweep_stencils,
         verify_reduce_schedule,
     )
 
@@ -232,7 +234,7 @@ def test_reductions_perf_artifact():
             "modeled": {},
             "measured": {},
             "verifier": {},
-            "effects_sweep": {},
+            "stencil_sweep": {},
         }
         for d, n in ((2, 3), (3, 3), (5, 3), (5, 5)):
             nbh = parameterized_stencil(d, n, -1)
@@ -259,18 +261,18 @@ def test_reductions_perf_artifact():
                 "checks_run": list(rep.checks_run),
             }
             assert rep.ok, rep.summary()
-        # analyzer wall time for the CI effect sweep (stencil grid x
-        # all schedule kinds, reductions included)
+        # analyzer cost of the CI stencil sweep (stencil grid x all
+        # schedule kinds, reductions included; effect pass inside)
         expected = len(paper_stencil_grid()) * len(SWEEP_KINDS)
-        t0 = time.perf_counter()
-        results = sweep_effects()
-        payload["effects_sweep"] = {
-            "seconds": time.perf_counter() - t0,
+        results = sweep_stencils()
+        payload["stencil_sweep"] = {
+            "build_seconds": sum(row.build_seconds for row in results),
+            "certify_seconds": sum(row.certify_seconds for row in results),
             "combinations": len(results),
-            "ok": all(rep.ok for _, _, _, rep in results),
+            "ok": all(row.report.ok for row in results),
         }
-        assert payload["effects_sweep"]["ok"]
-        assert payload["effects_sweep"]["combinations"] == expected
+        assert payload["stencil_sweep"]["ok"]
+        assert payload["stencil_sweep"]["combinations"] == expected
         return payload
 
     payload = build_payload()
@@ -280,8 +282,8 @@ def test_reductions_perf_artifact():
     print(
         f"\nreductions perf artifact: {path} "
         f"(batched reduce {payload['measured']['speedup']:.2f}x, "
-        f"effects sweep {payload['effects_sweep']['seconds']:.2f}s "
-        f"for {payload['effects_sweep']['combinations']} combinations)"
+        f"stencil sweep {payload['stencil_sweep']['certify_seconds']:.2f}s "
+        f"for {payload['stencil_sweep']['combinations']} combinations)"
     )
 
 

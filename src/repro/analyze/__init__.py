@@ -18,7 +18,6 @@ _LAZY = {
     "certify_schedule": "repro.analyze.schedule_verifier",
     "verify_reduce_schedule": "repro.analyze.schedule_verifier",
     "verify_effects": "repro.analyze.effects",
-    "sweep_effects": "repro.analyze.effects",
     "run_effect_checks": "repro.analyze.effects",
     "IntervalSet": "repro.analyze.intervals",
     "run_mutations": "repro.analyze.mutations",

@@ -1,20 +1,19 @@
 """Command-line front end for the static-analysis subsystem.
 
-Two subcommands, both CI gates:
-
 ``python -m repro.analyze verify --all-stencils``
     Build every schedule kind for every paper stencil and run the full
     static verifier (structure, hop parity, Prop 3.1 deadlock freedom,
-    Prop 3.2/3.3 conformance, content simulation) on each; exit 1 if
-    any combination has a violation.
+    Prop 3.2/3.3 conformance, content simulation, plan lowering and its
+    effect pass) on each; exit 1 if any combination has a violation.
+    The summary reports build seconds and certification seconds per
+    kind.
 
 ``python -m repro.analyze verify --stencil 9-point --dims 4x4 [--kind alltoall]``
     Verify one stencil/torus combination (all kinds unless ``--kind``).
 
-``python -m repro.analyze effects --all-stencils``
+``python -m repro.analyze effects --stencil 9-point --dims 4x4 [--kind alltoall]``
     Run only the byte-interval effect system (V701-V709) over the
-    lowered plan and its rank views of every paper stencil; exit 1 on
-    any violation.
+    lowered plan of one stencil/torus combination.
 
 ``python -m repro.analyze lint <paths...>``
     Run the custom concurrency/typing lint (rules L001-L009).
@@ -52,7 +51,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     if ns.all_stencils:
         results = sweep_stencils()
         bad = 0
-        for name, kind, dims, report in results:
+        for name, kind, dims, report, _, _ in results:
             status = "ok" if report.ok else "FAIL"
             line = f"{status:4s}  {name:10s} {kind:18s} dims={dims}"
             if not report.ok:
@@ -66,6 +65,13 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             f"{len(results) - bad}/{len(results)} stencil/kind combinations "
             "certified"
         )
+        print(f"{'kind':24s} {'build s':>8s} {'certify s':>10s}")
+        for kind in SWEEP_KINDS:
+            rows = [row for row in results if row.kind == kind]
+            print(
+                f"{kind:24s} {sum(r.build_seconds for r in rows):8.3f} "
+                f"{sum(r.certify_seconds for r in rows):10.3f}"
+            )
         return 1 if bad else 0
 
     if not ns.stencil or not ns.dims:
@@ -97,30 +103,10 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_effects(ns: argparse.Namespace) -> int:
-    from repro.analyze.effects import sweep_effects, verify_effects
-
-    if ns.all_stencils:
-        results = sweep_effects()
-        bad = 0
-        for name, kind, dims, report in results:
-            status = "ok" if report.ok else "FAIL"
-            line = f"{status:4s}  {name:10s} {kind:18s} dims={dims}"
-            if not report.ok:
-                bad += 1
-                line += f"  codes={sorted(report.codes())}"
-            print(line)
-            if not report.ok and ns.verbose:
-                for v in report.violations:
-                    print(f"      {v.describe()}")
-        print(
-            f"{len(results) - bad}/{len(results)} stencil/kind combinations "
-            "effect-certified (plan + rank views)"
-        )
-        return 1 if bad else 0
+    from repro.analyze.effects import verify_effects
 
     if not ns.stencil or not ns.dims:
-        print("effects: need --all-stencils or --stencil NAME --dims DxD",
-              file=sys.stderr)
+        print("effects: need --stencil NAME --dims DxD", file=sys.stderr)
         return 2
     from repro.core.stencils import named_stencil
 
@@ -183,21 +169,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "effects",
         help="run only the byte-interval effect system (V701-V709)",
     )
-    p_effects.add_argument(
-        "--all-stencils",
-        action="store_true",
-        help="effect-check the lowered plan of every paper stencil",
-    )
     p_effects.add_argument("--stencil", help="stencil name, e.g. 9-point")
     p_effects.add_argument(
         "--dims", type=_parse_dims, help="torus dims, e.g. 4x4"
     )
     p_effects.add_argument(
         "--kind", choices=list(SWEEP_KINDS), help="check one kind only"
-    )
-    p_effects.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print every violation in sweep mode",
     )
 
     p_lint = sub.add_parser("lint", help="run the custom lint (L001-L009)")

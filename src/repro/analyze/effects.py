@@ -3,10 +3,13 @@
 The verifier's V1xx-V4xx checks certify the *schedule*; the V5xx checks
 certify that lowering preserved it.  This module closes the remaining
 gap: it proves the lowered artifacts themselves — the plan's numpy
-selector kernels, fused copy program, row permutations and rank views,
-and the shm segment layout — are race- and lifetime-free, by deriving
-symbolic ``(buffer, lo, hi)`` read/write summaries for every compiled
-object and checking disjointness directly on the intervals.
+selector kernels, fused copy program, row permutations and masked
+combine steps, and the shm segment layout — are race- and
+lifetime-free, by deriving symbolic ``(buffer, lo, hi)`` read/write
+summaries for every compiled object and checking disjointness directly
+on the intervals.  The plan is rank-free, so it is checked once: what
+differs per rank is a row set, and two effects can only race on ranks
+that both row sets contain.
 
 Everything is static: no kernel is executed, no buffer allocated.  The
 checks map to violation codes V701-V709 (:mod:`repro.analyze.report`):
@@ -24,18 +27,17 @@ V707  two shm segment regions (buffer areas or message slots) overlap
 V708  an effect interval exceeds its buffer's capacity
 V709  a round reads bytes no earlier effect ever wrote (wire gaps,
       or scratch reads before the writing phase)
-V806  a fused combine kernel has order-dependent effects (double
-      accumulator initialization, aliased fold operands, or batched
-      combine row masks that both copy and fold one rank)
+V806  a combine step list has order-dependent effects on some rank
+      (double accumulator initialization, aliased fold operands, or
+      row masks that both copy and fold one rank)
 ====  ==============================================================
 
-Reduction schedules thread their accumulator state through the fused
-combine kernels (:class:`~repro.core.plan.BatchedReduceRound` in the
-plan, the :class:`~repro.core.plan.CombineProgram` each rank view
-derives from it):
-the pre-step seed program writes before phase 0 and each phase's fold
-program writes after its delivery, so the lifetime ledger (V709) counts
-those writes exactly where the interpreter performs them.
+Reduction schedules thread their accumulator state through the plan's
+combine step lists (:class:`~repro.core.plan.BatchedReduceRound`, of
+which every rank runs its rows): the pre-step seeds write before phase
+0 and each phase's folds write after its delivery, so the lifetime
+ledger (V709) counts those writes exactly where the interpreter
+performs them.
 
 The temp-lifetime part of V709 is only decidable on fully periodic
 tori: on a mesh, a rank whose upstream fell off the edge legitimately
@@ -56,18 +58,19 @@ from repro.analyze.intervals import (
     summarize_selector,
 )
 from repro.analyze.report import VerificationReport
-from repro.core import plan as plan_mod
+from repro.analyze.schedule_verifier import _open_report, _plan_sizes
+from repro.core.backend.shm import compute_segment_layout
 from repro.core.plan import (
     BatchedPlan,
     BatchedReduceRound,
     BatchedRound,
-    CombineProgram,
     CompiledBlockSet,
     CompiledCopyProgram,
-    RankPlan,
+    compile_batched_plan,
 )
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
+from repro.mpisim.exceptions import ScheduleError
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +140,6 @@ def check_kernel(
     report: VerificationReport,
     *,
     role: str,
-    rank: Optional[int] = None,
     phase: Optional[int] = None,
     round_index: Optional[int] = None,
 ) -> KernelEffects:
@@ -155,7 +157,6 @@ def check_kernel(
             "V701",
             f"{role} kernel writes {write_collisions} destination "
             f"byte(s) more than once",
-            rank=rank,
             phase=phase,
             round_index=round_index,
         )
@@ -166,7 +167,6 @@ def check_kernel(
                 "V708",
                 f"{role} kernel touches {name!r}[{ivs.lo}:{ivs.hi}) "
                 f"beyond its {cap}-byte capacity",
-                rank=rank,
                 phase=phase,
                 round_index=round_index,
             )
@@ -175,7 +175,6 @@ def check_kernel(
             "V708",
             f"{role} kernel wire selector [{eff.wire.lo}:{eff.wire.hi}) "
             f"exceeds the {eff.total_nbytes}-byte wire",
-            rank=rank,
             phase=phase,
             round_index=round_index,
         )
@@ -186,7 +185,6 @@ def check_kernel(
                 "V709",
                 f"pack kernel leaves {gap} of {eff.total_nbytes} wire "
                 f"byte(s) uninitialized before delivery",
-                rank=rank,
                 phase=phase,
                 round_index=round_index,
             )
@@ -194,126 +192,11 @@ def check_kernel(
 
 
 # ---------------------------------------------------------------------------
-# fused combine kernels (reduction lowering)
+# combine steps (reduction lowering)
 # ---------------------------------------------------------------------------
 
-
-def _element_intervals(idx: np.ndarray, itemsize: int) -> list[tuple[int, int]]:
-    """Byte intervals covered by an element index array."""
-    if idx.size == 0:
-        return []
-    uniq = np.unique(np.asarray(idx, dtype=np.int64))
-    starts = uniq * itemsize
-    return [(int(lo), int(lo) + itemsize) for lo in starts]
-
-
-def check_combine_program(
-    prog: CombineProgram,
-    sizes: Mapping[str, int],
-    report: VerificationReport,
-    *,
-    rank: Optional[int] = None,
-    phase: Optional[int] = None,
-) -> tuple[
-    dict[str, IntervalSet], dict[str, IntervalSet], dict[str, IntervalSet]
-]:
-    """V806/V708 over one fused :class:`CombineProgram`.
-
-    The compiled program hoists accumulator-initializing copies before
-    the fold kernels, which is sound exactly when (a) no region is
-    initialized twice and (b) no fold's operands alias each other.
-    Bounds are V708 like every other compiled effect.
-
-    Returns ``(copy_writes, fold_reads, all_writes)`` byte-interval maps
-    so the caller can thread the program through the lifetime ledger:
-    ``fold_reads`` includes the copy sources and the read-modify-write
-    fold destinations; ``copy_writes`` are the regions the program
-    itself initializes (legitimate targets for its own folds).
-    """
-    isz = prog.dtype.itemsize
-    copy_parts: dict[str, list[tuple[int, int]]] = {}
-    read_parts: dict[str, list[tuple[int, int]]] = {}
-    fold_parts: dict[str, list[tuple[int, int]]] = {}
-    for src, soff, dst, doff, n in prog._copy_ops:
-        read_parts.setdefault(src, []).append((soff, soff + n))
-        copy_parts.setdefault(dst, []).append((doff, doff + n))
-    for src, soff, dst, doff, n in prog._op_ops:
-        if n % isz:
-            report.add(
-                "V806",
-                f"fold run of {n} B on {dst!r} is not a multiple of the "
-                f"{prog.dtype.str} itemsize",
-                rank=rank,
-                phase=phase,
-            )
-        read_parts.setdefault(src, []).append((soff, soff + n))
-        read_parts.setdefault(dst, []).append((doff, doff + n))
-        fold_parts.setdefault(dst, []).append((doff, doff + n))
-        if src == dst and soff < doff + n and doff < soff + n:
-            report.add(
-                "V806",
-                f"fold operands alias: {src!r}[{soff}:{soff + n}) is "
-                f"both source and in-place destination",
-                rank=rank,
-                phase=phase,
-            )
-    for src, sidx, dst, didx in prog._at_ops:
-        if sidx.size != didx.size:
-            report.add(
-                "V806",
-                f"scatter-reduce index arrays disagree: {sidx.size} "
-                f"source vs {didx.size} destination element(s)",
-                rank=rank,
-                phase=phase,
-            )
-        s_ivs = _element_intervals(sidx, isz)
-        d_ivs = _element_intervals(didx, isz)
-        read_parts.setdefault(src, []).extend(s_ivs)
-        read_parts.setdefault(dst, []).extend(d_ivs)
-        fold_parts.setdefault(dst, []).extend(d_ivs)
-        if src == dst:
-            alias = IntervalSet(s_ivs).intersection(IntervalSet(d_ivs))
-            if alias.nbytes:
-                report.add(
-                    "V806",
-                    f"scatter-reduce operands alias {alias.nbytes} "
-                    f"byte(s) of {src!r}",
-                    rank=rank,
-                    phase=phase,
-                )
-    copy_writes: dict[str, IntervalSet] = {}
-    for name, parts in copy_parts.items():
-        union, collisions = _fold(
-            [summarize_selector(slice(lo, hi)) for lo, hi in parts]
-        )
-        copy_writes[name] = union
-        if collisions:
-            report.add(
-                "V806",
-                f"combine program initializes {collisions} byte(s) of "
-                f"{name!r} twice (first-write-wins was mis-resolved)",
-                rank=rank,
-                phase=phase,
-            )
-    fold_reads = {
-        name: IntervalSet(parts) for name, parts in read_parts.items()
-    }
-    all_writes: dict[str, IntervalSet] = dict(copy_writes)
-    for name, parts in fold_parts.items():
-        ivs = IntervalSet(parts)
-        all_writes[name] = all_writes.get(name, IntervalSet()).union(ivs)
-    for label, by_buffer in (("reads", fold_reads), ("writes", all_writes)):
-        for name, ivs in by_buffer.items():
-            cap = int(sizes.get(name, 0))
-            if not ivs.within_bounds(cap):
-                report.add(
-                    "V708",
-                    f"combine program {label} {name!r}[{ivs.lo}:{ivs.hi}) "
-                    f"beyond its {cap}-byte capacity",
-                    rank=rank,
-                    phase=phase,
-                )
-    return copy_writes, fold_reads, all_writes
+#: per-buffer byte intervals of one effect
+Effects = dict[str, IntervalSet]
 
 
 def check_batched_combine(
@@ -323,12 +206,27 @@ def check_batched_combine(
     report: VerificationReport,
     *,
     phase: Optional[int] = None,
-) -> None:
-    """V806/V708 over one all-ranks combine kernel: column bounds, row
-    masks inside ``[0, p)``, and — the batched-specific hazard — no rank
-    appearing in both a step's copy rows and its fold rows (it would
-    count that contribution twice)."""
+) -> tuple[Effects, Effects, Effects]:
+    """V806/V708 over one all-ranks combine step list.
+
+    Every rank runs its rows of the list in list order, which is sound
+    exactly when, on every rank, no region is initialized twice and no
+    fold's operands alias each other; steps must also stay inside their
+    buffers (V708, like every other compiled effect), fold whole dtype
+    elements, name ranks inside ``[0, p)`` once, and never both copy and
+    fold one rank (its contribution would be counted twice).
+
+    Returns ``(copy_writes, reads, all_writes)`` so the caller can
+    thread the step list through the lifetime ledger: ``reads`` includes
+    the copy sources and the read-modify-write fold destinations;
+    ``copy_writes`` are the regions the list itself initializes
+    (legitimate targets for its own folds).
+    """
     isz = rnd.dtype.itemsize
+    everyone = np.arange(p)
+    copies: dict[str, list[tuple[int, int, np.ndarray]]] = {}
+    read_parts: dict[str, list[tuple[int, int]]] = {}
+    fold_parts: dict[str, list[tuple[int, int]]] = {}
     for si, step in enumerate(rnd.steps):
         sbuf, soff, dbuf, doff, n, copy_rows, comb_rows = step
         for name, off in ((sbuf, soff), (dbuf, doff)):
@@ -336,15 +234,15 @@ def check_batched_combine(
             if off < 0 or off + n > cap:
                 report.add(
                     "V708",
-                    f"batched combine step {si} touches {name!r}"
+                    f"combine step {si} touches {name!r}"
                     f"[{off}:{off + n}) beyond its {cap}-byte capacity",
                     phase=phase,
                 )
         if n % isz:
             report.add(
                 "V806",
-                f"batched combine step {si} of {n} B is not a multiple "
-                f"of the {rnd.dtype.str} itemsize",
+                f"combine step {si} of {n} B is not a multiple of the "
+                f"{rnd.dtype.str} itemsize",
                 phase=phase,
             )
         rows: dict[str, Optional[np.ndarray]] = {
@@ -357,33 +255,69 @@ def check_batched_combine(
             if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= p):
                 report.add(
                     "V806",
-                    f"batched combine step {si} {label} rows name a rank "
-                    f"outside 0..{p - 1}",
+                    f"combine step {si} {label} rows name a rank outside "
+                    f"0..{p - 1}",
                     phase=phase,
                 )
             if np.unique(arr).size != arr.size:
                 report.add(
                     "V806",
-                    f"batched combine step {si} {label} rows name one "
-                    f"rank twice",
+                    f"combine step {si} {label} rows name one rank twice",
                     phase=phase,
                 )
-        c = np.arange(p) if copy_rows is None else np.asarray(copy_rows)
-        f = np.arange(p) if comb_rows is None else np.asarray(comb_rows)
+        c = everyone if copy_rows is None else np.asarray(copy_rows)
+        f = everyone if comb_rows is None else np.asarray(comb_rows)
         both = np.intersect1d(c, f)
         if both.size:
             report.add(
                 "V806",
-                f"batched combine step {si} both initializes and folds "
-                f"rank(s) {both[:4].tolist()} — the contribution would "
-                f"be counted twice",
+                f"combine step {si} both initializes and folds rank(s) "
+                f"{both[:4].tolist()} — the contribution would be "
+                f"counted twice",
                 phase=phase,
             )
-
-
-# ---------------------------------------------------------------------------
-# rank-view rounds: disjointness + lifetime
-# ---------------------------------------------------------------------------
+        if c.size or f.size:
+            read_parts.setdefault(sbuf, []).append((soff, soff + n))
+        if c.size:
+            copies.setdefault(dbuf, []).append((doff, doff + n, c))
+        if f.size:
+            read_parts.setdefault(dbuf, []).append((doff, doff + n))
+            fold_parts.setdefault(dbuf, []).append((doff, doff + n))
+            if sbuf == dbuf and soff < doff + n and doff < soff + n:
+                report.add(
+                    "V806",
+                    f"combine step {si} fold operands alias: {sbuf!r}"
+                    f"[{soff}:{soff + n}) is both source and in-place "
+                    f"destination",
+                    phase=phase,
+                )
+    for name, spans in copies.items():
+        spans.sort(key=lambda span: span[:2])
+        for i, (lo, hi, rows_i) in enumerate(spans):
+            for lo_j, hi_j, rows_j in spans[i + 1 :]:
+                if lo_j >= hi:
+                    break
+                twice = np.intersect1d(rows_i, rows_j)
+                if twice.size:
+                    report.add(
+                        "V806",
+                        f"combine steps initialize {name!r}[{lo_j}:"
+                        f"{min(hi, hi_j)}) twice on rank(s) "
+                        f"{twice[:4].tolist()} (first-write-wins was "
+                        f"mis-resolved)",
+                        phase=phase,
+                    )
+    copy_writes = {
+        name: IntervalSet((lo, hi) for lo, hi, _ in spans)
+        for name, spans in copies.items()
+    }
+    reads = {name: IntervalSet(parts) for name, parts in read_parts.items()}
+    all_writes = dict(copy_writes)
+    for name, parts in fold_parts.items():
+        all_writes[name] = all_writes.get(name, IntervalSet()).union(
+            IntervalSet(parts)
+        )
+    return copy_writes, reads, all_writes
 
 
 def _overlap_by_buffer(
@@ -399,139 +333,6 @@ def _overlap_by_buffer(
     return out
 
 
-def check_plan_effects(
-    plan: RankPlan,
-    sizes: Mapping[str, int],
-    report: VerificationReport,
-    *,
-    periodic: bool,
-    rank: Optional[int] = None,
-    check_kernels: bool = True,
-) -> None:
-    """Effect-check one rank's :class:`RankPlan` view: per-round kernel
-    soundness, per-phase send/recv disjointness (V702/V703) and, on
-    fully periodic tori, the scratch lifetime discipline (V709)."""
-    written: dict[str, IntervalSet] = {
-        name: IntervalSet([(0, int(cap))])
-        for name, cap in sizes.items()
-        if name != "temp"
-    }
-    written.setdefault("temp", IntervalSet())
-
-    def apply_combine(prog: CombineProgram, pi: Optional[int]) -> None:
-        """Check one fused combine program and ledger its writes."""
-        copy_w, reads, writes_c = check_combine_program(
-            prog, sizes, report, rank=rank, phase=pi
-        )
-        if periodic:
-            for name, ivs in reads.items():
-                avail = written.get(name, IntervalSet()).union(
-                    copy_w.get(name, IntervalSet())
-                )
-                missing = ivs.nbytes - avail.intersection(ivs).nbytes
-                if missing:
-                    report.add(
-                        "V709",
-                        f"combine program reads {missing} byte(s) of "
-                        f"{name!r} no earlier effect ever wrote",
-                        rank=rank,
-                        phase=pi,
-                    )
-        for name, ivs in writes_c.items():
-            written[name] = written.get(name, IntervalSet()).union(ivs)
-
-    if plan.pre_program is not None:
-        apply_combine(plan.pre_program, None)
-    for pi, phase in enumerate(plan.phases):
-        reads: list[tuple[int, Mapping[str, IntervalSet]]] = []
-        writes: list[tuple[int, Mapping[str, IntervalSet]]] = []
-        for ri, rnd in enumerate(phase):
-            if rnd.send is not None:
-                eff = (
-                    check_kernel(
-                        rnd.send, sizes, report, role="send",
-                        rank=rank, phase=pi, round_index=ri,
-                    )
-                    if check_kernels
-                    else kernel_effects(rnd.send)
-                )
-                reads.append((ri, eff.buffers))
-            if rnd.recv is not None:
-                eff = (
-                    check_kernel(
-                        rnd.recv, sizes, report, role="recv",
-                        rank=rank, phase=pi, round_index=ri,
-                    )
-                    if check_kernels
-                    else kernel_effects(rnd.recv)
-                )
-                writes.append((ri, eff.buffers))
-        for i in range(len(writes)):
-            for j in range(i + 1, len(writes)):
-                for name, n in _overlap_by_buffer(writes[i][1], writes[j][1]):
-                    report.add(
-                        "V702",
-                        f"rounds {writes[i][0]} and {writes[j][0]} both "
-                        f"write {n} byte(s) of {name!r}",
-                        rank=rank,
-                        phase=pi,
-                        round_index=writes[j][0],
-                    )
-        for ri, r_ivs in reads:
-            for wj, w_ivs in writes:
-                for name, n in _overlap_by_buffer(r_ivs, w_ivs):
-                    report.add(
-                        "V703",
-                        f"round {ri} reads {n} byte(s) of {name!r} that "
-                        f"round {wj} writes in the same phase",
-                        rank=rank,
-                        phase=pi,
-                        round_index=ri,
-                    )
-        if periodic:
-            for ri, r_ivs in reads:
-                for name, ivs in r_ivs.items():
-                    have = written.get(name, IntervalSet())
-                    missing = ivs.nbytes - have.intersection(ivs).nbytes
-                    if missing:
-                        report.add(
-                            "V709",
-                            f"round {ri} packs {missing} byte(s) of "
-                            f"{name!r} no earlier phase ever wrote",
-                            rank=rank,
-                            phase=pi,
-                            round_index=ri,
-                        )
-        for _, w_ivs in writes:
-            for name, ivs in w_ivs.items():
-                written[name] = written.get(name, IntervalSet()).union(ivs)
-        # the phase's fold program runs after its waitall: its staging
-        # reads see the phase's deliveries, its accumulator writes feed
-        # the next phase's packs
-        combine = plan.combine_programs[pi]
-        if combine is not None:
-            apply_combine(combine, pi)
-    if periodic:
-        prog_reads: dict[str, list[SelectorSummary]] = {}
-        for src, _dst, src_sel, _dst_sel in plan.copy_program._sel_ops:
-            prog_reads.setdefault(src, []).append(summarize_selector(src_sel))
-        for src, _dst, src_off, _dst_off, n in plan.copy_program._run_ops:
-            prog_reads.setdefault(src, []).append(
-                summarize_selector(slice(src_off, src_off + n))
-            )
-        for name, parts in prog_reads.items():
-            union, _ = _fold(parts)
-            have = written.get(name, IntervalSet())
-            missing = union.nbytes - have.intersection(union).nbytes
-            if missing:
-                report.add(
-                    "V709",
-                    f"local-copy program reads {missing} byte(s) of "
-                    f"{name!r} no phase ever wrote",
-                    rank=rank,
-                )
-
-
 # ---------------------------------------------------------------------------
 # fused local-copy program
 # ---------------------------------------------------------------------------
@@ -541,10 +342,8 @@ def check_copy_program(
     prog: CompiledCopyProgram,
     sizes: Mapping[str, int],
     report: VerificationReport,
-    *,
-    rank: Optional[int] = None,
-) -> None:
-    """V704/V708 over one compiled copy program.
+) -> Effects:
+    """V704/V708 over one compiled copy program; returns what it reads.
 
     A *fused* program claims copy order is irrelevant, which is exactly
     the statement that all destination regions are pairwise disjoint and
@@ -560,7 +359,6 @@ def check_copy_program(
                 "V704",
                 f"fused copy op {src!r}->{dst!r} gathers {s.nbytes} "
                 f"byte(s) but scatters {d.nbytes}",
-                rank=rank,
             )
         srcs.setdefault(src, []).append(s)
         dsts.setdefault(dst, []).append(d)
@@ -580,7 +378,6 @@ def check_copy_program(
                 "V708",
                 f"copy program reads {name!r}[{union.lo}:{union.hi}) "
                 f"beyond its {int(sizes.get(name, 0))}-byte capacity",
-                rank=rank,
             )
     for name, parts in dsts.items():
         union, collisions = _fold(parts)
@@ -589,7 +386,6 @@ def check_copy_program(
                 "V708",
                 f"copy program writes {name!r}[{union.lo}:{union.hi}) "
                 f"beyond its {int(sizes.get(name, 0))}-byte capacity",
-                rank=rank,
             )
         if not prog.fused:
             continue
@@ -598,7 +394,6 @@ def check_copy_program(
                 "V704",
                 f"fused copy program writes {collisions} byte(s) of "
                 f"{name!r} more than once (order-dependent)",
-                rank=rank,
             )
         overlap = union.intersection(
             src_union.get(name, IntervalSet())
@@ -608,8 +403,8 @@ def check_copy_program(
                 "V704",
                 f"fused copy program destination overlaps {overlap} "
                 f"source byte(s) of {name!r} (order-dependent)",
-                rank=rank,
             )
+    return src_union
 
 
 # ---------------------------------------------------------------------------
@@ -743,43 +538,74 @@ def check_batched_effects(
     bplan: BatchedPlan,
     report: VerificationReport,
     *,
-    check_kernels: bool = True,
+    periodic: bool,
 ) -> None:
-    """Effect-check a whole :class:`BatchedPlan`: every round's peer
-    permutation and masking, the shared kernels, and cross-round
-    disjointness restricted to rounds whose receiving row sets
-    intersect."""
+    """Effect-check a whole :class:`BatchedPlan`, once for all ranks:
+    every round's peer permutation and masking, the shared kernels, the
+    combine step lists and the fused copy program; cross-round
+    disjointness (V702/V703) restricted to rounds whose row sets
+    intersect; and, on fully periodic tori (``periodic``), the scratch
+    lifetime discipline (V709) — there every rank sees the same rounds,
+    so one ledger over the plan's effects stands for all of them."""
     p = bplan.p
     sizes = bplan.sizes
+    # caller-bound buffers arrive written, pooled scratch does not
+    written: Effects = {
+        name: IntervalSet([(0, int(cap))])
+        for name, cap in sizes.items()
+        if name != "temp"
+    }
+
+    def wrote(effects: Mapping[str, IntervalSet]) -> None:
+        for name, ivs in effects.items():
+            written[name] = written.get(name, IntervalSet()).union(ivs)
+
+    def need(
+        effects: Mapping[str, IntervalSet],
+        what: str,
+        phase: Optional[int] = None,
+        round_index: Optional[int] = None,
+    ) -> None:
+        if not periodic:
+            return
+        for name, ivs in effects.items():
+            have = written.get(name, IntervalSet())
+            missing = ivs.nbytes - have.intersection(ivs).nbytes
+            if missing:
+                report.add(
+                    "V709",
+                    f"{what} reads {missing} byte(s) of {name!r} no "
+                    f"earlier effect ever wrote",
+                    phase=phase,
+                    round_index=round_index,
+                )
+
+    def combine(rnd: BatchedReduceRound, pi: Optional[int]) -> None:
+        copy_writes, reads, all_writes = check_batched_combine(
+            rnd, p, sizes, report, phase=pi
+        )
+        wrote(copy_writes)
+        need(reads, "combine step list", pi)
+        wrote(all_writes)
+
     if bplan.pre_program is not None:
-        check_batched_combine(bplan.pre_program, p, sizes, report)
-    for pi, combine in enumerate(bplan.combine_programs):
-        if combine is not None:
-            check_batched_combine(combine, p, sizes, report, phase=pi)
+        combine(bplan.pre_program, None)
     for pi, phase in enumerate(bplan.phases):
         writes: list[tuple[int, np.ndarray, Mapping[str, IntervalSet]]] = []
         reads: list[tuple[int, np.ndarray, Mapping[str, IntervalSet]]] = []
         for ri, rnd in enumerate(phase):
             check_batched_round(rnd, p, report, phase=pi, round_index=ri)
             if rnd.send is not None:
-                eff = (
-                    check_kernel(
-                        rnd.send, sizes, report, role="send",
-                        phase=pi, round_index=ri,
-                    )
-                    if check_kernels
-                    else kernel_effects(rnd.send)
+                eff = check_kernel(
+                    rnd.send, sizes, report, role="send",
+                    phase=pi, round_index=ri,
                 )
                 rows = np.nonzero(np.asarray(rnd.targets) >= 0)[0]
                 reads.append((ri, rows, eff.buffers))
             if rnd.recv is not None:
-                eff = (
-                    check_kernel(
-                        rnd.recv, sizes, report, role="recv",
-                        phase=pi, round_index=ri,
-                    )
-                    if check_kernels
-                    else kernel_effects(rnd.recv)
+                eff = check_kernel(
+                    rnd.recv, sizes, report, role="recv",
+                    phase=pi, round_index=ri,
                 )
                 rows = (
                     np.arange(p, dtype=np.int64)
@@ -789,30 +615,45 @@ def check_batched_effects(
                 writes.append((ri, rows, eff.buffers))
         for i in range(len(writes)):
             for j in range(i + 1, len(writes)):
-                if not np.intersect1d(writes[i][1], writes[j][1]).size:
+                shared = _overlap_by_buffer(writes[i][2], writes[j][2])
+                if not shared or not np.intersect1d(
+                    writes[i][1], writes[j][1]
+                ).size:
                     continue
-                for name, n in _overlap_by_buffer(writes[i][2], writes[j][2]):
+                for name, n in shared:
                     report.add(
                         "V702",
-                        f"batched rounds {writes[i][0]} and {writes[j][0]} "
-                        f"write {n} shared byte(s) of {name!r} on shared "
-                        f"rows",
+                        f"rounds {writes[i][0]} and {writes[j][0]} write "
+                        f"{n} shared byte(s) of {name!r} on shared rows",
                         phase=pi,
                         round_index=writes[j][0],
                     )
         for ri, r_rows, r_ivs in reads:
             for wj, w_rows, w_ivs in writes:
-                if not np.intersect1d(r_rows, w_rows).size:
+                shared = _overlap_by_buffer(r_ivs, w_ivs)
+                if not shared or not np.intersect1d(r_rows, w_rows).size:
                     continue
-                for name, n in _overlap_by_buffer(r_ivs, w_ivs):
+                for name, n in shared:
                     report.add(
                         "V703",
-                        f"batched round {ri} reads {n} byte(s) of "
-                        f"{name!r} that round {wj} writes in the same "
-                        f"phase",
+                        f"round {ri} reads {n} byte(s) of {name!r} that "
+                        f"round {wj} writes in the same phase",
                         phase=pi,
                         round_index=ri,
                     )
+            need(r_ivs, f"round {ri}", pi, ri)
+        for _, _, w_ivs in writes:
+            wrote(w_ivs)
+        # the phase's folds run after its waitall: their staging reads
+        # see the phase's deliveries, their accumulator writes feed the
+        # next phase's packs
+        folds = bplan.combine_programs[pi]
+        if folds is not None:
+            combine(folds, pi)
+    need(
+        check_copy_program(bplan.copy_program, sizes, report),
+        "local-copy program",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -864,62 +705,30 @@ def run_effect_checks(
     report: VerificationReport,
     *,
     sizes: Optional[Mapping[str, int]] = None,
-    sample_limit: int = 16,
     plan: Optional[BatchedPlan] = None,
 ) -> None:
     """Append every effect-system violation of ``schedule``'s lowering
-    to ``report``: the plan itself (peer vectors, shared kernels — each
-    checked once — the fused copy program), its sampled rank views
-    (violations deduplicated across ranks) and the shm segment layout.
+    to ``report``: one pass over the plan (peer vectors, shared kernels,
+    combine step lists, the fused copy program, the lifetime ledger —
+    each checked once, for all ranks) and the shm segment layout.
     ``plan`` is the lowering to check (the verifier passes the one it
     already certified); without it the schedule is lowered here."""
-    from repro.analyze.schedule_verifier import _plan_sizes, _sample_ranks
-    from repro.mpisim.exceptions import ScheduleError
-
     if plan is not None:
         sizes = plan.sizes
     elif sizes is None:
         sizes = _plan_sizes(schedule)
     schedule.prepare()
-    periodic = all(topo.periods)
-    seen: set[tuple[object, ...]] = set()
-
-    def fresh() -> VerificationReport:
-        return VerificationReport(
-            kind=report.kind, dims=report.dims, periods=report.periods
-        )
-
-    def merge(sub: VerificationReport) -> None:
-        for v in sub.violations:
-            key = (v.code, v.phase, v.round_index, v.block, v.message)
-            if key not in seen:
-                seen.add(key)
-                report.violations.append(v)
-
     # a schedule bad enough that lowering *refuses to compile* is
     # already reported by the structural/lowering checks (and by
     # certify-on-build); the effect system only reasons about artifacts
     # that exist, so compile refusals are skipped, not re-reported
     if plan is None:
         try:
-            plan, _ = plan_mod.get_or_compile(schedule, topo, sizes=sizes)
+            plan = compile_batched_plan(schedule, topo, sizes)
         except ScheduleError:
-            plan = None
+            pass
     if plan is not None:
-        sub = fresh()
-        check_batched_effects(plan, sub)
-        check_copy_program(plan.copy_program, sizes, sub)
-        merge(sub)
-        for rank in _sample_ranks(topo.size, sample_limit):
-            sub = fresh()
-            # the views share the plan's kernel objects, checked above
-            check_plan_effects(
-                plan.for_rank(rank), sizes, sub,
-                periodic=periodic, rank=rank, check_kernels=False,
-            )
-            merge(sub)
-    from repro.core.backend.shm import compute_segment_layout
-
+        check_batched_effects(plan, report, periodic=all(topo.periods))
     try:
         shared = {name: cap for name, cap in sizes.items() if name != "temp"}
         buffer_table, slots, total = compute_segment_layout(
@@ -927,9 +736,7 @@ def run_effect_checks(
         )
     except ScheduleError:
         return
-    sub = fresh()
-    check_shm_layout(buffer_table, slots, topo.size, total, sub)
-    merge(sub)
+    check_shm_layout(buffer_table, slots, topo.size, total, report)
 
 
 def verify_effects(
@@ -940,58 +747,21 @@ def verify_effects(
     sizes: Optional[Mapping[str, int]] = None,
 ) -> VerificationReport:
     """Run only the effect-system pass (V701-V709) over ``schedule``."""
-    dims_t = tuple(int(n) for n in dims)
-    if isinstance(periods, bool):
-        periods_t: tuple[bool, ...] = (periods,) * len(dims_t)
-    else:
-        periods_t = tuple(bool(p) for p in periods)
-    topo = CartTopology(dims_t, periods_t)
-    report = VerificationReport(
-        kind=schedule.kind, dims=dims_t, periods=periods_t
-    )
+    topo, report = _open_report(schedule, dims, periods)
     run_effect_checks(schedule, topo, report, sizes=sizes)
     report.checks_run.append("effects")
     return report
-
-
-def sweep_effects() -> list[
-    tuple[str, str, tuple[int, ...], VerificationReport]
-]:
-    """Effect-verify the lowering of every sweep kind for every paper
-    stencil — the ``repro.analyze effects --all-stencils`` sweep."""
-    from repro.analyze.schedule_verifier import (
-        SWEEP_KINDS,
-        build_for_kind,
-        paper_stencil_grid,
-    )
-    from repro.core.stencils import named_stencil
-
-    results: list[tuple[str, str, tuple[int, ...], VerificationReport]] = []
-    for name, dims in paper_stencil_grid():
-        nbh = named_stencil(name)
-        if nbh.d != len(dims):
-            continue
-        nbh.validate_for_dims(dims)
-        for kind in SWEEP_KINDS:
-            schedule = build_for_kind(kind, nbh)
-            results.append(
-                (name, kind, dims, verify_effects(schedule, dims, True))
-            )
-    return results
 
 
 __all__ = [
     "KernelEffects",
     "kernel_effects",
     "check_kernel",
-    "check_plan_effects",
     "check_copy_program",
-    "check_combine_program",
     "check_batched_combine",
     "check_batched_round",
     "check_batched_effects",
     "check_shm_layout",
     "run_effect_checks",
     "verify_effects",
-    "sweep_effects",
 ]

@@ -2,8 +2,8 @@
 
 A verifier that has never seen a bug is untested hypothesis.  This
 module is the adversary: it takes *real* artifacts — the lowered
-9-point alltoall plan on a 4×4 torus and its rank-0 view, the shm
-segment layout, and the actual sources of ``lockstep.py`` / ``plan.py``
+9-point alltoall and reduce plans on a 4×4 torus, the shm segment
+layout, and the actual sources of ``lockstep.py`` / ``plan.py``
 / ``mailbox.py`` — applies one seeded corruption at a time (alias two
 recv intervals, shift an unpack offset, swap batched rows, drop a
 release, invert a lock order, …), and demands that the analyzer kill
@@ -21,29 +21,26 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
 from repro.analyze.effects import (
     check_batched_combine,
+    check_batched_effects,
     check_batched_round,
-    check_combine_program,
     check_copy_program,
     check_kernel,
-    check_plan_effects,
     check_shm_layout,
 )
 from repro.analyze.linearity import analyze_source
 from repro.analyze.report import VerificationReport
-from repro.core import plan as plan_mod
 from repro.core.plan import (
     BatchedPlan,
+    BatchedReduceRound,
     BatchedRound,
     CompiledBlockSet,
-    CompiledCopyProgram,
-    PlanRound,
-    RankPlan,
+    compile_batched_plan,
 )
 from repro.core.topology import CartTopology
 
@@ -73,24 +70,20 @@ class _Fixture:
         self.topo = CartTopology(_DIMS, _PERIODS)
         self.schedule = build_for_kind("alltoall", nbh)
         self.sizes: dict[str, int] = dict(_plan_sizes(self.schedule))
-        # one lowering per schedule; the per-rank mutants corrupt copies
-        # of its rank-0 view
-        bplan, _ = plan_mod.get_or_compile(
-            self.schedule, self.topo, sizes=self.sizes
+        # one lowering per schedule; the mutants corrupt copies of its
+        # rounds, kernels and step lists
+        self.bplan: BatchedPlan = compile_batched_plan(
+            self.schedule, self.topo, self.sizes
         )
-        self.bplan: BatchedPlan = bplan
-        self.plan: RankPlan = bplan.for_rank(0)
-        # reduction fixtures: the combining reverse-tree reduce, its
-        # masked combine rounds and rank 0's fused combine programs
+        # reduction fixtures: the combining reverse-tree reduce and its
+        # masked combine step lists
         self.reduce_schedule = build_for_kind("reduce", nbh)
         self.reduce_sizes: dict[str, int] = dict(
             _plan_sizes(self.reduce_schedule)
         )
-        rbplan, _ = plan_mod.get_or_compile(
-            self.reduce_schedule, self.topo, sizes=self.reduce_sizes
+        self.reduce_bplan: BatchedPlan = compile_batched_plan(
+            self.reduce_schedule, self.topo, self.reduce_sizes
         )
-        self.reduce_bplan: BatchedPlan = rbplan
-        self.reduce_plan: RankPlan = rbplan.for_rank(0)
         shared = {n: c for n, c in self.sizes.items() if n != "temp"}
         self.buffer_table, self.slots, self.total = compute_segment_layout(
             self.schedule, [shared] * self.topo.size
@@ -106,30 +99,11 @@ class _Fixture:
     # -- baseline: the unmutated artifacts must be clean ----------------
     def check_baseline(self) -> None:
         rep = _report()
-        check_plan_effects(self.plan, self.sizes, rep, periodic=True, rank=0)
-        check_copy_program(self.plan.copy_program, self.sizes, rep)
-        for pi, phase in enumerate(self.bplan.phases):
-            for ri, rnd in enumerate(phase):
-                check_batched_round(
-                    rnd, self.bplan.p, rep, phase=pi, round_index=ri
-                )
+        check_batched_effects(self.bplan, rep, periodic=True)
+        check_batched_effects(self.reduce_bplan, rep, periodic=True)
         check_shm_layout(
             self.buffer_table, self.slots, self.topo.size, self.total, rep
         )
-        assert self.reduce_plan.pre_program is not None
-        check_combine_program(
-            self.reduce_plan.pre_program, self.reduce_sizes, rep, rank=0
-        )
-        for pi, comb in enumerate(self.reduce_plan.combine_programs):
-            if comb is not None:
-                check_combine_program(
-                    comb, self.reduce_sizes, rep, rank=0, phase=pi
-                )
-        for comb in self.reduce_bplan.combine_programs:
-            if comb is not None:
-                check_batched_combine(
-                    comb, self.reduce_bplan.p, self.reduce_sizes, rep
-                )
         if not rep.ok:
             raise RuntimeError(
                 f"dirty effects baseline: {sorted(rep.codes())} — the "
@@ -155,23 +129,23 @@ class _Fixture:
                 )
 
     # -- structural helpers --------------------------------------------
-    def round_with(self, half: str) -> tuple[int, int, PlanRound]:
-        for pi, phase in enumerate(self.plan.phases):
+    def round_with(self, half: str) -> tuple[int, int, BatchedRound]:
+        for pi, phase in enumerate(self.bplan.phases):
             for ri, rnd in enumerate(phase):
                 if getattr(rnd, half) is not None:
                     return pi, ri, rnd
         raise RuntimeError(f"fixture has no round with a {half} half")
 
     def phase_with_two_recvs(self) -> tuple[int, int, int]:
-        for pi, phase in enumerate(self.plan.phases):
+        for pi, phase in enumerate(self.bplan.phases):
             ris = [ri for ri, r in enumerate(phase) if r.recv is not None]
             if len(ris) >= 2:
                 return pi, ris[0], ris[1]
         raise RuntimeError("fixture has no phase with two recv rounds")
 
 
-# mutated-copy helpers: originals (which live in the schedule's plan
-# cache) are never touched — only slot-for-slot copies are corrupted
+# mutated-copy helpers: the fixture's originals are never touched —
+# only slot-for-slot copies are corrupted
 
 
 def _mut_kernel(
@@ -195,32 +169,29 @@ def _dup_first_op(kernel: CompiledBlockSet) -> CompiledBlockSet:
     return _mut_kernel(kernel, run_ops=kernel._run_ops + (kernel._run_ops[0],))
 
 
-def _replace_round(
-    plan: RankPlan, pi: int, ri: int, **halves: Optional[CompiledBlockSet]
-) -> RankPlan:
-    p2 = copy.copy(plan)
-    phases = [list(phase) for phase in plan.phases]
-    rnd = phases[pi][ri]
-    phases[pi][ri] = PlanRound(
-        rnd.source,
-        rnd.target,
-        halves.get("send", rnd.send),
-        halves.get("recv", rnd.recv),
-    )
-    p2.phases = tuple(tuple(phase) for phase in phases)
-    return p2
+_Round = TypeVar("_Round", BatchedRound, BatchedReduceRound)
 
 
-def _mut_batched(rnd: BatchedRound, **attrs: object) -> BatchedRound:
+def _mut_batched(rnd: _Round, **attrs: object) -> _Round:
     r2 = copy.copy(rnd)
     for name, value in attrs.items():
         setattr(r2, name, value)
     return r2
 
 
-def _plan_codes(fx: _Fixture, plan: RankPlan) -> set[str]:
+def _replace_round(
+    plan: BatchedPlan, pi: int, ri: int, **halves: Optional[CompiledBlockSet]
+) -> BatchedPlan:
+    p2 = copy.copy(plan)
+    phases = [list(phase) for phase in plan.phases]
+    phases[pi][ri] = _mut_batched(phases[pi][ri], **halves)
+    p2.phases = tuple(tuple(phase) for phase in phases)
+    return p2
+
+
+def _plan_codes(plan: BatchedPlan) -> set[str]:
     rep = _report()
-    check_plan_effects(plan, fx.sizes, rep, periodic=True, rank=0)
+    check_batched_effects(plan, rep, periodic=True)
     return rep.codes()
 
 
@@ -309,20 +280,20 @@ def _m_dup_send(fx: _Fixture) -> set[str]:
 @_mutator("alias-recv-kernels-across-rounds", "V702")
 def _m_alias_recv(fx: _Fixture) -> set[str]:
     pi, ri, rj = fx.phase_with_two_recvs()
-    other = fx.plan.phases[pi][ri].recv
-    return _plan_codes(fx, _replace_round(fx.plan, pi, rj, recv=other))
+    other = fx.bplan.phases[pi][ri].recv
+    return _plan_codes(_replace_round(fx.bplan, pi, rj, recv=other))
 
 
 @_mutator("send-reads-own-recv-region", "V703")
 def _m_send_reads_recv(fx: _Fixture) -> set[str]:
     pi, ri, rnd = fx.round_with("recv")
-    return _plan_codes(fx, _replace_round(fx.plan, pi, ri, send=rnd.recv))
+    return _plan_codes(_replace_round(fx.bplan, pi, ri, send=rnd.recv))
 
 
 @_mutator("recv-overwrites-peer-send-source", "V703")
 def _m_recv_overwrites_send(fx: _Fixture) -> set[str]:
     pi, ri, rnd = fx.round_with("send")
-    return _plan_codes(fx, _replace_round(fx.plan, pi, ri, recv=rnd.send))
+    return _plan_codes(_replace_round(fx.bplan, pi, ri, recv=rnd.send))
 
 
 # -- V704: unsound local-copy fusion ----------------------------------------
@@ -330,7 +301,7 @@ def _m_recv_overwrites_send(fx: _Fixture) -> set[str]:
 
 @_mutator("fused-copy-overlapping-destinations", "V704")
 def _m_copy_dst_dst(fx: _Fixture) -> set[str]:
-    prog = copy.copy(fx.plan.copy_program)
+    prog = copy.copy(fx.bplan.copy_program)
     prog.fused = True
     prog._run_ops = prog._run_ops + (
         ("send", "recv", 0, 0, 16),
@@ -343,7 +314,7 @@ def _m_copy_dst_dst(fx: _Fixture) -> set[str]:
 
 @_mutator("fused-copy-destination-overlaps-source", "V704")
 def _m_copy_dst_src(fx: _Fixture) -> set[str]:
-    prog = copy.copy(fx.plan.copy_program)
+    prog = copy.copy(fx.bplan.copy_program)
     prog.fused = True
     prog._run_ops = prog._run_ops + (("recv", "recv", 0, 8, 16),)
     rep = _report()
@@ -508,7 +479,7 @@ def _m_wire_gap(fx: _Fixture) -> set[str]:
 
 @_mutator("phase0-reads-unwritten-scratch", "V709")
 def _m_temp_read(fx: _Fixture) -> set[str]:
-    send0 = fx.plan.phases[0][0].send
+    send0 = fx.bplan.phases[0][0].send
     assert send0 is not None
     sel_ops = tuple(
         ("temp", wire_sel, buf_sel)
@@ -518,7 +489,7 @@ def _m_temp_read(fx: _Fixture) -> set[str]:
         ("temp", woff, boff, n) for _name, woff, boff, n in send0._run_ops
     )
     mutated = _mut_kernel(send0, sel_ops=sel_ops, run_ops=run_ops)
-    return _plan_codes(fx, _replace_round(fx.plan, 0, 0, send=mutated))
+    return _plan_codes(_replace_round(fx.bplan, 0, 0, send=mutated))
 
 
 # -- V801/V802/V803: reduce schedule structure and dataflow -----------------
@@ -576,43 +547,38 @@ def _m_reduce_drop_pre(fx: _Fixture) -> set[str]:
     return _reduce_codes(fx, s)
 
 
-# -- V806: fused combine kernel corruption ----------------------------------
+# -- V806: combine step list corruption --------------------------------------
 
 
-def _mut_combine(prog, **attrs):
-    p2 = copy.copy(prog)
-    for name, value in attrs.items():
-        setattr(p2, name, value)
-    return p2
+def _combine_codes(fx: _Fixture, rnd: BatchedReduceRound) -> set[str]:
+    rep = _report()
+    check_batched_combine(rnd, fx.reduce_bplan.p, fx.reduce_sizes, rep)
+    return rep.codes()
+
+
+def _first_batched_combine(fx: _Fixture) -> BatchedReduceRound:
+    return next(c for c in fx.reduce_bplan.combine_programs if c is not None)
 
 
 @_mutator("combine-duplicate-initializing-copy", "V806")
 def _m_combine_double_init(fx: _Fixture) -> set[str]:
-    prog = fx.reduce_plan.pre_program
-    assert prog is not None and prog._copy_ops
-    mutated = _mut_combine(prog, _copy_ops=prog._copy_ops + (prog._copy_ops[0],))
-    rep = _report()
-    check_combine_program(mutated, fx.reduce_sizes, rep, rank=0)
-    return rep.codes()
+    pre = fx.reduce_bplan.pre_program
+    assert pre is not None and pre.steps[0][5] is None  # copies every rank
+    return _combine_codes(
+        fx, _mut_batched(pre, steps=pre.steps + (pre.steps[0],))
+    )
 
 
 @_mutator("combine-fold-aliases-accumulator", "V806")
 def _m_combine_fold_alias(fx: _Fixture) -> set[str]:
-    comb = next(c for c in fx.reduce_plan.combine_programs if c is not None)
-    assert comb._op_ops
-    src, soff, dst, doff, n = comb._op_ops[0]
+    rnd = _first_batched_combine(fx)
+    k = next(i for i, step in enumerate(rnd.steps) if step[6] is None)
+    _, _, dbuf, doff, n, copy_rows, comb_rows = rnd.steps[k]
     # fold a region into itself, shifted by half a block: src and dst
     # overlap, so the ufunc reads bytes it already clobbered
-    mutated = _mut_combine(
-        comb, _op_ops=((dst, doff, dst, doff + n // 2, n),) + comb._op_ops[1:]
-    )
-    rep = _report()
-    check_combine_program(mutated, fx.reduce_sizes, rep, rank=0)
-    return rep.codes()
-
-
-def _first_batched_combine(fx: _Fixture):
-    return next(c for c in fx.reduce_bplan.combine_programs if c is not None)
+    steps = list(rnd.steps)
+    steps[k] = (dbuf, doff, dbuf, doff + n // 2, n, copy_rows, comb_rows)
+    return _combine_codes(fx, _mut_batched(rnd, steps=tuple(steps)))
 
 
 @_mutator("batched-combine-copy-and-fold-same-rank", "V806")
@@ -621,13 +587,10 @@ def _m_batched_combine_mask_flip(fx: _Fixture) -> set[str]:
     sbuf, soff, dbuf, doff, n, copy_rows, comb_rows = rnd.steps[0]
     # rank 0 appears in both the initializing-copy mask and the fold
     # mask: its contribution would be counted twice
-    steps = [
-        (sbuf, soff, dbuf, doff, n, copy_rows, np.array([0], dtype=np.int64))
-    ] + list(rnd.steps[1:])
-    mutated = _mut_batched(rnd, steps=steps)
-    rep = _report()
-    check_batched_combine(mutated, fx.reduce_bplan.p, fx.reduce_sizes, rep)
-    return rep.codes()
+    steps = (
+        (sbuf, soff, dbuf, doff, n, copy_rows, np.array([0], dtype=np.int64)),
+    ) + rnd.steps[1:]
+    return _combine_codes(fx, _mut_batched(rnd, steps=steps))
 
 
 @_mutator("batched-combine-row-out-of-range", "V806")
@@ -635,13 +598,8 @@ def _m_batched_combine_row_range(fx: _Fixture) -> set[str]:
     rnd = _first_batched_combine(fx)
     sbuf, soff, dbuf, doff, n, copy_rows, comb_rows = rnd.steps[0]
     rows = np.array([fx.reduce_bplan.p + 1], dtype=np.int64)
-    steps = [(sbuf, soff, dbuf, doff, n, rows, comb_rows)] + list(
-        rnd.steps[1:]
-    )
-    mutated = _mut_batched(rnd, steps=steps)
-    rep = _report()
-    check_batched_combine(mutated, fx.reduce_bplan.p, fx.reduce_sizes, rep)
-    return rep.codes()
+    steps = ((sbuf, soff, dbuf, doff, n, rows, comb_rows),) + rnd.steps[1:]
+    return _combine_codes(fx, _mut_batched(rnd, steps=steps))
 
 
 # -- L006/L007: pool linearity over real backend sources --------------------

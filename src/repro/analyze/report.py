@@ -75,7 +75,7 @@ CODES: dict[str, str] = {
     "V803": "reduce dataflow delivers the wrong contribution multiset",
     "V804": "combine operator fails commutativity/associativity probe",
     "V805": "lockstep reduction content differs from the definition",
-    "V806": "fused combine kernel has order-dependent effects",
+    "V806": "combine step list has order-dependent effects",
 }
 
 

@@ -27,8 +27,9 @@ instantiates the schedule for every rank of the torus and checks:
     :mod:`repro.core.plan` and its sampled rank views preserve round
     structure, peer resolution, pack/unpack bytes and local-copy
     results, so Props. 3.1–3.3 remain certified for the compiled form
-    (V501–V504), and its matrix execution agrees with a lockstep
-    execution of its rank views (V506);
+    (V501–V504); one sentinel execution of that plan shows its matrix
+    execution agreeing with a lockstep execution of its rank views
+    (V506) and, for reductions, with the collective's definition (V805);
 
 plus a concrete **content simulation**: a single-threaded interpretation
 of the schedule over all ranks with rank-unique sentinel bytes, proving
@@ -43,12 +44,14 @@ first defect.
 
 from __future__ import annotations
 
+import time
 from collections import Counter, deque
 from typing import (
     TYPE_CHECKING,
     Callable,
     Iterable,
     Iterator,
+    NamedTuple,
     Optional,
     Sequence,
 )
@@ -79,8 +82,27 @@ REDUCE_TRIVIAL_KINDS = frozenset(
 )
 REDUCE_KINDS = REDUCE_TREE_KINDS | REDUCE_TRIVIAL_KINDS
 
-#: content simulation is skipped above this total simulated-state size
-DEFAULT_CONTENT_BUDGET = 1 << 24
+#: the content simulation and the sentinel execution are skipped above
+#: this total simulated-state size
+CONTENT_BUDGET = 1 << 24
+
+
+def _open_report(
+    schedule: Schedule,
+    dims: Sequence[int],
+    periods: Sequence[bool] | bool,
+) -> tuple[CartTopology, VerificationReport]:
+    """The topology a verification entry point was asked about (a bare
+    ``periods`` bool applies to every dimension) and its empty report."""
+    dims_t = tuple(int(n) for n in dims)
+    if isinstance(periods, bool):
+        periods_t: tuple[bool, ...] = (periods,) * len(dims_t)
+    else:
+        periods_t = tuple(bool(p) for p in periods)
+    report = VerificationReport(
+        kind=schedule.kind, dims=dims_t, periods=periods_t
+    )
+    return CartTopology(dims_t, periods_t), report
 
 
 # ----------------------------------------------------------------------
@@ -482,8 +504,6 @@ def _simulate_content(
     schedule: Schedule,
     topo: CartTopology,
     report: VerificationReport,
-    *,
-    max_bytes: int,
 ) -> bool:
     """Interpret the schedule for all ranks with sentinel bytes.
 
@@ -518,7 +538,7 @@ def _simulate_content(
     if input_buffers & output_buffers:
         return False  # in-place layouts have no closed-form expectation
     total_state = topo.size * sum(extents.values())
-    if total_state > max_bytes:
+    if total_state > CONTENT_BUDGET:
         return False
 
     buffer_names = sorted(extents)
@@ -650,18 +670,17 @@ def _simulate_content(
 # ----------------------------------------------------------------------
 # check (e): plan-lowering conformance (V501-V504)
 # ----------------------------------------------------------------------
-#: ranks per torus actually lowered and byte-compared (corners always
-#: included); full coverage below this bound
+#: rank views per torus whose peers are compared with translation
+#: (evenly spaced, both corners always included); full coverage up to
+#: this bound
 PLAN_SAMPLE_RANKS = 16
 
 
-def _sample_ranks(size: int, limit: int = PLAN_SAMPLE_RANKS) -> list[int]:
-    if size <= limit:
+def _sample_ranks(size: int) -> list[int]:
+    if size <= PLAN_SAMPLE_RANKS:
         return list(range(size))
-    stride = max(1, size // (limit - 2))
-    picked = {0, size - 1}
-    picked.update(range(0, size, stride))
-    return sorted(picked)[:limit]
+    last = PLAN_SAMPLE_RANKS - 1
+    return [i * (size - 1) // last for i in range(PLAN_SAMPLE_RANKS)]
 
 
 def _plan_sizes(schedule: Schedule) -> dict[str, int]:
@@ -683,6 +702,23 @@ def _sentinel_buffers(
     return out
 
 
+def _lower(
+    schedule: Schedule, topo: CartTopology, report: VerificationReport
+) -> Optional["BatchedPlan"]:
+    """The one lowering of a verification, at synthesized buffer sizes
+    and outside the schedule's plan cache (inspecting a schedule leaves
+    nothing on it); a refusal is V501."""
+    from repro.core.plan import compile_batched_plan
+    from repro.mpisim.exceptions import ScheduleError
+
+    schedule.prepare()
+    try:
+        return compile_batched_plan(schedule, topo, _plan_sizes(schedule))
+    except ScheduleError as exc:
+        report.add("V501", f"plan lowering refused the schedule: {exc}")
+        return None
+
+
 def _check_plan_lowering(
     schedule: Schedule, topo: CartTopology, report: VerificationReport
 ) -> Optional["BatchedPlan"]:
@@ -699,16 +735,10 @@ def _check_plan_lowering(
     unchanged, so the already-checked round counts and volumes carry
     over.  Returns the plan (``None`` when it cannot be used further)
     so the later passes check the same object."""
-    from repro.core.plan import compile_batched_plan
-    from repro.mpisim.exceptions import ScheduleError
-
-    schedule.prepare()
-    sizes = _plan_sizes(schedule)
-    try:
-        plan = compile_batched_plan(schedule, topo, sizes)
-    except ScheduleError as exc:
-        report.add("V501", f"plan lowering refused the schedule: {exc}")
+    plan = _lower(schedule, topo, report)
+    if plan is None:
         return None
+    sizes = plan.sizes
     shape = tuple(len(ph) for ph in plan.phases)
     want_shape = tuple(len(ph.rounds) for ph in schedule.phases)
     if shape != want_shape:
@@ -816,24 +846,31 @@ def _check_plan_lowering(
 
 
 # ----------------------------------------------------------------------
-# check (f): matrix execution vs row-view execution (V506)
+# check (f): the sentinel execution (V506, V805)
 # ----------------------------------------------------------------------
 
 
-def _check_matrix_execution(
+def _check_execution(
     schedule: Schedule,
     topo: CartTopology,
     plan: "BatchedPlan",
     report: VerificationReport,
-    max_bytes: int = DEFAULT_CONTENT_BUDGET,
-) -> None:
-    """Certify that the two ways of running the one plan agree: within a
-    byte budget, :meth:`BatchedPlan.execute` over the rank matrices must
-    leave every rank's buffers byte-identical to a lockstep execution of
-    the same plan's row views on the same sentinel inputs (V506).  The
-    comparison binds an explicit sentinel ``temp`` buffer on both paths,
-    so even scratch staged through mesh-edge slots is compared
-    bit-exactly."""
+    *,
+    definition: bool,
+) -> bool:
+    """The one sentinel execution of the certified plan, judged twice.
+
+    Within the byte budget the plan's row views are driven in lockstep
+    and :meth:`BatchedPlan.execute` runs over the rank matrices, on the
+    same sentinel inputs — an explicit sentinel ``temp`` included, so
+    even scratch staged through mesh-edge slots is compared bit-exactly.
+    The two ways of running the one plan must leave every rank's buffers
+    byte-identical (V506).  With ``definition`` (a reduction whose
+    structure, dataflow and operator checks passed) the inputs are
+    integers of the combine dtype and the lockstep result must also
+    equal the collective's definition folded directly (V805, see
+    :func:`_reduce_wanted`).  Returns whether the definition was
+    compared."""
     from repro.core.backend.interpreter import ScheduleInterpreter
     from repro.core.backend.lockstep import (
         LockstepExchange,
@@ -844,12 +881,11 @@ def _check_matrix_execution(
 
     sizes = plan.sizes
     p = topo.size
-    if p * sum(sizes.values()) > max_bytes:
-        return
-    ref_bufs = [_sentinel_buffers(sizes, seed=r) for r in range(p)]
-    got_bufs = [
-        {k: v.copy() for k, v in ref_bufs[r].items()} for r in range(p)
-    ]
+    if p * sum(sizes.values()) > CONTENT_BUDGET:
+        return False
+    start = [_sentinel_buffers(sizes, seed=r) for r in range(p)]
+    wanted = _reduce_wanted(schedule, topo, start) if definition else None
+    ref_bufs = [{k: v.copy() for k, v in bufs.items()} for bufs in start]
     exchange = LockstepExchange()
     try:
         # random sentinel bytes form NaN/inf patterns under float combine
@@ -870,12 +906,14 @@ def _check_matrix_execution(
                 ],
                 exchange,
             )
-    except Exception:
+    except Exception as exc:
         # schedules the lockstep executor itself rejects are covered by
-        # the matching/aliasing checks; there is nothing to compare
-        return
+        # the matching/aliasing checks — unless the run owed a result
+        if wanted is not None:
+            report.add("V805", f"lockstep reduction raised: {exc!r}")
+        return wanted is not None
     matrices = {
-        name: np.stack([byte_view(got_bufs[r][name]) for r in range(p)])
+        name: np.stack([byte_view(start[r][name]) for r in range(p)])
         for name in sizes
     }
     try:
@@ -887,42 +925,37 @@ def _check_matrix_execution(
             "V506",
             f"matrix execution raised {exc!r} where lockstep succeeded",
         )
-        return
-    for rank in range(p):
-        bad = [
-            name
-            for name in sizes
-            if not np.array_equal(
-                byte_view(ref_bufs[rank][name]), matrices[name][rank]
-            )
-        ]
-        if bad:
-            report.add(
-                "V506",
-                f"matrix execution leaves buffer(s) {sorted(bad)} in a "
-                f"different state than lockstep over the rank views",
-                rank=rank,
-            )
-            return
-
-
-def verify_plan_lowering(
-    schedule: Schedule,
-    dims: Sequence[int],
-    periods: Sequence[bool] | bool = True,
-) -> VerificationReport:
-    """Run only the plan-lowering conformance check (V501-V504)."""
-    dims_t = tuple(int(n) for n in dims)
-    if isinstance(periods, bool):
-        periods_t: tuple[bool, ...] = (periods,) * len(dims_t)
     else:
-        periods_t = tuple(bool(p) for p in periods)
-    report = VerificationReport(
-        kind=schedule.kind, dims=dims_t, periods=periods_t
-    )
-    _check_plan_lowering(schedule, CartTopology(dims_t, periods_t), report)
-    report.checks_run.append("plan-lowering")
-    return report
+        for rank in range(p):
+            bad = [
+                name
+                for name in sizes
+                if not np.array_equal(
+                    byte_view(ref_bufs[rank][name]), matrices[name][rank]
+                )
+            ]
+            if bad:
+                report.add(
+                    "V506",
+                    f"matrix execution leaves buffer(s) {sorted(bad)} in "
+                    f"a different state than lockstep over the rank views",
+                    rank=rank,
+                )
+                break
+    if wanted is None:
+        return False
+    for rank, outputs in enumerate(wanted):
+        for (buf, off, n), want in outputs.items():
+            got = byte_view(ref_bufs[rank][buf])[off : off + n]
+            if not np.array_equal(got.view(want.dtype), want):
+                report.add(
+                    "V805",
+                    f"reduction result differs from the definition at "
+                    f"rank {rank}, output region {buf!r}[{off}:{off + n})",
+                    rank=rank,
+                )
+                return True
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -932,28 +965,18 @@ def verify_schedule(
     schedule: Schedule,
     dims: Sequence[int],
     periods: Sequence[bool] | bool = True,
-    *,
-    content: bool = True,
-    max_content_bytes: int = DEFAULT_CONTENT_BUDGET,
-    plans: bool = True,
 ) -> VerificationReport:
     """Statically verify ``schedule`` against the whole torus.
 
     Returns a :class:`VerificationReport` listing *every* violation
     found; ``report.ok`` means the schedule is certified for the given
-    ``(dims, periods)`` — including its plan-lowered form (``plans``
-    controls the V501-V506 and effect passes, which share one lowering).
+    ``(dims, periods)`` — including its plan-lowered form (the
+    V501-V506, V805 and effect passes share one lowering, which is not
+    left on the schedule).
     """
-    dims_t = tuple(int(n) for n in dims)
-    if isinstance(periods, bool):
-        periods_t: tuple[bool, ...] = (periods,) * len(dims_t)
-    else:
-        periods_t = tuple(bool(p) for p in periods)
-    topo = CartTopology(dims_t, periods_t)
-    report = VerificationReport(
-        kind=schedule.kind, dims=dims_t, periods=periods_t
-    )
+    from repro.analyze.effects import run_effect_checks
 
+    topo, report = _open_report(schedule, dims, periods)
     _check_structure(schedule, report)
     report.checks_run.append("structure")
     if schedule.kind == "alltoall":
@@ -963,31 +986,21 @@ def verify_schedule(
     report.checks_run.append("quantitative")
     _check_matching(schedule, topo, report)
     report.checks_run.append("matching+deadlock")
-    if schedule.is_reduction:
-        _run_reduce_checks(
-            schedule,
-            topo,
-            report,
-            content=content,
-            max_content_bytes=max_content_bytes,
-        )
-    if content:
-        if _simulate_content(
-            schedule, topo, report, max_bytes=max_content_bytes
+    definition = schedule.is_reduction and _run_reduce_checks(
+        schedule, topo, report
+    )
+    if _simulate_content(schedule, topo, report):
+        report.checks_run.append("content")
+    plan = _check_plan_lowering(schedule, topo, report)
+    report.checks_run.append("plan-lowering")
+    if plan is not None:
+        if _check_execution(
+            schedule, topo, plan, report, definition=definition
         ):
-            report.checks_run.append("content")
-    if plans:
-        plan = _check_plan_lowering(schedule, topo, report)
-        report.checks_run.append("plan-lowering")
-        if plan is not None:
-            _check_matrix_execution(
-                schedule, topo, plan, report, max_bytes=max_content_bytes
-            )
-            report.checks_run.append("matrix-execution")
-        from repro.analyze.effects import run_effect_checks
-
-        run_effect_checks(schedule, topo, report, plan=plan)
-        report.checks_run.append("effects")
+            report.checks_run.append("reduce-content")
+        report.checks_run.append("matrix-execution")
+    run_effect_checks(schedule, topo, report, plan=plan)
+    report.checks_run.append("effects")
     return report
 
 
@@ -995,26 +1008,17 @@ def certify_schedule(
     schedule: Schedule,
     dims: Sequence[int],
     periods: Sequence[bool] | bool = True,
-    *,
-    content: bool = True,
-    max_content_bytes: int = DEFAULT_CONTENT_BUDGET,
 ) -> VerificationReport:
     """Like :func:`verify_schedule` but raises
     :class:`~repro.analyze.report.ScheduleValidationError` on any
     violation.  This is the ``verify_on_build`` hook."""
-    report = verify_schedule(
-        schedule,
-        dims,
-        periods,
-        content=content,
-        max_content_bytes=max_content_bytes,
-    )
+    report = verify_schedule(schedule, dims, periods)
     report.raise_if_failed()
     return report
 
 
 # ----------------------------------------------------------------------
-# check (h): reduce-schedule verification (V801-V805)
+# check (h): reduce-schedule verification (V801-V804; V805's oracle)
 # ----------------------------------------------------------------------
 #: element count per rank block in the reduce content simulation
 _REDUCE_PROBE_ELEMS = 5
@@ -1092,7 +1096,7 @@ def _check_reduce_structure(
     """V802 over the unified reduction schedule: periodicity
     preconditions, per-phase offset routing, combine-step gating and
     element alignment, and the staging/accumulator separation that keeps
-    the fused combine kernels order-independent."""
+    the lowered combine steps order-independent."""
     nbh = schedule.neighborhood
     d = nbh.d
     if schedule.kind in REDUCE_TREE_KINDS and not topo.is_fully_periodic:
@@ -1320,128 +1324,75 @@ def _check_reduce_dataflow(
     return ok
 
 
-def _check_reduce_content(
+def _reduce_wanted(
     schedule: Schedule,
     topo: CartTopology,
-    report: VerificationReport,
-    *,
-    max_bytes: int = DEFAULT_CONTENT_BUDGET,
-) -> bool:
-    """V805: one end-to-end lockstep execution on integer sentinels vs
-    the collective's definition, with mesh gating (off-edge sources are
-    skipped; trivial kinds only — tree kinds refuse meshes earlier).
+    bufs: list[dict[str, np.ndarray]],
+) -> Optional[list[dict[tuple[str, int, int], np.ndarray]]]:
+    """The V805 oracle.  Reseeds every rank's input buffers in ``bufs``
+    with small integers of the combine dtype (exact under every named
+    operator) and folds, per rank and output region, the blocks the
+    definition names — :func:`_reduce_expected`'s contribution table,
+    the one V803 checks symbolically — with mesh gating: off-edge
+    sources are skipped (trivial kinds only; tree kinds refuse meshes
+    earlier).  ``None`` when the kind has no defined expectation, the
+    inputs are not whole elements, or some rank has no live contribution
+    (it must raise, not compare)."""
+    from repro.core.reduce_schedule import resolve_op_token
+    from repro.mpisim.datatypes import byte_view
 
-    Skipped for custom operator tokens: they are process-local and the
-    definition's fold order is unspecified for non-commutative ones."""
-    from repro.core.backend.lockstep import LockstepBackend
-    from repro.core.reduce_schedule import (
-        is_custom_op_token,
-        resolve_op_token,
-    )
-
-    token = schedule.combine_op
-    if token is None or is_custom_op_token(token):
-        return False
-    op_fn = resolve_op_token(token)
+    expected = _reduce_expected(schedule)
+    if expected is None or not schedule.send_layout:
+        return None
+    assert schedule.combine_op is not None
+    op_fn = resolve_op_token(schedule.combine_op)
     dt = np.dtype(schedule.combine_dtype)
-    ext = _buffer_extents(schedule)
-    send_bytes = ext.get("send", 0)
-    recv_bytes = ext.get("recv", 0)
-    p = topo.size
-    if (
-        send_bytes % dt.itemsize
-        or recv_bytes % dt.itemsize
-        or p * (send_bytes + recv_bytes + schedule.temp_nbytes) > max_bytes
-    ):
-        return False
-    if not (schedule.send_layout and schedule.recv_layout):
-        return False
-
-    nbh = schedule.neighborhood
-    offsets = [tuple(int(x) for x in off) for off in nbh]
-    # (source offset, send block index) contributions per output slot
-    if schedule.kind in ("reduce", "trivial-reduce"):
-        slot_contribs = [[(off, 0) for off in offsets]]
-    elif schedule.kind in ("reduce-scatter", "trivial-reduce-scatter"):
-        slot_contribs = [[(off, i) for i, off in enumerate(offsets)]]
-    elif schedule.kind == "allreduce":
-        slot_contribs = [
-            [
-                (tuple(a + b for a, b in zip(offsets[j], off)), 0)
-                for off in offsets
-            ]
-            for j in range(nbh.t)
-        ]
-    else:
-        return False
-
+    blocks = [next(iter(bs)) for bs in schedule.send_layout]
+    inputs = sorted({ref.buffer for ref in blocks})
+    if any(bufs[0][name].nbytes % dt.itemsize for name in inputs):
+        return None
     rng = np.random.default_rng(2019)
-    sendbufs = [
-        rng.integers(1, 50, send_bytes // dt.itemsize).astype(dt)
-        for _ in range(p)
+    for rank_bufs in bufs:
+        for name in inputs:
+            count = rank_bufs[name].nbytes // dt.itemsize
+            rank_bufs[name] = rng.integers(1, 50, count).astype(dt)
+    block_views = [
+        [
+            byte_view(rank_bufs[ref.buffer])[
+                ref.offset : ref.offset + ref.nbytes
+            ].view(dt)
+            for ref in blocks
+        ]
+        for rank_bufs in bufs
     ]
-    recvbufs = [np.zeros(recv_bytes // dt.itemsize, dt) for _ in range(p)]
-    # a rank with no live contribution must raise, not compare
-    for rank in range(p):
-        for contribs in slot_contribs:
-            if not any(
-                topo.translate(rank, tuple(-o for o in off)) is not None
-                for off, _ in contribs
-            ):
-                return False
-    try:
-        LockstepBackend().execute_all(
-            topo,
-            schedule,
-            [
-                {"send": sendbufs[r], "recv": recvbufs[r]}
-                for r in range(p)
-            ],
-        )
-    except Exception as exc:
-        report.add("V805", f"lockstep reduction raised: {exc!r}")
-        return True
-
-    def block(rank: int, index: int) -> np.ndarray:
-        ref = next(iter(schedule.send_layout[index]))
-        lo = ref.offset // dt.itemsize
-        return sendbufs[rank][lo : lo + ref.nbytes // dt.itemsize]
-
-    for rank in range(p):
-        for slot, contribs in enumerate(slot_contribs):
-            want = None
-            for off, bi in contribs:
-                src = topo.translate(rank, tuple(-o for o in off))
+    wanted: list[dict[tuple[str, int, int], np.ndarray]] = []
+    for rank in range(topo.size):
+        outputs: dict[tuple[str, int, int], np.ndarray] = {}
+        for key, contributions in expected.items():
+            want: Optional[np.ndarray] = None
+            for delta, index in contributions.elements():
+                src = topo.translate(rank, delta)
                 if src is None:
                     continue
-                b = block(src, bi)
-                want = b.copy() if want is None else op_fn(want, b)
-            ref = next(iter(schedule.recv_layout[slot]))
-            lo = ref.offset // dt.itemsize
-            got = recvbufs[rank][lo : lo + ref.nbytes // dt.itemsize]
-            if want is None or not np.array_equal(got, want):
-                report.add(
-                    "V805",
-                    f"reduction result differs from the definition at "
-                    f"rank {rank}, output slot {slot}",
-                    rank=rank,
-                )
-                return True
-    return True
+                block = block_views[src][index]
+                want = block.copy() if want is None else op_fn(want, block)
+            if want is None:
+                return None
+            outputs[key] = want
+        wanted.append(outputs)
+    return wanted
 
 
 def _run_reduce_checks(
-    schedule: Schedule,
-    topo: CartTopology,
-    report: VerificationReport,
-    *,
-    content: bool = True,
-    max_content_bytes: int = DEFAULT_CONTENT_BUDGET,
-) -> None:
-    """The reduction pass shared by :func:`verify_schedule` and
-    :func:`verify_reduce_schedule`: V802 structure, V803 dataflow, the
-    V804 probe of the schedule's own operator, and the V805 end-to-end
-    content comparison."""
+    schedule: Schedule, topo: CartTopology, report: VerificationReport
+) -> bool:
+    """The static reduction pass shared by :func:`verify_schedule` and
+    :func:`verify_reduce_schedule`: V802 structure, V803 dataflow and
+    the V804 probe of the schedule's own operator.  Returns whether the
+    sentinel execution may be held to the definition (V805): all three
+    passed and the operator is a named one — custom tokens are
+    process-local and the definition's fold order is unspecified for
+    non-commutative ones."""
     from repro.core.reduce_schedule import (
         is_custom_op_token,
         resolve_op_token,
@@ -1452,16 +1403,11 @@ def _run_reduce_checks(
     _check_reduce_dataflow(schedule, report)
     report.checks_run.append("reduce-dataflow")
     token = schedule.combine_op
-    op_ok = True
-    if token is not None and not is_custom_op_token(token):
-        op_ok = _probe_operator(resolve_op_token(token), token, report)
-        report.checks_run.append("reduce-operator")
-    structural_bad = report.codes() & {"V801", "V802", "V803"}
-    if content and op_ok and not structural_bad:
-        if _check_reduce_content(
-            schedule, topo, report, max_bytes=max_content_bytes
-        ):
-            report.checks_run.append("reduce-content")
+    if token is None or is_custom_op_token(token):
+        return False
+    op_ok = _probe_operator(resolve_op_token(token), token, report)
+    report.checks_run.append("reduce-operator")
+    return op_ok and not report.codes() & {"V801", "V802", "V803"}
 
 
 def verify_reduce_schedule(
@@ -1470,7 +1416,6 @@ def verify_reduce_schedule(
     periods: Sequence[bool] | bool = True,
     *,
     probe_named_ops: bool = True,
-    content: bool = True,
 ) -> VerificationReport:
     """Statically verify a reduction schedule (any kind in
     :data:`REDUCE_KINDS`) against the whole torus.
@@ -1494,27 +1439,24 @@ def verify_reduce_schedule(
       associativity probe on exact integer operands (the ``MPI_Op``
       contract; ``probe_named_ops`` additionally pins the whole named
       operator table);
-    * **V805** — an end-to-end lockstep execution on integer sentinels
-      matches the definition ``recv(r) = reduce_i block(r − N[i])`` (and
-      its scatter/allreduce analogues) computed directly.
+    * **V805** — the sentinel execution of the lowered plan on integer
+      inputs matches the definition ``recv(r) = reduce_i block(r −
+      N[i])`` (and its scatter/allreduce analogues) computed directly.
     """
     from repro.core.reduce_schedule import OPS
 
-    dims_t = tuple(int(n) for n in dims)
-    if isinstance(periods, bool):
-        periods_t: tuple[bool, ...] = (periods,) * len(dims_t)
-    else:
-        periods_t = tuple(bool(p) for p in periods)
-    topo = CartTopology(dims_t, periods_t)
-    report = VerificationReport(
-        kind=schedule.kind, dims=dims_t, periods=periods_t
-    )
+    topo, report = _open_report(schedule, dims, periods)
     if not schedule.is_reduction:
         report.add("V802", "schedule carries no combine operator")
         return report
     _check_quantitative(schedule, report)
     report.checks_run.append("reduce-quantitative")
-    _run_reduce_checks(schedule, topo, report, content=content)
+    if _run_reduce_checks(schedule, topo, report):
+        plan = _lower(schedule, topo, report)
+        if plan is not None and _check_execution(
+            schedule, topo, plan, report, definition=True
+        ):
+            report.checks_run.append("reduce-content")
     if probe_named_ops:
         for name, fn in sorted(OPS.items()):
             if name != schedule.combine_op:
@@ -1567,11 +1509,20 @@ def build_for_kind(
     return builder(nbh, send_blocks, recv_blocks)
 
 
-def sweep_stencils(
-    kinds: Sequence[str] = SWEEP_KINDS,
-) -> list[tuple[str, str, tuple[int, ...], VerificationReport]]:
-    """Verify every sweep kind for every paper stencil; returns
-    (stencil, kind, dims, report) for each combination."""
+class SweepRow(NamedTuple):
+    """One (stencil, kind) cell of the sweep, with what it cost."""
+
+    stencil: str
+    kind: str
+    dims: tuple[int, ...]
+    report: VerificationReport
+    build_seconds: float
+    certify_seconds: float
+
+
+def sweep_stencils(kinds: Sequence[str] = SWEEP_KINDS) -> list[SweepRow]:
+    """Build and verify every sweep kind for every paper stencil, timing
+    the two layers apart (certification sits on every cold path)."""
     from repro.core.stencils import named_stencil
 
     results = []
@@ -1581,8 +1532,10 @@ def sweep_stencils(
             continue
         nbh.validate_for_dims(dims)
         for kind in kinds:
+            t0 = time.perf_counter()
             schedule = build_for_kind(kind, nbh)
-            results.append(
-                (name, kind, dims, verify_schedule(schedule, dims, True))
-            )
+            t1 = time.perf_counter()
+            report = verify_schedule(schedule, dims, True)
+            t2 = time.perf_counter()
+            results.append(SweepRow(name, kind, dims, report, t1 - t0, t2 - t1))
     return results

@@ -26,7 +26,6 @@ test can.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
@@ -53,10 +52,10 @@ def registered_backends(size: Optional[int] = None) -> list[str]:
     cannot fork or ``size`` exceeds the shm backend's rank bound.
     """
     from repro.core.backend import BACKENDS
+    from repro.core.backend.shm import shm_max_ranks
 
     names = [n for n in sorted(BACKENDS) if n != "shm"]
-    max_ranks = int(os.environ.get("REPRO_SHM_MAX_RANKS", "64"))
-    if HAVE_FORK and (size is None or size <= max_ranks):
+    if HAVE_FORK and (size is None or size <= shm_max_ranks()):
         names.append("shm")
     return names
 

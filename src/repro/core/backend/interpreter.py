@@ -15,7 +15,7 @@ lives *only* here:
   source/target (non-periodic mesh boundary) skips that half of the
   round — the halo semantics of stencil codes;
 * one ``waitall`` completes each phase (reductions then fold the
-  phase's staging regions with the rank's fused combine program);
+  phase's staging regions with the rank's rows of the combine steps);
 * the final non-communication phase performs the rank-local copies.
 
 Blocking execution is :meth:`run`.  Split-phase front-ends call

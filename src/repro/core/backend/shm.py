@@ -57,6 +57,13 @@ from repro.mpisim.exceptions import ScheduleError
 #: Refuse to fork absurd process counts; override for big-machine runs.
 _MAX_RANKS_ENV = "REPRO_SHM_MAX_RANKS"
 _DEFAULT_MAX_RANKS = 64
+
+
+def shm_max_ranks() -> int:
+    """The most ranks the shm backend will fork (``REPRO_SHM_MAX_RANKS``)."""
+    return int(os.environ.get(_MAX_RANKS_ENV, _DEFAULT_MAX_RANKS))
+
+
 #: seconds a worker waits at a phase barrier before giving up
 _TIMEOUT = 60.0
 
@@ -179,7 +186,7 @@ class ShmBackend(Backend):
             raise ScheduleError(
                 f"need one buffer set per rank: p={p}, got {len(rank_buffers)}"
             )
-        max_ranks = int(os.environ.get(_MAX_RANKS_ENV, _DEFAULT_MAX_RANKS))
+        max_ranks = shm_max_ranks()
         if p > max_ranks:
             raise BackendError(
                 f"shm backend refuses {p} ranks (> {_MAX_RANKS_ENV}="

@@ -544,7 +544,7 @@ def compile_copies(
 
 
 # ---------------------------------------------------------------------------
-# fused combine (reduction) kernels
+# combine (reduction) steps: one rank's rows
 # ---------------------------------------------------------------------------
 
 
@@ -553,170 +553,59 @@ def _dtype_slice(off: int, nbytes: int, itemsize: int) -> slice:
     return slice(off // itemsize, (off + nbytes) // itemsize)
 
 
-class CombineProgram:
-    """One rank's fused combine kernel for a step list (the pre-steps, or
-    one phase's post-``waitall`` folds), fully resolved at compile time.
+class RankReduceRound:
+    """One rank's rows of a :class:`BatchedReduceRound`: the steps whose
+    copy rows or fold rows contain the rank, in the batched step order.
 
-    It is derived from the rank's rows of a :class:`BatchedReduceRound`:
-    the lowering's row masks already decide ``when_round`` gating (the
-    peer ranks are known) and first-write-wins initialization (the
-    execution order is known), so at run time only three op shapes remain:
+    Nothing is compiled for the rank: the lowering's row masks already
+    decided ``when_round`` gating (the peer ranks are known) and
+    first-write-wins initialization (the execution order is known), so a
+    step is either a byte-slice copy (accumulator initialization) or an
+    in-place fold — ``ufunc(dst, src, out=dst)`` on dtype views of the
+    byte slices, or ``dst[...] = fn(dst, src)`` for custom callables —
+    and running the rank's steps one by one applies the operator in
+    exactly the order :meth:`BatchedReduceRound.run` applies it to the
+    rank's matrix row."""
 
-    * ``copy`` — plain byte-slice copies (accumulator initialization);
-    * ``op`` — sliced in-place ufunc applications over contiguous runs
-      (``ufunc(dst, src, out=dst)`` on dtype views), or the sequential
-      ``dst[...] = fn(dst, src)`` form for custom callables;
-    * ``at`` — one ``ufunc.at`` scatter-reduce over precomputed element
-      index arrays, used when a fused group's destination regions repeat
-      (duplicate accumulator contributions — the fragmented-layout case
-      where ordered slicing would force a per-step loop).
-
-    Copies are emitted before combines: within one program the first
-    step targeting a region is by construction its initializing copy, so
-    hoisting copies never reorders a read-after-write, and it lets the
-    combine tail fuse into fewer kernels.
-    """
-
-    __slots__ = ("token", "dtype", "nbytes", "_copy_ops", "_op_ops",
-                 "_at_ops", "_ufunc", "_fn")
+    __slots__ = ("round", "steps", "names", "nbytes")
 
     def __init__(
         self,
-        token: str,
-        dtype: np.dtype,
-        copy_ops: Sequence[tuple[str, int, str, int, int]],
-        op_ops: Sequence[tuple[str, int, str, int, int]],
-        at_ops: Sequence[tuple[str, np.ndarray, str, np.ndarray]],
+        rnd: "BatchedReduceRound",
+        steps: Sequence[tuple[bool, str, int, str, int, int]],
     ) -> None:
-        from repro.core.reduce_schedule import (
-            resolve_op_token,
-            ufunc_for_token,
+        self.round = rnd
+        #: (is copy, src buffer, src offset, dst buffer, dst offset, nbytes)
+        self.steps = tuple(steps)
+        #: the buffers the steps touch
+        self.names = tuple(
+            {name for step in steps for name in (step[1], step[3])}
         )
-
-        self.token = token
-        self.dtype = dtype
-        #: (src buffer, src offset, dst buffer, dst offset, nbytes)
-        self._copy_ops = tuple(copy_ops)
-        self._op_ops = tuple(op_ops)
-        #: (src buffer, src element indices, dst buffer, dst element idx)
-        self._at_ops = tuple(at_ops)
-        self._ufunc = ufunc_for_token(token)
-        self._fn = None if self._ufunc is not None else resolve_op_token(token)
-        self.nbytes = sum(op[4] for op in copy_ops) + sum(
-            op[4] for op in op_ops
-        ) + sum(idx.size * dtype.itemsize for _, idx, _, _ in at_ops)
+        self.nbytes = sum(step[5] for step in steps)
 
     def run(self, buffers: Mapping[str, np.ndarray]) -> None:
-        dt = self.dtype
-        for src, soff, dst, doff, n in self._copy_ops:
-            byte_view(buffers[dst])[doff : doff + n] = byte_view(
-                buffers[src]
-            )[soff : soff + n]
-        for src, soff, dst, doff, n in self._op_ops:
-            s = byte_view(buffers[src])[soff : soff + n].view(dt)
-            d = byte_view(buffers[dst])[doff : doff + n].view(dt)
-            if self._ufunc is not None:
-                self._ufunc(d, s, out=d)
+        dt = self.round.dtype
+        ufunc = self.round._ufunc
+        fn = self.round._fn
+        views = {name: byte_view(buffers[name]) for name in self.names}
+        for is_copy, sbuf, soff, dbuf, doff, n in self.steps:
+            s = views[sbuf][soff : soff + n]
+            d = views[dbuf][doff : doff + n]
+            if is_copy:
+                d[...] = s
+                continue
+            s = s.view(dt)
+            d = d.view(dt)
+            if ufunc is not None:
+                ufunc(d, s, out=d)
             else:
-                d[...] = self._fn(d, s)
-        for src, sidx, dst, didx in self._at_ops:
-            sview = byte_view(buffers[src]).view(dt)
-            dview = byte_view(buffers[dst]).view(dt)
-            self._ufunc.at(dview, didx, sview[sidx])
-
-    @property
-    def num_kernels(self) -> int:
-        return len(self._copy_ops) + len(self._op_ops) + len(self._at_ops)
+                d[...] = fn(d, s)
 
     def __repr__(self) -> str:
         return (
-            f"CombineProgram({self.token}/{self.dtype.str}, "
-            f"{len(self._copy_ops)} copies, {len(self._op_ops)} op runs, "
-            f"{len(self._at_ops)} scatter-reduces)"
+            f"RankReduceRound({self.round.token}/{self.round.dtype.str}, "
+            f"{len(self.steps)} of {len(self.round.steps)} steps)"
         )
-
-
-#: One rank's resolved combine step: (is_copy, src buffer, src offset,
-#: dst buffer, dst offset, nbytes).
-ResolvedStep = tuple[bool, str, int, str, int, int]
-
-
-def _coalesce_steps(steps: Sequence[ResolvedStep]) -> list[ResolvedStep]:
-    """Merge adjacent same-kind steps whose source *and* destination
-    regions are contiguous, in program order."""
-    runs: list[ResolvedStep] = []
-    for step in steps:
-        is_copy, src, soff, dst, doff, nbytes = step
-        if runs:
-            k, sb, so, db, do, n = runs[-1]
-            if (
-                (k, sb, db) == (is_copy, src, dst)
-                and so + n == soff
-                and do + n == doff
-            ):
-                runs[-1] = (k, sb, so, db, do, n + nbytes)
-                continue
-        runs.append(step)
-    return runs
-
-
-def _fuse_combine_program(
-    token: str,
-    dt: np.dtype,
-    resolved: Sequence[ResolvedStep],
-    sizes: Mapping[str, int],
-) -> CombineProgram:
-    """Fuse one rank's resolved step list (gating and first-write-wins
-    already decided by the lowering's row masks) into its kernel."""
-    from repro.core.reduce_schedule import ufunc_for_token
-
-    runs = _coalesce_steps(resolved)
-    copy_ops = [r[1:] for r in runs if r[0]]
-    combine_runs = [r[1:] for r in runs if not r[0]]
-    op_ops: list[tuple[str, int, str, int, int]] = []
-    at_ops: list[tuple[str, np.ndarray, str, np.ndarray]] = []
-    ufunc = ufunc_for_token(token)
-    dst_keys = [(db, do, n) for _, _, db, do, n in combine_runs]
-    duplicates = len(dst_keys) != len(set(dst_keys)) or any(
-        a[0] == b[0] and a[1] < b[1] + b[2] and b[1] < a[1] + a[2]
-        for i, a in enumerate(dst_keys)
-        for b in dst_keys[i + 1 :]
-    )
-    viewable = all(
-        sizes[name] % dt.itemsize == 0
-        for _, _, name, _, _ in combine_runs
-    ) and all(
-        sizes[name] % dt.itemsize == 0 for name, _, _, _, _ in combine_runs
-    )
-    if duplicates and ufunc is not None and viewable:
-        # scatter-reduce: one ufunc.at over element index arrays applies
-        # repeated destinations sequentially — exactly the semantics of
-        # the ordered step list for an associative, commutative operator
-        isz = dt.itemsize
-        sidx = np.concatenate(
-            [
-                np.arange(so // isz, (so + n) // isz, dtype=np.int64)
-                for _, so, _, _, n in combine_runs
-            ]
-        )
-        didx = np.concatenate(
-            [
-                np.arange(do // isz, (do + n) // isz, dtype=np.int64)
-                for _, _, _, do, n in combine_runs
-            ]
-        )
-        src_buf = combine_runs[0][0]
-        dst_buf = combine_runs[0][2]
-        if all(
-            sb == src_buf and db == dst_buf
-            for sb, _, db, _, _ in combine_runs
-        ):
-            at_ops.append((src_buf, sidx, dst_buf, didx))
-        else:  # mixed buffers: keep the ordered per-run form
-            op_ops = combine_runs
-    else:
-        op_ops = combine_runs
-    return CombineProgram(token, dt, copy_ops, op_ops, at_ops)
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +643,8 @@ class RankPlan:
     """One rank's row of a :class:`BatchedPlan` (or of a mapped plan
     image): everything the interpreter needs per execution — the peer
     ranks of every round, the plan's shared pack/unpack kernels, the
-    fused local-copy program, the rank's combine programs, and the
-    wire-byte total this rank actually sends (mesh-boundary rounds
+    fused local-copy program, the rank's rows of the combine steps, and
+    the wire-byte total this rank actually sends (mesh-boundary rounds
     excluded)."""
 
     __slots__ = (
@@ -779,17 +668,17 @@ class RankPlan:
         copy_program: CompiledCopyProgram,
         temp_nbytes: int,
         wire_bytes: int,
-        pre_program: Optional[CombineProgram] = None,
-        combine_programs: Sequence[Optional[CombineProgram]] = (),
+        pre_program: Optional[RankReduceRound] = None,
+        combine_programs: Sequence[Optional[RankReduceRound]] = (),
         reduce_outputs_ok: bool = True,
     ) -> None:
         self.kind = kind
         self.rank = rank
         self.phases = tuple(tuple(rs) for rs in phases)
         self.copy_program = copy_program
-        #: fused accumulator-seeding kernel (reductions; run in begin)
+        #: the rank's accumulator-seeding steps (reductions; run in begin)
         self.pre_program = pre_program
-        #: per-phase fused combine kernels (aligned with ``phases``;
+        #: the rank's per-phase combine steps (aligned with ``phases``;
         #: ``None`` entries for phases with nothing to fold)
         self.combine_programs = (
             tuple(combine_programs)
@@ -986,11 +875,10 @@ class BatchedReduceRound:
     fancy-row read-modify-write (fancy-indexed assignment cannot take
     ``out=``).  Per-rank step order equals the batched step order, so
     the fold sequence — and therefore the result — is bit-identical to
-    driving ``p`` interpreters — whose per-rank
-    :class:`CombineProgram`\\ s are :meth:`for_rank` readings of the same
-    step list."""
+    driving ``p`` interpreters, each running its :meth:`for_rank` rows
+    of the same step list."""
 
-    __slots__ = ("token", "dtype", "steps", "_ufunc", "_fn", "_programs")
+    __slots__ = ("token", "dtype", "steps", "_ufunc", "_fn", "_rows")
 
     def __init__(
         self,
@@ -1013,34 +901,28 @@ class BatchedReduceRound:
         self.steps = tuple(steps)
         self._ufunc = ufunc_for_token(token)
         self._fn = None if self._ufunc is not None else resolve_op_token(token)
-        #: per-step (skip | copy | fold) pattern -> the fused program
-        #: every rank with that pattern shares (one entry on a torus;
-        #: rank threads racing on a pattern build equal programs)
-        self._programs: dict[bytes, Optional[CombineProgram]] = {}
+        #: per-step (skip | copy | fold) pattern -> the row view every
+        #: rank with that pattern shares (one entry on a torus; rank
+        #: threads racing on a pattern build equal views)
+        self._rows: dict[bytes, Optional[RankReduceRound]] = {}
 
-    def for_rank(
-        self, rank: int, sizes: Mapping[str, int]
-    ) -> Optional[CombineProgram]:
-        """Rank ``rank``'s fused program: the steps whose copy rows or
-        fold rows contain it, in step order."""
+    def for_rank(self, rank: int) -> Optional[RankReduceRound]:
+        """Rank ``rank``'s rows: the steps whose copy rows or fold rows
+        contain it, in step order (``None`` when there are none)."""
         pattern = bytes(
             1 if copy_rows is None or rank in copy_rows
             else 2 if comb_rows is None or rank in comb_rows
             else 0
             for *_, copy_rows, comb_rows in self.steps
         )
-        if pattern not in self._programs:
-            resolved = [
+        if pattern not in self._rows:
+            mine = [
                 (action == 1, *step[:5])
                 for action, step in zip(pattern, self.steps)
                 if action
             ]
-            self._programs[pattern] = (
-                _fuse_combine_program(self.token, self.dtype, resolved, sizes)
-                if resolved
-                else None
-            )
-        return self._programs[pattern]
+            self._rows[pattern] = RankReduceRound(self, mine) if mine else None
+        return self._rows[pattern]
 
     def run(self, matrices: Mapping[str, np.ndarray]) -> None:
         dt = self.dtype
@@ -1078,7 +960,7 @@ class BatchedReduceRound:
     def __repr__(self) -> str:
         return (
             f"BatchedReduceRound({self.token}/{self.dtype.str}, "
-            f"{len(self.steps)} fused steps)"
+            f"{len(self.steps)} steps)"
         )
 
 
@@ -1125,8 +1007,8 @@ def _compile_batched_combines(
                         f"{ref.buffer!r} of {cap} bytes"
                     )
                 if cap % dt.itemsize:
-                    # per-rank kernels view byte slices, not whole
-                    # buffers: only the matrix execution needs this
+                    # rank views fold byte slices, not whole buffers:
+                    # only the matrix execution needs this
                     unviewable.append(
                         f"buffer {ref.buffer!r} of {cap} B cannot be "
                         f"viewed as {dt.str} rank matrices"
@@ -1262,7 +1144,7 @@ class BatchedPlan:
         """Rank ``rank``'s memoized row view: its peers read off row
         ``rank`` of every round's ``sources``/``targets``, the *shared*
         kernel objects (``None`` for the half whose peer is missing),
-        and its combine programs read off the masked step lists."""
+        and its rows of the masked combine step lists."""
         view = self._views.get(rank)
         if view is not None:
             return view
@@ -1287,7 +1169,7 @@ class BatchedPlan:
                 )
             phases.append(rounds)
         combines = [
-            None if comb is None else comb.for_rank(rank, self.sizes)
+            None if comb is None else comb.for_rank(rank)
             for comb in (self.pre_program, *self.combine_programs)
         ]
         view = self._views[rank] = RankPlan(

@@ -90,7 +90,7 @@ class LocalCombine:
     plain copy (no operator identity element is ever materialized), every
     later one applies the operator.  The resolution from "step" to
     "copy or combine" is static per rank, so the plan compiler bakes it
-    into per-step rank-row masks and the fused combine kernels.
+    into per-step rank-row masks.
 
     ``when_round`` gates the step on delivery: the step only executes if
     round ``when_round`` of the owning phase actually received (its

@@ -27,8 +27,9 @@ on first read, so a torn or corrupted mapping surfaces as a typed
 Plans are serialized as a **plan image**: a JSON skeleton (structure,
 slices, byte counts) plus a blob region holding the ``int64``
 gather/scatter index arrays 8-byte aligned, which is what makes the
-read-side zero-copy.  Reduction plans (fused combine kernels hold live
-dtype state) are refused — the store serves the data-movement family.
+read-side zero-copy.  Reduction plans are refused — an image carries
+data movement only, and a combine operator may be a process-local
+callable; the store serves the data-movement family.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def plan_to_image(plan: RankPlan) -> bytes:
     ):
         raise ScheduleError(
             f"cannot publish reduction plan {plan!r} to the shm store: "
-            f"fused combine kernels are process-local"
+            f"an image carries data movement only, and combine "
+            f"operators may be process-local callables"
         )
     blobs = _BlobWriter()
     cp = plan.copy_program

@@ -1,7 +1,7 @@
 """Byte-interval effect system (V701-V709).
 
 Positive direction: every compiled artifact of every sweep kind is
-effect-clean (the 48-combination CI sweep in miniature).  Negative
+effect-clean (the ``verify --all-stencils`` sweep in miniature).  Negative
 direction: hand-corrupted copies of *real* compiled kernels, copy
 programs, batched rounds and shm layouts trip exactly the expected
 code.  (The full 27-mutator adversary lives in
@@ -18,13 +18,12 @@ from repro.analyze.effects import (
     check_copy_program,
     check_kernel,
     check_shm_layout,
-    sweep_effects,
     verify_effects,
 )
 from repro.analyze.report import VerificationReport
-from repro.analyze.schedule_verifier import build_for_kind
+from repro.analyze.schedule_verifier import SWEEP_KINDS, build_for_kind
 from repro.core.backend.shm import compute_segment_layout
-from repro.core.plan import compile_batched_plan, compile_plan
+from repro.core.plan import compile_batched_plan
 from repro.core.stencils import named_stencil
 from repro.core.topology import CartTopology
 
@@ -43,9 +42,7 @@ def artifacts():
     from repro.analyze.schedule_verifier import _plan_sizes
 
     sizes = _plan_sizes(sched)
-    plan = compile_plan(sched, topo, 0, sizes)
-    bplan = compile_batched_plan(sched, topo, sizes)
-    return sched, topo, sizes, plan, bplan
+    return sched, topo, sizes, compile_batched_plan(sched, topo, sizes)
 
 
 def first_kernel(plan, side):
@@ -68,14 +65,14 @@ def mutate_kernel(kernel, *, sel_ops=None, run_ops=None):
 
 class TestKernelEffects:
     def test_clean_kernels(self, artifacts):
-        _, _, sizes, plan, _ = artifacts
+        _, _, sizes, plan = artifacts
         rep = report()
         for side, role in (("send", "send"), ("recv", "recv")):
             check_kernel(first_kernel(plan, side), sizes, rep, role=role)
         assert rep.ok, rep.summary()
 
     def test_duplicate_scatter_op_is_v701(self, artifacts):
-        _, _, sizes, plan, _ = artifacts
+        _, _, sizes, plan = artifacts
         k = first_kernel(plan, "recv")
         # _sel_ops and _run_ops partition the kernel's ops; duplicate
         # one op from whichever side is populated
@@ -88,7 +85,7 @@ class TestKernelEffects:
         assert "V701" in rep.codes()
 
     def test_offset_past_capacity_is_v708(self, artifacts):
-        _, _, sizes, plan, _ = artifacts
+        _, _, sizes, plan = artifacts
         k = first_kernel(plan, "recv")
         bump = max(sizes.values())
         bad_runs = [
@@ -114,7 +111,7 @@ class TestKernelEffects:
         assert "V708" in rep.codes()
 
     def test_pack_wire_gap_is_v709(self, artifacts):
-        _, _, sizes, plan, _ = artifacts
+        _, _, sizes, plan = artifacts
         k = first_kernel(plan, "send")
         assert len(k._sel_ops) >= 1
         rep = report()
@@ -218,7 +215,7 @@ class TestBatchedRound:
 
 class TestShmLayout:
     def layout(self, artifacts):
-        sched, topo, sizes, _, _ = artifacts
+        sched, topo, sizes, _ = artifacts
         shared = {k: int(v) for k, v in sizes.items()}
         return compute_segment_layout(sched, [shared] * topo.size)
 
@@ -252,30 +249,10 @@ class TestShmLayout:
 class TestSweep:
     def test_verify_effects_all_kinds(self):
         nbh = named_stencil("9-point")
-        for kind in (
-            "alltoall",
-            "trivial-alltoall",
-            "direct-alltoall",
-            "allgather",
-            "trivial-allgather",
-            "direct-allgather",
-        ):
+        for kind in SWEEP_KINDS:
             rep = verify_effects(build_for_kind(kind, nbh), DIMS, True)
             assert rep.ok, (kind, rep.summary())
             assert "effects" in rep.checks_run
-
-    def test_full_sweep_covers_grid_and_clean(self):
-        from repro.analyze.schedule_verifier import (
-            SWEEP_KINDS,
-            paper_stencil_grid,
-        )
-
-        results = sweep_effects()
-        assert len(results) == len(paper_stencil_grid()) * len(SWEEP_KINDS)
-        bad = [
-            (s, k, d, r.summary()) for s, k, d, r in results if not r.ok
-        ]
-        assert not bad, bad
 
     def test_effects_run_inside_verify_schedule_by_default(self):
         from repro.analyze import verify_schedule

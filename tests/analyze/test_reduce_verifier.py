@@ -160,3 +160,48 @@ class TestOperatorProbePolicy:
         assert report.ok, report.summary()
         assert "reduce-structure" in report.checks_run
         assert "reduce-content" not in report.checks_run
+
+
+class TestSentinelExecution:
+    """The one execution of a certification is judged twice: matrix form
+    vs lockstep over the rank views (V506), and lockstep vs the
+    definition (V805).  Each corruption is visible to one judge only."""
+
+    def run(self, kind, *, memoize_rank0):
+        import copy
+
+        from repro.analyze.report import VerificationReport
+        from repro.analyze.schedule_verifier import _check_execution, _lower
+        from repro.core.topology import CartTopology
+
+        sched, topo = build(kind=kind), CartTopology((4, 4))
+        report = VerificationReport(
+            kind=kind, dims=topo.dims, periods=topo.periods
+        )
+        plan = _lower(sched, topo, report)
+        if memoize_rank0:
+            plan.for_rank(0)
+        # drop the last fold of the last combining phase
+        last = max(
+            i for i, c in enumerate(plan.combine_programs) if c is not None
+        )
+        folds = copy.copy(plan.combine_programs[last])
+        folds.steps, folds._rows = folds.steps[:-1], {}
+        plan.combine_programs = (
+            plan.combine_programs[:last]
+            + (folds,)
+            + plan.combine_programs[last + 1 :]
+        )
+        _check_execution(sched, topo, plan, report, definition=True)
+        return report.codes()
+
+    @pytest.mark.parametrize("kind", ["reduce", "reduce-scatter", "allreduce"])
+    def test_lost_fold_is_v805_only(self, kind):
+        # both executions read the same corrupted steps: they agree with
+        # each other and disagree with the definition
+        assert self.run(kind, memoize_rank0=False) == {"V805"}
+
+    def test_stale_rank_view_is_v506(self):
+        # rank 0's rows were read before the steps changed: it alone
+        # still computes the definition, and no longer matches its row
+        assert "V506" in self.run("reduce", memoize_rank0=True)

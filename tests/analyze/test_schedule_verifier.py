@@ -21,7 +21,9 @@ from repro.analyze.report import (
     Violation,
 )
 from repro.analyze.schedule_verifier import (
+    PLAN_SAMPLE_RANKS,
     SWEEP_KINDS,
+    _sample_ranks,
     build_for_kind,
     certify_schedule,
     paper_stencil_grid,
@@ -75,9 +77,9 @@ class TestCertification:
         # every (stencil, kind) combination from the paper's tables
         assert len(results) == len(paper_stencil_grid()) * len(SWEEP_KINDS)
         bad = [
-            (name, kind, sorted(rep.codes()))
-            for name, kind, _, rep in results
-            if not rep.ok
+            (row.stencil, row.kind, sorted(row.report.codes()))
+            for row in results
+            if not row.report.ok
         ]
         assert bad == []
 
@@ -99,6 +101,35 @@ class TestCertification:
             build_for_kind("trivial-alltoall", nbh), (3, 5), True
         )
         assert report.ok
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_certification_lowers_once_and_leaves_no_plan(
+        self, kind, monkeypatch
+    ):
+        from repro.core import plan as plan_mod
+
+        lowerings = []
+        lower = plan_mod.compile_batched_plan
+
+        def counting(*args, **kwargs):
+            lowerings.append(args)
+            return lower(*args, **kwargs)
+
+        monkeypatch.setattr(plan_mod, "compile_batched_plan", counting)
+        sched = build_for_kind(kind, named_stencil("9-point"))
+        certify_schedule(sched, (4, 4), True)
+        assert len(lowerings) == 1
+        assert sched._plans == {}
+
+
+def test_sampled_ranks_are_evenly_spaced_and_keep_both_corners():
+    for p in range(1, 601):
+        picked = _sample_ranks(p)
+        assert picked == sorted(set(picked))
+        assert len(picked) <= PLAN_SAMPLE_RANKS
+        assert picked[0] == 0 and picked[-1] == p - 1
+        gaps = [b - a for a, b in zip(picked, picked[1:])]
+        assert max(gaps, default=0) <= -(-p // (PLAN_SAMPLE_RANKS - 1))
 
 
 # ----------------------------------------------------------------------

@@ -234,12 +234,12 @@ class TestParityMatrix:
 _REDUCE_M = 16  # two int64 elements per block
 
 
-def _make_reduce_case(kind, op="sum", nbh=NBH):
+def _make_reduce_case(kind, op="sum", nbh=NBH, m=_REDUCE_M):
     """(schedule, send size, recv size) for one reduce-family kind."""
     from repro.core.builders import SCHEDULE_BUILDERS
 
-    sched = SCHEDULE_BUILDERS[kind](nbh, m_bytes=_REDUCE_M, dtype="int64", op=op)
-    t, m = nbh.t, _REDUCE_M
+    sched = SCHEDULE_BUILDERS[kind](nbh, m_bytes=m, dtype="int64", op=op)
+    t = nbh.t
     ssize = t * m if kind.endswith("reduce-scatter") else m
     rsize = t * m if kind == "allreduce" else m
     return sched, ssize, rsize
@@ -252,7 +252,9 @@ REDUCE_PARITY_OPS = {
 }
 
 
-def assert_reduce_matches_definition(kind, op, topo, before, after, nbh=NBH):
+def assert_reduce_matches_definition(
+    kind, op, topo, before, after, nbh=NBH, m=_REDUCE_M
+):
     """Brute-force oracle for the reduce family on int64 blocks (exact,
     so fold order is irrelevant): ``R(r)`` folds block ``i`` (or the one
     block) of every existing source ``r − N[i]``; ``allreduce`` slot
@@ -261,7 +263,7 @@ def assert_reduce_matches_definition(kind, op, topo, before, after, nbh=NBH):
 
     fold = resolve_op(op)
     scatter = kind.endswith("reduce-scatter")
-    m = _REDUCE_M // 8
+    m //= 8
 
     def reduced(r):
         acc = None
@@ -306,9 +308,19 @@ class TestReduceParityMatrix:
         assert_backends_agree(topo, sched, ssize, rsize, ["lockstep", "threaded"])
 
     def test_batched_vs_lockstep(self, kind, op_name):
-        topo = CartTopology((3, 3))
+        """Rank views run their rows of the combine steps one by one;
+        the matrix execution runs each step for all its rows at once.
+        The mixed topology gives the trivial kinds several row patterns
+        (mesh edges) and two rounds per peer pair (the extent-2 torus
+        dimension); the tree kinds need the torus."""
+        topos = [CartTopology((3, 3))]
+        if kind.startswith("trivial"):
+            topos.append(CartTopology((2, 4), (True, False)))
         sched, ssize, rsize = _make_reduce_case(kind, REDUCE_PARITY_OPS[op_name])
-        assert_backends_agree(topo, sched, ssize, rsize, ["lockstep", "batched"])
+        for topo in topos:
+            assert_backends_agree(
+                topo, sched, ssize, rsize, ["lockstep", "batched"]
+            )
 
     def test_batched_vs_lockstep_interpreted(self, kind, op_name):
         """Matrix execution of the masked step lists vs brute force (the
@@ -321,7 +333,7 @@ class TestReduceParityMatrix:
         assert_reduce_matches_definition(kind, op, topo, before, after)
 
     def test_plans_on_vs_off_identical(self, kind, op_name):
-        """The rank views' fused combine programs vs brute force, on
+        """The rank views' rows of the combine steps vs brute force, on
         both per-rank transports (formerly: vs the uncompiled mode)."""
         topo = CartTopology((3, 3))
         op = REDUCE_PARITY_OPS[op_name]
@@ -337,6 +349,19 @@ class TestReduceParityMatrix:
         topo = CartTopology((2, 2))
         sched, ssize, rsize = _make_reduce_case(kind, REDUCE_PARITY_OPS[op_name])
         assert_backends_agree(topo, sched, ssize, rsize, ["lockstep", "shm"])
+
+
+def test_large_block_allreduce_on_rank_views_matches_definition():
+    """64 KiB blocks on the threaded backend: every fold is one ufunc
+    call over a whole block (where a scatter-reduce over element index
+    arrays used to be the slow path)."""
+    topo, m = CartTopology((3, 3)), 1 << 16
+    sched, ssize, rsize = _make_reduce_case("allreduce", "sum", m=m)
+    before = _make_bufs(topo.size, ssize, rsize)
+    after = _run_on("threaded", topo, sched, ssize, rsize)
+    assert_reduce_matches_definition(
+        "allreduce", "sum", topo, before, after, m=m
+    )
 
 
 def test_parity_with_self_offset_local_copies():
@@ -528,11 +553,16 @@ class TestShm:
         verify_allgather(sched, topo, 6, backend="shm")
 
     def test_rank_cap(self, monkeypatch):
+        from repro.apps import registered_backends
+
         monkeypatch.setenv("REPRO_SHM_MAX_RANKS", "2")
         topo = CartTopology((2, 2))
         sched, ssize, rsize = _make_case("alltoall", "trivial", "regular")
         with pytest.raises(BackendError, match="refuses"):
             ShmBackend().execute_all(topo, sched, _make_bufs(4, ssize, rsize))
+        # the apps layer reads the same bound, not its own default
+        assert "shm" in registered_backends(2)
+        assert "shm" not in registered_backends(4)
 
     def test_worker_failure_surfaces(self):
         """A crashing worker must produce a BackendError with the remote

@@ -564,8 +564,8 @@ class TestPlanCacheLifetime:
 
 def test_reduce_rank_views_share_fused_programs():
     """On a torus every rank has the same copy/fold pattern, so all views
-    share one fused CombineProgram per schedule point; on a mesh the
-    views split by boundary situation and edge ranks drop gated folds."""
+    share one row view per schedule point; on a mesh the views split by
+    boundary situation and edge ranks drop gated folds."""
     from repro.core.reduce_schedule import (
         build_reduce_schedule,
         build_trivial_reduce_schedule,

@@ -63,6 +63,7 @@ TOPOLOGIES = {
     "torus-2x2": CartTopology((2, 2)),
     "torus-2x3": CartTopology((2, 3)),
     "mesh-2x3": CartTopology((2, 3), (False, False)),
+    "mixed-2x4": CartTopology((2, 4), (True, False)),
 }
 
 MOORE = {
@@ -89,13 +90,14 @@ class TestDegenerateExtents:
     def test_reduce_neighbors(self, topo_name, nbh_name, backend):
         topo, nbh = TOPOLOGIES[topo_name], MOORE[nbh_name]
         for algorithm in _algorithms(topo, ["trivial", "combining"]):
-            kind = "reduce" if algorithm == "combining" else "trivial-reduce"
-            sched, ssize, rsize = _make_reduce_case(kind, "sum", nbh=nbh)
-            before = _make_bufs(topo.size, ssize, rsize)
-            after = _run_on(backend, topo, sched, ssize, rsize)
-            assert_reduce_matches_definition(
-                kind, "sum", topo, before, after, nbh=nbh
-            )
+            prefix = "" if algorithm == "combining" else "trivial-"
+            for kind in (prefix + "reduce", prefix + "reduce-scatter"):
+                sched, ssize, rsize = _make_reduce_case(kind, "sum", nbh=nbh)
+                before = _make_bufs(topo.size, ssize, rsize)
+                after = _run_on(backend, topo, sched, ssize, rsize)
+                assert_reduce_matches_definition(
+                    kind, "sum", topo, before, after, nbh=nbh
+                )
 
 
 def test_extent_two_rounds_share_a_peer_pair():
