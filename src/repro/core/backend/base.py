@@ -8,9 +8,10 @@ operations of a phase, and (for process-parallel transports) a barrier.
 :meth:`Backend.execute_all` runs a schedule for *all* ranks in one call
 (buffers supplied per rank), and :meth:`Backend.run` runs it for the
 *calling* rank of a live communicator — what ``CartComm`` launches a
-bound collective through.  The default ``run`` funnels every rank's
-buffers to rank 0 and drives ``execute_all`` there; the threaded
-backend overrides it with the interpreter over its own transport.
+bound collective through.  The default ``run`` has the ranks meet by
+reference at the communicator's rendezvous, where one of them drives
+``execute_all`` over every rank's own arrays; the threaded backend
+overrides it with the interpreter over its own transport.
 
 Split-phase (non-blocking) execution needs a per-rank transport and
 always runs over the threaded one, whatever backend is selected.
@@ -23,7 +24,6 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 import numpy as np
 
 from repro.core import plan as plan_mod
-from repro.mpisim.datatypes import byte_view
 from repro.mpisim.exceptions import MpiSimError
 
 if TYPE_CHECKING:
@@ -121,12 +121,6 @@ class Transport:
         """Attribute rank-local data movement (no-op by default)."""
 
 
-#: Tag of the funnel's result distribution.  Safe as a fixed tag: the
-#: funnel is fully synchronous, so no two funnelled operations are ever
-#: in flight at once.
-_FUNNEL_TAG = -9
-
-
 class Backend:
     """Driver for one execution strategy."""
 
@@ -143,34 +137,26 @@ class Backend:
         (collective); returns this rank's ``(plan_hit, bytes_packed,
         bytes_copied)``.
 
-        The default is the rank-0 funnel for all-ranks backends: gather
-        every rank's buffers at rank 0, run :meth:`execute_all` there,
-        and distribute the mutated buffers back.  Rank 0's own arrays
-        are mutated in place (object-mode gather passes them by
-        reference); the other ranks copy the returned contents into
-        theirs."""
-        gathered = comm.gather(dict(buffers), root=0)
-        if comm.rank == 0:
-            assert gathered is not None
-            # Rank 0 drives every rank's execution, but each rank still
-            # accounts one logical plan lookup per collective (a hit
-            # unless the mesh's plan had to be lowered first) and its own
-            # view's wire bytes (edge ranks skip missing neighbours).
-            lowered, hit = plan_mod.get_or_compile(schedule, topo, gathered[0])
-            self.execute_all(topo, schedule, gathered)
-            for r in range(1, comm.size):
-                comm.send(
-                    (gathered[r], hit, lowered.for_rank(r).wire_bytes),
-                    r,
-                    tag=_FUNNEL_TAG,
-                )
-            packed = lowered.for_rank(0).wire_bytes
-        else:
-            result, hit, packed = comm.recv(source=0, tag=_FUNNEL_TAG)
-            for name, arr in buffers.items():
-                byte_view(arr)[:] = byte_view(
-                    np.ascontiguousarray(result[name])
-                )
+        The default, for all-ranks backends: the ranks meet at
+        ``comm``'s rendezvous with their buffers *by reference*, and one
+        of them drives :meth:`execute_all` over every rank's own arrays
+        — no message, no copy in or out.  A failing execution is raised
+        on every rank."""
+
+        def drive(
+            slots: Sequence[Mapping[str, np.ndarray]],
+        ) -> tuple[plan_mod.BatchedPlan, bool]:
+            # One lowering per collective; every rank accounts it as its
+            # one logical plan lookup (a hit unless the mesh's plan had
+            # to be lowered first).
+            lowered, hit = plan_mod.get_or_compile(schedule, topo, slots[0])
+            self.execute_all(topo, schedule, slots)
+            return lowered, hit
+
+        lowered, hit = comm.rendezvous(buffers, drive)
+        # this rank's own view's wire bytes (edge ranks skip missing
+        # neighbours)
+        packed = lowered.for_rank(comm.rank).wire_bytes
         return hit, packed, schedule.local_copy_bytes
 
     def execute_all(

@@ -84,7 +84,9 @@ class BatchedBackend(Backend):
                         mat[r] = byte_view(rank_buffers[r][name])
             bplan.execute(matrices)
             bplan.run_local_copies(matrices)
-            for name in rank_buffers[0]:
+            # hand back only what the plan wrote: a buffer no kernel
+            # writes (a read-only ``send``) is never assigned
+            for name in bplan.written.intersection(rank_buffers[0]):
                 mat = matrices[name]
                 for r in range(p):
                     byte_view(rank_buffers[r][name])[:] = mat[r]

@@ -274,11 +274,18 @@ class ShmBackend(Backend):
                 raise BackendError(
                     "shm worker failed:\n" + ("\n".join(details) or "(no report)")
                 )
-            # Copy results back into the caller's arrays.
+            # Copy what the plan wrote back into the callers' arrays (a
+            # buffer no kernel writes may be read-only).  The written
+            # names are the schedule's, whatever the per-rank sizes.
+            written = plan_mod.get_or_compile(
+                schedule, topo, rank_buffers[0]
+            )[0].written
             for r in range(p):
-                for name, arr in rank_buffers[r].items():
+                for name in written.intersection(rank_buffers[r]):
                     off, n = buffer_table[r][name]
-                    byte_view(arr)[:] = segment[off : off + n]
+                    byte_view(rank_buffers[r][name])[:] = segment[
+                        off : off + n
+                    ]
         finally:
             # Release the numpy export before closing, or the memoryview
             # refuses to release the mapping.

@@ -828,28 +828,29 @@ class BatchedRound:
         self, matrices: Mapping[str, np.ndarray], wire: np.ndarray
     ) -> None:
         """Deliver: row ``j`` of the scatter reads row ``sources[j]`` of
-        the wire matrix — the all-ranks message exchange is one fancy-
-        indexed row permutation."""
+        the wire matrix — the all-ranks message exchange is a fancy-
+        indexed row permutation, applied kernel by kernel straight from
+        the wire (no permuted ``(p, n)`` copy of the whole round)."""
         assert self.recv is not None
+        src = self.recv_sources
+        # ``None`` when every rank receives (the scatter is then a basic
+        # row slice); on a mesh edge, the receiving rows only
         rows = self.recv_rows
-        if rows is None:
-            payload = wire[self.recv_sources]
-            for name, wire_sel, buf_sel in self.recv._sel_ops:
-                matrices[name][:, buf_sel] = payload[:, wire_sel]
-            for name, wire_off, buf_off, n in self.recv._run_ops:
-                matrices[name][:, buf_off : buf_off + n] = payload[
-                    :, wire_off : wire_off + n
-                ]
-            return
-        payload = wire[self.recv_sources]
+        dst_rows = slice(None) if rows is None else rows
         for name, wire_sel, buf_sel in self.recv._sel_ops:
-            if isinstance(buf_sel, slice):
-                matrices[name][rows, buf_sel] = payload[:, wire_sel]
+            if isinstance(wire_sel, slice):
+                payload = wire[src, wire_sel]
             else:
-                matrices[name][rows[:, None], buf_sel] = payload[:, wire_sel]
+                # the byte-granular column gather first, then whole rows
+                # (1.6x faster than the one-step ``wire[src[:, None], sel]``)
+                payload = wire.take(wire_sel, axis=1).take(src, axis=0)
+            if rows is None or isinstance(buf_sel, slice):
+                matrices[name][dst_rows, buf_sel] = payload
+            else:
+                matrices[name][rows[:, None], buf_sel] = payload
         for name, wire_off, buf_off, n in self.recv._run_ops:
-            matrices[name][rows, buf_off : buf_off + n] = payload[
-                :, wire_off : wire_off + n
+            matrices[name][dst_rows, buf_off : buf_off + n] = wire[
+                src, wire_off : wire_off + n
             ]
 
     def __repr__(self) -> str:
@@ -1099,6 +1100,7 @@ class BatchedPlan:
         "temp_nbytes",
         "sizes",
         "wire_bytes",
+        "written",
         "compile_seconds",
         "_views",
     )
@@ -1137,6 +1139,24 @@ class BatchedPlan:
         self.temp_nbytes = temp_nbytes
         self.sizes = dict(sizes)
         self.wire_bytes = wire_bytes
+        #: names of the buffers any kernel writes (receive scatters,
+        #: local-copy destinations, combine targets): what an all-ranks
+        #: backend that stages buffers has to hand back to the callers —
+        #: and so all that has to be writeable on their side
+        written: set[str] = set()
+        for rounds in self.phases:
+            for rnd in rounds:
+                if rnd.recv is not None:
+                    written.update(
+                        op[0] for op in (*rnd.recv._sel_ops, *rnd.recv._run_ops)
+                    )
+        written.update(
+            op[1] for op in (*copy_program._sel_ops, *copy_program._run_ops)
+        )
+        for comb in (pre_program, *self.combine_programs):
+            if comb is not None:
+                written.update(step[2] for step in comb.steps)
+        self.written = frozenset(written)
         self.compile_seconds = compile_seconds
         self._views: dict[int, RankPlan] = {}
 

@@ -1,7 +1,9 @@
 """Communicators: point-to-point and base collectives.
 
 A :class:`Communicator` is each rank's handle onto the engine.  It offers
-three point-to-point layers, all built on the same mailbox machinery:
+three point-to-point layers, all built on the same mailbox machinery
+(plus :meth:`Communicator.rendezvous`, the one collective that moves no
+message at all):
 
 * **object mode** (``send``/``recv``/``isend``/``irecv``) — arbitrary
   Python objects, pickled at send time (mirrors mpi4py's lowercase API);
@@ -362,6 +364,23 @@ class Communicator:
         """
         self._coll_seq += 1
         return _COLL_TAG_BASE - (self._coll_seq % 100000)
+
+    def rendezvous(self, obj: Any, action: Callable[[list], Any]) -> Any:
+        """All ranks meet by reference (collective).
+
+        Every rank deposits ``obj`` — the object itself, nothing is
+        pickled or copied — in its slot of this communicator's meeting
+        point; once all have arrived, exactly one rank runs
+        ``action(slots)`` (``slots[r]`` is local rank ``r``'s object)
+        and every rank returns its result.  An ``action`` that raises is
+        raised on every rank.  Like a receive, the wait ends with
+        :class:`~repro.mpisim.exceptions.AbortError` when the engine
+        aborts and honours the engine's wait-policy timeout; the entry
+        is a stall/kill fault-injection point."""
+        self._fault_hook("rendezvous")
+        return self.engine.rendezvous(self.comm_id, self.size).meet(
+            self.rank, self._trace_rank, obj, action
+        )
 
     def barrier(self) -> None:
         """Dissemination barrier: ceil(log2 p) sendrecv rounds."""

@@ -4,8 +4,10 @@
 :class:`~repro.mpisim.comm.Communicator` bound to its rank, and collects
 the per-rank return values.  Semantics mirrored from MPI:
 
-* ranks communicate only through the engine's mailboxes — there is no
-  shared state between rank functions unless the caller introduces it;
+* ranks communicate only through the engine — its mailboxes, and the
+  per-communicator rendezvous at which all ranks meet by reference —
+  there is no shared state between rank functions unless the caller
+  introduces it;
 * if any rank raises, the run is aborted: all ranks blocked in
   communication wake with :class:`~repro.mpisim.exceptions.AbortError`
   and the original exception is re-raised to the caller wrapped in
@@ -39,7 +41,8 @@ from repro.mpisim.exceptions import (
     RankFailedError,
     RankState,
 )
-from repro.mpisim.mailbox import Mailbox, WaitPolicy
+from repro.mpisim.mailbox import DEFAULT_WAIT_POLICY, Mailbox, WaitPolicy
+from repro.mpisim.rendezvous import Rendezvous
 from repro.mpisim.trace import TraceRecorder
 
 
@@ -83,6 +86,11 @@ class Engine:
             Mailbox(r, self.abort_event, policy=wait_policy)
             for r in range(nranks)
         ]
+        self._wait_policy = wait_policy or DEFAULT_WAIT_POLICY
+        #: comm_id -> that communicator's meeting point (created on
+        #: first use, so ``dup``/``split`` communicators get their own)
+        self._rendezvous: dict[tuple, Rendezvous] = {}
+        self._rendezvous_lock = threading.Lock()
         self.trace: Optional[TraceRecorder] = TraceRecorder(nranks) if tracing else None
         self.injector = None
         if faults is not None:
@@ -104,10 +112,12 @@ class Engine:
     # ------------------------------------------------------------------
     def abort(self) -> None:
         """Abort the run: raise the abort flag and wake every rank
-        blocked in an untimed receive."""
+        blocked in an untimed receive or parked at a rendezvous."""
         self.abort_event.set()
         for mb in self.mailboxes:
             mb.abort_all()
+        for meeting in self._meetings():
+            meeting.abort_all()
 
     def run(
         self,
@@ -129,6 +139,8 @@ class Engine:
         self._errors.clear()
         for mb in self.mailboxes:
             mb.reset()
+        with self._rendezvous_lock:
+            self._rendezvous.clear()
         for state in self.rank_states:
             state.update(op="idle")
         if self.injector is not None:
@@ -183,7 +195,7 @@ class Engine:
                 # a per-receive timeout is a locally detected deadlock
                 state = self._stuck_state(rank)
                 raise DeadlockError(
-                    f"rank {rank} timed out in a receive ({exc}); "
+                    f"rank {rank} timed out waiting ({exc}); "
                     f"state: {state.describe()}",
                     stuck_ranks=(rank,),
                     stuck_info={rank: state},
@@ -195,14 +207,18 @@ class Engine:
 
     def _stuck_state(self, rank: int) -> RankState:
         """The rank's progress state enriched with its in-flight
-        receives (for deadlock/abort reports)."""
+        receives and the rendezvous it is parked at (for deadlock/abort
+        reports)."""
         state = self.rank_states[rank]
-        pending = self.mailboxes[rank].pending_summary()
-        if pending:
-            waits = ", ".join(
-                f"recv(src={s}, tag={t})" for s, t in pending
-            )
-            detail = f"waiting on {waits}"
+        waits = [
+            f"recv(src={s}, tag={t})"
+            for s, t in self.mailboxes[rank].pending_summary()
+        ]
+        waits.extend(
+            filter(None, (m.waiting_summary(rank) for m in self._meetings()))
+        )
+        if waits:
+            detail = f"waiting on {', '.join(waits)}"
             state = RankState(
                 op=state.op, phase=state.phase, round=state.round,
                 detail=detail if not state.detail else f"{state.detail}; {detail}",
@@ -228,6 +244,21 @@ class Engine:
     # ------------------------------------------------------------------
     def mailbox(self, rank: int) -> Mailbox:
         return self.mailboxes[rank]
+
+    def rendezvous(self, comm_id: tuple, size: int) -> Rendezvous:
+        """The meeting point of the communicator ``comm_id`` (``size``
+        ranks), created by whichever rank asks first."""
+        with self._rendezvous_lock:
+            meeting = self._rendezvous.get(comm_id)
+            if meeting is None:
+                meeting = self._rendezvous[comm_id] = Rendezvous(
+                    comm_id, size, self.abort_event, self._wait_policy
+                )
+            return meeting
+
+    def _meetings(self) -> list[Rendezvous]:
+        with self._rendezvous_lock:
+            return list(self._rendezvous.values())
 
     def fault_events(self) -> list:
         """Faults injected during the last run (empty without a plan)."""

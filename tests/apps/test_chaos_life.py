@@ -8,6 +8,11 @@ persistent halo exchange, where a silently dropped or duplicated
 delivery would corrupt every later generation.  Either the evolved
 board is bit-identical to the oracle, or the raised error is typed and
 attributable to an injected fault.
+
+The all-ranks backends move no messages — their ranks meet at the
+communicator's rendezvous — so only the operation-boundary faults
+(``kill``, ``stall``) can land inside their collectives; the same
+dichotomy must hold there.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import GameOfLife
+from repro.core.plan import GLOBAL_POOL
 from repro.mpisim.engine import Engine
 from repro.mpisim.faults import FaultPlan, _attributable
 
@@ -24,14 +30,12 @@ DIMS = (2, 2)
 NRANKS = 4
 
 
-@pytest.mark.parametrize("kind", ["delay", "reorder", "duplicate", "kill"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_life_completes_or_fails_cleanly(kind, seed):
+def _completes_or_fails_cleanly(backend, kind, seed):
     app = GameOfLife.random((12, 12), DIMS, 3, seed=seed)
     plan = FaultPlan.sample(seed * 101 + 7, NRANKS, kind=kind)
     engine = Engine(NRANKS, timeout=20.0, faults=plan)
     try:
-        run = app.run(backend="threaded", algorithm="combining", engine=engine)
+        run = app.run(backend=backend, algorithm="combining", engine=engine)
     except Exception as exc:  # noqa: BLE001  # lint: allow(L004) - dichotomy classifies every failure mode below
         events = engine.fault_events()
         assert _attributable(exc, events), (
@@ -39,12 +43,25 @@ def test_life_completes_or_fails_cleanly(kind, seed):
             f"{type(exc).__name__}: {exc}; injected: "
             f"{[e.describe() for e in events]}"
         )
+        assert GLOBAL_POOL.stats().outstanding_bytes == 0
     else:
         # completed: the application result must be byte-correct no
         # matter what was delayed, reordered or duplicated on the wire
         app.check_against_oracle(run)
         run.stats.record_fault_events(engine.fault_events())
-        if kind in ("delay", "reorder"):
+        if kind in ("delay", "reorder", "stall"):
             # benign kinds may or may not have fired probabilistically,
             # but when they did, they must be visible in the stats
             assert set(run.stats.faults) <= {kind}
+
+
+@pytest.mark.parametrize("kind", ["delay", "reorder", "duplicate", "kill"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_life_completes_or_fails_cleanly(kind, seed):
+    _completes_or_fails_cleanly("threaded", kind, seed)
+
+
+@pytest.mark.parametrize("kind", ["kill", "stall"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_life_on_batched_completes_or_fails_cleanly(kind, seed):
+    _completes_or_fails_cleanly("batched", kind, seed)

@@ -441,7 +441,7 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# CartComm integration: funnelled execution on all-ranks backends
+# CartComm integration: all-ranks backends behind the rendezvous
 # ----------------------------------------------------------------------
 
 
@@ -528,6 +528,159 @@ class TestCartCommFunnel:
 
         res = run_cartesian((3, 3), NBH, fn, info={"backend": "lockstep"}, timeout=60)
         assert res == [True] * 9
+
+
+# ----------------------------------------------------------------------
+# the rendezvous: in place, message-free, and failing cleanly
+# ----------------------------------------------------------------------
+
+ALL_RANKS_IN_THREADS = ["lockstep", "batched"]
+
+
+def _definition_holds(dims, m, outcomes):
+    """``outcomes[r] = (send before, send after, recv after)`` of a
+    regular alltoall over ``NBH``: check it against the definition."""
+    sched, _, _ = _make_case("alltoall", "combining", "regular", m=m)
+    before = [{"send": o[0]} for o in outcomes]
+    after = [{"send": o[1], "recv": o[2]} for o in outcomes]
+    assert_matches_definition(CartTopology(dims), sched, before, after)
+
+
+class TestRendezvousInPlace:
+    @pytest.mark.parametrize("backend", ALL_RANKS_IN_THREADS)
+    def test_every_launcher_fills_the_callers_own_arrays(self, backend):
+        dims, m = (3, 3), 5
+        t = NBH.t
+
+        def fn(cart):
+            def fresh(epoch):
+                rng = np.random.default_rng(100 * epoch + cart.rank)
+                return rng.integers(0, 256, t * m).astype(np.uint8)
+
+            out = []
+            # a blocking call
+            send, recv = fresh(0), np.zeros(t * m, np.uint8)
+            cart.alltoall(send.copy(), recv, algorithm="combining")
+            out.append((send, send, recv))
+            # an i* call (split-phase: always the threaded transport)
+            send, recv = fresh(1), np.zeros(t * m, np.uint8)
+            cart.ialltoall(send.copy(), recv, algorithm="combining").wait()
+            out.append((send, send, recv))
+            # three executions of one persistent handle
+            send, recv = fresh(2), np.zeros(t * m, np.uint8)
+            handle = cart.alltoall_init(send, recv, algorithm="combining")
+            assert handle.buffers["recv"] is recv
+            for epoch in (2, 3, 4):
+                send[:] = fresh(epoch)
+                recv[:] = 0
+                before = send.copy()
+                handle.execute()
+                assert handle.buffers["recv"] is recv
+                out.append((before, send.copy(), recv.copy()))
+            handle.free()
+            return out
+
+        per_rank = run_cartesian(
+            dims, NBH, fn, info={"backend": backend}, timeout=60
+        )
+        for launch in zip(*per_rank):
+            _definition_holds(dims, m, launch)
+
+    @pytest.mark.parametrize("backend", ALL_RANKS_IN_THREADS)
+    def test_collective_posts_no_messages(self, backend):
+        from repro.mpisim.engine import Engine
+
+        engine = Engine(9, timeout=60, tracing=True)
+
+        def fn(cart):
+            t = cart.nbh.t
+            send = np.arange(t * 4, dtype=np.uint8)
+            recv = np.zeros_like(send)
+            handle = cart.alltoall_init(send, recv, algorithm="combining")
+            stream = engine.trace.for_rank(cart.rank)
+            mark = len(stream)
+            cart.alltoall(send, recv, algorithm="combining")
+            handle.execute()
+            events = [e.kind for e in stream[mark:]]
+            handle.free()
+            return events
+
+        for events in run_cartesian(
+            (3, 3), NBH, fn, info={"backend": backend}, engine=engine
+        ):
+            assert "isend" not in events and "irecv" not in events
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "threaded",
+            "lockstep",
+            "batched",
+            pytest.param("shm", marks=[shm_mark, pytest.mark.shm]),
+        ],
+    )
+    def test_read_only_send_buffer(self, backend):
+        """Only what the plan writes is handed back, so a buffer it only
+        reads may be read-only — on every backend."""
+        from tests.conftest import expected_alltoall, fill_send_alltoall
+
+        def fn(cart):
+            send = fill_send_alltoall(cart.rank, cart.nbh.t, 3)
+            send.flags.writeable = False
+            recv = np.zeros_like(send)
+            cart.alltoall(send, recv, algorithm="combining")
+            return bool(
+                np.array_equal(
+                    recv, expected_alltoall(cart.topo, cart.nbh, cart.rank, 3)
+                )
+            )
+
+        assert run_cartesian(
+            (2, 2), NBH, fn, info={"backend": backend}, timeout=60
+        ) == [True] * 4
+
+    def test_execution_error_is_rank_zeros_and_engine_recovers(self):
+        """A failure inside the rendezvous (here: a non-uniform layout
+        refused by the batched backend) is raised on every rank, so it
+        is reported as rank 0's with the original cause; nothing leaks
+        and the same engine then runs a correct collective."""
+        from repro.core.plan import GLOBAL_POOL
+        from repro.mpisim.engine import Engine
+        from repro.mpisim.exceptions import RankFailedError
+        from tests.conftest import expected_alltoall, fill_send_alltoall
+
+        engine = Engine(9, timeout=60)
+
+        def bad(cart):
+            counts = [4] * cart.nbh.t
+            send = np.zeros(sum(counts), np.uint8)
+            # same blocks everywhere, but rank 4's recv buffer has slack
+            recv = np.zeros(send.size + (8 if cart.rank == 4 else 0), np.uint8)
+            cart.alltoallv(send, counts, recv, counts, algorithm="combining")
+
+        with pytest.raises(RankFailedError) as ei:
+            run_cartesian(
+                (3, 3), NBH, bad, info={"backend": "batched"}, engine=engine
+            )
+        assert ei.value.rank == 0
+        assert isinstance(ei.value.cause, ScheduleError)
+        assert "SPMD-uniform buffer layout" in str(ei.value.cause)
+        assert GLOBAL_POOL.stats().outstanding_bytes == 0
+
+        def good(cart):
+            send = fill_send_alltoall(cart.rank, cart.nbh.t, 4)
+            recv = np.zeros_like(send)
+            cart.alltoall(send, recv, algorithm="combining")
+            return bool(
+                np.array_equal(
+                    recv, expected_alltoall(cart.topo, cart.nbh, cart.rank, 4)
+                )
+            )
+
+        assert run_cartesian(
+            (3, 3), NBH, good, info={"backend": "batched"}, engine=engine
+        ) == [True] * 9
+        assert GLOBAL_POOL.stats().outstanding_bytes == 0
 
 
 # ----------------------------------------------------------------------

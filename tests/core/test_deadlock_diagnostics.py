@@ -3,7 +3,8 @@
 A mis-ordered schedule (ranks disagreeing on the exchange pattern) must
 surface as a :class:`DeadlockError` that *names* what each stuck rank
 was doing — operation, phase, round, and the in-flight receive — rather
-than a bare timeout.
+than a bare timeout.  The same holds for the rendezvous the all-ranks
+backends meet at: a missing rank is named, with how many arrived.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from repro.core.backend import ScheduleInterpreter, ThreadedTransport
 from repro.core.neighborhood import Neighborhood
+from repro.core.plan import GLOBAL_POOL
 from repro.core.schedule import Phase, Round, Schedule, uniform_block_layout
 from repro.core.topology import CartTopology
 from repro.mpisim.engine import Engine
@@ -132,3 +134,72 @@ class TestPlainRecvDeadlock:
             engine.run(fn)
         assert "injected faults" in str(ei.value)
         assert "stall@rank0" in str(ei.value)
+
+
+class TestRendezvousDiagnostics:
+    """The all-ranks backends' collectives meet at the communicator's
+    rendezvous instead of exchanging messages; a rank that never shows
+    up must be as diagnosable as a receive that never matches."""
+
+    @staticmethod
+    def _bufs(comm, m=8):
+        return {
+            "send": np.full(m, comm.rank, np.uint8),
+            "recv": np.zeros(m, np.uint8),
+        }
+
+    def test_skipped_collective_names_rendezvous_and_arrivals(self):
+        from repro.core.backend import get_backend
+
+        topo = CartTopology((3,), periods=(True,))
+        sched = _one_round_schedule((1,), kind="ring-alltoall")
+        engine = Engine(3, timeout=1.0)
+
+        def fn(comm):
+            if comm.rank == 2:
+                return  # skips the collective
+            get_backend("batched").run(comm, topo, sched, self._bufs(comm))
+
+        with pytest.raises(DeadlockError) as ei:
+            engine.run(fn)
+        err = ei.value
+        assert set(err.stuck_ranks) == {0, 1}
+        for r in (0, 1):
+            detail = err.stuck_info[r].detail
+            assert "rendezvous(comm=('world',))" in detail
+            assert "2 of 3 ranks arrived" in detail
+        assert "2 of 3 ranks arrived" in str(err)
+        assert GLOBAL_POOL.stats().outstanding_bytes == 0
+
+    def test_rank_failing_before_arrival_aborts_the_waiters(self):
+        import time
+
+        from repro.core.backend import get_backend
+        from repro.mpisim.exceptions import AbortError, RankFailedError
+
+        topo = CartTopology((3,), periods=(True,))
+        sched = _one_round_schedule((1,), kind="ring-alltoall")
+        engine = Engine(3, timeout=30.0)
+        aborted = []
+
+        def fn(comm):
+            if comm.rank == 1:
+                time.sleep(0.05)  # let the others park first
+                raise ValueError("rank 1 never arrives")
+            try:
+                get_backend("lockstep").run(
+                    comm, topo, sched, self._bufs(comm)
+                )
+            except AbortError as exc:
+                aborted.append((comm.rank, str(exc)))
+                raise
+
+        t0 = time.monotonic()
+        with pytest.raises(RankFailedError) as ei:
+            engine.run(fn)
+        assert time.monotonic() - t0 < 5.0  # not the 30 s engine timeout
+        assert ei.value.rank == 1
+        assert isinstance(ei.value.cause, ValueError)
+        assert sorted(r for r, _ in aborted) == [0, 2]
+        assert all("rendezvous" in text for _, text in aborted)
+        assert GLOBAL_POOL.stats().outstanding_bytes == 0

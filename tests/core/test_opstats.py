@@ -169,7 +169,8 @@ class TestCartCommIntegration:
     def test_bytes_packed_agree_across_backends(self, periods):
         """Every backend charges each rank the wire bytes of its own
         plan view — on a mesh, edge ranks skip their missing neighbours
-        whether the rank packs itself or rank 0 funnels for it."""
+        whether the rank packs itself or another packs for it at the
+        rendezvous."""
         from repro.apps import merge_stats
         from repro.core.backend import BACKENDS
 
