@@ -110,9 +110,11 @@ def kernel_effects(kernel: CompiledBlockSet) -> KernelEffects:
     """Symbolic effect summary of one pack/unpack kernel."""
     buf_parts: dict[str, list[SelectorSummary]] = {}
     wire_parts: list[SelectorSummary] = []
-    for name, wire_sel, buf_sel in kernel._sel_ops:
-        wire_parts.append(summarize_selector(wire_sel))
-        buf_parts.setdefault(name, []).append(summarize_selector(buf_sel))
+    for name, wire_sel, buf_sel, lane in kernel._sel_ops:
+        wire_parts.append(summarize_selector(wire_sel, lane))
+        buf_parts.setdefault(name, []).append(
+            summarize_selector(buf_sel, lane)
+        )
     for name, wire_off, buf_off, n in kernel._run_ops:
         wire_parts.append(summarize_selector(slice(wire_off, wire_off + n)))
         buf_parts.setdefault(name, []).append(
@@ -351,9 +353,9 @@ def check_copy_program(
     program is sequential by construction and only bounds-checked."""
     srcs: dict[str, list[SelectorSummary]] = {}
     dsts: dict[str, list[SelectorSummary]] = {}
-    for src, dst, src_sel, dst_sel in prog._sel_ops:
-        s = summarize_selector(src_sel)
-        d = summarize_selector(dst_sel)
+    for src, dst, src_sel, dst_sel, lane in prog._sel_ops:
+        s = summarize_selector(src_sel, lane)
+        d = summarize_selector(dst_sel, lane)
         if prog.fused and s.nbytes != d.nbytes:
             report.add(
                 "V704",

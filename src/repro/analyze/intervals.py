@@ -2,9 +2,11 @@
 
 The compiled execution layer (:mod:`repro.core.plan`) expresses every
 data movement as numpy selectors — slices for coalesced runs, ``int64``
-index arrays for fragmented ones.  The effect analyzer abstracts both to
-the same symbolic object: a normalized set of half-open byte intervals
-``[lo, hi)`` over one buffer.  Interval sets support exactly the algebra
+index arrays for fragmented ones, both counted in lanes (machine words
+of 8, 4, 2 or 1 bytes).  The effect analyzer abstracts both to
+the same symbolic object: a normalized set of half-open *byte* intervals
+``[lo, hi)`` over one buffer — the lane is scaled away here, so every
+check downstream is lane-blind.  Interval sets support exactly the algebra
 the race checks need — union with overlap detection, intersection, and
 bounds — and record whether the *source selector itself* collided (a
 fancy index naming one byte twice), which no set union could see after
@@ -23,7 +25,7 @@ import numpy as np
 
 #: A compiled selector as stored in ``CompiledBlockSet._sel_ops`` /
 #: ``CompiledCopyProgram._sel_ops``: a slice for a coalesced run, an
-#: ``int64`` array of byte indices for a fragmented one.
+#: ``int64`` array of lane indices for a fragmented one.
 Selector = Union[slice, np.ndarray]
 
 
@@ -38,8 +40,9 @@ class SelectorSummary:
     nbytes: int
 
 
-def summarize_selector(sel: Selector) -> SelectorSummary:
-    """Reduce a compiled selector to normalized byte intervals.
+def summarize_selector(sel: Selector, lane: int = 1) -> SelectorSummary:
+    """Reduce a compiled selector in ``lane``-byte units to normalized
+    byte intervals.
 
     Duplicate indices in a fancy-index selector are reported, not
     collapsed silently: a scatter that names one destination byte twice
@@ -47,8 +50,8 @@ def summarize_selector(sel: Selector) -> SelectorSummary:
     looks innocent.
     """
     if isinstance(sel, slice):
-        start = 0 if sel.start is None else int(sel.start)
-        stop = start if sel.stop is None else int(sel.stop)
+        start = 0 if sel.start is None else int(sel.start) * lane
+        stop = start if sel.stop is None else int(sel.stop) * lane
         if stop <= start:
             return SelectorSummary((), 0, max(0, stop - start))
         return SelectorSummary(((start, stop),), 0, stop - start)
@@ -59,13 +62,13 @@ def summarize_selector(sel: Selector) -> SelectorSummary:
     uniq = np.unique(idx)
     dup = n - int(uniq.size)
     intervals: list[tuple[int, int]] = []
-    # uniq is sorted; coalesce consecutive byte indices into runs.
+    # uniq is sorted; coalesce consecutive lane indices into runs.
     breaks = np.nonzero(np.diff(uniq) != 1)[0]
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks, [uniq.size - 1]))
     for s, e in zip(starts, ends):
-        intervals.append((int(uniq[s]), int(uniq[e]) + 1))
-    return SelectorSummary(tuple(intervals), dup, n)
+        intervals.append((int(uniq[s]) * lane, (int(uniq[e]) + 1) * lane))
+    return SelectorSummary(tuple(intervals), dup * lane, n * lane)
 
 
 class IntervalSet:

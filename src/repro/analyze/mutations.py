@@ -416,13 +416,16 @@ def _m_shm_outside(fx: _Fixture) -> set[str]:
 def _shift_buffer_side(
     kernel: CompiledBlockSet, delta: int
 ) -> CompiledBlockSet:
+    """Move the first op's buffer side ``delta`` bytes up (selectors
+    count lanes, so theirs is rescaled)."""
     sel_ops = []
-    for name, wire_sel, buf_sel in kernel._sel_ops:
+    for name, wire_sel, buf_sel, lane in kernel._sel_ops:
+        words = delta // lane
         if isinstance(buf_sel, slice):
-            buf_sel = slice(buf_sel.start + delta, buf_sel.stop + delta)
+            buf_sel = slice(buf_sel.start + words, buf_sel.stop + words)
         else:
-            buf_sel = buf_sel + delta
-        sel_ops.append((name, wire_sel, buf_sel))
+            buf_sel = buf_sel + words
+        sel_ops.append((name, wire_sel, buf_sel, lane))
         break
     sel_ops.extend(kernel._sel_ops[len(sel_ops):])
     run_ops = kernel._run_ops
@@ -446,19 +449,62 @@ def _m_unpack_overrun(fx: _Fixture) -> set[str]:
 def _m_wire_overrun(fx: _Fixture) -> set[str]:
     pi, ri, rnd = fx.round_with("recv")
     assert rnd.recv is not None
-    name, wire_sel, buf_sel = rnd.recv._sel_ops[0]
+    name, wire_sel, buf_sel, lane = rnd.recv._sel_ops[0]
+    total = rnd.recv.total_nbytes // lane
     if isinstance(wire_sel, slice):
-        total = rnd.recv.total_nbytes
         wire_sel = slice(wire_sel.start + total, wire_sel.stop + total)
     else:
-        wire_sel = wire_sel + rnd.recv.total_nbytes
+        wire_sel = wire_sel + total
     mutated = _mut_kernel(
         rnd.recv,
-        sel_ops=((name, wire_sel, buf_sel),) + rnd.recv._sel_ops[1:],
+        sel_ops=((name, wire_sel, buf_sel, lane),) + rnd.recv._sel_ops[1:],
     )
     rep = _report()
     check_kernel(mutated, fx.sizes, rep, role="recv")
     return rep.codes()
+
+
+# -- V501/V503: selector lanes ----------------------------------------------
+
+
+def _widen_one_lane(fx: _Fixture, sizes: dict[str, int]) -> set[str]:
+    """Lower the fixture at ``sizes``, double the lane of the first
+    index-selector op whose wire the wider lane still divides — indices
+    untouched — and run the lowering conformance check on the result."""
+    from repro.analyze.schedule_verifier import _check_plan_lowering
+
+    plan = compile_batched_plan(fx.schedule, fx.topo, sizes)
+    pi, ri, half, kernel = next(
+        (pi, ri, half, kernel)
+        for pi, phase in enumerate(plan.phases)
+        for ri, rnd in enumerate(phase)
+        for half, kernel in (("send", rnd.send), ("recv", rnd.recv))
+        if kernel is not None
+        and kernel.uses_indices
+        and kernel.lanes[0] < 8
+        and kernel.total_nbytes % (2 * kernel.lanes[0]) == 0
+    )
+    *op, lane = kernel._sel_ops[0]
+    widened = _mut_kernel(
+        kernel, sel_ops=((*op, 2 * lane),) + kernel._sel_ops[1:]
+    )
+    rep = _report()
+    _check_plan_lowering(
+        fx.schedule,
+        fx.topo,
+        rep,
+        plan=_replace_round(plan, pi, ri, **{half: widened}),
+    )
+    return rep.codes()
+
+
+@_mutator("lane-widened-without-rescale", "V503")
+def _m_lane_widened(fx: _Fixture) -> set[str]:
+    # capacities rounded up to whole 8-byte words, so the wider lane
+    # still views every buffer and only the stale indices are wrong
+    return _widen_one_lane(
+        fx, {name: -(-cap // 8) * 8 for name, cap in fx.sizes.items()}
+    )
 
 
 # -- V709: wire gaps and scratch lifetime -----------------------------------
@@ -481,10 +527,7 @@ def _m_wire_gap(fx: _Fixture) -> set[str]:
 def _m_temp_read(fx: _Fixture) -> set[str]:
     send0 = fx.bplan.phases[0][0].send
     assert send0 is not None
-    sel_ops = tuple(
-        ("temp", wire_sel, buf_sel)
-        for _name, wire_sel, buf_sel in send0._sel_ops
-    )
+    sel_ops = tuple(("temp", *op[1:]) for op in send0._sel_ops)
     run_ops = tuple(
         ("temp", woff, boff, n) for _name, woff, boff, n in send0._run_ops
     )

@@ -720,11 +720,16 @@ def _lower(
 
 
 def _check_plan_lowering(
-    schedule: Schedule, topo: CartTopology, report: VerificationReport
+    schedule: Schedule,
+    topo: CartTopology,
+    report: VerificationReport,
+    plan: Optional["BatchedPlan"] = None,
 ) -> Optional["BatchedPlan"]:
     """Certify that lowering (:mod:`repro.core.plan`) is semantics-
-    preserving.  The schedule is lowered *once*; the plan must keep the
-    round structure (V501), its shared kernels must pack/unpack byte-
+    preserving.  The schedule is lowered *once* (unless the mutation
+    harness hands in a ``plan`` to judge); the plan must keep the
+    round structure and address every buffer and wire in a lane that
+    divides it (V501), its shared kernels must pack/unpack byte-
     identically to the reference block sets (V503), its fused local-copy
     program must leave every buffer in the state the schedule's
     sequential copies produce (V504), and every sampled rank's row view
@@ -735,7 +740,8 @@ def _check_plan_lowering(
     unchanged, so the already-checked round counts and volumes carry
     over.  Returns the plan (``None`` when it cannot be used further)
     so the later passes check the same object."""
-    plan = _lower(schedule, topo, report)
+    if plan is None:
+        plan = _lower(schedule, topo, report)
     if plan is None:
         return None
     sizes = plan.sizes
@@ -748,6 +754,27 @@ def _check_plan_lowering(
             f"{want_shape}",
         )
         return None
+    # a lane must divide what it views as words, or the kernels below
+    # could not even run
+    views = [
+        (lane, (sizes[src], sizes[dst]))
+        for src, dst, _s, _d, lane in plan.copy_program._sel_ops
+    ] + [
+        (lane, (sizes[name], kernel.total_nbytes))
+        for plan_rounds in plan.phases
+        for br in plan_rounds
+        for kernel in (br.send, br.recv)
+        if kernel is not None
+        for name, _w, _b, lane in kernel._sel_ops
+    ]
+    for lane, extents in views:
+        if any(n % lane for n in extents):
+            report.add(
+                "V501",
+                f"plan lowering chose a {lane}-byte lane over sides of "
+                f"{extents} bytes",
+            )
+            return None
     buffers = _sentinel_buffers(sizes, seed=0)
     for pi, (ph, plan_rounds) in enumerate(zip(schedule.phases, plan.phases)):
         for ri, (rnd, br) in enumerate(zip(ph.rounds, plan_rounds)):

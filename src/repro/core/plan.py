@@ -15,10 +15,13 @@ is precomputed:
 * **gather/scatter programs** — each round's block sets become
   :class:`CompiledBlockSet` kernels, compiled exactly once because they
   are the same for every rank: contiguous layouts degrade to a single
-  slice copy, fragmented ``v``/``w`` layouts become one numpy
-  fancy-indexing operation over precomputed ``int64`` index arrays, and
-  layouts with few large runs keep a precomputed slice loop (a handful
-  of big ``memcpy``\\ s beats byte-granular index gathering);
+  slice copy, fragmented ``v``/``w`` layouts become one numpy gather or
+  scatter over precomputed ``int64`` index arrays that count *lanes* —
+  the widest machine word (8, 4, 2 or 1 bytes) that every offset,
+  length and capacity of the group is a multiple of, so an ``int64``
+  layout moves one word per index, not eight bytes — and layouts with
+  few large runs keep a precomputed slice loop (a handful of big
+  ``memcpy``\\ s beats index gathering at any lane);
 * **a fused local-copy program** — the final non-communication phase is
   compiled the same way (:class:`CompiledCopyProgram`), falling back to
   the schedule's sequential order whenever source and destination
@@ -47,12 +50,13 @@ with it; compilation is single-flight (:func:`get_or_compile`).
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 import weakref
 from collections import namedtuple
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,9 +68,10 @@ if TYPE_CHECKING:
     from repro.core.topology import CartTopology
 
 #: Average coalesced-run size (bytes) up to which a fragmented layout is
-#: lowered to index arrays.  Fancy indexing moves bytes one at a time, a
-#: slice copy is a memcpy with ~1 µs of Python overhead per run; around
-#: this run size the two cost the same, so larger runs keep a slice loop.
+#: lowered to index arrays.  Indexing moves one lane per index, a slice
+#: copy is a memcpy with ~1 µs of Python overhead per run; at lane 1 the
+#: two cost the same around this run size, so larger runs keep a slice
+#: loop.  The threshold is in bytes whatever lane the layout reaches.
 INDEX_RUN_LIMIT = 2048
 
 #: Smallest size class handed out by the pool (pooling tiny buffers costs
@@ -120,8 +125,9 @@ class BufferPool:
         self._lock = threading.Lock()
         self._classes: dict[int, list[np.ndarray]] = {}
         #: id(handle) → weakref for every exact-size view handed out and
-        #: not yet returned; dead entries (caller dropped the block
-        #: without releasing) are pruned lazily
+        #: not yet returned; an entry whose handle dies unreleased drops
+        #: itself (the weakref's callback), so the table only ever holds
+        #: live handles and no call scans it
         self._lent: dict[int, "weakref.ref[np.ndarray]"] = {}
         self._retained = 0
         self._outstanding = 0
@@ -159,14 +165,15 @@ class BufferPool:
         if block is None:
             block = np.empty(cls, dtype=np.uint8)
         handle = block[:nbytes]
+        key = id(handle)
+        # the callback runs while the dying handle still owns its id, so
+        # it can only ever drop its own entry; it takes no lock (a
+        # collection may fire it inside one of our locked sections) —
+        # a single dict pop is atomic under the GIL
+        lent = self._lent
+        ref = weakref.ref(handle, lambda _ref: lent.pop(key, None))
         with self._lock:
-            if len(self._lent) >= 1024:
-                self._lent = {
-                    key: ref
-                    for key, ref in self._lent.items()
-                    if ref() is not None
-                }
-            self._lent[id(handle)] = weakref.ref(handle)
+            lent[key] = ref
         return handle
 
     def release(self, arr: np.ndarray) -> None:
@@ -261,21 +268,85 @@ GLOBAL_POOL = BufferPool()
 # ---------------------------------------------------------------------------
 
 #: A precomputed gather/scatter selector: a slice where the region is
-#: contiguous, an ``int64`` index array where it is not.
+#: contiguous, an ``int64`` index array where it is not — both counted in
+#: *lanes* (machine words of 8, 4, 2 or 1 bytes), not bytes.
 Selector = Union[slice, np.ndarray]
 
+#: lane width in bytes -> the unsigned word type a selector of that lane
+#: indexes (lane 1 is the same path over a ``uint8`` view)
+_LANE_DTYPES = {n: np.dtype(f"u{n}") for n in (1, 2, 4, 8)}
+_ALL_ROWS = slice(None)
 
-def _selector(spans: Sequence[tuple[int, int]]) -> Selector:
-    """Lower ordered (start, nbytes) spans to a slice or index array."""
+
+def _lane_of(*extents: int) -> int:
+    """The widest lane every one of ``extents`` (run offsets and lengths
+    on both sides, buffer capacities, the wire total) is a multiple of:
+    8, 4, 2 or 1 bytes."""
+    return math.gcd(8, *extents)
+
+
+def _selector(
+    spans: Sequence[tuple[int, int]], lane: int, capacity: int
+) -> Selector:
+    """Lower ordered (start, nbytes) spans of a ``capacity``-byte side
+    to a slice or index array in ``lane`` units.  Every index is shown
+    to lie inside the side's lane view here, once, which is what lets
+    the gathers run with ``mode="clip"`` and never clip."""
     pos = spans[0][0]
     for start, n in spans:
         if start != pos:
             break
         pos += n
     else:
-        return slice(spans[0][0], pos)
-    return np.concatenate(
-        [np.arange(s, s + n, dtype=np.int64) for s, n in spans]
+        return slice(spans[0][0] // lane, pos // lane)
+    idx = np.concatenate(
+        [
+            np.arange(s // lane, (s + n) // lane, dtype=np.int64)
+            for s, n in spans
+        ]
+    )
+    assert not idx.size or 0 <= idx.min() <= idx.max() < capacity // lane
+    return idx
+
+
+def _copy_lanes(
+    dst: np.ndarray,
+    dst_sel: Selector,
+    src: np.ndarray,
+    src_sel: Selector,
+    lane: int,
+) -> None:
+    """Copy ``src_sel`` of ``src`` to ``dst_sel`` of ``dst`` on the
+    ``lane``-wide word views of two byte arrays — flat rank buffers, or
+    ``(p, nbytes)`` matrices whose columns the selectors index.  An
+    index gather into a contiguous destination writes straight through
+    ``take(out=)``; the bounds were proven at compile time, so
+    ``"clip"`` only skips the per-call check.  (Plain indices and the
+    ``take`` method, not ``[..., sel]`` and ``np.take``: per-rank
+    kernels of a few words run this thousands of times per collective.)
+    """
+    dtype = _LANE_DTYPES[lane]
+    dst = dst.view(dtype)
+    src = src.view(dtype)
+    dst_at: Any = dst_sel
+    src_at: Any = src_sel
+    if dst.ndim == 2:
+        dst_at, src_at = (_ALL_ROWS, dst_sel), (_ALL_ROWS, src_sel)
+    if type(src_sel) is slice:
+        dst[dst_at] = src[src_at]
+        return
+    if type(dst_sel) is slice:
+        out = dst[dst_at]
+        if out.flags.c_contiguous:
+            src.take(src_sel, -1, out, "clip")
+            return
+    dst[dst_at] = src.take(src_sel, -1, None, "clip")
+
+
+def _index_nbytes(ops: Sequence[tuple]) -> int:
+    """Bytes held by the index arrays of selector ops."""
+    return sum(
+        sel.nbytes for op in ops for sel in op if isinstance(sel, np.ndarray)
     )
 
 
@@ -286,8 +357,8 @@ class CompiledBlockSet:
     surface (``pack``/``pack_into``/``unpack``/``unpack_from``/
     ``total_nbytes``) so every transport consumes it unchanged.  Each
     per-buffer group is either one numpy selector operation (slice or
-    fancy index on both the wire and buffer side) or a precomputed slice
-    loop for few-large-run layouts.
+    fancy index on both the wire and buffer side, at the group's lane)
+    or a precomputed slice loop for few-large-run layouts.
     """
 
     __slots__ = ("total_nbytes", "_sel_ops", "_run_ops")
@@ -295,11 +366,11 @@ class CompiledBlockSet:
     def __init__(
         self,
         total_nbytes: int,
-        sel_ops: Sequence[tuple[str, Selector, Selector]],
+        sel_ops: Sequence[tuple[str, Selector, Selector, int]],
         run_ops: Sequence[tuple[str, int, int, int]],
     ) -> None:
         self.total_nbytes = total_nbytes
-        #: (buffer name, wire selector, buffer selector)
+        #: (buffer name, wire selector, buffer selector, lane)
         self._sel_ops = tuple(sel_ops)
         #: (buffer name, wire offset, buffer offset, nbytes)
         self._run_ops = tuple(run_ops)
@@ -310,8 +381,13 @@ class CompiledBlockSet:
     ) -> int:
         """Gather into ``out`` (e.g. a shared-memory slot); returns the
         number of bytes written."""
-        for name, wire_sel, buf_sel in self._sel_ops:
-            out[wire_sel] = byte_view(buffers[name])[buf_sel]
+        if out.size != self.total_nbytes:
+            raise TruncationError(
+                f"destination of {out.size} bytes does not match compiled "
+                f"block set of {self.total_nbytes} bytes"
+            )
+        for name, wire_sel, buf_sel, lane in self._sel_ops:
+            _copy_lanes(out, wire_sel, byte_view(buffers[name]), buf_sel, lane)
         for name, wire_off, buf_off, n in self._run_ops:
             out[wire_off : wire_off + n] = byte_view(buffers[name])[
                 buf_off : buf_off + n
@@ -333,8 +409,8 @@ class CompiledBlockSet:
                 f"payload of {data.size} bytes does not match compiled "
                 f"block set of {self.total_nbytes} bytes"
             )
-        for name, wire_sel, buf_sel in self._sel_ops:
-            byte_view(buffers[name])[buf_sel] = data[wire_sel]
+        for name, wire_sel, buf_sel, lane in self._sel_ops:
+            _copy_lanes(byte_view(buffers[name]), buf_sel, data, wire_sel, lane)
         for name, wire_off, buf_off, n in self._run_ops:
             byte_view(buffers[name])[buf_off : buf_off + n] = data[
                 wire_off : wire_off + n
@@ -354,15 +430,17 @@ class CompiledBlockSet:
 
     @property
     def uses_indices(self) -> bool:
-        return any(
-            isinstance(w, np.ndarray) or isinstance(b, np.ndarray)
-            for _, w, b in self._sel_ops
-        )
+        return _index_nbytes(self._sel_ops) > 0
+
+    @property
+    def lanes(self) -> tuple[int, ...]:
+        """The lane (bytes per word) of each selector op, in op order."""
+        return tuple(op[3] for op in self._sel_ops)
 
     def __repr__(self) -> str:
         return (
             f"CompiledBlockSet({self.total_nbytes} B, "
-            f"{len(self._sel_ops)} selector ops, "
+            f"{len(self._sel_ops)} selector ops at lanes {self.lanes}, "
             f"{len(self._run_ops)} slice runs)"
         )
 
@@ -389,14 +467,16 @@ def compile_blockset(
             )
         per_buffer.setdefault(b.buffer, []).append((pos, b.offset, b.nbytes))
         pos += b.nbytes
-    sel_ops: list[tuple[str, Selector, Selector]] = []
+    sel_ops: list[tuple[str, Selector, Selector, int]] = []
     run_ops: list[tuple[str, int, int, int]] = []
     for name, triples in per_buffer.items():
         nbytes = sum(t[2] for t in triples)
         if len(triples) == 1 or nbytes // len(triples) <= INDEX_RUN_LIMIT:
-            wire_sel = _selector([(w, n) for w, _, n in triples])
-            buf_sel = _selector([(o, n) for _, o, n in triples])
-            sel_ops.append((name, wire_sel, buf_sel))
+            cap = sizes[name]
+            lane = _lane_of(cap, pos, *(x for t in triples for x in t))
+            wire_sel = _selector([(w, n) for w, _, n in triples], lane, pos)
+            buf_sel = _selector([(o, n) for _, o, n in triples], lane, cap)
+            sel_ops.append((name, wire_sel, buf_sel, lane))
         else:
             run_ops.extend((name, w, o, n) for w, o, n in triples)
     return CompiledBlockSet(pos, sel_ops, run_ops)
@@ -424,22 +504,23 @@ class CompiledCopyProgram:
         self,
         nbytes: int,
         fused: bool,
-        sel_ops: Sequence[tuple[str, str, Selector, Selector]],
+        sel_ops: Sequence[tuple[str, str, Selector, Selector, int]],
         run_ops: Sequence[tuple[str, str, int, int, int]],
     ) -> None:
         self.nbytes = nbytes
         self.fused = fused
-        #: (src buffer, dst buffer, src selector, dst selector)
+        #: (src buffer, dst buffer, src selector, dst selector, lane)
         self._sel_ops = tuple(sel_ops)
         #: (src buffer, dst buffer, src offset, dst offset, nbytes)
         self._run_ops = tuple(run_ops)
 
     def run(self, buffers: Mapping[str, np.ndarray]) -> int:
         """Execute the program; returns bytes copied (trace accounting)."""
-        for src, dst, src_sel, dst_sel in self._sel_ops:
-            byte_view(buffers[dst])[dst_sel] = byte_view(buffers[src])[
-                src_sel
-            ]
+        for src, dst, src_sel, dst_sel, lane in self._sel_ops:
+            _copy_lanes(
+                byte_view(buffers[dst]), dst_sel,
+                byte_view(buffers[src]), src_sel, lane,
+            )
         for src, dst, src_off, dst_off, n in self._run_ops:
             byte_view(buffers[dst])[dst_off : dst_off + n] = byte_view(
                 buffers[src]
@@ -523,18 +604,20 @@ def compile_copies(
     groups: dict[tuple[str, str], list["LocalCopy"]] = {}
     for lc in copies:
         groups.setdefault((lc.src.buffer, lc.dst.buffer), []).append(lc)
-    sel_ops: list[tuple[str, str, Selector, Selector]] = []
+    sel_ops: list[tuple[str, str, Selector, Selector, int]] = []
     run_ops: list[tuple[str, str, int, int, int]] = []
     for (src, dst), group in groups.items():
         total = sum(lc.src.nbytes for lc in group)
         if len(group) == 1 or total // len(group) <= INDEX_RUN_LIMIT:
-            src_sel = _selector(
-                [(lc.src.offset, lc.src.nbytes) for lc in group]
+            src_spans = [(lc.src.offset, lc.src.nbytes) for lc in group]
+            dst_spans = [(lc.dst.offset, lc.dst.nbytes) for lc in group]
+            lane = _lane_of(
+                sizes[src], sizes[dst],
+                *(x for span in src_spans + dst_spans for x in span),
             )
-            dst_sel = _selector(
-                [(lc.dst.offset, lc.dst.nbytes) for lc in group]
-            )
-            sel_ops.append((src, dst, src_sel, dst_sel))
+            src_sel = _selector(src_spans, lane, sizes[src])
+            dst_sel = _selector(dst_spans, lane, sizes[dst])
+            sel_ops.append((src, dst, src_sel, dst_sel, lane))
         else:
             run_ops.extend(
                 (src, dst, lc.src.offset, lc.dst.offset, lc.src.nbytes)
@@ -817,8 +900,8 @@ class BatchedRound:
         are packed too (they are never delivered; packing all rows is
         cheaper than masking the gather)."""
         assert self.send is not None
-        for name, wire_sel, buf_sel in self.send._sel_ops:
-            wire[:, wire_sel] = matrices[name][:, buf_sel]
+        for name, wire_sel, buf_sel, lane in self.send._sel_ops:
+            _copy_lanes(wire, wire_sel, matrices[name], buf_sel, lane)
         for name, wire_off, buf_off, n in self.send._run_ops:
             wire[:, wire_off : wire_off + n] = matrices[name][
                 :, buf_off : buf_off + n
@@ -837,17 +920,20 @@ class BatchedRound:
         # row slice); on a mesh edge, the receiving rows only
         rows = self.recv_rows
         dst_rows = slice(None) if rows is None else rows
-        for name, wire_sel, buf_sel in self.recv._sel_ops:
+        for name, wire_sel, buf_sel, lane in self.recv._sel_ops:
+            dtype = _LANE_DTYPES[lane]
+            words = wire.view(dtype)
             if isinstance(wire_sel, slice):
-                payload = wire[src, wire_sel]
+                payload = words[src, wire_sel]
             else:
-                # the byte-granular column gather first, then whole rows
+                # the lane-granular column gather first, then whole rows
                 # (1.6x faster than the one-step ``wire[src[:, None], sel]``)
-                payload = wire.take(wire_sel, axis=1).take(src, axis=0)
+                payload = words.take(wire_sel, axis=1).take(src, axis=0)
+            mat = matrices[name].view(dtype)
             if rows is None or isinstance(buf_sel, slice):
-                matrices[name][dst_rows, buf_sel] = payload
+                mat[dst_rows, buf_sel] = payload
             else:
-                matrices[name][rows[:, None], buf_sel] = payload
+                mat[rows[:, None], buf_sel] = payload
         for name, wire_off, buf_off, n in self.recv._run_ops:
             matrices[name][dst_rows, buf_off : buf_off + n] = wire[
                 src, wire_off : wire_off + n
@@ -1101,8 +1187,10 @@ class BatchedPlan:
         "sizes",
         "wire_bytes",
         "written",
+        "selector_nbytes",
         "compile_seconds",
         "_views",
+        "__weakref__",
     )
 
     def __init__(
@@ -1144,9 +1232,14 @@ class BatchedPlan:
         #: backend that stages buffers has to hand back to the callers —
         #: and so all that has to be writeable on their side
         written: set[str] = set()
+        #: bytes held by the index arrays of every kernel of the plan
+        self.selector_nbytes = _index_nbytes(copy_program._sel_ops)
         for rounds in self.phases:
             for rnd in rounds:
+                if rnd.send is not None:
+                    self.selector_nbytes += _index_nbytes(rnd.send._sel_ops)
                 if rnd.recv is not None:
+                    self.selector_nbytes += _index_nbytes(rnd.recv._sel_ops)
                     written.update(
                         op[0] for op in (*rnd.recv._sel_ops, *rnd.recv._run_ops)
                     )
@@ -1251,8 +1344,8 @@ class BatchedPlan:
         (op order matches the per-rank program, so the non-fused
         sequential fallback keeps its semantics row-wise)."""
         prog = self.copy_program
-        for src, dst, src_sel, dst_sel in prog._sel_ops:
-            matrices[dst][:, dst_sel] = matrices[src][:, src_sel]
+        for src, dst, src_sel, dst_sel, lane in prog._sel_ops:
+            _copy_lanes(matrices[dst], dst_sel, matrices[src], src_sel, lane)
         for src, dst, src_off, dst_off, n in prog._run_ops:
             matrices[dst][:, dst_off : dst_off + n] = matrices[src][
                 :, src_off : src_off + n
@@ -1267,7 +1360,7 @@ class BatchedPlan:
         return (
             f"BatchedPlan({self.kind}, p={self.p}, "
             f"phases={len(self.phases)}, rounds={self.num_rounds}, "
-            f"wire={self.wire_bytes} B)"
+            f"wire={self.wire_bytes} B, selectors={self.selector_nbytes} B)"
         )
 
 
@@ -1370,12 +1463,15 @@ _CACHE_LOCK = threading.Lock()
 #: lock, so concurrent compilation — distinct schedules, the schedule
 #: service's worker pool — does not serialize on one global lock.
 _BUILDING: dict[tuple, threading.Event] = {}
+#: the plans currently filed on some schedule (weakly: a plan leaves
+#: with its schedule-cache entry)
+_CACHED: "weakref.WeakSet[BatchedPlan]" = weakref.WeakSet()
 _hits = 0
 _misses = 0
 _compile_seconds = 0.0
 
 PlanCacheInfo = namedtuple(
-    "PlanCacheInfo", ["hits", "misses", "compile_seconds"]
+    "PlanCacheInfo", ["hits", "misses", "compile_seconds", "selector_bytes"]
 )
 
 
@@ -1386,6 +1482,7 @@ def invalidate_plans(schedule: "Schedule") -> None:
     — the backing store of
     :meth:`~repro.core.schedule.Schedule.clear_plans`."""
     with _CACHE_LOCK:
+        _CACHED.difference_update(schedule._plans.values())
         schedule._plans.clear()
         schedule._plans_generation += 1
 
@@ -1434,6 +1531,7 @@ def get_or_compile(
             _compile_seconds += compiled.compile_seconds
             if schedule._plans_generation == generation:
                 cache[key] = compiled
+                _CACHED.add(compiled)
         return compiled, False
     finally:
         with _CACHE_LOCK:
@@ -1442,10 +1540,14 @@ def get_or_compile(
 
 
 def plan_cache_info() -> PlanCacheInfo:
-    """Process-wide plan-compilation counters (all schedules)."""
+    """Process-wide plan-compilation counters (all schedules) and the
+    index-array bytes the cached plans hold right now."""
     with _CACHE_LOCK:
         return PlanCacheInfo(
-            hits=_hits, misses=_misses, compile_seconds=_compile_seconds
+            hits=_hits,
+            misses=_misses,
+            compile_seconds=_compile_seconds,
+            selector_bytes=sum(plan.selector_nbytes for plan in _CACHED),
         )
 
 

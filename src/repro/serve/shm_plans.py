@@ -25,9 +25,11 @@ on first read, so a torn or corrupted mapping surfaces as a typed
 :class:`~repro.core.serialize.CorruptFrameError`.
 
 Plans are serialized as a **plan image**: a JSON skeleton (structure,
-slices, byte counts) plus a blob region holding the ``int64``
-gather/scatter index arrays 8-byte aligned, which is what makes the
-read-side zero-copy.  Reduction plans are refused — an image carries
+slices, byte counts, and the lane — bytes per word — each selector op
+counts in) plus a blob region holding the ``int64`` gather/scatter
+index arrays 8-byte aligned, which is what makes the read-side
+zero-copy.  Store version 2 added the lanes; a version-1 segment holds
+byte-granular selectors this reader would misread, and is refused.  Reduction plans are refused — an image carries
 data movement only, and a combine operator may be a process-local
 callable; the store serves the data-movement family.
 """
@@ -55,7 +57,7 @@ from repro.core.serialize import CorruptFrameError
 from repro.mpisim.exceptions import ScheduleError
 
 STORE_MAGIC = b"RPLS"
-STORE_VERSION = 1
+STORE_VERSION = 2
 _STORE_HEADER = struct.Struct("<4sIQQ")
 _ENTRY_HEADER = struct.Struct("<III")
 #: default segment capacity: generous for thousands of stencil plans
@@ -115,8 +117,8 @@ def _cbs_to_wire(cbs: Optional[CompiledBlockSet], blobs: _BlobWriter) -> Any:
     return {
         "total": cbs.total_nbytes,
         "sel": [
-            [name, _sel_to_wire(w, blobs), _sel_to_wire(b, blobs)]
-            for name, w, b in cbs._sel_ops
+            [name, _sel_to_wire(w, blobs), _sel_to_wire(b, blobs), lane]
+            for name, w, b, lane in cbs._sel_ops
         ],
         "run": [list(op) for op in cbs._run_ops],
     }
@@ -134,8 +136,9 @@ def _cbs_from_wire(
                 str(name),
                 _sel_from_wire(w, blob_region, table),
                 _sel_from_wire(b, blob_region, table),
+                int(lane),
             )
-            for name, w, b in data["sel"]
+            for name, w, b, lane in data["sel"]
         ],
         [
             (str(name), int(w), int(o), int(n))
@@ -178,8 +181,8 @@ def plan_to_image(plan: RankPlan) -> bytes:
             "nbytes": cp.nbytes,
             "fused": cp.fused,
             "sel": [
-                [src, dst, _sel_to_wire(s, blobs), _sel_to_wire(d, blobs)]
-                for src, dst, s, d in cp._sel_ops
+                [src, dst, _sel_to_wire(s, blobs), _sel_to_wire(d, blobs), lane]
+                for src, dst, s, d, lane in cp._sel_ops
             ],
             "run": [list(op) for op in cp._run_ops],
         },
@@ -240,8 +243,9 @@ def plan_from_image(buf: memoryview) -> RankPlan:
                 str(dst),
                 _sel_from_wire(s, blob_region, table),
                 _sel_from_wire(d, blob_region, table),
+                int(lane),
             )
-            for src, dst, s, d in cp["sel"]
+            for src, dst, s, d, lane in cp["sel"]
         ],
         [
             (str(src), str(dst), int(so), int(do), int(n))

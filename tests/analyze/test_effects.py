@@ -18,10 +18,16 @@ from repro.analyze.effects import (
     check_copy_program,
     check_kernel,
     check_shm_layout,
+    kernel_effects,
     verify_effects,
 )
+from repro.analyze.intervals import IntervalSet, summarize_selector
 from repro.analyze.report import VerificationReport
-from repro.analyze.schedule_verifier import SWEEP_KINDS, build_for_kind
+from repro.analyze.schedule_verifier import (
+    SWEEP_KINDS,
+    _plan_sizes,
+    build_for_kind,
+)
 from repro.core.backend.shm import compute_segment_layout
 from repro.core.plan import compile_batched_plan
 from repro.core.stencils import named_stencil
@@ -39,8 +45,6 @@ def artifacts():
     nbh = named_stencil("9-point")
     topo = CartTopology(DIMS, (True, True))
     sched = build_for_kind("alltoall", nbh).prepare()
-    from repro.analyze.schedule_verifier import _plan_sizes
-
     sizes = _plan_sizes(sched)
     return sched, topo, sizes, compile_batched_plan(sched, topo, sizes)
 
@@ -91,15 +95,17 @@ class TestKernelEffects:
         bad_runs = [
             (name, wire, buf + bump, n) for name, wire, buf, n in k._run_ops
         ]
+        # selectors count lanes: the same byte bump is bump // lane words
         bad_sels = [
             (
                 name,
                 wire_sel,
-                slice(buf_sel.start + bump, buf_sel.stop + bump)
+                slice(buf_sel.start + bump // lane, buf_sel.stop + bump // lane)
                 if isinstance(buf_sel, slice)
-                else buf_sel + bump,
+                else buf_sel + bump // lane,
+                lane,
             )
-            for name, wire_sel, buf_sel in k._sel_ops
+            for name, wire_sel, buf_sel, lane in k._sel_ops
         ]
         rep = report()
         check_kernel(
@@ -124,6 +130,71 @@ class TestKernelEffects:
             role="send",
         )
         assert "V709" in rep.codes()
+
+
+class TestLaneSummaries:
+    """The effect pass reads selectors in lanes and must see the bytes
+    it saw when the lowering indexed every byte: the reference below is
+    that per-byte expansion, built from the schedule's own block sets."""
+
+    GRID = [
+        ("9-point", (4, 4), (True, True)),
+        ("27-point", (3, 3, 3), (True, True, True)),
+        ("9-point", (2, 4), (True, False)),
+    ]
+
+    @staticmethod
+    def per_byte(runs):
+        per_buffer = {}
+        for b in runs:
+            per_buffer.setdefault(b.buffer, []).append(
+                np.arange(b.offset, b.end(), dtype=np.int64)
+            )
+        return {
+            name: summarize_selector(np.concatenate(parts))
+            for name, parts in per_buffer.items()
+        }
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @pytest.mark.parametrize("stencil,dims,periods", GRID)
+    def test_byte_intervals_unchanged(self, stencil, dims, periods, kind):
+        sched = build_for_kind(kind, named_stencil(stencil)).prepare()
+        plan = compile_batched_plan(
+            sched, CartTopology(dims, periods), _plan_sizes(sched)
+        )
+        kernels = 0
+        for phase, plan_rounds in zip(sched.phases, plan.phases):
+            for rnd, br in zip(phase.rounds, plan_rounds):
+                for blocks, kernel in (
+                    (rnd.send_blocks, br.send),
+                    (rnd.recv_blocks, br.recv),
+                ):
+                    if kernel is None:
+                        continue
+                    kernels += 1
+                    want = self.per_byte(blocks.coalesced_runs())
+                    eff = kernel_effects(kernel)
+                    assert eff.buffers == {
+                        name: IntervalSet(s.intervals)
+                        for name, s in want.items()
+                    }
+                    assert eff.buffer_collision_bytes == sum(
+                        s.duplicate_bytes for s in want.values()
+                    )
+                    total = sum(s.nbytes for s in want.values())
+                    assert eff.total_nbytes == total
+                    assert eff.wire == IntervalSet([(0, total)])
+                    assert eff.wire_collision_bytes == 0
+        assert kernels
+
+    @pytest.mark.parametrize("lane", [1, 2, 4, 8])
+    def test_lane_scales_intervals_duplicates_and_bytes(self, lane):
+        idx = np.array([0, 1, 2, 5, 5, 9], dtype=np.int64)
+        per_byte = (idx[:, None] * lane + np.arange(lane)).ravel()
+        assert summarize_selector(idx, lane) == summarize_selector(per_byte)
+        assert summarize_selector(slice(3, 7), lane) == summarize_selector(
+            slice(3 * lane, 7 * lane)
+        )
 
 
 class TestCopyProgram:

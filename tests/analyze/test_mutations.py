@@ -6,7 +6,12 @@ certified by killing every mutant with its expected code.  This test is
 the tier-1 mirror of the ``python -m repro.analyze mutations`` CI gate.
 """
 
-from repro.analyze.mutations import main, run_mutations
+from repro.analyze.mutations import (
+    _Fixture,
+    _widen_one_lane,
+    main,
+    run_mutations,
+)
 
 
 def test_every_mutant_killed_with_expected_code():
@@ -21,11 +26,13 @@ def test_every_mutant_killed_with_expected_code():
 
 
 def test_expected_codes_span_all_families():
-    """The adversary must cover every V7xx effect family, the V80x
-    reduce checks, and the linearity/lockset rules — a mutator set that
+    """The adversary must cover the lowering conformance check, every
+    V7xx effect family, the V80x reduce checks, and the
+    linearity/lockset rules — a mutator set that
     drifts to one family stops certifying the rest."""
     expects = {r.expect for r in run_mutations()}
     for code in (
+        "V503",
         "V701",
         "V702",
         "V703",
@@ -45,6 +52,15 @@ def test_expected_codes_span_all_families():
         "L009",
     ):
         assert code in expects, f"no mutator targets {code}"
+
+
+def test_lane_that_does_not_divide_a_capacity_is_refused():
+    """The widened-lane mutant at the fixture's own capacities (60 and
+    36 bytes, not whole 8-byte words) cannot even be viewed: the
+    lowering check must report that as V501, not die of a ValueError
+    inside a kernel."""
+    fx = _Fixture()
+    assert _widen_one_lane(fx, fx.sizes) == {"V501"}
 
 
 def test_cli_exit_code_is_zero():

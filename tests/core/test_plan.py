@@ -182,6 +182,36 @@ class TestCompiledBlockSet:
             kern.unpack_from({"b": np.zeros(64, np.uint8)},
                              np.zeros(4, np.uint8))
 
+    @pytest.mark.parametrize("size", [4, 16])
+    def test_pack_into_size_mismatch_raises(self, size):
+        """Regression: a destination of the wrong size used to be
+        written as far as it went (and, with clipped gathers, would be
+        filled with the wrong words) instead of being refused."""
+        kern = compile_blockset(
+            [BlockRef("b", 0, 4), BlockRef("b", 16, 4)], {"b": 64}
+        )
+        assert kern.uses_indices
+        with pytest.raises(TruncationError, match="does not match"):
+            kern.pack_into({"b": np.zeros(64, np.uint8)},
+                           np.zeros(size, np.uint8))
+
+    def test_lane_is_the_widest_the_layout_allows(self):
+        runs = [BlockRef("b", 0, 8), BlockRef("b", 16, 8)]
+        assert compile_blockset(runs, {"b": 64}).lanes == (8,)
+        # an odd capacity, a 4-aligned offset, a 2-aligned length: each
+        # caps the lane; the index arrays shrink with it
+        assert compile_blockset(runs, {"b": 63}).lanes == (1,)
+        runs[1] = BlockRef("b", 20, 8)
+        assert compile_blockset(runs, {"b": 64}).lanes == (4,)
+        runs[1] = BlockRef("b", 16, 6)
+        kern = compile_blockset(runs, {"b": 64})
+        assert kern.lanes == (2,)
+        assert "lanes (2,)" in repr(kern)
+        _, wire_sel, buf_sel, _ = kern._sel_ops[0]
+        assert wire_sel == slice(0, 7) and buf_sel.tolist() == [
+            0, 1, 2, 3, 8, 9, 10,
+        ]
+
     def test_out_of_bounds_block_rejected_at_compile(self):
         with pytest.raises(TruncationError, match="exceeds buffer"):
             compile_blockset([BlockRef("b", 60, 8)], {"b": 64})
@@ -220,6 +250,15 @@ class TestCompiledCopies:
             ].copy()
         prog.run(got)
         assert np.array_equal(got["b"], ref["b"])
+
+    def test_empty_copies_at_scattered_offsets_compile_to_nothing(self):
+        copies = [
+            LocalCopy(BlockRef("a", 0, 0), BlockRef("b", 0, 0)),
+            LocalCopy(BlockRef("a", 8, 0), BlockRef("b", 4, 0)),
+        ]
+        prog = compile_copies(copies, {"a": 16, "b": 16})
+        bufs = {"a": np.arange(16, dtype=np.uint8), "b": np.zeros(16, np.uint8)}
+        assert prog.run(bufs) == 0 and not bufs["b"].any()
 
     def test_bounds_checked(self):
         with pytest.raises(TruncationError, match="exceeds buffer"):
@@ -401,9 +440,48 @@ class TestBufferPool:
 
     def test_lent_table_prunes_abandoned_handles(self):
         pool = BufferPool(max_retained_bytes=0)  # retain nothing
-        for _ in range(1200):  # cross the lazy-prune threshold
+        for _ in range(1200):
             pool.acquire(70)  # handle dropped without release
         assert len(pool._lent) < 1200
+
+    def test_many_outstanding_handles_stay_cheap(self):
+        """Regression: past 1 024 handles out, every acquire rebuilt the
+        whole lent table, so holding n handles cost O(n^2) (19.5 of
+        24.8 s certifying a direct alltoall on (5, 5, 5)).  The last
+        thousand of 5 000 must cost what the first thousand did."""
+        import time
+
+        pool = BufferPool(max_retained_bytes=1 << 20)
+        handles = []
+        chunk_seconds = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            handles.extend(pool.acquire(70) for _ in range(1000))
+            chunk_seconds.append(time.perf_counter() - t0)
+        assert len(pool._lent) == 5000
+        # the old table scan made the last chunk ~100x the first
+        assert chunk_seconds[-1] < 10 * chunk_seconds[0], chunk_seconds
+        # the three refused returns are still told apart from 5 000
+        # genuine ones: a second release, a stale handle whose block was
+        # re-lent, a foreign array of a pool class size
+        a = handles.pop()
+        pool.release(a)
+        pool.release(a)
+        b = pool.acquire(70)
+        assert b.base is a.base
+        pool.release(a)
+        pool.release(np.zeros(128, np.uint8))
+        assert pool.stats().double_releases == 3
+        pool.release(b)
+        for h in handles[:2000]:
+            pool.release(h)
+        del h
+        assert len(pool._lent) == 2999
+        del handles[:]  # the rest die unreleased and expire on their own
+        assert len(pool._lent) == 0
+        s = pool.stats()
+        assert s.acquires == 5001 and s.releases == 2002
+        assert s.double_releases == 3
 
     def test_concurrent_double_release_stats_consistent(self):
         """Hammer release() with duplicate handles from many threads:
@@ -465,6 +543,37 @@ class TestPlanCacheLifetime:
         assert after.misses == before.misses + 1
         assert after.hits == before.hits + 1
         assert after.compile_seconds > before.compile_seconds
+
+    def test_selector_bytes_follow_the_cached_plans(self):
+        """``selector_bytes`` is a gauge over the plans filed right now:
+        it grows by a plan's index-array bytes on the miss, not on hits,
+        and gives them back when the plans are invalidated."""
+        sched = build_alltoall_schedule(
+            NBH,
+            uniform_block_layout([8] * NBH.t, "send"),
+            uniform_block_layout([8] * NBH.t, "recv"),
+        ).prepare()
+        sizes = {"send": NBH.t * 8, "recv": NBH.t * 8, "temp": sched.temp_nbytes}
+        topo = CartTopology((3, 3))
+        before = plan_mod.plan_cache_info().selector_bytes
+        plan, _ = get_or_compile(sched, topo, sizes=sizes)
+        kernels = [
+            k for ph in plan.phases for r in ph for k in (r.send, r.recv)
+        ]
+        assert plan.selector_nbytes == sum(
+            sel.nbytes
+            for k in kernels
+            for op in k._sel_ops
+            for sel in op[1:3]
+            if isinstance(sel, np.ndarray)
+        )
+        assert plan.selector_nbytes > 0
+        assert f"selectors={plan.selector_nbytes} B" in repr(plan)
+        get_or_compile(sched, topo, sizes=sizes)
+        info = plan_mod.plan_cache_info()
+        assert info.selector_bytes == before + plan.selector_nbytes
+        sched.clear_plans()
+        assert plan_mod.plan_cache_info().selector_bytes == before
 
     def test_distinct_rank_and_layout_keys(self):
         """Ranks share one plan entry (their views differ); a different
@@ -595,6 +704,48 @@ def test_reduce_rank_views_share_fused_programs():
 
     assert 0 < folded_bytes(corner) < folded_bytes(centre)
     assert corner.reduce_outputs_ok and centre.reduce_outputs_ok
+
+
+def test_allreduce_512_index_selectors_are_all_lane_8():
+    """Shape pin for the e2e ``allreduce_512`` plan: every index
+    selector of the (8, 8, 8) int64 allreduce gathers 8-byte words."""
+    from repro.core.stencils import moore_neighborhood
+    from repro.core.reduce_schedule import build_allreduce_schedule
+
+    nbh = moore_neighborhood(3, 1, include_self=False)
+    sched = build_allreduce_schedule(
+        nbh, m_bytes=256, dtype=np.int64, op="sum"
+    )
+    sizes = {"send": 256, "recv": nbh.t * 256, "temp": sched.temp_nbytes}
+    plan = plan_mod.compile_batched_plan(
+        sched, CartTopology((8, 8, 8)), sizes
+    )
+    kernels = [k for ph in plan.phases for r in ph for k in (r.send, r.recv)]
+    assert any(k.uses_indices for k in kernels)
+    assert {lane for k in kernels for lane in k.lanes} == {8}
+    # one int64 per 8-byte word (139 264 B at one per byte)
+    assert plan.selector_nbytes == 17_408
+
+
+def test_halo3d_large_recv_kernels_stay_slice_runs():
+    """Shape pin for the e2e ``halo3d_large`` plan (the workload that
+    must not move): 16 KiB runs are over ``INDEX_RUN_LIMIT`` bytes, so
+    no receive kernel holds an index array at any lane."""
+    from repro.core.stencils import moore_neighborhood
+
+    nbh = moore_neighborhood(3, 1, include_self=False)
+    m = 16 * 1024
+    sched = build_alltoall_schedule(
+        nbh,
+        uniform_block_layout([m] * nbh.t, "send"),
+        uniform_block_layout([m] * nbh.t, "recv"),
+    ).prepare()
+    sizes = {"send": nbh.t * m, "recv": nbh.t * m, "temp": sched.temp_nbytes}
+    plan = plan_mod.compile_batched_plan(
+        sched, CartTopology((3, 3, 3)), sizes
+    )
+    recvs = [r.recv for ph in plan.phases for r in ph]
+    assert recvs and not any(k.uses_indices for k in recvs)
 
 
 def test_compile_plan_wire_bytes_excludes_mesh_boundaries():

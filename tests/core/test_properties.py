@@ -1,6 +1,6 @@
 """Property-based conformance suite (hypothesis).
 
-Two families of randomized checks:
+Three families of randomized checks:
 
 * **Differential tests** — for random ``(dims, periods, offsets)``, the
   message-combining alltoall/allgather schedules must fill the receive
@@ -9,6 +9,11 @@ Two families of randomized checks:
   4), so agreement certifies the combining schedules' semantics on
   arbitrary topologies, including non-periodic boundaries and repeated
   or self offsets.
+
+* **Lowering tests** — random run lists (alignment 1–8, odd capacities,
+  empty blocks, misaligned arrays): the word-granular kernels of
+  :mod:`repro.core.plan` must move exactly the bytes their
+  :class:`~repro.mpisim.datatypes.BlockSet` moves, per rank and batched.
 
 * **Invariant tests** — Propositions 3.2/3.3 on randomized
   neighborhoods: the combining alltoall uses exactly ``C = Σ_k C_k``
@@ -22,14 +27,21 @@ Profiles are registered in ``tests/conftest.py``; CI runs with
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.allgather_schedule import AllgatherTree, build_allgather_schedule
 from repro.core.alltoall_schedule import build_alltoall_schedule
 from repro.core.backend import get_backend
 from repro.core.neighborhood import Neighborhood
-from repro.core.schedule import uniform_block_layout
+from repro.core.plan import (
+    BatchedRound,
+    compile_batched_plan,
+    compile_blockset,
+    compile_copies,
+    translate_all,
+)
+from repro.core.schedule import LocalCopy, Schedule, uniform_block_layout
 from repro.core.stencils import random_neighborhood
 from repro.core.topology import CartTopology
 from repro.core.trivial import (
@@ -38,6 +50,7 @@ from repro.core.trivial import (
     build_trivial_allgather_schedule,
     build_trivial_alltoall_schedule,
 )
+from repro.mpisim.datatypes import BlockRef, BlockSet
 
 # Grid shapes with at most 24 ranks: lockstep execution is O(p · V · m),
 # so these keep each example comfortably under a millisecond-scale cost
@@ -283,3 +296,165 @@ class TestStaticVerifier:
                 f"offsets={nbh.offsets.tolist()} m={m}: "
                 f"{[v.describe() for v in report.violations]}"
             )
+
+
+# ----------------------------------------------------------------------
+# word-granular selectors: every lowered kernel ≡ its BlockSet
+# ----------------------------------------------------------------------
+@st.composite
+def paired_layout(draw):
+    """Runs of buffer ``"a"`` and equally long runs of buffer ``"b"``
+    (the two sides of one message, or a copy list), block ``i`` of one
+    matching block ``i`` of the other.
+
+    Offsets and lengths are multiples of an alignment drawn from
+    {1, 2, 4, 8}; runs are disjoint and in shuffled order on either
+    side, blocks may be empty, a single block (or gap-free blocks)
+    lowers to a slice, and the capacities carry a padding that may make
+    them odd — whatever lane the layout itself would allow."""
+    align = draw(st.sampled_from([1, 2, 4, 8]))
+    k = draw(st.integers(0, 6))
+    lens = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    sides = {}
+    for name in ("a", "b"):
+        gaps = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        order = draw(st.permutations(range(k)))
+        offsets = [0] * k
+        pos = 0
+        for i, gap in zip(order, gaps):
+            pos += gap * align
+            offsets[i] = pos
+            pos += lens[i] * align
+        pad = draw(st.sampled_from([0, align, 8, 1, 3, 5]))
+        sides[name] = (
+            [BlockRef(name, offsets[i], lens[i] * align) for i in range(k)],
+            pos + pad,
+        )
+    (a_blocks, a_cap), (b_blocks, b_cap) = sides["a"], sides["b"]
+    return align, a_blocks, b_blocks, {"a": a_cap, "b": b_cap}
+
+
+def _array(data: np.ndarray, misaligned: bool) -> np.ndarray:
+    """A writable copy of ``data``, on request one whose base pointer
+    is odd (so no word view of it is aligned)."""
+    out = np.empty(data.size + 1, np.uint8)[1:] if misaligned else (
+        np.empty(data.size, np.uint8)
+    )
+    out[:] = data
+    return out
+
+
+def _random_buffers(
+    sizes: dict, seed: int, misaligned: bool = False
+) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return {
+        name: _array(rng.integers(0, 256, n).astype(np.uint8), misaligned)
+        for name, n in sizes.items()
+    }
+
+
+class TestLaneSelectors:
+    """The lowering picks, per selector op, the widest lane the layout
+    allows — and whatever it picks, the kernel must move exactly the
+    bytes the :class:`BlockSet` reference moves."""
+
+    @given(paired_layout(), st.integers(0, 2**16), st.booleans())
+    def test_rank_kernels_match_blockset(self, layout, seed, misaligned):
+        align, a_blocks, b_blocks, sizes = layout
+        # one kernel over both buffers, blocks interleaved: two selector
+        # ops whose wire sides are fragmented too
+        bs = BlockSet([x for pair in zip(a_blocks, b_blocks) for x in pair])
+        kern = compile_blockset(bs.coalesced_runs(), sizes)
+        for (name, *_), lane in zip(kern._sel_ops, kern.lanes):
+            assert sizes[name] % lane == 0 == kern.total_nbytes % lane
+            if sizes[name] % align == 0 == kern.total_nbytes % align:
+                assert lane % align == 0
+        bufs = _random_buffers(sizes, seed, misaligned)
+        ref = bs.pack(bufs)
+        assert kern.pack(bufs).tobytes() == ref
+        out = _array(np.zeros(len(ref), np.uint8), misaligned)
+        assert kern.pack_into(bufs, out) == len(ref)
+        assert out.tobytes() == ref
+
+        payload = np.random.default_rng(seed + 1).integers(
+            0, 256, len(ref)
+        ).astype(np.uint8)
+        want = _random_buffers(sizes, seed)
+        bs.unpack(want, payload.tobytes())
+        got = _random_buffers(sizes, seed, misaligned)
+        kern.unpack(got, payload.tobytes())
+        got_from = _random_buffers(sizes, seed, misaligned)
+        kern.unpack_from(got_from, _array(payload, misaligned))
+        for name in sizes:
+            assert np.array_equal(got[name], want[name])
+            assert np.array_equal(got_from[name], want[name])
+
+    @given(paired_layout(), st.integers(0, 2**16), st.booleans())
+    @example(
+        # a scatter through an index selector, on a mesh edge
+        (
+            4,
+            [BlockRef("a", 0, 8), BlockRef("a", 16, 4)],
+            [BlockRef("b", 12, 8), BlockRef("b", 0, 4)],
+            {"a": 24, "b": 20},
+        ),
+        0,
+        False,
+    )
+    def test_matrix_round_matches_blockset(self, layout, seed, periodic):
+        _align, a_blocks, b_blocks, sizes = layout
+        send_bs, recv_bs = BlockSet(a_blocks), BlockSet(b_blocks)
+        topo = CartTopology((5,), (periodic,))
+        rnd = BatchedRound(
+            translate_all(topo, (-1,)),
+            translate_all(topo, (1,)),
+            compile_blockset(send_bs.coalesced_runs(), sizes),
+            compile_blockset(recv_bs.coalesced_runs(), sizes),
+        )
+        assert (rnd.recv_rows is None) == periodic
+        ranks = [_random_buffers(sizes, seed + r) for r in range(topo.size)]
+        matrices = {
+            name: np.stack([bufs[name] for bufs in ranks]) for name in sizes
+        }
+        wire = np.zeros((topo.size, rnd.wire_nbytes), np.uint8)
+        rnd.pack_into(matrices, wire)
+        rnd.unpack_from(matrices, wire)
+        payloads = [send_bs.pack(bufs) for bufs in ranks]
+        for rank, bufs in enumerate(ranks):
+            source = topo.translate(rank, (-1,))
+            assert wire[rank].tobytes() == payloads[rank]
+            if source is not None:
+                recv_bs.unpack(bufs, payloads[source])
+            for name in sizes:
+                assert np.array_equal(matrices[name][rank], bufs[name])
+
+    @given(paired_layout(), st.integers(0, 2**16), st.booleans())
+    def test_copy_program_matches_sequential_copies(
+        self, layout, seed, misaligned
+    ):
+        _align, a_blocks, b_blocks, sizes = layout
+        copies = [LocalCopy(a, b) for a, b in zip(a_blocks, b_blocks)]
+        want = _random_buffers(sizes, seed)
+        for lc in copies:
+            want["b"][lc.dst.offset : lc.dst.end()] = want["a"][
+                lc.src.offset : lc.src.end()
+            ]
+        got = _random_buffers(sizes, seed, misaligned)
+        prog = compile_copies(copies, sizes)
+        assert prog.run(got) == sum(lc.src.nbytes for lc in copies)
+        assert np.array_equal(got["b"], want["b"])
+        # the same program batched over rank rows
+        topo = CartTopology((3,))
+        plan = compile_batched_plan(
+            Schedule("alltoall", Neighborhood([(0,)]), [], copies),
+            topo,
+            sizes,
+        )
+        start = _random_buffers(sizes, seed)
+        matrices = {
+            name: np.stack([start[name]] * topo.size) for name in sizes
+        }
+        plan.run_local_copies(matrices)
+        for rank in range(topo.size):
+            assert np.array_equal(matrices["b"][rank], want["b"])

@@ -15,6 +15,7 @@ from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
 from repro.mpisim.exceptions import ScheduleError
 from repro.serve.shm_plans import (
+    STORE_VERSION,
     ShmPlanStore,
     key_digest,
     plan_from_image,
@@ -95,13 +96,28 @@ class TestPlanImage:
             for rnd in phase
             for cbs in (rnd.send, rnd.recv)
             if cbs is not None
-            for _, w, b in cbs._sel_ops
+            for _, w, b, _lane in cbs._sel_ops
             for sel in (w, b)
             if isinstance(sel, np.ndarray)
         ]
         for arr in arrays:
             assert not arr.flags.writeable
             assert arr.base is not None  # a view, not a copy
+
+    def test_image_carries_each_selector_lane(self):
+        plan, byte_sizes = compiled_plan(m=8)
+        back = plan_from_image(memoryview(plan_to_image(plan)))
+        lanes = [
+            [None if k is None else k.lanes for k in (rnd.send, rnd.recv)]
+            for phase in plan.phases
+            for rnd in phase
+        ]
+        assert any(lane == 8 for pair in lanes for k in pair for lane in k)
+        assert lanes == [
+            [None if k is None else k.lanes for k in (rnd.send, rnd.recv)]
+            for phase in back.phases
+            for rnd in phase
+        ]
 
     def test_reduction_plans_refused(self):
         sched = build_reduce_schedule(NBH, m_bytes=8)
@@ -194,6 +210,20 @@ class TestStore:
                     reader.get("k")
             finally:
                 reader.close()
+        finally:
+            store.close()
+            store.unlink()
+
+    def test_version_1_segment_is_refused(self):
+        """A version-1 store holds byte-granular selectors without
+        lanes; reading it as version 2 would gather the wrong words."""
+        store = ShmPlanStore.create(capacity=1 << 16)
+        try:
+            header = bytearray(store._shm.buf[:8])
+            assert int.from_bytes(header[4:8], "little") == STORE_VERSION == 2
+            store._shm.buf[4:8] = (1).to_bytes(4, "little")
+            with pytest.raises(CorruptFrameError, match="speaks version 1"):
+                ShmPlanStore.attach(store.name)
         finally:
             store.close()
             store.unlink()
