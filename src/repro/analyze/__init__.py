@@ -17,6 +17,7 @@ _LAZY = {
     "verify_schedule": "repro.analyze.schedule_verifier",
     "certify_schedule": "repro.analyze.schedule_verifier",
     "verify_reduce_schedule": "repro.analyze.schedule_verifier",
+    "CertificateStore": "repro.analyze.certificates",
     "verify_effects": "repro.analyze.effects",
     "run_effect_checks": "repro.analyze.effects",
     "IntervalSet": "repro.analyze.intervals",

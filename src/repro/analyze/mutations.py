@@ -42,6 +42,7 @@ from repro.core.plan import (
     CompiledBlockSet,
     compile_batched_plan,
 )
+from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 
 _DIMS = (4, 4)
@@ -58,17 +59,19 @@ def _report() -> VerificationReport:
 
 
 class _Fixture:
-    """Everything the mutators corrupt, built once from real code."""
+    """Everything the mutators corrupt, built once from real code at one
+    block size (the analyzer must kill every mutant at any)."""
 
-    def __init__(self) -> None:
+    def __init__(self, block_bytes: int = 4) -> None:
         from repro.analyze.schedule_verifier import _plan_sizes, build_for_kind
         from repro.core.backend.shm import compute_segment_layout
         from repro.core.stencils import named_stencil
 
         nbh = named_stencil("9-point")
         self.nbh = nbh
+        self.block_bytes = block_bytes
         self.topo = CartTopology(_DIMS, _PERIODS)
-        self.schedule = build_for_kind("alltoall", nbh)
+        self.schedule = build_for_kind("alltoall", nbh, block_bytes)
         self.sizes: dict[str, int] = dict(_plan_sizes(self.schedule))
         # one lowering per schedule; the mutants corrupt copies of its
         # rounds, kernels and step lists
@@ -77,7 +80,7 @@ class _Fixture:
         )
         # reduction fixtures: the combining reverse-tree reduce and its
         # masked combine step lists
-        self.reduce_schedule = build_for_kind("reduce", nbh)
+        self.reduce_schedule = build_for_kind("reduce", nbh, block_bytes)
         self.reduce_sizes: dict[str, int] = dict(
             _plan_sizes(self.reduce_schedule)
         )
@@ -469,9 +472,10 @@ def _m_wire_overrun(fx: _Fixture) -> set[str]:
 
 def _widen_one_lane(fx: _Fixture, sizes: dict[str, int]) -> set[str]:
     """Lower the fixture at ``sizes``, double the lane of the first
-    index-selector op whose wire the wider lane still divides — indices
-    untouched — and run the lowering conformance check on the result."""
-    from repro.analyze.schedule_verifier import _check_plan_lowering
+    index-selector op whose wire the wider lane still divides (halve it
+    where the lowering already chose the widest) — indices untouched —
+    and run the kernel conformance check on the result."""
+    from repro.analyze.schedule_verifier import _check_plan_kernels
 
     plan = compile_batched_plan(fx.schedule, fx.topo, sizes)
     pi, ri, half, kernel = next(
@@ -481,19 +485,19 @@ def _widen_one_lane(fx: _Fixture, sizes: dict[str, int]) -> set[str]:
         for half, kernel in (("send", rnd.send), ("recv", rnd.recv))
         if kernel is not None
         and kernel.uses_indices
-        and kernel.lanes[0] < 8
-        and kernel.total_nbytes % (2 * kernel.lanes[0]) == 0
+        and (
+            kernel.lanes[0] == 8
+            or kernel.total_nbytes % (2 * kernel.lanes[0]) == 0
+        )
     )
     *op, lane = kernel._sel_ops[0]
+    stale = lane // 2 if lane == 8 else 2 * lane
     widened = _mut_kernel(
-        kernel, sel_ops=((*op, 2 * lane),) + kernel._sel_ops[1:]
+        kernel, sel_ops=((*op, stale),) + kernel._sel_ops[1:]
     )
     rep = _report()
-    _check_plan_lowering(
-        fx.schedule,
-        fx.topo,
-        rep,
-        plan=_replace_round(plan, pi, ri, **{half: widened}),
+    _check_plan_kernels(
+        fx.schedule, rep, _replace_round(plan, pi, ri, **{half: widened})
     )
     return rep.codes()
 
@@ -537,57 +541,61 @@ def _m_temp_read(fx: _Fixture) -> set[str]:
 
 # -- V801/V802/V803: reduce schedule structure and dataflow -----------------
 
-
-def _fresh_reduce(fx: _Fixture):
-    """A fresh, uncached reduce schedule safe to corrupt in place."""
-    from repro.analyze.schedule_verifier import build_for_kind
-
-    return build_for_kind("reduce", fx.nbh)
+#: name -> (expected code, corruption of a fresh reduce schedule in
+#: place): the schedule-level mutants, also presentable to the verifier
+#: by other routes (the tests send them through a certificate store)
+SCHEDULE_MUTANTS: dict[str, tuple[str, Callable[[Schedule], None]]] = {}
 
 
-def _reduce_codes(fx: _Fixture, schedule) -> set[str]:
-    from repro.analyze.schedule_verifier import verify_schedule
+def _reduce_mutant(
+    name: str, expect: str
+) -> Callable[[Callable[[Schedule], None]], Callable[[Schedule], None]]:
+    def deco(corrupt: Callable[[Schedule], None]) -> Callable[[Schedule], None]:
+        SCHEDULE_MUTANTS[name] = (expect, corrupt)
 
-    return verify_schedule(schedule, _DIMS, _PERIODS).codes()
+        @_mutator(name, expect)
+        def run(fx: _Fixture) -> set[str]:
+            from repro.analyze.schedule_verifier import (
+                build_for_kind,
+                verify_schedule,
+            )
+
+            # a fresh, uncached schedule is safe to corrupt in place
+            schedule = build_for_kind("reduce", fx.nbh, fx.block_bytes)
+            corrupt(schedule)
+            return verify_schedule(schedule, _DIMS, _PERIODS).codes()
+
+        return corrupt
+
+    return deco
 
 
-@_mutator("reduce-drop-tree-round", "V801")
-def _m_reduce_drop_round(fx: _Fixture) -> set[str]:
-    s = _fresh_reduce(fx)
+@_reduce_mutant("reduce-drop-tree-round", "V801")
+def _m_reduce_drop_round(s: Schedule) -> None:
     del s.phases[0].rounds[-1]
-    return _reduce_codes(fx, s)
 
 
-@_mutator("reduce-zero-round-offset", "V802")
-def _m_reduce_zero_offset(fx: _Fixture) -> set[str]:
-    s = _fresh_reduce(fx)
+@_reduce_mutant("reduce-zero-round-offset", "V802")
+def _m_reduce_zero_offset(s: Schedule) -> None:
     s.phases[0].rounds[0].offset = (0,) * s.neighborhood.d
-    return _reduce_codes(fx, s)
 
 
-@_mutator("reduce-combine-gate-out-of-range", "V802")
-def _m_reduce_bad_gate(fx: _Fixture) -> set[str]:
-    s = _fresh_reduce(fx)
+@_reduce_mutant("reduce-combine-gate-out-of-range", "V802")
+def _m_reduce_bad_gate(s: Schedule) -> None:
     s.phases[0].combine_steps[0].when_round = 99
-    return _reduce_codes(fx, s)
 
 
-@_mutator("reduce-reroute-combine-dst", "V803")
-def _m_reduce_reroute_dst(fx: _Fixture) -> set[str]:
-    s = _fresh_reduce(fx)
+@_reduce_mutant("reduce-reroute-combine-dst", "V803")
+def _m_reduce_reroute_dst(s: Schedule) -> None:
     steps = s.phases[0].combine_steps
     dsts = sorted({st.dst for st in steps}, key=lambda r: r.offset)
     assert len(dsts) >= 2, "fixture needs two accumulators to misroute"
-    wrong = dsts[1] if steps[0].dst == dsts[0] else dsts[0]
-    steps[0].dst = wrong
-    return _reduce_codes(fx, s)
+    steps[0].dst = dsts[1] if steps[0].dst == dsts[0] else dsts[0]
 
 
-@_mutator("reduce-drop-pre-step", "V803")
-def _m_reduce_drop_pre(fx: _Fixture) -> set[str]:
-    s = _fresh_reduce(fx)
+@_reduce_mutant("reduce-drop-pre-step", "V803")
+def _m_reduce_drop_pre(s: Schedule) -> None:
     del s.pre_steps[0]
-    return _reduce_codes(fx, s)
 
 
 # -- V806: combine step list corruption --------------------------------------
@@ -734,10 +742,11 @@ class MutationResult:
         return self.expect in self.reported
 
 
-def run_mutations() -> list[MutationResult]:
-    """Build the fixtures, assert the baseline is clean, run every
-    registered mutator and return one result per mutant."""
-    fx = _Fixture()
+def run_mutations(block_bytes: int = 4) -> list[MutationResult]:
+    """Build the fixtures at ``block_bytes``, assert the baseline is
+    clean, run every registered mutator and return one result per
+    mutant."""
+    fx = _Fixture(block_bytes)
     fx.check_baseline()
     results: list[MutationResult] = []
     for name, expect, fn in _REGISTRY:

@@ -23,7 +23,7 @@ violations instead of a bare message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.mpisim.exceptions import ScheduleError
 
@@ -115,6 +115,18 @@ class Violation:
         return f"{self.code} [{self.location()}]: {self.message}"
 
 
+class Certificate(NamedTuple):
+    """A clean shape-stage verdict, as the certificate store keeps it
+    and as the report of an instance that inherited it shows it."""
+
+    #: prefix of the normal-form digest the verdict is filed under
+    digest: str
+    #: granule (bytes) of the witness instance the shape stage ran on
+    granule: int
+    #: what the witness's full certification executed
+    checks_run: tuple[str, ...]
+
+
 @dataclass
 class VerificationReport:
     """Everything one verification pass found.
@@ -127,8 +139,17 @@ class VerificationReport:
     dims: tuple[int, ...]
     periods: tuple[bool, ...]
     violations: list[Violation] = field(default_factory=list)
-    #: which checks ran (content simulation may be skipped on size)
+    #: the checks that executed, in order
     checks_run: list[str] = field(default_factory=list)
+    #: ``(check, reason)`` for checks that apply to this schedule but did
+    #: not execute (today: simulated state over the byte budget); a
+    #: check that does not apply at all — content simulation of an
+    #: in-place or hand-built schedule — is in neither list
+    skipped: list[tuple[str, str]] = field(default_factory=list)
+    #: set when the shape stage was not run but inherited from a witness
+    #: of the same normal form (``checks_run`` then starts with
+    #: ``"inherited-shape"``)
+    inherited_from: Optional[Certificate] = None
 
     @property
     def ok(self) -> bool:
@@ -166,10 +187,18 @@ class VerificationReport:
             f"{self.kind} schedule on dims={self.dims} "
             f"periods={self.periods}: "
         )
+        notes = ""
+        if self.inherited_from is not None:
+            digest, granule, _ = self.inherited_from
+            notes += f"; shape {digest} certified at granule {granule} B"
+        if self.skipped:
+            notes += "; skipped: " + ", ".join(
+                f"{check} ({reason})" for check, reason in self.skipped
+            )
         if self.ok:
             checks = ", ".join(self.checks_run) or "none"
-            return head + f"OK ({checks})"
-        lines = [head + f"{len(self.violations)} violation(s)"]
+            return head + f"OK ({checks}{notes})"
+        lines = [head + f"{len(self.violations)} violation(s){notes}"]
         lines.extend("  " + v.describe() for v in self.violations)
         return "\n".join(lines)
 

@@ -40,6 +40,15 @@ scratch bytes nothing wrote (V404/V405).
 All violations are collected into one
 :class:`~repro.analyze.report.VerificationReport`; nothing stops at the
 first defect.
+
+The checks form two stages (:func:`_run_stages`).  The *shape stage* is
+everything that multiplying all byte extents by one factor cannot
+change; the *instance stage* — that the lowering exists, its kernels
+against the block sets (V501/V503/V504) and the effect pass (V70x) — is
+what the block size can change.  :func:`verify_schedule` runs both;
+:func:`certify_schedule`, given a
+:class:`~repro.analyze.certificates.CertificateStore`, runs the instance
+stage on every instance and the shape stage once per shape.
 """
 
 from __future__ import annotations
@@ -59,13 +68,19 @@ from typing import (
 import numpy as np
 
 from repro.analyze import match_graph
-from repro.analyze.report import VerificationReport
+from repro.analyze.certificates import (
+    CertificateStore,
+    kernel_signature,
+    normal_form,
+)
+from repro.analyze.report import Certificate, VerificationReport
 from repro.core.allgather_schedule import AllgatherTree
 from repro.core.builders import SCHEDULE_BUILDERS
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import BlockRef, BlockSet
+from repro.mpisim.exceptions import ScheduleError
 
 if TYPE_CHECKING:
     from repro.core.plan import BatchedPlan
@@ -85,6 +100,17 @@ REDUCE_KINDS = REDUCE_TREE_KINDS | REDUCE_TRIVIAL_KINDS
 #: the content simulation and the sentinel execution are skipped above
 #: this total simulated-state size
 CONTENT_BUDGET = 1 << 24
+
+
+def _over_budget(report: VerificationReport, check: str, nbytes: int) -> bool:
+    """Whether ``check`` would simulate more than :data:`CONTENT_BUDGET`
+    bytes of state — in which case the report says it was skipped."""
+    if nbytes <= CONTENT_BUDGET:
+        return False
+    report.skipped.append(
+        (check, f"{nbytes} B of simulated state is over CONTENT_BUDGET")
+    )
+    return True
 
 
 def _open_report(
@@ -136,9 +162,8 @@ def _buffer_extents(schedule: Schedule) -> dict[str, int]:
 
     def touch(refs: Iterable[BlockRef]) -> None:
         for ref in refs:
-            end = ref.offset + ref.nbytes
-            if end > extents.get(ref.buffer, 0):
-                extents[ref.buffer] = end
+            # a buffer only zero-byte blocks name still exists (extent 0)
+            extents[ref.buffer] = max(extents.get(ref.buffer, 0), ref.end())
 
     for ph in schedule.phases:
         for rnd in ph.rounds:
@@ -513,8 +538,9 @@ def _simulate_content(
     engine's eager FIFO semantics (a send posted in an earlier phase may
     satisfy a later phase's receive).  A shadow "written" mask per
     buffer tracks initialisation so forwarding never-written scratch
-    bytes is caught (V405).  Returns False when skipped (size budget or
-    unknown kind/layouts)."""
+    bytes is caught (V405).  Returns False when it did not run: the
+    check does not apply (unknown kind or layouts, in-place layout) or
+    the state is over the byte budget (noted in ``report.skipped``)."""
     kind = schedule.kind
     nbh = schedule.neighborhood
     if kind in ALLTOALL_KINDS:
@@ -537,8 +563,7 @@ def _simulate_content(
     output_buffers = {ref.buffer for bs in recv_layout for ref in bs}
     if input_buffers & output_buffers:
         return False  # in-place layouts have no closed-form expectation
-    total_state = topo.size * sum(extents.values())
-    if total_state > CONTENT_BUDGET:
+    if _over_budget(report, "content", topo.size * sum(extents.values())):
         return False
 
     buffer_names = sorted(extents)
@@ -685,10 +710,12 @@ def _sample_ranks(size: int) -> list[int]:
 
 def _plan_sizes(schedule: Schedule) -> dict[str, int]:
     """Synthesized buffer capacities for lowering: the max referenced end
-    per named buffer, with the declared scratch requirement for temp."""
+    per named buffer, with the declared scratch requirement for temp —
+    which, as at run time, exists only when it holds a byte."""
     sizes = _buffer_extents(schedule)
-    if schedule.temp_nbytes > 0 or "temp" in sizes:
-        sizes["temp"] = max(sizes.get("temp", 0), schedule.temp_nbytes)
+    temp = max(sizes.pop("temp", 0), schedule.temp_nbytes)
+    if temp > 0:
+        sizes["temp"] = temp
     return sizes
 
 
@@ -703,45 +730,47 @@ def _sentinel_buffers(
 
 
 def _lower(
-    schedule: Schedule, topo: CartTopology, report: VerificationReport
-) -> Optional["BatchedPlan"]:
+    schedule: Schedule, topo: CartTopology
+) -> "BatchedPlan | ScheduleError":
     """The one lowering of a verification, at synthesized buffer sizes
     and outside the schedule's plan cache (inspecting a schedule leaves
-    nothing on it); a refusal is V501."""
+    nothing on it).  A refusal is returned, not raised: the kernel check
+    reports it as V501 in its place in the report."""
     from repro.core.plan import compile_batched_plan
-    from repro.mpisim.exceptions import ScheduleError
 
     schedule.prepare()
     try:
         return compile_batched_plan(schedule, topo, _plan_sizes(schedule))
     except ScheduleError as exc:
-        report.add("V501", f"plan lowering refused the schedule: {exc}")
-        return None
+        return exc
 
 
-def _check_plan_lowering(
-    schedule: Schedule,
-    topo: CartTopology,
-    report: VerificationReport,
-    plan: Optional["BatchedPlan"] = None,
+def _lowered_plan(
+    lowered: "BatchedPlan | ScheduleError", report: VerificationReport
 ) -> Optional["BatchedPlan"]:
-    """Certify that lowering (:mod:`repro.core.plan`) is semantics-
-    preserving.  The schedule is lowered *once* (unless the mutation
-    harness hands in a ``plan`` to judge); the plan must keep the
-    round structure and address every buffer and wire in a lane that
-    divides it (V501), its shared kernels must pack/unpack byte-
-    identically to the reference block sets (V503), its fused local-copy
-    program must leave every buffer in the state the schedule's
-    sequential copies produce (V504), and every sampled rank's row view
-    must resolve exactly the peers ``topo.translate`` gives (V502) and
-    carry the plan's own kernel objects for exactly the halves whose
-    peer exists (V501).  A clean pass re-certifies Props. 3.1-3.3 for
-    the lowered form: structure, peers and per-round bytes are
-    unchanged, so the already-checked round counts and volumes carry
-    over.  Returns the plan (``None`` when it cannot be used further)
-    so the later passes check the same object."""
-    if plan is None:
-        plan = _lower(schedule, topo, report)
+    """``lowered`` if it is a plan; a refusal is V501."""
+    if isinstance(lowered, ScheduleError):
+        report.add("V501", f"plan lowering refused the schedule: {lowered}")
+        return None
+    return lowered
+
+
+def _check_plan_kernels(
+    schedule: Schedule,
+    report: VerificationReport,
+    lowered: "BatchedPlan | ScheduleError",
+) -> Optional["BatchedPlan"]:
+    """The kernel half of lowering conformance — what depends on the
+    block size, so it runs on every instance.  The plan (from
+    :func:`_lower`, or a corrupted one the mutation harness wants
+    judged) must exist and keep the round structure, and address every
+    buffer and wire in a lane that divides it (V501); its shared kernels
+    must pack/unpack byte-identically to the reference block sets
+    (V503); its fused local-copy program must leave every buffer in the
+    state the schedule's sequential copies produce (V504).  Returns the
+    plan (``None`` when it cannot be used further) so the later passes
+    check the same object."""
+    plan = _lowered_plan(lowered, report)
     if plan is None:
         return None
     sizes = plan.sizes
@@ -836,7 +865,22 @@ def _check_plan_lowering(
             f"compiled local-copy program leaves buffer(s) "
             f"{sorted(bad)} in a different state",
         )
-    # the sampled row views: peers by translation, kernels by identity
+    return plan
+
+
+def _check_rank_views(
+    schedule: Schedule,
+    topo: CartTopology,
+    plan: "BatchedPlan",
+    report: VerificationReport,
+) -> None:
+    """The rank-view half of lowering conformance, which no block size
+    can change: every sampled rank's row view must resolve exactly the
+    peers ``topo.translate`` gives (V502) and carry the plan's own
+    kernel objects for exactly the halves whose peer exists (V501).
+    With the kernel half clean this re-certifies Props. 3.1-3.3 for the
+    lowered form: structure, peers and per-round bytes are unchanged, so
+    the already-checked round counts and volumes carry over."""
     for rank in _sample_ranks(topo.size):
         view = plan.for_rank(rank)
         for pi, (ph, plan_rounds) in enumerate(
@@ -869,7 +913,6 @@ def _check_plan_lowering(
                         phase=pi,
                         round_index=ri,
                     )
-    return plan
 
 
 # ----------------------------------------------------------------------
@@ -884,7 +927,7 @@ def _check_execution(
     report: VerificationReport,
     *,
     definition: bool,
-) -> bool:
+) -> Optional[bool]:
     """The one sentinel execution of the certified plan, judged twice.
 
     Within the byte budget the plan's row views are driven in lockstep
@@ -897,7 +940,8 @@ def _check_execution(
     integers of the combine dtype and the lockstep result must also
     equal the collective's definition folded directly (V805, see
     :func:`_reduce_wanted`).  Returns whether the definition was
-    compared."""
+    compared — ``None`` when nothing ran, the state being over the byte
+    budget (noted in ``report.skipped``)."""
     from repro.core.backend.interpreter import ScheduleInterpreter
     from repro.core.backend.lockstep import (
         LockstepExchange,
@@ -908,8 +952,8 @@ def _check_execution(
 
     sizes = plan.sizes
     p = topo.size
-    if p * sum(sizes.values()) > CONTENT_BUDGET:
-        return False
+    if _over_budget(report, "matrix-execution", p * sum(sizes.values())):
+        return None
     start = [_sentinel_buffers(sizes, seed=r) for r in range(p)]
     wanted = _reduce_wanted(schedule, topo, start) if definition else None
     ref_bufs = [{k: v.copy() for k, v in bufs.items()} for bufs in start]
@@ -988,6 +1032,65 @@ def _check_execution(
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
+def _run_stages(
+    schedule: Schedule,
+    topo: CartTopology,
+    report: VerificationReport,
+    lowered: "BatchedPlan | ScheduleError",
+    witness: Optional[Certificate] = None,
+) -> None:
+    """The two stages of a verification, in report order, on the one
+    lowering ``lowered``.
+
+    The **shape stage** is every check that multiplying all byte extents
+    of the schedule by one factor cannot change: structure, hop parity,
+    the closed forms, matching and deadlock, the reduction passes, the
+    content simulation, the rank views' peers, and the sentinel
+    execution of kernels built the way this plan's were.  Given a
+    ``witness`` — the certificate of an instance with the same normal
+    form, topology and kernel signature — it is inherited, not run.
+
+    The **instance stage** is what the block size can change: that the
+    lowering exists, its lanes divide, its kernels move the block sets'
+    bytes, its copy program is the schedule's (V501/V503/V504), and the
+    whole effect pass (V70x).  It runs on every instance.
+    """
+    from repro.analyze.effects import run_effect_checks
+
+    definition = False
+    if witness is None:
+        _check_structure(schedule, report)
+        report.checks_run.append("structure")
+        if schedule.kind == "alltoall":
+            _check_hop_parity(schedule, report)
+            report.checks_run.append("hop-parity")
+        _check_quantitative(schedule, report)
+        report.checks_run.append("quantitative")
+        _check_matching(schedule, topo, report)
+        report.checks_run.append("matching+deadlock")
+        definition = schedule.is_reduction and _run_reduce_checks(
+            schedule, topo, report
+        )
+        if _simulate_content(schedule, topo, report):
+            report.checks_run.append("content")
+    else:
+        report.inherited_from = witness
+        report.checks_run.append("inherited-shape")
+    plan = _check_plan_kernels(schedule, report, lowered)
+    report.checks_run.append("plan-lowering")
+    if plan is not None and witness is None:
+        _check_rank_views(schedule, topo, plan, report)
+        compared = _check_execution(
+            schedule, topo, plan, report, definition=definition
+        )
+        if compared:
+            report.checks_run.append("reduce-content")
+        if compared is not None:
+            report.checks_run.append("matrix-execution")
+    run_effect_checks(schedule, topo, report, plan=plan)
+    report.checks_run.append("effects")
+
+
 def verify_schedule(
     schedule: Schedule,
     dims: Sequence[int],
@@ -1001,33 +1104,8 @@ def verify_schedule(
     V501-V506, V805 and effect passes share one lowering, which is not
     left on the schedule).
     """
-    from repro.analyze.effects import run_effect_checks
-
     topo, report = _open_report(schedule, dims, periods)
-    _check_structure(schedule, report)
-    report.checks_run.append("structure")
-    if schedule.kind == "alltoall":
-        _check_hop_parity(schedule, report)
-        report.checks_run.append("hop-parity")
-    _check_quantitative(schedule, report)
-    report.checks_run.append("quantitative")
-    _check_matching(schedule, topo, report)
-    report.checks_run.append("matching+deadlock")
-    definition = schedule.is_reduction and _run_reduce_checks(
-        schedule, topo, report
-    )
-    if _simulate_content(schedule, topo, report):
-        report.checks_run.append("content")
-    plan = _check_plan_lowering(schedule, topo, report)
-    report.checks_run.append("plan-lowering")
-    if plan is not None:
-        if _check_execution(
-            schedule, topo, plan, report, definition=definition
-        ):
-            report.checks_run.append("reduce-content")
-        report.checks_run.append("matrix-execution")
-    run_effect_checks(schedule, topo, report, plan=plan)
-    report.checks_run.append("effects")
+    _run_stages(schedule, topo, report, _lower(schedule, topo))
     return report
 
 
@@ -1035,11 +1113,52 @@ def certify_schedule(
     schedule: Schedule,
     dims: Sequence[int],
     periods: Sequence[bool] | bool = True,
+    *,
+    inherit: Optional[CertificateStore] = None,
 ) -> VerificationReport:
     """Like :func:`verify_schedule` but raises
     :class:`~repro.analyze.report.ScheduleValidationError` on any
-    violation.  This is the ``verify_on_build`` hook."""
-    report = verify_schedule(schedule, dims, periods)
+    violation.  This is the ``verify_on_build`` hook.
+
+    With a certificate store to ``inherit`` from, what the block size
+    can change is re-checked at this block size and what it cannot is
+    inherited: the schedule is lowered and the instance stage runs as
+    always, but the shape stage runs only when no instance of the same
+    normal form, topology and kernel signature has been certified
+    before (:mod:`repro.analyze.certificates`).  A certificate is filed
+    only from a clean report in which nothing was skipped, so an
+    instance too large to simulate is covered by a smaller witness or
+    by nobody."""
+    if inherit is None:
+        report = verify_schedule(schedule, dims, periods)
+        report.raise_if_failed()
+        return report
+    t0 = time.perf_counter()
+    topo, report = _open_report(schedule, dims, periods)
+    lowered = _lower(schedule, topo)
+    form = normal_form(schedule)
+    witness: Optional[Certificate] = None
+    if form is None or isinstance(lowered, ScheduleError):
+        _run_stages(schedule, topo, report, lowered)
+    else:
+        key = (
+            form.digest, report.dims, report.periods,
+            kernel_signature(lowered),
+        )
+        witness = inherit.lookup(key)
+        _run_stages(schedule, topo, report, lowered, witness)
+        if witness is None and report.ok and not report.skipped:
+            inherit.file(
+                key,
+                Certificate(
+                    form.digest[:12], form.granule, tuple(report.checks_run)
+                ),
+            )
+    inherit.account(
+        time.perf_counter() - t0,
+        inherited=witness is not None,
+        quotientable=form is not None,
+    )
     report.raise_if_failed()
     return report
 
@@ -1479,7 +1598,7 @@ def verify_reduce_schedule(
     _check_quantitative(schedule, report)
     report.checks_run.append("reduce-quantitative")
     if _run_reduce_checks(schedule, topo, report):
-        plan = _lower(schedule, topo, report)
+        plan = _lowered_plan(_lower(schedule, topo), report)
         if plan is not None and _check_execution(
             schedule, topo, plan, report, definition=True
         ):

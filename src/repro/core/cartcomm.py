@@ -37,7 +37,7 @@ implemented as well.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -60,6 +60,9 @@ from repro.mpisim.datatypes import (
     blockset_from_datatype,
 )
 from repro.mpisim.exceptions import NeighborhoodError, ScheduleError, TopologyError
+
+if TYPE_CHECKING:
+    from repro.analyze.certificates import CertificateInfo
 
 #: Default linear-cost parameters for ``algorithm="auto"`` when the
 #: caller provides none: 1.5 µs latency, 10 GB/s bandwidth — ballpark for
@@ -199,6 +202,16 @@ class CartComm:
         """Process-wide execution-plan counters (hits, compiles,
         cumulative compile time); see :mod:`repro.core.plan`."""
         return plan.plan_cache_info()
+
+    @staticmethod
+    def certificate_info() -> CertificateInfo:
+        """Counters of the process-wide certificate store
+        ``verify_on_build`` certifies through: certifications run in
+        full and inherited (see :mod:`repro.analyze.certificates`),
+        certificates on file, and the verifier's seconds on each path."""
+        from repro.analyze.certificates import GLOBAL_STORE
+
+        return GLOBAL_STORE.info()
 
     @staticmethod
     def buffer_pool_stats() -> plan.PoolStats:
@@ -368,9 +381,12 @@ class CartComm:
 
         if not config.verify_on_build():
             return None
+        from repro.analyze.certificates import GLOBAL_STORE
         from repro.analyze.schedule_verifier import certify_schedule
 
-        return lambda sched: certify_schedule(sched, self.dims, self.periods)
+        return lambda sched: certify_schedule(
+            sched, self.dims, self.periods, inherit=GLOBAL_STORE
+        )
 
     def _layout_entry(self, op, algorithm, send_blocks, recv_blocks) -> tuple:
         """What :meth:`_cached` asks for on a level-1 miss, for a

@@ -25,6 +25,17 @@ def test_every_mutant_killed_with_expected_code():
     assert not survivors, f"surviving mutants: {survivors}"
 
 
+def test_every_mutant_dies_alike_at_another_block_size():
+    """The analyzer's kills are not an accident of 4-byte blocks: at 24
+    (every lane 8 instead of 4) each mutant reports the same codes."""
+    small, large = run_mutations(), run_mutations(24)
+    assert len(small) == len(large)
+    assert all(r.killed for r in large)
+    assert [(r.name, r.reported) for r in large] == [
+        (r.name, r.reported) for r in small
+    ]
+
+
 def test_expected_codes_span_all_families():
     """The adversary must cover the lowering conformance check, every
     V7xx effect family, the V80x reduce checks, and the

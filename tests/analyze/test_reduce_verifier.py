@@ -178,7 +178,7 @@ class TestSentinelExecution:
         report = VerificationReport(
             kind=kind, dims=topo.dims, periods=topo.periods
         )
-        plan = _lower(sched, topo, report)
+        plan = _lower(sched, topo)
         if memoize_rank0:
             plan.for_rank(0)
         # drop the last fold of the last combining phase

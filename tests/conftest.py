@@ -86,6 +86,20 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _fresh_certificate_store():
+    """With ``verify_on_build`` on, the suite certifies through the
+    process-wide certificate store: every test module starts with an
+    empty one, so what its schedules inherit was certified by that
+    module's own code.  A test that monkeypatches the verifier, the
+    lowering or an executor clears the store itself, before and after —
+    a certificate filed under a patch must not outlive it."""
+    from repro.analyze.certificates import GLOBAL_STORE
+
+    GLOBAL_STORE.clear()
+    yield
+
+
 @pytest.fixture(autouse=True, scope="session")
 def _global_pool_balance():
     """Enforce the pool-lifecycle invariant across the whole suite: every
