@@ -53,7 +53,10 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         bad = 0
         for name, kind, dims, report, _, _ in results:
             status = "ok" if report.ok else "FAIL"
-            line = f"{status:4s}  {name:10s} {kind:18s} dims={dims}"
+            line = (
+                f"{status:4s}  {name:10s} {kind:18s} dims={dims}  "
+                f"plan {report.delivery}"
+            )
             if not report.ok:
                 bad += 1
                 line += f"  codes={sorted(report.codes())}"

@@ -16,9 +16,10 @@ read:
 * the topology, ``(dims, periods)``;
 * the **kernel signature** of the instance's lowered plan
   (:func:`kernel_signature`): the form (slice, index, slice loop) and
-  lane of every selector op — the two decisions of the lowering that
-  look at absolute sizes, so the sentinel execution is inherited only
-  from a witness whose kernels were built the same way.
+  lane of every selector op, and whether the plan delivers in place or
+  staged — the decisions of the lowering that look at absolute sizes,
+  so the sentinel execution is inherited only from a witness whose
+  kernels were built, and run, the same way.
 
 What the block size *can* change is never inherited: the instance stage
 (lowering, kernels against block sets, the effect pass) runs on every
@@ -149,11 +150,14 @@ def _op_forms(
 
 
 def kernel_signature(plan: "BatchedPlan") -> tuple[object, ...]:
-    """What the lowering decided from absolute sizes, per op of every
+    """What the lowering decided from absolute sizes: per op of every
     kernel of ``plan`` (``None`` for a half no rank runs) and of its
-    copy program.  Instances of one normal form whose block sizes fall
-    in different 2-adic classes, or on different sides of
-    ``INDEX_RUN_LIMIT``, differ here."""
+    copy program, and which form the batched backend runs — with, for
+    an in-place plan, the same per op of every round program.
+    Instances of one normal form whose block sizes fall in different
+    2-adic classes, or on different sides of ``INDEX_RUN_LIMIT`` (per
+    run, or per launched copy), differ here, so no certificate is
+    inherited across the staged/in-place boundary."""
     return (
         tuple(
             tuple(
@@ -165,6 +169,12 @@ def kernel_signature(plan: "BatchedPlan") -> tuple[object, ...]:
         ),
         plan.copy_program.fused,
         _op_forms(plan.copy_program),
+        plan.delivery,
+        tuple(
+            None if program is None else _op_forms(program)
+            for programs in plan.deliveries or ()
+            for program in programs
+        ),
     )
 
 

@@ -546,7 +546,9 @@ def check_batched_effects(
     every round's peer permutation and masking, the shared kernels, the
     combine step lists and the fused copy program; cross-round
     disjointness (V702/V703) restricted to rounds whose row sets
-    intersect; and, on fully periodic tori (``periodic``), the scratch
+    intersect — a phase that has either needs the wire's snapshot, so a
+    plan marked in-place over it is one more V703; and, on fully
+    periodic tori (``periodic``), the scratch
     lifetime discipline (V709) — there every rank sees the same rounds,
     so one ledger over the plan's effects stands for all of them."""
     p = bplan.p
@@ -595,6 +597,7 @@ def check_batched_effects(
     for pi, phase in enumerate(bplan.phases):
         writes: list[tuple[int, np.ndarray, Mapping[str, IntervalSet]]] = []
         reads: list[tuple[int, np.ndarray, Mapping[str, IntervalSet]]] = []
+        races = 0
         for ri, rnd in enumerate(phase):
             check_batched_round(rnd, p, report, phase=pi, round_index=ri)
             if rnd.send is not None:
@@ -622,6 +625,7 @@ def check_batched_effects(
                     writes[i][1], writes[j][1]
                 ).size:
                     continue
+                races += 1
                 for name, n in shared:
                     report.add(
                         "V702",
@@ -635,6 +639,7 @@ def check_batched_effects(
                 shared = _overlap_by_buffer(r_ivs, w_ivs)
                 if not shared or not np.intersect1d(r_rows, w_rows).size:
                     continue
+                races += 1
                 for name, n in shared:
                     report.add(
                         "V703",
@@ -644,6 +649,14 @@ def check_batched_effects(
                         round_index=ri,
                     )
             need(r_ivs, f"round {ri}", pi, ri)
+        if races and bplan.delivery == "in-place":
+            report.add(
+                "V703",
+                f"plan delivers in place ({bplan.delivery_reason}) over a "
+                f"phase with {races} race(s): without the wire's snapshot "
+                f"its result depends on rank order",
+                phase=pi,
+            )
         for _, _, w_ivs in writes:
             wrote(w_ivs)
         # the phase's folds run after its waitall: their staging reads

@@ -299,6 +299,15 @@ def _m_recv_overwrites_send(fx: _Fixture) -> set[str]:
     return _plan_codes(_replace_round(fx.bplan, pi, ri, recv=rnd.send))
 
 
+@_mutator("inplace-over-phase-hazard", "V703")
+def _m_inplace_over_hazard(fx: _Fixture) -> set[str]:
+    # the same race, on a plan that claims it needs no wire snapshot
+    pi, ri, rnd = fx.round_with("recv")
+    mutated = _replace_round(fx.bplan, pi, ri, send=rnd.recv)
+    mutated.delivery = "in-place"
+    return _plan_codes(mutated)
+
+
 # -- V704: unsound local-copy fusion ----------------------------------------
 
 
@@ -509,6 +518,33 @@ def _m_lane_widened(fx: _Fixture) -> set[str]:
     return _widen_one_lane(
         fx, {name: -(-cap // 8) * 8 for name, cap in fx.sizes.items()}
     )
+
+
+@_mutator("delivery-segment-shifted", "V503")
+def _m_delivery_shifted(fx: _Fixture) -> set[str]:
+    """The fixture at KiB blocks, where its plan delivers in place: one
+    slice run of the first round program lands a word further on."""
+    from repro.analyze.schedule_verifier import (
+        _check_plan_kernels,
+        _plan_sizes,
+        build_for_kind,
+    )
+
+    schedule = build_for_kind("alltoall", fx.nbh, fx.block_bytes << 10)
+    plan = compile_batched_plan(schedule, fx.topo, _plan_sizes(schedule))
+    deliveries = plan.deliveries
+    assert deliveries is not None, plan
+    program = copy.copy(deliveries[0][0])
+    assert program is not None and program._run_ops, program
+    src, dst, src_off, dst_off, n = program._run_ops[0]
+    program._run_ops = (
+        (src, dst, src_off, dst_off + 8, n),
+    ) + program._run_ops[1:]
+    mutated = copy.copy(plan)
+    mutated._deliveries = ((program,) + deliveries[0][1:],) + deliveries[1:]
+    rep = _report()
+    _check_plan_kernels(schedule, rep, mutated)
+    return rep.codes()
 
 
 # -- V709: wire gaps and scratch lifetime -----------------------------------

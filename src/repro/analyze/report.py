@@ -150,6 +150,9 @@ class VerificationReport:
     #: of the same normal form (``checks_run`` then starts with
     #: ``"inherited-shape"``)
     inherited_from: Optional[Certificate] = None
+    #: the lowered plan's delivery verdict and its reason, e.g.
+    #: ``"staged: 12 B per copy ≤ 2048"`` (``None`` without a lowering)
+    delivery: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -188,6 +191,8 @@ class VerificationReport:
             f"periods={self.periods}: "
         )
         notes = ""
+        if self.delivery is not None:
+            notes += f"; plan {self.delivery}"
         if self.inherited_from is not None:
             digest, granule, _ = self.inherited_from
             notes += f"; shape {digest} certified at granule {granule} B"

@@ -55,11 +55,13 @@ from __future__ import annotations
 
 import time
 from collections import Counter, deque
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Callable,
     Iterable,
     Iterator,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -77,13 +79,13 @@ from repro.analyze.report import Certificate, VerificationReport
 from repro.core.allgather_schedule import AllgatherTree
 from repro.core.builders import SCHEDULE_BUILDERS
 from repro.core.neighborhood import Neighborhood
-from repro.core.schedule import Schedule
+from repro.core.schedule import Round, Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import BlockRef, BlockSet
 from repro.mpisim.exceptions import ScheduleError
 
 if TYPE_CHECKING:
-    from repro.core.plan import BatchedPlan
+    from repro.core.plan import BatchedPlan, BatchedRound, CompiledCopyProgram
 
 ALLTOALL_KINDS = frozenset({"alltoall", "trivial-alltoall", "direct-alltoall"})
 ALLGATHER_KINDS = frozenset(
@@ -755,6 +757,50 @@ def _lowered_plan(
     return lowered
 
 
+def _check_delivery(
+    rnd: Round,
+    br: "BatchedRound",
+    program: Optional["CompiledCopyProgram"],
+    sender: Mapping[str, np.ndarray],
+    buffers: Mapping[str, np.ndarray],
+    report: VerificationReport,
+    pi: int,
+    ri: int,
+) -> None:
+    """One round of an in-place plan: it has a program iff it has both
+    halves (V501), and running the program from the ``sender``'s
+    buffers into a receiver's (``buffers``) leaves there what unpacking
+    the sender's packed payload would (V503) — out-of-bounds selectors
+    included, which raise or land on other bytes."""
+    if (program is None) != (br.send is None or br.recv is None):
+        report.add(
+            "V501",
+            "plan delivers a round with a missing half (or skips one "
+            "that has both)",
+            phase=pi,
+            round_index=ri,
+        )
+    if program is None:
+        return
+    want = {k: v.copy() for k, v in buffers.items()}
+    rnd.recv_blocks.unpack(want, rnd.send_blocks.pack(sender))
+    got = {k: v.copy() for k, v in buffers.items()}
+    try:
+        program.run(got, sender)
+    except (IndexError, ValueError) as exc:
+        why = f"raises {exc!r}"
+    else:
+        if all(np.array_equal(want[k], got[k]) for k in want):
+            return
+        why = "moves different bytes"
+    report.add(
+        "V503",
+        f"compiled delivery {why} for the round to {rnd.offset}",
+        phase=pi,
+        round_index=ri,
+    )
+
+
 def _check_plan_kernels(
     schedule: Schedule,
     report: VerificationReport,
@@ -765,29 +811,44 @@ def _check_plan_kernels(
     :func:`_lower`, or a corrupted one the mutation harness wants
     judged) must exist and keep the round structure, and address every
     buffer and wire in a lane that divides it (V501); its shared kernels
-    must pack/unpack byte-identically to the reference block sets
-    (V503); its fused local-copy program must leave every buffer in the
-    state the schedule's sequential copies produce (V504).  Returns the
-    plan (``None`` when it cannot be used further) so the later passes
-    check the same object."""
+    must pack/unpack byte-identically to the reference block sets, and
+    the round programs of an in-place plan must move, from a sender's
+    buffers to a receiver's, exactly the bytes the block sets' pack and
+    unpack would (V503); its fused local-copy program must leave every
+    buffer in the state the schedule's sequential copies produce
+    (V504).  Returns the plan (``None`` when it cannot be used further)
+    so the later passes check the same object."""
     plan = _lowered_plan(lowered, report)
     if plan is None:
         return None
+    report.delivery = f"{plan.delivery}: {plan.delivery_reason}"
     sizes = plan.sizes
-    shape = tuple(len(ph) for ph in plan.phases)
     want_shape = tuple(len(ph.rounds) for ph in schedule.phases)
-    if shape != want_shape:
-        report.add(
-            "V501",
-            f"plan has phase/round shape {shape}, schedule has "
-            f"{want_shape}",
-        )
-        return None
+    # an in-place plan's round programs (lowered here if nobody ran
+    # them yet) follow the rounds one to one
+    deliveries = plan.deliveries
+    tables: list[Sequence[Sequence[object]]] = [plan.phases]
+    if deliveries is not None:
+        tables.append(deliveries)
+    for rows in tables:
+        shape = tuple(len(row) for row in rows)
+        if shape != want_shape:
+            report.add(
+                "V501",
+                f"plan has phase/round shape {shape}, schedule has "
+                f"{want_shape}",
+            )
+            return None
     # a lane must divide what it views as words, or the kernels below
     # could not even run
     views = [
         (lane, (sizes[src], sizes[dst]))
-        for src, dst, _s, _d, lane in plan.copy_program._sel_ops
+        for program in (
+            plan.copy_program,
+            *chain.from_iterable(deliveries or ()),
+        )
+        if program is not None
+        for src, dst, _s, _d, lane in program._sel_ops
     ] + [
         (lane, (sizes[name], kernel.total_nbytes))
         for plan_rounds in plan.phases
@@ -805,8 +866,14 @@ def _check_plan_kernels(
             )
             return None
     buffers = _sentinel_buffers(sizes, seed=0)
+    sender = _sentinel_buffers(sizes, seed=1)
     for pi, (ph, plan_rounds) in enumerate(zip(schedule.phases, plan.phases)):
         for ri, (rnd, br) in enumerate(zip(ph.rounds, plan_rounds)):
+            if deliveries is not None:
+                _check_delivery(
+                    rnd, br, deliveries[pi][ri], sender, buffers,
+                    report, pi, ri,
+                )
             if br.send is not None:
                 ref = rnd.send_blocks.pack(buffers)
                 if br.send.pack(buffers).tobytes() != ref:
@@ -934,8 +1001,10 @@ def _check_execution(
     and :meth:`BatchedPlan.execute` runs over the rank matrices, on the
     same sentinel inputs — an explicit sentinel ``temp`` included, so
     even scratch staged through mesh-edge slots is compared bit-exactly.
-    The two ways of running the one plan must leave every rank's buffers
-    byte-identical (V506).  With ``definition`` (a reduction whose
+    An in-place plan runs a third way, :meth:`BatchedPlan.deliver` on
+    per-rank copies of the inputs.  Every way of running the one plan
+    must leave every rank's buffers byte-identical (V506).  With
+    ``definition`` (a reduction whose
     structure, dataflow and operator checks passed) the inputs are
     integers of the combine dtype and the lockstep result must also
     equal the collective's definition folded directly (V805, see
@@ -987,29 +1056,45 @@ def _check_execution(
         name: np.stack([byte_view(start[r][name]) for r in range(p)])
         for name in sizes
     }
-    try:
-        with np.errstate(all="ignore"):
-            plan.execute(matrices)
-            plan.run_local_copies(matrices)
-    except Exception as exc:
-        report.add(
-            "V506",
-            f"matrix execution raised {exc!r} where lockstep succeeded",
-        )
-    else:
+
+    def run_matrices() -> Sequence[Mapping[str, np.ndarray]]:
+        plan.execute(matrices)
+        plan.run_local_copies(matrices)
+        return [
+            {name: matrices[name][rank] for name in sizes}
+            for rank in range(p)
+        ]
+
+    def run_in_place() -> Sequence[Mapping[str, np.ndarray]]:
+        # on the inputs themselves: everything else has its own copy
+        plan.deliver(start)
+        return start
+
+    ways = [("matrix execution", run_matrices)]
+    if plan.delivery == "in-place":
+        ways.append(("in-place delivery", run_in_place))
+    for way, run in ways:
+        try:
+            with np.errstate(all="ignore"):
+                got_bufs = run()
+        except Exception as exc:
+            report.add(
+                "V506", f"{way} raised {exc!r} where lockstep succeeded"
+            )
+            continue
         for rank in range(p):
             bad = [
                 name
                 for name in sizes
                 if not np.array_equal(
-                    byte_view(ref_bufs[rank][name]), matrices[name][rank]
+                    byte_view(ref_bufs[rank][name]), got_bufs[rank][name]
                 )
             ]
             if bad:
                 report.add(
                     "V506",
-                    f"matrix execution leaves buffer(s) {sorted(bad)} in "
-                    f"a different state than lockstep over the rank views",
+                    f"{way} leaves buffer(s) {sorted(bad)} in a different "
+                    f"state than lockstep over the rank views",
                     rank=rank,
                 )
                 break

@@ -5,20 +5,33 @@ but it still *interprets* the schedule rank by rank — ``p`` interpreter
 loops, ``p`` pack/unpack calls per round, minutes of Python at the
 paper's Titan scale (1024×16 ranks).  Because schedules are SPMD
 (Prop. 3.1–3.3: every rank runs the identical phase/round structure),
-the per-rank loops can be folded away entirely: this backend stacks all
-rank buffers into one ``(p, nbytes)`` matrix per buffer name and runs
-the schedule's :class:`~repro.core.plan.BatchedPlan` whole
-(:meth:`~repro.core.plan.BatchedPlan.execute`), in which each round is a
+the per-rank loops can be folded away entirely: this backend runs the
+schedule's :class:`~repro.core.plan.BatchedPlan` whole, in the form the
+plan's lowering chose for it (``plan.delivery``).
+
+*Staged* — small blocks, reductions: all rank buffers are stacked into
+one ``(p, nbytes)`` matrix per buffer name and
+:meth:`~repro.core.plan.BatchedPlan.execute` runs each round as a
 handful of vectorized numpy operations — gather all rows into a
 ``(p, n)`` wire matrix, permute its rows by the source-rank array,
-scatter.  Semantics are identical to lockstep (same pack-all-then-
-deliver discipline per phase, and the very same plan — lockstep walks
-its rank views); only the Python-loop dimension is gone, which is what
-makes interactive large-mesh and netsim sweeps feasible.
+scatter.  About five copies per delivered byte, but one kernel launch
+for all ranks, which is what makes interactive large-mesh and netsim
+sweeps feasible.
+
+*In place* — large blocks, no phase that reads what it writes:
+:meth:`~repro.core.plan.BatchedPlan.deliver` copies every round
+straight from the sending rank's own arrays to the receiving rank's:
+one copy per delivered byte, ``p`` launches per round.
+
+Semantics are identical to lockstep either way (the very same plan —
+lockstep walks its rank views): the staged form keeps the pack-all-then-
+deliver discipline per phase, and the in-place form is only taken where
+that discipline cannot be observed.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -71,6 +84,23 @@ class BatchedBackend(Backend):
             schedule.validate(check)
         sizes = plan_mod.effective_sizes(schedule, rank_buffers[0])
         bplan, _ = plan_mod.get_or_compile(schedule, topo, sizes=sizes)
+        # names can hide aliasing the plan's interval check cannot see
+        # (``alltoall(a, a)``, a ``recv`` that is a view into ``send``):
+        # such a call needs the wire's snapshot
+        if bplan.delivery == "in-place" and not any(
+            np.may_share_memory(a, b)
+            for buffers in rank_buffers
+            for a, b in combinations(buffers.values(), 2)
+        ):
+            bplan.deliver(rank_buffers)
+            return
+        # scratch is not data: the ``temp`` matrix is this execution's
+        # own, never staged in from a caller's ``temp`` nor handed back
+        staged = [
+            name
+            for name in rank_buffers[0]
+            if name != "temp" or schedule.temp_nbytes == 0
+        ]
         flats: list[np.ndarray] = []
         matrices: dict[str, np.ndarray] = {}
         try:
@@ -79,14 +109,14 @@ class BatchedBackend(Backend):
                 flats.append(flat)
                 mat = flat.reshape(p, nbytes)
                 matrices[name] = mat
-                if name in rank_buffers[0]:
+                if name in staged:
                     for r in range(p):
                         mat[r] = byte_view(rank_buffers[r][name])
             bplan.execute(matrices)
             bplan.run_local_copies(matrices)
             # hand back only what the plan wrote: a buffer no kernel
             # writes (a read-only ``send``) is never assigned
-            for name in bplan.written.intersection(rank_buffers[0]):
+            for name in bplan.written.intersection(staged):
                 mat = matrices[name]
                 for r in range(p):
                     byte_view(rank_buffers[r][name])[:] = mat[r]

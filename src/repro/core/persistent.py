@@ -44,12 +44,14 @@ class PersistentOp:
             )
         schedule.validate(self.buffers)
         self._started = False
+        self._freed = False
         self.executions = 0
 
     def free(self) -> None:
         """``MPI_Request_free`` flavour: return the pooled scratch now
-        instead of at garbage collection.  Idempotent; the handle must
-        not be started again afterwards."""
+        instead of at garbage collection.  Idempotent; starting the
+        handle again afterwards is an error on every backend."""
+        self._freed = True
         if self._temp_finalizer is not None:
             self._temp_finalizer()
             self._temp_finalizer = None
@@ -59,6 +61,8 @@ class PersistentOp:
     def start(self) -> "PersistentOp":
         """Begin (and, in this blocking implementation, complete) one
         execution of the operation."""
+        if self._freed:
+            raise MpiSimError("persistent operation started after free()")
         if self._started:
             raise MpiSimError("persistent operation already started")
         # Persistent executions run on the communicator's selected

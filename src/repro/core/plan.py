@@ -33,8 +33,17 @@ is precomputed:
   size-classed :class:`BufferPool` instead of ``np.empty`` per
   execution.
 
-The plan runs two ways.  :meth:`BatchedPlan.execute` drives all ``p``
-ranks at once over ``(p, nbytes)`` matrices (the batched backend).
+The plan runs three ways.  :meth:`BatchedPlan.execute` drives all
+``p`` ranks at once over ``(p, nbytes)`` matrices — the batched
+backend's *staged* form: buffers stacked in, every round packed into a
+wire matrix and scattered out of it.  :meth:`BatchedPlan.deliver` is
+its *in-place* form: a round is one copy program
+(:func:`compile_copies` over the send and receive runs zipped into
+aligned segments) run from the sender's own arrays to the receiver's,
+with no matrix and no wire.  Which of the two a plan takes is decided
+here, once (:attr:`BatchedPlan.delivery`): in place iff no phase reads
+what it writes and a launched copy moves more than
+:data:`INDEX_RUN_LIMIT` bytes on average.
 :meth:`BatchedPlan.for_rank` is one rank's memoized *row view* of the
 same plan — a :class:`RankPlan` of ``(source, target, send, recv)``
 rounds read off row ``r`` of the peer arrays, sharing the plan's kernel
@@ -56,15 +65,24 @@ import threading
 import time
 import weakref
 from collections import namedtuple
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
+from repro.core.schedule import LocalCopy
 from repro.mpisim.datatypes import BlockRef, byte_view
 from repro.mpisim.exceptions import ScheduleError, TruncationError
 
 if TYPE_CHECKING:
-    from repro.core.schedule import LocalCombine, LocalCopy, Schedule
+    from repro.core.schedule import LocalCombine, Phase, Schedule
     from repro.core.topology import CartTopology
 
 #: Average coalesced-run size (bytes) up to which a fragmented layout is
@@ -445,6 +463,13 @@ class CompiledBlockSet:
         )
 
 
+def _index_kernel(runs: int, nbytes: int) -> bool:
+    """Whether ``runs`` runs of ``nbytes`` bytes in all lower to one
+    selector op (a lone run is a slice; short runs share an index
+    array) or to a slice copy per run (few large ones)."""
+    return runs == 1 or nbytes // runs <= INDEX_RUN_LIMIT
+
+
 def compile_blockset(
     runs: Sequence[BlockRef], sizes: Mapping[str, int]
 ) -> CompiledBlockSet:
@@ -470,8 +495,7 @@ def compile_blockset(
     sel_ops: list[tuple[str, Selector, Selector, int]] = []
     run_ops: list[tuple[str, int, int, int]] = []
     for name, triples in per_buffer.items():
-        nbytes = sum(t[2] for t in triples)
-        if len(triples) == 1 or nbytes // len(triples) <= INDEX_RUN_LIMIT:
+        if _index_kernel(len(triples), sum(t[2] for t in triples)):
             cap = sizes[name]
             lane = _lane_of(cap, pos, *(x for t in triples for x in t))
             wire_sel = _selector([(w, n) for w, _, n in triples], lane, pos)
@@ -488,7 +512,9 @@ def compile_blockset(
 
 
 class CompiledCopyProgram:
-    """The final non-communication phase, lowered.
+    """A list of block copies, lowered: the final non-communication
+    phase (within one rank's buffers), or one round's delivery (from the
+    sender's buffers to the receiver's, see :func:`zip_runs`).
 
     When every source region is disjoint from every destination region
     (per buffer, across the whole copy list — the normal case: sources
@@ -514,16 +540,24 @@ class CompiledCopyProgram:
         #: (src buffer, dst buffer, src offset, dst offset, nbytes)
         self._run_ops = tuple(run_ops)
 
-    def run(self, buffers: Mapping[str, np.ndarray]) -> int:
-        """Execute the program; returns bytes copied (trace accounting)."""
+    def run(
+        self,
+        buffers: Mapping[str, np.ndarray],
+        sources: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> int:
+        """Execute the program on ``buffers`` — reading ``sources``
+        where given (a round's delivery reads the sending rank's
+        buffers); returns bytes copied (trace accounting)."""
+        if sources is None:
+            sources = buffers
         for src, dst, src_sel, dst_sel, lane in self._sel_ops:
             _copy_lanes(
                 byte_view(buffers[dst]), dst_sel,
-                byte_view(buffers[src]), src_sel, lane,
+                byte_view(sources[src]), src_sel, lane,
             )
         for src, dst, src_off, dst_off, n in self._run_ops:
             byte_view(buffers[dst])[dst_off : dst_off + n] = byte_view(
-                buffers[src]
+                sources[src]
             )[src_off : src_off + n]
         return self.nbytes
 
@@ -548,34 +582,41 @@ def _overlaps(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
     return False
 
 
-def _copies_fusable(copies: Sequence["LocalCopy"]) -> bool:
-    srcs: dict[str, list[tuple[int, int]]] = {}
-    dsts: dict[str, list[tuple[int, int]]] = {}
-    for lc in copies:
-        srcs.setdefault(lc.src.buffer, []).append(
-            (lc.src.offset, lc.src.end())
+def _spans(refs: Iterable[BlockRef]) -> dict[str, list[tuple[int, int]]]:
+    """Per buffer name, the (start, end) interval of every block."""
+    out: dict[str, list[tuple[int, int]]] = {}
+    for ref in refs:
+        out.setdefault(ref.buffer, []).append(
+            (ref.offset, ref.offset + ref.nbytes)
         )
-        dsts.setdefault(lc.dst.buffer, []).append(
-            (lc.dst.offset, lc.dst.end())
-        )
-    for name, spans in dsts.items():
+    return out
+
+
+def _order_hazard(
+    reads: Iterable[BlockRef], writes: Iterable[BlockRef]
+) -> Optional[str]:
+    """Why the order of a set of copies matters — ``None`` when it does
+    not, so they may fuse, or run from one rank's live buffers straight
+    into another's."""
+    srcs = _spans(reads)
+    for name, spans in _spans(writes).items():
         spans.sort()
         # destination regions must not collide with each other (a later
         # copy overwriting an earlier one is order-dependent) …
-        for (s0, e0), (s1, _e1) in zip(spans, spans[1:]):
+        for (_s0, e0), (s1, _e1) in zip(spans, spans[1:]):
             if s1 < e0:
-                return False
+                return "writes a byte twice"
         # … nor with any source region of the same buffer.
-        src_spans = sorted(srcs.get(name, []))
-        if _overlaps(src_spans, spans):
-            return False
-    return True
+        if _overlaps(sorted(srcs.get(name, [])), spans):
+            return "reads what it writes"
+    return None
 
 
 def compile_copies(
-    copies: Sequence["LocalCopy"], sizes: Mapping[str, int]
+    copies: Sequence[LocalCopy], sizes: Mapping[str, int]
 ) -> CompiledCopyProgram:
-    """Lower the prepared local-copy runs into a fused program."""
+    """Lower block copies (the prepared local-copy runs, or one round's
+    delivery segments) into a fused program."""
     nbytes = 0
     for lc in copies:
         for ref in (lc.src, lc.dst):
@@ -590,7 +631,9 @@ def compile_copies(
                     f"{ref.buffer!r} of {cap} bytes"
                 )
         nbytes += lc.src.nbytes
-    if not _copies_fusable(copies):
+    if _order_hazard(
+        (lc.src for lc in copies), (lc.dst for lc in copies)
+    ):
         return CompiledCopyProgram(
             nbytes,
             False,
@@ -601,14 +644,13 @@ def compile_copies(
                 for lc in copies
             ],
         )
-    groups: dict[tuple[str, str], list["LocalCopy"]] = {}
+    groups: dict[tuple[str, str], list[LocalCopy]] = {}
     for lc in copies:
         groups.setdefault((lc.src.buffer, lc.dst.buffer), []).append(lc)
     sel_ops: list[tuple[str, str, Selector, Selector, int]] = []
     run_ops: list[tuple[str, str, int, int, int]] = []
     for (src, dst), group in groups.items():
-        total = sum(lc.src.nbytes for lc in group)
-        if len(group) == 1 or total // len(group) <= INDEX_RUN_LIMIT:
+        if _index_kernel(len(group), sum(lc.src.nbytes for lc in group)):
             src_spans = [(lc.src.offset, lc.src.nbytes) for lc in group]
             dst_spans = [(lc.dst.offset, lc.dst.nbytes) for lc in group]
             lane = _lane_of(
@@ -624,6 +666,82 @@ def compile_copies(
                 for lc in group
             )
     return CompiledCopyProgram(nbytes, True, sel_ops, run_ops)
+
+
+def _run_pairs(
+    program: CompiledCopyProgram,
+    views: Sequence[Mapping[str, np.ndarray]],
+    receivers: Iterable[int],
+    senders: Iterable[int],
+) -> None:
+    """:meth:`CompiledCopyProgram.run` for many ranks at once: from the
+    byte views of ``senders[k]`` into those of ``receivers[k]``, op by
+    op, so an op's names resolve once and a launch is a slice
+    assignment and nothing else."""
+    pairs = list(zip(receivers, senders))
+    for src, dst, src_sel, dst_sel, lane in program._sel_ops:
+        for j, source in pairs:
+            _copy_lanes(
+                views[j][dst], dst_sel, views[source][src], src_sel, lane
+            )
+    for src, dst, src_off, dst_off, n in program._run_ops:
+        dst_end, src_end = dst_off + n, src_off + n
+        for j, source in pairs:
+            views[j][dst][dst_off:dst_end] = views[source][src][
+                src_off:src_end
+            ]
+
+
+#: One aligned stretch of a round's byte stream: (src buffer, src
+#: offset, dst buffer, dst offset, nbytes).
+Segment = tuple[str, int, str, int, int]
+
+
+def zip_runs(
+    send_runs: Sequence[BlockRef], recv_runs: Sequence[BlockRef]
+) -> list[Segment]:
+    """One round's delivery as block copies.  The send side's and the
+    receive side's coalesced runs are two partitions of the same byte
+    stream (equal totals, cut at different places); every stretch
+    between two cuts is one aligned segment — its source named in the
+    *sender's* buffers, its destination in the *receiver's*."""
+    segments: list[Segment] = []
+    it = iter(recv_runs)
+    dst, taken = next(it, None), 0
+    for src in send_runs:
+        done = 0
+        while done < src.nbytes:
+            if dst is None:
+                raise ScheduleError(
+                    "round sends more bytes than it receives"
+                )
+            n = min(src.nbytes - done, dst.nbytes - taken)
+            segments.append(
+                (src.buffer, src.offset + done, dst.buffer,
+                 dst.offset + taken, n)
+            )
+            done += n
+            taken += n
+            if taken == dst.nbytes:
+                dst, taken = next(it, None), 0
+    if dst is not None:
+        raise ScheduleError("round receives more bytes than it sends")
+    return segments
+
+
+def compile_delivery(
+    segments: Sequence[Segment], sizes: Mapping[str, int]
+) -> CompiledCopyProgram:
+    """Lower one round's segments like any other list of block copies:
+    same selectors, lanes, index/slice rule and bounds checks as the
+    local-copy phase, sources read from the sending rank."""
+    return compile_copies(
+        [
+            LocalCopy(BlockRef(src, src_off, n), BlockRef(dst, dst_off, n))
+            for src, src_off, dst, dst_off, n in segments
+        ],
+        sizes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1171,6 +1289,13 @@ class BatchedPlan:
     the matrix execution is byte-identical to driving ``p`` per-rank
     interpreters over the plan's :meth:`for_rank` views — there is
     simply no per-rank Python loop left.
+
+    :meth:`deliver` runs the same rounds with neither matrix nor wire:
+    each round's program copies from the sending rank's own arrays to
+    the receiving rank's.  The wire's snapshot only matters to a phase
+    that reads what it writes, so a plan whose phases are all
+    hazard-free may take either form; ``delivery`` records which one
+    the lowering chose for it, ``delivery_reason`` why.
     """
 
     __slots__ = (
@@ -1178,6 +1303,11 @@ class BatchedPlan:
         "key",
         "p",
         "phases",
+        "hazards",
+        "delivery",
+        "delivery_reason",
+        "_segments",
+        "_deliveries",
         "copy_program",
         "pre_program",
         "combine_programs",
@@ -1187,7 +1317,7 @@ class BatchedPlan:
         "sizes",
         "wire_bytes",
         "written",
-        "selector_nbytes",
+        "_index_nbytes",
         "compile_seconds",
         "_views",
         "__weakref__",
@@ -1208,11 +1338,29 @@ class BatchedPlan:
         combine_programs: Sequence[Optional[BatchedReduceRound]],
         reduce_missing: np.ndarray,
         matrix_error: Optional[str],
+        hazards: Sequence[Optional[str]],
+        delivery_reason: str,
+        segments: Optional[Sequence[Sequence[Optional[Sequence[Segment]]]]],
     ) -> None:
         self.kind = kind
         self.key = key
         self.p = p
         self.phases = tuple(tuple(rs) for rs in phases)
+        #: per phase, why its rounds may not run from live buffers — it
+        #: ``"reads what it writes"`` or ``"writes a byte twice"`` (what
+        #: the effect pass reports as V703/V702) — or ``None``
+        self.hazards = tuple(hazards)
+        #: the form the batched backend runs: ``"in-place"``
+        #: (:meth:`deliver`) or ``"staged"`` (:meth:`execute`)
+        self.delivery = "staged" if segments is None else "in-place"
+        self.delivery_reason = delivery_reason
+        #: an in-place plan's rounds as zipped segments (``None`` for a
+        #: round with a missing half), and what :attr:`deliveries`
+        #: lowered them to when first asked
+        self._segments = segments
+        self._deliveries: Optional[
+            tuple[tuple[Optional[CompiledCopyProgram], ...], ...]
+        ] = None
         self.copy_program = copy_program
         #: all-ranks accumulator seeding (reductions; runs before phase 0)
         self.pre_program = pre_program
@@ -1232,14 +1380,14 @@ class BatchedPlan:
         #: backend that stages buffers has to hand back to the callers —
         #: and so all that has to be writeable on their side
         written: set[str] = set()
-        #: bytes held by the index arrays of every kernel of the plan
-        self.selector_nbytes = _index_nbytes(copy_program._sel_ops)
+        #: bytes held by the index arrays of the kernels lowered here
+        self._index_nbytes = _index_nbytes(copy_program._sel_ops)
         for rounds in self.phases:
             for rnd in rounds:
                 if rnd.send is not None:
-                    self.selector_nbytes += _index_nbytes(rnd.send._sel_ops)
+                    self._index_nbytes += _index_nbytes(rnd.send._sel_ops)
                 if rnd.recv is not None:
-                    self.selector_nbytes += _index_nbytes(rnd.recv._sel_ops)
+                    self._index_nbytes += _index_nbytes(rnd.recv._sel_ops)
                     written.update(
                         op[0] for op in (*rnd.recv._sel_ops, *rnd.recv._run_ops)
                     )
@@ -1252,6 +1400,38 @@ class BatchedPlan:
         self.written = frozenset(written)
         self.compile_seconds = compile_seconds
         self._views: dict[int, RankPlan] = {}
+
+    @property
+    def deliveries(
+        self,
+    ) -> Optional[tuple[tuple[Optional[CompiledCopyProgram], ...], ...]]:
+        """Per phase, per round: the program :meth:`deliver` runs from
+        the round's sender to its receiver (``None`` for a round with a
+        missing half) — ``None`` altogether for a staged plan.  Lowered
+        when first asked for, which only the batched backend and the
+        verifier do: the rank views' consumers of the same cached plan
+        never pay for it.  (Threads that race here lower equal
+        programs.)"""
+        if self._deliveries is None and self._segments is not None:
+            self._deliveries = tuple(
+                tuple(
+                    None if c is None else compile_delivery(c, self.sizes)
+                    for c in row
+                )
+                for row in self._segments
+            )
+        return self._deliveries
+
+    @property
+    def selector_nbytes(self) -> int:
+        """Bytes held by the index arrays of every kernel of the plan
+        (the round programs' from when they are lowered)."""
+        return self._index_nbytes + sum(
+            _index_nbytes(program._sel_ops)
+            for programs in self._deliveries or ()
+            for program in programs
+            if program is not None
+        )
 
     def for_rank(self, rank: int) -> RankPlan:
         """Rank ``rank``'s memoized row view: its peers read off row
@@ -1339,6 +1519,47 @@ class BatchedPlan:
                     if flat is not None:
                         GLOBAL_POOL.release(flat)
 
+    def deliver(
+        self, rank_buffers: Sequence[Mapping[str, np.ndarray]]
+    ) -> None:
+        """Run every phase and the local copies on the ranks' own arrays
+        (one uniformly laid-out mapping per rank): for each round and
+        receiving rank ``j``, the round's program copies from the
+        buffers of ``sources[j]`` to the buffers of ``j``.  Nothing is
+        stacked and nothing handed back; a buffer no kernel writes is
+        only read.  Ranks that bring no ``"temp"`` get rows of one
+        pooled scratch matrix, returned even when a kernel raises."""
+        deliveries = self.deliveries
+        if deliveries is None:
+            raise ScheduleError(
+                f"plan has no in-place form ({self.delivery_reason})"
+            )
+        p = self.p
+        pooled = self.temp_nbytes > 0 and "temp" not in rank_buffers[0]
+        scratch = GLOBAL_POOL.acquire(p * self.temp_nbytes if pooled else 0)
+        try:
+            views = [
+                {name: byte_view(arr) for name, arr in buffers.items()}
+                for buffers in rank_buffers
+            ]
+            if pooled:
+                for view, row in zip(views, scratch.reshape(p, -1)):
+                    view["temp"] = row
+            ranks = range(p)
+            for phase, programs in zip(self.phases, deliveries):
+                for rnd, program in zip(phase, programs):
+                    if program is not None:
+                        rows = rnd.recv_rows
+                        _run_pairs(
+                            program,
+                            views,
+                            ranks if rows is None else rows.tolist(),
+                            rnd.recv_sources.tolist(),
+                        )
+            _run_pairs(self.copy_program, views, ranks, ranks)
+        finally:
+            GLOBAL_POOL.release(scratch)
+
     def run_local_copies(self, matrices: Mapping[str, np.ndarray]) -> int:
         """The final non-communication phase, batched over rank rows
         (op order matches the per-rank program, so the non-fused
@@ -1360,8 +1581,82 @@ class BatchedPlan:
         return (
             f"BatchedPlan({self.kind}, p={self.p}, "
             f"phases={len(self.phases)}, rounds={self.num_rounds}, "
-            f"wire={self.wire_bytes} B, selectors={self.selector_nbytes} B)"
+            f"wire={self.wire_bytes} B, selectors={self.selector_nbytes} B, "
+            f"{self.delivery}: {self.delivery_reason})"
         )
+
+
+def _phase_hazard(
+    phase: "Phase", rounds: Sequence[BatchedRound]
+) -> Optional[str]:
+    """Why one phase needs the wire's snapshot (``None``: it does not).
+    Judged on the whole phase at once, by buffer name — every rank is
+    some round's sender and some round's receiver — over the halves at
+    least one rank runs."""
+    reads: list[BlockRef] = []
+    writes: list[BlockRef] = []
+    for rnd, br in zip(phase.rounds, rounds):
+        if br.send is not None:
+            reads += rnd.send_blocks.coalesced_runs()
+        if br.recv is not None:
+            writes += rnd.recv_blocks.coalesced_runs()
+    return _order_hazard(reads, writes)
+
+
+def _choose_delivery(
+    schedule: "Schedule",
+    phases: Sequence[Sequence[BatchedRound]],
+    hazards: Sequence[Optional[str]],
+) -> tuple[str, Optional[list[list[Optional[list[Segment]]]]]]:
+    """The plan's delivery verdict: (why, per phase and round the
+    segments of the in-place form — ``None`` for a staged plan).  It
+    needs run counts only: no selector is built here.
+
+    A plan runs in place iff the wire's snapshot buys it nothing (no
+    combine steps, no phase hazard) and its launched copies move more
+    than :data:`INDEX_RUN_LIMIT` bytes on average — the rule by which
+    :func:`compile_blockset` prefers a loop of slice copies over one
+    index kernel, applied to the rank dimension: below it the ``p``
+    per-rank launches of a round cost more than stacking the ranks and
+    moving them with one matrix kernel."""
+    if schedule.is_reduction:
+        return "reduction", None
+    for pi, hazard in enumerate(hazards):
+        if hazard is not None:
+            return f"phase {pi} {hazard}", None
+    try:
+        segments = [
+            [
+                None
+                if br.send is None or br.recv is None
+                else zip_runs(
+                    rnd.send_blocks.coalesced_runs(),
+                    rnd.recv_blocks.coalesced_runs(),
+                )
+                for rnd, br in zip(phase.rounds, rounds)
+            ]
+            for phase, rounds in zip(schedule.phases, phases)
+        ]
+    except ScheduleError as exc:
+        return str(exc), None
+    nbytes = launches = 0
+    for row in segments:
+        for round_segments in row:
+            # the launches compile_copies will make of them: per
+            # (src buffer, dst buffer) pair, [runs, bytes]
+            pairs: dict[tuple[str, str], list[int]] = {}
+            for src, _src_off, dst, _dst_off, n in round_segments or ():
+                pair = pairs.setdefault((src, dst), [0, 0])
+                pair[0] += 1
+                pair[1] += n
+            for runs, total in pairs.values():
+                nbytes += total
+                launches += 1 if _index_kernel(runs, total) else runs
+    if not launches:
+        return "no round delivers a byte", None
+    if nbytes // launches <= INDEX_RUN_LIMIT:
+        return f"{nbytes // launches} B per copy ≤ {INDEX_RUN_LIMIT}", None
+    return f"{nbytes // launches} B per copy > {INDEX_RUN_LIMIT}", segments
 
 
 def compile_batched_plan(
@@ -1426,6 +1721,11 @@ def compile_batched_plan(
     pre_program, combine_programs, reduce_missing, matrix_error = (
         _compile_batched_combines(schedule, p, live_by_phase, sizes)
     )
+    hazards = [
+        _phase_hazard(phase, rounds)
+        for phase, rounds in zip(schedule.phases, phases)
+    ]
+    delivery_reason, segments = _choose_delivery(schedule, phases, hazards)
     return BatchedPlan(
         schedule.kind,
         _plan_key(topo, sizes),
@@ -1440,6 +1740,9 @@ def compile_batched_plan(
         combine_programs=combine_programs,
         reduce_missing=reduce_missing,
         matrix_error=matrix_error,
+        hazards=hazards,
+        delivery_reason=delivery_reason,
+        segments=segments,
     )
 
 
@@ -1471,7 +1774,8 @@ _misses = 0
 _compile_seconds = 0.0
 
 PlanCacheInfo = namedtuple(
-    "PlanCacheInfo", ["hits", "misses", "compile_seconds", "selector_bytes"]
+    "PlanCacheInfo",
+    ["hits", "misses", "compile_seconds", "selector_bytes", "in_place_plans"],
 )
 
 
@@ -1540,14 +1844,19 @@ def get_or_compile(
 
 
 def plan_cache_info() -> PlanCacheInfo:
-    """Process-wide plan-compilation counters (all schedules) and the
-    index-array bytes the cached plans hold right now."""
+    """Process-wide plan-compilation counters (all schedules), and of
+    the plans cached right now: the index-array bytes they hold and how
+    many of them the batched backend delivers in place."""
     with _CACHE_LOCK:
+        cached = list(_CACHED)
         return PlanCacheInfo(
             hits=_hits,
             misses=_misses,
             compile_seconds=_compile_seconds,
-            selector_bytes=sum(plan.selector_nbytes for plan in _CACHED),
+            selector_bytes=sum(plan.selector_nbytes for plan in cached),
+            in_place_plans=sum(
+                plan.delivery == "in-place" for plan in cached
+            ),
         )
 
 

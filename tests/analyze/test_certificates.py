@@ -468,6 +468,52 @@ class TestInheritance:
         assert far.inherited_from is None and "content" in far.checks_run
         assert certify(store, "alltoall", above + 8).inherited_from.granule == above
 
+    def test_no_certificate_crosses_the_staged_in_place_boundary(self):
+        """One block per round: every kernel is a single slice at any
+        size, so only the form the batched backend runs tells 8-byte
+        blocks from 4 KiB ones — and the sentinel execution of the
+        matrices says nothing about the in-place delivery."""
+        store = CertificateStore()
+        topo = schedule_verifier.CartTopology(TORUS)
+
+        def lowered(m):
+            sched = build_for_kind("trivial-alltoall", NBH9, m)
+            return schedule_verifier._lower(sched, topo)
+
+        small, large = lowered(8), lowered(4096)
+        assert (small.delivery, large.delivery) == ("staged", "in-place")
+        assert kernel_signature(small)[:3] == kernel_signature(large)[:3]
+        assert kernel_signature(small) != kernel_signature(large)
+        near = certify(store, "trivial-alltoall", 8)
+        assert "plan staged: 15 B per copy ≤ 2048" in near.summary()
+        far = certify(store, "trivial-alltoall", 4096)
+        assert far.inherited_from is None and "matrix-execution" in far.checks_run
+        assert far.delivery == "in-place: 7680 B per copy > 2048"
+        assert "plan in-place: 7680 B per copy > 2048" in far.summary()
+        again = certify(store, "trivial-alltoall", 4104)
+        assert again.inherited_from.granule == 4096
+
+    def test_sentinel_execution_runs_an_in_place_plan_a_third_way(
+        self, monkeypatch
+    ):
+        """A ``deliver`` that drops a round's last launch: every kernel
+        and round program is still right (V503 is silent), only running
+        the plan in place shows it — as V506, at the size where the
+        plan is in-place and not below."""
+        real = plan_mod._run_pairs
+
+        def lossy(program, views, receivers, senders):
+            real(program, views, list(receivers)[:-1], list(senders)[:-1])
+
+        monkeypatch.setattr(plan_mod, "_run_pairs", lossy)
+        small = verify_schedule(build_for_kind("alltoall", NBH9, 8), TORUS)
+        assert small.ok and small.delivery.startswith("staged")
+        large = verify_schedule(build_for_kind("alltoall", NBH9, 4096), TORUS)
+        assert large.codes() == {"V506"}
+        assert "in-place delivery leaves" in large.by_code("V506")[0].message
+        monkeypatch.setattr(plan_mod, "_run_pairs", real)
+        assert verify_schedule(build_for_kind("alltoall", NBH9, 4096), TORUS).ok
+
     def test_over_budget_first_sight_files_nothing(self, monkeypatch):
         store = CertificateStore()
         monkeypatch.setattr(schedule_verifier, "CONTENT_BUDGET", 1 << 10)

@@ -332,3 +332,63 @@ class TestSweep:
         rep = verify_schedule(build_for_kind("alltoall", nbh), DIMS, True)
         assert rep.ok
         assert "effects" in rep.checks_run
+
+
+class TestHazardVerdict:
+    """The lowering decides, from the run lists alone, whether a phase
+    needs the wire's snapshot; the effect pass decides the same from
+    the compiled kernels' intervals.  They must agree — an in-place
+    plan over a race is the one thing the backend cannot survive."""
+
+    @pytest.mark.parametrize("m", [8, 1000, 16384])
+    @pytest.mark.parametrize(
+        "dims, periods",
+        [
+            ((4, 4), (True, True)),
+            ((3, 3, 3), (True, True, True)),
+            ((2, 4), (False, True)),
+        ],
+    )
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_lowering_and_effect_pass_agree(self, kind, dims, periods, m):
+        from repro.analyze.effects import check_batched_effects
+        from repro.core.stencils import moore_neighborhood
+
+        nbh = moore_neighborhood(len(dims), 1, include_self=False)
+        sched = build_for_kind(kind, nbh, m).prepare()
+        plan = compile_batched_plan(
+            sched, CartTopology(dims, periods), _plan_sizes(sched)
+        )
+        rep = VerificationReport(kind=kind, dims=dims, periods=periods)
+        check_batched_effects(plan, rep, periodic=all(periods))
+        assert any(plan.hazards) == bool({"V702", "V703"} & rep.codes())
+        assert not any(plan.hazards)
+        if sched.is_reduction:
+            assert plan.delivery_reason == "reduction"
+        elif m != 1000:  # there, by how the kind's blocks coalesce
+            assert (plan.delivery == "in-place") == (m == 16384), plan
+
+    def test_in_place_over_a_race_is_a_v703_of_its_own(self, artifacts):
+        """The ``inplace-over-phase-hazard`` mutant by hand: the same
+        corrupted round is reported once more when the plan claims it
+        can run without the snapshot."""
+        _sched, _topo, _sizes, plan = artifacts
+        from repro.analyze.effects import check_batched_effects
+        from repro.analyze.mutations import _replace_round
+
+        pi, ri = next(
+            (pi, ri)
+            for pi, rounds in enumerate(plan.phases)
+            for ri, rnd in enumerate(rounds)
+            if rnd.recv is not None
+        )
+        raced = _replace_round(plan, pi, ri, send=plan.phases[pi][ri].recv)
+        messages = {}
+        for delivery in ("staged", "in-place"):
+            raced.delivery = delivery
+            rep = report()
+            check_batched_effects(raced, rep, periodic=True)
+            messages[delivery] = [v.message for v in rep.by_code("V703")]
+        extra = [m for m in messages["in-place"] if m not in messages["staged"]]
+        assert messages["staged"] and len(extra) == 1
+        assert "delivers in place" in extra[0]

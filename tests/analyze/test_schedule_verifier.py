@@ -122,6 +122,36 @@ class TestCertification:
         assert sched._plans == {}
 
 
+def test_delivery_table_must_follow_the_rounds():
+    """An in-place plan has one program per round with both halves:
+    a table of another shape, or a dropped program, is V501 — the
+    instance stage judges what the batched backend would run."""
+    import copy
+
+    from repro.analyze.schedule_verifier import (
+        _check_plan_kernels,
+        _open_report,
+        _plan_sizes,
+    )
+    from repro.core.plan import compile_batched_plan
+
+    sched = build_for_kind("alltoall", named_stencil("9-point"), 4096)
+    topo, clean = _open_report(sched, (4, 4), True)
+    plan = compile_batched_plan(sched, topo, _plan_sizes(sched))
+    assert plan.delivery == "in-place"
+    assert _check_plan_kernels(sched, clean, plan) is plan and clean.ok
+    assert clean.delivery == "in-place: 8192 B per copy > 2048"
+    for table in (
+        plan.deliveries[:-1],
+        ((None,) + plan.deliveries[0][1:],) + plan.deliveries[1:],
+    ):
+        mutated = copy.copy(plan)
+        mutated._deliveries = table
+        _, report = _open_report(sched, (4, 4), True)
+        _check_plan_kernels(sched, report, mutated)
+        assert report.codes() == {"V501"}
+
+
 def test_sampled_ranks_are_evenly_spaced_and_keep_both_corners():
     for p in range(1, 601):
         picked = _sample_ranks(p)

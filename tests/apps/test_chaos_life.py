@@ -65,3 +65,62 @@ def test_life_completes_or_fails_cleanly(kind, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_life_on_batched_completes_or_fails_cleanly(kind, seed):
     _completes_or_fails_cleanly("batched", kind, seed)
+
+
+@pytest.mark.parametrize("kind", ["kill", "stall"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_in_place_alltoall_on_batched_completes_or_fails_cleanly(kind, seed):
+    """The batched backend's other form: Life's halo blocks keep the
+    staged matrices, a persistent alltoall of 4 KiB blocks is delivered
+    in place, on the ranks' own arrays.  Same dichotomy, nothing left in
+    the pool, and the engine then runs the collective correctly."""
+    import numpy as np
+
+    from repro.core import plan as plan_mod
+    from repro.core.api import run_cartesian
+    from repro.core.stencils import moore_neighborhood
+    from tests.conftest import expected_alltoall, fill_send_alltoall
+
+    dims, m = (3, 3), 512  # int64 blocks of 4 KiB
+    nbh = moore_neighborhood(2, 1, include_self=False)
+    engine = Engine(
+        9, timeout=20.0, faults=FaultPlan.sample(seed * 101 + 7, 9, kind=kind)
+    )
+
+    def worker(cart):
+        send = fill_send_alltoall(cart.rank, nbh.t, m)
+        recv = np.zeros_like(send)
+        handle = cart.alltoall_init(send, recv, algorithm="combining")
+        try:
+            lowered, _ = plan_mod.get_or_compile(
+                handle.schedule, cart.topo, handle.buffers
+            )
+            assert lowered.delivery == "in-place"
+            want = expected_alltoall(cart.topo, nbh, cart.rank, m)
+            for _ in range(3):
+                recv[:] = 0
+                handle.execute()
+                assert np.array_equal(recv, want)
+        finally:
+            handle.free()
+        return True
+
+    def run():
+        return run_cartesian(
+            dims, nbh, worker, info={"backend": "batched"}, engine=engine
+        )
+
+    try:
+        assert all(run())
+    except Exception as exc:  # noqa: BLE001  # lint: allow(L004) - dichotomy classifies every failure mode below
+        events = engine.fault_events()
+        assert _attributable(exc, events), (
+            f"dirty failure under {kind!r} faults: "
+            f"{type(exc).__name__}: {exc}; injected: "
+            f"{[e.describe() for e in events]}"
+        )
+    assert GLOBAL_POOL.stats().outstanding_bytes == 0
+    # recovery, not another chaos case: the same engine, disarmed
+    engine.injector = None
+    assert all(run())
+    assert GLOBAL_POOL.stats().outstanding_bytes == 0

@@ -81,6 +81,36 @@ def expected_allgather(
     return out
 
 
+def with_deliveries(schedule, plan):
+    """A copy of ``plan`` that can :meth:`deliver` whatever its verdict
+    (which stays as lowered): the round programs a staged plan was
+    never given, built from the same two primitives the lowering uses —
+    so the eligibility rule does not decide which inputs the in-place
+    form is tested on."""
+    import copy
+
+    from repro.core.plan import compile_delivery, zip_runs
+
+    forced = copy.copy(plan)
+    if plan.deliveries is None:
+        forced._deliveries = tuple(
+            tuple(
+                None
+                if br.send is None or br.recv is None
+                else compile_delivery(
+                    zip_runs(
+                        rnd.send_blocks.coalesced_runs(),
+                        rnd.recv_blocks.coalesced_runs(),
+                    ),
+                    plan.sizes,
+                )
+                for rnd, br in zip(phase.rounds, rounds)
+            )
+            for phase, rounds in zip(schedule.phases, plan.phases)
+        )
+    return forced
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -402,6 +402,230 @@ def test_parity_property_random_topologies(dims, m, algorithm, data):
 
 
 # ----------------------------------------------------------------------
+# the batched backend's two forms: staged matrices and in-place delivery
+# ----------------------------------------------------------------------
+
+#: (dims, periods): tori, a mixed-period mesh (recv_rows on its edges),
+#: and extents 1 and 2, where a rank is its own peer or meets one peer
+#: through both +1 and -1
+DELIVERY_TOPOLOGIES = [
+    ((4, 4), (True, True)),
+    ((3, 3, 3), (True, True, True)),
+    ((2, 4), (False, True)),
+    ((1, 5), (True, True)),
+    ((2, 2), (True, True)),
+]
+
+
+def _snapshot(bufs):
+    return [{k: v.copy() for k, v in b.items()} for b in bufs]
+
+
+def _assert_same_buffers(got, want, what):
+    for r, (g, w) in enumerate(zip(got, want)):
+        for name in w:
+            assert np.array_equal(g[name], w[name]), (
+                f"{what}: rank {r}, buffer {name!r}"
+            )
+
+
+class TestDeliveryForms:
+    """``BatchedPlan.deliver`` (in place), ``BatchedPlan.execute``
+    (staged) and lockstep over the rank views are three ways to run the
+    one plan; which of the first two the backend takes is the plan's
+    verdict, so here both are forced on the same inputs."""
+
+    @pytest.mark.parametrize("variant", ["regular", "w"])
+    @pytest.mark.parametrize("algorithm", ["trivial", "direct", "combining"])
+    @pytest.mark.parametrize("op", ["alltoall", "allgather"])
+    @pytest.mark.parametrize("dims, periods", DELIVERY_TOPOLOGIES)
+    def test_three_ways_agree_byte_for_byte(
+        self, dims, periods, op, algorithm, variant
+    ):
+        """Whatever the verdict — these are small blocks, staged at run
+        time — and every buffer: with the same ``temp`` bound on all
+        three, even scratch forwarded over mesh edges is compared."""
+        from repro.core import plan as plan_mod
+        from tests.conftest import with_deliveries
+
+        nbh = moore_neighborhood(len(dims), 1, include_self=False)
+        topo = CartTopology(dims, periods)
+        sched, ssize, rsize = _make_case(op, algorithm, variant, nbh=nbh)
+        start = _make_bufs(topo.size, ssize, rsize)
+        for r, b in enumerate(start):
+            b["recv"][:] = 200 + r
+            if sched.temp_nbytes:
+                b["temp"] = np.full(sched.temp_nbytes, 100 + r, np.uint8)
+        sizes = plan_mod.effective_sizes(sched, start[0])
+        plan = with_deliveries(
+            sched, plan_mod.compile_batched_plan(sched, topo, sizes)
+        )
+        want = _snapshot(start)
+        LockstepBackend().execute_all(topo, sched, want)
+        matrices = {n: np.stack([b[n] for b in start]) for n in sizes}
+        plan.execute(matrices)
+        plan.run_local_copies(matrices)
+        staged = [{n: matrices[n][r] for n in sizes} for r in range(topo.size)]
+        _assert_same_buffers(staged, want, "execute vs lockstep")
+        got = _snapshot(start)
+        plan.deliver(got)
+        _assert_same_buffers(got, want, "deliver vs lockstep")
+
+    @pytest.mark.parametrize("algorithm", ["trivial", "combining"])
+    def test_in_place_plan_on_the_backend(self, algorithm):
+        """4 KiB blocks are delivered in place: correct against the
+        definition from a read-only ``send``, with the ranks' own
+        ``temp`` (no pool traffic) and without one (one pooled scratch
+        matrix, returned)."""
+        from repro.core.plan import GLOBAL_POOL, get_or_compile
+
+        topo, m = CartTopology((3, 3)), 4096
+        sched, ssize, rsize = _make_case("alltoall", algorithm, "regular", m=m)
+        before = _make_bufs(topo.size, ssize, rsize)
+        plan, _ = get_or_compile(sched, topo, before[0])
+        assert plan.delivery == "in-place"
+        for bound in (False, True):
+            after = _snapshot(before)
+            for b in after:
+                b["send"].flags.writeable = False
+                if bound and sched.temp_nbytes:
+                    b["temp"] = np.zeros(sched.temp_nbytes, np.uint8)
+            acquires = GLOBAL_POOL.stats().acquires
+            get_backend("batched").execute_all(topo, sched, after)
+            assert GLOBAL_POOL.stats().acquires - acquires == int(
+                sched.temp_nbytes > 0 and not bound
+            )
+            assert GLOBAL_POOL.stats().outstanding_bytes == 0
+            assert_matches_definition(topo, sched, before, after)
+
+    def test_kernel_failure_in_place_returns_the_scratch(self, monkeypatch):
+        from repro.core import plan as plan_mod
+
+        topo, m = CartTopology((3, 3)), 4096
+        sched, ssize, rsize = _make_case("alltoall", "combining", "regular", m=m)
+        bufs = _make_bufs(topo.size, ssize, rsize)
+        assert plan_mod.get_or_compile(sched, topo, bufs[0])[0].delivery == "in-place"
+
+        def boom(*args):
+            raise RuntimeError("injected copy failure")
+
+        monkeypatch.setattr(plan_mod, "_run_pairs", boom)
+        with pytest.raises(RuntimeError, match="injected copy"):
+            get_backend("batched").execute_all(topo, sched, bufs)
+        assert plan_mod.GLOBAL_POOL.stats().outstanding_bytes == 0
+
+    @pytest.mark.parametrize(
+        "second_send, second_recv, hazard",
+        [
+            # the second round forwards what the first one delivers
+            (("recv", 0), ("recv", 4096), "reads what it writes"),
+            # both rounds land on recv[2048:4096]
+            (("send", 4096), ("recv", 2048), "writes a byte twice"),
+        ],
+    )
+    def test_phase_hazard_keeps_the_wire(self, second_send, second_recv, hazard):
+        """Blocks big enough for the in-place form, in a phase whose
+        result depends on the wire's snapshot: the lowering says so and
+        the backend runs the matrices — equal to lockstep, which packs
+        the whole phase before it delivers any of it."""
+        from repro.core import plan as plan_mod
+        from repro.core.neighborhood import Neighborhood
+        from repro.core.schedule import Phase, Round, Schedule
+        from tests.conftest import with_deliveries
+
+        n = 4096
+        rounds = [
+            Round(
+                (1,),
+                BlockSet([BlockRef("send", 0, n)]),
+                BlockSet([BlockRef("recv", 0, n)]),
+            ),
+            Round(
+                (-1,),
+                BlockSet([BlockRef(*second_send, n)]),
+                BlockSet([BlockRef(*second_recv, n)]),
+            ),
+        ]
+        sched = Schedule(
+            "alltoall", Neighborhood([(1,), (-1,)]), [Phase(0, rounds)]
+        )
+        topo = CartTopology((5,))
+        start = _make_bufs(topo.size, 2 * n, 2 * n)
+        for r, b in enumerate(start):
+            b["recv"][:] = 200 + r
+        plan, _ = plan_mod.get_or_compile(sched, topo, start[0])
+        assert plan.hazards == (hazard,)
+        assert (plan.delivery, plan.delivery_reason) == (
+            "staged", f"phase 0 {hazard}"
+        )
+        want, got = _snapshot(start), _snapshot(start)
+        LockstepBackend().execute_all(topo, sched, want)
+        get_backend("batched").execute_all(topo, sched, got)
+        _assert_same_buffers(got, want, "batched vs lockstep")
+        if hazard == "reads what it writes":
+            # what the guard is for: without the snapshot some rank
+            # forwards the bytes it has just been sent
+            raced = _snapshot(start)
+            with_deliveries(sched, plan).deliver(raced)
+            assert any(
+                not np.array_equal(g["recv"], w["recv"])
+                for g, w in zip(raced, want)
+            )
+
+    @pytest.mark.parametrize("overlap", ["same array", "view into send"])
+    def test_aliased_names_keep_the_wire(self, overlap):
+        """The plan's interval check compares names, not memory: a call
+        whose ``recv`` shares memory with its ``send`` takes the staged
+        form, which snapshots ``send`` as it always did — so ``recv``
+        still ends up holding the definition's bytes."""
+        from repro.core.plan import GLOBAL_POOL
+        from tests.conftest import expected_alltoall, fill_send_alltoall
+
+        m = 512  # int64s, 4 KiB: an in-place plan, were the names apart
+
+        def fn(cart):
+            t = cart.nbh.t
+            content = fill_send_alltoall(cart.rank, t, m)
+            if overlap == "same array":
+                send = recv = content
+            else:
+                base = np.empty((t + 1) * m, np.int64)
+                send, recv = base[: t * m], base[m:]
+                send[:] = content
+            cart.comm.barrier()
+            acquires = GLOBAL_POOL.stats().acquires
+            cart.alltoall(send, recv, algorithm="combining")
+            cart.comm.barrier()
+            staged = GLOBAL_POOL.stats().acquires - acquires >= 3
+            want = expected_alltoall(cart.topo, cart.nbh, cart.rank, m)
+            return staged and bool(np.array_equal(recv, want))
+
+        assert all(
+            run_cartesian((3, 3), NBH, fn, info={"backend": "batched"}, timeout=60)
+        )
+
+    def test_non_uniform_layout_is_refused_before_any_byte_moves(self):
+        topo, m = CartTopology((3, 3)), 4096
+        sched, ssize, rsize = _make_case("alltoall", "combining", "regular", m=m)
+        bufs = _make_bufs(topo.size, ssize, rsize)
+        bufs[4]["recv"] = np.zeros(rsize + 8, np.uint8)
+        with pytest.raises(ScheduleError, match="SPMD-uniform"):
+            get_backend("batched").execute_all(topo, sched, bufs)
+        assert not any(b["recv"].any() for b in bufs)
+
+    def test_a_reduction_has_no_in_place_form(self):
+        from repro.core import plan as plan_mod
+
+        topo, m = CartTopology((3, 3)), 1 << 14
+        sched, ssize, rsize = _make_reduce_case("allreduce", "sum", m=m)
+        bufs = _make_bufs(topo.size, ssize, rsize)
+        plan, _ = plan_mod.get_or_compile(sched, topo, bufs[0])
+        assert (plan.delivery, plan.delivery_reason) == ("staged", "reduction")
+        with pytest.raises(ScheduleError, match="no in-place form"):
+            plan.deliver(bufs)
+
+
+# ----------------------------------------------------------------------
 # registry, selection
 # ----------------------------------------------------------------------
 

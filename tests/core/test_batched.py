@@ -251,14 +251,40 @@ class TestBatchedBackend:
             get_backend("batched").execute_all(topo, make_sched(NBH), bufs)
 
     def test_explicit_temp_buffers_are_used_and_written_back(self):
+        """The in-place form has no scratch of its own: a caller's
+        ``temp`` is the one the rounds forward through, where it lies."""
+        topo = CartTopology((3, 3))
+        m = 4096
+        sched = make_sched(NBH, m)
+        assert sched.temp_nbytes > 0
+        bufs = make_bufs(topo.size, NBH.t, m, seed=9)
+        for d in bufs:
+            d["temp"] = np.zeros(sched.temp_nbytes, np.uint8)
+        plan, _ = get_or_compile(sched, topo, bufs[0])
+        assert plan.delivery == "in-place"
+        acquires = plan_mod.GLOBAL_POOL.stats().acquires
+        get_backend("batched").execute_all(topo, sched, bufs)
+        assert plan_mod.GLOBAL_POOL.stats().acquires == acquires
+        assert any(d["temp"].any() for d in bufs)
+
+    def test_staged_form_leaves_a_callers_temp_alone(self):
+        """Scratch is not data: the staged form runs on a ``temp``
+        matrix of its own, so a bound ``temp`` is neither read nor
+        overwritten (it used to be copied in and out on every call)."""
         topo = CartTopology((3, 3))
         sched = make_sched(NBH)
         assert sched.temp_nbytes > 0
         bufs = make_bufs(topo.size, NBH.t, 6, seed=9)
+        ref = [{k: v.copy() for k, v in d.items()} for d in bufs]
         for d in bufs:
-            d["temp"] = np.zeros(sched.temp_nbytes, np.uint8)
+            d["temp"] = np.full(sched.temp_nbytes, 0xA5, np.uint8)
+        plan, _ = get_or_compile(sched, topo, bufs[0])
+        assert plan.delivery == "staged"
         get_backend("batched").execute_all(topo, sched, bufs)
-        assert any(d["temp"].any() for d in bufs)
+        LockstepBackend().execute_all(topo, sched, ref)
+        for got, want in zip(bufs, ref):
+            assert np.array_equal(got["recv"], want["recv"])
+            assert (got["temp"] == 0xA5).all()
 
     def test_validate_flag(self):
         topo = CartTopology((2, 2))

@@ -387,6 +387,36 @@ class TestPersistentReduce:
         assert all(run_cartesian((2, 2), nbh, fn, timeout=60))
         assert GLOBAL_POOL.stats().outstanding_bytes == 0
 
+    @pytest.mark.parametrize("backend", ["threaded", "lockstep", "batched"])
+    @pytest.mark.parametrize("algorithm", ["combining", "trivial"])
+    def test_start_after_free_raises(self, backend, algorithm):
+        """A freed handle used to run silently — on scratch it no
+        longer owns — on every backend.  The trivial handle never had a
+        ``temp``: the refusal is a flag, not a missing finalizer."""
+        nbh = moore_neighborhood(2, 1, include_self=False)
+        m = 4
+
+        def fn(cart):
+            send = np.full(nbh.t * m, cart.rank, np.uint8)
+            recv = np.zeros(nbh.t * m, np.uint8)
+            op = cart.alltoall_init(send, recv, algorithm=algorithm)
+            assert ("temp" in op.buffers) == (algorithm == "combining")
+            op.execute()
+            want = recv.copy()
+            op.free()
+            recv[:] = 0
+            for launch in (op.start, op.execute, op):
+                with pytest.raises(MpiSimError, match="after free"):
+                    launch()
+            op.free()  # still idempotent
+            return op.executions == 1 and want.any() and not recv.any()
+
+        assert all(
+            run_cartesian(
+                (3, 3), nbh, fn, info={"backend": backend}, timeout=60
+            )
+        )
+
 
 # ----------------------------------------------------------------------
 # PersistentReduce backend x algorithm x operator matrix

@@ -13,7 +13,9 @@ Three families of randomized checks:
 * **Lowering tests** — random run lists (alignment 1–8, odd capacities,
   empty blocks, misaligned arrays): the word-granular kernels of
   :mod:`repro.core.plan` must move exactly the bytes their
-  :class:`~repro.mpisim.datatypes.BlockSet` moves, per rank and batched.
+  :class:`~repro.mpisim.datatypes.BlockSet` moves, per rank, batched
+  and delivered in place; and the lowering's hazard verdict is the
+  byte-set intersection.
 
 * **Invariant tests** — Propositions 3.2/3.3 on randomized
   neighborhoods: the combining alltoall uses exactly ``C = Σ_k C_k``
@@ -39,9 +41,17 @@ from repro.core.plan import (
     compile_batched_plan,
     compile_blockset,
     compile_copies,
+    compile_delivery,
     translate_all,
+    zip_runs,
 )
-from repro.core.schedule import LocalCopy, Schedule, uniform_block_layout
+from repro.core.schedule import (
+    LocalCopy,
+    Phase,
+    Round,
+    Schedule,
+    uniform_block_layout,
+)
 from repro.core.stencils import random_neighborhood
 from repro.core.topology import CartTopology
 from repro.core.trivial import (
@@ -51,6 +61,7 @@ from repro.core.trivial import (
     build_trivial_alltoall_schedule,
 )
 from repro.mpisim.datatypes import BlockRef, BlockSet
+from tests.conftest import with_deliveries
 
 # Grid shapes with at most 24 ranks: lockstep execution is O(p · V · m),
 # so these keep each example comfortably under a millisecond-scale cost
@@ -458,3 +469,83 @@ class TestLaneSelectors:
         plan.run_local_copies(matrices)
         for rank in range(topo.size):
             assert np.array_equal(matrices["b"][rank], want["b"])
+
+    @given(paired_layout(), st.integers(0, 2**16), st.booleans(), st.booleans())
+    def test_delivery_matches_pack_then_unpack(
+        self, layout, seed, misaligned, periodic
+    ):
+        """One round delivered in place — the two run lists zipped into
+        segments and lowered as copies — leaves in the receiver what
+        unpacking the sender's packed payload would: per program, and
+        through ``deliver`` on a ring or a mesh of five."""
+        _align, a_blocks, b_blocks, sizes = layout
+        send_bs, recv_bs = BlockSet(a_blocks), BlockSet(b_blocks)
+        segments = zip_runs(send_bs.coalesced_runs(), recv_bs.coalesced_runs())
+        assert sum(seg[-1] for seg in segments) == send_bs.total_nbytes
+        prog = compile_delivery(segments, sizes)
+        sender = _random_buffers(sizes, seed, misaligned)
+        want = _random_buffers(sizes, seed + 1)
+        recv_bs.unpack(want, send_bs.pack(sender))
+        got = _random_buffers(sizes, seed + 1, misaligned)
+        assert prog.run(got, sender) == send_bs.total_nbytes
+        for name in sizes:
+            assert np.array_equal(got[name], want[name])
+
+        topo = CartTopology((5,), (periodic,))
+        schedule = Schedule(
+            "alltoall",
+            Neighborhood([(1,)]),
+            [Phase(0, [Round((1,), send_bs, recv_bs)])],
+        )
+        plan = with_deliveries(
+            schedule, compile_batched_plan(schedule, topo, sizes)
+        )
+        assert plan.hazards == (None,)
+        start = [_random_buffers(sizes, seed + r) for r in range(topo.size)]
+        ranks = [
+            {name: _array(arr, misaligned) for name, arr in bufs.items()}
+            for bufs in start
+        ]
+        plan.deliver(ranks)
+        for rank, bufs in enumerate(start):
+            source = topo.translate(rank, (-1,))
+            want = {name: arr.copy() for name, arr in bufs.items()}
+            if source is not None:
+                recv_bs.unpack(want, send_bs.pack(start[source]))
+            for name in sizes:
+                assert np.array_equal(ranks[rank][name], want[name])
+
+    @given(paired_layout(), st.booleans(), st.booleans())
+    def test_hazard_verdict_is_the_byte_set_intersection(
+        self, layout, one_buffer, repeat
+    ):
+        """A phase is marked hazardous iff, byte by byte, something it
+        writes is also read in it or written twice — here with both
+        sides of the message in one buffer, or a block received twice."""
+        _align, a_blocks, b_blocks, sizes = layout
+        if one_buffer:
+            b_blocks = [BlockRef("a", b.offset, b.nbytes) for b in b_blocks]
+            sizes = {"a": max(sizes.values())}
+        if repeat:
+            a_blocks, b_blocks = a_blocks + a_blocks[:1], b_blocks + b_blocks[:1]
+        read = {(b.buffer, i) for b in a_blocks for i in range(b.offset, b.end())}
+        written = [
+            (b.buffer, i) for b in b_blocks for i in range(b.offset, b.end())
+        ]
+        brute = (
+            "writes a byte twice"
+            if len(set(written)) < len(written)
+            else "reads what it writes"
+            if read & set(written)
+            else None
+        )
+        schedule = Schedule(
+            "alltoall",
+            Neighborhood([(1,)]),
+            [Phase(0, [Round((1,), BlockSet(a_blocks), BlockSet(b_blocks))])],
+        )
+        plan = compile_batched_plan(schedule, CartTopology((5,)), sizes)
+        assert plan.hazards == (brute,)
+        if brute is not None:
+            assert plan.delivery == "staged"
+            assert plan.delivery_reason == f"phase 0 {brute}"

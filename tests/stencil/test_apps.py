@@ -127,3 +127,29 @@ def test_halo_exchange_only(rng):
         return np.array_equal(st.grid, expect)
 
     assert all(run_cartesian((2, 2), NBH, fn))
+
+
+@pytest.mark.parametrize("halo", ["per-neighbor", "combined"])
+def test_no_exchange_after_free(halo, rng):
+    """``free()`` hands the halo handle's scratch back; a later
+    exchange is refused instead of running on memory it no longer owns
+    (the combined handle has no scratch at all and is refused alike)."""
+    from repro.mpisim.exceptions import MpiSimError
+
+    topo = CartTopology((2, 2))
+    decomp = GridDecomposition(topo, (8, 8))
+    blocks = decomp.scatter(rng.random((8, 8)))
+
+    def fn(cart):
+        st = DistributedStencil(
+            cart, decomp, blocks[cart.rank], lambda a: a[1:-1, 1:-1],
+            halo=halo,
+        )
+        st.step()
+        st.free()
+        st.free()
+        with pytest.raises(MpiSimError, match="after free"):
+            st.step()
+        return st.iterations
+
+    assert run_cartesian((2, 2), NBH, fn) == [1] * 4
