@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.alltoall_schedule import build_alltoall_schedule
-from repro.core.backend import get_backend
+from repro.core.backend import LockstepBackend
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import moore_neighborhood, parameterized_stencil
 from repro.core.topology import CartTopology
@@ -53,7 +53,7 @@ def test_lockstep_alltoall_scaling(benchmark, p_side):
     ]
 
     benchmark.pedantic(
-        lambda: get_backend("lockstep").execute_all(topo, sched, bufs),
+        lambda: LockstepBackend().execute_all(topo, sched, bufs),
         rounds=3, iterations=1, warmup_rounds=1,
     )
 

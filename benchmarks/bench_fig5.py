@@ -18,7 +18,7 @@ import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.core.alltoall_schedule import build_alltoall_schedule
-from repro.core.backend import get_backend
+from repro.core.backend import LockstepBackend
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import parameterized_stencil
 from repro.core.topology import CartTopology
@@ -58,7 +58,7 @@ def test_full_scale_lockstep_correctness(benchmark):
             for i in range(nbh.t):
                 send[i * m : (i + 1) * m] = (r + i) % 251
             bufs.append({"send": send, "recv": np.zeros(nbh.t * m, np.uint8)})
-        get_backend("lockstep").execute_all(topo, sched, bufs)
+        LockstepBackend().execute_all(topo, sched, bufs)
         return bufs
 
     bufs = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -30,7 +30,7 @@ import pytest
 from benchmarks.conftest import write_artifact, write_json_artifact
 from repro.core import plan as plan_mod
 from repro.core.api import run_cartesian
-from repro.core.backend import get_backend
+from repro.core.backend import LockstepBackend, get_backend
 from repro.core.reduce_schedule import build_reduce_schedule
 from repro.core.stencils import moore_neighborhood, parameterized_stencil
 from repro.core.topology import CartTopology
@@ -133,7 +133,7 @@ def measured_batched_reduce():
     p = topo.size
     sched = build_reduce_schedule(nbh, m_bytes=m_bytes, dtype="int64")
     batched = get_backend("batched")
-    lockstep = get_backend("lockstep")
+    lockstep = LockstepBackend()  # the walk itself: the name is an alias of batched
 
     # parity first (also lowers the plan and takes every rank's view, so
     # neither is inside the timed region)

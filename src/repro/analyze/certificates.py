@@ -60,6 +60,7 @@ if TYPE_CHECKING:
 #: field (a future one included) is encoded
 DERIVED_FIELDS = {
     "Schedule._copy_runs": "memo of prepare(), a function of local_copies",
+    "Schedule._totals": "memo of prepare(), sums over rounds and local_copies",
     "Schedule._plans": "cache of lowerings, filled by repro.core.plan",
     "Schedule._plans_generation": "invalidation counter of that cache",
 }

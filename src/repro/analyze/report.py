@@ -151,7 +151,9 @@ class VerificationReport:
     #: ``"inherited-shape"``)
     inherited_from: Optional[Certificate] = None
     #: the lowered plan's delivery verdict and its reason, e.g.
-    #: ``"staged: 12 B per copy ≤ 2048"`` (``None`` without a lowering)
+    #: ``"staged: 12 B per copy ≤ 2048"`` (``None`` without a lowering),
+    #: followed by ``"; runs as walk: …"`` where the batched executor
+    #: would not take that form
     delivery: Optional[str] = None
 
     @property

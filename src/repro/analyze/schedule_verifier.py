@@ -818,10 +818,16 @@ def _check_plan_kernels(
     buffer in the state the schedule's sequential copies produce
     (V504).  Returns the plan (``None`` when it cannot be used further)
     so the later passes check the same object."""
+    from repro.core.backend.batched import executor_form
+
     plan = _lowered_plan(lowered, report)
     if plan is None:
         return None
-    report.delivery = f"{plan.delivery}: {plan.delivery_reason}"
+    delivery = f"{plan.delivery}: {plan.delivery_reason}"
+    form = executor_form(plan)
+    report.delivery = (
+        delivery if form == delivery else f"{delivery}; runs as {form}"
+    )
     sizes = plan.sizes
     want_shape = tuple(len(ph.rounds) for ph in schedule.phases)
     # an in-place plan's round programs (lowered here if nobody ran
@@ -1070,7 +1076,12 @@ def _check_execution(
         plan.deliver(start)
         return start
 
-    ways = [("matrix execution", run_matrices)]
+    # a plan without a matrix form is only ever walked: nothing to compare
+    ways = (
+        [("matrix execution", run_matrices)]
+        if plan.matrix_error is None
+        else []
+    )
     if plan.delivery == "in-place":
         ways.append(("in-place delivery", run_in_place))
     for way, run in ways:

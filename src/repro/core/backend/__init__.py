@@ -2,12 +2,20 @@
 
 A :class:`~repro.core.schedule.Schedule` is pure local data
 (Proposition 3.1); *how* it is executed is this package's concern.
-Pick a backend by name (``"threaded"``, ``"lockstep"``, ``"batched"``,
-``"shm"``) through :func:`get_backend`, via
-``CartComm(..., backend=...)``, or process-wide with the
-``REPRO_BACKEND`` environment variable.  ``"batched"`` is the lockstep
-semantics executed as one vectorized numpy program over all ranks — the
-recommended choice for large meshes.
+Pick one of the three executors by name — ``"threaded"`` (a thread and
+a mailbox per rank), ``"batched"`` (every rank in one process, one
+numpy program for all of them — the recommended choice for large
+meshes) or ``"shm"`` (a forked process per rank) — through
+:func:`get_backend`, via ``CartComm(..., backend=...)``, or process-wide
+with the ``REPRO_BACKEND`` environment variable.
+
+``"lockstep"`` used to name a fourth executor, the rank-by-rank walk
+over the plan's views.  Everything the walk runs the batched executor
+runs faster, and what the matrix forms cannot run the batched executor
+hands to the walk itself, so the name is an accepted alias of
+``"batched"`` (:data:`ALIASES`).  The walk stays importable as
+:class:`LockstepBackend` — the independent reference the verifier and
+the parity tests execute against — but is not selectable by name.
 """
 
 from __future__ import annotations
@@ -33,22 +41,25 @@ BACKEND_ENV = "REPRO_BACKEND"
 #: The process-wide backend registry (singletons: backends are stateless).
 BACKENDS: dict[str, Backend] = {
     "threaded": ThreadedBackend(),
-    "lockstep": LockstepBackend(),
     "batched": BatchedBackend(),
     "shm": ShmBackend(),
 }
 
+#: Accepted names of executors that no longer exist -> the registry
+#: entry that runs their work now.
+ALIASES = {"lockstep": "batched"}
+
 
 def get_backend(spec: str | Backend | None = None) -> Backend:
-    """Resolve a backend: an instance passes through, a name looks up the
-    registry, and ``None`` falls back to ``$REPRO_BACKEND`` or
-    ``"threaded"``."""
+    """Resolve a backend: an instance passes through, a name (or an
+    alias of one) looks up the registry, and ``None`` falls back to
+    ``$REPRO_BACKEND`` or ``"threaded"``."""
     if isinstance(spec, Backend):
         return spec
     if spec is None:
         spec = os.environ.get(BACKEND_ENV) or "threaded"
     try:
-        return BACKENDS[spec]
+        return BACKENDS[ALIASES.get(spec, spec)]
     except KeyError:
         raise BackendError(
             f"unknown backend {spec!r}; available: {sorted(BACKENDS)}"
@@ -56,6 +67,7 @@ def get_backend(spec: str | Backend | None = None) -> Backend:
 
 
 __all__ = [
+    "ALIASES",
     "BACKENDS",
     "BACKEND_ENV",
     "Backend",

@@ -9,7 +9,8 @@ operations of a phase, and (for process-parallel transports) a barrier.
 (buffers supplied per rank), and :meth:`Backend.run` runs it for the
 *calling* rank of a live communicator — what ``CartComm`` launches a
 bound collective through.  The default ``run`` has the ranks meet by
-reference at the communicator's rendezvous, where one of them drives
+reference at the communicator's rendezvous, where one of them checks
+that all bound the same schedule, lowers it once and drives
 ``execute_all`` over every rank's own arrays; the threaded backend
 overrides it with the interpreter over its own transport.
 
@@ -19,12 +20,15 @@ always runs over the threaded one, whatever backend is selected.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.core import plan as plan_mod
-from repro.mpisim.exceptions import MpiSimError
+from repro.core.reduce_schedule import is_custom_op_token
+from repro.core.schedule import BoundOp
+from repro.mpisim.exceptions import MpiSimError, ScheduleError
 
 if TYPE_CHECKING:
     from repro.core.schedule import Schedule
@@ -121,6 +125,38 @@ class Transport:
         """Attribute rank-local data movement (no-op by default)."""
 
 
+def _equal_schedules(a: "Schedule", b: "Schedule") -> bool:
+    """Identity first — isomorphic calls share the process-wide cache
+    entry — and equality only on an identity miss, so an eviction
+    between two ranks' binds is not an error.  A process-local operator
+    token names a callable, not content: ranks that each passed their
+    own callable are trusted to have passed the same function, as MPI
+    trusts an ``MPI_Op``."""
+    if a is b or a == b:
+        return True
+    return (
+        is_custom_op_token(a.combine_op or "")
+        and is_custom_op_token(b.combine_op or "")
+        and replace(a, combine_op=b.combine_op) == b
+    )
+
+
+def _same_schedule(slots: Sequence[BoundOp]) -> BoundOp:
+    """Rank 0's deposit, once every rank is known to have bound the
+    same schedule.  Whoever drives a meeting runs *one* schedule over
+    everybody's buffers, so a rank that called a different collective
+    would otherwise go unnoticed."""
+    first = slots[0]
+    for rank, slot in enumerate(slots):
+        if not _equal_schedules(slot.schedule, first.schedule):
+            raise ScheduleError(
+                f"mismatched collective: rank {rank} called "
+                f"{(slot.op, slot.schedule.kind)} where rank 0 called "
+                f"{(first.op, first.schedule.kind)}"
+            )
+    return first
+
+
 class Backend:
     """Driver for one execution strategy."""
 
@@ -132,32 +168,41 @@ class Backend:
         topo: "CartTopology",
         schedule: "Schedule",
         buffers: Mapping[str, np.ndarray],
+        op: str = "",
     ) -> tuple[bool, int, int]:
         """Execute ``schedule`` for the calling rank of ``comm``
-        (collective); returns this rank's ``(plan_hit, bytes_packed,
+        (collective; ``op`` is the name the caller knows the operation
+        by); returns this rank's ``(plan_hit, bytes_packed,
         bytes_copied)``.
 
         The default, for all-ranks backends: the ranks meet at
-        ``comm``'s rendezvous with their buffers *by reference*, and one
-        of them drives :meth:`execute_all` over every rank's own arrays
-        — no message, no copy in or out.  A failing execution is raised
-        on every rank."""
+        ``comm``'s rendezvous with their bound operation *by reference*,
+        and one of them lowers the schedule — once per collective — and
+        drives :meth:`execute_all` over every rank's own arrays: no
+        message, no copy in or out.  The meeting is refused, before any
+        byte moves, when the ranks did not all bind the same schedule; a
+        refusal or a failing execution is raised on every rank."""
 
         def drive(
-            slots: Sequence[Mapping[str, np.ndarray]],
+            slots: Sequence[BoundOp],
         ) -> tuple[plan_mod.BatchedPlan, bool]:
-            # One lowering per collective; every rank accounts it as its
-            # one logical plan lookup (a hit unless the mesh's plan had
-            # to be lowered first).
-            lowered, hit = plan_mod.get_or_compile(schedule, topo, slots[0])
-            self.execute_all(topo, schedule, slots)
+            first = _same_schedule(slots)
+            # every rank accounts the one lowering as its one logical
+            # plan lookup (a hit unless the mesh's plan had to be
+            # lowered first)
+            lowered, hit = plan_mod.get_or_compile(
+                first.schedule, topo, first.buffers
+            )
+            self.execute_all(
+                topo,
+                first.schedule,
+                [slot.buffers for slot in slots],
+                plan=lowered,
+            )
             return lowered, hit
 
-        lowered, hit = comm.rendezvous(buffers, drive)
-        # this rank's own view's wire bytes (edge ranks skip missing
-        # neighbours)
-        packed = lowered.for_rank(comm.rank).wire_bytes
-        return hit, packed, schedule.local_copy_bytes
+        lowered, hit = comm.rendezvous(BoundOp(op, schedule, buffers), drive)
+        return hit, lowered.rank_wire_bytes(comm.rank), schedule.local_copy_bytes
 
     def execute_all(
         self,
@@ -167,9 +212,12 @@ class Backend:
         *,
         tag: int = -7,
         validate: bool = False,
+        plan: "plan_mod.BatchedPlan | None" = None,
     ) -> None:
         """Execute ``schedule`` for every rank of ``topo`` in one call,
-        mutating ``rank_buffers`` in place (all-ranks backends only)."""
+        mutating ``rank_buffers`` in place (all-ranks backends only).
+        ``plan`` is the schedule's lowering for rank 0's buffer sizes
+        when the caller already holds it (:meth:`run`'s driver does)."""
         raise BackendError(
             f"backend {self.name!r} cannot execute all ranks in one call"
         )

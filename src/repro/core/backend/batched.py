@@ -1,16 +1,31 @@
-"""Batched backend: the whole mesh as one data-parallel numpy program.
+"""Batched backend: every rank in one process, one executor, three forms.
 
-The lockstep backend already executes all ``p`` ranks in one process,
-but it still *interprets* the schedule rank by rank — ``p`` interpreter
+Schedules are SPMD (Prop. 3.1–3.3: every rank runs the identical
+phase/round structure), so a process that holds all ``p`` ranks does
+not have to interpret the schedule ``p`` times — ``p`` interpreter
 loops, ``p`` pack/unpack calls per round, minutes of Python at the
-paper's Titan scale (1024×16 ranks).  Because schedules are SPMD
-(Prop. 3.1–3.3: every rank runs the identical phase/round structure),
-the per-rank loops can be folded away entirely: this backend runs the
-schedule's :class:`~repro.core.plan.BatchedPlan` whole, in the form the
-plan's lowering chose for it (``plan.delivery``).
+paper's Titan scale (1024×16 ranks).  This backend runs the schedule's
+:class:`~repro.core.plan.BatchedPlan` whole.  :func:`executor_form`
+picks the form from what can be observed before any byte moves — there
+is no knob — trying them in this order:
 
-*Staged* — small blocks, reductions: all rank buffers are stacked into
-one ``(p, nbytes)`` matrix per buffer name and
+*Walk* — ranks whose buffer sizes differ, or a plan with no matrix
+form (``plan.matrix_error``: a reduction over a buffer that is not a
+whole number of elements): the per-rank walk over the plan's rank views
+(:class:`~repro.core.backend.lockstep.LockstepBackend`), the only form
+that asks nothing of the layout.  It is also the independent reference
+the other two are verified and tested against, which is why it is a
+form here and not a backend to select: wherever the matrix forms can
+run they are faster.
+
+*In place* — ``plan.delivery == "in-place"`` (large blocks, no phase
+that reads what it writes) and no two buffers of a rank sharing memory:
+:meth:`~repro.core.plan.BatchedPlan.deliver` copies every round
+straight from the sending rank's own arrays to the receiving rank's:
+one copy per delivered byte, ``p`` launches per round.
+
+*Staged* — everything else (small blocks, reductions): all rank
+buffers are stacked into one ``(p, nbytes)`` matrix per buffer name and
 :meth:`~repro.core.plan.BatchedPlan.execute` runs each round as a
 handful of vectorized numpy operations — gather all rows into a
 ``(p, n)`` wire matrix, permute its rows by the source-rank array,
@@ -18,15 +33,10 @@ scatter.  About five copies per delivered byte, but one kernel launch
 for all ranks, which is what makes interactive large-mesh and netsim
 sweeps feasible.
 
-*In place* — large blocks, no phase that reads what it writes:
-:meth:`~repro.core.plan.BatchedPlan.deliver` copies every round
-straight from the sending rank's own arrays to the receiving rank's:
-one copy per delivered byte, ``p`` launches per round.
-
-Semantics are identical to lockstep either way (the very same plan —
-lockstep walks its rank views): the staged form keeps the pack-all-then-
-deliver discipline per phase, and the in-place form is only taken where
-that discipline cannot be observed.
+Semantics are identical whichever form runs (it is the very same plan):
+the staged form keeps the walk's pack-all-then-deliver discipline per
+phase, and the in-place form is only taken where that discipline cannot
+be observed.
 """
 
 from __future__ import annotations
@@ -39,13 +49,44 @@ import numpy as np
 from repro.core import plan as plan_mod
 from repro.core.backend.base import Backend
 from repro.core.backend.interpreter import CARTTAG
+from repro.core.backend.lockstep import WALK
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import byte_view
 from repro.mpisim.exceptions import ScheduleError
 
+
+def executor_form(
+    plan: plan_mod.BatchedPlan,
+    rank_buffers: Sequence[Mapping[str, np.ndarray]] = (),
+) -> str:
+    """The form :meth:`BatchedBackend.execute_all` runs ``plan`` in over
+    ``rank_buffers`` and why, as one string: ``"walk: …"``,
+    ``"in-place: …"`` or ``"staged: …"``.  ``plan`` is the lowering for
+    rank 0's sizes; without buffers the answer is the one for uniformly
+    sized, unaliased ones."""
+    if rank_buffers:
+        layout = {n: int(a.nbytes) for n, a in rank_buffers[0].items()}
+        for rank, buffers in enumerate(rank_buffers):
+            if {n: int(a.nbytes) for n, a in buffers.items()} != layout:
+                return f"walk: rank {rank} sizes differ from rank 0"
+    if plan.matrix_error is not None:
+        return f"walk: {plan.matrix_error}"
+    # names can hide aliasing the plan's interval check cannot see
+    # (``alltoall(a, a)``, a ``recv`` that is a view into ``send``):
+    # such a call needs the wire's snapshot
+    if plan.delivery == "in-place" and any(
+        np.may_share_memory(a, b)
+        for buffers in rank_buffers
+        for a, b in combinations(buffers.values(), 2)
+    ):
+        return "staged: two buffers of a rank share memory"
+    return f"{plan.delivery}: {plan.delivery_reason}"
+
+
 class BatchedBackend(Backend):
-    """All ranks in one process as one vectorized numpy program."""
+    """All ranks in one process: the plan's matrix kernels where they
+    apply, the per-rank walk where they do not."""
 
     name = "batched"
 
@@ -57,42 +98,31 @@ class BatchedBackend(Backend):
         *,
         tag: int = CARTTAG,
         validate: bool = False,
+        plan: plan_mod.BatchedPlan | None = None,
     ) -> None:
         p = topo.size
         if len(rank_buffers) != p:
             raise ScheduleError(
                 f"need one buffer set per rank: p={p}, got {len(rank_buffers)}"
             )
-        layout = {
-            name: int(arr.nbytes) for name, arr in rank_buffers[0].items()
-        }
-        for r in range(1, p):
-            got = {
-                name: int(arr.nbytes) for name, arr in rank_buffers[r].items()
-            }
-            if got != layout:
-                raise ScheduleError(
-                    f"batched backend requires the SPMD-uniform buffer "
-                    f"layout on every rank: rank {r} has {sorted(got)} "
-                    f"sizes differing from rank 0"
-                )
+        if plan is None:
+            plan, _ = plan_mod.get_or_compile(schedule, topo, rank_buffers[0])
+        form = executor_form(plan, rank_buffers)
+        if form.startswith("walk"):
+            plan_mod.record_walk()
+            # every rank looks up the plan of its own sizes
+            WALK.execute_all(
+                topo, schedule, rank_buffers, tag=tag, validate=validate
+            )
+            return
         if validate:
             # layouts are uniform, so one rank's validation covers all
             check = dict(rank_buffers[0])
             if schedule.temp_nbytes > 0 and "temp" not in check:
                 check["temp"] = np.empty(schedule.temp_nbytes, np.uint8)
             schedule.validate(check)
-        sizes = plan_mod.effective_sizes(schedule, rank_buffers[0])
-        bplan, _ = plan_mod.get_or_compile(schedule, topo, sizes=sizes)
-        # names can hide aliasing the plan's interval check cannot see
-        # (``alltoall(a, a)``, a ``recv`` that is a view into ``send``):
-        # such a call needs the wire's snapshot
-        if bplan.delivery == "in-place" and not any(
-            np.may_share_memory(a, b)
-            for buffers in rank_buffers
-            for a, b in combinations(buffers.values(), 2)
-        ):
-            bplan.deliver(rank_buffers)
+        if form.startswith("in-place"):
+            plan.deliver(rank_buffers)
             return
         # scratch is not data: the ``temp`` matrix is this execution's
         # own, never staged in from a caller's ``temp`` nor handed back
@@ -104,7 +134,7 @@ class BatchedBackend(Backend):
         flats: list[np.ndarray] = []
         matrices: dict[str, np.ndarray] = {}
         try:
-            for name, nbytes in sizes.items():
+            for name, nbytes in plan.sizes.items():
                 flat = plan_mod.GLOBAL_POOL.acquire(p * nbytes)
                 flats.append(flat)
                 mat = flat.reshape(p, nbytes)
@@ -112,11 +142,11 @@ class BatchedBackend(Backend):
                 if name in staged:
                     for r in range(p):
                         mat[r] = byte_view(rank_buffers[r][name])
-            bplan.execute(matrices)
-            bplan.run_local_copies(matrices)
+            plan.execute(matrices)
+            plan.run_local_copies(matrices)
             # hand back only what the plan wrote: a buffer no kernel
             # writes (a read-only ``send``) is never assigned
-            for name in bplan.written.intersection(staged):
+            for name in plan.written.intersection(staged):
                 mat = matrices[name]
                 for r in range(p):
                     byte_view(rank_buffers[r][name])[:] = mat[r]

@@ -1,20 +1,37 @@
-"""Lockstep backend: deterministic all-ranks execution, no threads.
+"""The per-rank walk: deterministic all-ranks execution, no threads.
 
 Because Cartesian collective schedules are SPMD — every process executes
 the identical phase/round sequence — a schedule can be executed for
-*all* ``p`` ranks inside one Python process.  This is how correctness is
-validated at the paper's scales (e.g. 1024×16 = 16384 processes for the
-Titan experiments) where one OS thread per rank is infeasible.
+*all* ``p`` ranks inside one Python process by driving one
+:class:`~repro.core.backend.interpreter.ScheduleInterpreter` per rank
+over a shared in-memory exchange.  It asks nothing of the buffers (each
+rank looks up the plan of its own sizes and folds byte slices, not
+whole buffers) and shares no kernel-launch code with the matrix forms
+of :mod:`~repro.core.backend.batched`, which makes it two things:
+
+* the *reference*: the verifier's sentinel execution (V506) drives it
+  through :func:`drive_lockstep`, :mod:`repro.core.verify` certifies on
+  :class:`LockstepBackend` by default, and the parity tests compare the
+  matrix forms against it byte for byte;
+* the batched executor's *fallback* for what the matrix forms refuse
+  (ranks with differing buffer sizes, reductions over buffers that are
+  not a whole number of elements).
+
+It is not a registry entry: on every input both can run, the matrix
+forms are several times faster, so the name ``"lockstep"`` resolves to
+``"batched"`` (:data:`repro.core.backend.ALIASES`).  Use the class
+directly (a :class:`~repro.core.backend.base.Backend` instance is
+accepted wherever a name is) to force the walk.
 
 The transport defers delivery: ``post_send`` packs the round's payload
 into an in-memory exchange at post time, ``waitall`` unpacks the posted
-receives.  The backend drives one interpreter per rank and interleaves
-them phase by phase, so every rank's sends of a phase are packed before
-any rank unpacks — within a phase, schedule construction guarantees
-reads and writes touch disjoint storage, and the pack-then-unpack
-discipline makes the executor insensitive to that guarantee being
-violated (a violation would surface as a data mismatch in validation
-tests rather than silently depending on rank order).
+receives.  The driver interleaves the interpreters phase by phase, so
+every rank's sends of a phase are packed before any rank unpacks —
+within a phase, schedule construction guarantees reads and writes touch
+disjoint storage, and the pack-then-unpack discipline makes the executor
+insensitive to that guarantee being violated (a violation would surface
+as a data mismatch in validation tests rather than silently depending
+on rank order).
 """
 
 from __future__ import annotations
@@ -26,7 +43,7 @@ import numpy as np
 
 from repro.core.backend.base import Backend, Transport
 from repro.core.backend.interpreter import CARTTAG, ScheduleInterpreter
-from repro.core.plan import GLOBAL_POOL
+from repro.core.plan import GLOBAL_POOL, BatchedPlan
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import BlockSet
@@ -144,7 +161,9 @@ def drive_lockstep(
 
 
 class LockstepBackend(Backend):
-    """All ranks in one process, phases interleaved across ranks."""
+    """All ranks in one process, phases interleaved across ranks (not
+    in the registry: the reference executor and the batched backend's
+    fallback)."""
 
     name = "lockstep"
 
@@ -156,7 +175,10 @@ class LockstepBackend(Backend):
         *,
         tag: int = CARTTAG,
         validate: bool = False,
+        plan: BatchedPlan | None = None,
     ) -> None:
+        # ``plan`` is not used: every rank looks up the plan of its own
+        # buffer sizes, which need not be rank 0's
         p = topo.size
         if len(rank_buffers) != p:
             raise ScheduleError(
@@ -178,3 +200,8 @@ class LockstepBackend(Backend):
             ],
             exchange,
         )
+
+
+#: the walk itself (stateless), for the callers that mean the per-rank
+#: form and not whatever a registry name resolves to
+WALK = LockstepBackend()

@@ -180,7 +180,9 @@ class ShmBackend(Backend):
         *,
         tag: int = CARTTAG,
         validate: bool = False,
+        plan: plan_mod.BatchedPlan | None = None,
     ) -> None:
+        # ``plan`` is not used: the workers look their views up
         p = topo.size
         if len(rank_buffers) != p:
             raise ScheduleError(

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.backend.base import Backend, Transport
 from repro.core.backend.interpreter import CARTTAG, ScheduleInterpreter
+from repro.core.plan import BatchedPlan
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.comm import Communicator
@@ -79,9 +80,11 @@ class ThreadedBackend(Backend):
         topo: CartTopology,
         schedule: Schedule,
         buffers: Mapping[str, np.ndarray],
+        op: str = "",
     ) -> tuple[bool, int, int]:
         """Per-rank execution: the interpreter right here, on the
-        calling rank's transport — no funnel."""
+        calling rank's transport — no meeting (a rank that calls a
+        different collective fails at message matching)."""
         interp = ScheduleInterpreter(
             ThreadedTransport(comm), topo, schedule, buffers
         )
@@ -96,7 +99,9 @@ class ThreadedBackend(Backend):
         *,
         tag: int = CARTTAG,
         validate: bool = False,
+        plan: BatchedPlan | None = None,
     ) -> None:
+        # ``plan`` is not used: the rank threads look their views up
         from repro.mpisim.engine import Engine
 
         def fn(comm: Communicator) -> None:

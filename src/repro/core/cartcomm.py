@@ -6,7 +6,7 @@ layout (dims, periods) *and* the common relative ``t``-neighborhood, it
 returns a :class:`CartComm` with the neighborhood attached and the
 communication schedules precomputable.  All calling processes must
 supply exactly the same neighborhood — the Cartesian (isomorphism)
-requirement — which is verified with the cheap O(t) broadcast-and-compare
+requirement — which is verified with the cheap O(t) compare-with-the-root
 check of Section 2.2 unless disabled.
 
 :class:`CartComm` then provides
@@ -92,16 +92,20 @@ def _as_blockset(spec: TypeSpecLike) -> BlockSet:
 
 def verify_isomorphic(comm: Communicator, nbh: Neighborhood) -> None:
     """Section 2.2's check that all processes supplied the same
-    neighborhood: broadcast ``t`` and the root's canonically sorted
-    offset list, compare locally.  O(t) data per process."""
-    root_t = comm.bcast(nbh.t, root=0)
+    neighborhood: every process compares its ``t`` and its canonically
+    sorted offset list with the root's.  O(t) data per process — which
+    the rank threads of one engine do not have to send: the root leaves
+    it at the communicator's rendezvous and the others read it by
+    reference (a root that never arrives is named by the deadlock
+    report, like a receive that never matches)."""
+    mine = nbh.sorted_canonical()
+    root_t, root_sorted = comm.share((nbh.t, mine))
     if root_t != nbh.t:
         raise NeighborhoodError(
             f"rank {comm.rank}: neighborhood size {nbh.t} differs from "
             f"root's {root_t} — neighborhoods are not Cartesian"
         )
-    root_sorted = comm.bcast(nbh.sorted_canonical(), root=0)
-    if not np.array_equal(root_sorted, nbh.sorted_canonical()):
+    if not np.array_equal(root_sorted, mine):
         raise NeighborhoodError(
             f"rank {comm.rank}: neighborhood differs from the root's — "
             f"neighborhoods are not Cartesian"
@@ -239,7 +243,7 @@ class CartComm:
         """Blocking launch (direct calls and persistent handles): run on
         the selected backend, for the calling rank."""
         moved = self.backend.run(
-            self.comm, self.topo, bound.schedule, bound.buffers
+            self.comm, self.topo, bound.schedule, bound.buffers, bound.op
         )
         self._record(bound, self.backend.name, *moved)
 
@@ -871,11 +875,12 @@ def cart_neighborhood_create(
     performed.  ``weights`` are stored for future remapping strategies.
 
     ``backend`` selects the execution strategy (``"threaded"``,
-    ``"lockstep"``, ``"batched"``, ``"shm"``, or a
-    :class:`~repro.core.backend.base.Backend` instance); ``None`` falls
-    back to ``info["backend"]``, then ``$REPRO_BACKEND``, then
-    ``"threaded"``.  Prefer ``"batched"`` for large meshes — it runs the
-    whole mesh as one vectorized numpy program.
+    ``"batched"``, ``"shm"``, or a
+    :class:`~repro.core.backend.base.Backend` instance; ``"lockstep"``
+    is accepted as an alias of ``"batched"``); ``None`` falls back to
+    ``info["backend"]``, then ``$REPRO_BACKEND``, then ``"threaded"``.
+    Prefer ``"batched"`` for large meshes — it runs the whole mesh as
+    one vectorized numpy program.
     """
     topo = CartTopology(dims, periods)
     if isinstance(offsets, Neighborhood):

@@ -149,9 +149,7 @@ class OpStats:
         schedule: "Schedule",
         backend: str = DEFAULT_BACKEND,
     ) -> None:
-        self._record((op, algorithm, backend)).add(
-            schedule.num_rounds, schedule.volume_blocks, schedule.volume_bytes
-        )
+        self._record((op, algorithm, backend)).add(*schedule.totals()[:3])
 
     def record_raw(
         self,

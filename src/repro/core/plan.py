@@ -1316,6 +1316,7 @@ class BatchedPlan:
         "temp_nbytes",
         "sizes",
         "wire_bytes",
+        "_rank_wire_bytes",
         "written",
         "_index_nbytes",
         "compile_seconds",
@@ -1375,6 +1376,16 @@ class BatchedPlan:
         self.temp_nbytes = temp_nbytes
         self.sizes = dict(sizes)
         self.wire_bytes = wire_bytes
+        #: per rank, the wire bytes it sends (rounds whose target is off
+        #: a mesh edge excluded; they add up to ``wire_bytes``)
+        self._rank_wire_bytes = sum(
+            (
+                rnd.wire_nbytes * (rnd.targets >= 0)
+                for rounds in self.phases
+                for rnd in rounds
+            ),
+            np.zeros(p, dtype=np.int64),
+        )
         #: names of the buffers any kernel writes (receive scatters,
         #: local-copy destinations, combine targets): what an all-ranks
         #: backend that stages buffers has to hand back to the callers —
@@ -1433,6 +1444,11 @@ class BatchedPlan:
             if program is not None
         )
 
+    def rank_wire_bytes(self, rank: int) -> int:
+        """Wire bytes ``rank`` sends per execution — what its view's
+        ``wire_bytes`` says, without materialising the view."""
+        return int(self._rank_wire_bytes[rank])
+
     def for_rank(self, rank: int) -> RankPlan:
         """Rank ``rank``'s memoized row view: its peers read off row
         ``rank`` of every round's ``sources``/``targets``, the *shared*
@@ -1444,14 +1460,11 @@ class BatchedPlan:
         if not 0 <= rank < self.p:
             raise ScheduleError(f"rank {rank} outside 0..{self.p - 1}")
         phases: list[list[PlanRound]] = []
-        wire_bytes = 0
         for phase in self.phases:
             rounds: list[PlanRound] = []
             for rnd in phase:
                 source = int(rnd.sources[rank])
                 target = int(rnd.targets[rank])
-                if target >= 0:
-                    wire_bytes += rnd.wire_nbytes
                 rounds.append(
                     PlanRound(
                         source if source >= 0 else None,
@@ -1471,7 +1484,7 @@ class BatchedPlan:
             phases,
             self.copy_program,
             self.temp_nbytes,
-            wire_bytes,
+            self.rank_wire_bytes(rank),
             pre_program=combines[0],
             combine_programs=combines[1:],
             reduce_outputs_ok=rank not in self.reduce_missing,
@@ -1772,10 +1785,18 @@ _CACHED: "weakref.WeakSet[BatchedPlan]" = weakref.WeakSet()
 _hits = 0
 _misses = 0
 _compile_seconds = 0.0
+_walked = 0
 
 PlanCacheInfo = namedtuple(
     "PlanCacheInfo",
-    ["hits", "misses", "compile_seconds", "selector_bytes", "in_place_plans"],
+    [
+        "hits",
+        "misses",
+        "compile_seconds",
+        "selector_bytes",
+        "in_place_plans",
+        "walked",
+    ],
 )
 
 
@@ -1843,10 +1864,19 @@ def get_or_compile(
         pending.set()
 
 
+def record_walk() -> None:
+    """Count one all-ranks execution the batched backend could not run
+    in a matrix form and handed to the per-rank walk."""
+    global _walked
+    with _CACHE_LOCK:
+        _walked += 1
+
+
 def plan_cache_info() -> PlanCacheInfo:
-    """Process-wide plan-compilation counters (all schedules), and of
-    the plans cached right now: the index-array bytes they hold and how
-    many of them the batched backend delivers in place."""
+    """Process-wide plan-compilation counters (all schedules); of the
+    plans cached right now, the index-array bytes they hold and how
+    many of them the batched backend delivers in place; and how many of
+    its executions took the per-rank walk instead of a matrix form."""
     with _CACHE_LOCK:
         cached = list(_CACHED)
         return PlanCacheInfo(
@@ -1857,13 +1887,15 @@ def plan_cache_info() -> PlanCacheInfo:
             in_place_plans=sum(
                 plan.delivery == "in-place" for plan in cached
             ),
+            walked=_walked,
         )
 
 
 def plan_cache_reset() -> None:
     """Reset the process-wide plan counters (tests)."""
-    global _hits, _misses, _compile_seconds
+    global _hits, _misses, _compile_seconds, _walked
     with _CACHE_LOCK:
         _hits = 0
         _misses = 0
         _compile_seconds = 0.0
+        _walked = 0

@@ -180,6 +180,13 @@ class Schedule:
     _copy_runs: list[LocalCopy] | None = field(
         default=None, repr=False, compare=False
     )
+    #: what one execution is accounted as — ``(rounds, volume in
+    #: blocks, volume in bytes, local-copy bytes)`` — summed over every
+    #: block once, by :meth:`prepare`, instead of on every call of
+    #: every rank
+    _totals: tuple[int, int, int, int] | None = field(
+        default=None, repr=False, compare=False
+    )
     #: lowered execution plans, one per (dims, periods, buffer
     #: signature), keyed and populated by :mod:`repro.core.plan`.
     #: Living on the schedule object, they share its cache lifetime:
@@ -268,9 +275,10 @@ class Schedule:
         """Precompute the coalesced-copy fast path: every round's block
         sets collapse adjacent regions into single slice copies, and
         consecutive local copies whose source *and* destination are both
-        contiguous merge into one.  Idempotent and cheap to re-call;
-        cached schedules are prepared once at build time so repeated
-        executions pay nothing."""
+        contiguous merge into one.  The accounting totals are summed
+        here too.  Idempotent and cheap to re-call; cached schedules
+        are prepared once at build time so repeated executions pay
+        nothing."""
         if self._copy_runs is None:
             for ph in self.phases:
                 for r in ph.rounds:
@@ -303,6 +311,7 @@ class Schedule:
                         continue
                 runs.append(lc)
             self._copy_runs = runs
+        self.totals()
         return self
 
     def prepared_copy_runs(self) -> list[LocalCopy]:
@@ -312,10 +321,24 @@ class Schedule:
             self.prepare()
         return list(self._copy_runs or ())
 
+    def totals(self) -> tuple[int, int, int, int]:
+        """``(rounds, volume in blocks, volume in bytes, local-copy
+        bytes)`` of one execution — what OpStats accounts per call —
+        summed when first asked for, which :meth:`prepare` does."""
+        totals = self._totals
+        if totals is None:
+            totals = self._totals = (
+                self.num_rounds,
+                self.volume_blocks,
+                self.volume_bytes,
+                sum(lc.src.nbytes for lc in self.prepared_copy_runs()),
+            )
+        return totals
+
     @property
     def local_copy_bytes(self) -> int:
         """Bytes moved by the final non-communication phase."""
-        return sum(lc.src.nbytes for lc in self.prepared_copy_runs())
+        return self.totals()[3]
 
     def clear_plans(self) -> None:
         """Drop all lowered plans (called when this schedule's cache

@@ -4,9 +4,12 @@ A schedule is pure data, and users can build their own (combined halo
 schedules, hand-tuned phase structures, deserialized caches).  These
 functions *certify* a schedule against the Cartesian collective
 semantics by executing it for **all ranks** — by default on the
-lockstep backend, or on any all-ranks backend named via ``backend=``
-(``"shm"`` certifies the process-parallel path itself) — with unique
-sentinel contents, checking every receive slot byte-for-byte:
+per-rank walk (:class:`~repro.core.backend.lockstep.LockstepBackend`
+itself, not a registry name: the reference stays independent of the
+matrix kernels a ``"batched"`` execution would run), or on any
+all-ranks backend given via ``backend=`` (``"shm"`` certifies the
+process-parallel path itself) — with unique sentinel contents, checking
+every receive slot byte-for-byte:
 
 * :func:`verify_alltoall` — receive block ``i`` must equal send block
   ``i`` of process ``(r − N[i]) mod dims``;
@@ -17,7 +20,7 @@ sentinel contents, checking every receive slot byte-for-byte:
 
 Each returns normally on success and raises
 :class:`~repro.mpisim.exceptions.ScheduleError` naming the first
-violation.  Verification costs one lockstep execution — O(p · V · m)
+violation.  Verification costs one per-rank execution — O(p · V · m)
 — and is intended for test/setup time, not per-iteration use.
 """
 
@@ -27,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.backend import get_backend
+from repro.core.backend import Backend, get_backend
+from repro.core.backend.lockstep import WALK
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
@@ -47,7 +51,7 @@ def alltoall_sentinel_buffers(
 ) -> list[dict[str, np.ndarray]]:
     """Per-rank ``{"send", "recv"}`` buffers with deterministic distinct
     sentinel content per (rank, block) — the input side of an alltoall
-    certification (threaded or lockstep)."""
+    certification (on any backend)."""
     t = nbh.t
     if len(block_sizes) != t:
         raise ScheduleError(f"need {t} block sizes, got {len(block_sizes)}")
@@ -91,7 +95,7 @@ def verify_alltoall(
     schedule: Schedule,
     topo: CartTopology,
     block_sizes: Sequence[int] | None = None,
-    backend: str = "lockstep",
+    backend: str | Backend = WALK,
 ) -> None:
     """Certify an alltoall-semantics schedule (any shape: trivial,
     direct, combining, or custom) against the definition."""
@@ -146,7 +150,7 @@ def verify_allgather(
     schedule: Schedule,
     topo: CartTopology,
     m_bytes: int = 4,
-    backend: str = "lockstep",
+    backend: str | Backend = WALK,
 ) -> None:
     """Certify an allgather-semantics schedule."""
     nbh = schedule.neighborhood
@@ -161,7 +165,7 @@ def verify_halo(
     interior: Sequence[int],
     depth: int,
     buffer: str = "grid",
-    backend: str = "lockstep",
+    backend: str | Backend = WALK,
 ) -> None:
     """Certify a halo-exchange schedule (uniform blocks): the ghosted
     arrays must equal the periodic extension of the global grid."""

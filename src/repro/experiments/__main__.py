@@ -7,7 +7,7 @@ Usage::
 
 ``all`` (the default) runs everything and, with ``--out``, writes the
 rendered text plus per-figure CSVs into the given directory.
-``--certify-backend lockstep`` makes the harness execution-certify every
+``--certify-backend batched`` makes the harness execution-certify every
 measured schedule on that backend before timing it, so no artifact can
 be produced from a schedule that delivers wrong bytes.
 """
@@ -108,7 +108,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--certify-backend", default=None, metavar="BACKEND",
         help="execution-certify every measured schedule on this backend "
-             "(lockstep/shm/threaded) before timing it",
+             "(batched/shm/threaded; lockstep is an alias of batched) "
+             "before timing it",
     )
     args = parser.parse_args(argv)
 

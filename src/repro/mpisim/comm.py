@@ -2,8 +2,9 @@
 
 A :class:`Communicator` is each rank's handle onto the engine.  It offers
 three point-to-point layers, all built on the same mailbox machinery
-(plus :meth:`Communicator.rendezvous`, the one collective that moves no
-message at all):
+(plus :meth:`Communicator.rendezvous` and its one-sided form
+:meth:`Communicator.share`, the collectives that move no message at
+all):
 
 * **object mode** (``send``/``recv``/``isend``/``irecv``) — arbitrary
   Python objects, pickled at send time (mirrors mpi4py's lowercase API);
@@ -380,6 +381,19 @@ class Communicator:
         self._fault_hook("rendezvous")
         return self.engine.rendezvous(self.comm_id, self.size).meet(
             self.rank, self._trace_rank, obj, action
+        )
+
+    def share(self, obj: Any, root: int = 0) -> Any:
+        """Broadcast by reference (collective): every rank returns the
+        root's ``obj`` — the object itself, where :meth:`bcast` delivers
+        pickled copies through ``size - 1`` messages.  As in a
+        broadcast, only the root is waited for: it does not wait at all,
+        and neither does a rank that arrives after it.  Waiting, abort,
+        timeout and fault injection are :meth:`rendezvous`'s."""
+        self._check_peer(root, "root")
+        self._fault_hook("share")
+        return self.engine.rendezvous(self.comm_id, self.size).broadcast(
+            self.rank, self._trace_rank, obj, root
         )
 
     def barrier(self) -> None:

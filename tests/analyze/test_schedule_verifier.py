@@ -122,6 +122,58 @@ class TestCertification:
         assert sched._plans == {}
 
 
+def test_sentinel_execution_walks_whatever_the_registry_resolves_to(monkeypatch):
+    """V506's reference must stay independent of the kernels it
+    certifies: it drives the per-rank walk directly, so it never enters
+    the batched executor — by the name ``lockstep`` (an alias of it now)
+    or any other — and does not notice the registry being emptied."""
+    from repro.core import backend as backend_mod
+    from repro.core.backend.batched import BatchedBackend
+    from repro.core.backend.lockstep import LockstepTransport
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier entered the batched executor")
+
+    posts = []
+    post_send = LockstepTransport.post_send
+
+    def counting(self, *args, **kwargs):
+        posts.append(self.rank)
+        return post_send(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedBackend, "execute_all", refuse)
+    monkeypatch.setattr(backend_mod, "BACKENDS", {})
+    monkeypatch.setattr(LockstepTransport, "post_send", counting)
+    sched = build_for_kind("alltoall", named_stencil("9-point"))
+    report = certify_schedule(sched, (4, 4), True)
+    assert report.ok and "matrix-execution" in report.checks_run
+    # every rank of the torus packed every round itself
+    assert sorted(set(posts)) == list(range(16))
+    assert len(posts) == 16 * sched.num_rounds
+
+
+def test_report_says_when_the_executor_would_walk():
+    """A reduction whose buffers are not a whole number of elements has
+    no matrix form.  The batched backend used to refuse it (and the
+    sentinel execution said so, V506); it walks it now, so there is
+    nothing to compare and the report gives the executor's reason beside
+    the plan's verdict."""
+    from repro.core.reduce_schedule import build_trivial_reduce_schedule
+    from repro.core.schedule import LocalCopy
+
+    sched = build_trivial_reduce_schedule(
+        named_stencil("9-point"), m_bytes=16, dtype="int64"
+    )
+    assert verify_schedule(sched, (3, 3), True).delivery == "staged: reduction"
+    sched.local_copies.append(
+        LocalCopy(BlockRef("send", 16, 3), BlockRef("recv", 16, 3))
+    )
+    report = verify_schedule(sched, (3, 3), True)
+    assert report.ok and "matrix-execution" in report.checks_run
+    assert report.delivery.startswith("staged: reduction; runs as walk: buffer ")
+    assert "cannot be viewed as <i8 rank matrices" in report.summary()
+
+
 def test_delivery_table_must_follow_the_rounds():
     """An in-place plan has one program per round with both halves:
     a table of another shape, or a dropped program, is V501 — the

@@ -124,3 +124,42 @@ def test_in_place_alltoall_on_batched_completes_or_fails_cleanly(kind, seed):
     engine.injector = None
     assert all(run())
     assert GLOBAL_POOL.stats().outstanding_bytes == 0
+
+
+@pytest.mark.parametrize("kind", ["kill", "stall"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fault_in_creation_on_batched_completes_or_fails_cleanly(kind, seed):
+    """Creation goes through the rendezvous too (the isomorphism check
+    reads the root's neighbourhood there, by reference), so it is where
+    a rank's first operation-boundary fault lands: the same seeds with
+    the fault moved there.  A stalled rank only delays it, a killed one
+    fails the run cleanly — attributable, nothing in the pool — and the
+    engine then runs the application correctly."""
+    from dataclasses import replace
+
+    from repro.mpisim.exceptions import RankFailedError
+
+    plan = replace(
+        FaultPlan.sample(seed * 101 + 7, NRANKS, kind=kind),
+        kill_after_op=0,
+        stall_after_op=0,
+    )
+    engine = Engine(NRANKS, timeout=20.0, faults=plan)
+    app = GameOfLife.random((12, 12), DIMS, 3, seed=seed)
+
+    def run():
+        return app.run(backend="batched", algorithm="combining", engine=engine)
+
+    if kind == "kill":
+        with pytest.raises(RankFailedError) as ei:
+            run()
+        assert _attributable(ei.value, engine.fault_events()), ei.value
+    else:
+        app.check_against_oracle(run())
+    (event,) = engine.fault_events()
+    assert event.kind == kind and "at op 0 (share)" in event.detail
+    assert GLOBAL_POOL.stats().outstanding_bytes == 0
+    # recovery, not another chaos case: the same engine, disarmed
+    engine.injector = None
+    app.check_against_oracle(run())
+    assert GLOBAL_POOL.stats().outstanding_bytes == 0

@@ -1,15 +1,20 @@
 """Backend-parity differential suite.
 
 The Transport/interpreter split promises that *where* a schedule runs is
-orthogonal to *what* it computes: the threaded engine, the deterministic
-lockstep executor, the vectorized batched executor and the
-process-parallel shm backend must produce byte-identical user buffers
-for any schedule.  This suite drives the
-full algorithm × operation × layout matrix through every backend and
-diffs the results — against each other and against a definition oracle
-that shares nothing with the execution stack (Section 2: receive block
-``i`` of rank ``r`` is send block ``i`` of rank ``r − N[i]``; reductions
-by brute force) — plus a hypothesis property over random topologies.
+orthogonal to *what* it computes: the threaded engine, the vectorized
+batched executor, the process-parallel shm backend and the reference
+they are all held against — the deterministic per-rank walk — must
+produce byte-identical user buffers for any schedule.  This suite
+drives the full algorithm × operation × layout matrix through every one
+of them and diffs the results — against each other and against a
+definition oracle that shares nothing with the execution stack
+(Section 2: receive block ``i`` of rank ``r`` is send block ``i`` of
+rank ``r − N[i]``; reductions by brute force) — plus a hypothesis
+property over random topologies.
+
+In this suite ``"lockstep"`` stands for the walk itself
+(:func:`executor`): the registry *name* is an alias of ``"batched"``,
+which would compare the matrix forms with themselves.
 """
 
 import multiprocessing
@@ -31,6 +36,7 @@ from repro.core.backend import (
     ThreadedBackend,
     get_backend,
 )
+from repro.core.backend.lockstep import WALK  # the walk: an instance, not a name
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
@@ -49,6 +55,12 @@ shm_mark = pytest.mark.skipif(not HAVE_FORK, reason="shm backend needs fork")
 
 NBH = moore_neighborhood(2, 1, include_self=False)  # t = 8
 NBH_SELF = moore_neighborhood(2, 1, include_self=True)  # t = 9, self block
+
+
+def executor(name):
+    """The backend a case name stands for: ``"lockstep"`` is the walk,
+    every other name what the registry says."""
+    return WALK if name == "lockstep" else get_backend(name)
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +159,7 @@ def _make_bufs(p, ssize, rsize):
 
 def _run_on(backend, topo, sched, ssize, rsize):
     bufs = _make_bufs(topo.size, ssize, rsize)
-    get_backend(backend).execute_all(topo, sched, bufs)
+    executor(backend).execute_all(topo, sched, bufs)
     return bufs
 
 
@@ -431,9 +443,9 @@ def _assert_same_buffers(got, want, what):
 
 class TestDeliveryForms:
     """``BatchedPlan.deliver`` (in place), ``BatchedPlan.execute``
-    (staged) and lockstep over the rank views are three ways to run the
-    one plan; which of the first two the backend takes is the plan's
-    verdict, so here both are forced on the same inputs."""
+    (staged) and the walk over the rank views are three ways to run the
+    one plan; which of them the batched backend takes is decided by
+    :func:`executor_form`, so here each is forced on the same inputs."""
 
     @pytest.mark.parametrize("variant", ["regular", "w"])
     @pytest.mark.parametrize("algorithm", ["trivial", "direct", "combining"])
@@ -461,7 +473,7 @@ class TestDeliveryForms:
             sched, plan_mod.compile_batched_plan(sched, topo, sizes)
         )
         want = _snapshot(start)
-        LockstepBackend().execute_all(topo, sched, want)
+        WALK.execute_all(topo, sched, want)
         matrices = {n: np.stack([b[n] for b in start]) for n in sizes}
         plan.execute(matrices)
         plan.run_local_copies(matrices)
@@ -559,7 +571,7 @@ class TestDeliveryForms:
             "staged", f"phase 0 {hazard}"
         )
         want, got = _snapshot(start), _snapshot(start)
-        LockstepBackend().execute_all(topo, sched, want)
+        WALK.execute_all(topo, sched, want)
         get_backend("batched").execute_all(topo, sched, got)
         _assert_same_buffers(got, want, "batched vs lockstep")
         if hazard == "reads what it writes":
@@ -604,14 +616,77 @@ class TestDeliveryForms:
             run_cartesian((3, 3), NBH, fn, info={"backend": "batched"}, timeout=60)
         )
 
-    def test_non_uniform_layout_is_refused_before_any_byte_moves(self):
+    def test_non_uniform_layout_runs_and_equals_the_walk(self):
+        """Ranks that bring differently sized buffers have no matrix
+        form (this used to be refused): the name ``batched`` walks them
+        — counted, with the reason — and leaves what the walk leaves."""
+        from repro.core.backend.batched import executor_form
+        from repro.core.plan import get_or_compile, plan_cache_info
+
         topo, m = CartTopology((3, 3)), 4096
         sched, ssize, rsize = _make_case("alltoall", "combining", "regular", m=m)
+        start = _make_bufs(topo.size, ssize, rsize)
+        start[4]["recv"] = np.zeros(rsize + 8, np.uint8)
+        plan, _ = get_or_compile(sched, topo, start[0])
+        assert plan.delivery == "in-place"
+        assert (
+            executor_form(plan, start)
+            == "walk: rank 4 sizes differ from rank 0"
+        )
+        want, got = _snapshot(start), _snapshot(start)
+        WALK.execute_all(topo, sched, want)
+        walked = plan_cache_info().walked
+        get_backend("batched").execute_all(topo, sched, got)
+        assert plan_cache_info().walked == walked + 1
+        _assert_same_buffers(got, want, "batched vs the walk")
+        assert_matches_definition(topo, sched, start, got)
+
+    def test_the_walk_is_chosen_before_any_byte_moves(self):
+        """The form is decided on sizes alone, so when the walk then
+        refuses a rank's buffers (rank 4's ``recv`` is too small for the
+        schedule, its own lowering says so) nothing has been delivered
+        anywhere and nothing is left in the pool."""
+        from repro.core.plan import GLOBAL_POOL
+        from repro.mpisim.exceptions import TruncationError
+
+        topo, m = CartTopology((3, 3)), 4096
+        sched, ssize, rsize = _make_case("alltoall", "combining", "regular", m=m)
+        for validate in (False, True):
+            bufs = _make_bufs(topo.size, ssize, rsize)
+            for b in bufs:
+                b["recv"][:] = 0xAB
+            bufs[4]["recv"] = np.full(rsize - 8, 0xAB, np.uint8)
+            with pytest.raises(TruncationError, match="exceeds buffer 'recv'"):
+                get_backend("batched").execute_all(
+                    topo, sched, bufs, validate=validate
+                )
+            assert all((b["recv"] == 0xAB).all() for b in bufs)
+            assert GLOBAL_POOL.stats().outstanding_bytes == 0
+
+    def test_every_form_reports_itself(self):
+        """One predicate picks the form and says why; without buffers
+        it answers for uniformly sized, unaliased ones."""
+        from repro.core.backend.batched import executor_form
+        from repro.core.plan import get_or_compile
+
+        topo = CartTopology((3, 3))
+        small, ssize, rsize = _make_case("alltoall", "combining", "regular")
         bufs = _make_bufs(topo.size, ssize, rsize)
-        bufs[4]["recv"] = np.zeros(rsize + 8, np.uint8)
-        with pytest.raises(ScheduleError, match="SPMD-uniform"):
-            get_backend("batched").execute_all(topo, sched, bufs)
-        assert not any(b["recv"].any() for b in bufs)
+        plan, _ = get_or_compile(small, topo, bufs[0])
+        assert executor_form(plan, bufs) == executor_form(plan)
+        assert executor_form(plan).startswith("staged: ")
+        large, ssize, rsize = _make_case(
+            "alltoall", "combining", "regular", m=4096
+        )
+        bufs = _make_bufs(topo.size, ssize, rsize)
+        plan, _ = get_or_compile(large, topo, bufs[0])
+        assert executor_form(plan, bufs) == (
+            f"in-place: {plan.delivery_reason}"
+        )
+        bufs[7]["recv"] = bufs[7]["send"]
+        assert executor_form(plan, bufs) == (
+            "staged: two buffers of a rank share memory"
+        )
 
     def test_a_reduction_has_no_in_place_form(self):
         from repro.core import plan as plan_mod
@@ -632,10 +707,27 @@ class TestDeliveryForms:
 
 class TestRegistry:
     def test_registry_names(self):
-        assert set(BACKENDS) >= {"threaded", "lockstep", "batched", "shm"}
+        """Three executors; the fourth name is one row of the alias
+        table, not an entry."""
+        from repro.core.backend import ALIASES
+
+        assert set(BACKENDS) == {"threaded", "batched", "shm"}
+        assert ALIASES == {"lockstep": "batched"}
         for name, backend in BACKENDS.items():
             assert isinstance(backend, Backend)
             assert backend.name == name
+
+    def test_lockstep_is_an_alias_of_batched(self, monkeypatch):
+        assert get_backend("lockstep") is get_backend("batched")
+        monkeypatch.setenv("REPRO_BACKEND", "lockstep")
+        assert get_backend(None) is BACKENDS["batched"]
+
+    def test_registered_backends_lists_each_executor_once(self):
+        from repro.apps import registered_backends
+
+        names = registered_backends()
+        executors = [get_backend(name) for name in names]
+        assert len(set(map(id, executors))) == len(names) == len(BACKENDS)
 
     def test_get_backend_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -643,7 +735,9 @@ class TestRegistry:
 
     def test_get_backend_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "lockstep")
-        assert get_backend(None).name == "lockstep"
+        assert get_backend(None).name == "batched"
+        monkeypatch.setenv("REPRO_BACKEND", "shm")
+        assert get_backend(None).name == "shm"
 
     def test_get_backend_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "lockstep")
@@ -660,8 +754,9 @@ class TestRegistry:
     def test_lockstep_requires_one_buffer_set_per_rank(self):
         topo = CartTopology((2, 2))
         sched, ssize, rsize = _make_case("alltoall", "trivial", "regular")
-        with pytest.raises(ScheduleError, match="one buffer set per rank"):
-            LockstepBackend().execute_all(topo, sched, _make_bufs(2, ssize, rsize))
+        for backend in (WALK, get_backend("batched")):
+            with pytest.raises(ScheduleError, match="one buffer set per rank"):
+                backend.execute_all(topo, sched, _make_bufs(2, ssize, rsize))
 
 
 # ----------------------------------------------------------------------
@@ -669,7 +764,7 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 
 
-def _alltoall_via_cart(backend_name):
+def _alltoall_via_cart(backend_name, runs_as=None):
     from tests.conftest import expected_alltoall, fill_send_alltoall
 
     def fn(cart):
@@ -679,7 +774,7 @@ def _alltoall_via_cart(backend_name):
         recv = np.zeros_like(send)
         cart.alltoall(send, recv, algorithm="combining")
         expect = expected_alltoall(cart.topo, cart.nbh, cart.rank, m)
-        assert cart.backend.name == backend_name
+        assert cart.backend.name == (runs_as or backend_name)
         return bool(np.array_equal(recv, expect))
 
     return run_cartesian((3, 3), NBH, fn, info={"backend": backend_name}, timeout=60)
@@ -687,7 +782,8 @@ def _alltoall_via_cart(backend_name):
 
 class TestCartCommFunnel:
     def test_alltoall_lockstep_backend(self):
-        assert _alltoall_via_cart("lockstep") == [True] * 9
+        """The alias is accepted; the communicator says what runs."""
+        assert _alltoall_via_cart("lockstep", runs_as="batched") == [True] * 9
 
     def test_alltoall_batched_backend(self):
         assert _alltoall_via_cart("batched") == [True] * 9
@@ -706,7 +802,7 @@ class TestCartCommFunnel:
             )
             return fn(cart)
 
-        assert Engine(4, timeout=60).run(bootstrap) == ["lockstep"] * 4
+        assert Engine(4, timeout=60).run(bootstrap) == ["batched"] * 4
 
     def test_reduce_funnel_combining_and_trivial(self):
         def fn(cart):
@@ -758,7 +854,8 @@ class TestCartCommFunnel:
 # the rendezvous: in place, message-free, and failing cleanly
 # ----------------------------------------------------------------------
 
-ALL_RANKS_IN_THREADS = ["lockstep", "batched"]
+#: the walk (as an instance: it has no registry name) and the executor
+ALL_RANKS_IN_THREADS = [pytest.param(WALK, id="lockstep"), "batched"]
 
 
 def _definition_holds(dims, m, outcomes):
@@ -838,7 +935,7 @@ class TestRendezvousInPlace:
         "backend",
         [
             "threaded",
-            "lockstep",
+            pytest.param(WALK, id="lockstep"),
             "batched",
             pytest.param("shm", marks=[shm_mark, pytest.mark.shm]),
         ],
@@ -863,11 +960,106 @@ class TestRendezvousInPlace:
             (2, 2), NBH, fn, info={"backend": backend}, timeout=60
         ) == [True] * 4
 
+    @pytest.mark.parametrize("launch", ["blocking", "init"])
+    @pytest.mark.parametrize("name", ["batched", "lockstep"])
+    def test_mismatched_collective_is_refused_on_every_rank(self, name, launch):
+        """Whoever drives the meeting runs one schedule over everybody's
+        buffers, so a rank that calls a different collective of the same
+        total size (here rank 5: ``alltoallv`` with ragged counts where
+        the others call ``alltoall``) used to "complete" with whatever
+        the last arriver had bound.  It is refused — on every rank,
+        naming the ranks and operations, before any byte moves — as the
+        threaded backend's message matching would."""
+        from repro.core.plan import GLOBAL_POOL
+        from repro.mpisim.engine import Engine
+        from repro.mpisim.exceptions import RankFailedError
+
+        counts = [1, 7, 4, 4, 4, 4, 4, 4]
+        seen = {}
+
+        def fn(cart):
+            send = np.arange(32, dtype=np.uint8)
+            recv = np.full(32, 0xAB, np.uint8)
+            if cart.rank == 5:
+                args = (send, counts, recv, counts)
+                call, init = cart.alltoallv, cart.alltoallv_init
+            else:
+                args = (send, recv)
+                call, init = cart.alltoall, cart.alltoall_init
+            handle = None
+            try:
+                if launch == "blocking":
+                    call(*args, algorithm="combining")
+                else:
+                    handle = init(*args, algorithm="combining")
+                    handle.execute()
+            except ScheduleError as exc:
+                seen[cart.rank] = (str(exc), bool((recv == 0xAB).all()))
+                raise
+            finally:
+                if handle is not None:
+                    handle.free()
+
+        with pytest.raises(RankFailedError) as ei:
+            run_cartesian(
+                (4, 4), NBH, fn, info={"backend": name},
+                engine=Engine(16, timeout=60),
+            )
+        assert isinstance(ei.value.cause, ScheduleError)
+        assert sorted(seen) == list(range(16))
+        for message, untouched in seen.values():
+            assert "rank 5 called ('alltoallv', 'alltoall')" in message
+            assert "rank 0 called ('alltoall', 'alltoall')" in message
+            assert untouched
+        assert GLOBAL_POOL.stats().outstanding_bytes == 0
+
+    def test_equal_schedules_meet_without_sharing_an_object(self):
+        """Identity is only the fast path: ranks whose schedules are
+        equal but distinct objects (an eviction between two binds, a
+        schedule built per rank) are one collective."""
+        from repro.mpisim.engine import Engine
+
+        topo = CartTopology((3, 3))
+
+        def fn(comm):
+            sched, ssize, rsize = _make_case("alltoall", "combining", "regular")
+            bufs = _make_bufs(topo.size, ssize, rsize)[comm.rank]
+            get_backend("batched").run(comm, topo, sched, bufs)
+            return bufs
+
+        after = Engine(9, timeout=60).run(fn)
+        sched, ssize, rsize = _make_case("alltoall", "combining", "regular")
+        assert_matches_definition(
+            topo, sched, _make_bufs(topo.size, ssize, rsize), after
+        )
+
+    @pytest.mark.parametrize("name", ["batched", "lockstep"])
+    def test_ranks_may_each_pass_their_own_callable(self, name):
+        """A custom operator's token names a callable, not content, so
+        ranks that each built their own (a lambda in the rank function)
+        bound schedules that differ in nothing else: one collective, as
+        on the threaded backend — not a mismatch."""
+
+        def fn(cart):
+            send = np.full(2, 1 << cart.rank, np.int64)
+            recv = np.zeros(2, np.int64)
+            cart.reduce_neighbors(
+                send, recv, op=lambda a, b: a | b, algorithm="combining"
+            )
+            return recv.tolist()
+
+        everyone_else = [[0b111111111 ^ (1 << r)] * 2 for r in range(9)]
+        for backend in ("threaded", name):
+            assert run_cartesian(
+                (3, 3), NBH, fn, info={"backend": backend}, timeout=60
+            ) == everyone_else, backend
+
     def test_execution_error_is_rank_zeros_and_engine_recovers(self):
-        """A failure inside the rendezvous (here: a non-uniform layout
-        refused by the batched backend) is raised on every rank, so it
-        is reported as rank 0's with the original cause; nothing leaks
-        and the same engine then runs a correct collective."""
+        """A failure inside the rendezvous (here: a reduction the
+        executor refuses because the mesh's first row has no neighbour
+        to hear from) is raised on every rank, so it is reported as
+        rank 0's with the original cause; nothing leaks and the same
+        engine then runs a correct collective."""
         from repro.core.plan import GLOBAL_POOL
         from repro.mpisim.engine import Engine
         from repro.mpisim.exceptions import RankFailedError
@@ -876,19 +1068,17 @@ class TestRendezvousInPlace:
         engine = Engine(9, timeout=60)
 
         def bad(cart):
-            counts = [4] * cart.nbh.t
-            send = np.zeros(sum(counts), np.uint8)
-            # same blocks everywhere, but rank 4's recv buffer has slack
-            recv = np.zeros(send.size + (8 if cart.rank == 4 else 0), np.uint8)
-            cart.alltoallv(send, counts, recv, counts, algorithm="combining")
+            send, recv = np.ones(2, np.int64), np.zeros(2, np.int64)
+            cart.reduce_neighbors(send, recv, op="sum", algorithm="trivial")
 
         with pytest.raises(RankFailedError) as ei:
             run_cartesian(
-                (3, 3), NBH, bad, info={"backend": "batched"}, engine=engine
+                (3, 3), [(1, 0)], bad, periods=(False, False),
+                info={"backend": "batched"}, engine=engine,
             )
         assert ei.value.rank == 0
         assert isinstance(ei.value.cause, ScheduleError)
-        assert "SPMD-uniform buffer layout" in str(ei.value.cause)
+        assert "received no contributions" in str(ei.value.cause)
         assert GLOBAL_POOL.stats().outstanding_bytes == 0
 
         def good(cart):

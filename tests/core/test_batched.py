@@ -168,6 +168,11 @@ class TestBatchedLowering:
             for r in range(topo.size)
         ]
         assert min(per_rank) < max(per_rank)  # edge rows send less
+        # read off the peer arrays: no view has to exist for it
+        assert per_rank == [
+            bplan.rank_wire_bytes(r) for r in range(topo.size)
+        ]
+        assert not bplan._views
         assert per_rank == [
             bplan.for_rank(r).wire_bytes for r in range(topo.size)
         ]
@@ -243,12 +248,20 @@ class TestBatchedBackend:
                 topo, make_sched(NBH), make_bufs(3, NBH.t, 6)
             )
 
-    def test_rejects_non_uniform_layouts(self):
+    def test_non_uniform_layouts_run_on_the_walk(self):
+        """What the matrix forms cannot stack the backend walks (it used
+        to refuse): same bytes as the walk called directly."""
         topo = CartTopology((2, 2))
         bufs = make_bufs(4, NBH.t, 6)
         bufs[2]["recv"] = np.zeros(NBH.t * 6 + 8, np.uint8)
-        with pytest.raises(ScheduleError, match="SPMD-uniform"):
-            get_backend("batched").execute_all(topo, make_sched(NBH), bufs)
+        ref = [{k: v.copy() for k, v in d.items()} for d in bufs]
+        walked = plan_mod.plan_cache_info().walked
+        get_backend("batched").execute_all(topo, make_sched(NBH), bufs)
+        assert plan_mod.plan_cache_info().walked == walked + 1
+        LockstepBackend().execute_all(topo, make_sched(NBH), ref)
+        for got, want in zip(bufs, ref):
+            assert got["recv"].any()
+            assert np.array_equal(got["recv"], want["recv"])
 
     def test_explicit_temp_buffers_are_used_and_written_back(self):
         """The in-place form has no scratch of its own: a caller's

@@ -92,6 +92,107 @@ class TestCreate:
         assert run_ranks(4, fn, timeout=20)[0] == (1e-5, 1e-8)
 
 
+class TestIsomorphismCheck:
+    """Section 2.2's check runs at the communicator's rendezvous: the
+    ranks read the root's ``(t, sorted offsets)`` by reference
+    (``Communicator.share``) instead of receiving a broadcast of it —
+    same comparisons, same errors on the same ranks, the root still
+    leaves first, no message."""
+
+    @pytest.mark.parametrize("odd_rank", [0, 2])
+    @pytest.mark.parametrize("what", ["t", "offsets"])
+    def test_raises_only_on_ranks_that_differ_from_the_root(
+        self, what, odd_rank
+    ):
+        from repro.mpisim.exceptions import AbortError, RankFailedError
+
+        common = Neighborhood([(0, 1), (1, 0)])
+        odd = Neighborhood([(0, 1)] if what == "t" else [(0, 1), (1, 1)])
+        outcome = {}
+
+        def fn(comm):
+            nbh = odd if comm.rank == odd_rank else common
+            try:
+                cart = cart_neighborhood_create(comm, (2, 2), None, nbh)
+                # what the ranks that passed are then aborted out of
+                cart.comm.barrier()
+            except BaseException as exc:
+                outcome[comm.rank] = (type(exc), str(exc))
+                raise
+
+        with pytest.raises(RankFailedError) as ei:
+            run_ranks(4, fn, timeout=20)
+        # a root that is the odd one out is what everybody else differs
+        # from; the first of them to say so aborts the run, which the
+        # others may be caught by before they have compared
+        differ = {1, 2, 3} if odd_rank == 0 else {odd_rank}
+        assert isinstance(ei.value.cause, NeighborhoodError)
+        assert sorted(outcome) == [0, 1, 2, 3]
+        raised = {r for r, (kind, _) in outcome.items() if kind is not AbortError}
+        assert ei.value.rank in raised and raised <= differ
+        for rank in raised:
+            kind, message = outcome[rank]
+            assert kind is NeighborhoodError
+            assert message.startswith(f"rank {rank}: neighborhood")
+            assert "not Cartesian" in message
+            assert ("size" in message) == (what == "t")
+
+    def test_a_root_that_never_creates_is_named_by_the_deadlock_report(self):
+        """The others need the root's pair and wait for it — at the
+        rendezvous, so the report says where.  (Nobody needs a leaf's:
+        as under the broadcast this check used to be, a leaf that never
+        creates is missed at the first collective, not here.)"""
+        from repro.mpisim.engine import Engine
+        from repro.mpisim.exceptions import DeadlockError
+
+        def fn(comm):
+            if comm.rank != 0:
+                cart_neighborhood_create(comm, (2, 2), None, NBH9)
+
+        with pytest.raises(DeadlockError) as ei:
+            Engine(4, timeout=1.0).run(fn)
+        assert set(ei.value.stuck_ranks) == {1, 2, 3}
+        for rank in (1, 2, 3):
+            detail = ei.value.stuck_info[rank].detail
+            assert "rendezvous(comm=('world', 1))" in detail
+            assert "the root (rank 0 of it) has not arrived" in detail
+
+    def test_creation_sends_no_message(self):
+        from repro.mpisim.engine import Engine
+
+        engine = Engine(4, timeout=20, tracing=True)
+
+        def fn(comm):
+            cart_neighborhood_create(comm, (2, 2), None, NBH9)
+            return [e.kind for e in engine.trace.for_rank(comm.rank)]
+
+        for kinds in engine.run(fn):
+            assert "isend" not in kinds and "irecv" not in kinds
+
+    @pytest.mark.parametrize("backend", ["threaded", "batched"])
+    def test_sub_communicators_meet_separately(self, backend):
+        """Two halves of a split create different neighbourhoods at the
+        same time: each is compared within its own half only (and each
+        half's collectives meet at its own rendezvous)."""
+
+        def fn(comm):
+            color = comm.rank % 2
+            sub = comm.split(color)
+            nbh = Neighborhood([(1,)] if color == 0 else [(1,), (-1,)])
+            cart = cart_neighborhood_create(
+                sub, (2,), None, nbh, backend=backend
+            )
+            send = np.full(cart.neighbor_count(), comm.rank, np.int64)
+            recv = np.zeros_like(send)
+            cart.alltoall(send, recv, algorithm="trivial")
+            return cart.neighbor_count(), recv.tolist()
+
+        other = {0: 2, 1: 3, 2: 0, 3: 1}
+        assert run_ranks(4, fn, timeout=20) == [
+            (1 + r % 2, [other[r]] * (1 + r % 2)) for r in range(4)
+        ]
+
+
 class TestHelpers:
     def test_listing2_helpers(self):
         def fn(cart):

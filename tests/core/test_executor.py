@@ -206,6 +206,32 @@ class TestPrepare:
         sched.prepare()
         assert sched._copy_runs is first
 
+    def test_prepare_sums_the_accounting_totals_once(self):
+        """What OpStats records per call — rounds, volume in blocks and
+        bytes, local-copy bytes — is summed by ``prepare`` and read, not
+        recomputed by walking every block on every call."""
+        nbh = parameterized_stencil(2, 3, -1)
+        sched = build_alltoall_schedule(
+            nbh,
+            uniform_block_layout([4] * nbh.t, "send"),
+            uniform_block_layout([4] * nbh.t, "recv"),
+        )
+        assert sched._totals is None
+        totals = sched.totals()  # prepares on demand
+        assert sched._copy_runs is not None
+        assert totals == (
+            sched.num_rounds,
+            sched.volume_blocks,
+            sched.volume_bytes,
+            sum(c.src.nbytes for c in sched._copy_runs),
+        )
+        assert sched.totals() is totals
+        assert sched.local_copy_bytes == totals[3]
+        copies = self._schedule_with_copies(
+            [(("send", 0, 4), ("recv", 0, 4)), (("send", 14, 0), ("recv", 2, 0))]
+        )
+        assert copies.prepare().totals() == (0, 0, 0, 4)
+
     def test_run_local_copies_equivalent(self):
         # merged plan moves exactly the bytes the per-copy plan would
         copies = [

@@ -1,10 +1,15 @@
-"""Lockstep (all-ranks, threadless) executor."""
+"""The per-rank walk (all ranks, no threads): the reference executor.
+
+``LockstepBackend`` is not a registry entry — the name ``"lockstep"``
+resolves to ``"batched"`` — so these tests hold the instance (``WALK``).
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.alltoall_schedule import build_alltoall_schedule
-from repro.core.backend import allocate_rank_buffers, get_backend
+from repro.core.backend import allocate_rank_buffers
+from repro.core.backend.lockstep import WALK
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import parameterized_stencil
@@ -38,7 +43,7 @@ class TestLockstep:
         topo = CartTopology((4, 4))
         m = 4
         bufs = make_bufs(topo.size, nbh.t, m)
-        get_backend("lockstep").execute_all(topo, make_sched(nbh, m), bufs)
+        WALK.execute_all(topo, make_sched(nbh, m), bufs)
         for r in range(topo.size):
             for i, off in enumerate(nbh):
                 src = topo.translate(r, tuple(-o for o in off))
@@ -52,7 +57,7 @@ class TestLockstep:
         topo = CartTopology((10, 10, 10))
         m = 2
         bufs = make_bufs(topo.size, nbh.t, m)
-        get_backend("lockstep").execute_all(topo, make_sched(nbh, m), bufs)
+        WALK.execute_all(topo, make_sched(nbh, m), bufs)
         checks = np.random.default_rng(0).integers(0, topo.size, 20)
         for r in checks:
             for i, off in enumerate(nbh):
@@ -65,7 +70,7 @@ class TestLockstep:
         nbh = Neighborhood([(1,)])
         topo = CartTopology((4,))
         with pytest.raises(ScheduleError, match="one buffer set per rank"):
-            get_backend("lockstep").execute_all(topo, make_sched(nbh), [{}])
+            WALK.execute_all(topo, make_sched(nbh), [{}])
 
     def test_allocate_rank_buffers(self):
         nbh = Neighborhood([(1, 1)])
@@ -81,8 +86,8 @@ class TestLockstep:
         m = 4
         a = make_bufs(topo.size, nbh.t, m)
         b = make_bufs(topo.size, nbh.t, m)
-        get_backend("lockstep").execute_all(topo, make_sched(nbh, m), a)
-        get_backend("lockstep").execute_all(
+        WALK.execute_all(topo, make_sched(nbh, m), a)
+        WALK.execute_all(
             topo, make_sched(nbh, m, build_trivial_alltoall_schedule), b
         )
         for x, y in zip(a, b):
@@ -96,7 +101,7 @@ class TestLockstep:
         sched = make_sched(nbh, 4)
         a = make_bufs(topo.size, nbh.t, 4)
         b = make_bufs(topo.size, nbh.t, 4)
-        get_backend("lockstep").execute_all(topo, sched, a)
-        get_backend("lockstep").execute_all(topo, sched, b)
+        WALK.execute_all(topo, sched, a)
+        WALK.execute_all(topo, sched, b)
         for x, y in zip(a, b):
             assert np.array_equal(x["recv"], y["recv"])

@@ -42,6 +42,7 @@ from tests.core.test_backends import (
     _make_bufs,
     _make_case,
     assert_definition_on as assert_plan_parity,
+    executor,
     shm_mark,
 )
 
@@ -757,17 +758,25 @@ class TestPlanCacheLifetime:
     @pytest.mark.parametrize("backend", ["threaded", "lockstep", "batched"])
     def test_one_lowering_per_p_rank_run(self, backend):
         """A p-rank run of one schedule lowers it once (was: once per
-        rank on the per-rank backends) and files one plan entry."""
+        rank on the per-rank backends) and files one plan entry; the
+        matrix executor looks it up once, the walk (``lockstep`` here,
+        see ``test_backends.executor``) and the rank threads once per
+        rank — and the *name* ``lockstep`` is the matrix executor."""
         sched, ssize, rsize = _make_case("alltoall", "combining", "w")
         topo = CartTopology((3, 3))
         before = plan_mod.plan_cache_info()
-        get_backend(backend).execute_all(
+        executor(backend).execute_all(
             topo, sched, _make_bufs(topo.size, ssize, rsize)
         )
         after = plan_mod.plan_cache_info()
         assert after.misses == before.misses + 1
         lookups = 1 if backend == "batched" else topo.size
         assert after.hits == before.hits + lookups - 1
+        if backend == "lockstep":
+            get_backend(backend).execute_all(
+                topo, sched, _make_bufs(topo.size, ssize, rsize)
+            )
+            assert plan_mod.plan_cache_info().hits == after.hits + 1
         assert len(sched._plans) == 1
 
 

@@ -1,9 +1,12 @@
 """Where a row view of the rank-free plan can go wrong.
 
-Every backend but ``batched`` executes a schedule through per-rank views
-of the one lowered plan: ``(source, target, send, recv)`` per round read
-off row ``r`` of the plan's peer arrays.  These tests aim at the places
-that reading is least obvious:
+Everything but the matrix forms of ``batched`` executes a schedule
+through per-rank views of the one lowered plan: ``(source, target, send,
+recv)`` per round read off row ``r`` of the plan's peer arrays — the
+threaded and shm backends, and the walk (``"lockstep"`` here names the
+walk itself, see ``test_backends.executor``), which ``batched`` also
+falls back to.  These tests aim at the places that reading is least
+obvious:
 
 * **degenerate extents** — extent 2 makes ``+1`` and ``−1`` the same
   peer, so two rounds of one phase share a (source, target) pair and
@@ -15,7 +18,8 @@ that reading is least obvious:
   delivery time on ``lockstep`` and as a timeout on ``threaded``);
 * **what the views must not inherit from the matrix form** — whole-
   buffer dtype viewability and SPMD-uniform buffer sizes are conditions
-  of :meth:`~repro.core.plan.BatchedPlan.execute`, not of the lowering.
+  of :meth:`~repro.core.plan.BatchedPlan.execute`, not of the lowering
+  — and so not of ``batched`` either, which walks where they fail.
 
 All content checks are against the definition oracles of
 ``tests/core/test_backends.py`` (Section 2 / brute-force folds), never
@@ -25,6 +29,7 @@ against another backend.
 import numpy as np
 import pytest
 
+from repro.core import plan as plan_mod
 from repro.core.backend import BackendError, get_backend
 from repro.core.neighborhood import Neighborhood
 from repro.core.plan import compile_plan
@@ -40,6 +45,7 @@ from tests.core.test_backends import (
     _make_case,
     _make_reduce_case,
     _run_on,
+    executor,
     assert_definition_on,
     assert_matches_definition,
     assert_reduce_matches_definition,
@@ -141,7 +147,7 @@ def test_asymmetric_recv_offset_on_mesh_refused_at_lowering(backend):
         wrapper.get(backend, ScheduleError),
         match="expects a message from .* which sent none",
     ) as info:
-        get_backend(backend).execute_all(topo, sched, bufs)
+        executor(backend).execute_all(topo, sched, bufs)
     if backend == "threaded":
         assert isinstance(info.value.cause, ScheduleError)
     assert not sched._plans, "a refused lowering must not be cached"
@@ -162,12 +168,16 @@ def _odd_capacity_reduce(topo):
     return nbh, sched, bufs
 
 
-@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "batched"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_non_itemsize_capacity_still_reduces_per_rank(backend):
+    """On every backend — ``batched`` included, which finds the plan
+    without a matrix form and walks it."""
     topo = CartTopology((3, 3))
     nbh, sched, bufs = _odd_capacity_reduce(topo)
     before = [{k: v.copy() for k, v in b.items()} for b in bufs]
-    get_backend(backend).execute_all(topo, sched, bufs)
+    walked = plan_mod.plan_cache_info().walked
+    executor(backend).execute_all(topo, sched, bufs)
+    assert plan_mod.plan_cache_info().walked - walked == (backend == "batched")
 
     def unpadded(rows):
         return [{k: v[:16] for k, v in b.items()} for b in rows]
@@ -178,17 +188,30 @@ def test_non_itemsize_capacity_still_reduces_per_rank(backend):
 
 
 def test_non_itemsize_capacity_refused_by_matrix_execution_only():
+    """The refusal is the matrix form's (``BatchedPlan.execute``), and
+    the reason the executor gives for walking instead."""
+    from repro.core.backend.batched import executor_form
+
     topo = CartTopology((3, 3))
     _nbh, sched, bufs = _odd_capacity_reduce(topo)
+    plan, _ = plan_mod.get_or_compile(sched, topo, bufs[0])
+    matrices = {n: np.stack([b[n] for b in bufs]) for n in ("send", "recv")}
     with pytest.raises(ScheduleError, match="cannot be viewed as .* rank matrices"):
-        get_backend("batched").execute_all(topo, sched, bufs)
+        plan.execute(matrices)
+    assert executor_form(plan, bufs) == f"walk: {plan.matrix_error}"
+    want = [{k: v.copy() for k, v in b.items()} for b in bufs]
+    executor("lockstep").execute_all(topo, sched, want)
+    get_backend("batched").execute_all(topo, sched, bufs)
+    for got, ref in zip(bufs, want):
+        assert np.array_equal(got["recv"], ref["recv"])
 
 
-@pytest.mark.parametrize("backend", ["threaded", "lockstep"])
+@pytest.mark.parametrize("backend", ["threaded", "lockstep", "batched"])
 def test_non_uniform_buffer_sizes_key_their_own_plans(backend):
-    """Ranks may bind differently sized buffers on the per-rank
-    backends: each signature lowers its own plan, every rank reads its
-    row of the plan compiled for *its* signature."""
+    """Ranks may bind differently sized buffers wherever ranks run their
+    own views (``batched`` walks such a call): each signature lowers its
+    own plan, every rank reads its row of the plan compiled for *its*
+    signature."""
     topo = CartTopology((3, 3))
     nbh = MOORE["moore"]
     sched, ssize, rsize = _make_case("alltoall", "combining", "v", nbh=nbh)
@@ -196,6 +219,6 @@ def test_non_uniform_buffer_sizes_key_their_own_plans(backend):
     after = _make_bufs(topo.size, ssize, rsize)
     for r in (2, 5):  # two ranks over-allocate their receive buffer
         after[r]["recv"] = np.zeros(rsize + 8 * r, np.uint8)
-    get_backend(backend).execute_all(topo, sched, after)
+    executor(backend).execute_all(topo, sched, after)
     assert_matches_definition(topo, sched, before, after)
     assert len(sched._plans) == 3

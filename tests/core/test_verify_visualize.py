@@ -32,6 +32,44 @@ def a2a_schedule(nbh, m=4, builder=build_alltoall_schedule):
     )
 
 
+def test_default_certification_executes_per_rank(monkeypatch):
+    """The ``verify_*`` defaults are the walk itself, not a registry
+    name: certifying by execution must not run the matrix kernels whose
+    schedules it certifies."""
+    from repro.core.backend.batched import BatchedBackend
+    from repro.core.backend.interpreter import ScheduleInterpreter
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certified on the batched executor")
+
+    ranks = []
+    begin = ScheduleInterpreter.begin
+
+    def counting(self):
+        ranks.append(self.transport.rank)
+        begin(self)
+
+    monkeypatch.setattr(BatchedBackend, "execute_all", refuse)
+    monkeypatch.setattr(ScheduleInterpreter, "begin", counting)
+    nbh = moore_neighborhood(2, 1, include_self=False)
+    topo = CartTopology((3, 3))
+    verify_alltoall(a2a_schedule(nbh), topo)
+    verify_allgather(
+        build_allgather_schedule(
+            nbh,
+            BlockSet([BlockRef("send", 0, 4)]),
+            uniform_block_layout([4] * nbh.t, "recv"),
+        ),
+        topo,
+    )
+    interior = (4, 4)
+    verify_halo(plain_halo_schedule(interior, 1, 1), topo, interior, 1)
+    assert ranks == list(range(9)) * 3
+    # a registry name still selects what the registry says
+    with pytest.raises(AssertionError, match="batched executor"):
+        verify_alltoall(a2a_schedule(nbh), topo, backend="lockstep")
+
+
 class TestVerifyAlltoall:
     @pytest.mark.parametrize(
         "builder", [build_alltoall_schedule, build_trivial_alltoall_schedule]

@@ -4,6 +4,9 @@ The primitive behind the all-ranks backends' collectives: every rank
 deposits an object (the object itself), exactly one rank runs the
 action over all of them, every rank gets the result — and a rendezvous
 that cannot complete fails as cleanly as a receive that cannot match.
+``Communicator.share`` is its one-sided form, a broadcast by reference
+(communicator creation's isomorphism check): only the root is waited
+for.
 """
 
 import sys
@@ -89,6 +92,45 @@ class TestMeeting:
         engine = Engine(3, timeout=30)
         assert engine.run(fn) == [("aaa", "bbb")] * 3
         assert set(engine._rendezvous) == {("world",), ("world", 1)}
+
+    def test_share_returns_the_roots_object_and_the_root_does_not_wait(self):
+        """A broadcast by reference: the root leaves at once — here
+        through every round, interleaved with meetings it must wait in,
+        before anybody else has even arrived at the first — the rounds
+        do not mix, and none is left behind."""
+        rounds = 20
+        engine = Engine(4, timeout=30)
+        root_done = threading.Event()
+
+        def fn(comm):
+            out = []
+            if comm.rank != 1:
+                assert root_done.wait(10)
+            for i in range(rounds):
+                out.append(comm.share([comm.rank, i], root=1))
+            root_done.set()
+            out.append(comm.rendezvous(comm.rank, sum))
+            out.append(comm.share(comm.rank))
+            return out
+
+        res = engine.run(fn)
+        for out in res:
+            assert out[:rounds] == [[1, i] for i in range(rounds)]
+            assert out[rounds:] == [6, 0]
+        # by reference: everybody holds the root's own lists
+        assert {id(out[0]) for out in res} == {id(res[1][0])}
+        assert engine._rendezvous[("world",)]._rounds == {}
+
+    def test_a_missing_root_is_named_and_a_missing_leaf_is_not_waited_for(self):
+        def fn(comm, absent):
+            if comm.rank != absent:
+                return comm.share(comm.rank * 10, root=2)
+
+        assert Engine(4, timeout=5).run(fn, args=[(0,)] * 4) == [None, 20, 20, 20]
+        with pytest.raises(DeadlockError) as ei:
+            Engine(4, timeout=0.5).run(fn, args=[(2,)] * 4)
+        assert set(ei.value.stuck_ranks) == {0, 1, 3}
+        assert "the root (rank 2 of it) has not arrived" in str(ei.value)
 
     def test_no_messages_are_posted(self):
         engine = Engine(4, timeout=30, tracing=True)
@@ -182,6 +224,8 @@ def test_stress_more_ranks_than_cores():
                 return i
 
             total += comm.rendezvous(i, action)
+            # one-sided rounds in between: their root runs ahead
+            assert comm.share((comm.rank, i), root=i % ranks) == (i % ranks, i)
         return total
 
     old = sys.getswitchinterval()
