@@ -6,7 +6,7 @@
     Prop 3.2/3.3 conformance, content simulation, plan lowering and its
     effect pass) on each; exit 1 if any combination has a violation.
     The summary reports build seconds and certification seconds per
-    kind.
+    kind, the latter split by stage (lowering, kernels, effects, shape).
 
 ``python -m repro.analyze verify --stencil 9-point --dims 4x4 [--kind alltoall]``
     Verify one stencil/torus combination (all kinds unless ``--kind``).
@@ -31,6 +31,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.analyze import lint as lint_mod
+from repro.analyze.certificates import STAGES
 from repro.analyze.schedule_verifier import (
     SWEEP_KINDS,
     build_for_kind,
@@ -68,12 +69,17 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             f"{len(results) - bad}/{len(results)} stencil/kind combinations "
             "certified"
         )
-        print(f"{'kind':24s} {'build s':>8s} {'certify s':>10s}")
+        stages = "".join(f" {stage:>9s}" for stage in STAGES)
+        print(f"{'kind':24s} {'build s':>8s} {'certify s':>10s}  ={stages}")
         for kind in SWEEP_KINDS:
             rows = [row for row in results if row.kind == kind]
+            split = "".join(
+                f" {sum(r.report.stage_seconds[stage] for r in rows):9.3f}"
+                for stage in STAGES
+            )
             print(
                 f"{kind:24s} {sum(r.build_seconds for r in rows):8.3f} "
-                f"{sum(r.certify_seconds for r in rows):10.3f}"
+                f"{sum(r.certify_seconds for r in rows):10.3f}  ={split}"
             )
         return 1 if bad else 0
 

@@ -36,11 +36,13 @@ import json
 import math
 import threading
 from collections import OrderedDict
+from functools import lru_cache
 from numbers import Integral
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional
 
 import numpy as np
 
+from repro.analyze.intervals import PlanEffects
 from repro.analyze.report import Certificate
 from repro.core.neighborhood import Neighborhood
 from repro.core.reduce_schedule import is_custom_op_token
@@ -48,12 +50,7 @@ from repro.core.schedule import Schedule
 from repro.mpisim.datatypes import BlockRef, BlockSet
 
 if TYPE_CHECKING:
-    from repro.core.plan import (
-        BatchedPlan,
-        CompiledBlockSet,
-        CompiledCopyProgram,
-        Selector,
-    )
+    from repro.core.plan import BatchedPlan
 
 #: dataclass fields of the schedule model the normal form leaves out,
 #: each with why the verifier's verdict cannot depend on it; every other
@@ -75,6 +72,18 @@ class NormalForm(NamedTuple):
     digest: str
 
 
+@lru_cache(maxsize=None)
+def _encoded_fields(model: type) -> tuple[str, ...]:
+    """The dataclass fields of one class of the schedule model that
+    enter the encoding — every one not in :data:`DERIVED_FIELDS` —
+    listed once per class, not once per node."""
+    return tuple(
+        field.name
+        for field in dataclasses.fields(model)
+        if f"{model.__name__}.{field.name}" not in DERIVED_FIELDS
+    )
+
+
 def _encode(obj: object, extents: list[list[Any]]) -> object:
     """JSON-able canonical form of one piece of the schedule model.
     Every byte extent — a block's ``[buffer, offset, nbytes]``, the
@@ -83,26 +92,27 @@ def _encode(obj: object, extents: list[list[Any]]) -> object:
     place once it knows the granule.  Nothing with an identity (no
     ``repr``, no ``hash``) enters the encoding, and a type it does not
     know is an error, not a guess."""
-    if obj is None or isinstance(obj, (str, int)):
-        return obj
     if isinstance(obj, BlockRef):
         extents.append([obj.buffer, obj.offset, obj.nbytes])
         return extents[-1]
-    if isinstance(obj, (list, tuple, BlockSet)):
+    if isinstance(obj, BlockSet):  # most of a schedule: no call per block
+        blocks = [[ref.buffer, ref.offset, ref.nbytes] for ref in obj]
+        extents.extend(blocks)
+        return blocks
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, (list, tuple)):
         return [_encode(item, extents) for item in obj]
     if isinstance(obj, Neighborhood):
         return obj.offsets.tolist()
     if isinstance(obj, Integral):  # a NumPy integer in an offset
         return int(obj)
     if dataclasses.is_dataclass(obj):
-        name = type(obj).__name__
-        out: list[object] = [name]
-        for field in dataclasses.fields(obj):
-            qualified = f"{name}.{field.name}"
-            if qualified in DERIVED_FIELDS:
-                continue
-            value = getattr(obj, field.name)
-            if qualified == "Schedule.temp_nbytes":
+        model = type(obj)
+        out: list[object] = [model.__name__]
+        for name in _encoded_fields(model):
+            value = getattr(obj, name)
+            if model is Schedule and name == "temp_nbytes":
                 value = BlockRef("", 0, value)
             out.append(_encode(value, extents))
         return out
@@ -135,21 +145,6 @@ def normal_form(schedule: Schedule) -> Optional[NormalForm]:
     return NormalForm(granule, hashlib.sha256(canonical.encode()).hexdigest())
 
 
-def _form(selector: "Selector") -> str:
-    return "slice" if isinstance(selector, slice) else "index"
-
-
-def _op_forms(
-    program: "CompiledBlockSet | CompiledCopyProgram",
-) -> tuple[object, ...]:
-    """Both sides' forms and the lane of each selector op of a kernel or
-    copy program, and ``"run"`` per slice-loop entry."""
-    return (
-        *((_form(a), _form(b), lane) for *_, a, b, lane in program._sel_ops),
-        *("run" for _ in program._run_ops),
-    )
-
-
 def kernel_signature(plan: "BatchedPlan") -> tuple[object, ...]:
     """What the lowering decided from absolute sizes: per op of every
     kernel of ``plan`` (``None`` for a half no rank runs) and of its
@@ -158,25 +153,39 @@ def kernel_signature(plan: "BatchedPlan") -> tuple[object, ...]:
     Instances of one normal form whose block sizes fall in different
     2-adic classes, or on different sides of ``INDEX_RUN_LIMIT`` (per
     run, or per launched copy), differ here, so no certificate is
-    inherited across the staged/in-place boundary."""
-    return (
-        tuple(
-            tuple(
-                None if kernel is None else _op_forms(kernel)
-                for rnd in phase
-                for kernel in (rnd.send, rnd.recv)
-            )
-            for phase in plan.phases
-        ),
-        plan.copy_program.fused,
-        _op_forms(plan.copy_program),
-        plan.delivery,
-        tuple(
-            None if program is None else _op_forms(program)
-            for programs in plan.deliveries or ()
-            for program in programs
-        ),
-    )
+    inherited across the staged/in-place boundary.  (A by-product of
+    the one reading of the plan's ops; the verifier takes it from the
+    reading it already has.)"""
+    return PlanEffects(plan).signature()
+
+
+#: the stages a certification's seconds are booked under
+STAGES = ("lowering", "kernels", "effects", "shape")
+
+
+class StageSeconds(float):
+    """The verifier's seconds on one path: as a number their total, by
+    attribute what each stage took of it."""
+
+    #: the one lowering, an in-place plan's round programs included
+    lowering: float
+    #: reading the plan's ops and the kernel conformance checks
+    #: (V501/V503/V504)
+    kernels: float
+    #: the byte-level effect pass and the shm layout
+    effects: float
+    #: the shape stage where it ran; where it was inherited, the look-up
+    #: that did (normal form, kernel signature, store)
+    shape: float
+
+    def __new__(cls, stages: Mapping[str, float]) -> "StageSeconds":
+        self = super().__new__(cls, sum(stages[name] for name in STAGES))
+        for name in STAGES:
+            setattr(self, name, stages[name])
+        return self
+
+    def by_stage(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in STAGES}
 
 
 class CertificateInfo(NamedTuple):
@@ -190,8 +199,9 @@ class CertificateInfo(NamedTuple):
     not_quotientable: int
     #: certificates on file
     entries: int
-    full_seconds: float
-    inherited_seconds: float
+    #: the verifier's seconds on each path, split by stage
+    full_seconds: StageSeconds
+    inherited_seconds: StageSeconds
 
 
 class CertificateStore:
@@ -224,17 +234,23 @@ class CertificateStore:
                 self._entries.popitem(last=False)
 
     def account(
-        self, seconds: float, *, inherited: bool, quotientable: bool
+        self,
+        seconds: Mapping[str, float],
+        *,
+        inherited: bool,
+        quotientable: bool,
     ) -> None:
-        """Book one finished certification (clean or not)."""
+        """Book one finished certification (clean or not) and its
+        seconds by stage (:data:`STAGES`)."""
         with self._lock:
             if inherited:
                 self._inherited += 1
-                self._inherited_seconds += seconds
             else:
                 self._full += 1
-                self._full_seconds += seconds
                 self._not_quotientable += not quotientable
+            booked = self._seconds[inherited]
+            for stage in STAGES:
+                booked[stage] += seconds[stage]
 
     def info(self) -> CertificateInfo:
         with self._lock:
@@ -243,8 +259,8 @@ class CertificateStore:
                 self._inherited,
                 self._not_quotientable,
                 len(self._entries),
-                self._full_seconds,
-                self._inherited_seconds,
+                StageSeconds(self._seconds[False]),
+                StageSeconds(self._seconds[True]),
             )
 
     def clear(self) -> None:
@@ -252,7 +268,10 @@ class CertificateStore:
         with self._lock:
             self._entries.clear()
             self._full = self._inherited = self._not_quotientable = 0
-            self._full_seconds = self._inherited_seconds = 0.0
+            #: inherited? -> stage -> seconds
+            self._seconds = {
+                path: dict.fromkeys(STAGES, 0.0) for path in (False, True)
+            }
 
 
 #: The process-wide store ``verify_on_build`` certifies through.

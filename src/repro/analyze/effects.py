@@ -32,6 +32,14 @@ V806  a combine step list has order-dependent effects on some rank
       row masks that both copy and fold one rank)
 ====  ==============================================================
 
+Two families read no byte at all: V705/V706 and the row-mask half of
+V806 look only at peer vectors and the row masks derived from them
+(:func:`check_batched_peers`).  No block size can change those, so the
+verifier runs them with its shape stage and inherits them with it;
+everything else here is byte-level and runs on every instance, on the
+one reading of the plan's ops the verification makes
+(:class:`~repro.analyze.intervals.PlanEffects`).
+
 Reduction schedules thread their accumulator state through the plan's
 combine step lists (:class:`~repro.core.plan.BatchedReduceRound`, of
 which every rank runs its rows): the pre-step seeds write before phase
@@ -47,15 +55,19 @@ simulation tolerates exactly the same), so the check is skipped there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.analyze.intervals import (
     IntervalSet,
-    SelectorSummary,
-    summarize_selector,
+    KernelEffects,
+    PlanEffects,
+    ProgramEffects,
+    kernel_effects,
+    program_effects,
+    read_plan,
+    shared_bytes,
 )
 from repro.analyze.report import VerificationReport
 from repro.analyze.schedule_verifier import _open_report, _plan_sizes
@@ -78,64 +90,6 @@ from repro.mpisim.exceptions import ScheduleError
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelEffects:
-    """What one :class:`CompiledBlockSet` touches, per side.
-
-    ``buffers`` maps buffer names to the byte intervals the kernel's
-    buffer side touches; ``wire`` is the wire side.  The collision
-    counters record bytes claimed more than once *within* the kernel —
-    by a duplicate fancy index or by two ops naming the same region —
-    which is a write-write race whenever that side is the destination.
-    """
-
-    buffers: Mapping[str, IntervalSet]
-    buffer_collision_bytes: int
-    wire: IntervalSet
-    wire_collision_bytes: int
-    total_nbytes: int
-
-
-def _fold(parts: Sequence[SelectorSummary]) -> tuple[IntervalSet, int]:
-    collisions = sum(p.duplicate_bytes for p in parts)
-    union = IntervalSet()
-    for p in parts:
-        ivs = IntervalSet(p.intervals)
-        collisions += union.intersection(ivs).nbytes
-        union = union.union(ivs)
-    return union, collisions
-
-
-def kernel_effects(kernel: CompiledBlockSet) -> KernelEffects:
-    """Symbolic effect summary of one pack/unpack kernel."""
-    buf_parts: dict[str, list[SelectorSummary]] = {}
-    wire_parts: list[SelectorSummary] = []
-    for name, wire_sel, buf_sel, lane in kernel._sel_ops:
-        wire_parts.append(summarize_selector(wire_sel, lane))
-        buf_parts.setdefault(name, []).append(
-            summarize_selector(buf_sel, lane)
-        )
-    for name, wire_off, buf_off, n in kernel._run_ops:
-        wire_parts.append(summarize_selector(slice(wire_off, wire_off + n)))
-        buf_parts.setdefault(name, []).append(
-            summarize_selector(slice(buf_off, buf_off + n))
-        )
-    buffers: dict[str, IntervalSet] = {}
-    buf_collisions = 0
-    for name, parts in buf_parts.items():
-        union, coll = _fold(parts)
-        buffers[name] = union
-        buf_collisions += coll
-    wire, wire_collisions = _fold(wire_parts)
-    return KernelEffects(
-        buffers=buffers,
-        buffer_collision_bytes=buf_collisions,
-        wire=wire,
-        wire_collision_bytes=wire_collisions,
-        total_nbytes=kernel.total_nbytes,
-    )
-
-
 def check_kernel(
     kernel: CompiledBlockSet,
     sizes: Mapping[str, int],
@@ -151,6 +105,19 @@ def check_kernel(
     ``role`` is ``"send"`` (pack: reads buffers, writes wire) or
     ``"recv"`` (unpack: reads wire, writes buffers)."""
     eff = kernel_effects(kernel)
+    _judge_kernel(eff, sizes, report, role, phase, round_index)
+    return eff
+
+
+def _judge_kernel(
+    eff: KernelEffects,
+    sizes: Mapping[str, int],
+    report: VerificationReport,
+    role: str,
+    phase: Optional[int],
+    round_index: Optional[int],
+) -> None:
+    """:func:`check_kernel` on a kernel's effects, already read."""
     write_collisions = (
         eff.buffer_collision_bytes if role == "recv" else eff.wire_collision_bytes
     )
@@ -190,7 +157,6 @@ def check_kernel(
                 phase=phase,
                 round_index=round_index,
             )
-    return eff
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +165,7 @@ def check_kernel(
 
 #: per-buffer byte intervals of one effect
 Effects = dict[str, IntervalSet]
+_NOTHING = IntervalSet()
 
 
 def check_batched_combine(
@@ -217,6 +184,72 @@ def check_batched_combine(
     buffers (V708, like every other compiled effect), fold whole dtype
     elements, name ranks inside ``[0, p)`` once, and never both copy and
     fold one rank (its contribution would be counted twice).
+
+    Two halves: what the row masks say on their own
+    (:func:`check_combine_rows`, which no block size can change) and
+    what the byte regions say (:func:`_check_combine_bytes`, whose
+    return value this passes on).
+    """
+    check_combine_rows(rnd, p, report, phase=phase)
+    return _check_combine_bytes(rnd, p, sizes, report, phase=phase)
+
+
+def check_combine_rows(
+    rnd: BatchedReduceRound,
+    p: int,
+    report: VerificationReport,
+    *,
+    phase: Optional[int] = None,
+) -> None:
+    """The row-mask half of V806: every mask names ranks inside
+    ``[0, p)`` once, and no step both initializes and folds one rank.
+    The masks are derived from the peer vectors and the steps' gates —
+    no byte extent enters — so this half belongs to the shape stage."""
+    everyone = np.arange(p)
+    for si, step in enumerate(rnd.steps):
+        *_, copy_rows, comb_rows = step
+        for label, vec in (("copy", copy_rows), ("fold", comb_rows)):
+            if vec is None:
+                continue
+            arr = np.asarray(vec)
+            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= p):
+                report.add(
+                    "V806",
+                    f"combine step {si} {label} rows name a rank outside "
+                    f"0..{p - 1}",
+                    phase=phase,
+                )
+            if np.unique(arr).size != arr.size:
+                report.add(
+                    "V806",
+                    f"combine step {si} {label} rows name one rank twice",
+                    phase=phase,
+                )
+        both = np.intersect1d(
+            everyone if copy_rows is None else copy_rows,
+            everyone if comb_rows is None else comb_rows,
+        )
+        if both.size:
+            report.add(
+                "V806",
+                f"combine step {si} both initializes and folds rank(s) "
+                f"{both[:4].tolist()} — the contribution would be "
+                f"counted twice",
+                phase=phase,
+            )
+
+
+def _check_combine_bytes(
+    rnd: BatchedReduceRound,
+    p: int,
+    sizes: Mapping[str, int],
+    report: VerificationReport,
+    *,
+    phase: Optional[int] = None,
+) -> tuple[Effects, Effects, Effects]:
+    """The byte half of :func:`check_batched_combine`: bounds (V708),
+    whole elements, aliased fold operands and double initialization on
+    intersecting row sets (V806).
 
     Returns ``(copy_writes, reads, all_writes)`` so the caller can
     thread the step list through the lifetime ledger: ``reads`` includes
@@ -247,37 +280,8 @@ def check_batched_combine(
                 f"{rnd.dtype.str} itemsize",
                 phase=phase,
             )
-        rows: dict[str, Optional[np.ndarray]] = {
-            "copy": copy_rows, "fold": comb_rows,
-        }
-        for label, vec in rows.items():
-            if vec is None:
-                continue
-            arr = np.asarray(vec)
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= p):
-                report.add(
-                    "V806",
-                    f"combine step {si} {label} rows name a rank outside "
-                    f"0..{p - 1}",
-                    phase=phase,
-                )
-            if np.unique(arr).size != arr.size:
-                report.add(
-                    "V806",
-                    f"combine step {si} {label} rows name one rank twice",
-                    phase=phase,
-                )
         c = everyone if copy_rows is None else np.asarray(copy_rows)
         f = everyone if comb_rows is None else np.asarray(comb_rows)
-        both = np.intersect1d(c, f)
-        if both.size:
-            report.add(
-                "V806",
-                f"combine step {si} both initializes and folds rank(s) "
-                f"{both[:4].tolist()} — the contribution would be "
-                f"counted twice",
-                phase=phase,
-            )
         if c.size or f.size:
             read_parts.setdefault(sbuf, []).append((soff, soff + n))
         if c.size:
@@ -316,23 +320,10 @@ def check_batched_combine(
     reads = {name: IntervalSet(parts) for name, parts in read_parts.items()}
     all_writes = dict(copy_writes)
     for name, parts in fold_parts.items():
-        all_writes[name] = all_writes.get(name, IntervalSet()).union(
+        all_writes[name] = all_writes.get(name, _NOTHING).union(
             IntervalSet(parts)
         )
     return copy_writes, reads, all_writes
-
-
-def _overlap_by_buffer(
-    a: Mapping[str, IntervalSet], b: Mapping[str, IntervalSet]
-) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    for name, ivs in a.items():
-        other = b.get(name)
-        if other is not None:
-            n = ivs.intersection(other).nbytes
-            if n:
-                out.append((name, n))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,45 +342,41 @@ def check_copy_program(
     the statement that all destination regions are pairwise disjoint and
     no destination overlaps a source of the same buffer.  A non-fused
     program is sequential by construction and only bounds-checked."""
-    srcs: dict[str, list[SelectorSummary]] = {}
-    dsts: dict[str, list[SelectorSummary]] = {}
-    for src, dst, src_sel, dst_sel, lane in prog._sel_ops:
-        s = summarize_selector(src_sel, lane)
-        d = summarize_selector(dst_sel, lane)
-        if prog.fused and s.nbytes != d.nbytes:
+    return _judge_copy_program(
+        program_effects(prog), prog.fused, sizes, report
+    )
+
+
+def _judge_copy_program(
+    eff: ProgramEffects,
+    fused: bool,
+    sizes: Mapping[str, int],
+    report: VerificationReport,
+) -> Effects:
+    """:func:`check_copy_program` on a program's effects, already
+    read."""
+    if fused:
+        for src, dst, gathered, scattered in eff.ragged:
             report.add(
                 "V704",
-                f"fused copy op {src!r}->{dst!r} gathers {s.nbytes} "
-                f"byte(s) but scatters {d.nbytes}",
+                f"fused copy op {src!r}->{dst!r} gathers {gathered} "
+                f"byte(s) but scatters {scattered}",
             )
-        srcs.setdefault(src, []).append(s)
-        dsts.setdefault(dst, []).append(d)
-    for src, dst, src_off, dst_off, n in prog._run_ops:
-        srcs.setdefault(src, []).append(
-            summarize_selector(slice(src_off, src_off + n))
-        )
-        dsts.setdefault(dst, []).append(
-            summarize_selector(slice(dst_off, dst_off + n))
-        )
-    src_union: dict[str, IntervalSet] = {}
-    for name, parts in srcs.items():
-        union, _ = _fold(parts)
-        src_union[name] = union
+    for name, (union, _) in eff.sources.items():
         if not union.within_bounds(int(sizes.get(name, 0))):
             report.add(
                 "V708",
                 f"copy program reads {name!r}[{union.lo}:{union.hi}) "
                 f"beyond its {int(sizes.get(name, 0))}-byte capacity",
             )
-    for name, parts in dsts.items():
-        union, collisions = _fold(parts)
+    for name, (union, collisions) in eff.targets.items():
         if not union.within_bounds(int(sizes.get(name, 0))):
             report.add(
                 "V708",
                 f"copy program writes {name!r}[{union.lo}:{union.hi}) "
                 f"beyond its {int(sizes.get(name, 0))}-byte capacity",
             )
-        if not prog.fused:
+        if not fused:
             continue
         if collisions:
             report.add(
@@ -397,16 +384,15 @@ def check_copy_program(
                 f"fused copy program writes {collisions} byte(s) of "
                 f"{name!r} more than once (order-dependent)",
             )
-        overlap = union.intersection(
-            src_union.get(name, IntervalSet())
-        ).nbytes
-        if overlap:
-            report.add(
-                "V704",
-                f"fused copy program destination overlaps {overlap} "
-                f"source byte(s) of {name!r} (order-dependent)",
-            )
-    return src_union
+        if name in eff.sources:
+            overlap = union.intersection(eff.sources[name][0]).nbytes
+            if overlap:
+                report.add(
+                    "V704",
+                    f"fused copy program destination overlaps {overlap} "
+                    f"source byte(s) of {name!r} (order-dependent)",
+                )
+    return {name: union for name, (union, _) in eff.sources.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -536,23 +522,45 @@ def check_batched_round(
         )
 
 
+def check_batched_peers(bplan: BatchedPlan, report: VerificationReport) -> None:
+    """Everything the effect system reads off the peer vectors alone:
+    every round's permutation and masking (V705/V706) and the row masks
+    of every combine step list (the row half of V806).  Peers are a
+    function of the topology and the rounds' offsets — the inputs are
+    the same arrays at every block size — so the verifier runs this
+    with the shape stage, beside the rank views' peers (V502)."""
+    p = bplan.p
+    for pi, phase in enumerate(bplan.phases):
+        for ri, rnd in enumerate(phase):
+            check_batched_round(rnd, p, report, phase=pi, round_index=ri)
+    if bplan.pre_program is not None:
+        check_combine_rows(bplan.pre_program, p, report)
+    for pi, folds in enumerate(bplan.combine_programs):
+        if folds is not None:
+            check_combine_rows(folds, p, report, phase=pi)
+
+
 def check_batched_effects(
     bplan: BatchedPlan,
     report: VerificationReport,
     *,
     periodic: bool,
+    effects: Optional[PlanEffects] = None,
 ) -> None:
-    """Effect-check a whole :class:`BatchedPlan`, once for all ranks:
-    every round's peer permutation and masking, the shared kernels, the
-    combine step lists and the fused copy program; cross-round
-    disjointness (V702/V703) restricted to rounds whose row sets
-    intersect — a phase that has either needs the wire's snapshot, so a
-    plan marked in-place over it is one more V703; and, on fully
-    periodic tori (``periodic``), the scratch
-    lifetime discipline (V709) — there every rank sees the same rounds,
-    so one ledger over the plan's effects stands for all of them."""
+    """Effect-check the bytes of a whole :class:`BatchedPlan`, once for
+    all ranks: the shared kernels, the byte half of the combine step
+    lists and the fused copy program; cross-round disjointness
+    (V702/V703) restricted to rounds whose row sets intersect — a phase
+    that has either needs the wire's snapshot, so a plan marked in-place
+    over it is one more V703; and, on fully periodic tori
+    (``periodic``), the scratch lifetime discipline (V709) — there every
+    rank sees the same rounds, so one ledger over the plan's effects
+    stands for all of them.  ``effects`` is the caller's reading of the
+    plan's ops when it already has one.  (What the peer vectors say on
+    their own is :func:`check_batched_peers`.)"""
     p = bplan.p
     sizes = bplan.sizes
+    read = read_plan(bplan, effects)
     # caller-bound buffers arrive written, pooled scratch does not
     written: Effects = {
         name: IntervalSet([(0, int(cap))])
@@ -562,7 +570,7 @@ def check_batched_effects(
 
     def wrote(effects: Mapping[str, IntervalSet]) -> None:
         for name, ivs in effects.items():
-            written[name] = written.get(name, IntervalSet()).union(ivs)
+            written[name] = written.get(name, _NOTHING).union(ivs)
 
     def need(
         effects: Mapping[str, IntervalSet],
@@ -573,9 +581,9 @@ def check_batched_effects(
         if not periodic:
             return
         for name, ivs in effects.items():
-            have = written.get(name, IntervalSet())
-            missing = ivs.nbytes - have.intersection(ivs).nbytes
-            if missing:
+            have = written.get(name, _NOTHING)
+            if not have.contains(ivs):
+                missing = ivs.nbytes - have.intersection(ivs).nbytes
                 report.add(
                     "V709",
                     f"{what} reads {missing} byte(s) of {name!r} no "
@@ -585,69 +593,69 @@ def check_batched_effects(
                 )
 
     def combine(rnd: BatchedReduceRound, pi: Optional[int]) -> None:
-        copy_writes, reads, all_writes = check_batched_combine(
+        copy_writes, reads, all_writes = _check_combine_bytes(
             rnd, p, sizes, report, phase=pi
         )
         wrote(copy_writes)
         need(reads, "combine step list", pi)
         wrote(all_writes)
 
+    def share_rows(a: np.ndarray, b: np.ndarray) -> bool:
+        """Whether some rank runs both of two halves, given the peer
+        vector of each: effects can only race on such a rank."""
+        return bool(((np.asarray(a) >= 0) & (np.asarray(b) >= 0)).any())
+
     if bplan.pre_program is not None:
         combine(bplan.pre_program, None)
     for pi, phase in enumerate(bplan.phases):
+        # per effect: (round, the peers of its half, its buffer bytes)
         writes: list[tuple[int, np.ndarray, Mapping[str, IntervalSet]]] = []
         reads: list[tuple[int, np.ndarray, Mapping[str, IntervalSet]]] = []
+        for ri, (rnd, (send, recv)) in enumerate(zip(phase, read.kernels[pi])):
+            if send is not None:
+                _judge_kernel(send, sizes, report, "send", pi, ri)
+                reads.append((ri, rnd.targets, send.buffers))
+            if recv is not None:
+                _judge_kernel(recv, sizes, report, "recv", pi, ri)
+                writes.append((ri, rnd.sources, recv.buffers))
+        # one sweep over the phase: effect k < len(reads) is a read
+        written_by = [ivs for _, _, ivs in writes]
+        clashes = sorted(
+            shared_bytes(
+                [ivs for _, _, ivs in reads] + written_by, written_by
+            ).items()
+        )
         races = 0
-        for ri, rnd in enumerate(phase):
-            check_batched_round(rnd, p, report, phase=pi, round_index=ri)
-            if rnd.send is not None:
-                eff = check_kernel(
-                    rnd.send, sizes, report, role="send",
-                    phase=pi, round_index=ri,
-                )
-                rows = np.nonzero(np.asarray(rnd.targets) >= 0)[0]
-                reads.append((ri, rows, eff.buffers))
-            if rnd.recv is not None:
-                eff = check_kernel(
-                    rnd.recv, sizes, report, role="recv",
-                    phase=pi, round_index=ri,
-                )
-                rows = (
-                    np.arange(p, dtype=np.int64)
-                    if rnd.recv_rows is None
-                    else np.asarray(rnd.recv_rows)
-                )
-                writes.append((ri, rows, eff.buffers))
-        for i in range(len(writes)):
-            for j in range(i + 1, len(writes)):
-                shared = _overlap_by_buffer(writes[i][2], writes[j][2])
-                if not shared or not np.intersect1d(
-                    writes[i][1], writes[j][1]
-                ).size:
-                    continue
-                races += 1
-                for name, n in shared:
+        for (k, j), shared in clashes:
+            i = k - len(reads)
+            if not 0 <= i < j or not share_rows(writes[i][1], writes[j][1]):
+                continue
+            races += 1
+            for name in writes[i][2]:
+                if name in shared:
                     report.add(
                         "V702",
                         f"rounds {writes[i][0]} and {writes[j][0]} write "
-                        f"{n} shared byte(s) of {name!r} on shared rows",
+                        f"{shared[name]} shared byte(s) of {name!r} on "
+                        f"shared rows",
                         phase=pi,
                         round_index=writes[j][0],
                     )
-        for ri, r_rows, r_ivs in reads:
-            for wj, w_rows, w_ivs in writes:
-                shared = _overlap_by_buffer(r_ivs, w_ivs)
-                if not shared or not np.intersect1d(r_rows, w_rows).size:
+        for i, (ri, r_peers, r_ivs) in enumerate(reads):
+            for (k, j), shared in clashes:
+                if k != i or not share_rows(r_peers, writes[j][1]):
                     continue
                 races += 1
-                for name, n in shared:
-                    report.add(
-                        "V703",
-                        f"round {ri} reads {n} byte(s) of {name!r} that "
-                        f"round {wj} writes in the same phase",
-                        phase=pi,
-                        round_index=ri,
-                    )
+                for name in r_ivs:
+                    if name in shared:
+                        report.add(
+                            "V703",
+                            f"round {ri} reads {shared[name]} byte(s) of "
+                            f"{name!r} that round {writes[j][0]} writes in "
+                            f"the same phase",
+                            phase=pi,
+                            round_index=ri,
+                        )
             need(r_ivs, f"round {ri}", pi, ri)
         if races and bplan.delivery == "in-place":
             report.add(
@@ -657,8 +665,8 @@ def check_batched_effects(
                 f"its result depends on rank order",
                 phase=pi,
             )
-        for _, _, w_ivs in writes:
-            wrote(w_ivs)
+        for ivs in written_by:
+            wrote(ivs)
         # the phase's folds run after its waitall: their staging reads
         # see the phase's deliveries, their accumulator writes feed the
         # next phase's packs
@@ -666,7 +674,9 @@ def check_batched_effects(
         if folds is not None:
             combine(folds, pi)
     need(
-        check_copy_program(bplan.copy_program, sizes, report),
+        _judge_copy_program(
+            read.copies, bplan.copy_program.fused, sizes, report
+        ),
         "local-copy program",
     )
 
@@ -721,13 +731,16 @@ def run_effect_checks(
     *,
     sizes: Optional[Mapping[str, int]] = None,
     plan: Optional[BatchedPlan] = None,
+    effects: Optional[PlanEffects] = None,
 ) -> None:
-    """Append every effect-system violation of ``schedule``'s lowering
-    to ``report``: one pass over the plan (peer vectors, shared kernels,
+    """Append every byte-level effect violation of ``schedule``'s
+    lowering to ``report``: one pass over the plan (shared kernels,
     combine step lists, the fused copy program, the lifetime ledger —
     each checked once, for all ranks) and the shm segment layout.
-    ``plan`` is the lowering to check (the verifier passes the one it
-    already certified); without it the schedule is lowered here."""
+    ``plan`` is the lowering to check and ``effects`` its reading (the
+    verifier passes the ones it already certified, and has the peer
+    vectors checked with the shape stage); without a plan the schedule
+    is lowered here and its peer vectors are checked too."""
     if plan is not None:
         sizes = plan.sizes
     elif sizes is None:
@@ -742,8 +755,12 @@ def run_effect_checks(
             plan = compile_batched_plan(schedule, topo, sizes)
         except ScheduleError:
             pass
+        else:
+            check_batched_peers(plan, report)
     if plan is not None:
-        check_batched_effects(plan, report, periodic=all(topo.periods))
+        check_batched_effects(
+            plan, report, periodic=all(topo.periods), effects=effects
+        )
     try:
         shared = {name: cap for name, cap in sizes.items() if name != "temp"}
         buffer_table, slots, total = compute_segment_layout(
@@ -774,7 +791,9 @@ __all__ = [
     "check_kernel",
     "check_copy_program",
     "check_batched_combine",
+    "check_combine_rows",
     "check_batched_round",
+    "check_batched_peers",
     "check_batched_effects",
     "check_shm_layout",
     "run_effect_checks",

@@ -23,9 +23,12 @@ violations instead of a bare message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from repro.mpisim.exceptions import ScheduleError
+
+if TYPE_CHECKING:
+    from repro.core.plan import BatchedPlan
 
 #: Stable violation codes.  Tests and CI gates match on these, so codes
 #: are append-only: never renumber or reuse one.
@@ -155,6 +158,18 @@ class VerificationReport:
     #: followed by ``"; runs as walk: …"`` where the batched executor
     #: would not take that form
     delivery: Optional[str] = None
+    #: the lowering the checks judged (``None`` when lowering was
+    #: refused, or for a pass that made none): a clean report of the
+    #: ``verify_on_build`` hook hands it on as the plan that runs
+    plan: Optional["BatchedPlan"] = field(
+        default=None, repr=False, compare=False
+    )
+    #: the verifier's seconds by stage — ``lowering``, ``kernels``
+    #: (reading the plan's ops, V501/V503/V504), ``effects`` and
+    #: ``shape`` (everything inherited, or the look-up that inherits it)
+    stage_seconds: dict[str, float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:

@@ -43,19 +43,20 @@ first defect.
 
 The checks form two stages (:func:`_run_stages`).  The *shape stage* is
 everything that multiplying all byte extents by one factor cannot
-change; the *instance stage* — that the lowering exists, its kernels
-against the block sets (V501/V503/V504) and the effect pass (V70x) — is
-what the block size can change.  :func:`verify_schedule` runs both;
-:func:`certify_schedule`, given a
+change — what is read off the peer vectors (V502, V705/V706, the row
+masks of V806) included; the *instance stage* — that the lowering
+exists, its kernels against the block sets (V501/V503/V504) and the
+byte-level effect pass (V70x) — is what the block size can change.
+:func:`verify_schedule` runs both; :func:`certify_schedule`, given a
 :class:`~repro.analyze.certificates.CertificateStore`, runs the instance
-stage on every instance and the shape stage once per shape.
+stage on every instance and the shape stage once per shape.  Either way
+the schedule is lowered once, and the report carries that plan.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -71,8 +72,8 @@ import numpy as np
 
 from repro.analyze import match_graph
 from repro.analyze.certificates import (
+    STAGES,
     CertificateStore,
-    kernel_signature,
     normal_form,
 )
 from repro.analyze.report import Certificate, VerificationReport
@@ -85,6 +86,7 @@ from repro.mpisim.datatypes import BlockRef, BlockSet
 from repro.mpisim.exceptions import ScheduleError
 
 if TYPE_CHECKING:
+    from repro.analyze.intervals import PlanEffects
     from repro.core.plan import BatchedPlan, BatchedRound, CompiledCopyProgram
 
 ALLTOALL_KINDS = frozenset({"alltoall", "trivial-alltoall", "direct-alltoall"})
@@ -721,13 +723,23 @@ def _plan_sizes(schedule: Schedule) -> dict[str, int]:
     return sizes
 
 
+def _sentinel_stream(seed: int, nbytes: int) -> np.ndarray:
+    """``nbytes`` random bytes: one generator, one draw."""
+    return np.random.default_rng(seed * 7_919 + 1).integers(
+        0, 256, nbytes, dtype=np.uint8
+    )
+
+
 def _sentinel_buffers(
-    sizes: dict[str, int], seed: int
+    sizes: Mapping[str, int], stream: np.ndarray
 ) -> dict[str, np.ndarray]:
+    """One sentinel array per named buffer, cut back to back (in name
+    order) from the head of ``stream``."""
     out: dict[str, np.ndarray] = {}
-    for bi, name in enumerate(sorted(sizes)):
-        rng = np.random.default_rng(seed * 7_919 + bi * 104_729 + 1)
-        out[name] = rng.integers(0, 256, sizes[name]).astype(np.uint8)
+    pos = 0
+    for name in sorted(sizes):
+        out[name] = stream[pos : pos + sizes[name]]
+        pos += sizes[name]
     return out
 
 
@@ -742,9 +754,14 @@ def _lower(
 
     schedule.prepare()
     try:
-        return compile_batched_plan(schedule, topo, _plan_sizes(schedule))
+        plan = compile_batched_plan(schedule, topo, _plan_sizes(schedule))
+        # an in-place plan's round programs are judged with it (and run
+        # with it, where the build hook hands the plan on): they are
+        # part of the lowering, not of whoever first asks for them
+        plan.deliveries
     except ScheduleError as exc:
         return exc
+    return plan
 
 
 def _lowered_plan(
@@ -757,21 +774,42 @@ def _lowered_plan(
     return lowered
 
 
+def _same_bytes(
+    ref: Mapping[str, np.ndarray],
+    got: dict[str, np.ndarray],
+    names: Optional[Iterable[str]] = None,
+) -> bool:
+    """Whether the buffers of ``got`` (those in ``names``, where only
+    they can have changed) equal those of ``ref`` — and if not, make
+    them, so one wrong round is reported once and the rounds after it
+    start from the reference state again."""
+    bad = [
+        k
+        for k in (ref if names is None else names)
+        if not np.array_equal(ref[k], got[k])
+    ]
+    for k in bad:
+        got[k][:] = ref[k]
+    return not bad
+
+
 def _check_delivery(
     rnd: Round,
     br: "BatchedRound",
     program: Optional["CompiledCopyProgram"],
     sender: Mapping[str, np.ndarray],
-    buffers: Mapping[str, np.ndarray],
+    ref: Mapping[str, np.ndarray],
+    got: dict[str, np.ndarray],
     report: VerificationReport,
     pi: int,
     ri: int,
 ) -> None:
     """One round of an in-place plan: it has a program iff it has both
     halves (V501), and running the program from the ``sender``'s
-    buffers into a receiver's (``buffers``) leaves there what unpacking
-    the sender's packed payload would (V503) — out-of-bounds selectors
-    included, which raise or land on other bytes."""
+    buffers into a receiver's (``got``) leaves there what unpacking
+    the sender's packed payload into the same state (``ref``) would
+    (V503) — out-of-bounds selectors included, which raise or land on
+    other bytes."""
     if (program is None) != (br.send is None or br.recv is None):
         report.add(
             "V501",
@@ -782,15 +820,14 @@ def _check_delivery(
         )
     if program is None:
         return
-    want = {k: v.copy() for k, v in buffers.items()}
-    rnd.recv_blocks.unpack(want, rnd.send_blocks.pack(sender))
-    got = {k: v.copy() for k, v in buffers.items()}
+    rnd.recv_blocks.unpack(ref, rnd.send_blocks.pack(sender))
     try:
         program.run(got, sender)
     except (IndexError, ValueError) as exc:
+        _same_bytes(ref, got)
         why = f"raises {exc!r}"
     else:
-        if all(np.array_equal(want[k], got[k]) for k in want):
+        if _same_bytes(ref, got):
             return
         why = "moves different bytes"
     report.add(
@@ -805,6 +842,7 @@ def _check_plan_kernels(
     schedule: Schedule,
     report: VerificationReport,
     lowered: "BatchedPlan | ScheduleError",
+    effects: Optional["PlanEffects"] = None,
 ) -> Optional["BatchedPlan"]:
     """The kernel half of lowering conformance — what depends on the
     block size, so it runs on every instance.  The plan (from
@@ -816,13 +854,25 @@ def _check_plan_kernels(
     buffers to a receiver's, exactly the bytes the block sets' pack and
     unpack would (V503); its fused local-copy program must leave every
     buffer in the state the schedule's sequential copies produce
-    (V504).  Returns the plan (``None`` when it cannot be used further)
-    so the later passes check the same object."""
+    (V504).  ``effects`` is the caller's reading of the plan's ops when
+    it already has one.  Returns the plan (``None`` when it cannot be
+    used further) so the later passes check the same object.
+
+    All of it runs on one sentinel draw: a receiver's buffers, a
+    sender's, and a payload per round cut from one stream.  The
+    reference and the compiled kernels each work on their own copy of
+    the receiver's buffers, round after round: before a round the two
+    copies are equal (:func:`_same_bytes` sees to it), so they differ
+    after it iff the round's kernel and its block set moved different
+    bytes — and what a round leaves behind is its own fresh payload,
+    never bytes a later round will deliver again."""
+    from repro.analyze.intervals import read_plan
     from repro.core.backend.batched import executor_form
 
     plan = _lowered_plan(lowered, report)
     if plan is None:
         return None
+    read = read_plan(plan, effects)
     delivery = f"{plan.delivery}: {plan.delivery_reason}"
     form = executor_form(plan)
     report.delivery = (
@@ -847,23 +897,7 @@ def _check_plan_kernels(
             return None
     # a lane must divide what it views as words, or the kernels below
     # could not even run
-    views = [
-        (lane, (sizes[src], sizes[dst]))
-        for program in (
-            plan.copy_program,
-            *chain.from_iterable(deliveries or ()),
-        )
-        if program is not None
-        for src, dst, _s, _d, lane in program._sel_ops
-    ] + [
-        (lane, (sizes[name], kernel.total_nbytes))
-        for plan_rounds in plan.phases
-        for br in plan_rounds
-        for kernel in (br.send, br.recv)
-        if kernel is not None
-        for name, _w, _b, lane in kernel._sel_ops
-    ]
-    for lane, extents in views:
+    for lane, extents in read.lane_views():
         if any(n % lane for n in extents):
             report.add(
                 "V501",
@@ -871,18 +905,33 @@ def _check_plan_kernels(
                 f"{extents} bytes",
             )
             return None
-    buffers = _sentinel_buffers(sizes, seed=0)
-    sender = _sentinel_buffers(sizes, seed=1)
+    total = sum(sizes.values())
+    stream = _sentinel_stream(
+        0,
+        2 * total
+        + sum(
+            br.recv.total_nbytes
+            for plan_rounds in plan.phases
+            for br in plan_rounds
+            if br.recv is not None
+        ),
+    )
+    buffers = _sentinel_buffers(sizes, stream)
+    sender = _sentinel_buffers(sizes, stream[total:])
+    payloads = stream[2 * total :]
+    ref = {k: v.copy() for k, v in buffers.items()}
+    got = {k: v.copy() for k, v in buffers.items()}
     for pi, (ph, plan_rounds) in enumerate(zip(schedule.phases, plan.phases)):
         for ri, (rnd, br) in enumerate(zip(ph.rounds, plan_rounds)):
             if deliveries is not None:
                 _check_delivery(
-                    rnd, br, deliveries[pi][ri], sender, buffers,
+                    rnd, br, deliveries[pi][ri], sender, ref, got,
                     report, pi, ri,
                 )
             if br.send is not None:
-                ref = rnd.send_blocks.pack(buffers)
-                if br.send.pack(buffers).tobytes() != ref:
+                if br.send.pack(buffers).tobytes() != rnd.send_blocks.pack(
+                    buffers
+                ):
                     report.add(
                         "V503",
                         f"compiled pack produces different bytes "
@@ -891,27 +940,26 @@ def _check_plan_kernels(
                         round_index=ri,
                     )
             if br.recv is not None:
-                n = rnd.recv_blocks.total_nbytes
-                if br.recv.total_nbytes != n:
+                n = br.recv.total_nbytes
+                payload, payloads = payloads[:n], payloads[n:]
+                if rnd.recv_blocks.total_nbytes != n:
                     report.add(
                         "V503",
                         f"compiled unpack expects "
-                        f"{br.recv.total_nbytes} B, block set "
-                        f"carries {n} B",
+                        f"{n} B, block set "
+                        f"carries {rnd.recv_blocks.total_nbytes} B",
                         phase=pi,
                         round_index=ri,
                     )
                     continue
-                payload = np.random.default_rng(pi * 31 + ri).integers(
-                    0, 256, n
-                ).astype(np.uint8)
-                ref_bufs = {k: v.copy() for k, v in buffers.items()}
-                got_bufs = {k: v.copy() for k, v in buffers.items()}
-                rnd.recv_blocks.unpack(ref_bufs, payload.tobytes())
-                br.recv.unpack_from(got_bufs, payload)
-                if any(
-                    not np.array_equal(ref_bufs[k], got_bufs[k])
-                    for k in ref_bufs
+                rnd.recv_blocks.unpack_from(ref, payload)
+                br.recv.unpack_from(got, payload)
+                # nothing else can have changed: what either side names
+                wrote = read.kernels[pi][ri][1]
+                assert wrote is not None
+                if not _same_bytes(
+                    ref, got,
+                    rnd.recv_blocks.buffers_used().union(wrote.buffers),
                 ):
                     report.add(
                         "V503",
@@ -921,17 +969,15 @@ def _check_plan_kernels(
                         round_index=ri,
                     )
     # V504: fused local-copy program vs. sequential schedule copies
-    ref_bufs = {k: v.copy() for k, v in buffers.items()}
-    got_bufs = {k: v.copy() for k, v in buffers.items()}
-    schedule.run_local_copies(ref_bufs)
-    moved = plan.copy_program.run(got_bufs)
+    schedule.run_local_copies(ref)
+    moved = plan.copy_program.run(got)
     if moved != schedule.local_copy_bytes:
         report.add(
             "V504",
             f"plan reports {moved} B copied locally, schedule "
             f"copies {schedule.local_copy_bytes} B",
         )
-    bad = [k for k in ref_bufs if not np.array_equal(ref_bufs[k], got_bufs[k])]
+    bad = [k for k in ref if not np.array_equal(ref[k], got[k])]
     if bad:
         report.add(
             "V504",
@@ -1029,7 +1075,10 @@ def _check_execution(
     p = topo.size
     if _over_budget(report, "matrix-execution", p * sum(sizes.values())):
         return None
-    start = [_sentinel_buffers(sizes, seed=r) for r in range(p)]
+    total = sum(sizes.values())
+    start = [
+        _sentinel_buffers(sizes, _sentinel_stream(r, total)) for r in range(p)
+    ]
     wanted = _reduce_wanted(schedule, topo, start) if definition else None
     ref_bufs = [{k: v.copy() for k, v in bufs.items()} for bufs in start]
     exchange = LockstepExchange()
@@ -1132,27 +1181,55 @@ def _run_stages(
     schedule: Schedule,
     topo: CartTopology,
     report: VerificationReport,
-    lowered: "BatchedPlan | ScheduleError",
-    witness: Optional[Certificate] = None,
+    inherit: Optional[CertificateStore] = None,
 ) -> None:
-    """The two stages of a verification, in report order, on the one
-    lowering ``lowered``.
+    """One verification: the lowering and the two stages, in report
+    order, every check on the one lowering.
 
     The **shape stage** is every check that multiplying all byte extents
     of the schedule by one factor cannot change: structure, hop parity,
     the closed forms, matching and deadlock, the reduction passes, the
-    content simulation, the rank views' peers, and the sentinel
-    execution of kernels built the way this plan's were.  Given a
-    ``witness`` — the certificate of an instance with the same normal
-    form, topology and kernel signature — it is inherited, not run.
+    content simulation, everything read off the peer vectors — the rank
+    views' peers, the batched permutation and masking, the combine row
+    masks — and the sentinel execution of kernels built the way this
+    plan's were.  With a store to ``inherit`` from that holds the
+    certificate of an instance with the same normal form, topology and
+    kernel signature, it is inherited, not run; a clean report in which
+    nothing was skipped files one.
 
     The **instance stage** is what the block size can change: that the
     lowering exists, its lanes divide, its kernels move the block sets'
     bytes, its copy program is the schedule's (V501/V503/V504), and the
-    whole effect pass (V70x).  It runs on every instance.
-    """
-    from repro.analyze.effects import run_effect_checks
+    byte-level effect pass (V70x, the byte half of V806).  It runs on
+    every instance, on one reading of the plan's ops.
 
+    The seconds of each are booked on ``report.stage_seconds`` (and,
+    summed per path, on the store).
+    """
+    from repro.analyze.effects import check_batched_peers, run_effect_checks
+    from repro.analyze.intervals import PlanEffects
+
+    seconds = dict.fromkeys(STAGES, 0.0)
+    last = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        seconds[stage] += now - last
+        last = now
+
+    lowered = _lower(schedule, topo)
+    lap("lowering")
+    effects = (
+        None if isinstance(lowered, ScheduleError) else PlanEffects(lowered)
+    )
+    lap("kernels")
+    form = None if inherit is None else normal_form(schedule)
+    key: Optional[tuple[object, ...]] = None
+    witness: Optional[Certificate] = None
+    if inherit is not None and form is not None and effects is not None:
+        key = (form.digest, report.dims, report.periods, effects.signature())
+        witness = inherit.lookup(key)
     definition = False
     if witness is None:
         _check_structure(schedule, report)
@@ -1172,10 +1249,15 @@ def _run_stages(
     else:
         report.inherited_from = witness
         report.checks_run.append("inherited-shape")
-    plan = _check_plan_kernels(schedule, report, lowered)
+    lap("shape")
+    plan = report.plan = _check_plan_kernels(
+        schedule, report, lowered, effects
+    )
     report.checks_run.append("plan-lowering")
+    lap("kernels")
     if plan is not None and witness is None:
         _check_rank_views(schedule, topo, plan, report)
+        check_batched_peers(plan, report)
         compared = _check_execution(
             schedule, topo, plan, report, definition=definition
         )
@@ -1183,8 +1265,24 @@ def _run_stages(
             report.checks_run.append("reduce-content")
         if compared is not None:
             report.checks_run.append("matrix-execution")
-    run_effect_checks(schedule, topo, report, plan=plan)
+        lap("shape")
+    run_effect_checks(schedule, topo, report, plan=plan, effects=effects)
     report.checks_run.append("effects")
+    lap("effects")
+    report.stage_seconds = seconds
+    if inherit is None:
+        return
+    if key is not None and witness is None and report.ok and not report.skipped:
+        assert form is not None
+        inherit.file(
+            key,
+            Certificate(
+                form.digest[:12], form.granule, tuple(report.checks_run)
+            ),
+        )
+    inherit.account(
+        seconds, inherited=witness is not None, quotientable=form is not None
+    )
 
 
 def verify_schedule(
@@ -1197,11 +1295,12 @@ def verify_schedule(
     Returns a :class:`VerificationReport` listing *every* violation
     found; ``report.ok`` means the schedule is certified for the given
     ``(dims, periods)`` — including its plan-lowered form (the
-    V501-V506, V805 and effect passes share one lowering, which is not
-    left on the schedule).
+    V501-V506, V805 and effect passes share one lowering, which the
+    report carries as ``report.plan`` and which is not left on the
+    schedule).
     """
     topo, report = _open_report(schedule, dims, periods)
-    _run_stages(schedule, topo, report, _lower(schedule, topo))
+    _run_stages(schedule, topo, report)
     return report
 
 
@@ -1225,36 +1324,8 @@ def certify_schedule(
     only from a clean report in which nothing was skipped, so an
     instance too large to simulate is covered by a smaller witness or
     by nobody."""
-    if inherit is None:
-        report = verify_schedule(schedule, dims, periods)
-        report.raise_if_failed()
-        return report
-    t0 = time.perf_counter()
     topo, report = _open_report(schedule, dims, periods)
-    lowered = _lower(schedule, topo)
-    form = normal_form(schedule)
-    witness: Optional[Certificate] = None
-    if form is None or isinstance(lowered, ScheduleError):
-        _run_stages(schedule, topo, report, lowered)
-    else:
-        key = (
-            form.digest, report.dims, report.periods,
-            kernel_signature(lowered),
-        )
-        witness = inherit.lookup(key)
-        _run_stages(schedule, topo, report, lowered, witness)
-        if witness is None and report.ok and not report.skipped:
-            inherit.file(
-                key,
-                Certificate(
-                    form.digest[:12], form.granule, tuple(report.checks_run)
-                ),
-            )
-    inherit.account(
-        time.perf_counter() - t0,
-        inherited=witness is not None,
-        quotientable=form is not None,
-    )
+    _run_stages(schedule, topo, report, inherit)
     report.raise_if_failed()
     return report
 

@@ -49,7 +49,12 @@ from repro.core.neighborhood import Neighborhood
 from repro.core.nonblocking import SplitPhaseOp
 from repro.core.opstats import OpStats
 from repro.core.persistent import PersistentOp, PersistentReduce
-from repro.core.schedule import BoundOp, Schedule, uniform_block_layout
+from repro.core.schedule import (
+    BoundOp,
+    Schedule,
+    uniform_block_layout,
+    uniform_layout_signature,
+)
 from repro.core.schedule_cache import layout_signature
 from repro.core.topology import CartTopology
 from repro.mpisim.comm import Communicator
@@ -212,7 +217,9 @@ class CartComm:
         """Counters of the process-wide certificate store
         ``verify_on_build`` certifies through: certifications run in
         full and inherited (see :mod:`repro.analyze.certificates`),
-        certificates on file, and the verifier's seconds on each path."""
+        certificates on file, and the verifier's seconds on each path —
+        each a total with its split by stage (``.lowering``,
+        ``.kernels``, ``.effects``, ``.shape``)."""
         from repro.analyze.certificates import GLOBAL_STORE
 
         return GLOBAL_STORE.info()
@@ -377,10 +384,14 @@ class CartComm:
             )
         return sched
 
-    def _build_verifier(self) -> Optional[Callable[[object], None]]:
+    def _build_verifier(self) -> Optional[Callable[[Schedule], None]]:
         """The ``verify_on_build`` hook: when enabled (tests/CI), every
         schedule entering the process-wide cache is first certified by
-        the static verifier — once per entry, never in a timed region."""
+        the static verifier — once per entry, by the rank that built it,
+        on the cold path of the collective that asked for it.  The
+        lowering a clean report judged is filed as the schedule's plan
+        (:func:`repro.core.plan.adopt_certified`): the certified plan is
+        the plan that runs, lowered once."""
         from repro.analyze import config
 
         if not config.verify_on_build():
@@ -388,31 +399,47 @@ class CartComm:
         from repro.analyze.certificates import GLOBAL_STORE
         from repro.analyze.schedule_verifier import certify_schedule
 
-        return lambda sched: certify_schedule(
-            sched, self.dims, self.periods, inherit=GLOBAL_STORE
+        return lambda sched: plan.adopt_certified(
+            sched,
+            lambda: certify_schedule(
+                sched, self.dims, self.periods, inherit=GLOBAL_STORE
+            ).plan,
         )
 
-    def _layout_entry(self, op, algorithm, send_blocks, recv_blocks) -> tuple:
-        """What :meth:`_cached` asks for on a level-1 miss, for a
-        data-movement schedule: its canonical layout signature and the
-        build callable (the builder comes from the one table)."""
-        sig = (layout_signature(send_blocks), layout_signature(recv_blocks))
+    def _builder(self, op, algorithm, layouts) -> Callable[[], Schedule]:
+        """The build callable :meth:`_cached` asks for on a level-1
+        miss, for a data-movement schedule (the builder comes from the
+        one table).  ``layouts()`` gives the ``(send, recv)`` block sets
+        and is called with it — by the one rank that builds."""
         kind = schedule_kind(op, algorithm)
-        send = send_blocks[0] if op == "allgather" else send_blocks
-        return sig, lambda: SCHEDULE_BUILDERS[kind](self.nbh, send, recv_blocks)
+
+        def build() -> Schedule:
+            send_blocks, recv_blocks = layouts()
+            send = send_blocks[0] if op == "allgather" else send_blocks
+            return SCHEDULE_BUILDERS[kind](self.nbh, send, recv_blocks)
+
+        return build
 
     def _regular_schedule(self, op: str, m_bytes: int, algorithm: str) -> Schedule:
         """Schedule of a regular operation (equal ``m_bytes`` blocks)
-        under the cheap ``(op, algorithm, m)`` level-1 key."""
+        under the cheap ``(op, algorithm, m)`` level-1 key.  A level-1
+        miss names the canonical layout arithmetically; block sets are
+        laid out only where a schedule is built."""
         algorithm = self._resolve_algorithm(algorithm, op, m_bytes)
+        t = self.nbh.t
+        send_t = 1 if op == "allgather" else t  # one contributed block
 
         def make():
-            t = self.nbh.t
-            send_t = 1 if op == "allgather" else t  # one contributed block
-            return self._layout_entry(
+            sig = (
+                uniform_layout_signature(m_bytes, send_t, "send"),
+                uniform_layout_signature(m_bytes, t, "recv"),
+            )
+            return sig, self._builder(
                 op, algorithm,
-                uniform_block_layout([m_bytes] * send_t, "send"),
-                uniform_block_layout([m_bytes] * t, "recv"),
+                lambda: (
+                    uniform_block_layout([m_bytes] * send_t, "send"),
+                    uniform_block_layout([m_bytes] * t, "recv"),
+                ),
             )
 
         return self._cached(
@@ -428,9 +455,12 @@ class CartComm:
         share the same global entry."""
         m_bytes = max((b.total_nbytes for b in send_blocks), default=0)
         algorithm = self._resolve_algorithm(algorithm, op, m_bytes)
-        entry = self._layout_entry(op, algorithm, send_blocks, recv_blocks)
+        sig = (layout_signature(send_blocks), layout_signature(recv_blocks))
+        build = self._builder(
+            op, algorithm, lambda: (send_blocks, recv_blocks)
+        )
         sched = self._cached(
-            (op, algorithm, entry[0]), f"{op}/{algorithm}", lambda: entry
+            (op, algorithm, sig), f"{op}/{algorithm}", lambda: (sig, build)
         )
         return BoundOp(name, sched, buffers)
 

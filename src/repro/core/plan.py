@@ -68,6 +68,7 @@ from collections import namedtuple
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Iterable,
     Mapping,
     Optional,
@@ -1692,13 +1693,21 @@ def compile_batched_plan(
     phases: list[list[BatchedRound]] = []
     live_by_phase: list[list[np.ndarray]] = []
     wire_bytes = 0
+    # a neighbourhood that holds an offset's negation too resolves every
+    # peer vector twice — once as targets, once as sources
+    peers: dict[tuple[int, ...], np.ndarray] = {}
+
+    def resolve(offset: tuple[int, ...]) -> np.ndarray:
+        if offset not in peers:
+            peers[offset] = translate_all(topo, offset)
+        return peers[offset]
+
     for phase in schedule.phases:
         rounds: list[BatchedRound] = []
         live_rounds: list[np.ndarray] = []
         for rnd in phase.rounds:
-            neg = tuple(-o for o in rnd.recv_source_offset)
-            sources = translate_all(topo, neg)
-            targets = translate_all(topo, rnd.offset)
+            sources = resolve(tuple(-o for o in rnd.recv_source_offset))
+            targets = resolve(tuple(rnd.offset))
             live_rounds.append(sources >= 0)
             send = recv = None
             if (targets >= 0).any():
@@ -1862,6 +1871,37 @@ def get_or_compile(
         with _CACHE_LOCK:
             _BUILDING.pop(token, None)
         pending.set()
+
+
+def adopt_certified(
+    schedule: "Schedule", certify: Callable[[], Optional[BatchedPlan]]
+) -> None:
+    """Run ``certify`` — the ``verify_on_build`` hook on the freshly
+    built ``schedule``; it raises on a defect and returns the lowering
+    its clean report judged — and file that plan as
+    :func:`get_or_compile` files its own: under the plan's own key (the
+    key a run-time call computes iff the caller's buffers have the
+    sizes the verifier synthesized — every regular collective), under
+    the module lock, behind the generation guard (read before the
+    lowering, so an invalidation that raced it wins), booked as the one
+    miss and the ``compile_seconds`` it was.  What then executes is the
+    object that was certified; a caller with other sizes (a padded
+    ``alltoallw``) misses and compiles at its own."""
+    global _misses, _compile_seconds
+    with _CACHE_LOCK:
+        generation = schedule._plans_generation
+    plan = certify()
+    if plan is None:
+        return
+    with _CACHE_LOCK:
+        _misses += 1
+        _compile_seconds += plan.compile_seconds
+        if (
+            schedule._plans_generation == generation
+            and plan.key not in schedule._plans
+        ):
+            schedule._plans[plan.key] = plan
+            _CACHED.add(plan)
 
 
 def record_walk() -> None:

@@ -25,6 +25,7 @@ persistent operations hand back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -413,3 +414,19 @@ def uniform_block_layout(sizes: Sequence[int], buffer: str) -> list[BlockSet]:
         out.append(BlockSet([BlockRef(buffer, off, int(s))]))
         off += int(s)
     return out
+
+
+@lru_cache(maxsize=1024)
+def uniform_layout_signature(
+    m_bytes: int, count: int, buffer: str
+) -> tuple[tuple[tuple[str, int, int], ...], ...]:
+    """The canonical signature
+    (:func:`~repro.core.schedule_cache.layout_signature`) of
+    ``uniform_block_layout([m_bytes] * count, buffer)``, by arithmetic:
+    no block set is made to name a layout.  Every rank of a
+    communicator asks on its level-1 miss, for the key the first one
+    already computed — hence the memo (the tuple is shared, and
+    immutable all the way down)."""
+    return tuple(
+        ((buffer, i * m_bytes, m_bytes),) for i in range(count)
+    )

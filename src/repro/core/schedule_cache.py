@@ -143,6 +143,15 @@ def schedule_key(
     )
 
 
+class _Flight(threading.Event):
+    """One in-flight build of a key: set when it ends, however it ends.
+    A build or verification that raised leaves its exception here, for
+    the callers that waited on *this* flight; a later call starts a new
+    one."""
+
+    error: Optional[Exception] = None
+
+
 class _Shard:
     """One independent LRU region: its own lock, entries, in-flight
     builds, counters, and invalidation generation."""
@@ -163,8 +172,8 @@ class _Shard:
     def __init__(self, maxsize: int) -> None:
         self.lock = threading.Lock()
         self.entries: OrderedDict[tuple, object] = OrderedDict()
-        #: key -> Event for builds in flight (single-flight coalescing)
-        self.building: dict[tuple, threading.Event] = {}
+        #: key -> the build in flight (single-flight coalescing)
+        self.building: dict[tuple, _Flight] = {}
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
@@ -240,9 +249,10 @@ class ScheduleCache:
 
         ``verify``, when given, runs once on a freshly built schedule
         inside the single-flight section (the ``verify_on_build`` hook):
-        if it raises, the entry is *not* cached and the error propagates
-        to every caller of this key's in-flight build — a defective
-        schedule never enters the cache.
+        if it (or the build) raises, the entry is *not* cached and the
+        error propagates to every caller of this key's in-flight build —
+        a defective schedule never enters the cache, and is rejected
+        once, not once per waiting rank.  The next call builds anew.
         """
         shard = self._shard_of(key)
         while True:
@@ -255,15 +265,18 @@ class ScheduleCache:
                     return entry, True, 0.0
                 pending = shard.building.get(key)
                 if pending is None:
-                    # this thread builds; others will wait on the event
-                    pending = shard.building[key] = threading.Event()
+                    # this thread builds; others will wait on the flight
+                    pending = shard.building[key] = _Flight()
                     shard.misses += 1
                     generation = shard.generation
                     break
             finally:
                 shard.lock.release()
-            # another thread is building this key: wait and re-check
+            # another thread is building this key: wait, share its
+            # failure, else re-check
             pending.wait()
+            if pending.error is not None:
+                raise pending.error
 
         try:
             t0 = time.perf_counter()
@@ -293,6 +306,9 @@ class ScheduleCache:
             if stale:
                 _discard(sched)
             return sched, False, elapsed
+        except Exception as exc:
+            pending.error = exc
+            raise
         finally:
             shard.acquire()
             try:

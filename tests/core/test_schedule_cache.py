@@ -123,6 +123,50 @@ class TestScheduleCacheUnit:
         obj, hit, _ = cache.get_or_build(("k",), lambda: object())
         assert not hit and len(calls) == 1 and obj is not None
 
+    def test_rejected_schedule_is_certified_once_for_every_waiter(self):
+        """A failing ``verify`` reaches every caller of the flight it
+        failed in — they used to wake, find no entry and build and
+        verify again, one after the other: ``p`` certifications of one
+        defective schedule.  The next call starts a new flight."""
+        cache = ScheduleCache()
+        p = 16
+        counts = {"build": 0, "verify": 0}
+        calling = [threading.Event() for _ in range(p)]
+        errors, results = [], []
+
+        def build():
+            counts["build"] += 1
+            return object()
+
+        def verify(sched):
+            counts["verify"] += 1
+            # hold the flight open until every caller is on its way in
+            for event in calling:
+                assert event.wait(timeout=30)
+            time.sleep(0.1)
+            raise ValueError("defective schedule")
+
+        def worker(i):
+            calling[i].set()
+            try:
+                results.append(cache.get_or_build(("k",), build, verify))
+            except ValueError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(p)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert counts == {"build": 1, "verify": 1}
+        assert len(errors) == p and not results
+        assert all(exc is errors[0] for exc in errors)
+        assert len(cache) == 0 and cache.info().builds == 0
+        # nothing is cached and nothing is remembered: the next call retries
+        obj, hit, _ = cache.get_or_build(("k",), build, lambda sched: None)
+        assert not hit and counts["build"] == 2 and len(cache) == 1
+
 
 class TestKeying:
     def test_neighborhood_fingerprint_includes_shape(self):
