@@ -8,7 +8,7 @@ distinct non-zero coordinate.  Paths that share a coordinate *prefix*
 share tree edges, so the per-process communication volume is the edge
 count of the tree — which, unlike the alltoall volume, depends on the
 dimension order.  Following the paper (Section 3.2), trees are built in
-order of **increasing** ``C_k`` (no optimality claim; the ablation bench
+order of **increasing** ``C_k`` (no optimality claim; the ablation test
 compares alternative orders).
 
 The SPMD schedule routes all processes' blocks simultaneously with the
@@ -207,7 +207,7 @@ def build_allgather_schedule(
         ``w`` variant may use different layouts of the same size).
     dim_order:
         overrides the default increasing-``C_k`` dimension order (used by
-        the ablation bench reproducing the Figure 2 comparison).
+        the ablation test reproducing the Figure 2 comparison).
     temp_base:
         first temp byte offset this schedule may use.  The allreduce
         composition appends a forward allgather after the reverse

@@ -28,6 +28,7 @@ import numpy as np
 from repro.core import plan as plan_mod
 from repro.core.reduce_schedule import is_custom_op_token
 from repro.core.schedule import BoundOp
+from repro.mpisim.comm import CARTTAG
 from repro.mpisim.exceptions import MpiSimError, ScheduleError
 
 if TYPE_CHECKING:
@@ -210,7 +211,7 @@ class Backend:
         schedule: "Schedule",
         rank_buffers: Sequence[Mapping[str, np.ndarray]],
         *,
-        tag: int = -7,
+        tag: int = CARTTAG,
         validate: bool = False,
         plan: "plan_mod.BatchedPlan | None" = None,
     ) -> None:

@@ -34,11 +34,8 @@ from repro.core import plan as plan_mod
 from repro.core.backend.base import Transport, allocate_buffers
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
+from repro.mpisim.comm import CARTTAG
 from repro.mpisim.exceptions import ScheduleError
-
-#: Tag used by Cartesian collective schedules (the paper's ``CARTTAG``);
-#: kept numerically identical to ``repro.mpisim.comm.CARTTAG``.
-CARTTAG = -7
 
 
 class ScheduleInterpreter:

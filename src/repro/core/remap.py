@@ -19,7 +19,7 @@ standalone extension:
 * :func:`best_blocked_mapping` — searches the divisor-compatible node
   shapes and returns the best by locality.
 
-The ablation bench compares the default row-major mapping with blocked
+The ablation test compares the default row-major mapping with blocked
 mappings for the paper's stencils.
 """
 

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments [all|table1|table2|fig3|fig4|fig5|fig6|fig7]
+    python -m repro.experiments [all|table1|table2|fig3|fig4|fig5|fig6|fig7|scaling]
                                 [--out DIR] [--certify-backend BACKEND]
 
 ``all`` (the default) runs everything and, with ``--out``, writes the
@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 
-from repro.experiments import figure6, figure7, figures345, table1, table2
+from repro.experiments import figure6, figure7, figures345, scaling, table1, table2
 from repro.experiments.tables import to_csv
 
 
@@ -90,10 +90,21 @@ def run_artifact(name: str) -> tuple[str, dict[str, str]]:
             )
         }
         return text, csvs
+    if name == "scaling":
+        res, sweep = scaling.process_scaling(), scaling.crossover_sweep()
+        return scaling.render(res, sweep), {
+            "scaling_procs.csv": to_csv(
+                ["p", "combining_over_direct", "baseline_spread"],
+                [(p, rel, spread) for p, (rel, spread) in res.by_procs.items()],
+            ),
+            "scaling_crossover.csv": to_csv(
+                ["m_ints", "combining_over_trivial"], list(sweep["ratios"].items())
+            ),
+        }
     raise SystemExit(f"unknown artifact {name!r}")
 
 
-ARTIFACTS = ["table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7"]
+ARTIFACTS = ["table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "scaling"]
 
 
 def main(argv=None) -> int:

@@ -14,8 +14,8 @@ let us ask the natural follow-up questions:
   (d, n) stencil on each machine, and does it match the Table 1 cut-off
   rule?
 
-Both are cheap enough to sweep densely; the benches assert the
-qualitative invariants.
+Both are cheap enough to sweep densely; ``tests/experiments/test_scaling.py``
+asserts the qualitative invariants.
 """
 
 from __future__ import annotations
@@ -119,19 +119,24 @@ def crossover_sweep(
     }
 
 
-def main() -> None:
-    res = process_scaling()
-    print(f"process scaling — {res.machine}, d={res.d} n={res.n} m={res.m_ints}:")
+def render(res: ScalingResult, sweep: dict) -> str:
+    lines = [f"process scaling — {res.machine}, d={res.d} n={res.n} m={res.m_ints}:"]
     for p, (rel, spread) in res.by_procs.items():
-        print(f"  p={p:6d}: combining/direct = {rel:.3f}, "
-              f"baseline spread = {spread:.3f}")
-    sweep = crossover_sweep()
-    print(f"\nblock-size sweep — {sweep['machine']}, d={sweep['d']} "
-          f"n={sweep['n']} (predicted cut-off ≈ "
-          f"{sweep['predicted_cutoff_ints']:.0f} ints):")
+        lines.append(f"  p={p:6d}: combining/direct = {rel:.3f}, "
+                     f"baseline spread = {spread:.3f}")
+    lines.append(f"\nblock-size sweep — {sweep['machine']}, d={sweep['d']} "
+                 f"n={sweep['n']} (predicted cut-off ≈ "
+                 f"{sweep['predicted_cutoff_ints']:.0f} ints):")
     for m, r in sweep["ratios"].items():
         marker = "<- combining wins" if r < 1 else ""
-        print(f"  m={m:5d} ints: combining/trivial = {r:.3f} {marker}")
+        lines.append(f"  m={m:5d} ints: combining/trivial = {r:.3f} {marker}")
+    return "\n".join(lines)
+
+
+def main() -> str:
+    text = render(process_scaling(), crossover_sweep())
+    print(text)
+    return text
 
 
 if __name__ == "__main__":

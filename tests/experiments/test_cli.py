@@ -47,4 +47,10 @@ class TestMain:
     def test_artifact_list_complete(self):
         assert ARTIFACTS == [
             "table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7",
+            "scaling",
         ]
+        # the supplementary sweeps EXPERIMENTS.md quotes are artifacts too
+        text, csvs = run_artifact("scaling")
+        assert "process scaling" in text and "block-size sweep" in text
+        assert csvs["scaling_procs.csv"].startswith("p,combining_over_direct")
+        assert csvs["scaling_crossover.csv"].startswith("m_ints,")

@@ -2,13 +2,20 @@
 
 Absolute numbers are modeled; what must hold is the paper's *shape*:
 who wins, roughly by how much, and where the trends go.  Repetitions
-are reduced to keep the suite fast; the benchmark harness runs the full
-counts.
+are reduced to keep the suite fast; ``python -m repro.experiments`` runs
+the full counts.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.alltoall_schedule import (
+    build_alltoall_schedule,
+    build_trivial_alltoall_blocksets,
+)
+from repro.core.backend import LockstepBackend
+from repro.core.stencils import parameterized_stencil
+from repro.core.topology import CartTopology
 from repro.experiments import figure6, figure7, figures345, table2
 from repro.experiments.figure6 import alltoallv_block_sizes
 from repro.experiments.runner import INT_BYTES, repetitions_for
@@ -21,6 +28,11 @@ REPS = 10
 @pytest.fixture(scope="module")
 def fig3():
     return figures345.run(3, repetitions=REPS)
+
+
+@pytest.fixture(scope="module")
+def fig4():
+    return figures345.run(4, repetitions=REPS)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +83,29 @@ class TestFigure3Shape:
         assert 0.005 < point.absolute_ms(point.baseline) < 0.2
 
 
+class TestFigure4Shape:
+    def test_blocking_and_nonblocking_on_par(self, fig4):
+        """Paper: 'For Intel MPI, blocking and non-blocking neighborhood
+        collectives are on par' (outside the pathology)."""
+        for d, n in [(3, 3), (3, 5), (5, 3)]:
+            for m in (1, 10, 100):
+                rel = fig4.points[(d, n, m)].relative["MPI_Ineighbor_alltoall"]
+                assert 0.8 < rel < 1.25, (d, n, m, rel)
+
+    def test_pathology_on_both_entry_points(self, fig4):
+        """t = 3125: Intel MPI blows up like Open MPI, blocking or not,
+        and message combining is far ahead."""
+        point = fig4.points[(5, 5, 1)]
+        assert point.absolute_ms("MPI_Neighbor_alltoall") > 100
+        assert point.absolute_ms("MPI_Ineighbor_alltoall") > 100
+        assert point.relative["Cart_alltoall"] < 0.05
+
+    def test_combining_wins_small_blocks_everywhere(self, fig4):
+        for (d, n, m), point in fig4.points.items():
+            if m == 1:
+                assert point.relative["Cart_alltoall"] < 1.0, (d, n)
+
+
 class TestFigure5Shape:
     def test_no_pathology_on_cray(self, fig5):
         point = fig5.points[(5, 5, 1)]
@@ -94,6 +129,29 @@ class TestFigure5Shape:
         for (d, n, m), point in fig5.points.items():
             rel = point.relative["Cart_alltoall (trivial, blocking)"]
             assert 1.0 < rel < 5.0, (d, n, m, rel)
+
+
+def test_full_scale_lockstep_correctness():
+    """The correctness half of Figure 5's full-scale claim: the d=3, n=3
+    combining schedule moves real bytes for all 16384 Titan ranks of
+    (32, 32, 16) on the per-rank walk."""
+    topo = CartTopology((32, 32, 16))
+    nbh = parameterized_stencil(3, 3, -1)
+    m = 4
+    sched = build_alltoall_schedule(
+        nbh, *build_trivial_alltoall_blocksets([m] * nbh.t)
+    )
+    fill = (np.arange(topo.size)[:, None] + np.arange(nbh.t)) % 251
+    send = np.repeat(fill, m, axis=1).astype(np.uint8)
+    bufs = [
+        {"send": send[r], "recv": np.zeros(nbh.t * m, np.uint8)}
+        for r in range(topo.size)
+    ]
+    LockstepBackend().execute_all(topo, sched, bufs)
+    for r in np.random.default_rng(5).integers(0, topo.size, 32):
+        for i, off in enumerate(nbh):
+            src = topo.translate(int(r), tuple(-o for o in off))
+            assert (bufs[r]["recv"][i * m : (i + 1) * m] == (src + i) % 251).all()
 
 
 class TestFigure6Shape:
@@ -154,6 +212,19 @@ class TestFigure7Shape:
         tail_s = np.percentile(small, 90) / np.median(small)
         tail_l = np.percentile(large, 90) / np.median(large)
         assert tail_l > 2 * tail_s
+
+    def test_medians_same_order(self, fig7):
+        """The noise moves the tail, not the bulk."""
+        assert np.median(fig7.samples["1024x16"]) < 5 * np.median(
+            fig7.samples["128x16"]
+        )
+
+    def test_seed_stability(self):
+        """The sampled distributions are deterministic per seed."""
+        a = figure7.run(seed=11, repetitions=60)
+        b = figure7.run(seed=11, repetitions=60)
+        for scale in a.samples:
+            assert np.array_equal(a.samples[scale], b.samples[scale])
 
     def test_render_outputs_histograms(self, fig7):
         text = figure7.render(fig7)

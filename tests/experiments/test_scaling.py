@@ -52,3 +52,8 @@ class TestCrossover:
 
     def test_small_blocks_strong_win(self, sweep):
         assert sweep["ratios"][1] < 0.35
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (5, 3)])
+    def test_other_stencils_have_a_crossover_to_report(self, d, n):
+        sweep = crossover_sweep("hydra-openmpi", d, n)
+        assert any(r < 1.0 for r in sweep["ratios"].values())
