@@ -18,8 +18,9 @@ L003      no mutation of frozen/shared schedule data: no
           ``object.__setattr__`` outside ``__init__``/``__post_init__``/
           ``__setattr__``, and no attribute assignment to parameters
           annotated with shared schedule/plan types (``Schedule``,
-          ``Round``, ``BlockSet``, ``FaultPlan``, …) — cached schedules
-          are shared across rank threads and must never be mutated.
+          ``Round``, ``BlockSet``, ``CommRecord``, ``FaultPlan``, …) —
+          cached schedules and a communicator's record are shared
+          across rank threads and must never be mutated.
 L004      every ``except`` in ``mpisim/`` either catches a typed
           ``repro.mpisim.exceptions`` error or re-raises/wraps —
           silently swallowing a generic exception hides rank failures.
@@ -84,6 +85,7 @@ PROTECTED_TYPES = frozenset(
         "Schedule",
         "BlockSet",
         "BlockRef",
+        "CommRecord",
         "WaitPolicy",
         "Neighborhood",
         "Datatype",

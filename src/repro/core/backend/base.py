@@ -154,8 +154,27 @@ def _same_schedule(slots: Sequence[BoundOp]) -> BoundOp:
                 f"mismatched collective: rank {rank} called "
                 f"{(slot.op, slot.schedule.kind)} where rank 0 called "
                 f"{(first.op, first.schedule.kind)}"
+                + _difference(slot, first)
             )
     return first
+
+
+def _difference(mine: BoundOp, root: BoundOp) -> str:
+    """Added to the refusal when operation and kind agree — both sides
+    would print the same: where the two schedules first differ."""
+    a, b = mine.schedule, root.schedule
+    if (mine.op, a.kind) != (root.op, b.kind):
+        return ""
+    what = f"layouts of {a.volume_bytes} B against {b.volume_bytes} B"
+    for i, (ra, rb) in enumerate(zip(a.all_rounds(), b.all_rounds())):
+        if ra != rb:
+            what = f"round {i} moves {ra.nbytes} B against {rb.nbytes} B"
+            break
+    return (
+        f" with a different schedule ({what}); an all-ranks backend runs "
+        f"one schedule for all ranks, so per-rank layouts need "
+        f"backend='threaded'"
+    )
 
 
 class Backend:

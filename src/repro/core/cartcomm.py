@@ -65,6 +65,7 @@ from repro.mpisim.datatypes import (
     blockset_from_datatype,
 )
 from repro.mpisim.exceptions import NeighborhoodError, ScheduleError, TopologyError
+from repro.mpisim.exceptions import UnknownBufferError
 
 if TYPE_CHECKING:
     from repro.analyze.certificates import CertificateInfo
@@ -95,26 +96,49 @@ def _as_blockset(spec: TypeSpecLike) -> BlockSet:
     return blockset_from_datatype(buffer, dtype, base=int(displ), count=int(count))
 
 
-def verify_isomorphic(comm: Communicator, nbh: Neighborhood) -> None:
+class CommRecord:
+    """What Section 2.2 makes the same on every rank of a communicator,
+    held once per process: the root lays it out and a rank whose own
+    arguments agree works on that very object.  ``schedules`` (level 1
+    of :meth:`CartComm._cached`) and ``checked`` (:meth:`CartComm.
+    _check_bounds`) are filled by whichever rank gets there first —
+    concurrent fills store equal values; ``args`` are the creator's raw
+    arguments, for the identity test that spares a sibling the layout."""
+
+    __slots__ = ("args", "topo", "nbh", "canonical", "schedules", "checked")
+
+    def __init__(self, topo: CartTopology, nbh: Neighborhood, args: tuple = ()):
+        nbh.validate_for_dims(topo.dims)
+        self.args, self.topo, self.nbh = args, topo, nbh
+        self.canonical = nbh.sorted_canonical()
+        self.schedules: dict[tuple, Schedule] = {}
+        self.checked: dict[tuple, Schedule] = {}
+
+
+def verify_isomorphic(rank: int, mine: CommRecord, root: CommRecord) -> CommRecord:
     """Section 2.2's check that all processes supplied the same
-    neighborhood: every process compares its ``t`` and its canonically
+    neighborhood: ``rank`` compares its ``t`` and its canonically
     sorted offset list with the root's.  O(t) data per process — which
     the rank threads of one engine do not have to send: the root leaves
-    it at the communicator's rendezvous and the others read it by
-    reference (a root that never arrives is named by the deadlock
-    report, like a receive that never matches)."""
-    mine = nbh.sorted_canonical()
-    root_t, root_sorted = comm.share((nbh.t, mine))
-    if root_t != nbh.t:
+    its record at the communicator's rendezvous and the others read it
+    by reference (a root that never arrives is named by the deadlock
+    report, like a receive that never matches).  Returns the record
+    ``rank`` goes on with: the root's, or its own for a consistent
+    permutation of the root's list (legal, but other schedules)."""
+    if root.nbh.t != mine.nbh.t:
         raise NeighborhoodError(
-            f"rank {comm.rank}: neighborhood size {nbh.t} differs from "
-            f"root's {root_t} — neighborhoods are not Cartesian"
+            f"rank {rank}: neighborhood size {mine.nbh.t} differs from "
+            f"root's {root.nbh.t} — neighborhoods are not Cartesian"
         )
-    if not np.array_equal(root_sorted, mine):
+    if not np.array_equal(root.canonical, mine.canonical):
         raise NeighborhoodError(
-            f"rank {comm.rank}: neighborhood differs from the root's — "
+            f"rank {rank}: neighborhood differs from the root's — "
             f"neighborhoods are not Cartesian"
         )
+    same = (mine.topo, mine.nbh, mine.nbh.weights) == (
+        root.topo, root.nbh, root.nbh.weights
+    )
+    return root if same else mine
 
 
 def select_algorithm(
@@ -154,21 +178,18 @@ class CartComm:
     def __init__(
         self,
         comm: Communicator,
-        topo: CartTopology,
-        nbh: Neighborhood,
+        record: CommRecord,
         *,
         info: Optional[dict] = None,
-        validate: bool = True,
         backend: Union[str, Backend, None] = None,
     ):
-        if comm.size != topo.size:
+        self.topo, self.nbh = record.topo, record.nbh
+        if comm.size != self.topo.size:
             raise TopologyError(
-                f"communicator size {comm.size} != topology size {topo.size}"
+                f"communicator size {comm.size} != topology size {self.topo.size}"
             )
-        nbh.validate_for_dims(topo.dims)
-        self.comm = comm.dup()
-        self.topo = topo
-        self.nbh = nbh
+        self.comm = comm  # its own matching space: the caller's dup
+        self.record = record
         self.info = dict(info or {})
         self.alpha = float(self.info.get("alpha", DEFAULT_ALPHA))
         self.beta = float(self.info.get("beta", DEFAULT_BETA))
@@ -177,9 +198,6 @@ class CartComm:
         self.backend = get_backend(
             backend if backend is not None else self.info.get("backend")
         )
-        if validate:
-            verify_isomorphic(self.comm, nbh)
-        self._schedule_cache: dict[tuple, Schedule] = {}
         self._op_seq = 0
         self.stats = None
         if self.info.get("collect_stats"):
@@ -357,17 +375,18 @@ class CartComm:
     def _cached(self, key: tuple, kind: str, make) -> Schedule:
         """Two-level schedule lookup.
 
-        Level 1 is the per-communicator dictionary under a cheap ``key``
-        (no block layouts constructed on a hit).  Level 2 is the
-        process-wide :mod:`repro.core.schedule_cache` under the
-        canonical fingerprint — shared between communicators with the
-        same layout and, by isomorphism, between sibling rank threads,
-        which would otherwise each build an identical schedule.
+        Level 1 is the communicator's dictionary (:class:`CommRecord`,
+        one for all its ranks: the first rank's miss is its siblings'
+        hit) under a cheap ``key`` — no block layouts constructed on a
+        hit.  Level 2 is the process-wide :mod:`repro.core.
+        schedule_cache` under the canonical fingerprint, shared between
+        communicators with the same layout.
 
         ``make()`` is called only on a level-1 miss and returns
         ``(layout_signature, build_callable)``.
         """
-        sched = self._schedule_cache.get(key)
+        level1 = self.record.schedules
+        sched = level1.get(key)
         hit, build_seconds = True, 0.0
         if sched is None:
             layout_sig, build = make()
@@ -377,7 +396,7 @@ class CartComm:
             sched, hit, build_seconds = schedule_cache.get_or_build(
                 gkey, build, self._build_verifier()
             )
-            self._schedule_cache[key] = sched
+            level1[key] = sched
         if self.stats is not None:
             self.stats.record_cache(
                 hit, build_seconds, backend=self.backend.name
@@ -463,6 +482,21 @@ class CartComm:
             (op, algorithm, sig), f"{op}/{algorithm}", lambda: (sig, build)
         )
         return BoundOp(name, sched, buffers)
+
+    def _check_bounds(self, bound: BoundOp) -> None:
+        """``Schedule.validate(buffers)`` for a persistent handle, walked
+        once per (schedule, buffer sizes) of the communicator, not once
+        per rank.  The memo sits beside the bind: ``validate`` stays a
+        pure function (the analyzers validate, mutate, validate again)."""
+        sched = bound.schedule
+        sizes = plan.buffer_signature(plan.effective_sizes(sched, bound.buffers))
+        key = (id(sched), sizes)  # the entry holds sched: no id reuse
+        if self.record.checked.get(key) is not sched:
+            try:
+                sched.validate(bound.buffers)
+            except UnknownBufferError as exc:
+                raise UnknownBufferError(f"{bound.op}: {exc}") from None
+            self.record.checked[key] = sched
 
     # ------------------------------------------------------------------
     # regular operations
@@ -912,20 +946,46 @@ def cart_neighborhood_create(
     Prefer ``"batched"`` for large meshes — it runs the whole mesh as
     one vectorized numpy program.
     """
-    topo = CartTopology(dims, periods)
-    if isinstance(offsets, Neighborhood):
-        nbh = offsets if weights is None else Neighborhood(offsets.offsets, weights)
-    else:
-        arr = np.asarray(offsets, dtype=np.int64)
-        if arr.ndim == 1:
-            if arr.size % topo.ndim:
-                raise NeighborhoodError(
-                    f"flattened offset list of {arr.size} entries is not a "
-                    f"multiple of d={topo.ndim}"
-                )
-            arr = arr.reshape(-1, topo.ndim)
-        nbh = Neighborhood(arr, weights)
     del reorder  # accepted, not acted upon (matches measured MPI libraries)
-    return CartComm(
-        comm, topo, nbh, info=info, validate=validate, backend=backend
-    )
+    args = (dims, periods, offsets, weights)
+
+    def own() -> CommRecord:  # this rank's arguments, checked and laid out
+        topo = CartTopology(dims, periods)
+        if isinstance(offsets, Neighborhood):
+            nbh = offsets if weights is None else Neighborhood(offsets.offsets, weights)
+        else:
+            arr = np.asarray(offsets, dtype=np.int64)
+            if arr.ndim == 1:
+                if arr.size % topo.ndim:
+                    raise NeighborhoodError(
+                        f"flattened offset list of {arr.size} entries is not a "
+                        f"multiple of d={topo.ndim}"
+                    )
+                arr = arr.reshape(-1, topo.ndim)
+            nbh = Neighborhood(arr, weights)
+        return CommRecord(topo, nbh, args)
+
+    # The root lays out what Section 2.2 makes the same everywhere; a
+    # rank that brought the root's very arguments reads it, any other
+    # lays out its own and makes that section's O(t) comparison.
+    comm = comm.dup()
+    if not validate:
+        record = own()
+    elif comm.rank == 0:
+        try:
+            record = own()
+        except Exception as exc:
+            comm.share(exc)  # nobody waits for a record that never comes
+            raise
+        comm.share(record)
+    else:
+        record = comm.share(None)
+        if isinstance(record, Exception):
+            own()  # equally bad arguments: this rank's own error
+            raise NeighborhoodError(
+                f"rank {comm.rank}: the root's arguments were refused "
+                f"({record}) — neighborhoods are not Cartesian"
+            )
+        if any(a is not b for a, b in zip(args, record.args)):
+            record = verify_isomorphic(comm.rank, own(), record)
+    return CartComm(comm, record, info=info, backend=backend)

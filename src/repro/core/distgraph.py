@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core import baseline
-from repro.core.cartcomm import CartComm
+from repro.core.cartcomm import CartComm, CommRecord
 from repro.core.neighborhood import Neighborhood
 from repro.core.topology import CartTopology
 from repro.mpisim.comm import Communicator
@@ -181,7 +181,7 @@ class DistGraphComm:
             self.detection_result = "source-mismatch"
             return
         self.detection_result = "cartesian"
-        self._cart = CartComm(self.comm, topo, canon, validate=False)
+        self._cart = CartComm(self.comm.dup(), CommRecord(topo, canon))
         assert tperm is not None and rperm is not None
         identity = list(range(canon.t))
         self._send_perm = tperm if tperm != identity else None

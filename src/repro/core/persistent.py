@@ -42,7 +42,7 @@ class PersistentOp:
             self._temp_finalizer = weakref.finalize(
                 self, plan_mod.GLOBAL_POOL.release, temp
             )
-        schedule.validate(self.buffers)
+        cart._check_bounds(BoundOp(self.op, schedule, self.buffers))
         self._started = False
         self._freed = False
         self.executions = 0

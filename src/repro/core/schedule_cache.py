@@ -113,14 +113,10 @@ def neighborhood_fingerprint(nbh: Neighborhood) -> tuple:
     return (nbh.t, nbh.d, nbh.offsets.tobytes(), nbh.weights)
 
 
-def blockset_signature(bs: BlockSet) -> tuple:
-    """Canonical identity of one block description: the exact ordered
-    (buffer, offset, nbytes) triples."""
-    return tuple((b.buffer, b.offset, b.nbytes) for b in bs)
-
-
 def layout_signature(blocksets: Sequence[BlockSet]) -> tuple:
-    return tuple(blockset_signature(bs) for bs in blocksets)
+    """Canonical identity of a per-neighbor layout: each block set's
+    exact ordered (buffer, offset, nbytes) triples (cached on it)."""
+    return tuple(bs.signature() for bs in blocksets)
 
 
 def schedule_key(

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.mpisim.exceptions import TruncationError
+from repro.mpisim.exceptions import TruncationError, UnknownBufferError
 
 
 def byte_view(arr: np.ndarray) -> np.ndarray:
@@ -517,16 +517,38 @@ class BlockSet:
     regions are contiguous in memory collapse to a single slice copy.
     """
 
-    __slots__ = ("blocks", "_runs")
+    __slots__ = ("blocks", "_runs", "_sig", "_frozen")
 
     def __init__(self, blocks: Sequence[BlockRef] = ()):
         self.blocks: list[BlockRef] = list(blocks)
         self._runs: list[BlockRef] | None = None
+        self._sig: tuple | None = None
+        self._frozen = False
 
     def append(self, ref: BlockRef) -> None:
         """The ``TypeApp`` operation."""
+        if self._frozen:
+            raise TypeError(
+                "append on a frozen (shared) BlockSet; copy it: BlockSet(bs.blocks)"
+            )
         self.blocks.append(ref)
-        self._runs = None
+        self._runs = self._sig = None
+
+    def freeze(self) -> "BlockSet":
+        """Close the block set to :meth:`append`, before sharing it
+        between ranks (:func:`repro.stencil.halo.halo_specs` does)."""
+        self._frozen = True
+        return self
+
+    def signature(self) -> tuple[tuple[str, int, int], ...]:
+        """Canonical identity: the exact ordered (buffer, offset,
+        nbytes) triples — computed once, like :meth:`coalesced_runs`."""
+        sig = self._sig
+        if sig is None:
+            sig = self._sig = tuple(
+                (b.buffer, b.offset, b.nbytes) for b in self.blocks
+            )
+        return sig
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -576,7 +598,9 @@ class BlockSet:
         """Check every block fits inside its buffer (debug aid)."""
         for b in self.blocks:
             if b.buffer not in buffers:
-                raise KeyError(f"block references unknown buffer {b.buffer!r}")
+                raise UnknownBufferError(
+                    f"block references unknown buffer {b.buffer!r}, not in {sorted(buffers)}"
+                )
             cap = buffers[b.buffer].nbytes
             if b.end() > cap:
                 raise TruncationError(

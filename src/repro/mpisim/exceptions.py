@@ -181,3 +181,11 @@ class ScheduleError(MpiSimError):
     """Raised when schedule construction or execution detects an internal
     inconsistency (e.g. a block that does not terminate in the receive
     buffer, or mismatched round send/receive block counts)."""
+
+
+class UnknownBufferError(ScheduleError, KeyError):
+    """A block names a buffer the caller did not supply (the bounds
+    check used to say ``KeyError``, the plan compiler ``ScheduleError``)."""
+
+    def __str__(self) -> str:  # KeyError's would repr-quote the message
+        return str(self.args[0]) if self.args else ""

@@ -30,6 +30,7 @@ zero-copy argument for needing the ``w`` variants).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -100,7 +101,7 @@ def halo_specs(
     nbh: Neighborhood,
     itemsize: int,
     buffer: str = "grid",
-) -> tuple[list[BlockSet], list[BlockSet]]:
+) -> tuple[tuple[BlockSet, ...], tuple[BlockSet, ...]]:
     """Per-neighbor (send, receive) block sets for a halo exchange.
 
     ``interior_shape`` is the owned region (without ghosts); the local
@@ -108,8 +109,18 @@ def halo_specs(
     offsets must lie in {−1, 0, +1}; the zero offset (if present) maps
     to an empty exchange (a process needs nothing from itself for a halo
     swap).
+
+    Committed once per process, as Listing 3 commits ROW/COL/COR once:
+    the result depends on the argument *values* alone, so every rank of
+    equal local shape gets the same two tuples of *frozen* block sets
+    (ranks of an uneven decomposition keep their own).
     """
     interior = tuple(int(x) for x in interior_shape)
+    return _halo_specs(interior, int(depth), nbh, int(itemsize), buffer)
+
+
+@lru_cache(maxsize=64)  # an entry of a large 3-D grid is a long block list
+def _halo_specs(interior, depth, nbh, itemsize, buffer):  # nbh: by its offsets
     if len(interior) != nbh.d:
         raise NeighborhoodError(
             f"grid dimension {len(interior)} != neighborhood dimension {nbh.d}"
@@ -141,4 +152,4 @@ def halo_specs(
         )
         sends.append(region_from_slices(full_shape, send_sl, itemsize, buffer))
         recvs.append(region_from_slices(full_shape, recv_sl, itemsize, buffer))
-    return sends, recvs
+    return tuple(b.freeze() for b in sends), tuple(b.freeze() for b in recvs)

@@ -1010,7 +1010,25 @@ class TestRendezvousInPlace:
         for message, untouched in seen.values():
             assert "rank 5 called ('alltoallv', 'alltoall')" in message
             assert "rank 0 called ('alltoall', 'alltoall')" in message
+            assert "different schedule" not in message  # the names say it
             assert untouched
+        assert GLOBAL_POOL.stats().outstanding_bytes == 0
+
+        # Same operation and kind on every rank, but per-rank layouts
+        # (an uneven decomposition: local blocks of 17 and 16 columns):
+        # the two names would print the same, so the refusal says where
+        # the schedules differ and which backend runs per-rank layouts.
+        from repro.apps import GameOfLife
+
+        board = (np.random.default_rng(3).random((66, 65)) < 0.35).astype(np.uint8)
+        with pytest.raises(RankFailedError) as ei:
+            GameOfLife(board, (4, 4), 2).run(backend=name)
+        message = str(ei.value.cause)
+        assert isinstance(ei.value.cause, ScheduleError)
+        assert "rank 1 called ('alltoallw', 'alltoall')" in message
+        assert "round 0 moves 18 B against 19 B" in message
+        assert "one schedule for all ranks" in message
+        assert "backend='threaded'" in message
         assert GLOBAL_POOL.stats().outstanding_bytes == 0
 
     def test_equal_schedules_meet_without_sharing_an_object(self):

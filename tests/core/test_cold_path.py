@@ -72,7 +72,7 @@ def _alltoall(m):
         )
         recv = np.zeros_like(send)
         cart.alltoall(send, recv, algorithm="combining")
-        return recv, cart._schedule_cache
+        return recv, cart.record.schedules
 
     return fn
 
@@ -142,7 +142,7 @@ class TestTheCertifiedPlanIsThePlanThatRuns:
                 a[i * pitch : i * pitch + row] = (cart.rank * t + i) % 251
             b = np.full(nbytes, 255, np.uint8)
             cart.alltoallw({"a": a, "b": b}, sendtypes, recvtypes, "combining")
-            return b, cart._schedule_cache
+            return b, cart.record.schedules
 
         out = run_cartesian(DIMS, NBH, fn, info={"backend": "batched"}, timeout=60)
         (report,) = spy["reports"]
@@ -235,7 +235,7 @@ class TestRegularLayoutIsNamedArithmetically:
             cart.alltoallv(
                 send, [m] * t, recv, [m] * t, algorithm="combining"
             )
-            regular, irregular = cart._schedule_cache.values()
+            regular, irregular = cart.record.schedules.values()
             return regular is irregular
 
         assert all(run_cartesian(DIMS, NBH, fn, timeout=60))
