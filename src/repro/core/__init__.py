@@ -74,7 +74,6 @@ from repro.core.schedule_cache import (
     ScheduleCache,
     cache_clear,
     cache_info,
-    cache_resize,
 )
 from repro.core.serialize import load_schedule, save_schedule
 from repro.core.verify import verify_allgather, verify_alltoall, verify_halo
@@ -101,7 +100,6 @@ __all__ = [
     "ScheduleCache",
     "cache_clear",
     "cache_info",
-    "cache_resize",
     "load_schedule",
     "save_schedule",
     "verify_alltoall",

@@ -19,20 +19,7 @@ import numpy as np
 
 from repro.core.cartcomm import CartComm, cart_neighborhood_create
 from repro.core.neighborhood import Neighborhood
-from repro.mpisim.engine import Engine
-from repro.mpisim.engine import run_ranks as _run_ranks
-
-
-def run_ranks(
-    nranks: int,
-    fn: Callable[..., Any],
-    *,
-    timeout: float = 120.0,
-    tracing: bool = False,
-    args: Optional[Sequence[tuple]] = None,
-) -> list[Any]:
-    """Run ``fn(comm, *args[rank])`` on ``nranks`` virtual MPI ranks."""
-    return _run_ranks(nranks, fn, timeout=timeout, tracing=tracing, args=args)
+from repro.mpisim.engine import Engine, run_ranks  # run_ranks: re-exported
 
 
 def run_cartesian(

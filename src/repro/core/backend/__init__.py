@@ -27,7 +27,6 @@ from repro.core.backend.base import (
     BackendError,
     Transport,
     allocate_buffers,
-    allocate_rank_buffers,
 )
 from repro.core.backend.batched import BatchedBackend
 from repro.core.backend.interpreter import CARTTAG, ScheduleInterpreter
@@ -83,6 +82,5 @@ __all__ = [
     "ThreadedTransport",
     "Transport",
     "allocate_buffers",
-    "allocate_rank_buffers",
     "get_backend",
 ]

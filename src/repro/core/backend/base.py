@@ -28,7 +28,6 @@ import numpy as np
 from repro.core import plan as plan_mod
 from repro.core.reduce_schedule import is_custom_op_token
 from repro.core.schedule import BoundOp
-from repro.mpisim.comm import CARTTAG
 from repro.mpisim.exceptions import MpiSimError, ScheduleError
 
 if TYPE_CHECKING:
@@ -64,14 +63,6 @@ def allocate_buffers(
         else:
             buffers["temp"] = np.empty(schedule.temp_nbytes, dtype=np.uint8)
     return buffers
-
-
-def allocate_rank_buffers(
-    schedule: "Schedule",
-    user_buffers: Sequence[Mapping[str, np.ndarray]],
-) -> list[dict[str, np.ndarray]]:
-    """Per-rank buffer dictionaries with scratch space added."""
-    return [allocate_buffers(schedule, b) for b in user_buffers]
 
 
 class Transport:
@@ -230,8 +221,6 @@ class Backend:
         schedule: "Schedule",
         rank_buffers: Sequence[Mapping[str, np.ndarray]],
         *,
-        tag: int = CARTTAG,
-        validate: bool = False,
         plan: "plan_mod.BatchedPlan | None" = None,
     ) -> None:
         """Execute ``schedule`` for every rank of ``topo`` in one call,

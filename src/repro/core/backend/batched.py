@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.core import plan as plan_mod
 from repro.core.backend.base import Backend
-from repro.core.backend.interpreter import CARTTAG
 from repro.core.backend.lockstep import WALK
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
@@ -96,8 +95,6 @@ class BatchedBackend(Backend):
         schedule: Schedule,
         rank_buffers: Sequence[Mapping[str, np.ndarray]],
         *,
-        tag: int = CARTTAG,
-        validate: bool = False,
         plan: plan_mod.BatchedPlan | None = None,
     ) -> None:
         p = topo.size
@@ -111,16 +108,8 @@ class BatchedBackend(Backend):
         if form.startswith("walk"):
             plan_mod.record_walk()
             # every rank looks up the plan of its own sizes
-            WALK.execute_all(
-                topo, schedule, rank_buffers, tag=tag, validate=validate
-            )
+            WALK.execute_all(topo, schedule, rank_buffers)
             return
-        if validate:
-            # layouts are uniform, so one rank's validation covers all
-            check = dict(rank_buffers[0])
-            if schedule.temp_nbytes > 0 and "temp" not in check:
-                check["temp"] = np.empty(schedule.temp_nbytes, np.uint8)
-            schedule.validate(check)
         if form.startswith("in-place"):
             plan.deliver(rank_buffers)
             return

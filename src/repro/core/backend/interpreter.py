@@ -57,7 +57,6 @@ class ScheduleInterpreter:
         buffers: Mapping[str, np.ndarray],
         *,
         tag: int = CARTTAG,
-        validate: bool = False,
         observe: bool = True,
         skip_empty_phases: bool = False,
         plan: "plan_mod.RankPlan | None" = None,
@@ -76,7 +75,6 @@ class ScheduleInterpreter:
             else None
         )
         self.tag = tag
-        self.validate = validate
         self.observe = observe
         self.skip_empty_phases = skip_empty_phases
         #: this rank's view of the lowered plan (fetched in
@@ -111,8 +109,6 @@ class ScheduleInterpreter:
     # ------------------------------------------------------------------
     def begin(self) -> None:
         """Prepare the schedule and open the (optional) trace region."""
-        if self.validate:
-            self.schedule.validate(self.buffers)
         # Idempotent: cached schedules arrive prepared; one-shot
         # schedules get their coalesced-copy plans computed before the
         # timed phases.

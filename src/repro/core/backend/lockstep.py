@@ -42,7 +42,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.backend.base import Backend, Transport
-from repro.core.backend.interpreter import CARTTAG, ScheduleInterpreter
+from repro.core.backend.interpreter import ScheduleInterpreter
 from repro.core.plan import GLOBAL_POOL, BatchedPlan
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
@@ -173,8 +173,6 @@ class LockstepBackend(Backend):
         schedule: Schedule,
         rank_buffers: Sequence[Mapping[str, np.ndarray]],
         *,
-        tag: int = CARTTAG,
-        validate: bool = False,
         plan: BatchedPlan | None = None,
     ) -> None:
         # ``plan`` is not used: every rank looks up the plan of its own
@@ -192,8 +190,6 @@ class LockstepBackend(Backend):
                     topo,
                     schedule,
                     rank_buffers[r],
-                    tag=tag,
-                    validate=validate,
                     observe=False,
                 )
                 for r in range(p)

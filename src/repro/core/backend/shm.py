@@ -48,7 +48,7 @@ from repro.core.backend.base import (
     Transport,
 )
 from repro.core import plan as plan_mod
-from repro.core.backend.interpreter import CARTTAG, ScheduleInterpreter
+from repro.core.backend.interpreter import ScheduleInterpreter
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import BlockSet, byte_view
@@ -178,8 +178,6 @@ class ShmBackend(Backend):
         schedule: Schedule,
         rank_buffers: Sequence[Mapping[str, np.ndarray]],
         *,
-        tag: int = CARTTAG,
-        validate: bool = False,
         plan: plan_mod.BatchedPlan | None = None,
     ) -> None:
         # ``plan`` is not used: the workers look their views up
@@ -247,8 +245,6 @@ class ShmBackend(Backend):
                         topo,
                         schedule,
                         buffers,
-                        tag=tag,
-                        validate=validate,
                         observe=False,
                     ).run()
                 except BaseException:  # noqa: BLE001 - reported to parent

@@ -15,7 +15,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.backend.base import Backend, Transport
-from repro.core.backend.interpreter import CARTTAG, ScheduleInterpreter
+from repro.core.backend.interpreter import ScheduleInterpreter
 from repro.core.plan import BatchedPlan
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
@@ -97,8 +97,6 @@ class ThreadedBackend(Backend):
         schedule: Schedule,
         rank_buffers: Sequence[Mapping[str, np.ndarray]],
         *,
-        tag: int = CARTTAG,
-        validate: bool = False,
         plan: BatchedPlan | None = None,
     ) -> None:
         # ``plan`` is not used: the rank threads look their views up
@@ -110,8 +108,6 @@ class ThreadedBackend(Backend):
                 topo,
                 schedule,
                 rank_buffers[comm.rank],
-                tag=tag,
-                validate=validate,
             ).run()
 
         Engine(topo.size, timeout=120.0).run(fn)

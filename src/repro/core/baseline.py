@@ -27,6 +27,41 @@ from repro.mpisim.comm import Communicator
 NEIGHBOR_TAG = -9
 
 
+def _exchange(
+    comm: Communicator,
+    sources: Sequence[Optional[int]],
+    recv_blocks: Sequence[np.ndarray],
+    targets: Sequence[Optional[int]],
+    send_blocks: Sequence[np.ndarray],
+) -> None:
+    """Direct delivery: one non-blocking receive per in-neighbor, one
+    non-blocking send per out-neighbor, then wait for all.  ``None``
+    entries (missing neighbors on non-periodic meshes) skip the
+    corresponding transfer, leaving the receive block untouched."""
+    requests = [
+        comm.irecv_into(block, src, NEIGHBOR_TAG)
+        for src, block in zip(sources, recv_blocks)
+        if src is not None
+    ]
+    requests += [
+        comm.isend_buffer(block, dst, NEIGHBOR_TAG)
+        for dst, block in zip(targets, send_blocks)
+        if dst is not None
+    ]
+    comm.waitall(requests)
+
+
+def _blocks(
+    buf: np.ndarray, counts: Sequence[int], displs: Optional[Sequence[int]]
+) -> list[np.ndarray]:
+    """One slice of ``buf`` per neighbor; counts/displacements in
+    elements of the buffer's dtype (MPI convention; displacements
+    default to the running prefix sums)."""
+    if displs is None:
+        displs = np.concatenate([[0], np.cumsum(counts)[:-1]]) if counts else []
+    return [buf[int(lo) : int(lo) + int(n)] for lo, n in zip(displs, counts)]
+
+
 def neighbor_alltoall_direct(
     comm: Communicator,
     sources: Sequence[Optional[int]],
@@ -34,9 +69,7 @@ def neighbor_alltoall_direct(
     sendbuf: np.ndarray,
     recvbuf: np.ndarray,
 ) -> np.ndarray:
-    """Regular direct-delivery alltoall: equal blocks in neighbor order.
-    ``None`` entries (missing neighbors on non-periodic meshes) skip the
-    corresponding transfer, leaving the receive block untouched."""
+    """Regular direct-delivery alltoall: equal blocks in neighbor order."""
     s = len(sources)
     t = len(targets)
     if t and sendbuf.size % t:
@@ -45,20 +78,13 @@ def neighbor_alltoall_direct(
         raise ValueError(f"recvbuf size {recvbuf.size} not divisible by {s}")
     ms = sendbuf.size // t if t else 0
     mr = recvbuf.size // s if s else 0
-    requests = []
-    for i, src in enumerate(sources):
-        if src is None:
-            continue
-        requests.append(
-            comm.irecv_into(recvbuf[i * mr : (i + 1) * mr], src, NEIGHBOR_TAG)
-        )
-    for i, dst in enumerate(targets):
-        if dst is None:
-            continue
-        requests.append(
-            comm.isend_buffer(sendbuf[i * ms : (i + 1) * ms], dst, NEIGHBOR_TAG)
-        )
-    comm.waitall(requests)
+    _exchange(
+        comm,
+        sources,
+        [recvbuf[i * mr : (i + 1) * mr] for i in range(s)],
+        targets,
+        [sendbuf[i * ms : (i + 1) * ms] for i in range(t)],
+    )
     return recvbuf
 
 
@@ -73,35 +99,16 @@ def neighbor_alltoallv_direct(
     sdispls: Optional[Sequence[int]] = None,
     rdispls: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Irregular direct-delivery alltoall; counts/displacements in
-    elements of the buffers' dtype (MPI convention; displacements default
-    to the running prefix sums)."""
+    """Irregular direct-delivery alltoall (see :func:`_blocks`)."""
     if len(sendcounts) != len(targets) or len(recvcounts) != len(sources):
         raise ValueError("one count per neighbor required")
-    if sdispls is None:
-        sdispls = np.concatenate([[0], np.cumsum(sendcounts)[:-1]]) if sendcounts else []
-    if rdispls is None:
-        rdispls = np.concatenate([[0], np.cumsum(recvcounts)[:-1]]) if recvcounts else []
-    requests = []
-    for i, src in enumerate(sources):
-        if src is None:
-            continue
-        lo = int(rdispls[i])
-        requests.append(
-            comm.irecv_into(
-                recvbuf[lo : lo + int(recvcounts[i])], src, NEIGHBOR_TAG
-            )
-        )
-    for i, dst in enumerate(targets):
-        if dst is None:
-            continue
-        lo = int(sdispls[i])
-        requests.append(
-            comm.isend_buffer(
-                sendbuf[lo : lo + int(sendcounts[i])], dst, NEIGHBOR_TAG
-            )
-        )
-    comm.waitall(requests)
+    _exchange(
+        comm,
+        sources,
+        _blocks(recvbuf, recvcounts, rdispls),
+        targets,
+        _blocks(sendbuf, sendcounts, sdispls),
+    )
     return recvbuf
 
 
@@ -117,18 +124,13 @@ def neighbor_allgather_direct(
     if s and recvbuf.size % s:
         raise ValueError(f"recvbuf size {recvbuf.size} not divisible by {s}")
     m = recvbuf.size // s if s else 0
-    requests = []
-    for i, src in enumerate(sources):
-        if src is None:
-            continue
-        requests.append(
-            comm.irecv_into(recvbuf[i * m : (i + 1) * m], src, NEIGHBOR_TAG)
-        )
-    for dst in targets:
-        if dst is None:
-            continue
-        requests.append(comm.isend_buffer(sendbuf, dst, NEIGHBOR_TAG))
-    comm.waitall(requests)
+    _exchange(
+        comm,
+        sources,
+        [recvbuf[i * m : (i + 1) * m] for i in range(s)],
+        targets,
+        [sendbuf] * len(targets),
+    )
     return recvbuf
 
 
@@ -141,24 +143,14 @@ def neighbor_allgatherv_direct(
     recvcounts: Sequence[int],
     rdispls: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Irregular direct-delivery allgather."""
+    """Irregular direct-delivery allgather (see :func:`_blocks`)."""
     if len(recvcounts) != len(sources):
         raise ValueError("one receive count per source required")
-    if rdispls is None:
-        rdispls = np.concatenate([[0], np.cumsum(recvcounts)[:-1]]) if recvcounts else []
-    requests = []
-    for i, src in enumerate(sources):
-        if src is None:
-            continue
-        lo = int(rdispls[i])
-        requests.append(
-            comm.irecv_into(
-                recvbuf[lo : lo + int(recvcounts[i])], src, NEIGHBOR_TAG
-            )
-        )
-    for dst in targets:
-        if dst is None:
-            continue
-        requests.append(comm.isend_buffer(sendbuf, dst, NEIGHBOR_TAG))
-    comm.waitall(requests)
+    _exchange(
+        comm,
+        sources,
+        _blocks(recvbuf, recvcounts, rdispls),
+        targets,
+        [sendbuf] * len(targets),
+    )
     return recvbuf

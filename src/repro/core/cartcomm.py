@@ -115,6 +115,17 @@ class CommRecord:
         self.checked: dict[tuple, Schedule] = {}
 
 
+def mismatch(mine: CommRecord, root: CommRecord) -> Optional[str]:
+    """Section 2.2's O(t) comparison of one process with the root: what
+    differs — ``"size"`` (step 1, the neighbor count ``t``), ``"offsets"``
+    (step 2, the canonically sorted offset list) — or ``None``."""
+    if root.nbh.t != mine.nbh.t:
+        return "size"
+    if not np.array_equal(root.canonical, mine.canonical):
+        return "offsets"
+    return None
+
+
 def verify_isomorphic(rank: int, mine: CommRecord, root: CommRecord) -> CommRecord:
     """Section 2.2's check that all processes supplied the same
     neighborhood: ``rank`` compares its ``t`` and its canonically
@@ -125,12 +136,13 @@ def verify_isomorphic(rank: int, mine: CommRecord, root: CommRecord) -> CommReco
     report, like a receive that never matches).  Returns the record
     ``rank`` goes on with: the root's, or its own for a consistent
     permutation of the root's list (legal, but other schedules)."""
-    if root.nbh.t != mine.nbh.t:
+    differs = mismatch(mine, root)
+    if differs == "size":
         raise NeighborhoodError(
             f"rank {rank}: neighborhood size {mine.nbh.t} differs from "
             f"root's {root.nbh.t} — neighborhoods are not Cartesian"
         )
-    if not np.array_equal(root.canonical, mine.canonical):
+    if differs == "offsets":
         raise NeighborhoodError(
             f"rank {rank}: neighborhood differs from the root's — "
             f"neighborhoods are not Cartesian"

@@ -14,7 +14,11 @@ communicator-creation time:
    process checks its own equals it;
 3. on success, preselect the specialized Cartesian algorithms.
 
-The check costs O(t) data — cheap.  Reconstructing each process's
+The check costs O(t) data — cheap — which the rank threads of one
+engine do not have to send: they meet once, by reference
+(:meth:`~repro.mpisim.comm.Communicator.rendezvous`), and the
+comparison is :func:`repro.core.cartcomm.mismatch`, the one
+``cart_neighborhood_create`` makes.  Reconstructing each process's
 *relative* neighborhood from its target rank list requires the
 underlying Cartesian layout, which an MPI library would have because the
 distributed graph is created on (or from) a Cartesian communicator; here
@@ -32,11 +36,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core import baseline
-from repro.core.cartcomm import CartComm, CommRecord
+from repro.core.cartcomm import CartComm, CommRecord, mismatch
 from repro.core.neighborhood import Neighborhood
 from repro.core.topology import CartTopology
 from repro.mpisim.comm import Communicator
-from repro.mpisim.exceptions import NeighborhoodError
 
 
 class DistGraphComm:
@@ -105,11 +108,6 @@ class DistGraphComm:
     def is_cartesian(self) -> bool:
         return self._cart is not None
 
-    @property
-    def cartesian_comm(self) -> Optional[CartComm]:
-        """The accelerated Cartesian communicator, when detected."""
-        return self._cart
-
     # ------------------------------------------------------------------
     # Section 2.2 detection
     # ------------------------------------------------------------------
@@ -124,106 +122,24 @@ class DistGraphComm:
         return Neighborhood(np.asarray(rel, dtype=np.int64))
 
     def _detect_cartesian(self) -> None:
-        """Run the broadcast-and-compare check; on success attach the
-        Cartesian fast path."""
-        nbh = self._relative_neighborhood()
-        # Step 1: same neighbor count everywhere?
-        my_t = -1 if nbh is None else nbh.t
-        root_t = self.comm.bcast(my_t, root=0)
-        same_t = self.comm.allreduce(
-            my_t == root_t and my_t >= 0, lambda a, b: a and b
-        )
-        if not same_t:
-            self.detection_result = "degree-mismatch"
-            return
-        # Step 2: same sorted relative neighborhood everywhere?
-        assert nbh is not None
-        root_sorted = self.comm.bcast(nbh.sorted_canonical(), root=0)
-        same_nbh = self.comm.allreduce(
-            bool(np.array_equal(root_sorted, nbh.sorted_canonical())),
-            lambda a, b: a and b,
-        )
-        if not same_nbh:
-            self.detection_result = "offset-mismatch"
-            return
-        # Step 3: sanity — do the reconstructed offsets really map back to
-        # the given rank lists?  (Aliasing through the torus can make the
-        # minimal representative differ from the user's intended offset,
-        # but it must address the same process.)
-        topo = self.cart_topology
-        for off, tgt in zip(nbh, self.targets):
-            if topo.translate(self.rank, off) != tgt:  # pragma: no cover
-                self.detection_result = "reconstruction-failed"
-                return
-        # Step 4: canonicalize the neighbor order.  Neighborhoods that
-        # are equal as multisets may still be *ordered* differently per
-        # process (MPI allows any consistent rearrangement, and
-        # ``MPI_Dist_graph_create`` e.g. produces sorted rank lists,
-        # whose offset order varies with the caller's coordinates).  A
-        # rank-dependent order would make the combining schedules
-        # rank-dependent, violating the SPMD premise the schedule layer
-        # and the all-ranks backends build on.  Adopt the root's order
-        # everywhere and keep each process's deviation as two *local*
-        # slot permutations applied around the collective — never inside
-        # the schedule.
-        canon = Neighborhood(
-            np.asarray(self.comm.bcast(list(nbh), root=0), dtype=np.int64)
-        )
-        tperm = self._slot_permutation(canon, nbh)
-        rperm = self._source_permutation(canon)
-        all_aligned = self.comm.allreduce(
-            tperm is not None and rperm is not None, lambda a, b: a and b
-        )
-        if not all_aligned:
-            # some process's source list is not the mirror of its target
-            # list — decline collectively so every rank dispatches the
-            # same way
-            self.detection_result = "source-mismatch"
-            return
-        self.detection_result = "cartesian"
-        self._cart = CartComm(self.comm.dup(), CommRecord(topo, canon))
-        assert tperm is not None and rperm is not None
-        identity = list(range(canon.t))
-        self._send_perm = tperm if tperm != identity else None
-        self._recv_perm = rperm if rperm != identity else None
-
-    @staticmethod
-    def _slot_permutation(
-        canon: Neighborhood, own: Neighborhood
-    ) -> Optional[list[int]]:
-        """For each canonical offset index ``i``, the slot of that offset
-        in this process's own order (consuming duplicates in order);
-        ``None`` when the two are not rearrangements of each other."""
-        available: dict[tuple[int, ...], list[int]] = {}
-        for j, off in enumerate(own):
-            available.setdefault(off, []).append(j)
-        perm: list[int] = []
-        for off in canon:
-            slots = available.get(off)
-            if not slots:
-                return None
-            perm.append(slots.pop(0))
-        return perm
-
-    def _source_permutation(self, nbh: Neighborhood) -> Optional[list[int]]:
-        """For each target index ``i``, the source-list slot that must
-        receive the block from ``rank − N[i]``; ``None`` when the source
-        list is not a rearrangement of the mirrored targets."""
+        """Section 2.2 at one meeting: every process leaves its relative
+        neighborhood and its rank lists by reference, one of them
+        reaches the verdict for all (:func:`_detect`) and every process
+        reads it — so a decline is collective and all ranks dispatch the
+        same way.  On success attach the Cartesian fast path."""
         topo = self.cart_topology
         assert topo is not None
-        available: dict[int, list[int]] = {}
-        for j, s in enumerate(self.sources):
-            available.setdefault(s, []).append(j)
-        perm: list[int] = []
-        for off in nbh:
-            s = topo.translate(self.rank, tuple(-o for o in off))
-            slots = available.get(s)
-            if not slots:
-                return None
-            perm.append(slots.pop(0))
-        if any(slots for slots in available.values()):
-            return None  # extra source entries with no matching target
-        return perm
+        mine = (self._relative_neighborhood(), self.sources, self.targets)
+        self.detection_result, record, perms = self.comm.rendezvous(
+            mine, lambda slots: _detect(topo, slots)
+        )
+        if record is None:
+            return
+        self._cart = CartComm(self.comm.dup(), record)
+        identity = list(range(record.nbh.t))
+        tperm, rperm = perms[self.rank]
+        self._send_perm = tperm if tperm != identity else None
+        self._recv_perm = rperm if rperm != identity else None
 
     # ------------------------------------------------------------------
     # neighborhood collectives (MPI_Neighbor_*)
@@ -348,6 +264,100 @@ class DistGraphComm:
             f"DistGraphComm(rank={self.rank}, in={len(self.sources)}, "
             f"out={len(self.targets)}, detection={self.detection_result})"
         )
+
+
+def _detect(
+    topo: CartTopology, slots: Sequence[tuple]
+) -> tuple[str, Optional[CommRecord], list]:
+    """The verdict for all ranks: ``slots[r]`` is rank ``r``'s
+    ``(relative neighborhood or None, sources, targets)``.  Returns the
+    ``detection_result``, the communicator record of the Cartesian fast
+    path (``None`` when declined) and every rank's ``(send, receive)``
+    slot permutations."""
+    if any(nbh is None for nbh, _, _ in slots):
+        return "degree-mismatch", None, []
+    # Steps 1 and 2: the root's neighbor count, then its sorted relative
+    # neighborhood, everywhere?
+    records = [CommRecord(topo, nbh) for nbh, _, _ in slots]
+    differs = {mismatch(record, records[0]) for record in records}
+    if "size" in differs:
+        return "degree-mismatch", None, []
+    if "offsets" in differs:
+        return "offset-mismatch", None, []
+    # Step 3: sanity — do the reconstructed offsets really map back to
+    # the given rank lists?  (Aliasing through the torus can make the
+    # minimal representative differ from the user's intended offset,
+    # but it must address the same process.)
+    for rank, (nbh, _, targets) in enumerate(slots):
+        for off, tgt in zip(nbh, targets):
+            if topo.translate(rank, off) != tgt:  # pragma: no cover
+                return "reconstruction-failed", None, []
+    # Step 4: canonicalize the neighbor order.  Neighborhoods that are
+    # equal as multisets may still be *ordered* differently per process
+    # (MPI allows any consistent rearrangement, and
+    # ``MPI_Dist_graph_create`` e.g. produces sorted rank lists, whose
+    # offset order varies with the caller's coordinates).  A
+    # rank-dependent order would make the combining schedules
+    # rank-dependent, violating the SPMD premise the schedule layer and
+    # the all-ranks backends build on.  Adopt the root's order
+    # everywhere and keep each process's deviation as two *local* slot
+    # permutations applied around the collective — never inside the
+    # schedule.
+    canon = records[0].nbh
+    perms = [
+        (
+            _slot_permutation(canon, nbh),
+            _source_permutation(topo, rank, sources, canon),
+        )
+        for rank, (nbh, sources, _) in enumerate(slots)
+    ]
+    if any(tperm is None or rperm is None for tperm, rperm in perms):
+        # some process's source list is not the mirror of its target
+        # list — decline, for every rank
+        return "source-mismatch", None, []
+    return "cartesian", records[0], perms
+
+
+def _slot_permutation(
+    canon: Neighborhood, own: Neighborhood
+) -> Optional[list[int]]:
+    """For each canonical offset index ``i``, the slot of that offset
+    in a process's own order (consuming duplicates in order); ``None``
+    when the two are not rearrangements of each other."""
+    available: dict[tuple[int, ...], list[int]] = {}
+    for j, off in enumerate(own):
+        available.setdefault(off, []).append(j)
+    perm: list[int] = []
+    for off in canon:
+        slots = available.get(off)
+        if not slots:
+            return None
+        perm.append(slots.pop(0))
+    return perm
+
+
+def _source_permutation(
+    topo: CartTopology,
+    rank: int,
+    sources: Sequence[Optional[int]],
+    nbh: Neighborhood,
+) -> Optional[list[int]]:
+    """For each target index ``i``, the slot of ``sources`` that must
+    receive the block from ``rank − N[i]``; ``None`` when the source
+    list is not a rearrangement of the mirrored targets."""
+    available: dict[Optional[int], list[int]] = {}
+    for j, s in enumerate(sources):
+        available.setdefault(s, []).append(j)
+    perm: list[int] = []
+    for off in nbh:
+        s = topo.translate(rank, tuple(-o for o in off))
+        slots = available.get(s)
+        if not slots:
+            return None
+        perm.append(slots.pop(0))
+    if any(slots for slots in available.values()):
+        return None  # extra source entries with no matching target
+    return perm
 
 
 def dist_graph_create_adjacent(

@@ -80,7 +80,7 @@ import numpy as np
 
 from repro.core.schedule import LocalCopy
 from repro.mpisim.datatypes import BlockRef, byte_view
-from repro.mpisim.exceptions import ScheduleError, TruncationError
+from repro.mpisim.exceptions import ScheduleError, TruncationError, UnknownBufferError
 
 if TYPE_CHECKING:
     from repro.core.schedule import LocalCombine, Phase, Schedule
@@ -484,7 +484,7 @@ def compile_blockset(
     for b in runs:
         cap = sizes.get(b.buffer)
         if cap is None:
-            raise ScheduleError(
+            raise UnknownBufferError(
                 f"block references unknown buffer {b.buffer!r}"
             )
         if b.end() > cap:
@@ -623,7 +623,7 @@ def compile_copies(
         for ref in (lc.src, lc.dst):
             cap = sizes.get(ref.buffer)
             if cap is None:
-                raise ScheduleError(
+                raise UnknownBufferError(
                     f"local copy references unknown buffer {ref.buffer!r}"
                 )
             if ref.end() > cap:
@@ -1203,7 +1203,7 @@ def _compile_batched_combines(
             for ref in (step.src, step.dst):
                 cap = sizes.get(ref.buffer)
                 if cap is None:
-                    raise ScheduleError(
+                    raise UnknownBufferError(
                         f"combine step references unknown buffer "
                         f"{ref.buffer!r}"
                     )

@@ -226,12 +226,6 @@ class Schedule:
         """Per-process communication volume in bytes."""
         return sum(r.nbytes for ph in self.phases for r in ph.rounds)
 
-    @property
-    def max_round_bytes(self) -> int:
-        return max(
-            (r.nbytes for ph in self.phases for r in ph.rounds), default=0
-        )
-
     def all_rounds(self) -> list[Round]:
         return [r for ph in self.phases for r in ph.rounds]
 

@@ -17,39 +17,27 @@ profitable:
 
 This module therefore keeps one immutable schedule per canonical
 fingerprint ``(kind, neighborhood, dims/periods, block-layout
-signature)`` in a bounded, thread-safe LRU shared by the whole process.
-Concurrent requests for the same key are coalesced: exactly one thread
-builds, the rest wait and share the result.  Cached schedules are
-*finalized* (:meth:`~repro.core.schedule.Schedule.prepare`) so the
-coalesced-copy plans are computed once at build time, not per call.
+signature)`` in a bounded LRU shared by the whole process: one lock, one
+``OrderedDict``.  The lock covers look-ups and filing only; a build runs
+outside it, so builds of distinct keys overlap in time.  Concurrent
+requests for the same key are coalesced: exactly one thread builds, the
+rest wait on its flight and share the result (or its error).  Cached
+schedules are *finalized* (:meth:`~repro.core.schedule.Schedule.prepare`)
+so the coalesced-copy plans are computed once at build time, not per
+call.
 
-**Sharding.**  The cache is split into independent shards, each with its
-own lock and LRU chain; a key's shard is a stable hash of the canonical
-fingerprint.  Concurrent lookups and builds for *different* keys no
-longer contend on one global lock — the hot path of the schedule
-service (:mod:`repro.serve`), where thousands of client connections
-resolve keys at once, and of the in-process path for every backend.
-Single-flight semantics and the plan-invalidation hook are per shard and
-unchanged: one build per key, eviction drops a schedule's compiled
-plans.  Caches too small to shard meaningfully (``maxsize`` below
-``MIN_ENTRIES_PER_SHARD`` per shard) collapse to a single shard and
-behave exactly like the historical global-LRU cache; with several
-shards, the LRU bound is partitioned over the shards so eviction is
-approximate-global (exact within each shard).
-
-**Eviction racing a build.**  A build completes *outside* the shard
-lock.  If the shard was invalidated meanwhile (``clear``), the finished
-schedule must not be resurrected into the cache: every shard carries a
-generation counter, bumped on ``clear``, and a builder only files its
+**Eviction racing a build.**  If the cache was invalidated (``clear``)
+while a build ran, the finished schedule must not be resurrected: a
+generation counter is bumped on ``clear``, and a builder only files its
 result when the generation it started under still stands.  A stale
 result is returned to its caller (it is a correct schedule for the
 request) but never cached, and its compiled plans are dropped so the
 invalidation cannot leak them.
 
 The cache is observable via :func:`cache_info` (hits, misses, builds,
-cumulative build time, shard count, lock contention) and per
-communicator through the ``OpStats`` cache counters; :func:`cache_clear`
-empties it (tests, long-running services rotating neighborhoods).
+cumulative build time) and per communicator through the ``OpStats``
+cache counters; :func:`cache_clear` empties it (tests, long-running
+services rotating neighborhoods).
 """
 
 from __future__ import annotations
@@ -57,7 +45,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, namedtuple
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.neighborhood import Neighborhood
 from repro.mpisim.datatypes import BlockSet
@@ -68,30 +56,9 @@ from repro.mpisim.datatypes import BlockSet
 #: without limit, not to save memory in the common case.
 DEFAULT_MAXSIZE = 512
 
-#: Default shard count (``ScheduleCache(shards=)`` overrides).  Eight locks
-#: is plenty for the thread counts the backends fork; the count is
-#: clamped so every shard keeps at least ``MIN_ENTRIES_PER_SHARD``
-#: entries — tiny caches degenerate to one shard (exact global LRU).
-DEFAULT_SHARDS = 8
-MIN_ENTRIES_PER_SHARD = 64
-
 CacheInfo = namedtuple(
     "CacheInfo",
-    [
-        "hits",
-        "misses",
-        "builds",
-        "build_seconds",
-        "currsize",
-        "maxsize",
-        "shards",
-        "contended",
-    ],
-)
-
-ShardInfo = namedtuple(
-    "ShardInfo",
-    ["hits", "misses", "builds", "currsize", "maxsize", "contended"],
+    ["hits", "misses", "builds", "build_seconds", "currsize", "maxsize"],
 )
 
 
@@ -148,87 +115,26 @@ class _Flight(threading.Event):
     error: Optional[Exception] = None
 
 
-class _Shard:
-    """One independent LRU region: its own lock, entries, in-flight
-    builds, counters, and invalidation generation."""
-
-    __slots__ = (
-        "lock",
-        "entries",
-        "building",
-        "maxsize",
-        "hits",
-        "misses",
-        "builds",
-        "build_seconds",
-        "contended",
-        "generation",
-    )
-
-    def __init__(self, maxsize: int) -> None:
-        self.lock = threading.Lock()
-        self.entries: OrderedDict[tuple, object] = OrderedDict()
-        #: key -> the build in flight (single-flight coalescing)
-        self.building: dict[tuple, _Flight] = {}
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.builds = 0
-        self.build_seconds = 0.0
-        #: lock acquisitions that found the lock held (the contention
-        #: signal sharding exists to reduce; exported to telemetry)
-        self.contended = 0
-        #: bumped by ``clear`` so builders that started before an
-        #: invalidation never file their result afterwards
-        self.generation = 0
-
-    def acquire(self) -> None:
-        if not self.lock.acquire(blocking=False):
-            self.contended += 1  # benign race: it is a statistic
-            self.lock.acquire()
-
-    def evict_over_bound(self) -> None:
-        """Pop LRU entries above the bound (call with the lock held)."""
-        while len(self.entries) > self.maxsize:
-            _discard(self.entries.popitem(last=False)[1])
-
-
 class ScheduleCache:
-    """A bounded, thread-safe, sharded LRU of immutable schedules with
+    """A bounded, thread-safe LRU of immutable schedules with
     single-flight builds (one construction per key, however many rank
     threads ask concurrently)."""
 
-    def __init__(
-        self, maxsize: int = DEFAULT_MAXSIZE, shards: Optional[int] = None
-    ):
+    def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
-        requested = DEFAULT_SHARDS if shards is None else int(shards)
-        if requested <= 0:
-            raise ValueError("shards must be positive")
-        if shards is None:
-            # auto mode: never shard below MIN_ENTRIES_PER_SHARD entries
-            # per shard, so small caches keep exact global LRU order
-            requested = min(requested, max(1, maxsize // MIN_ENTRIES_PER_SHARD))
-        nshards = min(requested, maxsize)
         self.maxsize = maxsize
-        self._shards: List[_Shard] = [
-            _Shard(self._shard_bound(maxsize, i, nshards))
-            for i in range(nshards)
-        ]
-
-    @staticmethod
-    def _shard_bound(maxsize: int, index: int, nshards: int) -> int:
-        """Partition ``maxsize`` over the shards (sum is exact)."""
-        base, extra = divmod(maxsize, nshards)
-        return base + (1 if index < extra else 0)
-
-    def _shard_of(self, key: tuple) -> _Shard:
-        return self._shards[hash(key) % len(self._shards)]
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._shards)
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        #: key -> the build in flight (single-flight coalescing)
+        self._building: dict[tuple, _Flight] = {}
+        self._hits = 0
+        self._misses = 0
+        self._builds = 0
+        self._build_seconds = 0.0
+        #: bumped by ``clear`` so builders that started before an
+        #: invalidation never file their result afterwards
+        self._generation = 0
 
     # ------------------------------------------------------------------
     def get_or_build(
@@ -250,24 +156,20 @@ class ScheduleCache:
         a defective schedule never enters the cache, and is rejected
         once, not once per waiting rank.  The next call builds anew.
         """
-        shard = self._shard_of(key)
         while True:
-            shard.acquire()
-            try:
-                entry = shard.entries.get(key)
+            with self._lock:
+                entry = self._entries.get(key)
                 if entry is not None:
-                    shard.entries.move_to_end(key)
-                    shard.hits += 1
+                    self._entries.move_to_end(key)
+                    self._hits += 1
                     return entry, True, 0.0
-                pending = shard.building.get(key)
+                pending = self._building.get(key)
                 if pending is None:
                     # this thread builds; others will wait on the flight
-                    pending = shard.building[key] = _Flight()
-                    shard.misses += 1
-                    generation = shard.generation
+                    pending = self._building[key] = _Flight()
+                    self._misses += 1
+                    generation = self._generation
                     break
-            finally:
-                shard.lock.release()
             # another thread is building this key: wait, share its
             # failure, else re-check
             pending.wait()
@@ -283,135 +185,66 @@ class ScheduleCache:
                 prepare()
             if verify is not None:
                 verify(sched)
-            shard.acquire()
-            try:
-                shard.builds += 1
-                shard.build_seconds += elapsed
-                if shard.generation == generation:
-                    shard.entries[key] = sched
-                    shard.entries.move_to_end(key)
-                    shard.evict_over_bound()
-                    stale = False
-                else:
-                    # the shard was invalidated while we built: do not
-                    # resurrect the entry, and drop any plans compiled
-                    # against it so the invalidation cannot leak them
-                    stale = True
-            finally:
-                shard.lock.release()
+            with self._lock:
+                self._builds += 1
+                self._build_seconds += elapsed
+                stale = self._generation != generation
+                if not stale:
+                    self._entries[key] = sched
+                    self._entries.move_to_end(key)
+                    while len(self._entries) > self.maxsize:
+                        _discard(self._entries.popitem(last=False)[1])
             if stale:
+                # the cache was invalidated while we built: do not
+                # resurrect the entry, and drop any plans compiled
+                # against it so the invalidation cannot leak them
                 _discard(sched)
             return sched, False, elapsed
         except Exception as exc:
             pending.error = exc
             raise
         finally:
-            shard.acquire()
-            try:
-                shard.building.pop(key, None)
-            finally:
-                shard.lock.release()
+            with self._lock:
+                self._building.pop(key, None)
             pending.set()
 
     def get(self, key: tuple) -> Optional[object]:
         """Plain lookup (no build, no waiting); counts a hit or miss."""
-        shard = self._shard_of(key)
-        shard.acquire()
-        try:
-            entry = shard.entries.get(key)
+        with self._lock:
+            entry = self._entries.get(key)
             if entry is not None:
-                shard.entries.move_to_end(key)
-                shard.hits += 1
+                self._entries.move_to_end(key)
+                self._hits += 1
             else:
-                shard.misses += 1
+                self._misses += 1
             return entry
-        finally:
-            shard.lock.release()
 
     # ------------------------------------------------------------------
     def info(self) -> CacheInfo:
-        hits = misses = builds = currsize = contended = 0
-        build_seconds = 0.0
-        for shard in self._shards:
-            shard.acquire()
-            try:
-                hits += shard.hits
-                misses += shard.misses
-                builds += shard.builds
-                build_seconds += shard.build_seconds
-                currsize += len(shard.entries)
-                contended += shard.contended
-            finally:
-                shard.lock.release()
-        return CacheInfo(
-            hits=hits,
-            misses=misses,
-            builds=builds,
-            build_seconds=build_seconds,
-            currsize=currsize,
-            maxsize=self.maxsize,
-            shards=len(self._shards),
-            contended=contended,
-        )
-
-    def shard_info(self) -> list[ShardInfo]:
-        """Per-shard counters (telemetry: hot-shard / contention view)."""
-        out = []
-        for shard in self._shards:
-            shard.acquire()
-            try:
-                out.append(
-                    ShardInfo(
-                        hits=shard.hits,
-                        misses=shard.misses,
-                        builds=shard.builds,
-                        currsize=len(shard.entries),
-                        maxsize=shard.maxsize,
-                        contended=shard.contended,
-                    )
-                )
-            finally:
-                shard.lock.release()
-        return out
+        with self._lock:
+            return CacheInfo(
+                hits=self._hits,
+                misses=self._misses,
+                builds=self._builds,
+                build_seconds=self._build_seconds,
+                currsize=len(self._entries),
+                maxsize=self.maxsize,
+            )
 
     def clear(self) -> None:
-        for shard in self._shards:
-            shard.acquire()
-            try:
-                for entry in shard.entries.values():
-                    _discard(entry)
-                shard.entries.clear()
-                shard.hits = 0
-                shard.misses = 0
-                shard.builds = 0
-                shard.build_seconds = 0.0
-                shard.contended = 0
-                shard.generation += 1
-            finally:
-                shard.lock.release()
-
-    def resize(self, maxsize: int) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        nshards = len(self._shards)
-        for i, shard in enumerate(self._shards):
-            shard.acquire()
-            try:
-                shard.maxsize = self._shard_bound(maxsize, i, nshards)
-                shard.evict_over_bound()
-            finally:
-                shard.lock.release()
+        with self._lock:
+            for entry in self._entries.values():
+                _discard(entry)
+            self._entries.clear()
+            self._hits = 0
+            self._misses = 0
+            self._builds = 0
+            self._build_seconds = 0.0
+            self._generation += 1
 
     def __len__(self) -> int:
-        total = 0
-        for shard in self._shards:
-            shard.acquire()
-            try:
-                total += len(shard.entries)
-            finally:
-                shard.lock.release()
-        return total
+        with self._lock:
+            return len(self._entries)
 
 
 #: The process-wide instance shared by every communicator and runner.
@@ -431,16 +264,6 @@ def cache_info() -> CacheInfo:
     return GLOBAL_CACHE.info()
 
 
-def cache_shard_info() -> list[ShardInfo]:
-    """Per-shard counters of the process-wide schedule cache."""
-    return GLOBAL_CACHE.shard_info()
-
-
 def cache_clear() -> None:
     """Empty the process-wide schedule cache and reset its counters."""
     GLOBAL_CACHE.clear()
-
-
-def cache_resize(maxsize: int) -> None:
-    """Change the LRU bound of the process-wide cache."""
-    GLOBAL_CACHE.resize(maxsize)

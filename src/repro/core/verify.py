@@ -44,6 +44,47 @@ def _sentinel(rank: int, index: int, nbytes: int) -> np.ndarray:
     return rng.integers(0, 256, nbytes).astype(np.uint8)
 
 
+def _sentinel_buffers(
+    topo: CartTopology, send_sizes: Sequence[int], recv_nbytes: int
+) -> list[dict[str, np.ndarray]]:
+    """Per-rank ``{"send", "recv"}`` buffers: ``send`` holds one
+    sentinel block per entry of ``send_sizes``, ``recv`` is zeroed."""
+    offs = np.concatenate([[0], np.cumsum(send_sizes)]).astype(int)
+    bufs = []
+    for r in range(topo.size):
+        send = np.zeros(int(offs[-1]), np.uint8)
+        for i, nbytes in enumerate(send_sizes):
+            send[offs[i] : offs[i + 1]] = _sentinel(r, i, nbytes)
+        bufs.append({"send": send, "recv": np.zeros(recv_nbytes, np.uint8)})
+    return bufs
+
+
+def _check_buffers(
+    topo: CartTopology,
+    nbh: "Neighborhood",
+    bufs: Sequence[dict],
+    block_sizes: Sequence[int],
+    sent: Sequence[int],
+    kind: str,
+) -> None:
+    """Receive block ``i`` of rank ``r`` must equal, byte for byte, send
+    block ``sent[i]`` of process ``(r − N[i]) mod dims`` (``kind`` names
+    the collective in the error)."""
+    offs = np.concatenate([[0], np.cumsum(block_sizes)]).astype(int)
+    for r in range(topo.size):
+        for i, off in enumerate(nbh):
+            src = topo.translate(r, tuple(-o for o in off))
+            if src is None:
+                continue
+            expect = _sentinel(src, sent[i], block_sizes[i])
+            got = bufs[r]["recv"][offs[i] : offs[i + 1]]
+            if not np.array_equal(got, expect):
+                raise ScheduleError(
+                    f"{kind} verification failed: rank {r}, neighbor "
+                    f"{i} (offset {off}): block from {src} corrupted"
+                )
+
+
 def alltoall_sentinel_buffers(
     topo: CartTopology,
     nbh: "Neighborhood",
@@ -52,18 +93,9 @@ def alltoall_sentinel_buffers(
     """Per-rank ``{"send", "recv"}`` buffers with deterministic distinct
     sentinel content per (rank, block) — the input side of an alltoall
     certification (on any backend)."""
-    t = nbh.t
-    if len(block_sizes) != t:
-        raise ScheduleError(f"need {t} block sizes, got {len(block_sizes)}")
-    offs = np.concatenate([[0], np.cumsum(block_sizes)]).astype(int)
-    total = int(offs[-1])
-    bufs = []
-    for r in range(topo.size):
-        send = np.zeros(total, np.uint8)
-        for i in range(t):
-            send[offs[i] : offs[i + 1]] = _sentinel(r, i, block_sizes[i])
-        bufs.append({"send": send, "recv": np.zeros(total, np.uint8)})
-    return bufs
+    if len(block_sizes) != nbh.t:
+        raise ScheduleError(f"need {nbh.t} block sizes, got {len(block_sizes)}")
+    return _sentinel_buffers(topo, block_sizes, int(sum(block_sizes)))
 
 
 def check_alltoall_buffers(
@@ -72,23 +104,10 @@ def check_alltoall_buffers(
     bufs: Sequence[dict],
     block_sizes: Sequence[int],
 ) -> None:
-    """Certify executed alltoall receive buffers byte-for-byte against
-    the definition: receive block ``i`` of rank ``r`` must equal send
-    block ``i`` of process ``(r − N[i]) mod dims``.  The buffers must
-    have been produced by :func:`alltoall_sentinel_buffers`."""
-    offs = np.concatenate([[0], np.cumsum(block_sizes)]).astype(int)
-    for r in range(topo.size):
-        for i, off in enumerate(nbh):
-            src = topo.translate(r, tuple(-o for o in off))
-            if src is None:
-                continue
-            expect = _sentinel(src, i, block_sizes[i])
-            got = bufs[r]["recv"][offs[i] : offs[i + 1]]
-            if not np.array_equal(got, expect):
-                raise ScheduleError(
-                    f"alltoall verification failed: rank {r}, neighbor "
-                    f"{i} (offset {off}): block from {src} corrupted"
-                )
+    """Certify executed alltoall receive buffers against the definition
+    (:func:`_check_buffers`).  The buffers must have been produced by
+    :func:`alltoall_sentinel_buffers`."""
+    _check_buffers(topo, nbh, bufs, block_sizes, range(nbh.t), "alltoall")
 
 
 def verify_alltoall(
@@ -114,15 +133,7 @@ def allgather_sentinel_buffers(
 ) -> list[dict[str, np.ndarray]]:
     """Per-rank ``{"send", "recv"}`` buffers for an allgather
     certification: each rank contributes one distinct sentinel block."""
-    bufs = []
-    for r in range(topo.size):
-        bufs.append(
-            {
-                "send": _sentinel(r, 0, m_bytes),
-                "recv": np.zeros(nbh.t * m_bytes, np.uint8),
-            }
-        )
-    return bufs
+    return _sentinel_buffers(topo, [m_bytes], nbh.t * m_bytes)
 
 
 def check_allgather_buffers(
@@ -133,17 +144,7 @@ def check_allgather_buffers(
 ) -> None:
     """Certify executed allgather receive buffers: slot ``i`` of rank
     ``r`` must equal the contributed block of ``(r − N[i]) mod dims``."""
-    for r in range(topo.size):
-        for i, off in enumerate(nbh):
-            src = topo.translate(r, tuple(-o for o in off))
-            if src is None:
-                continue
-            got = bufs[r]["recv"][i * m_bytes : (i + 1) * m_bytes]
-            if not np.array_equal(got, _sentinel(src, 0, m_bytes)):
-                raise ScheduleError(
-                    f"allgather verification failed: rank {r}, slot {i} "
-                    f"(offset {off}): block from {src} corrupted"
-                )
+    _check_buffers(topo, nbh, bufs, [m_bytes] * nbh.t, [0] * nbh.t, "allgather")
 
 
 def verify_allgather(

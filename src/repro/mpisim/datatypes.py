@@ -186,9 +186,7 @@ class Primitive(Datatype):
 #: Counterparts of the MPI predefined datatypes used in the paper.
 INT = Primitive(np.dtype(np.int32))
 DOUBLE = Primitive(np.dtype(np.float64))
-FLOAT = Primitive(np.dtype(np.float32))
 BYTE = Primitive(np.dtype(np.uint8))
-LONG = Primitive(np.dtype(np.int64))
 
 
 @dataclass(frozen=True)

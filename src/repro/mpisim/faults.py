@@ -290,12 +290,6 @@ class FaultInjector:
         with self._lock:
             return list(self.events)
 
-    def event_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for e in self.snapshot():
-            counts[e.kind] = counts.get(e.kind, 0) + 1
-        return counts
-
     # ------------------------------------------------------------------
     # mailbox hook
     # ------------------------------------------------------------------

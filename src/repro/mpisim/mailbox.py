@@ -455,11 +455,6 @@ class Mailbox:
         with self._lock:
             return len(self._pending)
 
-    @property
-    def held_count(self) -> int:
-        with self._lock:
-            return sum(len(h.envelopes) for h in self._held.values())
-
     def pending_summary(self) -> list[tuple[int, int]]:
         """``(source, tag)`` of every in-flight posted receive — the
         engine's deadlock report names these."""

@@ -87,10 +87,6 @@ class SimulationResult:
     #: total bytes moved through the network
     network_bytes: int
 
-    @property
-    def mean_finish(self) -> float:
-        return float(self.finish_times.mean())
-
 
 def simulate_programs(
     programs: Sequence[list[Op]],

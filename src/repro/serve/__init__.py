@@ -14,7 +14,7 @@ economy over a socket:
 * :mod:`repro.serve.server` — the asyncio daemon: request batching,
   cross-connection single-flight dedup, a worker pool for builds, and
   verifier certification before any schedule is first served;
-* :mod:`repro.serve.client` — sync and asyncio clients;
+* :mod:`repro.serve.client` — the blocking client;
 * :mod:`repro.serve.shm_plans` — the shared-memory plan store: a
   rank's :class:`~repro.core.plan.RankPlan` is published once and
   mapped zero-copy, read-only, by every forked worker process.
@@ -22,7 +22,7 @@ economy over a socket:
 Run a daemon with ``python -m repro.serve --socket /tmp/repro.sock``.
 """
 
-from repro.serve.client import AsyncScheduleClient, ScheduleClient
+from repro.serve.client import ScheduleClient
 from repro.serve.protocol import (
     ProtocolError,
     ScheduleRequest,
@@ -32,7 +32,6 @@ from repro.serve.server import ScheduleServer
 from repro.serve.shm_plans import ShmPlanStore
 
 __all__ = [
-    "AsyncScheduleClient",
     "ProtocolError",
     "ScheduleClient",
     "ScheduleRequest",

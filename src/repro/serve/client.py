@@ -1,11 +1,10 @@
 """Clients of the schedule service.
 
-:class:`ScheduleClient` is the blocking flavor (one ``socket`` per
-client, one request in flight at a time — the shape a rank process
-uses); :class:`AsyncScheduleClient` is the asyncio flavor the load
-generator drives by the thousand.  Both speak the framed protocol of
-:mod:`repro.serve.protocol` and raise :class:`ServeError` (carrying the
-server-side exception type) on ``status: error`` answers.
+:class:`ScheduleClient` is blocking: one ``socket`` per client, one
+request in flight at a time — the shape a rank process uses.  It speaks
+the framed protocol of :mod:`repro.serve.protocol` and raises
+:class:`ServeError` (carrying the server-side exception type) on
+``status: error`` answers.
 
 Plan references returned by ``plan`` requests are resolved through
 :meth:`map_plan`: the client attaches the server's shared-memory
@@ -15,7 +14,6 @@ segment once and reconstructs every referenced
 
 from __future__ import annotations
 
-import asyncio
 import socket
 from typing import Any, Optional
 
@@ -27,7 +25,6 @@ from repro.serve.protocol import (
     ScheduleRequest,
     ServeError,
     encode_message,
-    read_message,
     read_message_sync,
 )
 from repro.serve.shm_plans import ShmPlanStore, plan_from_image
@@ -45,32 +42,7 @@ def _raise_on_error(response: dict) -> dict:
     raise ProtocolError(f"response without a status field: {response!r}")
 
 
-class _PlanMapper:
-    """Shared plan-segment attachment logic of both clients."""
-
-    def __init__(self) -> None:
-        self._stores: dict[str, ShmPlanStore] = {}
-
-    def map_plan(self, response: dict) -> RankPlan:
-        """Resolve a ``plan`` response's shared-memory reference into a
-        :class:`RankPlan` whose kernels run off the shared pages."""
-        ref = response.get("shm")
-        if not isinstance(ref, dict):
-            raise ProtocolError(f"plan response without 'shm': {response!r}")
-        segment = str(ref["segment"])
-        store = self._stores.get(segment)
-        if store is None:
-            store = self._stores[segment] = ShmPlanStore.attach(segment)
-        image = store.payload_at(int(ref["offset"]), int(ref["nbytes"]))
-        return plan_from_image(image)
-
-    def close_stores(self) -> None:
-        for store in self._stores.values():
-            store.close()
-        self._stores.clear()
-
-
-class ScheduleClient(_PlanMapper):
+class ScheduleClient:
     """Blocking client: ``connect`` to a unix path or ``(host, port)``."""
 
     def __init__(
@@ -81,7 +53,8 @@ class ScheduleClient(_PlanMapper):
         *,
         timeout: Optional[float] = 30.0,
     ) -> None:
-        super().__init__()
+        #: attached plan segments, by name
+        self._stores: dict[str, ShmPlanStore] = {}
         if path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(timeout)
@@ -127,89 +100,29 @@ class ScheduleClient(_PlanMapper):
         response = self.request(request.to_dict("plan"))
         return self.map_plan(response), response
 
+    def map_plan(self, response: dict) -> RankPlan:
+        """Resolve a ``plan`` response's shared-memory reference into a
+        :class:`RankPlan` whose kernels run off the shared pages."""
+        ref = response.get("shm")
+        if not isinstance(ref, dict):
+            raise ProtocolError(f"plan response without 'shm': {response!r}")
+        segment = str(ref["segment"])
+        store = self._stores.get(segment)
+        if store is None:
+            store = self._stores[segment] = ShmPlanStore.attach(segment)
+        image = store.payload_at(int(ref["offset"]), int(ref["nbytes"]))
+        return plan_from_image(image)
+
     def close(self) -> None:
         if self._sock is not None:
             self._sock.close()
             self._sock = None
-        self.close_stores()
+        for store in self._stores.values():
+            store.close()
+        self._stores.clear()
 
     def __enter__(self) -> "ScheduleClient":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-class AsyncScheduleClient(_PlanMapper):
-    """Asyncio client; create with :meth:`connect`."""
-
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        super().__init__()
-        self._reader = reader
-        self._writer: Optional[asyncio.StreamWriter] = writer
-        #: one request/response exchange at a time per connection
-        self._turn = asyncio.Lock()
-
-    @classmethod
-    async def connect(
-        cls,
-        path: Optional[str] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-    ) -> "AsyncScheduleClient":
-        if path is not None:
-            reader, writer = await asyncio.open_unix_connection(path)
-        elif host is not None and port is not None:
-            reader, writer = await asyncio.open_connection(host, port)
-        else:
-            raise ValueError("need a unix path or host and port")
-        return cls(reader, writer)
-
-    # -- transport -----------------------------------------------------
-    async def request(self, message: dict) -> dict:
-        if self._writer is None:
-            raise ServeError("client is closed")
-        async with self._turn:
-            self._writer.write(encode_message(message))
-            await self._writer.drain()
-            return _raise_on_error(await read_message(self._reader))
-
-    # -- operations ----------------------------------------------------
-    async def ping(self) -> bool:
-        return bool((await self.request({"op": "ping"})).get("pong"))
-
-    async def stats(self) -> dict:
-        return await self.request({"op": "stats"})
-
-    async def shutdown(self) -> None:
-        await self.request({"op": "shutdown"})
-
-    async def request_schedule(
-        self, request: ScheduleRequest
-    ) -> tuple[Schedule, dict]:
-        response = await self.request(request.to_dict("schedule"))
-        return schedule_from_dict(response["schedule"]), response
-
-    async def request_plan(
-        self, request: ScheduleRequest
-    ) -> tuple[RankPlan, dict]:
-        response = await self.request(request.to_dict("plan"))
-        return self.map_plan(response), response
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
-        self.close_stores()
-
-    async def __aenter__(self) -> "AsyncScheduleClient":
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.close()

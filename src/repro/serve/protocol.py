@@ -26,8 +26,8 @@ Requests are JSON objects with an ``op`` field:
     with a ``(segment, offset, nbytes)`` reference the client maps
     zero-copy.
 ``stats``
-    telemetry snapshot: server counters, schedule-cache counters
-    (including per-shard contention), plan-cache counters, and the
+    telemetry snapshot: server counters, schedule-cache counters,
+    plan-cache counters, and the
     server's :class:`~repro.core.opstats.OpStats` in its
     :meth:`~repro.core.opstats.OpStats.to_json` form.
 ``shutdown``
@@ -44,7 +44,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
@@ -144,28 +144,6 @@ def _builder_key(kind: str, algorithm: str) -> str:
     return schedule_kind(kind.replace("_", "-"), algorithm)
 
 
-def _blocksets_from_wire(data: Any, what: str) -> list[BlockSet]:
-    if not isinstance(data, list):
-        raise ProtocolError(f"{what} must be a list of block sets")
-    out = []
-    try:
-        for bs in data:
-            out.append(
-                BlockSet(
-                    [BlockRef(str(b), int(o), int(n)) for b, o, n in bs]
-                )
-            )
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(
-            f"{what} entries must be [buffer, offset, nbytes] triples: {exc}"
-        ) from exc
-    return out
-
-
-def _blocksets_to_wire(blocksets: Sequence[BlockSet]) -> list[list[list]]:
-    return [[[r.buffer, r.offset, r.nbytes] for r in bs] for bs in blocksets]
-
-
 @dataclass(frozen=True)
 class ScheduleRequest:
     """One parsed ``schedule``/``plan`` request.
@@ -233,43 +211,50 @@ class ScheduleRequest:
         raw_periods = data.get("periods")
         raw_rank = data.get("rank")
         raw_sizes = data.get("sizes")
-        req = cls(
-            kind=kind,
-            algorithm=algorithm,
-            offsets=offsets,
-            weights=(
-                tuple(int(w) for w in raw_weights)
-                if raw_weights is not None
-                else None
-            ),
-            dims=(
-                tuple(int(n) for n in raw_dims)
-                if raw_dims is not None
-                else None
-            ),
-            periods=(
-                tuple(bool(p) for p in raw_periods)
-                if raw_periods is not None
-                else None
-            ),
-            send=tuple(
-                tuple((str(b), int(o), int(n)) for b, o, n in bs)
-                for bs in data.get("send", [])
-            ),
-            recv=tuple(
-                tuple((str(b), int(o), int(n)) for b, o, n in bs)
-                for bs in data.get("recv", [])
-            ),
-            m_bytes=int(data.get("m_bytes", 8)),
-            dtype=str(data.get("dtype", "float64")),
-            reduce_op=str(data.get("reduce_op", "sum")),
-            rank=int(raw_rank) if raw_rank is not None else None,
-            sizes=(
-                tuple(sorted((str(k), int(v)) for k, v in raw_sizes.items()))
-                if raw_sizes is not None
-                else None
-            ),
-        )
+        try:
+            req = cls(
+                kind=kind,
+                algorithm=algorithm,
+                offsets=offsets,
+                weights=(
+                    tuple(int(w) for w in raw_weights)
+                    if raw_weights is not None
+                    else None
+                ),
+                dims=(
+                    tuple(int(n) for n in raw_dims)
+                    if raw_dims is not None
+                    else None
+                ),
+                periods=(
+                    tuple(bool(p) for p in raw_periods)
+                    if raw_periods is not None
+                    else None
+                ),
+                send=tuple(
+                    tuple((str(b), int(o), int(n)) for b, o, n in bs)
+                    for bs in data.get("send", [])
+                ),
+                recv=tuple(
+                    tuple((str(b), int(o), int(n)) for b, o, n in bs)
+                    for bs in data.get("recv", [])
+                ),
+                m_bytes=int(data.get("m_bytes", 8)),
+                dtype=str(data.get("dtype", "float64")),
+                reduce_op=str(data.get("reduce_op", "sum")),
+                rank=int(raw_rank) if raw_rank is not None else None,
+                sizes=(
+                    tuple(sorted((str(k), int(v)) for k, v in raw_sizes.items()))
+                    if raw_sizes is not None
+                    else None
+                ),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ProtocolError(
+                f"malformed schedule request field: {exc} (layouts are "
+                f"lists of [buffer, offset, nbytes] triples; dims, weights, "
+                f"m_bytes, rank and sizes values are integers)"
+            ) from exc
         if not req.is_reduction and (not req.send or not req.recv):
             raise ProtocolError(
                 f"({kind!r}, {algorithm!r}) needs explicit 'send' and "

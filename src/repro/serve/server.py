@@ -406,7 +406,7 @@ class ScheduleServer:
     def _build_certified(
         self, request: ScheduleRequest, key: tuple
     ) -> tuple[dict, float, bool]:
-        """Worker-thread body: build-or-fetch through the sharded cache
+        """Worker-thread body: build-or-fetch through the cache
         (certification runs inside its single-flight section) and
         serialize the schedule once."""
         sched, hit, seconds = self._cache.get_or_build(
@@ -536,7 +536,6 @@ class ScheduleServer:
             "protocol": PROTOCOL_VERSION,
             "server": self.stats.to_json(),
             "cache": info._asdict(),
-            "cache_shards": [s._asdict() for s in self._cache.shard_info()],
             "plan_cache": plan_mod.plan_cache_info()._asdict(),
             "opstats": self.opstats.to_json(),
             "ready_mirror": len(self._ready),

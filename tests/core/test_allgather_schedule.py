@@ -10,7 +10,7 @@ from repro.core.allgather_schedule import (
     build_allgather_schedule,
     increasing_ck_order,
 )
-from repro.core.backend import get_backend
+from repro.core.backend import allocate_buffers, get_backend
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import parameterized_stencil, random_neighborhood
@@ -165,7 +165,8 @@ def test_lockstep_correctness_random(data):
                 "recv": np.zeros(nbh.t * m, np.uint8),
             }
         )
-    get_backend("lockstep").execute_all(topo, sched, bufs, validate=True)
+    sched.validate(allocate_buffers(sched, bufs[0]))
+    get_backend("lockstep").execute_all(topo, sched, bufs)
     for r in range(topo.size):
         for i, off in enumerate(nbh):
             src = topo.translate(r, tuple(-o for o in off))
@@ -194,7 +195,8 @@ def test_all_dim_orders_correct(data):
             }
             for r in range(topo.size)
         ]
-        get_backend("lockstep").execute_all(topo, sched, bufs, validate=True)
+        sched.validate(allocate_buffers(sched, bufs[0]))
+        get_backend("lockstep").execute_all(topo, sched, bufs)
         for r in range(topo.size):
             for i, off in enumerate(nbh):
                 src = topo.translate(r, tuple(-o for o in off))

@@ -10,7 +10,7 @@ from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import parameterized_stencil, random_neighborhood
 from repro.core.topology import CartTopology
-from repro.core.backend import get_backend
+from repro.core.backend import allocate_buffers, get_backend
 from repro.mpisim.datatypes import BlockRef, BlockSet
 from repro.mpisim.exceptions import ScheduleError
 
@@ -167,7 +167,8 @@ def test_lockstep_correctness_random(data):
         for i in range(nbh.t):
             send[i * m : (i + 1) * m] = (r * 31 + i * 7) % 251
         bufs.append({"send": send, "recv": np.zeros(nbh.t * m, np.uint8)})
-    get_backend("lockstep").execute_all(topo, sched, bufs, validate=True)
+    sched.validate(allocate_buffers(sched, bufs[0]))
+    get_backend("lockstep").execute_all(topo, sched, bufs)
     for r in range(topo.size):
         for i, off in enumerate(nbh):
             src = topo.translate(r, tuple(-o for o in off))

@@ -15,7 +15,7 @@ import pytest
 from repro.core import plan as plan_mod
 from repro.core.alltoall_schedule import build_alltoall_schedule
 from repro.core.allgather_schedule import build_allgather_schedule
-from repro.core.backend import BACKENDS, get_backend
+from repro.core.backend import BACKENDS, allocate_buffers, get_backend
 from repro.core.backend.lockstep import LockstepBackend
 from repro.core.plan import (
     BatchedPlan,
@@ -26,7 +26,7 @@ from repro.core.plan import (
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import moore_neighborhood, parameterized_stencil
 from repro.core.topology import CartTopology
-from repro.mpisim.exceptions import ScheduleError
+from repro.mpisim.exceptions import ScheduleError, TruncationError
 
 NBH = moore_neighborhood(2, 1)  # t = 8
 
@@ -305,10 +305,8 @@ class TestBatchedBackend:
         bufs = make_bufs(4, NBH.t, 6)
         for d in bufs:
             d["recv"] = np.zeros(4, np.uint8)  # far too small, uniformly
-        with pytest.raises(Exception):
-            get_backend("batched").execute_all(
-                topo, sched, bufs, validate=True
-            )
+        with pytest.raises(TruncationError):
+            sched.validate(allocate_buffers(sched, bufs[0]))
 
 
 # ----------------------------------------------------------------------

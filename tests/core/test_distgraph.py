@@ -7,7 +7,7 @@ from repro.core.cartcomm import cart_neighborhood_create
 from repro.core.distgraph import dist_graph_create_adjacent
 from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
-from repro.mpisim.engine import run_ranks
+from repro.mpisim.engine import Engine, run_ranks
 
 NBH = moore_neighborhood(2, 1, include_self=False)
 DIMS = (4, 4)
@@ -29,6 +29,21 @@ class TestDetection:
 
         res = run_ranks(16, fn, timeout=60)
         assert all(r == (True, "cartesian") for r in res)
+
+    def test_detection_sends_no_message(self):
+        """The ranks of one engine compare with the root by reference:
+        one meeting, like ``cart_neighborhood_create``'s."""
+        engine = Engine(16, timeout=60, tracing=True)
+
+        def fn(comm):
+            cart = make_cart(comm)
+            sources, targets = cart.neighbor_get()
+            return dist_graph_create_adjacent(
+                comm, sources, targets, cart_topology=cart.topo
+            ).detection_result
+
+        assert set(engine.run(fn)) == {"cartesian"}
+        assert [engine.trace.message_count(r) for r in range(16)] == [0] * 16
 
     def test_no_topology_no_detection(self):
         def fn(comm):

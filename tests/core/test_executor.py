@@ -34,9 +34,10 @@ def run_alltoall(dims, nbh, builder, m_elems=2, timeout=60):
     def fn(comm):
         send = fill_send_alltoall(comm.rank, nbh.t, m_elems)
         recv = np.zeros_like(send)
+        buffers = {"send": send, "recv": recv}
+        sched.validate(allocate_buffers(sched, buffers))
         ScheduleInterpreter(
-            ThreadedTransport(comm), topo, sched,
-            {"send": send, "recv": recv}, validate=True,
+            ThreadedTransport(comm), topo, sched, buffers
         ).run()
         expect = expected_alltoall(topo, nbh, comm.rank, m_elems)
         assert np.array_equal(recv, expect), (comm.rank, recv, expect)

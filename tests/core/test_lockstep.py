@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.alltoall_schedule import build_alltoall_schedule
-from repro.core.backend import allocate_rank_buffers
+from repro.core.backend import allocate_buffers
 from repro.core.backend.lockstep import WALK
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import uniform_block_layout
@@ -75,7 +75,7 @@ class TestLockstep:
     def test_allocate_rank_buffers(self):
         nbh = Neighborhood([(1, 1)])
         sched = make_sched(nbh, m=8)
-        bufs = allocate_rank_buffers(sched, [{}, {}])
+        bufs = [allocate_buffers(sched, user) for user in ({}, {})]
         assert all("temp" in b for b in bufs)
         # distinct scratch per rank
         assert bufs[0]["temp"] is not bufs[1]["temp"]

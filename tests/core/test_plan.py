@@ -32,10 +32,19 @@ from repro.core.plan import (
     compile_plan,
     get_or_compile,
 )
-from repro.core.schedule import LocalCopy, uniform_block_layout
+from repro.core.schedule import (
+    LocalCombine,
+    LocalCopy,
+    Schedule,
+    uniform_block_layout,
+)
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import BlockRef, BlockSet, byte_view
-from repro.mpisim.exceptions import ScheduleError, TruncationError
+from repro.mpisim.exceptions import (
+    ScheduleError,
+    TruncationError,
+    UnknownBufferError,
+)
 from tests.core.test_backends import (
     NBH,
     NBH_SELF,
@@ -220,6 +229,35 @@ class TestCompiledBlockSet:
     def test_unknown_buffer_rejected_at_compile(self):
         with pytest.raises(ScheduleError, match="unknown buffer"):
             compile_blockset([BlockRef("nope", 0, 8)], {"b": 64})
+
+
+def _unknown_in_blockset():
+    compile_blockset([BlockRef("nope", 0, 8)], {"b": 64})
+
+
+def _unknown_in_copies():
+    compile_copies(
+        [LocalCopy(BlockRef("b", 0, 8), BlockRef("nope", 0, 8))], {"b": 64}
+    )
+
+
+def _unknown_in_combine():
+    seed = LocalCombine(BlockRef("b", 0, 8), BlockRef("nope", 0, 8))
+    sched = Schedule(
+        "reduce", NBH, [], combine_op="sum", combine_dtype="float64",
+        pre_steps=[seed],
+    )
+    plan_mod.compile_batched_plan(sched, CartTopology((3, 3)), {"b": 64})
+
+
+@pytest.mark.parametrize(
+    "lower", [_unknown_in_blockset, _unknown_in_copies, _unknown_in_combine]
+)
+def test_unknown_buffer_is_one_error_type_at_every_lowering_site(lower):
+    """The plan compiler names the fault as the persistent-handle bounds
+    check (``BlockSet.validate_against``) does."""
+    with pytest.raises(UnknownBufferError, match="unknown buffer 'nope'"):
+        lower()
 
 
 class TestCompiledCopies:

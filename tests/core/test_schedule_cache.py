@@ -88,15 +88,14 @@ class TestScheduleCacheUnit:
         assert cache.get_or_build(("a",), lambda: object())[1]  # still a hit
 
     def test_resize_and_clear(self):
+        """The bound is fixed at construction; ``clear`` empties the
+        cache and zeroes its counters."""
         cache = ScheduleCache(maxsize=8)
         for k in range(6):
             cache.get_or_build((k,), lambda: object())
-        cache.resize(2)
-        assert len(cache) == 2
+        assert len(cache) == 6
         cache.clear()
         assert len(cache) == 0 and cache.info().builds == 0
-        with pytest.raises(ValueError):
-            cache.resize(0)
         with pytest.raises(ValueError):
             ScheduleCache(maxsize=0)
 
@@ -467,57 +466,36 @@ class TestConcurrentRanks:
 
 
 class TestSharding:
-    def test_large_cache_is_sharded(self):
+    """The one lock covers look-ups and filing, never a build: builds
+    of distinct keys overlap in time."""
+
+    def _build_all_at_once(self, n):
         cache = ScheduleCache(maxsize=512)
-        assert cache.num_shards > 1
-        # shard bounds partition maxsize exactly
-        assert sum(s.maxsize for s in cache.shard_info()) == 512
-
-    def test_small_cache_collapses_to_one_shard(self):
-        assert ScheduleCache(maxsize=4).num_shards == 1
-
-    def test_explicit_shard_count_wins(self):
-        assert ScheduleCache(maxsize=8, shards=4).num_shards == 4
-
-    def test_counters_aggregate_across_shards(self):
-        cache = ScheduleCache(maxsize=512, shards=8)
-        for i in range(40):
-            cache.get_or_build(("key", i), lambda i=i: object())
-            cache.get_or_build(("key", i), lambda: object())
-        info = cache.info()
-        assert info.misses == 40
-        assert info.hits == 40
-        assert info.builds == 40
-        assert info.currsize == 40
-        assert info.shards == 8
-        shard_totals = cache.shard_info()
-        assert sum(s.currsize for s in shard_totals) == 40
-        assert sum(s.hits for s in shard_totals) == 40
-        # keys actually spread over more than one shard
-        assert sum(1 for s in shard_totals if s.currsize) > 1
-
-    def test_distinct_keys_build_concurrently(self):
-        """With sharding, builds of different keys overlap in time (no
-        global lock serializes them)."""
-        cache = ScheduleCache(maxsize=512, shards=8)
-        overlap = threading.Barrier(2, timeout=10)
+        overlap = threading.Barrier(n, timeout=10)
 
         def build():
-            overlap.wait()  # both builders inside their build() at once
+            overlap.wait()  # every builder inside its build() at once
             return object()
 
         threads = [
             threading.Thread(
                 target=lambda i=i: cache.get_or_build(("k", i), build)
             )
-            for i in range(2)
+            for i in range(n)
         ]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=10)
         assert not any(t.is_alive() for t in threads)
-        assert cache.info().builds == 2
+        info = cache.info()
+        assert info.builds == n and info.misses == n and info.currsize == n
+
+    def test_distinct_keys_build_concurrently(self):
+        self._build_all_at_once(2)
+
+    def test_eight_distinct_keys_build_concurrently(self):
+        self._build_all_at_once(8)
 
 
 class _TracksPlans:

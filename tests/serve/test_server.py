@@ -3,15 +3,16 @@ cross-connection single-flight, ready mirror, plan service, clients."""
 
 import asyncio
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core import plan as plan_mod
-from repro.core.schedule_cache import ScheduleCache
+from repro.core.schedule_cache import CacheInfo, ScheduleCache
 from repro.core.serialize import schedule_to_dict
 from repro.core.topology import CartTopology
-from repro.serve.client import AsyncScheduleClient, ScheduleClient
+from repro.serve.client import ScheduleClient
 from repro.serve.protocol import (
     ScheduleRequest,
     ServeError,
@@ -78,14 +79,32 @@ def sock_path(tmp_path):
     return str(tmp_path / "serve.sock")
 
 
+#: a blocking client call on a worker thread — the loop keeps serving
+call = asyncio.to_thread
+
+
+async def connect(server):
+    address = server.address
+    if isinstance(address, str):
+        return await call(ScheduleClient, address)
+    return await call(ScheduleClient, None, *address)
+
+
 async def _stop_and_close(server, *clients):
     for client in clients:
-        await client.close()
+        client.close()
     await server.stop()
 
 
 def drive(coro):
-    return asyncio.run(asyncio.wait_for(coro, TIMEOUT))
+    async def main():
+        # one thread per concurrently blocked client, whatever the host
+        asyncio.get_running_loop().set_default_executor(
+            ThreadPoolExecutor(max_workers=16)
+        )
+        return await asyncio.wait_for(coro, TIMEOUT)
+
+    return asyncio.run(main())
 
 
 class _GatedCache(ScheduleCache):
@@ -106,14 +125,14 @@ class TestDaemon:
         async def main():
             server = ScheduleServer(sock_path(tmp_path), cache=ScheduleCache())
             await server.start()
-            client = await AsyncScheduleClient.connect(server.address)
+            client = await connect(server)
             try:
-                assert await client.ping()
-                stats = await client.stats()
+                assert await call(client.ping)
+                stats = await call(client.stats)
                 assert stats["server"]["connections"] == 1
                 assert stats["server"]["requests"] == {"ping": 1, "stats": 1}
                 assert stats["verify"] is True
-                assert "cache" in stats and "cache_shards" in stats
+                assert set(stats["cache"]) == set(CacheInfo._fields)
                 assert "plan_store" not in stats
             finally:
                 await _stop_and_close(server, client)
@@ -126,9 +145,9 @@ class TestDaemon:
             await server.start()
             host, port = server.address
             assert port > 0
-            client = await AsyncScheduleClient.connect(host=host, port=port)
+            client = await connect(server)
             try:
-                assert await client.ping()
+                assert await call(client.ping)
             finally:
                 await _stop_and_close(server, client)
 
@@ -138,10 +157,10 @@ class TestDaemon:
         async def main():
             server = ScheduleServer(sock_path(tmp_path), cache=ScheduleCache())
             await server.start()
-            client = await AsyncScheduleClient.connect(server.address)
+            client = await connect(server)
             try:
                 req = ScheduleRequest.from_dict(stencil_dict())
-                sched, resp = await client.request_schedule(req)
+                sched, resp = await call(client.request_schedule, req)
                 assert resp["certified"] is True
                 assert resp["hit"] is False
                 assert resp["single_flight"] is False
@@ -158,10 +177,11 @@ class TestDaemon:
         async def main():
             server = ScheduleServer(sock_path(tmp_path), cache=ScheduleCache())
             await server.start()
-            client = await AsyncScheduleClient.connect(server.address)
+            client = await connect(server)
             try:
-                sched, resp = await client.request_schedule(
-                    ScheduleRequest.from_dict(reduce_dict())
+                sched, resp = await call(
+                    client.request_schedule,
+                    ScheduleRequest.from_dict(reduce_dict()),
                 )
                 assert sched.is_reduction
                 assert resp["certified"] is True
@@ -174,11 +194,11 @@ class TestDaemon:
         async def main():
             server = ScheduleServer(sock_path(tmp_path), cache=ScheduleCache())
             await server.start()
-            client = await AsyncScheduleClient.connect(server.address)
+            client = await connect(server)
             try:
                 req = ScheduleRequest.from_dict(stencil_dict())
-                _, first = await client.request_schedule(req)
-                _, again = await client.request_schedule(req)
+                _, first = await call(client.request_schedule, req)
+                _, again = await call(client.request_schedule, req)
                 assert first["hit"] is False
                 assert again["hit"] is True
                 assert again["single_flight"] is False
@@ -200,13 +220,12 @@ class TestDaemon:
             server = ScheduleServer(sock_path(tmp_path), cache=cache)
             await server.start()
             clients = [
-                await AsyncScheduleClient.connect(server.address)
-                for _ in range(n)
+                await connect(server) for _ in range(n)
             ]
             try:
                 req = ScheduleRequest.from_dict(stencil_dict())
                 tasks = [
-                    asyncio.ensure_future(c.request_schedule(req))
+                    asyncio.ensure_future(call(c.request_schedule, req))
                     for c in clients
                 ]
                 # wait until every follower has joined the leader's build
@@ -218,7 +237,7 @@ class TestDaemon:
                 assert flights == [False] + [True] * (n - 1)
                 assert server.stats.builds == 1
                 assert server.stats.single_flight_hits == n - 1
-                stats = await clients[0].stats()
+                stats = await call(clients[0].stats)
                 assert stats["server"]["builds"] == 1
                 assert stats["server"]["single_flight_hits"] == n - 1
                 assert stats["server"]["batches"] >= 1
@@ -231,12 +250,12 @@ class TestDaemon:
         async def main():
             server = ScheduleServer(sock_path(tmp_path), cache=ScheduleCache())
             await server.start()
-            client = await AsyncScheduleClient.connect(server.address)
+            client = await connect(server)
             try:
                 a = ScheduleRequest.from_dict(stencil_dict())
                 b = ScheduleRequest.from_dict(stencil_dict(dims=(9, 1)))
-                await client.request_schedule(a)
-                await client.request_schedule(b)
+                await call(client.request_schedule, a)
+                await call(client.request_schedule, b)
                 assert server.stats.builds == 2
                 assert server.stats.single_flight_hits == 0
             finally:
@@ -250,13 +269,41 @@ class TestErrors:
         async def main():
             server = ScheduleServer(sock_path(tmp_path), cache=ScheduleCache())
             await server.start()
-            client = await AsyncScheduleClient.connect(server.address)
+            client = await connect(server)
             try:
                 with pytest.raises(ServeError, match="unknown op"):
-                    await client.request({"op": "frobnicate"})
+                    await call(client.request, {"op": "frobnicate"})
                 # the connection survives a dispatch error
-                assert await client.ping()
+                assert await call(client.ping)
                 assert server.stats.protocol_errors == 1
+            finally:
+                await _stop_and_close(server, client)
+
+        drive(main())
+
+    def test_malformed_fields_are_protocol_errors(self, tmp_path):
+        """A request whose fields do not parse is answered with the
+        typed error and counted, like any other malformed input."""
+        malformed = [
+            stencil_dict() | {"send": [[["send", 0]]]},
+            stencil_dict() | {"dims": ["three", 3]},
+            reduce_dict(m_bytes="eight"),
+            stencil_dict() | {"rank": [0], "sizes": {"send": 32}},
+        ]
+
+        async def main():
+            server = ScheduleServer(sock_path(tmp_path), cache=ScheduleCache())
+            await server.start()
+            client = await connect(server)
+            try:
+                for payload in malformed:
+                    with pytest.raises(ServeError, match="^ProtocolError: "):
+                        await call(
+                            client.request, {"op": "schedule", **payload}
+                        )
+                assert await call(client.ping)
+                assert server.stats.protocol_errors == len(malformed) == 4
+                assert server.stats.builds == 0
             finally:
                 await _stop_and_close(server, client)
 
@@ -266,13 +313,13 @@ class TestErrors:
         async def main():
             server = ScheduleServer(sock_path(tmp_path), cache=ScheduleCache())
             await server.start()
-            client = await AsyncScheduleClient.connect(server.address)
+            client = await connect(server)
             try:
                 bare = stencil_dict()
                 del bare["dims"], bare["periods"]
                 with pytest.raises(ServeError, match="requires 'dims'"):
-                    await client.request({"op": "schedule", **bare})
-                assert await client.ping()
+                    await call(client.request, {"op": "schedule", **bare})
+                assert await call(client.ping)
             finally:
                 await _stop_and_close(server, client)
 
@@ -284,11 +331,11 @@ class TestErrors:
                 sock_path(tmp_path), verify=False, cache=ScheduleCache()
             )
             await server.start()
-            client = await AsyncScheduleClient.connect(server.address)
+            client = await connect(server)
             try:
                 bare = stencil_dict()
                 del bare["dims"], bare["periods"]
-                resp = await client.request({"op": "schedule", **bare})
+                resp = await call(client.request, {"op": "schedule", **bare})
                 assert resp["certified"] is False
                 assert "schedule" in resp
             finally:
@@ -324,12 +371,12 @@ class TestPlanService:
         async def main():
             server = ScheduleServer(sock_path(tmp_path), cache=ScheduleCache())
             await server.start()
-            client = await AsyncScheduleClient.connect(server.address)
+            client = await connect(server)
             try:
                 d = stencil_dict()
                 d.update(rank=0, sizes={"send": 32, "recv": 32, "temp": 64})
                 with pytest.raises(ServeError, match="shm_plans"):
-                    await client.request({"op": "plan", **d})
+                    await call(client.request, {"op": "plan", **d})
             finally:
                 await _stop_and_close(server, client)
 
@@ -342,7 +389,7 @@ class TestPlanService:
             )
             await server.start()
             assert server.plan_segment is not None
-            client = await AsyncScheduleClient.connect(server.address)
+            client = await connect(server)
             try:
                 req = ScheduleRequest.from_dict(stencil_dict())
                 sched = req.build()
@@ -355,7 +402,7 @@ class TestPlanService:
                 d = req.to_dict("plan")
                 d.update(rank=0, sizes=dict(byte_sizes))
                 plan_req = ScheduleRequest.from_dict(d)
-                plan, resp = await client.request_plan(plan_req)
+                plan, resp = await call(client.request_plan, plan_req)
                 assert resp["plan_hit"] is False
                 assert resp["shm"]["segment"] == server.plan_segment
                 # the mapped plan behaves exactly like a local compile
@@ -366,12 +413,12 @@ class TestPlanService:
                 )
                 del plan  # release shm views before the client detaches
                 # a repeat answer comes straight out of the store
-                plan2, resp2 = await client.request_plan(plan_req)
+                plan2, resp2 = await call(client.request_plan, plan_req)
                 assert resp2["plan_hit"] is True
                 assert resp2["shm"]["offset"] == resp["shm"]["offset"]
                 del plan2
                 assert server.stats.plans_published == 1
-                stats = await client.stats()
+                stats = await call(client.stats)
                 assert stats["plan_store"]["entries"] == 1
                 assert stats["plan_store"]["used"] > 0
             finally:
@@ -396,14 +443,11 @@ class TestStopReleasesSegment:
             await server.start()
             segment = server.plan_segment
             assert os.path.exists(f"/dev/shm/{segment}")
-            client = await AsyncScheduleClient.connect(server.address)
             # a build parked on the gate keeps the drain (and the
             # connection handler awaiting it) busy
-            parked = asyncio.create_task(
-                client.request_schedule(
-                    ScheduleRequest.from_dict(stencil_dict())
-                )
-            )
+            _, writer = await asyncio.open_unix_connection(server.address)
+            writer.write(encode_message({"op": "schedule", **stencil_dict()}))
+            await writer.drain()
             await asyncio.sleep(0.1)
             stopping = asyncio.create_task(server.stop())
             await asyncio.sleep(0.1)
@@ -415,9 +459,7 @@ class TestStopReleasesSegment:
             assert not os.path.exists(f"/dev/shm/{segment}")
             assert server.plan_segment is None
             await server.stop()  # the retry is a no-op, not an error
-            parked.cancel()
-            await asyncio.gather(parked, return_exceptions=True)
-            await client.close()
+            writer.close()
 
         drive(main())
 
