@@ -2,9 +2,10 @@
 
 ``python -m repro.analyze verify --all-stencils``
     Build every schedule kind for every paper stencil and run the full
-    static verifier (structure, hop parity, Prop 3.1 deadlock freedom,
-    Prop 3.2/3.3 conformance, content simulation, plan lowering and its
-    effect pass) on each; exit 1 if any combination has a violation.
+    static verifier (the sentinel execution against the definition,
+    Prop 3.1 deadlock freedom, Prop 3.2/3.3 conformance, plan lowering
+    and its effect pass) on each; exit 1 if any combination has a
+    violation.
     The summary reports build seconds and certification seconds per
     kind, the latter split by stage (lowering, kernels, effects, shape).
 

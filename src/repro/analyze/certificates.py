@@ -18,7 +18,8 @@ read:
   (:func:`kernel_signature`): the form (slice, index, slice loop) and
   lane of every selector op, and whether the plan delivers in place or
   staged — the decisions of the lowering that look at absolute sizes,
-  so the sentinel execution is inherited only from a witness whose
+  so the sentinel execution, and with it the comparison with the
+  collective's definition, is inherited only from a witness whose
   kernels were built, and run, the same way.
 
 What the block size *can* change is never inherited: the instance stage

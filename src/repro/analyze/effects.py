@@ -1,15 +1,19 @@
 """Byte-interval effect system over the compiled execution layer.
 
-The verifier's V1xx-V4xx checks certify the *schedule*; the V5xx checks
-certify that lowering preserved it.  This module closes the remaining
-gap: it proves the lowered artifacts themselves — the plan's numpy
-selector kernels, fused copy program, row permutations and masked
-combine steps, and the shm segment layout — are race- and
-lifetime-free, by deriving symbolic ``(buffer, lo, hi)`` read/write
-summaries for every compiled object and checking disjointness directly
-on the intervals.  The plan is rank-free, so it is checked once: what
-differs per rank is a row set, and two effects can only race on ranks
-that both row sets contain.
+The verifier's sentinel execution holds the lowered plan to the
+collective's definition, on one deterministic walk that packs a phase
+before it unpacks it.  What that walk cannot show is order: two rounds
+of a phase writing one byte, or one reading what another writes, give
+its snapshot the right answer and a concurrent executor either answer
+(the kill matrix's in-place halo rows are caught here alone).  This
+module proves the lowered artifacts — the plan's numpy selector
+kernels, fused copy program, row permutations and masked combine
+steps, and the shm segment layout — race- and lifetime-free, by
+deriving symbolic ``(buffer, lo, hi)`` read/write summaries for every
+compiled object and checking disjointness directly on the intervals.
+The plan is rank-free, so it is checked once: what differs per rank is
+a row set, and two effects can only race on ranks that both row sets
+contain.
 
 Everything is static: no kernel is executed, no buffer allocated.  The
 checks map to violation codes V701-V709 (:mod:`repro.analyze.report`):
@@ -49,8 +53,8 @@ performs them.
 
 The temp-lifetime part of V709 is only decidable on fully periodic
 tori: on a mesh, a rank whose upstream fell off the edge legitimately
-forwards never-written scratch into don't-care slots (the content
-simulation tolerates exactly the same), so the check is skipped there.
+forwards never-written scratch into don't-care slots, so the check is
+skipped there and the definition judges what lands in a slot.
 """
 
 from __future__ import annotations

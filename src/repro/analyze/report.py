@@ -31,28 +31,24 @@ if TYPE_CHECKING:
     from repro.core.plan import BatchedPlan
 
 #: Stable violation codes.  Tests and CI gates match on these, so codes
-#: are append-only: never renumber or reuse one.
+#: are append-only: never renumber or reuse one — a code whose check is
+#: deleted moves to :data:`RETIRED`.
 CODES: dict[str, str] = {
-    # --- send/receive matching (check a) ------------------------------
+    # --- send/receive matching ----------------------------------------
     "V101": "orphaned send: a send has no matching posted receive",
     "V102": "orphaned receive: a posted receive no send ever satisfies",
     "V103": "matched send/receive pair disagrees in byte count",
     "V104": "local copy source and destination disagree in byte count",
-    # --- deadlock-freedom (check b) -----------------------------------
+    # --- deadlock-freedom ---------------------------------------------
     "V201": "cross-rank wait-for cycle: schedule can deadlock",
-    # --- buffer-aliasing safety (check c) -----------------------------
-    "V301": "overlapping receive blocks within one round",
-    "V302": "round reads a region another round of the phase writes",
-    "V303": "two rounds of one phase write overlapping regions",
-    "V304": "hop-parity buffer alternation violates Prop. 3.2 discipline",
+    # --- the declared buffers -----------------------------------------
     "V305": "block reference exceeds its buffer bounds",
-    # --- quantitative conformance (check d) ---------------------------
+    # --- the closed forms and the definition --------------------------
     "V401": "round count differs from C = sum of C_k (Prop. 3.1)",
     "V402": "per-process volume differs from V = sum of z_i (Prop. 3.2)",
     "V403": "allgather volume differs from tree edge count (Prop. 3.3)",
     "V404": "delivered content differs from the collective's definition",
-    "V405": "round packs scratch bytes no earlier round ever wrote",
-    # --- plan-lowering conformance (check e) ---------------------------
+    # --- plan-lowering conformance and the sentinel execution ---------
     "V501": "lowered plan changes the schedule's round structure",
     "V502": "lowered plan peer ranks differ from topology translation",
     "V503": "compiled pack/unpack bytes differ from the block sets",
@@ -62,7 +58,7 @@ CODES: dict[str, str] = {
     "V601": "broadcast neighborhood does not cover the whole torus",
     "V602": "broadcast volume differs from the p-1 block optimum",
     "V603": "broadcast round count violates the optimality bounds",
-    # --- byte-interval effect system (check g) -------------------------
+    # --- byte-interval effect system ----------------------------------
     "V701": "compiled kernel writes one buffer byte from two wire bytes",
     "V702": "two rounds of one compiled phase write overlapping bytes",
     "V703": "compiled round reads bytes a round of the same phase writes",
@@ -72,7 +68,7 @@ CODES: dict[str, str] = {
     "V707": "shm segment regions overlap (slot/slot or slot/buffer)",
     "V708": "compiled effect interval exceeds its buffer capacity",
     "V709": "compiled round reads bytes no earlier effect ever wrote",
-    # --- reduce-schedule verification (check h) -------------------------
+    # --- reduce-schedule verification ---------------------------------
     "V801": "reduce rounds/volume differ from the reverse tree (C, edges)",
     "V802": "reduce round structure malformed (offset, slot, phase hazard)",
     "V803": "reduce dataflow delivers the wrong contribution multiset",
@@ -80,6 +76,19 @@ CODES: dict[str, str] = {
     "V805": "lockstep reduction content differs from the definition",
     "V806": "combine step list has order-dependent effects",
 }
+
+#: Codes whose checks were deleted because another check catches every
+#: defect they caught (the kill matrix of ``tests/analyze``): reserved,
+#: never raised and never reused.
+RETIRED: frozenset[str] = frozenset(
+    {
+        "V301",  # overlapping receive blocks of a round: V701
+        "V302",  # a round reads what a sibling round writes: V703
+        "V303",  # two rounds of a phase write one region: V702
+        "V304",  # hop-parity discipline: the definition, V404
+        "V405",  # scratch forwarded unwritten: V709, the definition
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -99,6 +108,8 @@ class Violation:
     block: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.code in RETIRED:
+            raise ValueError(f"violation code {self.code!r} is retired")
         if self.code not in CODES:
             raise ValueError(f"unknown violation code {self.code!r}")
 
@@ -146,8 +157,8 @@ class VerificationReport:
     checks_run: list[str] = field(default_factory=list)
     #: ``(check, reason)`` for checks that apply to this schedule but did
     #: not execute (today: simulated state over the byte budget); a
-    #: check that does not apply at all — content simulation of an
-    #: in-place or hand-built schedule — is in neither list
+    #: check that does not apply at all — the definition of an in-place
+    #: or hand-built schedule — is in neither list
     skipped: list[tuple[str, str]] = field(default_factory=list)
     #: set when the shape stage was not run but inherited from a witness
     #: of the same normal form (``checks_run`` then starts with

@@ -1,9 +1,9 @@
 """Transport protocol and backend base classes.
 
 Proposition 3.1 makes a schedule pure local data; *executing* one only
-needs four verbs — post a receive, post a send, complete the posted
-operations of a phase, and (for process-parallel transports) a barrier.
-:class:`Transport` is that verb set for a single rank;
+needs three verbs — post a receive, post a send, and complete the
+posted operations of a phase.  :class:`Transport` is that verb set for
+a single rank;
 :class:`Backend` is the driver layer above it, with two entry points:
 :meth:`Backend.execute_all` runs a schedule for *all* ranks in one call
 (buffers supplied per rank), and :meth:`Backend.run` runs it for the
@@ -102,9 +102,6 @@ class Transport:
     def waitall(self, pending: Sequence[Any]) -> None:
         """Complete every pending token of the current phase."""
         raise NotImplementedError
-
-    def barrier(self) -> None:
-        """Synchronize all ranks (no-op where phases already are)."""
 
     # observability hooks --------------------------------------------------
     def mark(self, note: str) -> None:

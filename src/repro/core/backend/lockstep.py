@@ -149,15 +149,17 @@ def drive_lockstep(
         for it in interps:
             it.finish()
     except BaseException:
-        # return every rank's pooled scratch and drain the packed
-        # payloads still sitting on the wire, so a failed run leaves
-        # outstanding_bytes exactly where it found them
+        # return every rank's pooled scratch
         for it in interps:
             it.abort()
+        raise
+    finally:
+        # drain what is still on the wire — a failed run's packed
+        # payloads, or sends no rank received — so a run leaves
+        # outstanding_bytes exactly where it found them
         for payload in exchange.messages.values():
             GLOBAL_POOL.release(payload)
         exchange.messages.clear()
-        raise
 
 
 class LockstepBackend(Backend):

@@ -154,7 +154,7 @@ class ShmTransport(Transport):
         return _PendingRecv(blocks, buffers, source, seq)
 
     def waitall(self, pending: Sequence[Any]) -> None:
-        self.barrier()
+        self._barrier.wait(self.timeout)
         for token in pending:
             if not isinstance(token, _PendingRecv):
                 continue
@@ -162,9 +162,6 @@ class ShmTransport(Transport):
             token.blocks.unpack_from(
                 token.buffers, data[: token.blocks.total_nbytes]
             )
-
-    def barrier(self) -> None:
-        self._barrier.wait(self.timeout)
 
 
 class ShmBackend(Backend):

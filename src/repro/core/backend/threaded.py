@@ -55,9 +55,6 @@ class ThreadedTransport(Transport):
     def waitall(self, pending: Sequence[Any]) -> None:
         self.comm.waitall(pending)
 
-    def barrier(self) -> None:
-        self.comm.barrier()
-
     # observability --------------------------------------------------------
     def mark(self, note: str) -> None:
         self.comm.mark(note)

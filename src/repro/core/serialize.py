@@ -226,8 +226,8 @@ def schedule_to_dict(sched: Schedule) -> dict[str, Any]:
             for lc in sched.local_copies
         ],
         # per-neighbor user-buffer layouts: without them a loaded
-        # schedule loses the content simulation and hop-parity checks
-        # (the verifier skips what it cannot reconstruct)
+        # schedule loses the verifier's definition check (V404), which
+        # it skips when it cannot reconstruct the expected slots
         **(
             {"send_layout": [_blockset_to_list(bs) for bs in sched.send_layout]}
             if sched.send_layout is not None

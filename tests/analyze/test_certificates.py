@@ -148,7 +148,7 @@ def _alias(sched):
 BROKEN = {
     "orphan": ("V101", "trivial-alltoall", "5-point", _orphan),
     "deadlock": ("V201", "alltoall", "9-point", _deadlock),
-    "alias": ("V301", "direct-alltoall", "5-point", _alias),
+    "alias": ("V701", "direct-alltoall", "5-point", _alias),
 }
 
 
@@ -412,7 +412,7 @@ class TestInheritance:
 
     def test_without_a_store_nothing_is_inherited(self):
         report = certify_schedule(build_for_kind("alltoall", NBH9, 24), TORUS)
-        assert report.inherited_from is None and "structure" in report.checks_run
+        assert report.inherited_from is None and "quantitative" in report.checks_run
 
     def test_instance_stage_runs_for_every_instance(self, monkeypatch):
         calls = {"kernels": 0, "effects": 0, "matching": 0, "execution": 0}
@@ -465,7 +465,7 @@ class TestInheritance:
         certify(store, "alltoall", 8)
         assert certify(store, "alltoall", below).inherited_from is not None
         far = certify(store, "alltoall", above)
-        assert far.inherited_from is None and "content" in far.checks_run
+        assert far.inherited_from is None and "definition" in far.checks_run
         assert certify(store, "alltoall", above + 8).inherited_from.granule == above
 
     def test_no_certificate_crosses_the_staged_in_place_boundary(self):
@@ -518,7 +518,7 @@ class TestInheritance:
         store = CertificateStore()
         monkeypatch.setattr(schedule_verifier, "CONTENT_BUDGET", 1 << 10)
         big = certify(store, "alltoall", 1000)
-        assert big.ok and {c for c, _ in big.skipped} == {"content", "matrix-execution"}
+        assert big.ok and {c for c, _ in big.skipped} == {"matrix-execution"}
         assert store.info().entries == 0
         # a witness small enough to simulate files; the large instance
         # then inherits checks it could not have run itself
@@ -531,7 +531,7 @@ class TestInheritance:
         store = CertificateStore()
         for _ in range(2):
             report = certify(store, "alltoall", 0)
-            assert report.ok and "content" in report.checks_run
+            assert report.ok and "definition" in report.checks_run
         info = store.info()
         assert info[:4] == (2, 0, 2, 0)  # full, inherited, not q., entries
 
@@ -661,7 +661,7 @@ class TestZeroByteSchedules:
             assert report.codes() == {"V501", "V803"}
         else:
             assert report.ok, report.summary()
-            assert "content" in report.checks_run
+            assert "definition" in report.checks_run
 
     @pytest.mark.parametrize("backend", ["threaded", "lockstep", "batched"])
     @pytest.mark.parametrize("algorithm", ["combining", "trivial"])
@@ -690,18 +690,18 @@ class TestSkippedChecksAreReported:
         monkeypatch.setattr(schedule_verifier, "CONTENT_BUDGET", 1 << 10)
         report = verify_schedule(sched, TORUS)
         assert report.ok
-        assert [check for check, _ in report.skipped] == ["content", "matrix-execution"]
+        assert [check for check, _ in report.skipped] == ["matrix-execution"]
         assert all("CONTENT_BUDGET" in reason for _, reason in report.skipped)
         assert report.checks_run == [
-            c for c in full.checks_run if c not in ("content", "matrix-execution")
+            c for c in full.checks_run if c not in ("definition", "matrix-execution")
         ]
-        assert "skipped: content" in report.summary()
+        assert "skipped: matrix-execution" in report.summary()
 
     def test_a_check_that_does_not_apply_is_not_a_skip(self):
         hand_built = build_for_kind("alltoall", NBH9, 8)
         hand_built.send_layout = hand_built.recv_layout = None
         report = verify_schedule(hand_built, TORUS)
-        assert "content" not in report.checks_run and not report.skipped
+        assert "definition" not in report.checks_run and not report.skipped
 
 
 def test_cartcomm_reports_what_the_verifier_did():

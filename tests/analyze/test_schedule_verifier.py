@@ -16,6 +16,7 @@ import pytest
 
 from repro.analyze.report import (
     CODES,
+    RETIRED,
     ScheduleValidationError,
     VerificationReport,
     Violation,
@@ -32,7 +33,7 @@ from repro.analyze.schedule_verifier import (
 )
 from repro.core import schedule_cache
 from repro.core.stencils import named_stencil
-from repro.mpisim.datatypes import BlockRef
+from repro.mpisim.datatypes import BlockRef, BlockSet
 
 
 # ----------------------------------------------------------------------
@@ -47,6 +48,12 @@ class TestReport:
         for code in CODES:
             v = Violation(code=code, message="x")
             assert code in v.describe()
+        assert not RETIRED & set(CODES)
+
+    def test_violation_refuses_a_retired_code(self):
+        for code in RETIRED:
+            with pytest.raises(ValueError, match="retired"):
+                Violation(code=code, message="x")
 
     def test_empty_report_is_ok(self):
         report = VerificationReport(
@@ -89,11 +96,10 @@ class TestCertification:
             build_for_kind("alltoall", nbh), (4, 4), True
         )
         assert report.ok
-        assert "structure" in report.checks_run
-        assert "hop-parity" in report.checks_run
         assert "quantitative" in report.checks_run
         assert "matching+deadlock" in report.checks_run
-        assert "content" in report.checks_run
+        assert "buffer-bounds" in report.checks_run
+        assert "definition" in report.checks_run
 
     def test_certify_returns_report(self):
         nbh = named_stencil("5-point")
@@ -165,9 +171,12 @@ def test_report_says_when_the_executor_would_walk():
         named_stencil("9-point"), m_bytes=16, dtype="int64"
     )
     assert verify_schedule(sched, (3, 3), True).delivery == "staged: reduction"
-    sched.local_copies.append(
-        LocalCopy(BlockRef("send", 16, 3), BlockRef("recv", 16, 3))
-    )
+    # three bytes past the elements, copied locally; the layouts name
+    # them, so the buffers a caller hands over hold them (V305)
+    src, dst = BlockRef("send", 16, 3), BlockRef("recv", 16, 3)
+    sched.local_copies.append(LocalCopy(src, dst))
+    sched.send_layout.append(BlockSet([src]))
+    sched.recv_layout.append(BlockSet([dst]))
     report = verify_schedule(sched, (3, 3), True)
     assert report.ok and "matrix-execution" in report.checks_run
     assert report.delivery.startswith("staged: reduction; runs as walk: buffer ")
@@ -265,7 +274,7 @@ class TestKnownBadSchedules:
         )
         report = verify_schedule(sched, (4, 4), True)
         assert not report.ok
-        assert "V301" in report.codes()
+        assert "V701" in report.codes()
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,12 @@ Three families of randomized checks:
   rounds and sends ``V = Σ_i z_i`` blocks; the combining allgather uses
   the same round count and sends one block per routing-tree edge.
 
+* **Verifier soundness** — a drawn case corrupted by a drawn mutator of
+  the kill matrix (``tests/analyze/test_kill_matrix.py``): whatever the
+  static verifier certifies computes the collective's definition on
+  the threaded and batched backends and on the walk.  The checks the
+  kill matrix deleted rest on this.
+
 Profiles are registered in ``tests/conftest.py``; CI runs with
 ``HYPOTHESIS_PROFILE=ci`` (derandomized).
 """
@@ -32,9 +38,17 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.analyze.schedule_verifier import (
+    ALLGATHER_KINDS,
+    ALLTOALL_KINDS,
+    SWEEP_KINDS,
+    build_for_kind,
+    verify_schedule,
+)
 from repro.core.allgather_schedule import AllgatherTree, build_allgather_schedule
 from repro.core.alltoall_schedule import build_alltoall_schedule
 from repro.core.backend import get_backend
+from repro.core.backend.lockstep import WALK
 from repro.core.neighborhood import Neighborhood
 from repro.core.plan import (
     BatchedRound,
@@ -60,24 +74,30 @@ from repro.core.trivial import (
     build_trivial_allgather_schedule,
     build_trivial_alltoall_schedule,
 )
+from repro.core.verify import verify_allgather, verify_alltoall
 from repro.mpisim.datatypes import BlockRef, BlockSet
+from tests.analyze.test_kill_matrix import SCHEDULE_MUTATORS
 from tests.conftest import with_deliveries
 
 # Grid shapes with at most 24 ranks: lockstep execution is O(p · V · m),
 # so these keep each example comfortably under a millisecond-scale cost
 # while still covering 1-D through 3-D topologies.
 _DIMS_POOL = (
+    (1,),
     (2,),
     (3,),
     (4,),
     (6,),
     (8,),
     (12,),
+    (1, 3),
+    (2, 1),
     (2, 2),
     (2, 3),
     (3, 3),
     (2, 4),
     (4, 3),
+    (1, 2, 2),
     (2, 2, 2),
     (2, 2, 3),
 )
@@ -85,12 +105,17 @@ _DIMS_POOL = (
 
 @st.composite
 def cartesian_case(draw, periodic=False):
-    """A random (topology, neighborhood, block size) triple.
+    """A random (topology, neighborhood, block size) triple: extent-1
+    and extent-2 dimensions, zero and duplicate offsets, odd block
+    sizes.
 
     ``periodic=True`` forces a torus: the message-combining schedules
     require full periodicity (multi-hop forwarding is unconditional
     SPMD, so mesh boundaries would forward junk — ``CartComm`` rejects
-    that combination with a :class:`TopologyError`).
+    that combination with a :class:`TopologyError`).  ``t = 0`` draws
+    the zero offset alone: a neighborhood with no offset at all is
+    refused at construction (``test_empty_rejected``), and one with no
+    communicating neighbor is the closest admissible case.
     """
     dims = draw(st.sampled_from(_DIMS_POOL))
     d = len(dims)
@@ -98,7 +123,7 @@ def cartesian_case(draw, periodic=False):
         periods = (True,) * d
     else:
         periods = tuple(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
-    t = draw(st.integers(min_value=1, max_value=6))
+    t = draw(st.integers(min_value=0, max_value=6))
     offsets = draw(
         st.lists(
             st.tuples(*(st.integers(-2, 2) for _ in range(d))),
@@ -106,7 +131,11 @@ def cartesian_case(draw, periodic=False):
             max_size=t,
         )
     )
-    m = draw(st.integers(min_value=1, max_value=8))
+    if not offsets or draw(st.booleans()):
+        offsets.append((0,) * d)
+    if draw(st.booleans()):
+        offsets.append(offsets[0])
+    m = draw(st.integers(min_value=1, max_value=9))
     return CartTopology(dims, periods), Neighborhood(offsets), m
 
 
@@ -268,12 +297,6 @@ class TestStaticVerifier:
 
     @given(cartesian_case(periodic=True))
     def test_all_builders_verify_clean_on_torus(self, case):
-        from repro.analyze.schedule_verifier import (
-            SWEEP_KINDS,
-            build_for_kind,
-            verify_schedule,
-        )
-
         topo, nbh, m = case
         for kind in SWEEP_KINDS:
             sched = build_for_kind(kind, nbh, block_bytes=m)
@@ -288,11 +311,6 @@ class TestStaticVerifier:
         # Direct/trivial delivery is defined on meshes (missing
         # neighbors skip), so the verifier must certify them under
         # random periodicity too.
-        from repro.analyze.schedule_verifier import (
-            build_for_kind,
-            verify_schedule,
-        )
-
         topo, nbh, m = case
         for kind in (
             "trivial-alltoall",
@@ -307,6 +325,36 @@ class TestStaticVerifier:
                 f"offsets={nbh.offsets.tolist()} m={m}: "
                 f"{[v.describe() for v in report.violations]}"
             )
+
+
+    @given(
+        cartesian_case(),
+        st.sampled_from(sorted(SCHEDULE_MUTATORS)),
+        st.sampled_from(sorted(ALLTOALL_KINDS | ALLGATHER_KINDS)),
+    )
+    @example(
+        # a receive no rank runs (its source is off the mesh everywhere)
+        # still names bytes past the caller's buffer: V305
+        (CartTopology((1, 3), (False, False)), Neighborhood([(1, 0)]), 1),
+        "receive-past-its-layout",
+        "allgather",
+    )
+    def test_what_certifies_computes_the_definition(self, case, mutator, kind):
+        """Soundness of the verifier the kill matrix left: a corrupted
+        schedule it certifies still delivers, on every backend and on
+        the walk, what the collective's definition demands."""
+        topo, nbh, m = case
+        sched = build_for_kind(kind, nbh, block_bytes=m)
+        if not SCHEDULE_MUTATORS[mutator](sched, topo):
+            return
+        if not verify_schedule(sched, topo.dims, topo.periods).ok:
+            return
+        for backend in ("threaded", "batched", WALK):
+            if kind in ALLGATHER_KINDS:
+                verify_allgather(sched, topo, m, backend=backend)
+            else:
+                sizes = [m * (1 + i % 3) for i in range(nbh.t)]
+                verify_alltoall(sched, topo, sizes, backend=backend)
 
 
 # ----------------------------------------------------------------------

@@ -136,10 +136,10 @@ class TestFileAndErrors:
 
 
 class TestLayoutRoundTrip:
-    """PR 3's `Round.recv_offset` and builder-recorded send/recv layouts
+    """`Round.recv_offset` and the builder-recorded send/recv layouts
     must survive the wire format: without the layouts a loaded schedule
-    silently loses the content-simulation and hop-parity verifier
-    passes."""
+    loses the definition check (V404) of the verifier's sentinel
+    execution."""
 
     def test_recv_offset_roundtrip(self):
         orig = build("trivial")
@@ -175,8 +175,7 @@ class TestLayoutRoundTrip:
         back = schedule_from_json(schedule_to_json(build("combining")))
         report = verify_schedule(back, (3, 3), True)
         assert report.ok, report.summary()
-        assert "content" in report.checks_run
-        assert "hop-parity" in report.checks_run
+        assert "definition" in report.checks_run
 
     def test_loader_tolerates_missing_layouts(self):
         """Files written before layouts were serialized (same format
@@ -191,7 +190,7 @@ class TestLayoutRoundTrip:
         assert back.send_layout is None and back.recv_layout is None
         report = verify_schedule(back, (3, 3), True)
         assert report.ok, report.summary()
-        assert "content" not in report.checks_run
+        assert "definition" not in report.checks_run
 
     def test_hand_built_schedule_omits_layout_keys(self):
         orig = build("combining")
