@@ -4,15 +4,18 @@ Proposition 3.1 makes a schedule pure local data; *executing* one only
 needs three verbs — post a receive, post a send, and complete the
 posted operations of a phase.  :class:`Transport` is that verb set for
 a single rank;
-:class:`Backend` is the driver layer above it, with two entry points:
+:class:`Backend` is the driver layer above it, with three entry points:
 :meth:`Backend.execute_all` runs a schedule for *all* ranks in one call
-(buffers supplied per rank), and :meth:`Backend.run` runs it for the
+(buffers supplied per rank), :meth:`Backend.run` runs it for the
 *calling* rank of a live communicator — what ``CartComm`` launches a
-bound collective through.  The default ``run`` has the ranks meet by
-reference at the communicator's rendezvous, where one of them checks
-that all bound the same schedule, lowers it once and drives
-``execute_all`` over every rank's own arrays; the threaded backend
-overrides it with the interpreter over its own transport.
+bound collective through — and :meth:`Backend.start` starts a
+persistent handle there.  The defaults have the ranks meet by reference
+at the communicator's rendezvous, where one of them checks that all
+bound the same schedule, lowers it once and drives ``execute_all`` over
+every rank's own arrays; a handle's first start also leaves a
+:data:`Prepared` execution with every rank's handle, and a later start
+is one meeting that runs it.  The threaded backend overrides both with
+the interpreter over its own transport.
 
 Split-phase (non-blocking) execution needs a per-rank transport and
 always runs over the threaded one, whatever backend is selected.
@@ -20,8 +23,10 @@ always runs over the threaded one, whatever backend is selected.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -130,13 +135,31 @@ def _equal_schedules(a: "Schedule", b: "Schedule") -> bool:
     )
 
 
-def _same_schedule(slots: Sequence[BoundOp]) -> BoundOp:
-    """Rank 0's deposit, once every rank is known to have bound the
-    same schedule.  Whoever drives a meeting runs *one* schedule over
-    everybody's buffers, so a rank that called a different collective
-    would otherwise go unnoticed."""
+#: A persistent handle's execution, bound once for all ranks by the
+#: driver of its first start and kept by every rank's handle: a later
+#: start deposits the one object, and ``run()`` executes it for all.
+Prepared = namedtuple("Prepared", ["op", "schedule", "plan", "run"])
+
+
+def _same_launch(slots: Sequence[Any]) -> Any:
+    """Rank 0's deposit, once every rank is known to run the same
+    thing — bound operations of one schedule, or one handle's
+    :data:`Prepared` execution.  Whoever drives a meeting runs *one*
+    schedule over everybody's buffers, so a rank that called a
+    different collective, or started another handle, would otherwise go
+    unnoticed."""
     first = slots[0]
     for rank, slot in enumerate(slots):
+        if slot is first:
+            continue
+        if isinstance(first, Prepared) or isinstance(slot, Prepared):
+            raise ScheduleError(
+                f"mismatched collective: rank {rank} and rank 0 did not "
+                f"start the same persistent handle "
+                f"({(slot.op, slot.schedule.kind)} against "
+                f"{(first.op, first.schedule.kind)}); every rank must start "
+                f"its handle of the same init call"
+            )
         if not _equal_schedules(slot.schedule, first.schedule):
             raise ScheduleError(
                 f"mismatched collective: rank {rank} called "
@@ -190,27 +213,58 @@ class Backend:
         message, no copy in or out.  The meeting is refused, before any
         byte moves, when the ranks did not all bind the same schedule; a
         refusal or a failing execution is raised on every rank."""
-
-        def drive(
-            slots: Sequence[BoundOp],
-        ) -> tuple[plan_mod.BatchedPlan, bool]:
-            first = _same_schedule(slots)
-            # every rank accounts the one lowering as its one logical
-            # plan lookup (a hit unless the mesh's plan had to be
-            # lowered first)
-            lowered, hit = plan_mod.get_or_compile(
-                first.schedule, topo, first.buffers
-            )
-            self.execute_all(
-                topo,
-                first.schedule,
-                [slot.buffers for slot in slots],
-                plan=lowered,
-            )
-            return lowered, hit
-
-        lowered, hit = comm.rendezvous(BoundOp(op, schedule, buffers), drive)
+        lowered, hit = comm.rendezvous(
+            BoundOp(op, schedule, buffers), partial(self._drive, topo)
+        )
         return hit, lowered.rank_wire_bytes(comm.rank), schedule.local_copy_bytes
+
+    def start(
+        self, comm: Any, topo: "CartTopology", handle: Any
+    ) -> tuple[bool, int, int]:
+        """:meth:`run` for a :class:`~repro.core.persistent.PersistentOp`.
+        The default, for all-ranks backends: the driver of a first start
+        also binds the handle's :data:`Prepared` execution, which every
+        rank's handle keeps.  A later start deposits that, and the
+        meeting only checks that all ranks brought the one object before
+        it runs it (a plan hit for every rank)."""
+        got, hit = comm.rendezvous(
+            handle.prepared or handle, partial(self._drive, topo)
+        )
+        if isinstance(got, Prepared):
+            handle.prepared, got = got, got.plan
+        return hit, got.rank_wire_bytes(comm.rank), handle.schedule.local_copy_bytes
+
+    def _drive(
+        self, topo: "CartTopology", slots: Sequence[Any]
+    ) -> tuple[Any, bool]:
+        """Every meeting's action: ``(what ran, plan hit)``."""
+        first = _same_launch(slots)
+        if isinstance(first, Prepared):
+            first.run()
+            return first, True
+        # every rank accounts the one lowering as its one logical plan
+        # lookup (a hit unless the mesh's plan had to be lowered first)
+        lowered, hit = plan_mod.get_or_compile(
+            first.schedule, topo, first.buffers
+        )
+        rank_buffers = [slot.buffers for slot in slots]
+        if any(isinstance(slot, BoundOp) for slot in slots):  # a blocking call
+            self.execute_all(topo, first.schedule, rank_buffers, plan=lowered)
+            return lowered, hit
+        run = self.prepare(topo, first.schedule, lowered, rank_buffers)
+        run()
+        return Prepared(first.op, first.schedule, lowered, run), hit
+
+    def prepare(
+        self,
+        topo: "CartTopology",
+        schedule: "Schedule",
+        plan: "plan_mod.BatchedPlan",
+        rank_buffers: Sequence[Mapping[str, np.ndarray]],
+    ) -> Callable[[], None]:
+        """How a handle's :data:`Prepared` execution runs: by default
+        :meth:`execute_all` with the plan already looked up."""
+        return partial(self.execute_all, topo, schedule, rank_buffers, plan=plan)
 
     def execute_all(
         self,

@@ -88,6 +88,13 @@ class ThreadedBackend(Backend):
         interp.run()
         return interp.outcome
 
+    def start(
+        self, comm: Communicator, topo: CartTopology, handle: Any
+    ) -> tuple[bool, int, int]:
+        """A handle's start is a :meth:`run`: a rank has nothing to
+        prepare with the others."""
+        return self.run(comm, topo, handle.schedule, handle.buffers, handle.op)
+
     def execute_all(
         self,
         topo: CartTopology,

@@ -263,22 +263,25 @@ class CartComm:
     # launchers: the three ways to start a bound operation
     # ------------------------------------------------------------------
     def _record(
-        self, bound: BoundOp, backend: str, plan_hit: bool, packed: int, copied: int
+        self,
+        bound: Union[BoundOp, PersistentOp],
+        backend: str,
+        plan_hit: bool,
+        packed: int,
+        copied: int,
     ) -> None:
         """Account one completed execution under ``(op, algorithm,
         backend)`` — the one place, for every launcher."""
         if self.stats is None:
             return
-        self.stats.record_schedule(
-            bound.op, algorithm_of(bound.schedule.kind), bound.schedule,
-            backend=backend,
+        self.stats.record_execution(
+            bound.op, algorithm_of(bound.schedule.kind), backend,
+            bound.schedule.totals(), plan_hit, packed, copied,
         )
-        self.stats.record_plan(plan_hit, backend=backend)
-        self.stats.record_bytes(packed, copied, backend=backend)
 
     def _run(self, bound: BoundOp) -> None:
-        """Blocking launch (direct calls and persistent handles): run on
-        the selected backend, for the calling rank."""
+        """Blocking launch (the direct calls): run on the selected
+        backend, for the calling rank."""
         moved = self.backend.run(
             self.comm, self.topo, bound.schedule, bound.buffers, bound.op
         )

@@ -8,7 +8,8 @@ side of the cut-off across an application run, or that a run really
 executed on the backend it was configured for) without external
 tracing.
 
-Recording costs one dictionary update per collective; it is enabled per
+Recording is one :meth:`OpStats.record_execution` call per rank and
+collective (a handful of dictionary updates); it is enabled per
 communicator via ``info={"collect_stats": True}`` or
 :meth:`repro.core.cartcomm.CartComm.enable_stats`.
 """
@@ -16,10 +17,9 @@ communicator via ``info={"collect_stats": True}`` or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
-    from repro.core.schedule import Schedule
     from repro.mpisim.faults import FaultEvent
 
 #: Backend recorded when the caller does not say (the historical default
@@ -103,53 +103,38 @@ class OpStats:
             split[1] += 1
             self.cache_build_seconds += build_seconds
 
-    def record_plan(
-        self,
-        hit: bool,
-        backend: str = DEFAULT_BACKEND,
-        n: int = 1,
-    ) -> None:
-        """Count ``n`` plan-cache lookups of one outcome."""
-        if n <= 0:
-            return
-        split = self.plan_by_backend.setdefault(backend, [0, 0])
-        if hit:
-            self.plan_hits += n
-            split[0] += n
-        else:
-            self.plan_misses += n
-            split[1] += n
-
-    def record_bytes(
-        self,
-        packed: int = 0,
-        copied: int = 0,
-        backend: str = DEFAULT_BACKEND,
-    ) -> None:
-        """Attribute one execution's data movement to its backend."""
-        if packed:
-            self.bytes_packed[backend] = (
-                self.bytes_packed.get(backend, 0) + packed
-            )
-        if copied:
-            self.bytes_copied[backend] = (
-                self.bytes_copied.get(backend, 0) + copied
-            )
-
     def _record(self, key: tuple) -> OpRecord:
         rec = self.records.get(key)
         if rec is None:
             rec = self.records[key] = OpRecord()
         return rec
 
-    def record_schedule(
+    def record_execution(
         self,
         op: str,
         algorithm: str,
-        schedule: "Schedule",
-        backend: str = DEFAULT_BACKEND,
+        backend: str,
+        totals: Sequence[int],
+        plan_hit: bool,
+        packed: int,
+        copied: int,
     ) -> None:
-        self._record((op, algorithm, backend)).add(*schedule.totals()[:3])
+        """Account one completed execution: its ``(rounds, blocks,
+        bytes)`` ``totals`` under ``(op, algorithm, backend)``, its one
+        plan lookup, and the wire bytes it packed and the bytes its
+        local copies moved on this rank."""
+        self._record((op, algorithm, backend)).add(*totals[:3])
+        split = self.plan_by_backend.setdefault(backend, [0, 0])
+        if plan_hit:
+            self.plan_hits += 1
+            split[0] += 1
+        else:
+            self.plan_misses += 1
+            split[1] += 1
+        if packed:
+            self.bytes_packed[backend] = self.bytes_packed.get(backend, 0) + packed
+        if copied:
+            self.bytes_copied[backend] = self.bytes_copied.get(backend, 0) + copied
 
     def record_raw(
         self,

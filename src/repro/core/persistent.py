@@ -43,6 +43,9 @@ class PersistentOp:
                 self, plan_mod.GLOBAL_POOL.release, temp
             )
         cart._check_bounds(BoundOp(self.op, schedule, self.buffers))
+        #: on an all-ranks backend, the execution the first start bound
+        #: for every rank (:data:`~repro.core.backend.base.Prepared`)
+        self.prepared = None
         self._started = False
         self._freed = False
         self.executions = 0
@@ -52,6 +55,7 @@ class PersistentOp:
         instead of at garbage collection.  Idempotent; starting the
         handle again afterwards is an error on every backend."""
         self._freed = True
+        self.prepared = None
         if self._temp_finalizer is not None:
             self._temp_finalizer()
             self._temp_finalizer = None
@@ -68,7 +72,9 @@ class PersistentOp:
         # Persistent executions run on the communicator's selected
         # backend and count in its stats with the same (op, algorithm)
         # keys as the direct calls: they are the same launch.
-        self.cart._run(BoundOp(self.op, self.schedule, self.buffers))
+        cart = self.cart
+        moved = cart.backend.start(cart.comm, cart.topo, self)
+        cart._record(self, cart.backend.name, *moved)
         self._started = True
         return self
 

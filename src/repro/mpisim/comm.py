@@ -72,6 +72,9 @@ class Communicator:
         self._trace_rank = rank
         self._dup_count = 0
         self._coll_seq = 0
+        #: this communicator's meeting point (every engine run starts
+        #: with fresh ones and makes its own communicators)
+        self._meeting = engine.rendezvous(comm_id, size)
 
     # ------------------------------------------------------------------
     # infrastructure
@@ -379,9 +382,7 @@ class Communicator:
         aborts and honours the engine's wait-policy timeout; the entry
         is a stall/kill fault-injection point."""
         self._fault_hook("rendezvous")
-        return self.engine.rendezvous(self.comm_id, self.size).meet(
-            self.rank, self._trace_rank, obj, action
-        )
+        return self._meeting.meet(self.rank, self._trace_rank, obj, action)
 
     def share(self, obj: Any, root: int = 0) -> Any:
         """Broadcast by reference (collective): every rank returns the
@@ -392,9 +393,7 @@ class Communicator:
         timeout and fault injection are :meth:`rendezvous`'s."""
         self._check_peer(root, "root")
         self._fault_hook("share")
-        return self.engine.rendezvous(self.comm_id, self.size).broadcast(
-            self.rank, self._trace_rank, obj, root
-        )
+        return self._meeting.broadcast(self.rank, self._trace_rank, obj, root)
 
     def barrier(self) -> None:
         """Dissemination barrier: ceil(log2 p) sendrecv rounds."""

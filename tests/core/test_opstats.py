@@ -210,15 +210,16 @@ class TestCartCommIntegration:
 class TestJsonRoundTrip:
     def _populated(self):
         stats = OpStats()
-        stats.record_raw("alltoall", "combining", 4, 8, 256)
-        stats.record_raw("alltoall", "combining", 4, 8, 256)
+        stats.record_execution(
+            "alltoall", "combining", "shm", (4, 8, 256, 64), False, 1024, 64
+        )
+        stats.record_execution(
+            "alltoall", "combining", "threaded", (4, 8, 256, 0), True, 256, 0
+        )
         stats.record_raw("reduce", "trivial", 1, 4, 32, backend="lockstep")
         stats.record_cache(False, 0.25, backend="serve")
         stats.record_cache(True, backend="serve")
         stats.record_cache(True)
-        stats.record_plan(False, backend="shm", n=3)
-        stats.record_plan(True, n=2)
-        stats.record_bytes(packed=1024, copied=64, backend="shm")
         stats.record_fault("delay", 2)
         return stats
 

@@ -965,13 +965,20 @@ def test_compile_plan_wire_bytes_excludes_mesh_boundaries():
 
 class TestOpStatsCounters:
     def test_record_plan_and_bytes(self):
+        """One ``record_execution`` per execution books its record, its
+        one plan lookup and its bytes."""
         stats = OpStats()
-        stats.record_plan(False, backend="lockstep")
-        stats.record_plan(True, backend="lockstep", n=3)
-        stats.record_plan(True, backend="shm")
-        stats.record_plan(True, n=0)  # no-op (funnelled zero delta)
-        stats.record_bytes(packed=100, copied=40, backend="lockstep")
-        stats.record_bytes(packed=50, backend="lockstep")
+        assert "no collective operations" in stats.summary()
+        totals = (4, 8, 256, 40)
+        for hit, packed, copied in [
+            (False, 100, 40), (True, 50, 0), (True, 0, 0), (True, 0, 0),
+        ]:
+            stats.record_execution(
+                "alltoall", "combining", "lockstep", totals, hit, packed, copied
+            )
+        stats.record_execution(
+            "alltoall", "combining", "shm", totals, True, 0, 0
+        )
         assert stats.plan_hits == 4 and stats.plan_misses == 1
         assert stats.plan_by_backend == {
             "lockstep": [3, 1],
@@ -979,9 +986,8 @@ class TestOpStatsCounters:
         }
         assert stats.bytes_packed == {"lockstep": 150}
         assert stats.bytes_copied == {"lockstep": 40}
-        text = stats.summary()  # records empty -> sentinel text
-        assert "no collective operations" in text
-        stats.record_raw("alltoall", "combining", 4, 8, 256)
+        record = stats.records[("alltoall", "combining", "lockstep")]
+        assert (record.calls, record.rounds, record.volume_bytes) == (4, 16, 1024)
         text = stats.summary()
         assert "execution plans: 4 hits / 1 compiles" in text
         assert "data moved [lockstep]: 150 B packed, 40 B copied" in text

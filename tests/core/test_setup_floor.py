@@ -111,14 +111,21 @@ class TestOnePerProcess:
         cold_info = schedule_cache.cache_info()
         assert (cold_info.misses, cold_info.builds) == (1, 1)
         assert cold_info.hits <= 15
+        # the plan layer is looked up once per handle, at its first
+        # start, whose driver binds the handle's execution for every
+        # rank; later starts run that and look nothing up.  The one miss
+        # is the certified lowering, filed before anything runs; the
+        # first start hits it.  (Per rank, OpStats still books one plan
+        # hit per collective — below.)
         cold_plans = CartComm.plan_cache_info()
-        assert (cold_plans.misses, cold_plans.hits) == (1, GENERATIONS)
+        assert (cold_plans.misses, cold_plans.hits) == (1, 1)
 
         # a second run — a new communicator, the process-wide caches
         # warm: the first rank to bind takes the schedule from level 2
         # into the communicator's level 1, where its 15 siblings find it
         # (they used to count 15 more level-2 hits); the datatypes of
-        # this shape are on file; the plan layer is untouched
+        # this shape are on file; the plan layer sees the new handle's
+        # one lookup
         run = app.run(backend="batched")
         assert np.array_equal(run.output, app.sequential())
         assert calls == {"regions": 16, "walks": 2 * 2 * 4, "topologies": 2}
@@ -126,7 +133,7 @@ class TestOnePerProcess:
         assert (info.misses, info.builds) == (1, 1)
         assert info.hits == cold_info.hits + 1
         plans = CartComm.plan_cache_info()
-        assert (plans.misses, plans.hits) == (1, 2 * GENERATIONS)
+        assert (plans.misses, plans.hits) == (1, 2)
 
         # per-rank accounting as before: every rank one look-up (a hit
         # is a hit at either level), every rank its own collectives

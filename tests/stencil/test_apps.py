@@ -22,7 +22,7 @@ NBH = moore_neighborhood(2, 1, include_self=False)
 
 
 def run_distributed(dims, grid, kernel_local, steps, algorithm="combining",
-                    depth=1):
+                    depth=1, info=None):
     topo = CartTopology(dims)
     decomp = GridDecomposition(topo, grid.shape)
     blocks = decomp.scatter(grid)
@@ -32,9 +32,12 @@ def run_distributed(dims, grid, kernel_local, steps, algorithm="combining",
             cart, decomp, blocks[cart.rank], kernel_local,
             depth=depth, algorithm=algorithm,
         )
-        return st.run(steps)
+        try:
+            return st.run(steps)
+        finally:
+            st.free()
 
-    return decomp.gather(run_cartesian(dims, NBH, fn, timeout=180))
+    return decomp.gather(run_cartesian(dims, NBH, fn, info=info, timeout=180))
 
 
 @pytest.mark.parametrize("algorithm", ["trivial", "combining", "direct"])
@@ -52,14 +55,16 @@ def test_jacobi_matches_serial(algorithm, rng):
 
 
 def test_heat_equation_uneven_blocks(rng):
-    """Grid extents not divisible by the process grid."""
+    """Grid extents not divisible by the process grid: per-rank layouts,
+    which only the threaded backend runs."""
     g = rng.random((11, 13))
     w = heat_weights(2, 0.15)
     ref = g.copy()
     for _ in range(6):
         ref = weighted_stencil_global(ref, w)
     got = run_distributed(
-        (2, 3), g, lambda arr: weighted_stencil_local(arr, w, 1), 6
+        (2, 3), g, lambda arr: weighted_stencil_local(arr, w, 1), 6,
+        info={"backend": "threaded"},
     )
     assert np.allclose(got, ref)
 
