@@ -2,8 +2,8 @@
 
 The compiled execution layer (:mod:`repro.core.plan`) expresses every
 data movement as numpy selectors — slices for coalesced runs, ``int64``
-index arrays for fragmented ones, both counted in lanes (machine words
-of 8, 4, 2 or 1 bytes).  The effect analyzer abstracts both to
+index arrays for fragmented ones, both counted in lanes (the gcd of a
+layout's extents: a byte, a word or a whole block).  The effect analyzer abstracts both to
 the same symbolic object: a normalized set of half-open *byte* intervals
 ``[lo, hi)`` over one buffer — the lane is scaled away here, so every
 check downstream is lane-blind.  Interval sets support exactly the algebra
@@ -24,6 +24,7 @@ a kernel to learn what it touches.
 
 from __future__ import annotations
 
+import math
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -248,8 +249,9 @@ class ProgramEffects(NamedTuple):
     """What the ops of one kernel or copy program say, read in one pass
     (:func:`read_ops`)."""
 
-    #: both sides' forms and the lane of each selector op, ``"run"`` per
-    #: slice-loop entry: the program's part of the kernel signature
+    #: both sides' forms and the lane class (``gcd(8, lane)``) of each
+    #: selector op, ``"run"`` per slice-loop entry: the program's part of
+    #: the kernel signature
     forms: tuple[object, ...]
     #: ``(lane, source buffer, destination buffer)`` per selector op
     lanes: tuple[tuple[int, str, str], ...]
@@ -279,7 +281,10 @@ def read_ops(
     parts: tuple[dict[str, list[SelectorSummary]], ...] = ({}, {})
     ragged: list[tuple[str, str, int, int]] = []
     for src, dst, src_sel, dst_sel, lane in sel_ops:
-        forms.append((_form(src_sel), _form(dst_sel), lane))
+        # the key records the lane's word class, not its width: a
+        # lowering of whole blocks is as wide as the block, and sizes
+        # that differ by a factor must share their certificate
+        forms.append((_form(src_sel), _form(dst_sel), math.gcd(8, lane)))
         lanes.append((lane, src, dst))
         if intervals:
             gathered = summarize_selector(src_sel, lane)

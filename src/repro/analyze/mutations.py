@@ -19,6 +19,7 @@ pre-existing finding.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, TypeVar
@@ -479,11 +480,20 @@ def _m_wire_overrun(fx: _Fixture) -> set[str]:
 # -- V501/V503: selector lanes ----------------------------------------------
 
 
+def _stale_lane(lane: int) -> int:
+    """Another width for a ``lane``: a block lane's word lane
+    ``gcd(8, lane)``, which divides whatever the block lane divides;
+    a word lane's double (its half at 8)."""
+    word = math.gcd(8, lane)
+    if word != lane:
+        return word
+    return lane // 2 if lane == 8 else 2 * lane
+
+
 def _widen_one_lane(fx: _Fixture, sizes: dict[str, int]) -> set[str]:
-    """Lower the fixture at ``sizes``, double the lane of the first
-    index-selector op whose wire the wider lane still divides (halve it
-    where the lowering already chose the widest) — indices untouched —
-    and run the kernel conformance check on the result."""
+    """Lower the fixture at ``sizes``, give the first index-selector op
+    whose wire its :func:`_stale_lane` divides that lane — indices
+    untouched — and run the kernel conformance check on the result."""
     from repro.analyze.schedule_verifier import _check_plan_kernels
 
     plan = compile_batched_plan(fx.schedule, fx.topo, sizes)
@@ -494,13 +504,10 @@ def _widen_one_lane(fx: _Fixture, sizes: dict[str, int]) -> set[str]:
         for half, kernel in (("send", rnd.send), ("recv", rnd.recv))
         if kernel is not None
         and kernel.uses_indices
-        and (
-            kernel.lanes[0] == 8
-            or kernel.total_nbytes % (2 * kernel.lanes[0]) == 0
-        )
+        and kernel.total_nbytes % _stale_lane(kernel.lanes[0]) == 0
     )
     *op, lane = kernel._sel_ops[0]
-    stale = lane // 2 if lane == 8 else 2 * lane
+    stale = _stale_lane(lane)
     widened = _mut_kernel(
         kernel, sel_ops=((*op, stale),) + kernel._sel_ops[1:]
     )
@@ -513,7 +520,7 @@ def _widen_one_lane(fx: _Fixture, sizes: dict[str, int]) -> set[str]:
 
 @_mutator("lane-widened-without-rescale", "V503")
 def _m_lane_widened(fx: _Fixture) -> set[str]:
-    # capacities rounded up to whole 8-byte words, so the wider lane
+    # capacities rounded up to whole 8-byte words, so the stale lane
     # still views every buffer and only the stale indices are wrong
     return _widen_one_lane(
         fx, {name: -(-cap // 8) * 8 for name, cap in fx.sizes.items()}

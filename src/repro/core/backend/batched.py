@@ -24,16 +24,17 @@ that reads what it writes) and no two buffers of a rank sharing memory:
 straight from the sending rank's own arrays to the receiving rank's:
 one copy per delivered byte, ``p`` launches per round.
 
-*Staged* — everything else (small blocks, reductions): all rank
-buffers are stacked into one ``(p, nbytes)`` matrix per buffer name,
-back to back in one pooled block
-(:meth:`~repro.core.plan.BatchedPlan.matrices`), and
+*Staged* — everything else (small blocks, reductions): each buffer
+name's ``p`` arrays are copied, as they are, by one
+``np.concatenate`` into one ``(p, nbytes)`` matrix, back to back in
+one pooled block (:meth:`~repro.core.plan.BatchedPlan.matrices`), and
 :meth:`~repro.core.plan.BatchedPlan.execute` runs each round as a
 handful of vectorized numpy operations — gather all rows into a
 ``(p, n)`` wire matrix, permute its rows by the source-rank array,
-scatter.  About five copies per delivered byte, but one kernel launch
-for all ranks, which is what makes interactive large-mesh and netsim
-sweeps feasible.
+scatter, one index per block lane.  About five copies per delivered
+byte, but one kernel launch for all ranks and one copy-in call per
+buffer name, which is what makes large-mesh and netsim sweeps
+feasible.
 
 A persistent handle decides its form once: the driver of its first
 start binds a :data:`~repro.core.backend.base.Prepared` execution for
@@ -76,11 +77,14 @@ def executor_form(
     ``"in-place: …"`` or ``"staged: …"``.  ``plan`` is the lowering for
     rank 0's sizes; without buffers the answer is the one for uniformly
     sized, unaliased ones."""
-    if rank_buffers:
-        layout = {n: int(a.nbytes) for n, a in rank_buffers[0].items()}
-        for rank, buffers in enumerate(rank_buffers):
-            if {n: int(a.nbytes) for n, a in buffers.items()} != layout:
-                return f"walk: rank {rank} sizes differ from rank 0"
+    if rank_buffers and not _uniform(rank_buffers):
+        layout = {n: a.nbytes for n, a in rank_buffers[0].items()}
+        rank = next(
+            rank
+            for rank, buffers in enumerate(rank_buffers)
+            if {n: a.nbytes for n, a in buffers.items()} != layout
+        )
+        return f"walk: rank {rank} sizes differ from rank 0"
     if plan.matrix_error is not None:
         return f"walk: {plan.matrix_error}"
     # names can hide aliasing the plan's interval check cannot see
@@ -93,6 +97,19 @@ def executor_form(
     ):
         return "staged: two buffers of a rank share memory"
     return f"{plan.delivery}: {plan.delivery_reason}"
+
+
+def _uniform(rank_buffers: Sequence[Mapping[str, np.ndarray]]) -> bool:
+    """Whether every rank names rank 0's buffers at rank 0's sizes: one
+    set of ``p`` sizes per name (a rank-by-rank comparison only names
+    the first rank that differs, once one does)."""
+    first = rank_buffers[0]
+    try:
+        return all(len(b) == len(first) for b in rank_buffers) and all(
+            len({b[name].nbytes for b in rank_buffers}) == 1 for name in first
+        )
+    except KeyError:
+        return False
 
 
 class BatchedBackend(Backend):
@@ -143,7 +160,7 @@ def _runner(
     per-round kernels otherwise.  Only a persistent handle fuses: the
     lowering costs more than the execution it would speed up, and with
     blocking calls fused too ``cold_start`` (every op a first call) ran
-    1.35× slower at op_p50."""
+    1.05× slower at op_p50, even at block lanes."""
     form = executor_form(plan, rank_buffers)
     if form.startswith("in-place"):
         return partial(plan.deliver, rank_buffers)
@@ -157,11 +174,17 @@ def _runner(
         return walk
     # scratch is not data: the ``temp`` matrix is the execution's own,
     # never staged in from a caller's ``temp`` nor handed back
-    staged = [
-        (name, [byte_view(b[name]) for b in rank_buffers], name in plan.written)
-        for name in rank_buffers[0]
-        if name != "temp" or schedule.temp_nbytes == 0
-    ]
+    staged = []
+    for name in rank_buffers[0]:
+        if name == "temp" and schedule.temp_nbytes:
+            continue
+        arrays = [b[name] for b in rank_buffers]
+        if not all(a.flags.c_contiguous for a in arrays):
+            raise ValueError("datatype buffers must be C-contiguous")
+        if len({a.dtype for a in arrays}) > 1 or len({a.shape for a in arrays}) > 1:
+            # ranks that bind other types or shapes of one size meet as bytes
+            arrays = [byte_view(a) for a in arrays]
+        staged.append((name, arrays, name in plan.written))
     return partial(_staged, plan, staged, plan.fused if fuse else None)
 
 
@@ -171,16 +194,23 @@ def _staged(
     fused: plan_mod.FusedProgram | None,
 ) -> None:
     """The staged form: every rank's ``staged`` buffers — ``(name, rank
-    views, written)`` — stacked into their matrices of one pooled block
-    (:meth:`~repro.core.plan.BatchedPlan.matrices`), the plan run on it
-    (its ``fused`` phases, else its rounds' kernels), and what it wrote
-    copied back (a buffer no kernel writes, a read-only ``send``, is
-    never assigned)."""
+    arrays of one type and shape, written)`` — concatenated into their
+    matrices of one pooled block
+    (:meth:`~repro.core.plan.BatchedPlan.matrices`, each seen as ``p``
+    rows of the arrays' type), the plan run on it (its ``fused``
+    phases, else its rounds' kernels), and what it wrote copied back (a
+    buffer no kernel writes, a read-only ``send``, is never assigned)."""
     block = plan_mod.GLOBAL_POOL.acquire(plan.block_nbytes)
     try:
         matrices = plan.matrices(block)
-        for name, views, _ in staged:
-            np.stack(views, out=matrices[name])
+        rows = {
+            name: matrices[name].view(arrays[0].dtype).reshape(
+                len(arrays), *arrays[0].shape
+            )
+            for name, arrays, _ in staged
+        }
+        for name, arrays, _ in staged:
+            np.concatenate(arrays, axis=None, out=rows[name].reshape(-1))
         if fused is None:
             plan.execute(matrices)
         else:
@@ -189,9 +219,9 @@ def _staged(
                 words[dst] = words[src]
         if fused is None or not plan.copy_program.fused:
             plan.run_local_copies(matrices)
-        for name, views, written in staged:
+        for name, arrays, written in staged:
             if written:
-                for view, row in zip(views, matrices[name]):
-                    view[:] = row
+                for arr, row in zip(arrays, rows[name]):
+                    arr[...] = row
     finally:
         plan_mod.GLOBAL_POOL.release(block)

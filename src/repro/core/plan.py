@@ -17,11 +17,11 @@ is precomputed:
   are the same for every rank: contiguous layouts degrade to a single
   slice copy, fragmented ``v``/``w`` layouts become one numpy gather or
   scatter over precomputed ``int64`` index arrays that count *lanes* —
-  the widest machine word (8, 4, 2 or 1 bytes) that every offset,
-  length and capacity of the group is a multiple of, so an ``int64``
-  layout moves one word per index, not eight bytes — and layouts with
-  few large runs keep a precomputed slice loop (a handful of big
-  ``memcpy``\\ s beats index gathering at any lane);
+  the gcd of every offset, length and capacity of the group, so a
+  layout of whole 256-byte blocks moves one block per index, not one
+  byte or word — and layouts with few large runs keep a precomputed
+  slice loop (a handful of big ``memcpy``\\ s beats index gathering at
+  any lane);
 * **a fused local-copy program** — the final non-communication phase is
   compiled the same way (:class:`CompiledCopyProgram`), falling back to
   the schedule's sequential order whenever source and destination
@@ -65,6 +65,7 @@ import threading
 import time
 import weakref
 from collections import namedtuple
+from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -288,20 +289,27 @@ GLOBAL_POOL = BufferPool()
 
 #: A precomputed gather/scatter selector: a slice where the region is
 #: contiguous, an ``int64`` index array where it is not — both counted in
-#: *lanes* (machine words of 8, 4, 2 or 1 bytes), not bytes.
+#: *lanes*, not bytes.
 Selector = Union[slice, np.ndarray]
 
-#: lane width in bytes -> the unsigned word type a selector of that lane
-#: indexes (lane 1 is the same path over a ``uint8`` view)
-_LANE_DTYPES = {n: np.dtype(f"u{n}") for n in (1, 2, 4, 8)}
 _ALL_ROWS = slice(None)
 
 
 def _lane_of(*extents: int) -> int:
     """The widest lane every one of ``extents`` (run offsets and lengths
     on both sides, buffer capacities, the wire total) is a multiple of:
-    8, 4, 2 or 1 bytes."""
-    return math.gcd(8, *extents)
+    their gcd, so a layout of whole 256-byte blocks moves one block per
+    index."""
+    return math.gcd(*extents) or 1
+
+
+@lru_cache(maxsize=256)
+def _lane_dtype(lane: int) -> np.dtype:
+    """The word type a selector of ``lane`` bytes indexes: an unsigned
+    integer up to 8 bytes, an opaque ``V{lane}`` block beyond (and for
+    the odd widths in between).  Memoised: building a dtype costs a
+    rank-view kernel of a few words a third of its call."""
+    return np.dtype(f"u{lane}" if lane in (1, 2, 4, 8) else f"V{lane}")
 
 
 def _selector(
@@ -344,7 +352,7 @@ def _copy_lanes(
     ``take`` method, not ``[..., sel]`` and ``np.take``: per-rank
     kernels of a few words run this thousands of times per collective.)
     """
-    dtype = _LANE_DTYPES[lane]
+    dtype = _lane_dtype(lane)
     dst = dst.view(dtype)
     src = src.view(dtype)
     dst_at: Any = dst_sel
@@ -1040,7 +1048,7 @@ class BatchedRound:
         rows = self.recv_rows
         dst_rows = slice(None) if rows is None else rows
         for name, wire_sel, buf_sel, lane in self.recv._sel_ops:
-            dtype = _LANE_DTYPES[lane]
+            dtype = _lane_dtype(lane)
             words = wire.view(dtype)
             if isinstance(wire_sel, slice):
                 payload = words[src, wire_sel]
@@ -1684,10 +1692,10 @@ def fuse_phases(plan: BatchedPlan) -> Optional[FusedProgram]:
     ``w`` from.  NumPy gathers a step's whole right-hand side before it
     writes, so a phase reads the snapshot the wire gives
     :meth:`BatchedPlan.execute`.  The lane is the widest that the buffer
-    sizes and every kernel allow.  ``None`` — the per-round kernels
-    stay — for a reduction (its folds run between deliveries), for maps
-    over :data:`FUSED_INDEX_PER_BLOCK_BYTE`, and for a phase or fused
-    local-copy set that writes a byte twice."""
+    sizes, the block's 8-byte layout and every kernel allow.  ``None`` —
+    the per-round kernels stay — for a reduction (its folds run between
+    deliveries), for maps over :data:`FUSED_INDEX_PER_BLOCK_BYTE`, and
+    for a phase or fused local-copy set that writes a byte twice."""
     if plan.pre_program or any(plan.combine_programs) or plan.reduce_missing.size:
         return None
     moving = [
@@ -1699,6 +1707,8 @@ def fuse_phases(plan: BatchedPlan) -> Optional[FusedProgram]:
     programs += [prog] if prog.fused else []
     lane = _lane_of(
         *plan.sizes.values(),
+        *plan.offsets.values(),
+        plan.block_nbytes,
         *(op[-1] for k in programs for op in k._sel_ops),
         *(x for k in programs for op in k._run_ops for x in op[-3:]),
     )
@@ -1744,7 +1754,7 @@ def fuse_phases(plan: BatchedPlan) -> Optional[FusedProgram]:
             for src, dst, src_sel, dst_sel, n in ops(prog)
         ])
     steps = tuple(map(_step, pieces))
-    return None if None in steps else FusedProgram(_LANE_DTYPES[lane], steps)
+    return None if None in steps else FusedProgram(_lane_dtype(lane), steps)
 
 
 def _phase_hazard(

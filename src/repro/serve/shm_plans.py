@@ -25,11 +25,13 @@ on first read, so a torn or corrupted mapping surfaces as a typed
 :class:`~repro.core.serialize.CorruptFrameError`.
 
 Plans are serialized as a **plan image**: a JSON skeleton (structure,
-slices, byte counts, and the lane — bytes per word — each selector op
-counts in) plus a blob region holding the ``int64`` gather/scatter
-index arrays 8-byte aligned, which is what makes the read-side
-zero-copy.  Store version 2 added the lanes; a version-1 segment holds
-byte-granular selectors this reader would misread, and is refused.  Reduction plans are refused — an image carries
+slices, byte counts, and the lane — bytes per index, which may exceed
+8 B: a whole block — each selector op counts in) plus a blob region
+holding the ``int64`` gather/scatter index arrays 8-byte aligned, which
+is what makes the read-side zero-copy.  Store version 2 added the
+lanes, version 3 lanes wider than 8 B; a reader refuses a segment of
+another version with a typed error rather than misread its selectors.
+Reduction plans are refused — an image carries
 data movement only, and a combine operator may be a process-local
 callable; the store serves the data-movement family.
 """
@@ -57,7 +59,7 @@ from repro.core.serialize import CorruptFrameError
 from repro.mpisim.exceptions import ScheduleError
 
 STORE_MAGIC = b"RPLS"
-STORE_VERSION = 2
+STORE_VERSION = 3
 _STORE_HEADER = struct.Struct("<4sIQQ")
 _ENTRY_HEADER = struct.Struct("<III")
 #: default segment capacity: generous for thousands of stencil plans

@@ -443,6 +443,30 @@ class TestInheritance:
         assert certify(store, "alltoall", 24, dims=(3, 5)).inherited_from is None
         assert store.info().entries == 2
 
+    def test_block_lanes_of_one_word_class_inherit(self):
+        """A lane is as wide as the blocks it moves, so every block size
+        lowers to lanes of its own; the key records their word class,
+        ``gcd(8, lane)``, and m = 24 and m = 256 inherit from m = 8."""
+        store = CertificateStore()
+        topo = schedule_verifier.CartTopology(TORUS)
+
+        def lanes(m):
+            plan = schedule_verifier._lower(build_for_kind("alltoall", NBH9, m), topo)
+            return {
+                lane
+                for phase in plan.phases
+                for rnd in phase
+                for kernel in (rnd.send, rnd.recv)
+                if kernel is not None
+                for lane in kernel.lanes
+            }
+
+        assert (lanes(8), lanes(24), lanes(256)) == ({8, 24}, {24, 72}, {256, 768})
+        assert certify(store, "alltoall", 8).inherited_from is None
+        for m in (24, 256):
+            assert certify(store, "alltoall", m).inherited_from.granule == 8
+        assert store.info()[:2] == (1, 2)
+
     def test_another_lane_class_misses_and_is_fully_certified(self):
         store = CertificateStore()
         certify(store, "allgather", 8)

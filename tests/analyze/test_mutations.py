@@ -27,7 +27,8 @@ def test_every_mutant_killed_with_expected_code():
 
 def test_every_mutant_dies_alike_at_another_block_size():
     """The analyzer's kills are not an accident of 4-byte blocks: at 24
-    (every lane 8 instead of 4) each mutant reports the same codes."""
+    (block lanes of 24 and 72 bytes instead of word lanes of 4 and 8)
+    each mutant reports the same codes."""
     small, large = run_mutations(), run_mutations(24)
     assert len(small) == len(large)
     assert all(r.killed for r in large)

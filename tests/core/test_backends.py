@@ -17,6 +17,7 @@ In this suite ``"lockstep"`` stands for the walk itself
 which would compare the matrix forms with themselves.
 """
 
+import math
 import multiprocessing
 
 import numpy as np
@@ -685,7 +686,7 @@ class TestDeliveryForms:
             "staged: two buffers of a rank share memory"
         )
 
-    @pytest.mark.parametrize("m, lane", [(5, 1), (16, 8)])
+    @pytest.mark.parametrize("m, word", [(5, 1), (16, 8)])
     @pytest.mark.parametrize("variant", ["regular", "v", "w"])
     @pytest.mark.parametrize("algorithm", ["trivial", "combining"])
     @pytest.mark.parametrize("op", ["alltoall", "allgather"])
@@ -699,7 +700,7 @@ class TestDeliveryForms:
         ids=["torus", "mesh", "self"],
     )
     def test_fused_phases_agree_byte_for_byte(
-        self, dims, periods, nbh, op, algorithm, variant, m, lane, monkeypatch
+        self, dims, periods, nbh, op, algorithm, variant, m, word, monkeypatch
     ):
         """The fourth way to run the plan — what a persistent handle's
         staged execution runs: every phase one word map on the staged
@@ -707,7 +708,11 @@ class TestDeliveryForms:
         through the backend's prepared execution, which stages its own
         scratch, against the definition.  The maps' memory bound is
         lifted here so that the lane-1 lowering is checked too (the
-        bound has its own test below)."""
+        bound has its own test below).  A regular layout moves whole
+        blocks, one index per block, wherever the staged block's 8-byte
+        layout keeps them aligned; ``word`` is that lane's class,
+        ``gcd(8, lane)``, the width the lowering used before block
+        lanes."""
         from repro.core import plan as plan_mod
         from repro.core.backend.batched import BatchedBackend
 
@@ -725,7 +730,9 @@ class TestDeliveryForms:
         assert plan.delivery == "staged" and fused is not None
         assert len(fused.steps) >= len(sched.phases)
         if variant == "regular":
-            assert fused.dtype.itemsize == lane
+            # 9 ranks' 45-byte rows at m = 5 fill 408-byte matrices
+            lane = 1 if (m, topo.size) == (5, 9) else m
+            assert fused.dtype.itemsize == lane and math.gcd(8, lane) == word
         if nbh.has_self:
             assert plan.copy_program.nbytes > 0 and plan.copy_program.fused
         want = _snapshot(start)
@@ -745,6 +752,44 @@ class TestDeliveryForms:
         after = _snapshot(before)
         BatchedBackend().prepare(topo, sched, plan, after)()
         assert_matches_definition(topo, sched, before, after)
+
+    def test_ranks_of_other_dtypes_of_one_size_run_staged(self):
+        """Ranks that bind other types (or shapes) of the same byte size
+        meet as bytes: still staged, and equal to the walk."""
+        from repro.core.backend.batched import executor_form
+        from repro.core.plan import get_or_compile, plan_cache_info
+
+        topo = CartTopology((3, 3))
+        sched, ssize, rsize = _make_case("alltoall", "combining", "regular", m=8)
+        start = _make_bufs(topo.size, ssize, rsize)
+        for r, b in enumerate(start):
+            if r % 3 == 1:
+                b["send"] = b["send"].view(np.uint16).reshape(4, -1)
+                b["recv"] = b["recv"].view(np.int32).reshape(-1, 2)
+            elif r % 3 == 2:
+                b["recv"] = b["recv"].view(np.int64)
+        plan, _ = get_or_compile(sched, topo, start[0])
+        assert executor_form(plan, start).startswith("staged: ")
+        want, got = _snapshot(start), _snapshot(start)
+        WALK.execute_all(topo, sched, want)
+        walked = plan_cache_info().walked
+        get_backend("batched").execute_all(topo, sched, got)
+        assert plan_cache_info().walked == walked
+        _assert_same_buffers(got, want, "mixed dtypes vs the walk")
+
+    @pytest.mark.parametrize("name", ["send", "recv"])
+    def test_a_buffer_that_is_not_c_contiguous_is_refused(self, name):
+        """The staged form takes the callers' arrays as they are, and
+        still refuses one it could not view as bytes (a strided
+        ``send`` the plan only reads included), before any byte moves."""
+        topo = CartTopology((3, 3))
+        sched, ssize, rsize = _make_case("alltoall", "combining", "regular", m=8)
+        bufs = _make_bufs(topo.size, ssize, rsize)
+        bufs[4][name] = np.zeros(2 * bufs[4][name].size, np.uint8)[::2]
+        before = _snapshot(bufs)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            get_backend("batched").execute_all(topo, sched, bufs)
+        _assert_same_buffers(bufs, before, "a refused call")
 
     def test_a_phase_that_writes_a_byte_twice_keeps_its_rounds(self):
         """Only the rounds' order says which of two writes wins, so the
@@ -1365,3 +1410,67 @@ def test_threaded_backend_execute_all_matches_lockstep():
     sched, ssize, rsize = _make_case("alltoall", "combining", "regular")
     assert isinstance(BACKENDS["threaded"], ThreadedBackend)
     assert_backends_agree(topo, sched, ssize, rsize, ["lockstep", "threaded"])
+
+
+# ----------------------------------------------------------------------
+# block lanes: a selector indexes whole blocks, not machine words
+# ----------------------------------------------------------------------
+
+
+def _kernel_lanes(plan):
+    return {
+        lane
+        for phase in plan.phases
+        for rnd in phase
+        for kernel in (rnd.send, rnd.recv)
+        if kernel is not None
+        for lane in kernel.lanes
+    }
+
+
+class TestBlockLanes:
+    @pytest.mark.parametrize("m", [24, 40, 256])
+    @pytest.mark.parametrize("variant", ["regular", "v", "w"])
+    @pytest.mark.parametrize("op", ["alltoall", "allgather"])
+    @pytest.mark.parametrize("backend", ["threaded", "batched"])
+    def test_kernels_equal_the_walk_byte_for_byte(self, backend, op, variant, m):
+        """At m ∈ {24, 40, 256} a regular layout's selectors index
+        whole blocks (lanes of m bytes or multiples, wider than any
+        machine word); v and w layouts reach what their offsets allow,
+        down to a byte.  Per rank (``threaded``) and for
+        all ranks (``batched``, blocking and prepared) every byte equals
+        the walk, and the definition holds."""
+        from repro.core import plan as plan_mod
+        from repro.core.backend.batched import BatchedBackend
+
+        topo = CartTopology((3, 3))
+        sched, ssize, rsize = _make_case(op, "combining", variant, m=m)
+        start = _make_bufs(topo.size, ssize, rsize)
+        plan, _ = plan_mod.get_or_compile(sched, topo, start[0])
+        if variant == "regular":
+            assert all(lane % m == 0 for lane in _kernel_lanes(plan))
+        want, got = _snapshot(start), _snapshot(start)
+        WALK.execute_all(topo, sched, want)
+        executor(backend).execute_all(topo, sched, got)
+        _assert_same_buffers(got, want, f"{backend} vs the walk")
+        assert_matches_definition(topo, sched, start, got)
+        if backend == "batched":
+            prepared = _snapshot(start)
+            BatchedBackend().prepare(topo, sched, plan, prepared)()
+            _assert_same_buffers(prepared, want, "prepared vs the walk")
+
+    @pytest.mark.parametrize("backend", ["threaded", "batched"])
+    def test_cannon_padded_rows_move_at_a_24_byte_lane(self, backend):
+        """Cannon's panels are rows of 6 int64 in rows of 9: every row
+        offset and length is a multiple of 24 B, so each index of the
+        ``alltoallw`` kernels moves three words (``V24``), and the
+        product is exact on either backend."""
+        from repro.apps import CannonMatmul
+        from repro.apps.cannon import _row_blockset
+        from repro.core.plan import compile_blockset
+
+        rows = _row_blockset("A", 6, 6 * 8, 9 * 8)
+        kernel = compile_blockset(rows.coalesced_runs(), {"A": 6 * 9 * 8})
+        assert kernel.lanes == (24,) and kernel.uses_indices
+        app = CannonMatmul(24, 24, 24, 4, pad=3, seed=5)
+        assert np.array_equal(app.run(backend=backend).output, app.A @ app.B)

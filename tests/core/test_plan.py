@@ -221,6 +221,16 @@ class TestCompiledBlockSet:
         assert wire_sel == slice(0, 7) and buf_sel.tolist() == [
             0, 1, 2, 3, 8, 9, 10,
         ]
+        # no cap at 8: whole blocks move one index each, a width that is
+        # no machine word as an opaque ``V`` block
+        blocks = [BlockRef("b", 0, 256), BlockRef("b", 512, 256)]
+        kern = compile_blockset(blocks, {"b": 1024})
+        assert kern.lanes == (256,) and kern._sel_ops[0][2].tolist() == [0, 2]
+        blocks = [BlockRef("b", 0, 24), BlockRef("b", 48, 24)]
+        kern = compile_blockset(blocks, {"b": 96})
+        assert kern.lanes == (24,) and kern._sel_ops[0][2].tolist() == [0, 2]
+        data = np.arange(96, dtype=np.uint8)
+        assert kern.pack({"b": data}).tolist() == [*range(24), *range(48, 72)]
 
     def test_out_of_bounds_block_rejected_at_compile(self):
         with pytest.raises(TruncationError, match="exceeds buffer"):
@@ -853,9 +863,10 @@ def test_reduce_rank_views_share_fused_programs():
     assert corner.reduce_outputs_ok and centre.reduce_outputs_ok
 
 
-def test_allreduce_512_index_selectors_are_all_lane_8():
+def test_allreduce_512_index_selectors_move_whole_blocks():
     """Shape pin for the e2e ``allreduce_512`` plan: every index
-    selector of the (8, 8, 8) int64 allreduce gathers 8-byte words."""
+    selector of the (8, 8, 8) int64 allreduce moves whole 256-byte
+    blocks, one index per block."""
     from repro.core.stencils import moore_neighborhood
     from repro.core.reduce_schedule import build_allreduce_schedule
 
@@ -869,9 +880,10 @@ def test_allreduce_512_index_selectors_are_all_lane_8():
     )
     kernels = [k for ph in plan.phases for r in ph for k in (r.send, r.recv)]
     assert any(k.uses_indices for k in kernels)
-    assert {lane for k in kernels for lane in k.lanes} == {8}
-    # one int64 per 8-byte word (139 264 B at one per byte)
-    assert plan.selector_nbytes == 17_408
+    assert {lane for k in kernels for lane in k.lanes} == {256}
+    # one int64 per block (17 408 B at one per 8-byte word, 139 264 B
+    # at one per byte)
+    assert plan.selector_nbytes == 544
     # its folds are matrix kernels: a reduction keeps the staged form
     assert (plan.delivery, plan.delivery_reason) == ("staged", "reduction")
     assert plan.deliveries is None

@@ -358,7 +358,7 @@ class TestStaticVerifier:
 
 
 # ----------------------------------------------------------------------
-# word-granular selectors: every lowered kernel ≡ its BlockSet
+# lane-granular selectors: every lowered kernel ≡ its BlockSet
 # ----------------------------------------------------------------------
 @st.composite
 def paired_layout(draw):
@@ -366,12 +366,13 @@ def paired_layout(draw):
     (the two sides of one message, or a copy list), block ``i`` of one
     matching block ``i`` of the other.
 
-    Offsets and lengths are multiples of an alignment drawn from
-    {1, 2, 4, 8}; runs are disjoint and in shuffled order on either
-    side, blocks may be empty, a single block (or gap-free blocks)
-    lowers to a slice, and the capacities carry a padding that may make
-    them odd — whatever lane the layout itself would allow."""
-    align = draw(st.sampled_from([1, 2, 4, 8]))
+    Offsets and lengths are multiples of an alignment drawn from the
+    word widths {1, 2, 4, 8} and from block sizes that are not (3, 24,
+    40, 256); runs are disjoint and in shuffled order on either side,
+    blocks may be empty, a single block (or gap-free blocks) lowers to a
+    slice, and the capacities carry a padding that may make them odd —
+    whatever lane the layout itself would allow."""
+    align = draw(st.sampled_from([1, 2, 4, 8, 3, 24, 40, 256]))
     k = draw(st.integers(0, 6))
     lens = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
     sides = {}

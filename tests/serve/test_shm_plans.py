@@ -105,14 +105,19 @@ class TestPlanImage:
             assert arr.base is not None  # a view, not a copy
 
     def test_image_carries_each_selector_lane(self):
-        plan, byte_sizes = compiled_plan(m=8)
+        """A lane may be a whole block: at m = 24 every index moves 24
+        bytes, and the mapped kernels move the same ones."""
+        plan, byte_sizes = compiled_plan(m=24)
         back = plan_from_image(memoryview(plan_to_image(plan)))
         lanes = [
             [None if k is None else k.lanes for k in (rnd.send, rnd.recv)]
             for phase in plan.phases
             for rnd in phase
         ]
-        assert any(lane == 8 for pair in lanes for k in pair for lane in k)
+        assert {lane for pair in lanes for k in pair for lane in k} == {24}
+        np.testing.assert_array_equal(
+            run_plan(back, byte_sizes), run_plan(plan, byte_sizes)
+        )
         assert lanes == [
             [None if k is None else k.lanes for k in (rnd.send, rnd.recv)]
             for phase in back.phases
@@ -216,13 +221,26 @@ class TestStore:
 
     def test_version_1_segment_is_refused(self):
         """A version-1 store holds byte-granular selectors without
-        lanes; reading it as version 2 would gather the wrong words."""
+        lanes; reading it as version 3 would gather the wrong words."""
         store = ShmPlanStore.create(capacity=1 << 16)
         try:
             header = bytearray(store._shm.buf[:8])
-            assert int.from_bytes(header[4:8], "little") == STORE_VERSION == 2
+            assert int.from_bytes(header[4:8], "little") == STORE_VERSION == 3
             store._shm.buf[4:8] = (1).to_bytes(4, "little")
             with pytest.raises(CorruptFrameError, match="speaks version 1"):
+                ShmPlanStore.attach(store.name)
+        finally:
+            store.close()
+            store.unlink()
+
+    def test_version_2_segment_is_refused(self):
+        """A version-2 reader knows lanes of 1, 2, 4 and 8 bytes only;
+        the two versions refuse each other's segments instead of
+        misreading a block lane."""
+        store = ShmPlanStore.create(capacity=1 << 16)
+        try:
+            store._shm.buf[4:8] = (2).to_bytes(4, "little")
+            with pytest.raises(CorruptFrameError, match="speaks version 2"):
                 ShmPlanStore.attach(store.name)
         finally:
             store.close()
