@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -162,6 +163,15 @@ def verify_broadcast_optimality(
     return report
 
 
+@lru_cache(maxsize=32)
+def _audit(
+    dims: tuple[int, ...], m_bytes: int, algorithm: str
+) -> VerificationReport:
+    return verify_broadcast_optimality(
+        broadcast_schedule(dims, m_bytes, algorithm), dims
+    )
+
+
 class AllToAllBroadcast(CartesianApp):
     """An iterated all-to-all broadcast problem on a k-ary n-torus.
 
@@ -243,10 +253,9 @@ class AllToAllBroadcast(CartesianApp):
 
     # -- optimality audit ----------------------------------------------
     def optimality_report(self, algorithm: str) -> VerificationReport:
-        return verify_broadcast_optimality(
-            broadcast_schedule(self.dims, self.block * 8, algorithm),
-            self.dims,
-        )
+        """The audit of this sweep's schedule, built once per process for
+        each ``(dims, block bytes, algorithm)`` and shared (read-only)."""
+        return _audit(self.dims, self.block * 8, algorithm)
 
     # -- distributed ---------------------------------------------------
     def run(

@@ -35,6 +35,7 @@ repeated multiplications.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Optional
 
 import numpy as np
@@ -53,15 +54,20 @@ SHIFT_NEIGHBORHOOD = Neighborhood(
 )
 
 
+@lru_cache(maxsize=64)
 def _row_blockset(
     buffer: str, nrows: int, row_nbytes: int, ld_nbytes: int
 ) -> BlockSet:
     """A ``nrows × row_nbytes`` panel inside a padded local array: one
     contiguous run per row, ``ld_nbytes`` apart (never coalescible while
-    the padding is non-zero)."""
+    the padding is non-zero).
+
+    Built once per process and **frozen**, like the block sets of
+    :func:`repro.stencil.halo.halo_specs`: every rank of every run with
+    the same panel shape shares it."""
     return BlockSet(
         [BlockRef(buffer, r * ld_nbytes, row_nbytes) for r in range(nrows)]
-    )
+    ).freeze()
 
 
 class CannonMatmul(CartesianApp):

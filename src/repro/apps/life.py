@@ -29,7 +29,7 @@ from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
 from repro.stencil.apps import DistributedStencil
 from repro.stencil.decomp import GridDecomposition
-from repro.stencil.kernels import glider, life_step_local
+from repro.stencil.kernels import glider, life_step_global, life_step_local
 
 __all__ = [
     "GameOfLife",
@@ -65,8 +65,12 @@ def _pad_reference(board: np.ndarray, periods: Sequence[bool]) -> np.ndarray:
 
 def life_step_reference(board: np.ndarray, periods: Sequence[bool]) -> np.ndarray:
     """One Game of Life step on the global board under the given
-    per-axis boundary conditions — the app's oracle kernel."""
-    return life_step_local(_pad_reference(board, periods), 1)
+    per-axis boundary conditions — the app's oracle kernel.
+
+    It is the ``np.roll`` step on the board with its ghost ring,
+    cropped to the board, so the distributed runs are never certified
+    by the kernel they run."""
+    return life_step_global(_pad_reference(board, periods))[1:-1, 1:-1]
 
 
 class GameOfLife(CartesianApp):

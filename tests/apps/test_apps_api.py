@@ -160,3 +160,23 @@ class TestRegistry:
         assert "shm" not in names
         # each executor once: "lockstep" is an alias, not an entry
         assert names == ["batched", "threaded"]
+
+
+def test_cannon_row_layouts_are_built_once_and_frozen():
+    """Every rank of every run with the same panel shape shares one
+    frozen row layout per buffer."""
+    from repro.apps import CannonMatmul
+    from repro.apps.cannon import _row_blockset
+    from repro.mpisim.datatypes import BlockRef
+
+    _row_blockset.cache_clear()
+    app = CannonMatmul(8, 8, 8, 2, seed=9)
+    app.check_against_oracle(app.run(backend="threaded"))
+    assert _row_blockset.cache_info().currsize == 4  # A, B, An, Bn
+    misses = _row_blockset.cache_info().misses
+    app.check_against_oracle(app.run(backend="threaded"))
+    assert _row_blockset.cache_info().misses == misses
+    rows = _row_blockset("A", 4, 32, 56)
+    assert _row_blockset("A", 4, 32, 56) is rows
+    with pytest.raises(TypeError, match="frozen"):
+        rows.append(BlockRef("A", 0, 8))

@@ -108,3 +108,31 @@ def test_run_round_accounting_matches_schedule_metrics():
     assert run.stats.total_rounds == p * iterations * sched.num_rounds
     rec = run.stats.by_operation("allgather")["combining"]
     assert rec.volume_blocks == p * iterations * sched.volume_blocks
+
+
+def test_audit_is_built_once_per_key_and_gates_every_run(monkeypatch):
+    """``run`` audits each ``(dims, block bytes, algorithm)`` once per
+    process, and still refuses every run whose cached report failed."""
+    from repro.analyze.report import ScheduleValidationError
+    from repro.apps import broadcast
+
+    built = []
+
+    def planted(schedule, dims):
+        built.append(dims)
+        report = verify_broadcast_optimality(schedule, dims)
+        report.add("V602", "planted violation")
+        return report
+
+    monkeypatch.setattr(broadcast, "verify_broadcast_optimality", planted)
+    broadcast._audit.cache_clear()
+    try:
+        app = AllToAllBroadcast((2, 2), block=3, iterations=1)
+        for _ in range(2):
+            with pytest.raises(ScheduleValidationError, match="planted"):
+                app.run(backend="threaded")
+        assert built == [(2, 2)]
+    finally:
+        monkeypatch.undo()
+        broadcast._audit.cache_clear()
+    assert app.optimality_report("combining").ok

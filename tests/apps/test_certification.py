@@ -112,3 +112,26 @@ def test_backend_runs_agree_with_each_other():
     ]
     blobs = {r.output.tobytes() for r in runs}
     assert len(blobs) == 1
+
+
+def test_a_wrong_life_kernel_fails_certification(monkeypatch):
+    """The Life oracle is the ``np.roll`` step, not the kernel the ranks
+    run: a kernel that also births cells with six neighbours (HighLife)
+    is refused."""
+    import numpy as np
+
+    from repro.apps import AppCertificationError, life
+    from repro.stencil.kernels import life_step_local, weighted_stencil_local
+
+    ring = {(dx, dy): 1 for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy}
+
+    def highlife(grid, depth=1):
+        out = life_step_local(grid, depth)
+        neighbours = weighted_stencil_local(grid.astype(np.int64), ring, depth)
+        dead = grid[depth:-depth, depth:-depth] == 0
+        return out | ((neighbours == 6) & dead).astype(out.dtype)
+
+    monkeypatch.setattr(life, "life_step_local", highlife)
+    app = GameOfLife.random((18, 24), (3, 3), 4, seed=11)
+    with pytest.raises(AppCertificationError, match="diverges"):
+        app.check_against_oracle(app.run(backend="threaded"))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.stencil.kernels import (
     glider,
@@ -108,3 +111,51 @@ class TestGameOfLife:
 
     def test_glider_cell_count(self):
         assert glider((10, 10)).sum() == 5
+
+
+def _life_step_23_ops(grid: np.ndarray, depth: int = 1) -> np.ndarray:
+    """The 23-operation Life formula (eight ``int64`` casts): a second
+    oracle that shares nothing with the table-lookup kernel."""
+    if grid.ndim != 2:
+        raise ValueError("Game of Life is 2-D")
+    n0 = grid.shape[0] - 2 * depth
+    n1 = grid.shape[1] - 2 * depth
+    neighbors = np.zeros((n0, n1), dtype=np.int64)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            if dx == 0 and dy == 0:
+                continue
+            neighbors += grid[
+                depth + dx : depth + dx + n0, depth + dy : depth + dy + n1
+            ].astype(np.int64)
+    alive = grid[depth : depth + n0, depth : depth + n1].astype(bool)
+    new = (neighbors == 3) | (alive & (neighbors == 2))
+    return new.astype(grid.dtype)
+
+
+@st.composite
+def ghosted_boards(draw):
+    """A 0/1 board of 1×1 to 24×24 interior cells inside 1–3 ghost
+    layers of arbitrary 0/1 content, in one of four cell dtypes."""
+    depth = draw(st.integers(1, 3))
+    n0, n1 = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    dtype = draw(st.sampled_from([np.uint8, np.int8, np.int64, np.bool_]))
+    cells = draw(
+        arrays(np.uint8, (n0 + 2 * depth, n1 + 2 * depth), elements=st.integers(0, 1))
+    )
+    return cells.astype(dtype), depth
+
+
+@given(case=ghosted_boards())
+def test_life_kernel_property(case):
+    grid, depth = case
+    before = grid.copy()
+    got = life_step_local(grid, depth)
+    assert np.array_equal(grid, before)  # the input is left untouched
+    assert got.dtype == grid.dtype
+    assert np.array_equal(got, _life_step_23_ops(grid, depth))
+
+    interior = grid[depth:-depth, depth:-depth]
+    wrapped = life_step_local(np.pad(interior, depth, mode="wrap"), depth)
+    assert wrapped.dtype == grid.dtype
+    assert np.array_equal(wrapped, life_step_global(interior))
