@@ -13,7 +13,7 @@ Run:  python examples/game_of_life.py
 
 import numpy as np
 
-from repro.apps import GameOfLife, registered_backends
+from repro.apps import GameOfLife
 
 DIMS = (2, 2)
 GRID = (16, 16)
@@ -26,9 +26,7 @@ def render(grid: np.ndarray) -> str:
 
 def main():
     app = GameOfLife.glider(GRID, DIMS, GENERATIONS)
-    backends = registered_backends(size=len(DIMS) * 2)
-
-    runs = app.certify(backends=backends)  # raises on any bit divergence
+    runs = app.certify()  # every backend; raises on any bit divergence
     print(
         f"certified {len(runs)} backend/algorithm legs bit-identical to "
         f"the sequential oracle: "

@@ -173,7 +173,7 @@ class StageSeconds(float):
     #: reading the plan's ops and the kernel conformance checks
     #: (V501/V503/V504)
     kernels: float
-    #: the byte-level effect pass and the shm layout
+    #: the byte-level effect pass
     effects: float
     #: the shape stage where it ran; where it was inherited, the look-up
     #: that did (normal form, kernel signature, store)

@@ -8,7 +8,7 @@ its snapshot the right answer and a concurrent executor either answer
 (the kill matrix's in-place halo rows are caught here alone).  This
 module proves the lowered artifacts — the plan's numpy selector
 kernels, fused copy program, row permutations and masked combine
-steps, and the shm segment layout — race- and lifetime-free, by
+steps — race- and lifetime-free, by
 deriving symbolic ``(buffer, lo, hi)`` read/write summaries for every
 compiled object and checking disjointness directly on the intervals.
 The plan is rank-free, so it is checked once: what differs per rank is
@@ -27,7 +27,6 @@ V704  a fused local-copy program has order-dependent (overlapping)
 V705  batched ``sources``/``targets`` are not an injective partial
       matching of ranks
 V706  batched ``-1`` masking disagrees with the derived recv rows
-V707  two shm segment regions (buffer areas or message slots) overlap
 V708  an effect interval exceeds its buffer's capacity
 V709  a round reads bytes no earlier effect ever wrote (wire gaps,
       or scratch reads before the writing phase)
@@ -75,7 +74,6 @@ from repro.analyze.intervals import (
 )
 from repro.analyze.report import VerificationReport
 from repro.analyze.schedule_verifier import _open_report, _plan_sizes
-from repro.core.backend.shm import compute_segment_layout
 from repro.core.plan import (
     BatchedPlan,
     BatchedReduceRound,
@@ -686,44 +684,6 @@ def check_batched_effects(
 
 
 # ---------------------------------------------------------------------------
-# shm segment layout
-# ---------------------------------------------------------------------------
-
-
-def check_shm_layout(
-    buffer_table: Sequence[Mapping[str, tuple[int, int]]],
-    slots: Mapping[tuple[int, int], tuple[int, int]],
-    p: int,
-    total: int,
-    report: VerificationReport,
-) -> None:
-    """V707: every (rank, buffer) region and every ``p``-wide message
-    slot strip must live in its own byte range of the segment."""
-    regions: list[tuple[int, int, str]] = []
-    for r, table in enumerate(buffer_table):
-        for name, (off, nbytes) in table.items():
-            regions.append((off, off + nbytes, f"rank {r} buffer {name!r}"))
-    for (pi, ri), (base, nbytes) in sorted(slots.items()):
-        regions.append(
-            (base, base + p * nbytes, f"slot strip ({pi}, {ri})")
-        )
-    for lo, hi, desc in regions:
-        if lo < 0 or hi > total:
-            report.add(
-                "V707",
-                f"{desc} [{lo}:{hi}) lies outside the {total}-byte "
-                f"segment",
-            )
-    regions.sort()
-    for (lo0, hi0, d0), (lo1, hi1, d1) in zip(regions, regions[1:]):
-        if lo1 < hi0:
-            report.add(
-                "V707",
-                f"{d0} [{lo0}:{hi0}) overlaps {d1} [{lo1}:{hi1})",
-            )
-
-
-# ---------------------------------------------------------------------------
 # whole-schedule entry points
 # ---------------------------------------------------------------------------
 
@@ -740,7 +700,7 @@ def run_effect_checks(
     """Append every byte-level effect violation of ``schedule``'s
     lowering to ``report``: one pass over the plan (shared kernels,
     combine step lists, the fused copy program, the lifetime ledger —
-    each checked once, for all ranks) and the shm segment layout.
+    each checked once, for all ranks).
     ``plan`` is the lowering to check and ``effects`` its reading (the
     verifier passes the ones it already certified, and has the peer
     vectors checked with the shape stage); without a plan the schedule
@@ -765,14 +725,6 @@ def run_effect_checks(
         check_batched_effects(
             plan, report, periodic=all(topo.periods), effects=effects
         )
-    try:
-        shared = {name: cap for name, cap in sizes.items() if name != "temp"}
-        buffer_table, slots, total = compute_segment_layout(
-            schedule, [shared] * topo.size
-        )
-    except ScheduleError:
-        return
-    check_shm_layout(buffer_table, slots, topo.size, total, report)
 
 
 def verify_effects(
@@ -799,7 +751,6 @@ __all__ = [
     "check_batched_round",
     "check_batched_peers",
     "check_batched_effects",
-    "check_shm_layout",
     "run_effect_checks",
     "verify_effects",
 ]

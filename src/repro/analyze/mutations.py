@@ -2,11 +2,10 @@
 
 A verifier that has never seen a bug is untested hypothesis.  This
 module is the adversary: it takes *real* artifacts — the lowered
-9-point alltoall and reduce plans on a 4×4 torus, the shm segment
-layout, and the actual sources of ``lockstep.py`` / ``plan.py``
-/ ``mailbox.py`` — applies one seeded corruption at a time (alias two
-recv intervals, shift an unpack offset, swap batched rows, drop a
-release, invert a lock order, …), and demands that the analyzer kill
+9-point alltoall and reduce plans on a 4×4 torus and the actual sources
+of ``lockstep.py`` / ``plan.py`` / ``mailbox.py`` — applies one seeded
+corruption at a time (alias two recv intervals, shift an unpack offset,
+swap batched rows, drop a release, invert a lock order, …), and demands that the analyzer kill
 every mutant **with the expected violation code**.  A surviving mutant
 is a hole in the analyzer, and the harness (a CI gate via ``python -m
 repro.analyze mutations``) fails.
@@ -32,7 +31,6 @@ from repro.analyze.effects import (
     check_batched_round,
     check_copy_program,
     check_kernel,
-    check_shm_layout,
 )
 from repro.analyze.linearity import analyze_source
 from repro.analyze.report import VerificationReport
@@ -65,7 +63,6 @@ class _Fixture:
 
     def __init__(self, block_bytes: int = 4) -> None:
         from repro.analyze.schedule_verifier import _plan_sizes, build_for_kind
-        from repro.core.backend.shm import compute_segment_layout
         from repro.core.stencils import named_stencil
 
         nbh = named_stencil("9-point")
@@ -88,10 +85,6 @@ class _Fixture:
         self.reduce_bplan: BatchedPlan = compile_batched_plan(
             self.reduce_schedule, self.topo, self.reduce_sizes
         )
-        shared = {n: c for n, c in self.sizes.items() if n != "temp"}
-        self.buffer_table, self.slots, self.total = compute_segment_layout(
-            self.schedule, [shared] * self.topo.size
-        )
         import repro.core.backend.lockstep as lockstep_mod
         import repro.core.plan as core_plan_mod
         import repro.mpisim.mailbox as mailbox_mod
@@ -105,9 +98,6 @@ class _Fixture:
         rep = _report()
         check_batched_effects(self.bplan, rep, periodic=True)
         check_batched_effects(self.reduce_bplan, rep, periodic=True)
-        check_shm_layout(
-            self.buffer_table, self.slots, self.topo.size, self.total, rep
-        )
         if not rep.ok:
             raise RuntimeError(
                 f"dirty effects baseline: {sorted(rep.codes())} — the "
@@ -391,36 +381,6 @@ def _m_recv_sources(fx: _Fixture) -> set[str]:
     rnd = _first_batched(fx)
     rolled = np.roll(np.asarray(rnd.recv_sources), 1)
     return _batched_codes(fx, _mut_batched(rnd, recv_sources=rolled))
-
-
-# -- V707: shm segment layout -----------------------------------------------
-
-
-@_mutator("shm-slot-overlaps-buffer", "V707")
-def _m_shm_overlap(fx: _Fixture) -> set[str]:
-    slots = dict(fx.slots)
-    key = sorted(slots)[0]
-    _, nbytes = slots[key]
-    first_region = next(iter(fx.buffer_table[0].values()))
-    slots[key] = (first_region[0], nbytes)
-    rep = _report()
-    check_shm_layout(
-        fx.buffer_table, slots, fx.topo.size, fx.total, rep
-    )
-    return rep.codes()
-
-
-@_mutator("shm-slot-outside-segment", "V707")
-def _m_shm_outside(fx: _Fixture) -> set[str]:
-    slots = dict(fx.slots)
-    key = sorted(slots)[0]
-    _, nbytes = slots[key]
-    slots[key] = (fx.total, nbytes)
-    rep = _report()
-    check_shm_layout(
-        fx.buffer_table, slots, fx.topo.size, fx.total, rep
-    )
-    return rep.codes()
 
 
 # -- V708: capacity overruns ------------------------------------------------

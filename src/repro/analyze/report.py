@@ -65,7 +65,6 @@ CODES: dict[str, str] = {
     "V704": "fused local-copy program has overlapping effect intervals",
     "V705": "batched peer vectors are not an injective partial matching",
     "V706": "batched -1 masking inconsistent with recv row selection",
-    "V707": "shm segment regions overlap (slot/slot or slot/buffer)",
     "V708": "compiled effect interval exceeds its buffer capacity",
     "V709": "compiled round reads bytes no earlier effect ever wrote",
     # --- reduce-schedule verification ---------------------------------
@@ -87,6 +86,7 @@ RETIRED: frozenset[str] = frozenset(
         "V303",  # two rounds of a phase write one region: V702
         "V304",  # hop-parity discipline: the definition, V404
         "V405",  # scratch forwarded unwritten: V709, the definition
+        "V707",  # shm segment overlap: the forked shm backend is gone
     }
 )
 

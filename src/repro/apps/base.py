@@ -25,16 +25,12 @@ test can.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.opstats import OpStats
-
-#: ``True`` when the host can fork (the shm backend's requirement).
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 #: Collective algorithms every app is certified under.
 APP_ALGORITHMS = ("combining", "trivial")
@@ -45,19 +41,12 @@ class AppCertificationError(AssertionError):
     from another backend's run of the same problem)."""
 
 
-def registered_backends(size: Optional[int] = None) -> list[str]:
-    """The execution backends certifiable in this environment.
-
-    All registry entries are returned, except ``shm`` when the platform
-    cannot fork or ``size`` exceeds the shm backend's rank bound.
-    """
+def registered_backends() -> list[str]:
+    """The execution backends every app is certified on: each registry
+    entry once, sorted (aliases are not listed)."""
     from repro.core.backend import BACKENDS
-    from repro.core.backend.shm import shm_max_ranks
 
-    names = [n for n in sorted(BACKENDS) if n != "shm"]
-    if HAVE_FORK and (size is None or size <= shm_max_ranks()):
-        names.append("shm")
-    return names
+    return sorted(BACKENDS)
 
 
 def merge_stats(per_rank: Iterable[Optional[OpStats]]) -> OpStats:

@@ -32,10 +32,10 @@ Modules
 ``backend``
     Listing 5 — execution backends: the ``Transport`` verb protocol, the
     single schedule interpreter shared by every per-rank execution mode,
-    and the ``threaded`` / ``batched`` / ``shm`` backends behind
-    ``CartComm(backend=...)`` and ``$REPRO_BACKEND`` (``lockstep`` is an
-    alias of ``batched``, whose fallback and reference the per-rank walk
-    now is).
+    and the ``threaded`` / ``batched`` backends behind
+    ``CartComm(backend=...)`` and ``$REPRO_BACKEND`` (``lockstep`` and
+    ``shm`` are aliases of ``batched``, whose fallback and reference the
+    per-rank walk now is).
 ``cartcomm``
     the public API of Listings 1 and 2 (``cart_neighborhood_create``,
     ``CartComm`` with alltoall/allgather in regular, v and w variants,

@@ -2,18 +2,18 @@
 
 A :class:`~repro.core.schedule.Schedule` is pure local data
 (Proposition 3.1); *how* it is executed is this package's concern.
-Pick one of the three executors by name — ``"threaded"`` (a thread and
-a mailbox per rank), ``"batched"`` (every rank in one process, one
+Pick one of the two executors by name — ``"threaded"`` (a thread and
+a mailbox per rank) or ``"batched"`` (every rank in one process, one
 numpy program for all of them — the recommended choice for large
-meshes) or ``"shm"`` (a forked process per rank) — through
-:func:`get_backend`, via ``CartComm(..., backend=...)``, or process-wide
-with the ``REPRO_BACKEND`` environment variable.
+meshes) — through :func:`get_backend`, via ``CartComm(..., backend=...)``,
+or process-wide with the ``REPRO_BACKEND`` environment variable.
 
-``"lockstep"`` used to name a fourth executor, the rank-by-rank walk
-over the plan's views.  Everything the walk runs the batched executor
-runs faster, and what the matrix forms cannot run the batched executor
-hands to the walk itself, so the name is an accepted alias of
-``"batched"`` (:data:`ALIASES`).  The walk stays importable as
+``"lockstep"`` used to name the rank-by-rank walk over the plan's
+views, and ``"shm"`` a forked process per rank that mapped a fresh
+segment on every call.  Everything either ran the batched executor runs
+faster, and what the matrix forms cannot run the batched executor hands
+to the walk itself, so both names are accepted aliases of ``"batched"``
+(:data:`ALIASES`).  The walk stays importable as
 :class:`LockstepBackend` — the independent reference the verifier and
 the parity tests execute against — but is not selectable by name.
 """
@@ -31,7 +31,6 @@ from repro.core.backend.base import (
 from repro.core.backend.batched import BatchedBackend
 from repro.core.backend.interpreter import CARTTAG, ScheduleInterpreter
 from repro.core.backend.lockstep import LockstepBackend, LockstepTransport
-from repro.core.backend.shm import ShmBackend, ShmTransport
 from repro.core.backend.threaded import ThreadedBackend, ThreadedTransport
 
 #: Environment variable consulted when no backend is given explicitly.
@@ -41,12 +40,11 @@ BACKEND_ENV = "REPRO_BACKEND"
 BACKENDS: dict[str, Backend] = {
     "threaded": ThreadedBackend(),
     "batched": BatchedBackend(),
-    "shm": ShmBackend(),
 }
 
 #: Accepted names of executors that no longer exist -> the registry
 #: entry that runs their work now.
-ALIASES = {"lockstep": "batched"}
+ALIASES = {"lockstep": "batched", "shm": "batched"}
 
 
 def get_backend(spec: str | Backend | None = None) -> Backend:
@@ -76,8 +74,6 @@ __all__ = [
     "LockstepBackend",
     "LockstepTransport",
     "ScheduleInterpreter",
-    "ShmBackend",
-    "ShmTransport",
     "ThreadedBackend",
     "ThreadedTransport",
     "Transport",

@@ -167,8 +167,8 @@ class ScheduleInterpreter:
 
         For reduction schedules, the phase's combine steps fold the
         freshly received staging regions into their accumulators after
-        the ``waitall`` — sequentially, so every backend (threaded,
-        lockstep, batched, shm) applies the operator in the identical
+        the ``waitall`` — sequentially, so every executor (threaded,
+        the walk, batched) applies the operator in the identical
         deterministic order."""
         self.transport.waitall(self.pending)
         self.pending = []

@@ -954,9 +954,9 @@ def cart_neighborhood_create(
     performed.  ``weights`` are stored for future remapping strategies.
 
     ``backend`` selects the execution strategy (``"threaded"``,
-    ``"batched"``, ``"shm"``, or a
-    :class:`~repro.core.backend.base.Backend` instance; ``"lockstep"``
-    is accepted as an alias of ``"batched"``); ``None`` falls back to
+    ``"batched"``, or a :class:`~repro.core.backend.base.Backend`
+    instance; ``"lockstep"`` and ``"shm"`` are accepted as aliases of
+    ``"batched"``); ``None`` falls back to
     ``info["backend"]``, then ``$REPRO_BACKEND``, then ``"threaded"``.
     Prefer ``"batched"`` for large meshes — it runs the whole mesh as
     one vectorized numpy program.

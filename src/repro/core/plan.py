@@ -49,7 +49,7 @@ same plan — a :class:`RankPlan` of ``(source, target, send, recv)``
 rounds read off row ``r`` of the peer arrays, sharing the plan's kernel
 objects — which is what the
 :class:`~repro.core.backend.interpreter.ScheduleInterpreter` consumes on
-the threaded, lockstep and shm backends.
+the threaded backend and the per-rank walk.
 
 Plans are cached on the schedule object itself (``Schedule._plans``),
 one entry per ``(dims, periods, buffer signature)``, so they share the

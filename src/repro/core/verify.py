@@ -7,9 +7,8 @@ semantics by executing it for **all ranks** — by default on the
 per-rank walk (:class:`~repro.core.backend.lockstep.LockstepBackend`
 itself, not a registry name: the reference stays independent of the
 matrix kernels a ``"batched"`` execution would run), or on any
-all-ranks backend given via ``backend=`` (``"shm"`` certifies the
-process-parallel path itself) — with unique sentinel contents, checking
-every receive slot byte-for-byte:
+all-ranks backend given via ``backend=`` — with unique sentinel
+contents, checking every receive slot byte-for-byte:
 
 * :func:`verify_alltoall` — receive block ``i`` must equal send block
   ``i`` of process ``(r − N[i]) mod dims``;

@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--certify-backend", default=None, metavar="BACKEND",
         help="execution-certify every measured schedule on this backend "
-             "(batched/shm/threaded; lockstep is an alias of batched) "
+             "(batched/threaded; lockstep and shm are aliases of batched) "
              "before timing it",
     )
     args = parser.parse_args(argv)

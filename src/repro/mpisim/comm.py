@@ -440,20 +440,9 @@ class Communicator:
         self.send(obj, root, tag=tag)
         return None
 
-    def allgather(self, obj: Any, algorithm: str = "ring") -> list:
-        """Gather everyone's contribution everywhere.
-
-        ``ring`` (default): p−1 neighbor exchanges (bandwidth-optimal).
-        ``bruck``: ⌈log₂ p⌉ doubling rounds with wraparound
-        (latency-optimal, any p).
-        """
-        if algorithm == "bruck":
-            return self._allgather_bruck(obj)
-        if algorithm != "ring":
-            raise ValueError(
-                f"unknown allgather algorithm {algorithm!r}; "
-                f"use 'ring' or 'bruck'"
-            )
+    def allgather(self, obj: Any) -> list:
+        """Gather everyone's contribution everywhere: p−1 ring neighbour
+        exchanges (bandwidth-optimal)."""
         tag = self._next_coll_tag()
         out: list = [None] * self.size
         out[self.rank] = obj
@@ -465,22 +454,6 @@ class Communicator:
             out[(self.rank - 1 - step) % self.size] = carry
         return out
 
-    def _allgather_bruck(self, obj: Any) -> list:
-        """Bruck allgather: the collected prefix doubles every round."""
-        p = self.size
-        tag = self._next_coll_tag()
-        data: list = [obj]  # data[j] = block of rank + j
-        k = 1
-        while k < p:
-            dst = (self.rank - k) % p
-            src = (self.rank + k) % p
-            chunk = data[: min(k, p - k)]
-            incoming = self.sendrecv(chunk, dst, src, sendtag=tag)
-            data.extend(incoming)
-            k <<= 1
-        data = data[:p]
-        return [data[(j - self.rank) % p] for j in range(p)]
-
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any]) -> Any:
         """Allgather-based allreduce (small p; used only in setup paths)."""
         values = self.allgather(obj)
@@ -489,25 +462,12 @@ class Communicator:
             acc = op(acc, v)
         return acc
 
-    def alltoall(self, objs: Sequence[Any], algorithm: str = "pairwise") -> list:
-        """Personalized exchange.
-
-        ``pairwise`` (default): p−1 shifted sendrecv rounds — the direct
-        algorithm.  ``bruck``: the ⌈log₂ p⌉-round message-combining
-        algorithm of Bruck et al. [3] — the classic latency-optimized
-        alltoall whose combining idea the paper's Cartesian schedules
-        generalize to sparse neighborhoods.
-        """
+    def alltoall(self, objs: Sequence[Any]) -> list:
+        """Personalized exchange: p−1 shifted sendrecv rounds — the
+        direct (pairwise) algorithm."""
         if len(objs) != self.size:
             raise ValueError(
                 f"alltoall needs {self.size} entries, got {len(objs)}"
-            )
-        if algorithm == "bruck":
-            return self._alltoall_bruck(objs)
-        if algorithm != "pairwise":
-            raise ValueError(
-                f"unknown alltoall algorithm {algorithm!r}; "
-                f"use 'pairwise' or 'bruck'"
             )
         tag = self._next_coll_tag()
         out: list = [None] * self.size
@@ -517,26 +477,6 @@ class Communicator:
             src = (self.rank - k) % self.size
             out[src] = self.sendrecv(objs[dst], dst, src, sendtag=tag)
         return out
-
-    def _alltoall_bruck(self, objs: Sequence[Any]) -> list:
-        """Bruck et al.'s alltoall: blocks whose rotated index has bit k
-        set travel together to rank + 2^k; ⌈log₂ p⌉ rounds total."""
-        p = self.size
-        tag = self._next_coll_tag()
-        # initial rotation: slot i holds the block for rank + i
-        data = [objs[(self.rank + i) % p] for i in range(p)]
-        k = 1
-        while k < p:
-            dst = (self.rank + k) % p
-            src = (self.rank - k) % p
-            indices = [i for i in range(p) if i & k]
-            payload = [(i, data[i]) for i in indices]
-            incoming = self.sendrecv(payload, dst, src, sendtag=tag)
-            for i, v in incoming:
-                data[i] = v
-            k <<= 1
-        # slot i now holds the block addressed to me by rank − i
-        return [data[(self.rank - j) % p] for j in range(p)]
 
     def __repr__(self) -> str:
         return (

@@ -640,8 +640,7 @@ class BlockSet:
         """Gather all blocks, in order, directly into ``out`` (a flat
         ``uint8`` array of at least :attr:`total_nbytes` elements) without
         constructing an intermediate ``bytes`` object.  Returns the number
-        of bytes written.  This is the shared-memory transport's send
-        path: pack straight into the mapped segment."""
+        of bytes written."""
         pos = 0
         for b in self.coalesced_runs():
             view = byte_view(buffers[b.buffer])
@@ -651,8 +650,7 @@ class BlockSet:
 
     def unpack_from(self, buffers: Mapping[str, np.ndarray], data: np.ndarray) -> None:
         """Scatter a flat ``uint8`` array into the blocks, in order (the
-        array-typed core of :meth:`unpack`; also the shared-memory receive
-        path, reading straight out of the mapped segment)."""
+        array-typed core of :meth:`unpack`)."""
         if data.size != self.total_nbytes:
             raise TruncationError(
                 f"payload of {data.size} bytes does not match block set of "

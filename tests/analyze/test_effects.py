@@ -3,8 +3,7 @@
 Positive direction: every compiled artifact of every sweep kind is
 effect-clean (the ``verify --all-stencils`` sweep in miniature).  Negative
 direction: hand-corrupted copies of *real* compiled kernels, copy
-programs, batched rounds and shm layouts trip exactly the expected
-code.  (The full 27-mutator adversary lives in
+programs and batched rounds trip exactly the expected code.  (The full 27-mutator adversary lives in
 ``repro.analyze.mutations``; these are the direct unit-level probes.)
 """
 
@@ -17,7 +16,6 @@ from repro.analyze.effects import (
     check_batched_round,
     check_copy_program,
     check_kernel,
-    check_shm_layout,
     kernel_effects,
     verify_effects,
 )
@@ -28,7 +26,6 @@ from repro.analyze.schedule_verifier import (
     _plan_sizes,
     build_for_kind,
 )
-from repro.core.backend.shm import compute_segment_layout
 from repro.core.plan import compile_batched_plan
 from repro.core.stencils import named_stencil
 from repro.core.topology import CartTopology
@@ -282,39 +279,6 @@ class TestBatchedRound:
             rep,
         )
         assert "V706" in rep.codes()
-
-
-class TestShmLayout:
-    def layout(self, artifacts):
-        sched, topo, sizes, _ = artifacts
-        shared = {k: int(v) for k, v in sizes.items()}
-        return compute_segment_layout(sched, [shared] * topo.size)
-
-    def test_clean_layout(self, artifacts):
-        buffer_table, slots, total = self.layout(artifacts)
-        rep = report()
-        check_shm_layout(buffer_table, slots, len(buffer_table), total, rep)
-        assert rep.ok, rep.summary()
-
-    def test_slot_overlapping_buffer_is_v707(self, artifacts):
-        buffer_table, slots, total = self.layout(artifacts)
-        assert slots, "combining alltoall has message slots"
-        key = next(iter(slots))
-        off, _ = next(iter(buffer_table[0].values()))
-        bad = dict(slots)
-        bad[key] = (off, bad[key][1])
-        rep = report()
-        check_shm_layout(buffer_table, bad, len(buffer_table), total, rep)
-        assert "V707" in rep.codes()
-
-    def test_slot_outside_segment_is_v707(self, artifacts):
-        buffer_table, slots, total = self.layout(artifacts)
-        key = next(iter(slots))
-        bad = dict(slots)
-        bad[key] = (total, bad[key][1])
-        rep = report()
-        check_shm_layout(buffer_table, bad, len(buffer_table), total, rep)
-        assert "V707" in rep.codes()
 
 
 class TestSweep:

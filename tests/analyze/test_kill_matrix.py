@@ -701,9 +701,8 @@ def _harness_plans() -> dict[str, tuple[str, Schedule, BatchedPlan]]:
     """The mutants of :mod:`repro.analyze.mutations` that corrupt a
     plan, as ``(expected code, the schedule, its plan with the corrupted
     kernel, round, step list or copy program put in place)``.  The
-    others — shm segment layouts and runtime sources, which no plan
-    carries, and the reduction schedule mutants, which are rows of
-    their own — are left out."""
+    others — runtime sources, which no plan carries, and the reduction
+    schedule mutants, which are rows of their own — are left out."""
     fx = mutations._Fixture()
     fx.check_baseline()
     alltoall, reduce = fx.bplan, fx.reduce_bplan
@@ -918,7 +917,7 @@ def test_the_matrix_is_substantial():
     assert len(schedule_rows) >= 20
     assert any(case.topo == MESH for _, _, case in schedule_rows)
     assert any(case.nbh.has_self for _, _, case in schedule_rows)
-    assert len(mutations._REGISTRY) == 39
+    assert len(mutations._REGISTRY) == 37
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULE_ROWS))
@@ -936,7 +935,7 @@ def test_every_plan_mutant_is_killed_by_a_check():
 
 def test_every_harness_mutant_is_still_killed():
     results = mutations.run_mutations()
-    assert len(results) == 39 and all(r.killed for r in results)
+    assert len(results) == 37 and all(r.killed for r in results)
 
 
 def test_every_check_has_a_unique_kill():
@@ -960,7 +959,6 @@ ELSEWHERE = {
     "V601": "tests/apps/test_broadcast_bounds.py",
     "V602": "tests/apps/test_broadcast_bounds.py",
     "V603": "tests/apps/test_broadcast_bounds.py",
-    "V707": "the mutation harness's shm-slot mutants",
     "V804": "tests/analyze/test_reduce_verifier.py",
 }
 

@@ -156,10 +156,9 @@ class TestRegistry:
             default_app("tetris")
 
     def test_registered_backends_respect_shm_rank_bound(self):
-        names = registered_backends(10**6)
-        assert "shm" not in names
-        # each executor once: "lockstep" is an alias, not an entry
-        assert names == ["batched", "threaded"]
+        """The rank bound went with the forked shm backend: the list no
+        longer depends on the size, and neither alias is an entry."""
+        assert registered_backends() == ["batched", "threaded"]
 
 
 def test_cannon_row_layouts_are_built_once_and_frozen():

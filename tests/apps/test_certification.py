@@ -15,8 +15,6 @@ the per-rank backend.
 
 from __future__ import annotations
 
-import multiprocessing
-
 import pytest
 
 from repro.apps import (
@@ -27,15 +25,8 @@ from repro.apps import (
     registered_backends,
 )
 
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
-shm_mark = pytest.mark.skipif(not HAVE_FORK, reason="shm backend needs fork")
-
-BACKENDS = [
-    "threaded",
-    "lockstep",
-    "batched",
-    pytest.param("shm", marks=[shm_mark, pytest.mark.shm]),
-]
+#: the two executors and the two aliases of ``batched``
+BACKENDS = ["threaded", "lockstep", "batched", "shm"]
 
 #: app name -> (factory, process count).  Fresh instance per test so a
 #: tampered run can never poison another case's oracle cache.
@@ -95,8 +86,8 @@ def test_cannon_block_cyclic_layout(backend):
 
 def test_certify_runs_the_whole_matrix():
     app = AllToAllBroadcast((2, 2), block=3, iterations=2, seed=2)
-    backends = [b for b in registered_backends(4) if b != "shm"]
-    runs = app.certify(backends=backends)
+    backends = registered_backends()
+    runs = app.certify()
     assert set(runs) == {
         (b, a) for b in backends for a in APP_ALGORITHMS
     }

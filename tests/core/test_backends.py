@@ -2,8 +2,8 @@
 
 The Transport/interpreter split promises that *where* a schedule runs is
 orthogonal to *what* it computes: the threaded engine, the vectorized
-batched executor, the process-parallel shm backend and the reference
-they are all held against — the deterministic per-rank walk — must
+batched executor and the reference they are both held against — the
+deterministic per-rank walk — must
 produce byte-identical user buffers for any schedule.  This suite
 drives the full algorithm × operation × layout matrix through every one
 of them and diffs the results — against each other and against a
@@ -14,11 +14,12 @@ property over random topologies.
 
 In this suite ``"lockstep"`` stands for the walk itself
 (:func:`executor`): the registry *name* is an alias of ``"batched"``,
-which would compare the matrix forms with themselves.
+which would compare the matrix forms with themselves.  ``"shm"`` is the
+other alias of ``"batched"`` (its forked executor was deleted); the
+``shm`` legs hold that name to the walk.
 """
 
 import math
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from repro.core.backend import (
     Backend,
     BackendError,
     LockstepBackend,
-    ShmBackend,
     ThreadedBackend,
     get_backend,
 )
@@ -49,10 +49,6 @@ from repro.core.trivial import (
 )
 from repro.mpisim.datatypes import BlockRef, BlockSet
 from repro.mpisim.exceptions import ScheduleError
-
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-shm_mark = pytest.mark.skipif(not HAVE_FORK, reason="shm backend needs fork")
 
 NBH = moore_neighborhood(2, 1, include_self=False)  # t = 8
 NBH_SELF = moore_neighborhood(2, 1, include_self=True)  # t = 9, self block
@@ -232,8 +228,6 @@ class TestParityMatrix:
         for backend in ("lockstep", "batched"):
             assert_definition_on(backend, topo, sched, ssize, rsize)
 
-    @shm_mark
-    @pytest.mark.shm
     def test_shm_vs_lockstep(self, op, algorithm, variant):
         topo = CartTopology((2, 2))
         sched, ssize, rsize = _make_case(op, algorithm, variant)
@@ -356,8 +350,6 @@ class TestReduceParityMatrix:
             after = _run_on(backend, topo, sched, ssize, rsize)
             assert_reduce_matches_definition(kind, op, topo, before, after)
 
-    @shm_mark
-    @pytest.mark.shm
     def test_shm_vs_lockstep(self, kind, op_name):
         topo = CartTopology((2, 2))
         sched, ssize, rsize = _make_reduce_case(kind, REDUCE_PARITY_OPS[op_name])
@@ -936,20 +928,31 @@ class TestDeliveryForms:
 
 class TestRegistry:
     def test_registry_names(self):
-        """Three executors; the fourth name is one row of the alias
-        table, not an entry."""
+        """Two executors; the retired names are rows of the alias
+        table, not entries."""
         from repro.core.backend import ALIASES
 
-        assert set(BACKENDS) == {"threaded", "batched", "shm"}
-        assert ALIASES == {"lockstep": "batched"}
+        assert set(BACKENDS) == {"threaded", "batched"}
+        assert ALIASES == {"lockstep": "batched", "shm": "batched"}
         for name, backend in BACKENDS.items():
             assert isinstance(backend, Backend)
             assert backend.name == name
 
     def test_lockstep_is_an_alias_of_batched(self, monkeypatch):
-        assert get_backend("lockstep") is get_backend("batched")
-        monkeypatch.setenv("REPRO_BACKEND", "lockstep")
-        assert get_backend(None) is BACKENDS["batched"]
+        """Each alias resolves to the batched singleton by name, through
+        ``$REPRO_BACKEND`` and through a communicator, and an alltoall
+        run through it produces the walk's bytes."""
+        topo = CartTopology((3, 3))
+        sched, ssize, rsize = _make_case("alltoall", "combining", "regular")
+        walk = _run_on(WALK, topo, sched, ssize, rsize)
+        for name in ("lockstep", "shm"):
+            assert get_backend(name) is BACKENDS["batched"]
+            monkeypatch.setenv("REPRO_BACKEND", name)
+            assert get_backend(None) is BACKENDS["batched"]
+            got = _run_on(get_backend(name), topo, sched, ssize, rsize)
+            for r in range(topo.size):
+                assert np.array_equal(got[r]["recv"], walk[r]["recv"]), r
+            assert _alltoall_via_cart(name, runs_as="batched") == [True] * 9
 
     def test_registered_backends_lists_each_executor_once(self):
         from repro.apps import registered_backends
@@ -965,12 +968,12 @@ class TestRegistry:
     def test_get_backend_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "lockstep")
         assert get_backend(None).name == "batched"
-        monkeypatch.setenv("REPRO_BACKEND", "shm")
-        assert get_backend(None).name == "shm"
+        monkeypatch.setenv("REPRO_BACKEND", "threaded")
+        assert get_backend(None).name == "threaded"
 
     def test_get_backend_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "lockstep")
-        assert get_backend("shm").name == "shm"
+        assert get_backend("threaded").name == "threaded"
 
     def test_get_backend_instance_passthrough(self):
         backend = LockstepBackend()
@@ -1166,7 +1169,7 @@ class TestRendezvousInPlace:
             "threaded",
             pytest.param(WALK, id="lockstep"),
             "batched",
-            pytest.param("shm", marks=[shm_mark, pytest.mark.shm]),
+            "shm",
         ],
     )
     def test_read_only_send_buffer(self, backend):
@@ -1357,51 +1360,6 @@ class TestRendezvousInPlace:
             (3, 3), NBH, good, info={"backend": "batched"}, engine=engine
         ) == [True] * 9
         assert GLOBAL_POOL.stats().outstanding_bytes == 0
-
-
-# ----------------------------------------------------------------------
-# shm smoke (exercised stand-alone by the CI shm job via `-m shm`)
-# ----------------------------------------------------------------------
-
-
-@shm_mark
-@pytest.mark.shm
-class TestShm:
-    def test_smoke_combining_alltoall(self):
-        from repro.core.verify import verify_alltoall
-
-        topo = CartTopology((2, 2))
-        sched, _, _ = _make_case("alltoall", "combining", "regular")
-        verify_alltoall(sched, topo, [6] * NBH.t, backend="shm")
-
-    def test_smoke_allgather(self):
-        from repro.core.verify import verify_allgather
-
-        topo = CartTopology((2, 2))
-        sched, _, _ = _make_case("allgather", "combining", "regular")
-        verify_allgather(sched, topo, 6, backend="shm")
-
-    def test_rank_cap(self, monkeypatch):
-        from repro.apps import registered_backends
-
-        monkeypatch.setenv("REPRO_SHM_MAX_RANKS", "2")
-        topo = CartTopology((2, 2))
-        sched, ssize, rsize = _make_case("alltoall", "trivial", "regular")
-        with pytest.raises(BackendError, match="refuses"):
-            ShmBackend().execute_all(topo, sched, _make_bufs(4, ssize, rsize))
-        # the apps layer reads the same bound, not its own default
-        assert "shm" in registered_backends(2)
-        assert "shm" not in registered_backends(4)
-
-    def test_worker_failure_surfaces(self):
-        """A crashing worker must produce a BackendError with the remote
-        traceback, not a hang."""
-        topo = CartTopology((2, 1))
-        sched, ssize, rsize = _make_case("alltoall", "trivial", "regular")
-        bufs = _make_bufs(2, ssize, rsize)
-        bufs[1]["recv"] = np.zeros(3, np.uint8)  # too small: worker raises
-        with pytest.raises(BackendError, match="shm worker failed"):
-            ShmBackend().execute_all(topo, sched, bufs)
 
 
 def test_threaded_backend_execute_all_matches_lockstep():

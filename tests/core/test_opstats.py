@@ -1,6 +1,5 @@
 """Operation statistics collection."""
 
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -37,7 +36,7 @@ class TestOpStatsUnit:
     def test_by_operation_aggregates_backends(self):
         stats = OpStats()
         stats.record_raw("alltoall", "combining", 4, 12, 48, backend="threaded")
-        stats.record_raw("alltoall", "combining", 4, 12, 48, backend="shm")
+        stats.record_raw("alltoall", "combining", 4, 12, 48, backend="batched")
         by = stats.by_operation("alltoall")
         assert by["combining"].calls == 2
         assert len(stats.records) == 2  # backends keyed separately
@@ -183,8 +182,6 @@ class TestCartCommIntegration:
             return cart.stats
 
         backends = sorted(BACKENDS)
-        if "fork" not in multiprocessing.get_all_start_methods():
-            backends.remove("shm")
         # the alias is accounted under the executor that ran; the walk,
         # held as an instance, under its own name
         labels = dict(zip(backends, backends), lockstep="batched")
@@ -211,7 +208,7 @@ class TestJsonRoundTrip:
     def _populated(self):
         stats = OpStats()
         stats.record_execution(
-            "alltoall", "combining", "shm", (4, 8, 256, 64), False, 1024, 64
+            "alltoall", "combining", "batched", (4, 8, 256, 64), False, 1024, 64
         )
         stats.record_execution(
             "alltoall", "combining", "threaded", (4, 8, 256, 0), True, 256, 0

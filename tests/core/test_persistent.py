@@ -422,10 +422,6 @@ class TestPersistentReduce:
 # PersistentReduce backend x algorithm x operator matrix
 # ----------------------------------------------------------------------
 
-import multiprocessing
-
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
-
 _CUSTOM_OR = lambda a, b: a | b  # noqa: E731  (associative, exact)
 
 _REDUCE_OPS = {
@@ -443,22 +439,14 @@ _REDUCE_OPS = {
         "threaded",
         "lockstep",
         "batched",
-        pytest.param(
-            "shm",
-            marks=[
-                pytest.mark.shm,
-                pytest.mark.skipif(
-                    not HAVE_FORK, reason="shm backend needs fork"
-                ),
-            ],
-        ),
+        "shm",  # an alias of batched, like lockstep
     ],
 )
 def test_persistent_reduce_matrix(backend, algorithm, op_name):
     """PersistentReduce executes bit-identically to a brute-force int64
     reference on every backend, both algorithms, named and custom ops."""
     ref_fn, op_arg = _REDUCE_OPS[op_name]
-    dims = (2, 2) if backend == "shm" else (3, 3)
+    dims = (3, 3)
     nbh = moore_neighborhood(2, 1, include_self=False)
     topo = CartTopology(dims)
 

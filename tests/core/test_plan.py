@@ -52,7 +52,6 @@ from tests.core.test_backends import (
     _make_case,
     assert_definition_on as assert_plan_parity,
     executor,
-    shm_mark,
 )
 
 # ----------------------------------------------------------------------
@@ -76,10 +75,10 @@ class TestPlanParityMatrix:
         sched, ssize, rsize = _make_case(op, algorithm, variant)
         assert_plan_parity("threaded", topo, sched, ssize, rsize)
 
-    @shm_mark
-    @pytest.mark.shm
     def test_shm(self, op, algorithm, variant):
-        topo = CartTopology((2, 2))
+        """``shm`` is an alias of ``batched``: the lowered plan run
+        through the alias name."""
+        topo = CartTopology((3, 3))
         sched, ssize, rsize = _make_case(op, algorithm, variant)
         assert_plan_parity("shm", topo, sched, ssize, rsize)
 
@@ -989,12 +988,12 @@ class TestOpStatsCounters:
                 "alltoall", "combining", "lockstep", totals, hit, packed, copied
             )
         stats.record_execution(
-            "alltoall", "combining", "shm", totals, True, 0, 0
+            "alltoall", "combining", "batched", totals, True, 0, 0
         )
         assert stats.plan_hits == 4 and stats.plan_misses == 1
         assert stats.plan_by_backend == {
             "lockstep": [3, 1],
-            "shm": [1, 0],
+            "batched": [1, 0],
         }
         assert stats.bytes_packed == {"lockstep": 150}
         assert stats.bytes_copied == {"lockstep": 40}

@@ -3,10 +3,10 @@
 Everything but the matrix forms of ``batched`` executes a schedule
 through per-rank views of the one lowered plan: ``(source, target, send,
 recv)`` per round read off row ``r`` of the plan's peer arrays — the
-threaded and shm backends, and the walk (``"lockstep"`` here names the
-walk itself, see ``test_backends.executor``), which ``batched`` also
-falls back to.  These tests aim at the places that reading is least
-obvious:
+threaded backend and the walk (``"lockstep"`` here names the walk
+itself, see ``test_backends.executor``), which ``batched`` also falls
+back to (``"shm"`` is an alias of ``batched``).  These tests aim at the
+places that reading is least obvious:
 
 * **degenerate extents** — extent 2 makes ``+1`` and ``−1`` the same
   peer, so two rounds of one phase share a (source, target) pair and
@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.core import plan as plan_mod
-from repro.core.backend import BackendError, get_backend
+from repro.core.backend import get_backend
 from repro.core.neighborhood import Neighborhood
 from repro.core.plan import compile_plan
 from repro.core.reduce_schedule import build_trivial_reduce_schedule
@@ -40,7 +40,6 @@ from repro.core.topology import CartTopology
 from repro.core.trivial import build_trivial_alltoall_schedule
 from repro.mpisim.exceptions import RankFailedError, ScheduleError
 from tests.core.test_backends import (
-    HAVE_FORK,
     _make_bufs,
     _make_case,
     _make_reduce_case,
@@ -55,13 +54,7 @@ BACKENDS = [
     "threaded",
     "lockstep",
     "batched",
-    pytest.param(
-        "shm",
-        marks=[
-            pytest.mark.shm,
-            pytest.mark.skipif(not HAVE_FORK, reason="shm backend needs fork"),
-        ],
-    ),
+    "shm",
 ]
 
 TOPOLOGIES = {
@@ -140,11 +133,9 @@ def test_asymmetric_recv_offset_on_mesh_refused_at_lowering(backend):
     sched.phases[0].rounds[0].recv_offset = (-1,)
     assert sched.phases[0].rounds[0].recv_source_offset == (-1,)
     bufs = _make_bufs(topo.size, 4, 4)
-    # the ScheduleError crosses a thread (engine) or process (shm error
-    # queue) boundary on the backends that have one
-    wrapper = {"threaded": RankFailedError, "shm": BackendError}
+    # the ScheduleError crosses a thread boundary on the engine
     with pytest.raises(
-        wrapper.get(backend, ScheduleError),
+        RankFailedError if backend == "threaded" else ScheduleError,
         match="expects a message from .* which sent none",
     ) as info:
         executor(backend).execute_all(topo, sched, bufs)
@@ -177,7 +168,8 @@ def test_non_itemsize_capacity_still_reduces_per_rank(backend):
     before = [{k: v.copy() for k, v in b.items()} for b in bufs]
     walked = plan_mod.plan_cache_info().walked
     executor(backend).execute_all(topo, sched, bufs)
-    assert plan_mod.plan_cache_info().walked - walked == (backend == "batched")
+    runs_batched = executor(backend) is get_backend("batched")
+    assert plan_mod.plan_cache_info().walked - walked == runs_batched
 
     def unpadded(rows):
         return [{k: v[:16] for k, v in b.items()} for b in rows]
