@@ -7,30 +7,44 @@ Every app in :mod:`repro.apps` follows one contract:
 * :meth:`CartesianApp.sequential` computes the **oracle** — the result a
   single-process reference implementation produces, with bit-exact
   integer arithmetic so equality is well defined;
-* :meth:`CartesianApp.run` executes the same problem distributed over a
-  Cartesian communicator on any registered execution backend with any
-  collective algorithm, returning an :class:`AppRun` with the assembled
-  global result and the merged per-rank :class:`~repro.core.opstats.OpStats`;
+* it declares, once, its per-rank state (``_state``), its one
+  persistent exchange over one rank's buffers (``_exchange``) and its
+  step, in place, over a leading rank axis or one rank's arrays
+  (``_step``), and assembles the result from the final states
+  (``_finish``);
+* :meth:`CartesianApp.run` drives those on any registered execution
+  backend with any collective algorithm, returning an :class:`AppRun`
+  with the assembled global result, the per-rank
+  :class:`~repro.core.opstats.OpStats` and the driver that ran;
 * :meth:`CartesianApp.certify` is the differential harness: it runs the
   full ``backend × algorithm`` matrix and demands **bit equality**
   (``tobytes()`` identity, not approximate closeness) of every
   distributed result against the sequential oracle.
 
-Because the apps iterate — halo exchange per generation, shift per
-Cannon step, broadcast per sweep — a certified run exercises persistent
-operations, multi-iteration schedule/plan cache reuse and the funnelled
-regime of the all-ranks backends end-to-end, which no single-collective
-test can.
+Two drivers run an app, chosen from what the call shows.  The **rows
+driver** (``batched``, no ``engine``, one plan with a matrix form) runs
+on the calling thread: the exchange bound once on a communicator-less
+:class:`~repro.core.cartcomm.CartComm`, every rank's state copied once
+into its row of the plan's staged block, an iteration the plan's
+execution in place on it and one step call on all ``p`` rows.  The
+**SPMD driver** (``threaded``, an ``engine``'s faults or trace) runs one
+rank thread per rank.  A ragged decomposition on ``batched`` is refused
+before any thread starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core import plan as plan_mod
+from repro.core.api import run_cartesian
+from repro.core.backend import batched, get_backend
+from repro.core.cartcomm import CartComm, lay_out
 from repro.core.opstats import OpStats
+from repro.core.persistent import PersistentOp
 
 #: Collective algorithms every app is certified under.
 APP_ALGORITHMS = ("combining", "trivial")
@@ -74,12 +88,14 @@ class AppRun:
     #: app-specific extra arrays also held to bit equality (e.g. the
     #: final raw receive buffers of the broadcast app)
     aux: dict[str, np.ndarray] = field(default_factory=dict)
+    #: which driver ran and why (``"rows: 16 ranks, one plan, fused"``)
+    driver: str = ""
 
     def describe(self) -> str:
         return (
             f"{self.app}[{self.algorithm}/{self.backend}] "
             f"x{self.iterations}: {self.stats.total_calls} collectives, "
-            f"{self.stats.total_rounds} rounds"
+            f"{self.stats.total_rounds} rounds, {self.driver}"
         )
 
 
@@ -88,18 +104,36 @@ def _as_bytes(arr: np.ndarray) -> bytes:
 
 
 class CartesianApp:
-    """Base class: problem instance + oracle + distributed driver."""
+    """Base class: problem instance + oracle + the two drivers."""
 
     #: short app identifier (used in stats, benchmarks, reports)
     name: str = "app"
+    #: the process grid, its periods, the exchange's neighbourhood, iterations
+    dims: tuple[int, ...]
+    periods: tuple[bool, ...]
+    nbh: Any
+    iterations: int
 
     def __init__(self) -> None:
         self._oracle: Optional[np.ndarray] = None
 
-    # -- to be provided by concrete apps -------------------------------
+    # -- to be provided by concrete apps (the module docstring) ---------
     def _sequential(self) -> np.ndarray:
         raise NotImplementedError
 
+    def _state(self) -> list[dict[str, np.ndarray]]:  # the exchange's under its names
+        raise NotImplementedError
+
+    def _exchange(self, cart: CartComm, buffers: Any, algorithm: str) -> PersistentOp:
+        raise NotImplementedError
+
+    def _step(self, state: Mapping[str, np.ndarray], it: int) -> None:
+        raise NotImplementedError
+
+    def _finish(self, states: Sequence[Mapping[str, np.ndarray]]) -> tuple[np.ndarray, dict]:
+        raise NotImplementedError  # the global result and the aux arrays
+
+    # -- the drivers ---------------------------------------------------
     def run(
         self,
         *,
@@ -107,7 +141,79 @@ class CartesianApp:
         algorithm: str = "combining",
         engine: Optional[Any] = None,
     ) -> AppRun:
-        raise NotImplementedError
+        """Run the problem distributed over ``dims`` ranks on ``backend``
+        (the module docstring says which driver runs)."""
+        states = self._state()
+        executor = get_backend(backend).name
+        shapes = [{name: a.shape for name, a in s.items()} for s in states]
+        rank = next((r for r, mine in enumerate(shapes) if mine != shapes[0]), 0)
+        if executor == "batched" and rank:
+            raise ValueError(
+                f"rank {rank}'s blocks {shapes[rank]} differ from rank 0's {shapes[0]}: "
+                f"backend='batched' runs one schedule for all ranks; use backend='threaded'"
+            )
+        stats, driver = None, f"spmd: backend {executor}"
+        if engine is not None:
+            driver = "spmd: engine given"
+        elif executor == "batched":
+            stats, driver = self._run_rows(states, algorithm)
+        if stats is None:
+            stats = self._run_spmd(states, backend, algorithm, engine)
+        output, aux = self._finish(states)
+        return AppRun(
+            self.name, backend, algorithm, self.iterations, output, stats, aux, driver
+        )
+
+    def _run_spmd(self, states, backend, algorithm, engine) -> OpStats:
+        def rank(cart: CartComm) -> OpStats:
+            stats = cart.enable_stats()
+            handle = self._exchange(cart, states[cart.rank], algorithm)
+            try:
+                for it in range(self.iterations):
+                    handle.execute()
+                    self._step(states[cart.rank], it)
+            finally:
+                handle.free()
+            return stats
+
+        return merge_stats(run_cartesian(
+            self.dims, self.nbh, rank, periods=self.periods,
+            info={"backend": backend}, engine=engine,
+        ))
+
+    def _run_rows(self, states, algorithm) -> tuple[Optional[OpStats], str]:
+        """The rows driver, or ``None`` and why not.  It books what the
+        SPMD ranks book: one lookup each, one execution each per step."""
+        p, k = len(states), self.iterations
+        cart = CartComm(None, lay_out(self.dims, self.periods, self.nbh), backend="batched")
+        stats = cart.enable_stats()
+        handle = self._exchange(cart, states[0], algorithm)
+        try:
+            plan, hit = plan_mod.get_or_compile(handle.schedule, cart.topo, handle.buffers)
+            if plan.matrix_error is not None:
+                return None, f"spmd: {plan.matrix_error}"
+            staged = [
+                (name, [s[name] for s in states], True)
+                for name in handle.buffers if name in states[0]
+            ]
+            with batched.staged_block(plan, staged) as (rows, run):
+                kept = {n: np.stack([s[n] for s in states]) for n in states[0] if n not in rows}
+                state = {**kept, **rows}
+                for it in range(k):
+                    run(plan.fused)
+                    self._step(state, it)
+            for name, stacked in kept.items():
+                for s, row in zip(states, stacked):
+                    s[name][...] = row
+        finally:
+            handle.free()
+        stats.record_cache(True, backend="batched", n=p - 1)  # the other ranks' level-1 hits
+        # the first start looks the plan up for every rank, later ones run it
+        for n, plan_hit in ((1, hit), (k - 1, True))[:k]:
+            copied = n * p * handle.schedule.local_copy_bytes
+            cart._record(handle, "batched", plan_hit, n * plan.wire_bytes, copied, n * p)
+        form = "round kernels" if plan.fused is None else "fused"
+        return stats, f"rows: {p} ranks, one plan, {form}"
 
     # ------------------------------------------------------------------
     def sequential(self) -> np.ndarray:

@@ -39,15 +39,16 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Any, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.apps.base import AppRun, CartesianApp, merge_stats
+from repro.apps.base import AppRun, CartesianApp
 from repro.analyze.report import VerificationReport
-from repro.core.api import run_cartesian
 from repro.core.allgather_schedule import build_allgather_schedule
+from repro.core.cartcomm import CartComm
 from repro.core.neighborhood import Neighborhood
+from repro.core.persistent import PersistentOp
 from repro.core.schedule import Schedule, uniform_block_layout
 from repro.core.topology import CartTopology
 from repro.core.trivial import (
@@ -258,48 +259,27 @@ class AllToAllBroadcast(CartesianApp):
         return _audit(self.dims, self.block * 8, algorithm)
 
     # -- distributed ---------------------------------------------------
-    def run(
-        self,
-        *,
-        backend: str = "threaded",
-        algorithm: str = "combining",
-        engine: Optional[Any] = None,
-    ) -> AppRun:
+    def run(self, *, algorithm: str = "combining", **options: Any) -> AppRun:
+        """Run the sweeps after the audit of their schedule (``backend``,
+        ``engine``: :meth:`CartesianApp.run`)."""
         if algorithm in ("combining", "trivial"):
             self.optimality_report(algorithm).raise_if_failed()
-        data, iterations = self.data, self.iterations
-        t, m = self.nbh.t, self.block
-        weights = self._slot_weights()[:, None]
+        return super().run(algorithm=algorithm, **options)
 
-        def worker(cart: Any) -> tuple[np.ndarray, np.ndarray, Any]:
-            stats = cart.enable_stats()
-            r = cart.rank
-            state = data[r].copy()
-            recv = np.zeros(t * m, dtype=np.int64)
-            sweep = cart.allgather_init(state, recv, algorithm=algorithm)
-            try:
-                for it in range(iterations):
-                    sweep.execute()
-                    blocks = recv.reshape(t, m)
-                    state[:] = ((blocks * weights).sum(axis=0) + r + it) % MOD
-            finally:
-                sweep.free()
-            return state, recv, stats
+    def _state(self) -> list[dict[str, np.ndarray]]:
+        recv = np.zeros((self.p, self.nbh.t * self.block), dtype=np.int64)
+        ranks = np.arange(self.p, dtype=np.int64)[:, None]
+        return [{"send": s, "recv": r, "rank": i} for s, r, i in zip(self.data.copy(), recv, ranks)]
 
-        results = run_cartesian(
-            self.dims,
-            self.nbh,
-            worker,
-            periods=self.periods,
-            info={"backend": backend},
-            engine=engine,
-        )
-        return AppRun(
-            app=self.name,
-            backend=backend,
-            algorithm=algorithm,
-            iterations=iterations,
-            output=np.stack([state for state, _, _ in results]),
-            stats=merge_stats(stats for _, _, stats in results),
-            aux={"recv": np.stack([recv for _, recv, _ in results])},
-        )
+    def _exchange(self, cart: CartComm, buffers: Mapping, algorithm: str) -> PersistentOp:
+        return cart.allgather_init(buffers["send"], buffers["recv"], algorithm=algorithm)
+
+    def _step(self, state: Mapping[str, np.ndarray], it: int) -> None:
+        recv = state["recv"]
+        blocks = recv.reshape(*recv.shape[:-1], self.nbh.t, self.block)
+        state["send"][...] = (self._slot_weights() @ blocks + state["rank"] + it) % MOD
+
+    def _finish(self, states: Sequence[Mapping[str, np.ndarray]]) -> tuple[np.ndarray, dict]:
+        return np.stack([s["send"] for s in states]), {
+            "recv": np.stack([s["recv"] for s in states])
+        }

@@ -36,13 +36,14 @@ repeated multiplications.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Optional
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.apps.base import AppRun, CartesianApp, merge_stats
-from repro.core.api import run_cartesian
+from repro.apps.base import AppRun, CartesianApp
+from repro.core.cartcomm import CartComm
 from repro.core.neighborhood import Neighborhood
+from repro.core.persistent import PersistentOp
 from repro.mpisim.datatypes import BlockRef, BlockSet
 
 __all__ = ["CannonMatmul", "SHIFT_NEIGHBORHOOD"]
@@ -74,6 +75,8 @@ class CannonMatmul(CartesianApp):
     """One ``C = A·B`` problem instance on a ``q × q`` torus."""
 
     name = "cannon"
+    nbh = SHIFT_NEIGHBORHOOD
+    periods = (True, True)
 
     def __init__(
         self,
@@ -109,6 +112,7 @@ class CannonMatmul(CartesianApp):
         self.A = rng.integers(-4, 5, (m, k)).astype(self.dtype)
         self.B = rng.integers(-4, 5, (k, n)).astype(self.dtype)
         self.dims = (self.q, self.q)
+        self.iterations = self.q
 
     # -- layout maps ---------------------------------------------------
     def _rows(self, i: int) -> np.ndarray:
@@ -132,70 +136,45 @@ class CannonMatmul(CartesianApp):
         return (self.A @ self.B).astype(self.dtype)
 
     # -- distributed ---------------------------------------------------
-    def run(
-        self,
-        *,
-        backend: str = "threaded",
-        algorithm: str = "combining",
-        engine: Optional[Any] = None,
-    ) -> AppRun:
-        q, mb, kb, nb = self.q, self.mb, self.kb, self.nb
-        pad, dtype = self.pad, self.dtype
-        itemsize = dtype.itemsize
-        A, B = self.A, self.B
+    def run(self, **options: Any) -> AppRun:
+        """Multiply distributed over the ``q × q`` grid (options:
+        :meth:`CartesianApp.run`)."""
+        return super().run(**options)
 
-        def worker(cart: Any) -> tuple[np.ndarray, Any]:
-            stats = cart.enable_stats()
-            i, j = cart.coords()
-            s0 = (i + j) % q
-            a = np.zeros((mb, kb + pad), dtype=dtype)
-            b = np.zeros((kb, nb + pad), dtype=dtype)
-            a_next = np.zeros_like(a)
-            b_next = np.zeros_like(b)
-            a[:, :kb] = A[np.ix_(self._rows(i), np.arange(self.k))][
-                :, self._kslab(s0)
-            ]
-            b[:, :nb] = B[self._kslab(s0), :][:, self._cols(j)]
-            shift = cart.alltoallw_init(
-                {"A": a, "B": b, "An": a_next, "Bn": b_next},
-                [
-                    _row_blockset("A", mb, kb * itemsize, (kb + pad) * itemsize),
-                    _row_blockset("B", kb, nb * itemsize, (nb + pad) * itemsize),
-                ],
-                [
-                    _row_blockset("An", mb, kb * itemsize, (kb + pad) * itemsize),
-                    _row_blockset("Bn", kb, nb * itemsize, (nb + pad) * itemsize),
-                ],
-                algorithm=algorithm,
-            )
-            c = np.zeros((mb, nb), dtype=dtype)
-            try:
-                for _ in range(q):
-                    c += a[:, :kb] @ b[:, :nb]
-                    shift.execute()
-                    a[...] = a_next
-                    b[...] = b_next
-            finally:
-                shift.free()
-            return c, stats
+    def _state(self) -> list[dict[str, np.ndarray]]:
+        states = []
+        for i, j in np.ndindex(self.q, self.q):
+            s0 = (i + j) % self.q
+            a = np.zeros((self.mb, self.kb + self.pad), dtype=self.dtype)
+            b = np.zeros((self.kb, self.nb + self.pad), dtype=self.dtype)
+            a[:, : self.kb] = self.A[self._rows(i), self._kslab(s0)]
+            b[:, : self.nb] = self.B[self._kslab(s0), self._cols(j)]
+            c = np.zeros((self.mb, self.nb), dtype=self.dtype)
+            states.append({"A": a, "B": b, "An": np.zeros_like(a), "Bn": np.zeros_like(b), "C": c})
+        return states
 
-        results = run_cartesian(
-            self.dims,
-            SHIFT_NEIGHBORHOOD,
-            worker,
-            periods=(True, True),
-            info={"backend": backend},
-            engine=engine,
-        )
-        out = np.zeros((self.m, self.n), dtype=dtype)
-        for r, (c_local, _) in enumerate(results):
-            i, j = divmod(r, q)
-            out[np.ix_(self._rows(i), self._cols(j))] = c_local
-        return AppRun(
-            app=self.name,
-            backend=backend,
+    def _exchange(self, cart: CartComm, buffers: Mapping, algorithm: str) -> PersistentOp:
+        itemsize = self.dtype.itemsize
+        a_rows = (self.mb, self.kb * itemsize, (self.kb + self.pad) * itemsize)
+        b_rows = (self.kb, self.nb * itemsize, (self.nb + self.pad) * itemsize)
+        return cart.alltoallw_init(
+            {name: buffers[name] for name in ("A", "B", "An", "Bn")},
+            [_row_blockset("A", *a_rows), _row_blockset("B", *b_rows)],
+            [_row_blockset("An", *a_rows), _row_blockset("Bn", *b_rows)],
             algorithm=algorithm,
-            iterations=q,
-            output=out,
-            stats=merge_stats(stats for _, stats in results),
         )
+
+    def _step(self, state: Mapping[str, np.ndarray], it: int) -> None:
+        """The panels that arrived are multiplied: after ``q`` shifts
+        every pair has met once (the sum is exact, its order free)."""
+        a, b = state["A"], state["B"]
+        a[...] = state["An"]
+        b[...] = state["Bn"]
+        state["C"][...] += a[..., : self.kb] @ b[..., : self.nb]
+
+    def _finish(self, states: Sequence[Mapping[str, np.ndarray]]) -> tuple[np.ndarray, dict]:
+        out = np.zeros((self.m, self.n), dtype=self.dtype)
+        for r, s in enumerate(states):
+            i, j = divmod(r, self.q)
+            out[np.ix_(self._rows(i), self._cols(j))] = s["C"]
+        return out, {}

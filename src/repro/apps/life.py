@@ -10,25 +10,27 @@ message-combining schedule (4 rounds instead of 8); on meshes the
 missing neighbors are skipped and the untouched ghost cells stay dead —
 exactly the zero-boundary condition of the sequential reference.
 
-Board state crosses the app boundary as **bit-packed rows**
-(:func:`pack_rows` / :func:`unpack_rows`, one bit per cell): workers
-return their final interior packed, the driver reassembles the global
-board from the packed blocks, and certification compares packed bytes —
-the representation a production cellular-automaton service would ship.
+The step is :func:`~repro.stencil.kernels.life_step_local` on the
+ghosted arrays: one rank's on the SPMD driver, all ``p`` stacked as
+``(p, rows + 2, cols + 2)`` on the rows driver (:mod:`repro.apps.base`).
+Certification also compares the result as **bit-packed rows**
+(:func:`pack_rows`, one bit per cell), the representation a production
+cellular-automaton service would ship.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.apps.base import AppRun, CartesianApp, merge_stats
-from repro.core.api import run_cartesian
+from repro.apps.base import AppRun, CartesianApp
+from repro.core.cartcomm import CartComm
+from repro.core.persistent import PersistentOp
 from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
-from repro.stencil.apps import DistributedStencil
 from repro.stencil.decomp import GridDecomposition
+from repro.stencil.halo import halo_specs
 from repro.stencil.kernels import glider, life_step_global, life_step_local
 
 __all__ = [
@@ -108,7 +110,7 @@ class GameOfLife(CartesianApp):
         self.board = (board != 0).astype(np.uint8)
         self.dims = tuple(int(d) for d in dims)
         self.periods = tuple(bool(p) for p in periods)
-        self.generations = int(generations)
+        self.generations = self.iterations = int(generations)
         if self.generations < 0:
             raise ValueError("generations must be non-negative")
         self.topo = CartTopology(self.dims, self.periods)
@@ -158,60 +160,36 @@ class GameOfLife(CartesianApp):
         return board
 
     # -- distributed ---------------------------------------------------
-    def run(
-        self,
-        *,
-        backend: str = "threaded",
-        algorithm: str = "combining",
-        engine: Optional[Any] = None,
-    ) -> AppRun:
-        """Evolve the board distributed over ``dims`` ranks; returns the
-        reassembled global board plus merged OpStats."""
+    def run(self, *, algorithm: str = "combining", **options: Any) -> AppRun:
+        """Evolve the board distributed over ``dims`` ranks (``backend``,
+        ``engine``: :meth:`CartesianApp.run`)."""
         if algorithm == "combining" and not all(self.periods):
             raise ValueError(
                 "the combining halo exchange needs a fully periodic "
                 "torus; use algorithm='trivial' or 'auto' on meshes"
             )
-        blocks = self.decomp.scatter(self.board)
-        generations = self.generations
+        return super().run(algorithm=algorithm, **options)
 
-        def worker(cart: Any) -> tuple[np.ndarray, Any]:
-            stats = cart.enable_stats()
-            stencil = DistributedStencil(
-                cart,
-                self.decomp,
-                blocks[cart.rank],
-                lambda grid: life_step_local(grid, 1),
-                algorithm=algorithm,
-            )
-            try:
-                final = stencil.run(generations)
-            finally:
-                stencil.free()
-            return pack_rows(final), stats
+    def _state(self) -> list[dict[str, np.ndarray]]:
+        states = []
+        for block in self.decomp.scatter(self.board):
+            grid = np.zeros((block.shape[0] + 2, block.shape[1] + 2), np.uint8)
+            grid[1:-1, 1:-1] = block
+            states.append({"grid": grid})
+        return states
 
-        results = run_cartesian(
-            self.dims,
-            self.nbh,
-            worker,
-            periods=self.periods,
-            info={"backend": backend},
-            engine=engine,
-        )
-        unpacked = [
-            unpack_rows(packed, self.decomp.local_shape(r)[1])
-            for r, (packed, _) in enumerate(results)
-        ]
-        board = self.decomp.gather(unpacked)
-        return AppRun(
-            app=self.name,
-            backend=backend,
-            algorithm=algorithm,
-            iterations=self.generations,
-            output=board,
-            stats=merge_stats(stats for _, stats in results),
-            aux={"packed": pack_rows(board)},
-        )
+    def _exchange(self, cart: CartComm, buffers: Mapping, algorithm: str) -> PersistentOp:
+        grid = buffers["grid"]
+        interior = (grid.shape[0] - 2, grid.shape[1] - 2)
+        sends, recvs = halo_specs(interior, 1, cart.nbh, grid.itemsize, buffer="grid")
+        return cart.alltoallw_init({"grid": grid}, sends, recvs, algorithm=algorithm)
+
+    def _step(self, state: Mapping[str, np.ndarray], it: int) -> None:
+        state["grid"][..., 1:-1, 1:-1] = life_step_local(state["grid"], 1)
+
+    def _finish(self, states: Sequence[Mapping[str, np.ndarray]]) -> tuple[np.ndarray, dict]:
+        board = self.decomp.gather([s["grid"][1:-1, 1:-1] for s in states])
+        return board, {"packed": pack_rows(board)}
 
     def _expected_aux(self) -> dict[str, np.ndarray]:
         return {"packed": pack_rows(self.sequential())}

@@ -53,9 +53,10 @@ be observed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import partial
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -185,21 +186,29 @@ def _runner(
             # ranks that bind other types or shapes of one size meet as bytes
             arrays = [byte_view(a) for a in arrays]
         staged.append((name, arrays, name in plan.written))
-    return partial(_staged, plan, staged, plan.fused if fuse else None)
+    fused = plan.fused if fuse else None
+
+    def staged_run() -> None:
+        with staged_block(plan, staged) as (_, run):
+            run(fused)
+
+    return staged_run
 
 
-def _staged(
+@contextmanager
+def staged_block(
     plan: plan_mod.BatchedPlan,
     staged: Sequence[tuple[str, Sequence[np.ndarray], bool]],
-    fused: plan_mod.FusedProgram | None,
-) -> None:
-    """The staged form: every rank's ``staged`` buffers — ``(name, rank
-    arrays of one type and shape, written)`` — concatenated into their
-    matrices of one pooled block
-    (:meth:`~repro.core.plan.BatchedPlan.matrices`, each seen as ``p``
-    rows of the arrays' type), the plan run on it (its ``fused``
-    phases, else its rounds' kernels), and what it wrote copied back (a
-    buffer no kernel writes, a read-only ``send``, is never assigned)."""
+) -> Iterator[tuple[dict[str, np.ndarray], Callable[..., None]]]:
+    """The staged form around a body: every rank's ``staged`` buffers —
+    ``(name, rank arrays of one type and shape, written)`` — concatenated
+    into their matrices of one pooled block (:meth:`~repro.core.plan.
+    BatchedPlan.matrices`, each seen as ``p`` rows of the arrays' type).
+    The body gets those rows and ``run(fused)``, one execution of the
+    plan in place on the block (the ``fused`` phases, else the rounds'
+    kernels), to call any number of times; then what is written is
+    copied back (a buffer no kernel writes, a read-only ``send``, is
+    never assigned)."""
     block = plan_mod.GLOBAL_POOL.acquire(plan.block_nbytes)
     try:
         matrices = plan.matrices(block)
@@ -211,14 +220,18 @@ def _staged(
         }
         for name, arrays, _ in staged:
             np.concatenate(arrays, axis=None, out=rows[name].reshape(-1))
-        if fused is None:
-            plan.execute(matrices)
-        else:
-            words = block.view(fused.dtype)
-            for dst, src in fused.steps:
-                words[dst] = words[src]
-        if fused is None or not plan.copy_program.fused:
-            plan.run_local_copies(matrices)
+
+        def run(fused: plan_mod.FusedProgram | None) -> None:
+            if fused is None:
+                plan.execute(matrices)
+            else:
+                words = block.view(fused.dtype)
+                for dst, src in fused.steps:
+                    words[dst] = words[src]
+            if fused is None or not plan.copy_program.fused:
+                plan.run_local_copies(matrices)
+
+        yield rows, run
         for name, arrays, written in staged:
             if written:
                 for arr, row in zip(arrays, rows[name]):

@@ -81,6 +81,9 @@ ALGORITHMS = ("auto", "combining", "trivial", "direct")
 #: level-1 cache-key prefix of the regular (uniform-block) operations
 _REGULAR_KEY = {"alltoall": "a2a", "allgather": "ag"}
 
+#: A neighbourhood: a :class:`Neighborhood`, a t×d array, or a flat list.
+OffsetsLike = Union[Neighborhood, np.ndarray, Sequence[int], Sequence[Sequence[int]]]
+
 #: Things accepted as a per-neighbor "datatype" by the ``w`` variants:
 #: a ready BlockSet, or a (buffer name, Datatype, byte displacement,
 #: count) tuple mirroring MPI's (buf, count, displ, type) arguments.
@@ -185,22 +188,25 @@ def _check_algorithm(algorithm: str) -> None:
 
 class CartComm:
     """A communicator with Cartesian layout and isomorphic neighborhood
-    attached (the object ``cart_neighborhood_create`` returns)."""
+    attached (the object ``cart_neighborhood_create`` returns).  With
+    ``comm=None`` it binds for all ranks at once, from one thread, and
+    launches nothing (the rows driver of :mod:`repro.apps`)."""
 
     def __init__(
         self,
-        comm: Communicator,
+        comm: Optional[Communicator],
         record: CommRecord,
         *,
         info: Optional[dict] = None,
         backend: Union[str, Backend, None] = None,
     ):
         self.topo, self.nbh = record.topo, record.nbh
-        if comm.size != self.topo.size:
+        if comm is not None and comm.size != self.topo.size:
             raise TopologyError(
                 f"communicator size {comm.size} != topology size {self.topo.size}"
             )
-        self.comm = comm  # its own matching space: the caller's dup
+        # its own matching space, the caller's dup (None: never launches)
+        self.comm: Communicator = comm  # type: ignore[assignment]
         self.record = record
         self.info = dict(info or {})
         self.alpha = float(self.info.get("alpha", DEFAULT_ALPHA))
@@ -269,14 +275,15 @@ class CartComm:
         plan_hit: bool,
         packed: int,
         copied: int,
+        n: int = 1,
     ) -> None:
-        """Account one completed execution under ``(op, algorithm,
+        """Account ``n`` completed executions under ``(op, algorithm,
         backend)`` — the one place, for every launcher."""
         if self.stats is None:
             return
         self.stats.record_execution(
             bound.op, algorithm_of(bound.schedule.kind), backend,
-            bound.schedule.totals(), plan_hit, packed, copied,
+            bound.schedule.totals(), plan_hit, packed, copied, n,
         )
 
     def _run(self, bound: BoundOp) -> None:
@@ -929,11 +936,34 @@ class CartComm:
         )
 
 
+def lay_out(
+    dims: Sequence[int],
+    periods: Optional[Sequence[bool]],
+    offsets: OffsetsLike,
+    weights: Optional[Sequence[int]] = None,
+) -> CommRecord:
+    """:func:`cart_neighborhood_create`'s arguments checked and laid out."""
+    topo = CartTopology(dims, periods)
+    if isinstance(offsets, Neighborhood):
+        nbh = offsets if weights is None else Neighborhood(offsets.offsets, weights)
+    else:
+        arr = np.asarray(offsets, dtype=np.int64)
+        if arr.ndim == 1:
+            if arr.size % topo.ndim:
+                raise NeighborhoodError(
+                    f"flattened offset list of {arr.size} entries is not a "
+                    f"multiple of d={topo.ndim}"
+                )
+            arr = arr.reshape(-1, topo.ndim)
+        nbh = Neighborhood(arr, weights)
+    return CommRecord(topo, nbh, (dims, periods, offsets, weights))
+
+
 def cart_neighborhood_create(
     comm: Communicator,
     dims: Sequence[int],
     periods: Optional[Sequence[bool]],
-    offsets: Union[Neighborhood, np.ndarray, Sequence[int], Sequence[Sequence[int]]],
+    offsets: OffsetsLike,
     *,
     weights: Optional[Sequence[int]] = None,
     info: Optional[dict] = None,
@@ -963,22 +993,7 @@ def cart_neighborhood_create(
     """
     del reorder  # accepted, not acted upon (matches measured MPI libraries)
     args = (dims, periods, offsets, weights)
-
-    def own() -> CommRecord:  # this rank's arguments, checked and laid out
-        topo = CartTopology(dims, periods)
-        if isinstance(offsets, Neighborhood):
-            nbh = offsets if weights is None else Neighborhood(offsets.offsets, weights)
-        else:
-            arr = np.asarray(offsets, dtype=np.int64)
-            if arr.ndim == 1:
-                if arr.size % topo.ndim:
-                    raise NeighborhoodError(
-                        f"flattened offset list of {arr.size} entries is not a "
-                        f"multiple of d={topo.ndim}"
-                    )
-                arr = arr.reshape(-1, topo.ndim)
-            nbh = Neighborhood(arr, weights)
-        return CommRecord(topo, nbh, args)
+    own = partial(lay_out, *args)  # this rank's arguments, checked and laid out
 
     # The root lays out what Section 2.2 makes the same everywhere; a
     # rank that brought the root's very arguments reads it, any other

@@ -9,7 +9,7 @@ executed on the backend it was configured for) without external
 tracing.
 
 Recording is one :meth:`OpStats.record_execution` call per rank and
-collective (a handful of dictionary updates); it is enabled per
+collective, or one for many (a handful of dictionary updates); it is enabled per
 communicator via ``info={"collect_stats": True}`` or
 :meth:`repro.core.cartcomm.CartComm.enable_stats`.
 """
@@ -37,11 +37,11 @@ class OpRecord:
     volume_blocks: int = 0
     volume_bytes: int = 0
 
-    def add(self, rounds: int, volume_blocks: int, volume_bytes: int) -> None:
-        self.calls += 1
-        self.rounds += rounds
-        self.volume_blocks += volume_blocks
-        self.volume_bytes += volume_bytes
+    def add(self, rounds: int, volume_blocks: int, volume_bytes: int, n: int = 1) -> None:
+        self.calls += n
+        self.rounds += n * rounds
+        self.volume_blocks += n * volume_blocks
+        self.volume_bytes += n * volume_bytes
 
     def merge(self, other: "OpRecord") -> None:
         self.calls += other.calls
@@ -93,14 +93,15 @@ class OpStats:
         hit: bool,
         build_seconds: float = 0.0,
         backend: str = DEFAULT_BACKEND,
+        n: int = 1,
     ) -> None:
         split = self.cache_by_backend.setdefault(backend, [0, 0])
         if hit:
-            self.cache_hits += 1
-            split[0] += 1
+            self.cache_hits += n
+            split[0] += n
         else:
-            self.cache_misses += 1
-            split[1] += 1
+            self.cache_misses += n
+            split[1] += n
             self.cache_build_seconds += build_seconds
 
     def _record(self, key: tuple) -> OpRecord:
@@ -118,19 +119,20 @@ class OpStats:
         plan_hit: bool,
         packed: int,
         copied: int,
+        n: int = 1,
     ) -> None:
-        """Account one completed execution: its ``(rounds, blocks,
-        bytes)`` ``totals`` under ``(op, algorithm, backend)``, its one
-        plan lookup, and the wire bytes it packed and the bytes its
-        local copies moved on this rank."""
-        self._record((op, algorithm, backend)).add(*totals[:3])
+        """Account ``n`` completed executions: each its ``(rounds,
+        blocks, bytes)`` ``totals`` under ``(op, algorithm, backend)`` and
+        its one plan lookup; all of them the wire bytes packed and the
+        bytes their local copies moved on this rank."""
+        self._record((op, algorithm, backend)).add(*totals[:3], n=n)
         split = self.plan_by_backend.setdefault(backend, [0, 0])
         if plan_hit:
-            self.plan_hits += 1
-            split[0] += 1
+            self.plan_hits += n
+            split[0] += n
         else:
-            self.plan_misses += 1
-            split[1] += 1
+            self.plan_misses += n
+            split[1] += n
         if packed:
             self.bytes_packed[backend] = self.bytes_packed.get(backend, 0) + packed
         if copied:
@@ -255,21 +257,10 @@ class OpStats:
         consumers aggregating server snapshots with ``merge_from``)."""
         stats = cls()
         for rec in data.get("records", ()):
-            stats.record_raw(
-                str(rec["op"]),
-                str(rec["algorithm"]),
-                int(rec["rounds"]),
-                int(rec["volume_blocks"]),
-                int(rec["volume_bytes"]),
-                backend=str(rec["backend"]),
+            key = (str(rec["op"]), str(rec["algorithm"]), str(rec["backend"]))
+            stats.records[key] = OpRecord(
+                *(int(rec[f]) for f in ("calls", "rounds", "volume_blocks", "volume_bytes"))
             )
-            # record_raw counts one call; restore the exact count
-            key = (
-                str(rec["op"]),
-                str(rec["algorithm"]),
-                str(rec["backend"]),
-            )
-            stats.records[key].calls = int(rec["calls"])
         cache = data.get("cache", {})
         stats.cache_hits = int(cache.get("hits", 0))
         stats.cache_misses = int(cache.get("misses", 0))

@@ -122,23 +122,25 @@ def _next_state(dtype: np.dtype) -> np.ndarray:
 
 
 def life_step_local(grid: np.ndarray, depth: int = 1) -> np.ndarray:
-    """One Game of Life step on the interior of a ghosted 2-D array of
-    0/1 cells; the result has the grid's dtype.
+    """One Game of Life step on the interior of a ghosted array of 0/1
+    cells, ``(rows, cols)`` or stacked ``(..., rows, cols)`` (one block
+    per rank of a leading rank axis); the result has the grid's dtype
+    and shape ``(..., rows - 2·depth, cols - 2·depth)``.
 
-    The kernel runs once per rank per generation, one rank after
-    another under the GIL, so its cost is its count of array operations
-    (eight, on ``uint8``).  The rows from one ghost row above the
-    interior to one below are flattened, so every sum is a 1-D slice
-    add: a vertical then a horizontal three-cell sum gives the 3 × 3 box
-    (centre included), ``+ 9·centre`` turns it into
+    Its cost is its count of array operations (eight, on ``uint8``),
+    whatever the number of blocks.  The rows from one ghost row above
+    each interior to one below are flattened across all blocks, so every
+    sum is a 1-D slice add: a vertical then a horizontal three-cell sum
+    gives the 3 × 3 box (centre included), ``+ 9·centre`` turns it into
     ``neighbours + 10·alive``, and a 20-entry table maps that to the
-    next state.  Sums next to the left and right edges mix two rows;
-    the final strided view skips them.
+    next state.  Sums next to the left and right edges mix two rows, and
+    those between two blocks mix the blocks; the final strided view
+    skips them.
     """
-    if grid.ndim != 2:
+    if grid.ndim < 2:
         raise ValueError("Game of Life is 2-D")
-    rows, width = grid.shape
-    window = grid[depth - 1 : rows - depth + 1]
+    *lead, rows, width = grid.shape
+    window = grid[..., depth - 1 : rows - depth + 1, :]
     if window.dtype.itemsize == 1:
         window = window.view(np.uint8)
     else:
@@ -149,14 +151,15 @@ def life_step_local(grid: np.ndarray, depth: int = 1) -> np.ndarray:
     index = vertical[:-2] + vertical[1:-1]
     index += vertical[2:]
     index += cells[width + 1 : -width - 1] * np.uint8(9)
+    span = window.shape[-2] * width  # one block's flattened window
     interior = np.ndarray(
-        (rows - 2 * depth, width - 2 * depth),
+        (cells.size // span, rows - 2 * depth, width - 2 * depth),
         np.uint8,
         index,
         depth - 1,
-        (width, 1),
+        (span, width, 1),
     )
-    return _next_state(grid.dtype).take(interior)
+    return _next_state(grid.dtype).take(interior.reshape(*lead, *interior.shape[1:]))
 
 
 def life_step_global(grid: np.ndarray) -> np.ndarray:

@@ -179,3 +179,103 @@ def test_cannon_row_layouts_are_built_once_and_frozen():
     assert _row_blockset("A", 4, 32, 56) is rows
     with pytest.raises(TypeError, match="frozen"):
         rows.append(BlockRef("A", 0, 8))
+
+
+class TestDrivers:
+    """Which driver runs is decided from the call, and the run says which
+    and why."""
+
+    def test_batched_runs_the_rows_driver_with_fused_phases(self):
+        app = GameOfLife.random((64, 64), (4, 4), 2, seed=2)
+        run = app.run(backend="batched")
+        app.check_against_oracle(run)
+        assert run.driver == "rows: 16 ranks, one plan, fused"
+        assert run.driver in run.describe()
+
+    def test_rows_driver_runs_round_kernels_without_a_fused_program(self, monkeypatch):
+        from repro.core import plan as plan_mod
+        from repro.core import schedule_cache
+
+        schedule_cache.cache_clear()
+        plan_mod.plan_cache_reset()
+        monkeypatch.setattr(plan_mod, "FUSED_INDEX_PER_BLOCK_BYTE", 0)
+        try:
+            app = GameOfLife.random((12, 12), (3, 2), 2, seed=4)
+            run = app.run(backend="batched")
+        finally:
+            schedule_cache.cache_clear()
+            plan_mod.plan_cache_reset()
+        app.check_against_oracle(run)
+        assert run.driver == "rows: 6 ranks, one plan, round kernels"
+
+    def test_an_engine_runs_the_spmd_driver(self):
+        from repro.mpisim.engine import Engine
+
+        app = AllToAllBroadcast((2, 2), block=3, iterations=2, seed=1)
+        run = app.run(backend="batched", engine=Engine(4, timeout=60))
+        app.check_against_oracle(run)
+        assert run.driver == "spmd: engine given"
+
+    def test_threaded_runs_the_spmd_driver(self):
+        app = CannonMatmul(8, 8, 8, 2, seed=3)
+        run = app.run(backend="threaded")
+        app.check_against_oracle(run)
+        assert run.driver == "spmd: backend threaded"
+
+    def test_a_plan_without_a_matrix_form_runs_the_spmd_driver(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.apps import base
+
+        lookup = base.plan_mod.get_or_compile
+
+        def first_has_no_matrix_form(*args):
+            monkeypatch.setattr(base.plan_mod, "get_or_compile", lookup)
+            return SimpleNamespace(matrix_error="no matrix form"), True
+
+        monkeypatch.setattr(base.plan_mod, "get_or_compile", first_has_no_matrix_form)
+        app = GameOfLife.random((8, 8), (2, 2), 2, seed=5)
+        run = app.run(backend="batched")
+        app.check_against_oracle(run)
+        assert run.driver == "spmd: no matrix form"
+        assert run.stats.total_calls == 4 * 2
+
+    @pytest.mark.parametrize("name", ["life", "cannon", "broadcast"])
+    def test_rows_driver_starts_no_engine_and_leaves_the_pool_empty(self, name, monkeypatch):
+        from repro.core.plan import GLOBAL_POOL
+        from repro.mpisim.engine import Engine
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the rows driver started an engine")
+
+        monkeypatch.setattr(Engine, "run", no_engine)
+        app = default_app(name)
+        run = app.run(backend="batched", algorithm="combining")
+        app.check_against_oracle(run)
+        assert run.driver.startswith("rows: 9 ranks")
+        assert GLOBAL_POOL.stats().outstanding_bytes == 0
+
+    def test_rows_driver_books_what_the_ranks_book(self):
+        """Per-rank OpStats meaning, booked once by the driver: the
+        counters equal the SPMD driver's on the same problem."""
+        app = AllToAllBroadcast((3, 3), block=5, iterations=3, seed=2)
+        rows = app.run(backend="batched").stats
+        spmd = app.run(backend="threaded").stats
+        assert rows.total_calls == spmd.total_calls == 9 * 3
+        assert rows.total_rounds == spmd.total_rounds
+        assert rows.total_bytes == spmd.total_bytes
+        assert sum(rows.bytes_packed.values()) == sum(spmd.bytes_packed.values())
+        assert rows.cache_hits + rows.cache_misses == 9
+        assert rows.plan_hits + rows.plan_misses == 9 * 3
+
+    def test_ragged_board_on_batched_is_refused_before_any_rank_starts(self, monkeypatch):
+        from repro.apps import base
+
+        def no_ranks(*args, **kwargs):
+            raise AssertionError("a rank thread was started")
+
+        monkeypatch.setattr(base, "run_cartesian", no_ranks)
+        app = GameOfLife.random((7, 9), (2, 2), 2)
+        with pytest.raises(ValueError, match=r"rank 1's blocks .* rank 0's") as ei:
+            app.run(backend="batched")
+        assert "backend='threaded'" in str(ei.value)

@@ -2,9 +2,11 @@
 reference on *arbitrary* board sizes, process grids, boundary
 conditions and iteration counts.
 
-Runs on the per-rank threaded backend because ragged decompositions
-(board not divisible by dims) give ranks different halo layouts, which
-only the per-rank execution regime supports.  Every example also
+On the per-rank threaded backend every draw runs, ragged decompositions
+(board not divisible by dims) included: their ranks have different halo
+layouts, which only the per-rank execution regime supports.  On
+``batched`` a uniform draw runs the rows driver and a ragged one is
+refused before any rank starts.  Every example also
 re-checks the pool-lifecycle invariant: no pooled scratch may stay
 outstanding once a run returns (the session fixture enforces the same
 at suite end; asserting per example localizes a leak to its board).
@@ -51,4 +53,26 @@ def test_life_matches_reference_on_random_instances(case):
     run = app.run(backend="threaded", algorithm=algorithm)
     app.check_against_oracle(run)
     assert run.iterations == generations
+    assert GLOBAL_POOL.stats().outstanding_bytes == 0
+
+
+@given(case=life_cases())
+def test_life_on_batched_runs_as_rows_or_is_refused(case):
+    rows, cols, d0, d1, generations, periods, seed, density = case
+    app = GameOfLife.random(
+        (rows, cols),
+        (d0, d1),
+        generations,
+        periods=periods,
+        seed=seed,
+        density=density,
+    )
+    algorithm = "combining" if all(periods) else "trivial"
+    if rows % d0 or cols % d1:
+        with pytest.raises(ValueError, match="backend='threaded'"):
+            app.run(backend="batched", algorithm=algorithm)
+    else:
+        run = app.run(backend="batched", algorithm=algorithm)
+        app.check_against_oracle(run)
+        assert run.driver.startswith(f"rows: {d0 * d1} ranks")
     assert GLOBAL_POOL.stats().outstanding_bytes == 0

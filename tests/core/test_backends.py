@@ -1265,11 +1265,28 @@ class TestRendezvousInPlace:
         # (an uneven decomposition: local blocks of 17 and 16 columns):
         # the two names would print the same, so the refusal says where
         # the schedules differ and which backend runs per-rank layouts.
-        from repro.apps import GameOfLife
+        # (An app refuses such a board before any rank starts; the
+        # library's own stencil driver meets with it.)
+        from repro.stencil.apps import DistributedStencil
+        from repro.stencil.decomp import GridDecomposition
+        from repro.stencil.kernels import life_step_local
 
         board = (np.random.default_rng(3).random((66, 65)) < 0.35).astype(np.uint8)
+        decomp = GridDecomposition(CartTopology((4, 4)), board.shape)
+        blocks = decomp.scatter(board)
+
+        def ragged(cart):
+            stencil = DistributedStencil(
+                cart, decomp, blocks[cart.rank],
+                lambda grid: life_step_local(grid, 1), algorithm="combining",
+            )
+            try:
+                stencil.run(2)
+            finally:
+                stencil.free()
+
         with pytest.raises(RankFailedError) as ei:
-            GameOfLife(board, (4, 4), 2).run(backend=name)
+            run_cartesian((4, 4), NBH, ragged, info={"backend": name})
         message = str(ei.value.cause)
         assert isinstance(ei.value.cause, ScheduleError)
         assert "rank 1 called ('alltoallw', 'alltoall')" in message

@@ -106,8 +106,9 @@ class TestGameOfLife:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             life_step_global(np.zeros((3, 3, 3), dtype=np.int8))
+        # the local kernel takes stacked blocks, (..., rows, cols)
         with pytest.raises(ValueError):
-            life_step_local(np.zeros((3, 3, 3), dtype=np.int8))
+            life_step_local(np.zeros(9, dtype=np.int8))
 
     def test_glider_cell_count(self):
         assert glider((10, 10)).sum() == 5
@@ -135,23 +136,28 @@ def _life_step_23_ops(grid: np.ndarray, depth: int = 1) -> np.ndarray:
 
 @st.composite
 def ghosted_boards(draw):
-    """A 0/1 board of 1×1 to 24×24 interior cells inside 1–3 ghost
-    layers of arbitrary 0/1 content, in one of four cell dtypes."""
+    """1–5 0/1 boards stacked along a leading axis, each of one shape
+    from 1×1 to 24×24 interior cells inside 1–3 ghost layers of
+    arbitrary 0/1 content, in one of four cell dtypes."""
     depth = draw(st.integers(1, 3))
     n0, n1 = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     dtype = draw(st.sampled_from([np.uint8, np.int8, np.int64, np.bool_]))
+    p = draw(st.integers(1, 5))
     cells = draw(
-        arrays(np.uint8, (n0 + 2 * depth, n1 + 2 * depth), elements=st.integers(0, 1))
+        arrays(
+            np.uint8, (p, n0 + 2 * depth, n1 + 2 * depth), elements=st.integers(0, 1)
+        )
     )
     return cells.astype(dtype), depth
 
 
 @given(case=ghosted_boards())
 def test_life_kernel_property(case):
-    grid, depth = case
-    before = grid.copy()
+    grids, depth = case
+    grid = grids[0]
+    before = grids.copy()
     got = life_step_local(grid, depth)
-    assert np.array_equal(grid, before)  # the input is left untouched
+    assert np.array_equal(grid, before[0])  # the input is left untouched
     assert got.dtype == grid.dtype
     assert np.array_equal(got, _life_step_23_ops(grid, depth))
 
@@ -159,3 +165,15 @@ def test_life_kernel_property(case):
     wrapped = life_step_local(np.pad(interior, depth, mode="wrap"), depth)
     assert wrapped.dtype == grid.dtype
     assert np.array_equal(wrapped, life_step_global(interior))
+
+    # over a leading rank axis: one call is the 2-D call on every block
+    stacked = life_step_local(grids, depth)
+    assert np.array_equal(grids, before)
+    assert stacked.dtype == grids.dtype
+    assert stacked.shape == (len(grids), *got.shape)
+    interiors = grids[:, depth:-depth, depth:-depth]
+    pad = ((0, 0), (depth, depth), (depth, depth))
+    wrapped = life_step_local(np.pad(interiors, pad, mode="wrap"), depth)
+    for k, block in enumerate(stacked):
+        assert np.array_equal(block, life_step_local(grids[k], depth))
+        assert np.array_equal(wrapped[k], life_step_global(interiors[k]))
