@@ -514,6 +514,25 @@ def _m_delivery_shifted(fx: _Fixture) -> set[str]:
     return rep.codes()
 
 
+# -- V506: the fused maps against the walk ----------------------------------
+
+
+@_mutator("fused-step-pair-swapped", "V506")
+def _m_fused_pair_swapped(fx: _Fixture) -> set[str]:
+    """Two ranks' words of the first fused step trade sources: every
+    kernel and rank view is intact, only the maps are wrong."""
+    from repro.analyze.schedule_verifier import _check_execution
+
+    plan, rep = copy.copy(fx.bplan), _report()  # lowered on the copy alone
+    assert plan.fused is not None, plan
+    (dst, src), *rest = plan.fused.steps
+    src = src.copy()
+    src[[0, -1]] = src[[-1, 0]]
+    plan._fused = plan.fused._replace(steps=((dst, src), *rest))
+    _check_execution(fx.schedule, fx.topo, plan, rep, definition=False)
+    return rep.codes()
+
+
 # -- V709: wire gaps and scratch lifetime -----------------------------------
 
 

@@ -15,8 +15,8 @@ else catches:
     lockstep over rank-unique sentinel bytes; every receive slot must
     end holding what the collective's definition puts there (V404
     for the alltoall/allgather kinds with recorded, non-aliased
-    layouts; V805 for reductions), the plan's matrix and in-place forms
-    must leave exactly what the walk leaves (V506), and a walk that
+    layouts; V805 for reductions), the plan's matrix, fused and in-place
+    forms must leave exactly what the walk leaves (V506), and a walk that
     raises is a violation of whichever definition applies;
 (b) **send/receive matching and deadlock-freedom** under the engine's
     FIFO channel matching, eager/waitall and blocking-sendrecv
@@ -772,7 +772,8 @@ def _check_execution(
     whose static passes are clean — every output region, on integer
     inputs of the combine dtype (V805, :func:`_reduce_wanted`).  A walk
     that raises violates whichever of the two the kind has.  The matrix
-    form (:meth:`BatchedPlan.execute`) and an in-place plan's
+    form (:meth:`BatchedPlan.execute`), its fused maps (lowered here:
+    :meth:`BatchedPlan.execute_staged`) and an in-place plan's
     :meth:`BatchedPlan.deliver` must leave every rank's buffers as the
     walk left them (V506).  What ran goes on ``report.checks_run``; over
     :data:`CONTENT_BUDGET` nothing runs and ``report.skipped`` says so."""
@@ -824,18 +825,21 @@ def _check_execution(
             f"the walk over the rank views raised {exc!r}",
         )
         return
-    matrices = {
-        name: np.stack([byte_view(start[r][name]) for r in range(p)])
-        for name in sizes
-    }
+    block = np.zeros(plan.block_nbytes, np.uint8)
+    for name, matrix in plan.matrices(block).items():
+        matrix[:] = [byte_view(start[r][name]) for r in range(p)]
 
-    def run_matrices() -> Sequence[Mapping[str, np.ndarray]]:
-        plan.execute(matrices)
-        plan.run_local_copies(matrices)
-        return [
-            {name: matrices[name][rank] for name in sizes}
-            for rank in range(p)
-        ]
+    def run_staged(fused: bool) -> Optional[Sequence[Mapping[str, np.ndarray]]]:
+        if fused and plan.fused is None:  # lowered here for every later run
+            return None
+        staged = block.copy()  # every way runs on its own copy
+        matrices = plan.matrices(staged)
+        if fused:
+            plan.execute_staged(staged, matrices)
+        else:
+            plan.execute(matrices)
+            plan.run_local_copies(matrices)
+        return [{name: matrices[name][rank] for name in sizes} for rank in range(p)]
 
     def run_in_place() -> Sequence[Mapping[str, np.ndarray]]:
         # on the inputs themselves: everything else has its own copy
@@ -844,7 +848,8 @@ def _check_execution(
 
     # a plan without a matrix form is only ever walked: nothing to compare
     ways = (
-        [("matrix execution", run_matrices)]
+        [("matrix execution", lambda: run_staged(False)),
+         ("fused execution", lambda: run_staged(True))]
         if plan.matrix_error is None
         else []
     )
@@ -858,6 +863,8 @@ def _check_execution(
             report.add(
                 "V506", f"{way} raised {exc!r} where the walk succeeded"
             )
+            continue
+        if got_bufs is None:  # no fused maps
             continue
         for rank in range(p):
             bad = [

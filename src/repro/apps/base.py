@@ -200,7 +200,7 @@ class CartesianApp:
                 kept = {n: np.stack([s[n] for s in states]) for n in states[0] if n not in rows}
                 state = {**kept, **rows}
                 for it in range(k):
-                    run(plan.fused)
+                    run()
                     self._step(state, it)
             for name, stacked in kept.items():
                 for s, row in zip(states, stacked):

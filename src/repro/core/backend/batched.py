@@ -25,25 +25,17 @@ straight from the sending rank's own arrays to the receiving rank's:
 one copy per delivered byte, ``p`` launches per round.
 
 *Staged* — everything else (small blocks, reductions): each buffer
-name's ``p`` arrays are copied, as they are, by one
-``np.concatenate`` into one ``(p, nbytes)`` matrix, back to back in
-one pooled block (:meth:`~repro.core.plan.BatchedPlan.matrices`), and
-:meth:`~repro.core.plan.BatchedPlan.execute` runs each round as a
-handful of vectorized numpy operations — gather all rows into a
-``(p, n)`` wire matrix, permute its rows by the source-rank array,
-scatter, one index per block lane.  About five copies per delivered
-byte, but one kernel launch for all ranks and one copy-in call per
-buffer name, which is what makes large-mesh and netsim sweeps
-feasible.
-
-A persistent handle decides its form once: the driver of its first
-start binds a :data:`~repro.core.backend.base.Prepared` execution for
-all ranks (:meth:`BatchedBackend.prepare`) and every later start runs
-it.  A staged handle then runs the plan's fused phases
-(:attr:`~repro.core.plan.BatchedPlan.fused`) where the plan has them:
-each phase one gather/scatter of words on the block instead of its
-rounds' kernels.  Blocking calls keep the per-round kernels, since the
-lowering would cost a first call more than it saves.
+name's ``p`` arrays are copied by one ``np.concatenate`` into one
+``(p, nbytes)`` matrix of one pooled block
+(:meth:`~repro.core.plan.BatchedPlan.matrices`).  Each phase is one
+gather/scatter of words on the block where the plan has fused maps
+(:attr:`~repro.core.plan.BatchedPlan.fused`), a reduction's folds
+between; else :meth:`~repro.core.plan.BatchedPlan.execute` runs each
+round's kernels: gather all rows into a ``(p, n)`` wire matrix, permute
+its rows by the source-rank array, scatter.  A persistent handle
+decides its form once: its first start binds one
+:data:`~repro.core.backend.base.Prepared` execution for all ranks
+(:meth:`BatchedBackend.prepare`) and every later start runs it.
 
 Semantics are identical whichever form runs (it is the very same plan):
 the staged form keeps the walk's pack-all-then-deliver discipline per
@@ -134,7 +126,7 @@ class BatchedBackend(Backend):
             )
         if plan is None:
             plan, _ = plan_mod.get_or_compile(schedule, topo, rank_buffers[0])
-        _runner(topo, schedule, plan, rank_buffers, False)()
+        _runner(topo, schedule, plan, rank_buffers)()
 
     def prepare(
         self,
@@ -143,9 +135,8 @@ class BatchedBackend(Backend):
         plan: plan_mod.BatchedPlan,
         rank_buffers: Sequence[Mapping[str, np.ndarray]],
     ) -> Callable[[], None]:
-        """The form decided once; a staged handle runs the plan's fused
-        phases where the plan has them."""
-        return _runner(topo, schedule, plan, rank_buffers, True)
+        """The form decided once, for every start of a handle."""
+        return _runner(topo, schedule, plan, rank_buffers)
 
 
 def _runner(
@@ -153,15 +144,11 @@ def _runner(
     schedule: Schedule,
     plan: plan_mod.BatchedPlan,
     rank_buffers: Sequence[Mapping[str, np.ndarray]],
-    fuse: bool,
 ) -> Callable[[], None]:
     """One execution of ``plan`` over ``rank_buffers`` in the form
     :func:`executor_form` picks, as a call to repeat: the staged form
-    runs the plan's fused phases if ``fuse`` and it has them, the
-    per-round kernels otherwise.  Only a persistent handle fuses: the
-    lowering costs more than the execution it would speed up, and with
-    blocking calls fused too ``cold_start`` (every op a first call) ran
-    1.05× slower at op_p50, even at block lanes."""
+    runs the plan's fused maps where it has them, the per-round kernels
+    otherwise."""
     form = executor_form(plan, rank_buffers)
     if form.startswith("in-place"):
         return partial(plan.deliver, rank_buffers)
@@ -186,11 +173,10 @@ def _runner(
             # ranks that bind other types or shapes of one size meet as bytes
             arrays = [byte_view(a) for a in arrays]
         staged.append((name, arrays, name in plan.written))
-    fused = plan.fused if fuse else None
 
     def staged_run() -> None:
         with staged_block(plan, staged) as (_, run):
-            run(fused)
+            run()
 
     return staged_run
 
@@ -199,16 +185,15 @@ def _runner(
 def staged_block(
     plan: plan_mod.BatchedPlan,
     staged: Sequence[tuple[str, Sequence[np.ndarray], bool]],
-) -> Iterator[tuple[dict[str, np.ndarray], Callable[..., None]]]:
+) -> Iterator[tuple[dict[str, np.ndarray], Callable[[], None]]]:
     """The staged form around a body: every rank's ``staged`` buffers —
     ``(name, rank arrays of one type and shape, written)`` — concatenated
     into their matrices of one pooled block (:meth:`~repro.core.plan.
     BatchedPlan.matrices`, each seen as ``p`` rows of the arrays' type).
-    The body gets those rows and ``run(fused)``, one execution of the
-    plan in place on the block (the ``fused`` phases, else the rounds'
-    kernels), to call any number of times; then what is written is
-    copied back (a buffer no kernel writes, a read-only ``send``, is
-    never assigned)."""
+    The body gets those rows and ``run()``, one execution of the plan
+    on the block (:meth:`~repro.core.plan.BatchedPlan.execute_staged`),
+    to call any number of times; then what is written is copied back
+    (a buffer no kernel writes, a read-only ``send``, is never assigned)."""
     block = plan_mod.GLOBAL_POOL.acquire(plan.block_nbytes)
     try:
         matrices = plan.matrices(block)
@@ -221,17 +206,7 @@ def staged_block(
         for name, arrays, _ in staged:
             np.concatenate(arrays, axis=None, out=rows[name].reshape(-1))
 
-        def run(fused: plan_mod.FusedProgram | None) -> None:
-            if fused is None:
-                plan.execute(matrices)
-            else:
-                words = block.view(fused.dtype)
-                for dst, src in fused.steps:
-                    words[dst] = words[src]
-            if fused is None or not plan.copy_program.fused:
-                plan.run_local_copies(matrices)
-
-        yield rows, run
+        yield rows, partial(plan.execute_staged, block, matrices)
         for name, arrays, written in staged:
             if written:
                 for arr, row in zip(arrays, rows[name]):

@@ -1092,7 +1092,7 @@ class BatchedReduceRound:
     driving ``p`` interpreters, each running its :meth:`for_rank` rows
     of the same step list."""
 
-    __slots__ = ("token", "dtype", "steps", "_ufunc", "_fn", "_rows")
+    __slots__ = ("token", "dtype", "_steps", "_ops", "_ufunc", "_fn", "_rows")
 
     def __init__(
         self,
@@ -1110,15 +1110,23 @@ class BatchedReduceRound:
 
         self.token = token
         self.dtype = dtype
-        #: (src buf, src off, dst buf, dst off, nbytes, copy rows,
-        #: combine rows) — row arrays are ``None`` for "all ranks"
-        self.steps = tuple(steps)
+        self.steps = steps
         self._ufunc = ufunc_for_token(token)
         self._fn = None if self._ufunc is not None else resolve_op_token(token)
         #: per-step (skip | copy | fold) pattern -> the row view every
         #: rank with that pattern shares (one entry on a torus; rank
         #: threads racing on a pattern build equal views)
         self._rows: dict[bytes, Optional[RankReduceRound]] = {}
+
+    @property
+    def steps(self) -> tuple:
+        """(src buf, src off, dst buf, dst off, nbytes, copy rows, combine
+        rows), ``None`` rows for "all ranks"; run as :func:`_merge_copies`."""
+        return self._steps
+
+    @steps.setter
+    def steps(self, steps: Sequence[tuple]) -> None:
+        self._steps, self._ops = tuple(steps), _merge_copies(steps)
 
     def for_rank(self, rank: int) -> Optional[RankReduceRound]:
         """Rank ``rank``'s rows: the steps whose copy rows or fold rows
@@ -1141,9 +1149,13 @@ class BatchedReduceRound:
     def run(self, matrices: Mapping[str, np.ndarray]) -> None:
         dt = self.dtype
         isz = dt.itemsize
-        for sbuf, soff, dbuf, doff, n, copy_rows, comb_rows in self.steps:
+        for step, k, ss, ds in self._ops:
+            sbuf, soff, dbuf, doff, n, copy_rows, comb_rows = step
             src_m = matrices[sbuf]
             dst_m = matrices[dbuf]
+            if k > 1:
+                _strided(dst_m, doff, ds, k, n)[...] = _strided(src_m, soff, ss, k, n)
+                continue
             if copy_rows is None:
                 dst_m[:, doff : doff + n] = src_m[:, soff : soff + n]
             elif copy_rows.size:
@@ -1176,6 +1188,31 @@ class BatchedReduceRound:
             f"BatchedReduceRound({self.token}/{self.dtype.str}, "
             f"{len(self.steps)} steps)"
         )
+
+
+def _merge_copies(steps: Sequence[tuple]) -> list[list]:
+    """``steps`` as ``[step, count, source stride, destination stride]``:
+    all-rank copies of one size between two buffers whose offsets step
+    evenly into disjoint slots are one op (a broadcast at stride 0)."""
+    ops: list[list] = []
+    for step in steps:
+        sbuf, soff, dbuf, doff, n, copy_rows, comb_rows = step
+        copy = sbuf != dbuf and copy_rows is None and comb_rows is not None and not comb_rows.size
+        if copy and ops and ops[-1][1] and ops[-1][0][:5:2] == step[:5:2]:
+            (_, s0, _, d0, *_), k, ss, ds = ops[-1]
+            ss, ds = (soff - s0, doff - d0) if k == 1 else (ss, ds)
+            if 0 <= ss and n <= ds and (soff, doff) == (s0 + k * ss, d0 + k * ds):
+                ops[-1][1:] = k + 1, ss, ds
+                continue
+        ops.append([step, int(copy), 0, 0])
+    return ops
+
+
+def _strided(matrix: np.ndarray, off: int, stride: int, k: int, n: int) -> np.ndarray:
+    """Every row's ``k`` runs of ``n`` bytes from ``off`` on, ``stride`` apart."""
+    rows, col = matrix.strides
+    shape, strides = (matrix.shape[0], k, n), (rows, stride * col, col)
+    return np.lib.stride_tricks.as_strided(matrix[:, off:], shape, strides)
 
 
 def _compile_batched_combines(
@@ -1458,8 +1495,8 @@ class BatchedPlan:
     def fused(self) -> Optional["FusedProgram"]:
         """The plan's data movement as one word map per phase on the
         staged form's block (:func:`fuse_phases`) — ``None`` where it
-        cannot be.  Lowered when first asked for, which only a staged
-        persistent handle does.  (Threads that race here lower equal
+        cannot be.  Lowered when first asked for, by the verifier or the
+        first staged execution.  (Threads that race here lower equal
         programs.)"""
         if self._fused is _UNLOWERED:
             self._fused = fuse_phases(self)
@@ -1576,6 +1613,26 @@ class BatchedPlan:
                     if flat is not None:
                         GLOBAL_POOL.release(flat)
 
+    def execute_staged(self, block: np.ndarray, matrices: Mapping[str, np.ndarray]) -> None:
+        """One execution on the staged ``block`` (``matrices`` its
+        :meth:`matrices`): through :attr:`fused` where the plan has the
+        maps — the seeding, each word map then its folds — else
+        :meth:`execute` and the local copies."""
+        fused = self.fused
+        if fused is None:
+            self.execute(matrices)
+            self.run_local_copies(matrices)
+            return
+        words = block.view(fused.dtype)
+        if self.pre_program is not None:
+            self.pre_program.run(matrices)
+        for (dst, src), combine in zip(fused.steps, (*self.combine_programs, None)):
+            words[dst] = words[src]
+            if combine is not None:
+                combine.run(matrices)
+        if not self.copy_program.fused:
+            self.run_local_copies(matrices)
+
     def deliver(
         self, rank_buffers: Sequence[Mapping[str, np.ndarray]]
     ) -> None:
@@ -1649,9 +1706,9 @@ _UNLOWERED = object()
 #: A plan's data movement on the block of its staged form
 #: (:attr:`BatchedPlan.offsets`), seen as one flat array of ``dtype``
 #: words: each step is a ``(dst, src)`` pair of word indices, run as
-#: ``words[dst] = words[src]`` — one step per phase that moves anything,
-#: then one for the local copies if the copy program is ``fused`` (else
-#: it runs after the steps).
+#: ``words[dst] = words[src]`` — one step per phase (empty where the
+#: phase moves nothing), then one for the local copies if the copy
+#: program is ``fused`` (else it runs after the steps).
 FusedProgram = namedtuple("FusedProgram", ["dtype", "steps"])
 
 #: The fused maps hold two ``int64`` per word they move, ``16 / lane``
@@ -1675,13 +1732,14 @@ def _words(sel: Selector, lane: int, fused: int) -> np.ndarray:
 def _step(
     pieces: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """One step from its ``(dst, src)`` pieces — ``None`` when it
-    writes a word twice, where only the rounds' order says which write
-    wins."""
-    dst = np.concatenate([d.ravel() for d, _ in pieces])
-    if np.unique(dst).size < dst.size:
+    """One step from its ``(dst, src)`` pieces (none: an empty step) —
+    ``None`` when it writes a word twice, where only the rounds' order
+    says which write wins."""
+    none = np.empty(0, np.int64)
+    dst = np.concatenate([none, *(d.ravel() for d, _ in pieces)])
+    if (np.diff(np.sort(dst)) == 0).any():  # ``np.unique`` is 4-25x slower
         return None
-    return dst, np.concatenate([s.ravel() for _, s in pieces])
+    return dst, np.concatenate([none, *(s.ravel() for _, s in pieces)])
 
 
 def fuse_phases(plan: BatchedPlan) -> Optional[FusedProgram]:
@@ -1691,12 +1749,13 @@ def fuse_phases(plan: BatchedPlan) -> Optional[FusedProgram]:
     rank ``recv_sources[k]`` at the word its ``send`` kernel gathers
     ``w`` from.  NumPy gathers a step's whole right-hand side before it
     writes, so a phase reads the snapshot the wire gives
-    :meth:`BatchedPlan.execute`.  The lane is the widest that the buffer
-    sizes, the block's 8-byte layout and every kernel allow.  ``None`` —
-    the per-round kernels stay — for a reduction (its folds run between
-    deliveries), for maps over :data:`FUSED_INDEX_PER_BLOCK_BYTE`, and
-    for a phase or fused local-copy set that writes a byte twice."""
-    if plan.pre_program or any(plan.combine_programs) or plan.reduce_missing.size:
+    :meth:`BatchedPlan.execute`; a reduction folds between the steps.
+    The lane is the widest that the buffer sizes, the block's 8-byte
+    layout and every kernel allow.  ``None`` — the per-round kernels
+    stay — for maps over :data:`FUSED_INDEX_PER_BLOCK_BYTE`, for a phase
+    or fused local-copy set that writes a byte twice, for a reduction
+    some rank gets no contribution to, and for an in-place plan."""
+    if plan.reduce_missing.size or plan.delivery == "in-place":
         return None
     moving = [
         [r for r in phase if r.send and r.recv and r.wire_nbytes]
@@ -1746,7 +1805,7 @@ def fuse_phases(plan: BatchedPlan) -> Optional[FusedProgram]:
     pieces = [
         [(side(ranks if r.recv_rows is None else r.recv_rows, r.recv),
           side(r.recv_sources, r.send)) for r in phase]
-        for phase in filter(None, moving)
+        for phase in moving
     ]
     if prog.fused and prog.nbytes:  # the same words on every rank
         pieces.append([
@@ -2073,8 +2132,8 @@ def record_walk() -> None:
 def plan_cache_info() -> PlanCacheInfo:
     """Process-wide plan-compilation counters (all schedules); of the
     plans cached right now, the index-array bytes they hold, how many of
-    them the batched backend delivers in place and how many a prepared
-    handle runs as fused phases; and how many of its executions took the
+    them the batched backend delivers in place and how many have their
+    fused maps lowered; and how many of its executions took the
     per-rank walk instead of a matrix form."""
     with _CACHE_LOCK:
         cached = list(_CACHED)

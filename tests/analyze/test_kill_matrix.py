@@ -735,6 +735,9 @@ def _harness_plans() -> dict[str, tuple[str, Schedule, BatchedPlan]]:
     def plan_kernels(schedule, report, plan, *_):
         raise _Captured(schedule, plan)
 
+    def execution(schedule, topo, plan, report, **_):
+        raise _Captured(schedule, plan)
+
     judges = {
         (mutations, "check_kernel"): kernel,
         (mutations, "check_batched_round"): batched_round,
@@ -742,6 +745,7 @@ def _harness_plans() -> dict[str, tuple[str, Schedule, BatchedPlan]]:
         (mutations, "check_copy_program"): copy_program,
         (mutations, "check_batched_combine"): combine,
         (sv, "_check_plan_kernels"): plan_kernels,
+        (sv, "_check_execution"): execution,
     }
     saved = {key: getattr(*key) for key in judges}
     out: dict[str, tuple[str, Schedule, BatchedPlan]] = {}
@@ -917,7 +921,7 @@ def test_the_matrix_is_substantial():
     assert len(schedule_rows) >= 20
     assert any(case.topo == MESH for _, _, case in schedule_rows)
     assert any(case.nbh.has_self for _, _, case in schedule_rows)
-    assert len(mutations._REGISTRY) == 37
+    assert len(mutations._REGISTRY) == 38
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULE_ROWS))
@@ -935,7 +939,7 @@ def test_every_plan_mutant_is_killed_by_a_check():
 
 def test_every_harness_mutant_is_still_killed():
     results = mutations.run_mutations()
-    assert len(results) == 37 and all(r.killed for r in results)
+    assert len(results) == 38 and all(r.killed for r in results)
 
 
 def test_every_check_has_a_unique_kill():

@@ -356,6 +356,99 @@ class TestReduceParityMatrix:
         assert_backends_agree(topo, sched, ssize, rsize, ["lockstep", "shm"])
 
 
+@pytest.mark.parametrize("periods", [(True, True), (False, True)], ids=["torus", "mesh"])
+@pytest.mark.parametrize(
+    "kind",
+    ["reduce", "reduce-scatter", "allreduce", "trivial-reduce", "trivial-reduce-scatter"],
+)
+def test_a_reduction_runs_the_fused_maps(kind, periods, monkeypatch):
+    """``batched`` runs a reduction on its fused maps with the folds
+    between them from the first call on: the rounds' ``execute`` is
+    never called.  Every call leaves the walk's bytes, bit for bit, and
+    the pool ends empty."""
+    from repro.core import plan as plan_mod
+
+    executed = []
+    execute = plan_mod.BatchedPlan.execute
+    monkeypatch.setattr(
+        plan_mod.BatchedPlan, "execute", lambda plan, m: executed.append(execute(plan, m))
+    )
+    topo = CartTopology((3, 4), periods)
+    sched, ssize, rsize = _make_reduce_case(kind, m=16)
+    start = _make_bufs(topo.size, ssize, rsize)
+    want = _snapshot(start)
+    WALK.execute_all(topo, sched, want)
+    for call in ("first", "second"):
+        got = _snapshot(start)
+        get_backend("batched").execute_all(topo, sched, got)
+        [plan] = sched._plans.values()
+        assert plan.fused is not None and not executed
+        _assert_same_buffers(got, want, f"the {call} call vs the walk")
+    assert plan_mod.GLOBAL_POOL.stats().outstanding_bytes == 0
+
+
+def test_a_blocking_call_runs_the_fused_maps_through_execute_all(monkeypatch):
+    """The meeting's driver runs a blocking call through
+    :meth:`BatchedBackend.execute_all` with the plan it looked up, and
+    that runs the plan's fused maps from the first call on (a miss
+    too).  Every call leaves the definition's bytes."""
+    from repro.core import plan as plan_mod
+    from repro.core.backend.batched import BatchedBackend
+    from repro.core.schedule import BoundOp
+
+    brought, executed = [], []
+    execute_all = BatchedBackend.execute_all
+
+    def spy(self, topo, schedule, rank_buffers, *, plan=None):
+        brought.append(plan)
+        execute_all(self, topo, schedule, rank_buffers, plan=plan)
+
+    monkeypatch.setattr(BatchedBackend, "execute_all", spy)
+    monkeypatch.setattr(plan_mod.BatchedPlan, "execute", lambda plan, m: executed.append(m))
+    topo = CartTopology((3, 3))
+    sched, ssize, rsize = _make_case("alltoall", "combining", "regular", m=8)
+    for call in range(2):
+        before = _make_bufs(topo.size, ssize, rsize)
+        after = _snapshot(before)
+        slots = [BoundOp("alltoall", sched, bufs) for bufs in after]
+        plan, hit = get_backend("batched")._drive(topo, slots)
+        assert hit == (call > 0) and brought[-1] is plan
+        assert plan._fused is not plan_mod._UNLOWERED and not executed
+        assert_matches_definition(topo, sched, before, after)
+    assert len(brought) == 2
+
+
+def test_allreduce_seeds_its_accumulators_in_one_broadcast():
+    """An allreduce seeds its t accumulator slots from the one send
+    block: one strided op, while the step list that the rank views and
+    the verifier read keeps its t copies."""
+    from repro.core import plan as plan_mod
+
+    topo = CartTopology((3, 3))
+    sched, ssize, rsize = _make_reduce_case("allreduce")
+    plan, _ = plan_mod.get_or_compile(sched, topo, _make_bufs(topo.size, ssize, rsize)[0])
+    pre = plan.pre_program
+    assert len(pre.steps) == NBH.t
+    assert [(count, stride) for _, count, stride, _ in pre._ops] == [(NBH.t, 0)]
+
+
+def test_a_reduction_nobody_contributes_to_keeps_raising():
+    """A rank with no source on the mesh gets no contribution: the plan
+    has no fused maps, and every call refuses it as the walk does."""
+    from repro.core import plan as plan_mod
+    from repro.core.neighborhood import Neighborhood
+
+    topo = CartTopology((3,), (False,))
+    sched, ssize, rsize = _make_reduce_case("trivial-reduce", nbh=Neighborhood([(1,)]))
+    bufs = _make_bufs(topo.size, ssize, rsize)
+    for _ in range(2):
+        with pytest.raises(ScheduleError, match="received no contributions"):
+            get_backend("batched").execute_all(topo, sched, bufs)
+    [plan] = sched._plans.values()
+    assert plan.reduce_missing.size and plan.fused is None
+    assert plan_mod.GLOBAL_POOL.stats().outstanding_bytes == 0
+
+
 def test_large_block_allreduce_on_rank_views_matches_definition():
     """64 KiB blocks on the threaded backend: every fold is one ufunc
     call over a whole block (where a scatter-reduce over element index
@@ -578,15 +671,23 @@ class TestDeliveryForms:
             )
 
     @pytest.mark.parametrize("overlap", ["same array", "view into send"])
-    def test_aliased_names_keep_the_wire(self, overlap):
+    def test_aliased_names_keep_the_wire(self, overlap, monkeypatch):
         """The plan's interval check compares names, not memory: a call
         whose ``recv`` shares memory with its ``send`` takes the staged
         form, which snapshots ``send`` as it always did — so ``recv``
         still ends up holding the definition's bytes."""
-        from repro.core.plan import GLOBAL_POOL
+        from repro.core.backend import batched
         from tests.conftest import expected_alltoall, fill_send_alltoall
 
         m = 512  # int64s, 4 KiB: an in-place plan, were the names apart
+        forms, form = [], batched.executor_form
+
+        def spy(plan, rank_buffers=()):
+            got = form(plan, rank_buffers)
+            forms.extend([got] if rank_buffers else [])  # not the verifier's
+            return got
+
+        monkeypatch.setattr(batched, "executor_form", spy)
 
         def fn(cart):
             t = cart.nbh.t
@@ -597,17 +698,14 @@ class TestDeliveryForms:
                 base = np.empty((t + 1) * m, np.int64)
                 send, recv = base[: t * m], base[m:]
                 send[:] = content
-            cart.comm.barrier()
-            acquires = GLOBAL_POOL.stats().acquires
             cart.alltoall(send, recv, algorithm="combining")
-            cart.comm.barrier()
-            staged = GLOBAL_POOL.stats().acquires - acquires >= 3
             want = expected_alltoall(cart.topo, cart.nbh, cart.rank, m)
-            return staged and bool(np.array_equal(recv, want))
+            return bool(np.array_equal(recv, want))
 
         assert all(
             run_cartesian((3, 3), NBH, fn, info={"backend": "batched"}, timeout=60)
         )
+        assert forms == ["staged: two buffers of a rank share memory"]
 
     def test_non_uniform_layout_runs_and_equals_the_walk(self):
         """Ranks that bring differently sized buffers have no matrix

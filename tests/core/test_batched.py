@@ -328,8 +328,9 @@ class TestPoolBalance:
 
     def test_batched_error_path_balances(self, monkeypatch):
         """A kernel failure mid-phase must still return wire and buffer
-        matrices to the pool."""
-        from repro.core.plan import BatchedRound
+        matrices to the pool.  The staged form runs the rounds' kernels
+        only for a plan without fused maps, so this plan has none."""
+        from repro.core.plan import BatchedPlan, BatchedRound
 
         before = _outstanding()
         topo = CartTopology((4, 4))
@@ -339,8 +340,30 @@ class TestPoolBalance:
         def boom(self, matrices, wire):
             raise RuntimeError("injected unpack failure")
 
+        monkeypatch.setattr(BatchedPlan, "fused", None)
         monkeypatch.setattr(BatchedRound, "unpack_from", boom)
         with pytest.raises(RuntimeError, match="injected unpack"):
+            get_backend("batched").execute_all(topo, sched, bufs)
+        assert _outstanding() == before
+
+    def test_fused_error_path_balances(self, monkeypatch):
+        """A failure in a run of the fused maps still returns the block
+        to the pool."""
+        from repro.core.plan import BatchedPlan
+
+        before = _outstanding()
+        topo = CartTopology((4, 4))
+        sched = make_sched(NBH)
+        bufs = make_bufs(topo.size, NBH.t, 6)
+        execute_staged = BatchedPlan.execute_staged
+
+        def boom(plan, block, matrices):
+            assert plan.fused is not None
+            execute_staged(plan, block, matrices)
+            raise RuntimeError("injected failure after the maps")
+
+        monkeypatch.setattr(BatchedPlan, "execute_staged", boom)
+        with pytest.raises(RuntimeError, match="after the maps"):
             get_backend("batched").execute_all(topo, sched, bufs)
         assert _outstanding() == before
 

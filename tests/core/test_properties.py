@@ -48,9 +48,12 @@ from repro.analyze.schedule_verifier import (
 from repro.core.allgather_schedule import AllgatherTree, build_allgather_schedule
 from repro.core.alltoall_schedule import build_alltoall_schedule
 from repro.core.backend import get_backend
+from repro.core.builders import SCHEDULE_BUILDERS
 from repro.core.backend.lockstep import WALK
 from repro.core.neighborhood import Neighborhood
 from repro.core.plan import (
+    _UNLOWERED,
+    GLOBAL_POOL,
     BatchedRound,
     compile_batched_plan,
     compile_blockset,
@@ -66,7 +69,7 @@ from repro.core.schedule import (
     Schedule,
     uniform_block_layout,
 )
-from repro.core.stencils import random_neighborhood
+from repro.core.stencils import moore_neighborhood, random_neighborhood
 from repro.core.topology import CartTopology
 from repro.core.trivial import (
     build_direct_allgather_schedule,
@@ -76,6 +79,7 @@ from repro.core.trivial import (
 )
 from repro.core.verify import verify_allgather, verify_alltoall
 from repro.mpisim.datatypes import BlockRef, BlockSet
+from repro.mpisim.exceptions import ScheduleError
 from tests.analyze.test_kill_matrix import SCHEDULE_MUTATORS
 from tests.conftest import with_deliveries
 
@@ -157,6 +161,47 @@ def _fresh_buffers(p: int, send_len: int, recv_len: int) -> list[dict]:
 # differential: combining ≡ trivial, byte for byte
 # ----------------------------------------------------------------------
 class TestDifferential:
+    @given(
+        st.sampled_from(_DIMS_POOL),
+        st.data(),
+        st.sampled_from(
+            ["reduce", "reduce-scatter", "allreduce", "trivial-reduce", "trivial-reduce-scatter"]
+        ),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_a_reduction_runs_its_fused_maps(self, dims, data, kind, words):
+        """A reduction's ``batched`` calls run its fused maps with the
+        folds between, the first (a plan miss, which lowers them) and
+        the second alike.  Both leave the walk's bytes, bit for bit, on
+        any dims and periods — or all three refuse where some rank gets
+        no contribution, and that plan has no maps."""
+        d = len(dims)
+        periods = tuple(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+        topo, nbh, m = CartTopology(dims, periods), moore_neighborhood(d, 1), 8 * words
+        sched = SCHEDULE_BUILDERS[kind](nbh, m_bytes=m, dtype="int64", op="sum")
+        ssize = nbh.t * m if kind.endswith("reduce-scatter") else m
+        runs = [
+            _fresh_buffers(topo.size, ssize, nbh.t * m if kind == "allreduce" else m)
+            for _ in range(3)
+        ]
+
+        def run(backend, bufs):
+            try:
+                backend.execute_all(topo, sched, bufs)
+            except ScheduleError as exc:
+                return str(exc)
+
+        first = run(get_backend("batched"), runs[0])
+        [plan] = sched._plans.values()
+        assert plan._fused is not _UNLOWERED
+        refused = run(get_backend("batched"), runs[1])
+        assert first == refused == run(WALK, runs[2])
+        assert (refused is None) == (plan.fused is not None)
+        for got, want in ((runs[0], runs[2]), (runs[1], runs[2])):
+            for r in range(topo.size):
+                assert all(np.array_equal(got[r][n], want[r][n]) for n in want[r])
+        assert GLOBAL_POOL.stats().outstanding_bytes == 0
+
     @given(cartesian_case(periodic=True))
     def test_alltoall_combining_matches_trivial(self, case):
         topo, nbh, m = case
