@@ -14,17 +14,11 @@ Run:  python examples/heat_3d_combined.py
 
 import numpy as np
 
-from repro import moore_neighborhood, run_cartesian
+from repro import moore_neighborhood
+from repro.apps import WeightedStencil
 from repro.core.cartcomm import select_algorithm
-from repro.core.topology import CartTopology
 from repro.netsim.machines import get_machine
-from repro.stencil.apps import DistributedStencil
-from repro.stencil.decomp import GridDecomposition
-from repro.stencil.kernels import (
-    heat_weights,
-    weighted_stencil_global,
-    weighted_stencil_local,
-)
+from repro.stencil.kernels import heat_weights, weighted_stencil_global
 from repro.stencil.optimized_halo import halo_volume_comparison
 
 DIMS = (2, 2, 2)
@@ -63,24 +57,14 @@ def main():
     for _ in range(STEPS):
         ref = weighted_stencil_global(ref, weights)
 
-    topo = CartTopology(DIMS)
-    decomp = GridDecomposition(topo, GRID)
-    blocks = decomp.scatter(init)
-    nbh = moore_neighborhood(3, 1, include_self=False)
-
-    def worker(cart):
-        st = DistributedStencil(
-            cart, decomp, blocks[cart.rank],
-            lambda g: weighted_stencil_local(g, weights, 1),
-            depth=1, halo="combined",
-        )
-        return st.run(STEPS)
-
-    final = decomp.gather(run_cartesian(DIMS, nbh, worker, timeout=300))
+    app = WeightedStencil(init, DIMS, weights, STEPS)
+    run = app.run(backend="threaded", algorithm="combined")
+    app.check_against_oracle(run)
+    final = run.output
     err = np.abs(final - ref).max()
     print(f"distributed (combined halo) vs serial after {STEPS} steps: "
           f"max |err| = {err:.3e}")
-    assert err < 1e-9
+    assert err == 0.0
     print(f"energy conserved: {init.sum():.3f} -> {final.sum():.3f}")
     print(f"hot-core peak decayed 100 -> {final.max():.2f}")
     print("OK")

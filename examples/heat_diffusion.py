@@ -4,25 +4,19 @@ serial solution.
 
 A hot square in the middle of a periodic 24×24 grid diffuses for 50
 explicit Euler steps.  The grid is block-distributed over a 3×2 process
-torus; every step performs one Cart_alltoallw halo exchange (the
-5-point / von-Neumann neighborhood suffices for the 2d+1-point
-Laplacian, but we use the full Moore neighborhood so corners flow
-through the message-combining schedule too).
+torus by the weighted-stencil app; every step performs one persistent
+Cart_alltoallw halo exchange (the 5-point / von-Neumann neighborhood
+suffices for the 2d+1-point Laplacian, but the app uses the full Moore
+neighborhood so corners flow through the message-combining schedule
+too).  The result is bit-equal to the serial ``np.roll`` solution.
 
 Run:  python examples/heat_diffusion.py
 """
 
 import numpy as np
 
-from repro import moore_neighborhood, run_cartesian
-from repro.core.topology import CartTopology
-from repro.stencil.apps import DistributedStencil
-from repro.stencil.decomp import GridDecomposition
-from repro.stencil.kernels import (
-    heat_weights,
-    weighted_stencil_global,
-    weighted_stencil_local,
-)
+from repro.apps import WeightedStencil
+from repro.stencil.kernels import heat_weights, weighted_stencil_global
 
 DIMS = (3, 2)
 GRID = (24, 24)
@@ -37,8 +31,6 @@ def initial_grid() -> np.ndarray:
 
 
 def main():
-    topo = CartTopology(DIMS)
-    decomp = GridDecomposition(topo, GRID)
     weights = heat_weights(2, NU)
     init = initial_grid()
 
@@ -47,25 +39,14 @@ def main():
     for _ in range(STEPS):
         ref = weighted_stencil_global(ref, weights)
 
-    blocks = decomp.scatter(init)
-    nbh = moore_neighborhood(2, 1, include_self=False)
-
-    def worker(cart):
-        st = DistributedStencil(
-            cart,
-            decomp,
-            blocks[cart.rank],
-            lambda g: weighted_stencil_local(g, weights, 1),
-            depth=1,
-            algorithm="combining",
-        )
-        return st.run(STEPS)
-
-    results = run_cartesian(DIMS, nbh, worker)
-    final = decomp.gather(results)
+    app = WeightedStencil(init, DIMS, weights, STEPS)
+    run = app.run(backend="threaded", algorithm="combining")
+    app.check_against_oracle(run)
+    final = run.output
     err = np.abs(final - ref).max()
-    print(f"distributed vs serial after {STEPS} steps: max |err| = {err:.3e}")
-    assert err < 1e-10, "distributed solution diverged from the serial one"
+    print(f"distributed vs serial after {STEPS} steps: max |err| = {err:.3e} "
+          f"({run.stats.total_calls} halo exchanges)")
+    assert err == 0.0, "distributed solution diverged from the serial one"
 
     total0, total1 = init.sum(), final.sum()
     print(f"heat conserved: {total0:.6f} -> {total1:.6f} (periodic domain)")

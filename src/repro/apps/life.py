@@ -31,7 +31,7 @@ from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
 from repro.stencil.decomp import GridDecomposition
 from repro.stencil.halo import halo_specs
-from repro.stencil.kernels import glider, life_step_global, life_step_local
+from repro.stencil.kernels import glider, life_step_global, life_step_local, pad_ghosts
 
 __all__ = [
     "GameOfLife",
@@ -54,25 +54,15 @@ def unpack_rows(packed: np.ndarray, cols: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=cols).astype(np.uint8)
 
 
-def _pad_reference(board: np.ndarray, periods: Sequence[bool]) -> np.ndarray:
-    """Ghost ring for the sequential reference: wraparound on periodic
-    axes, dead cells past non-periodic edges."""
-    out = np.pad(
-        board, ((1, 1), (0, 0)), mode="wrap" if periods[0] else "constant"
-    )
-    return np.pad(
-        out, ((0, 0), (1, 1)), mode="wrap" if periods[1] else "constant"
-    )
-
-
 def life_step_reference(board: np.ndarray, periods: Sequence[bool]) -> np.ndarray:
     """One Game of Life step on the global board under the given
     per-axis boundary conditions — the app's oracle kernel.
 
-    It is the ``np.roll`` step on the board with its ghost ring,
-    cropped to the board, so the distributed runs are never certified
-    by the kernel they run."""
-    return life_step_global(_pad_reference(board, periods))[1:-1, 1:-1]
+    It is the ``np.roll`` step on the board with its ghost ring
+    (wraparound on periodic axes, dead cells past the others), cropped
+    to the board, so the distributed runs are never certified by the
+    kernel they run."""
+    return life_step_global(pad_ghosts(board, periods))[1:-1, 1:-1]
 
 
 class GameOfLife(CartesianApp):

@@ -15,18 +15,19 @@ the examples build on:
 * :mod:`repro.stencil.kernels` — stencil update kernels and their
   serial reference implementations (used to validate the distributed
   runs cell-for-cell);
-* :mod:`repro.stencil.apps` — a distributed stencil driver gluing the
-  above to a :class:`~repro.core.cartcomm.CartComm` with a persistent
-  ``alltoallw`` halo exchange.
+* :mod:`repro.stencil.optimized_halo` — the Section 3.4 combined halo
+  schedule.
+
+The applications that drive them — a persistent halo exchange and a
+kernel every iteration — are :mod:`repro.apps`
+(:class:`~repro.apps.WeightedStencil`, :class:`~repro.apps.GameOfLife`).
 """
 
 from repro.stencil.decomp import GridDecomposition
 from repro.stencil.halo import halo_specs, region_from_slices
-from repro.stencil.apps import DistributedStencil
 
 __all__ = [
     "GridDecomposition",
     "halo_specs",
     "region_from_slices",
-    "DistributedStencil",
 ]

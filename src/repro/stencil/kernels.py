@@ -91,20 +91,20 @@ def heat_weights(d: int, nu: float = 0.1) -> dict[tuple[int, ...], float]:
     return w
 
 
-def weighted_stencil_global_dirichlet(
-    grid: np.ndarray,
-    weights: Mapping[tuple[int, ...], float],
-    boundary_value: float = 0.0,
+def pad_ghosts(
+    grid: np.ndarray, periods: Sequence[bool], depth: int = 1, value: float = 0
 ) -> np.ndarray:
-    """The stencil on a *non-periodic* global grid: cells outside the
-    domain hold the fixed ``boundary_value`` (Dirichlet condition) —
-    the serial reference for distributed runs on meshes."""
-    depth = max(
-        (max(abs(o) for o in off) for off in weights if any(off)), default=1
-    )
-    padded = np.pad(grid, depth, mode="constant",
-                    constant_values=boundary_value)
-    return weighted_stencil_local(padded, weights, depth)
+    """``grid`` with ``depth`` ghost cells on both sides of every axis:
+    its wraparound on periodic axes, ``value`` past non-periodic edges
+    (a Dirichlet condition) — what the serial references step on."""
+    for axis, periodic in enumerate(periods):
+        width = [(0, 0)] * grid.ndim
+        width[axis] = (depth, depth)
+        if periodic:
+            grid = np.pad(grid, width, mode="wrap")
+        else:
+            grid = np.pad(grid, width, constant_values=value)
+    return grid
 
 
 # ---------------------------------------------------------------------------

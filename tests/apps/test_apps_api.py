@@ -12,6 +12,7 @@ from repro.apps import (
     AppCertificationError,
     CannonMatmul,
     GameOfLife,
+    WeightedStencil,
     broadcast_schedule,
     default_app,
     full_torus_neighborhood,
@@ -21,7 +22,7 @@ from repro.apps import (
     registered_backends,
     unpack_rows,
 )
-from repro.stencil.kernels import life_step_global
+from repro.stencil.kernels import heat_weights, life_step_global
 
 
 class TestPackedRows:
@@ -64,6 +65,18 @@ class TestValidation:
         app = GameOfLife.random((8, 8), (2, 2), 1, periods=(False, True))
         with pytest.raises(ValueError, match="periodic"):
             app.run(backend="threaded", algorithm="combining")
+
+    def test_weighted_rejects_offsets_of_another_arity(self):
+        with pytest.raises(ValueError, match="2 components"):
+            WeightedStencil(np.zeros((4, 4)), (2, 2), {(1,): 1.0}, 1)
+
+    def test_weighted_rejects_blocks_thinner_than_the_ghost_depth(self):
+        with pytest.raises(ValueError, match="ghost depth"):
+            WeightedStencil(np.zeros((3, 6)), (2, 2), {(2, 0): 1.0}, 1)
+
+    def test_weighted_rejects_a_source_of_another_shape(self):
+        with pytest.raises(ValueError, match="source"):
+            WeightedStencil(np.zeros((4, 4)), (2, 2), {}, 1, source=np.zeros(4))
 
     def test_cannon_rejects_degenerate_grid(self):
         with pytest.raises(ValueError, match="2x2"):
@@ -143,7 +156,7 @@ class TestHarness:
 
 class TestRegistry:
     def test_default_instances_are_fresh_and_certifiable(self):
-        assert set(APPS) == {"life", "cannon", "broadcast"}
+        assert set(APPS) == {"life", "cannon", "broadcast", "weighted"}
         assert default_app("life") is not default_app("life")
         for name in APPS:
             app = default_app(name)
@@ -240,7 +253,7 @@ class TestDrivers:
         assert run.driver == "spmd: no matrix form"
         assert run.stats.total_calls == 4 * 2
 
-    @pytest.mark.parametrize("name", ["life", "cannon", "broadcast"])
+    @pytest.mark.parametrize("name", ["life", "cannon", "broadcast", "weighted"])
     def test_rows_driver_starts_no_engine_and_leaves_the_pool_empty(self, name, monkeypatch):
         from repro.core.plan import GLOBAL_POOL
         from repro.mpisim.engine import Engine
@@ -278,4 +291,25 @@ class TestDrivers:
         app = GameOfLife.random((7, 9), (2, 2), 2)
         with pytest.raises(ValueError, match=r"rank 1's blocks .* rank 0's") as ei:
             app.run(backend="batched")
+        assert "backend='threaded'" in str(ei.value)
+
+    @pytest.mark.parametrize("algorithm", ["combining", "combined"])
+    def test_weighted_stencil_on_batched_runs_the_rows_driver(self, algorithm):
+        app = WeightedStencil(np.arange(96.0).reshape(8, 12), (2, 3), heat_weights(2), 3)
+        run = app.run(backend="batched", algorithm=algorithm)
+        app.check_against_oracle(run)
+        assert run.driver == "rows: 6 ranks, one plan, fused"
+
+    def test_uneven_weighted_grid_on_batched_is_refused_before_any_rank_starts(
+        self, monkeypatch
+    ):
+        from repro.apps import base
+
+        def no_ranks(*args, **kwargs):
+            raise AssertionError("a rank thread was started")
+
+        monkeypatch.setattr(base, "run_cartesian", no_ranks)
+        app = WeightedStencil(np.zeros((11, 13)), (2, 3), heat_weights(2), 2)
+        with pytest.raises(ValueError, match=r"rank 1's blocks .* rank 0's") as ei:
+            app.run(backend="batched", algorithm="combined")
         assert "backend='threaded'" in str(ei.value)

@@ -17,13 +17,17 @@ from __future__ import annotations
 
 import pytest
 
+import numpy as np
+
 from repro.apps import (
     APP_ALGORITHMS,
     AllToAllBroadcast,
     CannonMatmul,
     GameOfLife,
+    WeightedStencil,
     registered_backends,
 )
+from repro.stencil.kernels import heat_weights, jacobi_weights_9pt
 
 #: the two executors and the two aliases of ``batched``
 BACKENDS = ["threaded", "lockstep", "batched", "shm"]
@@ -126,3 +130,63 @@ def test_a_wrong_life_kernel_fails_certification(monkeypatch):
     app = GameOfLife.random((18, 24), (3, 3), 4, seed=11)
     with pytest.raises(AppCertificationError, match="diverges"):
         app.check_against_oracle(app.run(backend="threaded"))
+
+
+def _weighted(grid, dims, weights, periods, boundary_value=0.0):
+    rng = np.random.default_rng(11)
+    return lambda: WeightedStencil(
+        rng.random(grid), dims, weights, 3,
+        periods=periods, boundary_value=boundary_value,
+    )
+
+
+#: weighted-stencil case -> factory: a torus, a mesh and mixed periods,
+#: in 2-D and 3-D (9-point Jacobi and heat weights, warm and cold walls)
+WEIGHTED_CASES = {
+    "torus-2d": _weighted((12, 12), (3, 2), jacobi_weights_9pt(), (True, True)),
+    "mesh-2d": _weighted((12, 12), (3, 2), heat_weights(2, 0.15), (False, False), 50.0),
+    "mixed-2d": _weighted((12, 12), (3, 2), jacobi_weights_9pt(), (True, False), 2.0),
+    "torus-3d": _weighted((6, 6, 8), (2, 2, 2), heat_weights(3), (True,) * 3),
+    "mesh-3d": _weighted((6, 6, 8), (2, 2, 2), heat_weights(3), (False,) * 3, 50.0),
+    "mixed-3d": _weighted((6, 6, 8), (2, 2, 2), heat_weights(3), (False, True, False)),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "case, algorithm",
+    [
+        (case, algorithm)
+        for case in sorted(WEIGHTED_CASES)
+        for algorithm in ("combining", "trivial", "combined")
+        # combining schedules need the full torus
+        if algorithm != "combining" or case.startswith("torus")
+    ],
+)
+def test_weighted_stencil_matches_oracle_bit_for_bit(case, algorithm, backend):
+    app = WEIGHTED_CASES[case]()
+    run = app.run(backend=backend, algorithm=algorithm)
+    app.check_against_oracle(run)
+
+    s, p = run.stats, int(np.prod(app.dims))
+    assert s.total_calls == p * run.iterations
+    assert s.plan_hits + s.plan_misses == s.total_calls
+    assert s.plan_hits >= p * (run.iterations - 1)
+    assert run.driver.startswith("rows" if backend != "threaded" else "spmd")
+
+
+def test_a_wrong_weighted_kernel_fails_certification(monkeypatch):
+    """The weighted oracle is the ``np.roll`` stencil on the padded
+    grid, not the kernel the ranks run: a kernel that drops one weight
+    is refused."""
+    from repro.apps import AppCertificationError, weighted
+
+    kernel = weighted.weighted_stencil_local
+
+    def dropping(grid, weights, depth):
+        return kernel(grid, dict(list(weights.items())[1:]), depth)
+
+    monkeypatch.setattr(weighted, "weighted_stencil_local", dropping)
+    app = WEIGHTED_CASES["mixed-2d"]()
+    with pytest.raises(AppCertificationError, match="diverges"):
+        app.check_against_oracle(app.run(backend="batched", algorithm="trivial"))

@@ -1363,25 +1363,24 @@ class TestRendezvousInPlace:
         # (an uneven decomposition: local blocks of 17 and 16 columns):
         # the two names would print the same, so the refusal says where
         # the schedules differ and which backend runs per-rank layouts.
-        # (An app refuses such a board before any rank starts; the
-        # library's own stencil driver meets with it.)
-        from repro.stencil.apps import DistributedStencil
+        # (An app refuses such a board before any rank starts; ranks
+        # that bind their own halo layouts meet with it.)
         from repro.stencil.decomp import GridDecomposition
-        from repro.stencil.kernels import life_step_local
+        from repro.stencil.halo import halo_specs
 
-        board = (np.random.default_rng(3).random((66, 65)) < 0.35).astype(np.uint8)
-        decomp = GridDecomposition(CartTopology((4, 4)), board.shape)
-        blocks = decomp.scatter(board)
+        decomp = GridDecomposition(CartTopology((4, 4)), (66, 65))
 
         def ragged(cart):
-            stencil = DistributedStencil(
-                cart, decomp, blocks[cart.rank],
-                lambda grid: life_step_local(grid, 1), algorithm="combining",
+            interior = decomp.local_shape(cart.rank)
+            grid = np.zeros([n + 2 for n in interior], np.uint8)
+            sends, recvs = halo_specs(interior, 1, cart.nbh, grid.itemsize)
+            handle = cart.alltoallw_init(
+                {"grid": grid}, sends, recvs, algorithm="combining"
             )
             try:
-                stencil.run(2)
+                handle.execute()
             finally:
-                stencil.free()
+                handle.free()
 
         with pytest.raises(RankFailedError) as ei:
             run_cartesian((4, 4), NBH, ragged, info={"backend": name})

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.analyze.certificates import GLOBAL_STORE
-from repro.apps import GameOfLife
+from repro.apps import GameOfLife, WeightedStencil, weighted
 from repro.core import cartcomm as cartcomm_mod
 from repro.core import plan as plan_mod
 from repro.core import schedule_cache
@@ -32,14 +32,8 @@ from repro.mpisim.exceptions import (
     UnknownBufferError,
 )
 from repro.stencil import halo as halo_mod
-from repro.stencil.apps import DistributedStencil
-from repro.stencil.decomp import GridDecomposition
 from repro.stencil.halo import halo_specs
-from repro.stencil.kernels import (
-    heat_weights,
-    weighted_stencil_global,
-    weighted_stencil_local,
-)
+from repro.stencil.kernels import heat_weights, weighted_stencil_global
 
 NBH = moore_neighborhood(2, 1, include_self=False)
 DIMS22 = (2, 2)
@@ -189,34 +183,30 @@ class TestRanksThatDifferShareNothing:
         run = app.run(backend="threaded")
         assert np.array_equal(run.output, app.sequential())
 
-    def test_uneven_heat_blocks_are_bit_exact_on_threaded(self, rng):
+    def test_uneven_heat_blocks_are_bit_exact_on_threaded(self, rng, monkeypatch):
         grid = rng.random((11, 13))
         weights = heat_weights(2, 0.15)
-        decomp = GridDecomposition(CartTopology((2, 3)), grid.shape)
-        blocks = decomp.scatter(grid)
-        shapes = {decomp.local_shape(r) for r in range(6)}
+        app = WeightedStencil(grid, (2, 3), weights, 6)
+        shapes = {app.decomp.local_shape(r) for r in range(6)}
         assert len(shapes) == 4  # (6|5) x (5|4|4)
+        bound = []
 
-        def fn(cart):
-            stencil = DistributedStencil(
-                cart, decomp, blocks[cart.rank],
-                lambda arr: weighted_stencil_local(arr, weights, 1),
-            )
-            # a rank's datatypes are those of its own local shape,
-            # shared with exactly the ranks of that shape
-            specs = halo_specs(decomp.local_shape(cart.rank), 1, cart.nbh, 8)
-            return stencil.run(6), specs
+        def recording(interior, *args):
+            bound.append((tuple(interior), halo_specs(interior, *args)))
+            return bound[-1][1]
 
-        out = run_cartesian((2, 3), NBH, fn, info={"backend": "threaded"})
+        monkeypatch.setattr(weighted, "halo_specs", recording)
+        got = app.run(backend="threaded").output
         ref = grid.copy()
         for _ in range(6):
             ref = weighted_stencil_global(ref, weights)
-        got = decomp.gather([block for block, _ in out])
         assert np.array_equal(got, ref)
-        for r, (_, specs) in enumerate(out):
-            for q, (_, other) in enumerate(out):
-                same_shape = decomp.local_shape(r) == decomp.local_shape(q)
-                assert (specs is other) == same_shape
+        # a rank's datatypes are those of its own local shape, shared
+        # with exactly the ranks of that shape
+        assert len(bound) == 6
+        for shape, specs in bound:
+            for other_shape, other in bound:
+                assert (specs is other) == (shape == other_shape)
 
     def test_two_communicators_keep_their_level_1_apart(self):
         def fn(comm):

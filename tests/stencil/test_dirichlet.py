@@ -1,42 +1,22 @@
-"""Non-periodic (Dirichlet) boundary conditions for distributed
-stencils: boundary ghosts hold a fixed value, missing neighbors are
+"""Non-periodic (Dirichlet) boundary conditions for the weighted
+stencil app: boundary ghosts hold a fixed value, missing neighbors are
 skipped by the exchange."""
 
 import numpy as np
 import pytest
 
+from repro.apps import WeightedStencil
 from repro.core.api import run_cartesian
 from repro.core.stencils import moore_neighborhood
-from repro.core.topology import CartTopology
-from repro.stencil.apps import DistributedStencil
-from repro.stencil.decomp import GridDecomposition
-from repro.stencil.kernels import (
-    heat_weights,
-    jacobi_weights_9pt,
-    weighted_stencil_global_dirichlet,
-    weighted_stencil_local,
-)
+from repro.stencil.kernels import heat_weights, jacobi_weights_9pt
 
 NBH = moore_neighborhood(2, 1, include_self=False)
 
 
-def run_dirichlet(dims, grid, weights, steps, boundary_value, halo):
-    topo = CartTopology(dims, periods=[False] * len(dims))
-    decomp = GridDecomposition(topo, grid.shape)
-    blocks = decomp.scatter(grid)
-
-    def fn(cart):
-        st = DistributedStencil(
-            cart, decomp, blocks[cart.rank],
-            lambda g: weighted_stencil_local(g, weights, 1),
-            depth=1, halo=halo, boundary_value=boundary_value,
-        )
-        return st.run(steps)
-
-    return decomp.gather(
-        run_cartesian(
-            dims, NBH, fn, periods=[False] * len(dims), timeout=180
-        )
+def mesh(grid, weights, steps, boundary_value):
+    return WeightedStencil(
+        grid, (2, 2), weights, steps,
+        periods=(False, False), boundary_value=boundary_value,
     )
 
 
@@ -44,7 +24,7 @@ class TestSerialReference:
     def test_dirichlet_reference_zero_boundary(self, rng):
         g = rng.random((6, 6))
         w = jacobi_weights_9pt()
-        out = weighted_stencil_global_dirichlet(g, w, 0.0)
+        out = mesh(g, w, 1, 0.0).sequential()
         # the corner cell sees 3 in-domain neighbors; weights of the 5
         # out-of-domain ones multiply zero
         manual = (
@@ -55,8 +35,8 @@ class TestSerialReference:
     def test_nonzero_boundary_value(self, rng):
         g = rng.random((5, 5))
         w = jacobi_weights_9pt()
-        cold = weighted_stencil_global_dirichlet(g, w, 0.0)
-        warm = weighted_stencil_global_dirichlet(g, w, 10.0)
+        cold = mesh(g, w, 1, 0.0).sequential()
+        warm = mesh(g, w, 1, 10.0).sequential()
         # boundary rows feel the warm wall, the center does not
         assert warm[0, 2] > cold[0, 2]
         assert warm[2, 2] == pytest.approx(cold[2, 2])
@@ -64,27 +44,18 @@ class TestSerialReference:
 
 @pytest.mark.parametrize("halo", ["per-neighbor", "combined"])
 class TestDistributedDirichlet:
+    algorithm = {"per-neighbor": "trivial", "combined": "combined"}
+
     def test_matches_serial(self, halo, rng):
-        g = rng.random((8, 8))
-        w = heat_weights(2, 0.15)
-        steps = 5
-        ref = g.copy()
-        for _ in range(steps):
-            ref = weighted_stencil_global_dirichlet(ref, w, 0.0)
-        got = run_dirichlet((2, 2), g, w, steps, 0.0, halo)
-        assert np.allclose(got, ref)
+        app = mesh(rng.random((8, 8)), heat_weights(2, 0.15), 5, 0.0)
+        app.check_against_oracle(app.run(algorithm=self.algorithm[halo]))
 
     def test_warm_wall(self, halo, rng):
-        g = np.zeros((8, 8))
-        w = heat_weights(2, 0.2)
-        steps = 6
-        ref = g.copy()
-        for _ in range(steps):
-            ref = weighted_stencil_global_dirichlet(ref, w, 50.0)
-        got = run_dirichlet((2, 2), g, w, steps, 50.0, halo)
-        assert np.allclose(got, ref)
+        app = mesh(np.zeros((8, 8)), heat_weights(2, 0.2), 6, 50.0)
+        run = app.run(algorithm=self.algorithm[halo])
+        app.check_against_oracle(run)
         # heat flowed in from the walls
-        assert got.max() > 0
+        assert run.output.max() > 0
 
 
 class TestAutoAlgorithmOnMesh:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.apps import WeightedStencil
 from repro.core.api import run_cartesian
 from repro.core.backend import get_backend
+from repro.core.persistent import PersistentOp
+from repro.core.schedule import BoundOp
 from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
-from repro.stencil.apps import DistributedStencil
 from repro.stencil.decomp import GridDecomposition
 from repro.stencil.kernels import life_step_global, life_step_local, glider
 from repro.stencil.optimized_halo import (
@@ -181,12 +183,14 @@ class TestDistributedStencilIntegration:
         nbh = moore_neighborhood(2, 1, include_self=False)
 
         def fn(cart):
-            st = DistributedStencil(
-                cart, decomp, blocks[cart.rank],
-                lambda arr: life_step_local(arr, 1),
-                depth=1, halo="combined",
-            )
-            return st.run(12)
+            grid = np.pad(blocks[cart.rank], 1)
+            sched = build_combined_halo_schedule((6, 6), 1, grid.itemsize)
+            handle = PersistentOp(cart, BoundOp("combined", sched, {"grid": grid}))
+            for _ in range(12):
+                handle.execute()
+                grid[1:-1, 1:-1] = life_step_local(grid, 1)
+            handle.free()
+            return grid[1:-1, 1:-1]
 
         got = decomp.gather(run_cartesian((2, 2), nbh, fn, timeout=120))
         ref = g.copy()
@@ -195,30 +199,13 @@ class TestDistributedStencilIntegration:
         assert np.array_equal(got, ref)
 
     def test_combined_requires_uniform_blocks(self):
-        topo = CartTopology((2, 2))
-        decomp = GridDecomposition(topo, (9, 8))  # 9 not divisible by 2
-        nbh = moore_neighborhood(2, 1, include_self=False)
-
-        def fn(cart):
-            DistributedStencil(
-                cart, decomp,
-                np.zeros(decomp.local_shape(cart.rank)),
-                lambda a: a[1:-1, 1:-1], depth=1, halo="combined",
-            )
-
-        with pytest.raises(Exception, match="identical local shapes"):
-            run_cartesian((2, 2), nbh, fn)
+        """Uneven blocks run the combined halo per rank on threaded;
+        batched runs one schedule for all ranks and refuses them."""
+        app = WeightedStencil(np.zeros((9, 8)), (2, 2), {(0, 0): 1.0}, 1)
+        with pytest.raises(ValueError, match="backend='threaded'"):
+            app.run(backend="batched", algorithm="combined")
 
     def test_unknown_halo_strategy(self):
-        topo = CartTopology((2, 2))
-        decomp = GridDecomposition(topo, (8, 8))
-        nbh = moore_neighborhood(2, 1, include_self=False)
-
-        def fn(cart):
-            DistributedStencil(
-                cart, decomp, np.zeros((4, 4)), lambda a: a[1:-1, 1:-1],
-                halo="magic",
-            )
-
-        with pytest.raises(Exception, match="unknown halo strategy"):
-            run_cartesian((2, 2), nbh, fn)
+        app = WeightedStencil(np.zeros((8, 8)), (2, 2), {(0, 0): 1.0}, 1)
+        with pytest.raises(Exception, match="unknown algorithm"):
+            app.run(algorithm="magic")
