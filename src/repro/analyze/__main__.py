@@ -8,6 +8,10 @@
     violation.
     The summary reports build seconds and certification seconds per
     kind, the latter split by stage (lowering, kernels, effects, shape).
+    Every cell is then certified again at 12-byte blocks through the
+    certificate store the first pass filed into, and a second table
+    gives, per path (full, shape-inherited, plan-inherited), the count
+    of certifications and their seconds by stage.
 
 ``python -m repro.analyze verify --stencil 9-point --dims 4x4 [--kind alltoall]``
     Verify one stencil/torus combination (all kinds unless ``--kind``).
@@ -29,16 +33,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.analyze import lint as lint_mod
-from repro.analyze.certificates import STAGES
+from repro.analyze.certificates import STAGES, CertificateStore
+from repro.analyze.report import VerificationReport
 from repro.analyze.schedule_verifier import (
     SWEEP_KINDS,
     build_for_kind,
     sweep_stencils,
     verify_schedule,
 )
+from repro.core.schedule import Schedule
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -51,7 +57,9 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
     if ns.all_stencils:
-        results = sweep_stencils()
+        store = CertificateStore()
+        results = sweep_stencils(inherit=store)
+        again = sweep_stencils(block_bytes=12, inherit=store)
         bad = 0
         for name, kind, dims, report, _, _ in results:
             status = "ok" if report.ok else "FAIL"
@@ -82,11 +90,35 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
                 f"{kind:24s} {sum(r.build_seconds for r in rows):8.3f} "
                 f"{sum(r.certify_seconds for r in rows):10.3f}  ={split}"
             )
+        for row in (row for row in again if not row.report.ok):
+            bad += 1
+            print(f"FAIL  {row.stencil:10s} {row.kind:18s} at 12 B: {row.report.codes()}")
+        info = store.info()
+        inherited = info.inherited
+        print(f"{'path':24s} {'count':>8s} {'certify s':>10s}  ={stages}")
+        for path, count, seconds in (
+            ("full", info.full, info.full_seconds),
+            ("shape", inherited.shape, inherited.shape_seconds),
+            ("plan", inherited.plan, inherited.plan_seconds),
+        ):
+            split = "".join(f" {getattr(seconds, s):9.3f}" for s in STAGES)
+            print(f"{path:24s} {count:8d} {seconds:10.3f}  ={split}")
         return 1 if bad else 0
+    return _each_kind(
+        ns, "verify", "--all-stencils or --stencil NAME --dims DxD", verify_schedule
+    )
 
+
+def _each_kind(
+    ns: argparse.Namespace,
+    command: str,
+    need: str,
+    run: Callable[[Schedule, tuple[int, ...], bool], VerificationReport],
+) -> int:
+    """Print ``run``'s report on every kind (or ``--kind``) of one
+    stencil on one torus; exit 1 if any has a violation."""
     if not ns.stencil or not ns.dims:
-        print("verify: need --all-stencils or --stencil NAME --dims DxD",
-              file=sys.stderr)
+        print(f"{command}: need {need}", file=sys.stderr)
         return 2
     from repro.core.stencils import named_stencil
 
@@ -94,16 +126,15 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     dims = ns.dims
     if nbh.d != len(dims):
         print(
-            f"verify: stencil {ns.stencil!r} is {nbh.d}-dimensional but "
+            f"{command}: stencil {ns.stencil!r} is {nbh.d}-dimensional but "
             f"dims={dims}",
             file=sys.stderr,
         )
         return 2
     nbh.validate_for_dims(dims)
-    kinds = [ns.kind] if ns.kind else list(SWEEP_KINDS)
     bad = 0
-    for kind in kinds:
-        report = verify_schedule(build_for_kind(kind, nbh), dims, True)
+    for kind in [ns.kind] if ns.kind else SWEEP_KINDS:
+        report = run(build_for_kind(kind, nbh), dims, True)
         print(report.summary())
         if not report.ok:
             bad += 1
@@ -115,31 +146,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 def _cmd_effects(ns: argparse.Namespace) -> int:
     from repro.analyze.effects import verify_effects
 
-    if not ns.stencil or not ns.dims:
-        print("effects: need --stencil NAME --dims DxD", file=sys.stderr)
-        return 2
-    from repro.core.stencils import named_stencil
-
-    nbh = named_stencil(ns.stencil)
-    dims = ns.dims
-    if nbh.d != len(dims):
-        print(
-            f"effects: stencil {ns.stencil!r} is {nbh.d}-dimensional but "
-            f"dims={dims}",
-            file=sys.stderr,
-        )
-        return 2
-    nbh.validate_for_dims(dims)
-    kinds = [ns.kind] if ns.kind else list(SWEEP_KINDS)
-    bad = 0
-    for kind in kinds:
-        report = verify_effects(build_for_kind(kind, nbh), dims, True)
-        print(report.summary())
-        if not report.ok:
-            bad += 1
-            for v in report.violations:
-                print(f"  {v.describe()}")
-    return 1 if bad else 0
+    return _each_kind(ns, "effects", "--stencil NAME --dims DxD", verify_effects)
 
 
 def _cmd_mutations(ns: argparse.Namespace) -> int:

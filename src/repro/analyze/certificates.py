@@ -1,32 +1,19 @@
-"""Certificates of a schedule's shape, inherited across block sizes.
+"""Certificates of a schedule's shape and of its lowered plans,
+inherited across block sizes.
 
 Proposition 3.1 makes a schedule a function of the neighbourhood alone:
-two builds that differ only in the block size ``m`` are the same phases
-of the same rounds with every byte extent multiplied by one factor.
-The verifier's *shape stage* (see
-:func:`~repro.analyze.schedule_verifier.verify_schedule`) is invariant
-under that factor, so its clean verdict is filed here once and inherited
-by every later instance — under a key that names exactly what the stage
-read:
-
-* the **normal form** of the schedule (:func:`normal_form`): a digest of
-  a canonical encoding of every field of the schedule model with every
-  byte extent divided by the instance's *granule* (the gcd of all of
-  them);
-* the topology, ``(dims, periods)``;
-* the **kernel signature** of the instance's lowered plan
-  (:func:`kernel_signature`): the form (slice, index, slice loop) and
-  lane of every selector op, and whether the plan delivers in place or
-  staged — the decisions of the lowering that look at absolute sizes,
-  so the sentinel execution, and with it the comparison with the
-  collective's definition, is inherited only from a witness whose
-  kernels were built, and run, the same way.
-
-What the block size *can* change is never inherited: the instance stage
-(lowering, kernels against block sets, the effect pass) runs on every
-instance.  The key is content-addressed — a schedule that differs in
-anything the verifier reads has another digest — so a certificate cannot
-go stale and the store needs no invalidation, only an LRU bound.
+builds that differ only in the block size ``m`` are one schedule, and one
+lowering, with every byte extent multiplied by one factor — up to what
+the lowering and the executors decide from absolute sizes.  The key of a
+certificate names what the verifier's stages read: the schedule's
+**normal form** (:func:`normal_form`: extents in *granules*, the gcd of
+them all), the topology and the **plan shape** (:func:`plan_digest`:
+those decisions, and a hash of the peer vectors and row masks).  Its
+entry holds the shape stage's clean verdict and the **plan digests** of
+the instances whose instance stage then ran clean: an instance whose
+digest is on file inherits the whole report, one whose shape alone is
+runs the instance stage.  A byte of difference is another key, so a
+certificate cannot go stale and the store needs only an LRU bound.
 """
 
 from __future__ import annotations
@@ -43,7 +30,6 @@ from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from repro.analyze.intervals import PlanEffects
 from repro.analyze.report import Certificate
 from repro.core.neighborhood import Neighborhood
 from repro.core.reduce_schedule import is_custom_op_token
@@ -74,10 +60,12 @@ class NormalForm(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _encoded_fields(model: type) -> tuple[str, ...]:
+def _encoded_fields(model: type) -> Optional[tuple[str, ...]]:
     """The dataclass fields of one class of the schedule model that
     enter the encoding — every one not in :data:`DERIVED_FIELDS` —
-    listed once per class, not once per node."""
+    listed once per class (``None``: not a class of the model)."""
+    if not dataclasses.is_dataclass(model):
+        return None
     return tuple(
         field.name
         for field in dataclasses.fields(model)
@@ -85,38 +73,37 @@ def _encoded_fields(model: type) -> tuple[str, ...]:
     )
 
 
-def _encode(obj: object, extents: list[list[Any]]) -> object:
-    """JSON-able canonical form of one piece of the schedule model.
-    Every byte extent — a block's ``[buffer, offset, nbytes]``, the
-    declared scratch as a block of no buffer — is also listed in
-    ``extents``, still in bytes, for :func:`normal_form` to divide in
-    place once it knows the granule.  Nothing with an identity (no
-    ``repr``, no ``hash``) enters the encoding, and a type it does not
-    know is an error, not a guess."""
-    if isinstance(obj, BlockRef):
-        extents.append([obj.buffer, obj.offset, obj.nbytes])
-        return extents[-1]
+def _encode(obj: object, extents: list[int]) -> object:
+    """JSON-able canonical form of one piece of the schedule model: a
+    block is its buffer's name, its offset and length (the declared
+    scratch: a block of no buffer) go to ``extents``.  Nothing with an
+    identity enters it, and a type it does not know is an error."""
     if isinstance(obj, BlockSet):  # most of a schedule: no call per block
-        blocks = [[ref.buffer, ref.offset, ref.nbytes] for ref in obj]
-        extents.extend(blocks)
-        return blocks
+        extents += [n for ref in obj.blocks for n in (ref.offset, ref.nbytes)]
+        return [ref.buffer for ref in obj.blocks]
+    if isinstance(obj, (list, tuple)):
+        if all(type(item) is int for item in obj):
+            return obj  # an offset
+        return [_encode(item, extents) for item in obj]
+    if isinstance(obj, BlockRef):
+        extents += (obj.offset, obj.nbytes)
+        return obj.buffer
     if obj is None or isinstance(obj, (str, int)):
         return obj
-    if isinstance(obj, (list, tuple)):
-        return [_encode(item, extents) for item in obj]
+    fields = _encoded_fields(type(obj))
+    if fields is not None:
+        out: list[object] = [type(obj).__name__]
+        for name in fields:
+            value = getattr(obj, name)
+            if type(obj) is Schedule and name == "temp_nbytes":
+                value = BlockRef("", 0, value)
+            scalar = value is None or isinstance(value, (str, int))
+            out.append(value if scalar else _encode(value, extents))
+        return out
     if isinstance(obj, Neighborhood):
         return obj.offsets.tolist()
     if isinstance(obj, Integral):  # a NumPy integer in an offset
         return int(obj)
-    if dataclasses.is_dataclass(obj):
-        model = type(obj)
-        out: list[object] = [model.__name__]
-        for name in _encoded_fields(model):
-            value = getattr(obj, name)
-            if model is Schedule and name == "temp_nbytes":
-                value = BlockRef("", 0, value)
-            out.append(_encode(value, extents))
-        return out
     raise TypeError(f"no canonical encoding for {type(obj).__name__}")
 
 
@@ -131,33 +118,97 @@ def normal_form(schedule: Schedule) -> Optional[NormalForm]:
         schedule.combine_dtype is None or is_custom_op_token(token)
     ):
         return None
-    extents: list[list[Any]] = []
+    extents: list[int] = []
     shape = _encode(schedule, extents)
-    granule = math.gcd(
-        *(n for _, offset, nbytes in extents for n in (offset, nbytes))
-    )
+    values = np.array(extents, dtype=np.int64)
+    granule = int(np.gcd.reduce(values))
     itemsize = 1 if token is None else np.dtype(schedule.combine_dtype).itemsize
     if granule == 0 or granule % itemsize:
         return None
-    for extent in extents:
-        extent[1] //= granule
-        extent[2] //= granule
-    canonical = json.dumps(shape, separators=(",", ":"))
-    return NormalForm(granule, hashlib.sha256(canonical.encode()).hexdigest())
+    digest = hashlib.sha256(json.dumps(shape, separators=(",", ":")).encode())
+    digest.update((values // granule).tobytes())
+    return NormalForm(granule, digest.hexdigest())
 
 
-def kernel_signature(plan: "BatchedPlan") -> tuple[object, ...]:
-    """What the lowering decided from absolute sizes: per op of every
-    kernel of ``plan`` (``None`` for a half no rank runs) and of its
-    copy program, and which form the batched backend runs — with, for
-    an in-place plan, the same per op of every round program.
-    Instances of one normal form whose block sizes fall in different
-    2-adic classes, or on different sides of ``INDEX_RUN_LIMIT`` (per
-    run, or per launched copy), differ here, so no certificate is
-    inherited across the staged/in-place boundary.  (A by-product of
-    the one reading of the plan's ops; the verifier takes it from the
-    reading it already has.)"""
-    return PlanEffects(plan).signature()
+def plan_digest(
+    plan: "BatchedPlan", granule: int
+) -> tuple[tuple[object, ...], Optional[str]]:
+    """``(shape, digest)`` of ``plan``, read once at ``granule``.  The
+    shape is what was decided from absolute sizes — per selector op its
+    forms and word class ``gcd(8, lane)``, slice loops
+    (``INDEX_RUN_LIMIT``), the delivery form, the copies' fusion, whether
+    fused maps exist — and a hash of what the shape stage reads (peer
+    vectors, row masks, maps already lowered).  The digest hashes what
+    the instance stage reads, selectors as bytes, extents and lanes in
+    granules (``None`` where one is not whole granules)."""
+    peers, kernels = hashlib.sha256(), hashlib.sha256()
+    peer_words: list[object] = [plan.p]
+    words: list[object] = [*plan.sizes, *plan.hazards]
+    extents: list[int] = list(plan.sizes.values())
+    decisions: list[object] = [plan.delivery, plan.matrix_error is None]
+
+    def array(vec: Optional[np.ndarray]) -> None:
+        peer_words.append(None if vec is None else (vec.dtype.str, vec.size))
+        peers.update(b"" if vec is None else vec.tobytes())
+
+    def selector(sel: Any) -> str:
+        if type(sel) is slice:
+            words.extend((sel.start, sel.stop))
+            return "slice"
+        words.extend((sel.dtype.str, sel.size))
+        kernels.update(sel.tobytes())
+        return "index"
+
+    def program(prog: Any) -> None:
+        if prog is None:
+            decisions.append(None)
+            return
+        ops: list[object] = []
+        for *names, a, b, lane in prog._sel_ops:
+            words.extend(names)
+            ops.append((selector(a), selector(b), math.gcd(8, lane)))
+            extents.append(lane)
+        for *names, a, b, n in prog._run_ops:
+            words.extend(names)
+            ops.append("run")
+            extents.extend((a, b, n))
+        decisions.append(tuple(ops))
+        extents.append(prog.nbytes if hasattr(prog, "nbytes") else prog.total_nbytes)
+
+    for phase in plan.phases:
+        peer_words.append(len(phase))
+        for rnd in phase:
+            for vec in (rnd.sources, rnd.targets, rnd.recv_rows, rnd.recv_sources):
+                array(vec)
+            peer_words.append(rnd.senders)
+            program(rnd.send)
+            program(rnd.recv)
+    decisions.append(plan.copy_program.fused)
+    program(plan.copy_program)
+    for prog in (prog for row in plan.deliveries or () for prog in row):
+        program(prog)
+    for combine in (plan.pre_program, *plan.combine_programs):
+        peer_words.append(combine is not None)
+        for sbuf, soff, dbuf, doff, n, *rows in combine.steps if combine else ():
+            words.extend((sbuf, dbuf))
+            extents.extend((soff, doff, n))
+            for vec in rows:
+                array(vec)
+    lane, maps = plan.fused_lane, plan.fused_if_lowered
+    decisions.append(lane and math.gcd(8, lane))
+    words.append(lane and (lane // math.gcd(lane, granule), granule // math.gcd(lane, granule)))
+    peer_words.append(maps and maps.dtype.str)
+    for vec in (plan.reduce_missing, *(v for step in (maps.steps if maps else ()) for v in step)):
+        array(vec)
+    peers.update(json.dumps(peer_words, default=int).encode())
+    shape = (tuple(decisions), peers.hexdigest())
+    values = np.array(extents, dtype=np.int64)
+    if (values % granule).any():
+        return shape, None
+    kernels.update(json.dumps(words, default=int).encode())
+    kernels.update((values // granule).tobytes())
+    kernels.update(shape[1].encode())
+    return shape, kernels.hexdigest()
 
 
 #: the stages a certification's seconds are booked under
@@ -175,8 +226,7 @@ class StageSeconds(float):
     kernels: float
     #: the byte-level effect pass
     effects: float
-    #: the shape stage where it ran; where it was inherited, the look-up
-    #: that did (normal form, kernel signature, store)
+    #: the shape stage where it ran, and a store's look-up (normal form, plan digest)
     shape: float
 
     def __new__(cls, stages: Mapping[str, float]) -> "StageSeconds":
@@ -189,90 +239,110 @@ class StageSeconds(float):
         return {name: getattr(self, name) for name in STAGES}
 
 
+#: a certification through a store runs both stages, or inherits one or both
+PATHS = ("full", "shape", "plan")
+
+
+class Inherited(int):
+    """Inherited certifications: as a number both paths, by attribute
+    each one's count and seconds (``shape``: the instance stage ran,
+    ``plan``: the whole report was inherited)."""
+
+    shape: int
+    plan: int
+    shape_seconds: StageSeconds
+    plan_seconds: StageSeconds
+
+
 class CertificateInfo(NamedTuple):
     """Counters of a :class:`CertificateStore`."""
 
     #: certifications that ran both stages
     full: int
-    #: certifications that ran the instance stage and inherited the rest
-    inherited: int
+    #: certifications that inherited, split by path
+    inherited: Inherited
     #: how many of ``full`` had no normal form (and so filed nothing)
     not_quotientable: int
-    #: certificates on file
+    #: shapes on file
     entries: int
-    #: the verifier's seconds on each path, split by stage
+    #: the verifier's seconds on the full path and on both inherited
+    #: ones, split by stage
     full_seconds: StageSeconds
     inherited_seconds: StageSeconds
 
 
 class CertificateStore:
-    """Thread-safe, LRU-bounded map from ``(digest, dims, periods,
-    kernel signature)`` to the :class:`~repro.analyze.report.Certificate`
-    a clean full certification filed under it.  Concurrent first sights
-    of one key each run in full and file the same verdict; the first one
-    filed is kept."""
+    """Thread-safe, LRU-bounded map from ``(digest, dims, periods, plan
+    shape)`` to the :class:`~repro.analyze.report.Certificate` of a
+    clean full certification, and from plan digests to theirs.  The first
+    certificate filed is kept."""
 
     def __init__(self, maxsize: int = 4096) -> None:
         self._lock = threading.Lock()
         self._maxsize = maxsize
-        self._entries: OrderedDict[tuple[object, ...], Certificate] = (
-            OrderedDict()
-        )
+        self._entries: OrderedDict[
+            tuple[object, ...], tuple[Certificate, dict[str, Certificate]]
+        ] = OrderedDict()
         self.clear()
 
-    def lookup(self, key: tuple[object, ...]) -> Optional[Certificate]:
+    def lookup(
+        self, key: tuple[object, ...], plan: Optional[str]
+    ) -> tuple[Optional[Certificate], Optional[Certificate]]:
+        """The certificates of the shape and of ``plan`` (or ``None``)."""
         with self._lock:
-            certificate = self._entries.get(key)
-            if certificate is not None:
-                self._entries.move_to_end(key)
-            return certificate
+            entry = self._entries.get(key)
+            if entry is None:
+                return None, None
+            self._entries.move_to_end(key)
+            return entry[0], None if plan is None else entry[1].get(plan)
 
-    def file(self, key: tuple[object, ...], certificate: Certificate) -> None:
+    def file(
+        self, key: tuple[object, ...], plan: Optional[str], cert: Certificate, *, shape: bool
+    ) -> None:
+        """File a clean certification under ``key``, for ``plan`` and —
+        where it ran the shape stage (``shape``) — for the shape."""
         with self._lock:
-            self._entries.setdefault(key, certificate)
+            if key not in self._entries and not shape:
+                return  # its witness was evicted meanwhile
+            plans = self._entries.setdefault(key, (cert, {}))[1]
+            if plan is not None:
+                plans.setdefault(plan, cert)
             self._entries.move_to_end(key)
             while len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
 
     def account(
-        self,
-        seconds: Mapping[str, float],
-        *,
-        inherited: bool,
-        quotientable: bool,
+        self, seconds: Mapping[str, float], *, path: str, quotientable: bool
     ) -> None:
-        """Book one finished certification (clean or not) and its
-        seconds by stage (:data:`STAGES`)."""
+        """Book one finished certification (clean or not) on its path
+        (:data:`PATHS`) with its seconds by stage (:data:`STAGES`)."""
         with self._lock:
-            if inherited:
-                self._inherited += 1
-            else:
-                self._full += 1
-                self._not_quotientable += not quotientable
-            booked = self._seconds[inherited]
+            self._counts[path] += 1
+            self._not_quotientable += not quotientable
             for stage in STAGES:
-                booked[stage] += seconds[stage]
+                self._seconds[path][stage] += seconds[stage]
 
     def info(self) -> CertificateInfo:
         with self._lock:
+            counts, seconds = self._counts, self._seconds
+            inherited = Inherited(counts["shape"] + counts["plan"])
+            inherited.shape, inherited.plan = counts["shape"], counts["plan"]
+            inherited.shape_seconds = StageSeconds(seconds["shape"])
+            inherited.plan_seconds = StageSeconds(seconds["plan"])
+            both = {s: seconds["shape"][s] + seconds["plan"][s] for s in STAGES}
             return CertificateInfo(
-                self._full,
-                self._inherited,
-                self._not_quotientable,
-                len(self._entries),
-                StageSeconds(self._seconds[False]),
-                StageSeconds(self._seconds[True]),
+                counts["full"], inherited, self._not_quotientable,
+                len(self._entries), StageSeconds(seconds["full"]), StageSeconds(both),
             )
 
     def clear(self) -> None:
         """Drop every certificate and reset the counters."""
         with self._lock:
             self._entries.clear()
-            self._full = self._inherited = self._not_quotientable = 0
-            #: inherited? -> stage -> seconds
-            self._seconds = {
-                path: dict.fromkeys(STAGES, 0.0) for path in (False, True)
-            }
+            self._counts = dict.fromkeys(PATHS, 0)
+            self._not_quotientable = 0
+            #: path -> stage -> seconds
+            self._seconds = {path: dict.fromkeys(STAGES, 0.0) for path in PATHS}
 
 
 #: The process-wide store ``verify_on_build`` certifies through.

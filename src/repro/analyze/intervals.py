@@ -14,9 +14,8 @@ the fact.
 
 The abstraction step is made once per verification:
 :class:`PlanEffects` walks the ops of every kernel and program of a
-plan one time and keeps what each consumer asks for — the kernel
-signature a certificate is keyed on, the lanes the lowering chose, the
-interval summaries the effect pass checks.
+plan one time and keeps what each consumer asks for — the lanes the
+lowering chose and the interval summaries the effect pass checks.
 
 Everything here is pure and deterministic; the analyzer never executes
 a kernel to learn what it touches.
@@ -24,7 +23,6 @@ a kernel to learn what it touches.
 
 from __future__ import annotations
 
-import math
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -241,18 +239,10 @@ def shared_bytes(
 WIRE = ""
 
 
-def _form(selector: Selector) -> str:
-    return "slice" if isinstance(selector, slice) else "index"
-
-
 class ProgramEffects(NamedTuple):
     """What the ops of one kernel or copy program say, read in one pass
     (:func:`read_ops`)."""
 
-    #: both sides' forms and the lane class (``gcd(8, lane)``) of each
-    #: selector op, ``"run"`` per slice-loop entry: the program's part of
-    #: the kernel signature
-    forms: tuple[object, ...]
     #: ``(lane, source buffer, destination buffer)`` per selector op
     lanes: tuple[tuple[int, str, str], ...]
     #: per source buffer, the bytes read and how many are named twice
@@ -273,18 +263,13 @@ def read_ops(
     """Read a program's ops, given in copy-program form — ``(source,
     destination, source selector, destination selector, lane)`` and
     ``(source, destination, source offset, destination offset,
-    nbytes)`` — once.  Without ``intervals`` only the forms and lanes
-    are kept (an in-place plan's round programs: the effect pass reads
-    the kernels they were zipped from)."""
-    forms: list[object] = []
+    nbytes)`` — once.  Without ``intervals`` only the lanes are kept (an
+    in-place plan's round programs: the effect pass reads the kernels
+    they were zipped from)."""
     lanes: list[tuple[int, str, str]] = []
     parts: tuple[dict[str, list[SelectorSummary]], ...] = ({}, {})
     ragged: list[tuple[str, str, int, int]] = []
     for src, dst, src_sel, dst_sel, lane in sel_ops:
-        # the key records the lane's word class, not its width: a
-        # lowering of whole blocks is as wide as the block, and sizes
-        # that differ by a factor must share their certificate
-        forms.append((_form(src_sel), _form(dst_sel), math.gcd(8, lane)))
         lanes.append((lane, src, dst))
         if intervals:
             gathered = summarize_selector(src_sel, lane)
@@ -294,7 +279,6 @@ def read_ops(
             parts[0].setdefault(src, []).append(gathered)
             parts[1].setdefault(dst, []).append(scattered)
     for src, dst, src_off, dst_off, n in run_ops:
-        forms.append("run")
         if intervals:
             parts[0].setdefault(src, []).append(
                 summarize_selector(slice(src_off, src_off + n))
@@ -306,9 +290,7 @@ def read_ops(
         {name: _fold(summaries) for name, summaries in side.items()}
         for side in parts
     )
-    return ProgramEffects(
-        tuple(forms), tuple(lanes), sources, targets, tuple(ragged)
-    )
+    return ProgramEffects(tuple(lanes), sources, targets, tuple(ragged))
 
 
 def _fold(parts: Sequence[SelectorSummary]) -> tuple[IntervalSet, int]:
@@ -333,8 +315,7 @@ class KernelEffects(NamedTuple):
     counters record bytes claimed more than once *within* the kernel —
     by a duplicate fancy index or by two ops naming the same region —
     which is a write-write race whenever that side is the destination.
-    ``forms`` and ``lanes`` are the kernel's part of the plan's kernel
-    signature and the lane each selector op views its buffer in.
+    ``lanes`` are the lane each selector op views its buffer in.
     """
 
     buffers: Mapping[str, IntervalSet]
@@ -342,7 +323,6 @@ class KernelEffects(NamedTuple):
     wire: IntervalSet
     wire_collision_bytes: int
     total_nbytes: int
-    forms: tuple[object, ...]
     lanes: tuple[tuple[int, str], ...]
 
 
@@ -359,7 +339,6 @@ def kernel_effects(kernel: "CompiledBlockSet") -> KernelEffects:
         wire=wire,
         wire_collision_bytes=wire_collisions,
         total_nbytes=kernel.total_nbytes,
-        forms=read.forms,
         lanes=tuple((lane, name) for lane, _, name in read.lanes),
     )
 
@@ -373,8 +352,8 @@ def program_effects(
 
 class PlanEffects:
     """Everything one verification reads off the ops of ``plan``: each
-    kernel and program is walked once, here, and the certificate key,
-    the lane check and the effect pass all read the result."""
+    kernel and program is walked once, here, and the lane check and the
+    effect pass both read the result."""
 
     def __init__(self, plan: "BatchedPlan") -> None:
         self.plan = plan
@@ -399,31 +378,6 @@ class PlanEffects:
             else program_effects(program, intervals=False)
             for programs in plan.deliveries or ()
             for program in programs
-        )
-
-    def signature(self) -> tuple[object, ...]:
-        """What the lowering decided from absolute sizes: per op of
-        every kernel of the plan (``None`` for a half no rank runs) and
-        of its copy program, and which form the batched backend runs —
-        with, for an in-place plan, the same per op of every round
-        program."""
-        plan = self.plan
-        return (
-            tuple(
-                tuple(
-                    None if half is None else half.forms
-                    for halves in phase
-                    for half in halves
-                )
-                for phase in self.kernels
-            ),
-            plan.copy_program.fused,
-            self.copies.forms,
-            plan.delivery,
-            tuple(
-                None if program is None else program.forms
-                for program in self.deliveries
-            ),
         )
 
     def lane_views(self) -> Iterator[tuple[int, tuple[int, int]]]:

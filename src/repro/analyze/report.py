@@ -130,14 +130,14 @@ class Violation:
 
 
 class Certificate(NamedTuple):
-    """A clean shape-stage verdict, as the certificate store keeps it
-    and as the report of an instance that inherited it shows it."""
+    """A clean verdict on a shape or a plan, as the certificate store
+    keeps it and as the report of an instance that inherited it shows it."""
 
     #: prefix of the normal-form digest the verdict is filed under
     digest: str
-    #: granule (bytes) of the witness instance the shape stage ran on
+    #: granule (bytes) of the witness instance that filed it
     granule: int
-    #: what the witness's full certification executed
+    #: what the witness's certification executed
     checks_run: tuple[str, ...]
 
 
@@ -160,16 +160,16 @@ class VerificationReport:
     #: check that does not apply at all — the definition of an in-place
     #: or hand-built schedule — is in neither list
     skipped: list[tuple[str, str]] = field(default_factory=list)
-    #: set when the shape stage was not run but inherited from a witness
-    #: of the same normal form (``checks_run`` then starts with
-    #: ``"inherited-shape"``)
+    #: set when the shape stage (``checks_run`` then starts with
+    #: ``"inherited-shape"``) or both stages (it is ``["inherited-plan"]``)
+    #: were inherited from a witness of the same normal form
     inherited_from: Optional[Certificate] = None
     #: the lowered plan's delivery verdict and its reason, e.g.
     #: ``"staged: 12 B per copy ≤ 2048"`` (``None`` without a lowering),
     #: followed by ``"; runs as walk: …"`` where the batched executor
     #: would not take that form
     delivery: Optional[str] = None
-    #: the lowering the checks judged (``None`` when lowering was
+    #: the lowering the checks judged or inherited (``None`` when it was
     #: refused, or for a pass that made none): a clean report of the
     #: ``verify_on_build`` hook hands it on as the plan that runs
     plan: Optional["BatchedPlan"] = field(
@@ -177,7 +177,7 @@ class VerificationReport:
     )
     #: the verifier's seconds by stage — ``lowering``, ``kernels``
     #: (reading the plan's ops, V501/V503/V504), ``effects`` and
-    #: ``shape`` (everything inherited, or the look-up that inherits it)
+    #: ``shape`` (the shape stage where it ran, and the store look-up)
     stage_seconds: dict[str, float] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -223,7 +223,8 @@ class VerificationReport:
             notes += f"; plan {self.delivery}"
         if self.inherited_from is not None:
             digest, granule, _ = self.inherited_from
-            notes += f"; shape {digest} certified at granule {granule} B"
+            what = "plan" if self.checks_run == ["inherited-plan"] else "shape"
+            notes += f"; {what} {digest} certified at granule {granule} B"
         if self.skipped:
             notes += "; skipped: " + ", ".join(
                 f"{check} ({reason})" for check, reason in self.skipped

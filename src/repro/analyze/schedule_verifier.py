@@ -45,9 +45,9 @@ masks of V806) included; the *instance stage* — that the lowering
 exists, its kernels against the block sets (V501/V503/V504) and the
 byte-level effect pass (V70x) — is what the block size can change.
 :func:`verify_schedule` runs both; :func:`certify_schedule`, given a
-:class:`~repro.analyze.certificates.CertificateStore`, runs the instance
-stage on every instance and the shape stage once per shape.  Either way
-the schedule is lowered once, and the report carries that plan.
+:class:`~repro.analyze.certificates.CertificateStore`, runs the shape
+stage once per shape and the instance stage once per plan digest.
+Either way the schedule is lowered once, and the report carries that plan.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from repro.analyze.certificates import (
     STAGES,
     CertificateStore,
     normal_form,
+    plan_digest,
 )
 from repro.analyze.report import Certificate, VerificationReport
 from repro.core.allgather_schedule import AllgatherTree
@@ -529,13 +530,21 @@ def _kernel_difference(
         )
     rnd.recv_blocks.unpack_from(ref, payload)
     br.recv.unpack_from(got, payload)
-    # nothing else can have changed: what either side names
+    # nothing else can have changed: what either side names, if it exists
     assert wrote is not None
     if not _same_bytes(
-        ref, got, rnd.recv_blocks.buffers_used().union(wrote.buffers)
+        ref, got, rnd.recv_blocks.buffers_used().union(wrote.buffers) & ref.keys()
     ):
         return "compiled unpack scatters different bytes"
     return None
+
+
+def _delivery(plan: "BatchedPlan") -> str:
+    """``report.delivery`` of ``plan``."""
+    from repro.core.backend.batched import executor_form
+
+    delivery, form = f"{plan.delivery}: {plan.delivery_reason}", executor_form(plan)
+    return delivery if form == delivery else f"{delivery}; runs as {form}"
 
 
 def _check_plan_kernels(
@@ -567,17 +576,12 @@ def _check_plan_kernels(
     bytes — and what a round leaves behind is its own fresh payload,
     never bytes a later round will deliver again."""
     from repro.analyze.intervals import read_plan
-    from repro.core.backend.batched import executor_form
 
     plan = _lowered_plan(lowered, report)
     if plan is None:
         return None
     read = read_plan(plan, effects)
-    delivery = f"{plan.delivery}: {plan.delivery_reason}"
-    form = executor_form(plan)
-    report.delivery = (
-        delivery if form == delivery else f"{delivery}; runs as {form}"
-    )
+    report.delivery = _delivery(plan)
     sizes = plan.sizes
     want_shape = tuple(len(ph.rounds) for ph in schedule.phases)
     # an in-place plan's round programs (lowered here if nobody ran
@@ -932,20 +936,17 @@ def _run_stages(
     everything read off the peer vectors — the rank views' peers, the
     batched permutation and masking, the combine row masks — and the
     sentinel execution of kernels built the way this plan's were, held
-    to the collective's definition.  With a store to ``inherit`` from that holds the
-    certificate of an instance with the same normal form, topology and
-    kernel signature, it is inherited, not run; a clean report in which
-    nothing was skipped files one.
+    to the collective's definition.  The **instance stage** is what the
+    block size can change: that the lowering exists, its lanes divide,
+    its kernels move the block sets' bytes, its copy program is the
+    schedule's (V501/V503/V504), and the byte-level effect pass (V70x,
+    the byte half of V806), on one reading of the plan's ops.
 
-    The **instance stage** is what the block size can change: that the
-    lowering exists, its lanes divide, its kernels move the block sets'
-    bytes, its copy program is the schedule's (V501/V503/V504), and the
-    byte-level effect pass (V70x, the byte half of V806).  It runs on
-    every instance, on one reading of the plan's ops.
-
-    The seconds of each are booked on ``report.stage_seconds`` (and,
-    summed per path, on the store).
-    """
+    With a store to ``inherit`` from (:mod:`repro.analyze.certificates`),
+    this plan's digest on file inherits the whole report, its shape alone
+    runs the instance stage only; a clean report in which nothing was
+    skipped files what it ran.  The seconds of each stage are booked on
+    ``report.stage_seconds`` (and, per path, on the store)."""
     from repro.analyze.effects import check_batched_peers, run_effect_checks
     from repro.analyze.intervals import PlanEffects
 
@@ -960,58 +961,57 @@ def _run_stages(
 
     lowered = _lower(schedule, topo)
     lap("lowering")
-    effects = (
-        None if isinstance(lowered, ScheduleError) else PlanEffects(lowered)
-    )
-    lap("kernels")
     form = None if inherit is None else normal_form(schedule)
     key: Optional[tuple[object, ...]] = None
+    digest: Optional[str] = None
+    shape: Optional[Certificate] = None
     witness: Optional[Certificate] = None
-    if inherit is not None and form is not None and effects is not None:
-        key = (form.digest, report.dims, report.periods, effects.signature())
-        witness = inherit.lookup(key)
-    definition = False
-    if witness is None:
-        _check_quantitative(schedule, report)
-        report.checks_run.append("quantitative")
-        _check_matching(schedule, topo, report)
-        report.checks_run.append("matching+deadlock")
-        _check_buffer_bounds(schedule, report)
-        report.checks_run.append("buffer-bounds")
-        definition = schedule.is_reduction and _run_reduce_checks(
-            schedule, topo, report
-        )
-    else:
-        report.inherited_from = witness
-        report.checks_run.append("inherited-shape")
+    if inherit is not None and form is not None and not isinstance(lowered, ScheduleError):
+        plan_shape, digest = plan_digest(lowered, form.granule)
+        key = (form.digest, report.dims, report.periods, plan_shape)
+        shape, witness = inherit.lookup(key, digest)
     lap("shape")
-    plan = report.plan = _check_plan_kernels(
-        schedule, report, lowered, effects
-    )
-    report.checks_run.append("plan-lowering")
-    lap("kernels")
-    if plan is not None and witness is None:
-        _check_rank_views(schedule, topo, plan, report)
-        check_batched_peers(plan, report)
-        _check_execution(schedule, topo, plan, report, definition=definition)
+    if witness is not None:
+        assert not isinstance(lowered, ScheduleError)
+        report.inherited_from = witness
+        report.checks_run.append("inherited-plan")
+        report.plan, report.delivery = lowered, _delivery(lowered)
+    else:
+        effects = None if isinstance(lowered, ScheduleError) else PlanEffects(lowered)
+        lap("kernels")
+        definition = False
+        if shape is None:
+            _check_quantitative(schedule, report)
+            report.checks_run.append("quantitative")
+            _check_matching(schedule, topo, report)
+            report.checks_run.append("matching+deadlock")
+            _check_buffer_bounds(schedule, report)
+            report.checks_run.append("buffer-bounds")
+            definition = schedule.is_reduction and _run_reduce_checks(schedule, topo, report)
+        else:
+            report.inherited_from = shape
+            report.checks_run.append("inherited-shape")
         lap("shape")
-    run_effect_checks(schedule, topo, report, plan=plan, effects=effects)
-    report.checks_run.append("effects")
-    lap("effects")
+        plan = report.plan = _check_plan_kernels(schedule, report, lowered, effects)
+        report.checks_run.append("plan-lowering")
+        lap("kernels")
+        if plan is not None and shape is None:
+            _check_rank_views(schedule, topo, plan, report)
+            check_batched_peers(plan, report)
+            _check_execution(schedule, topo, plan, report, definition=definition)
+            lap("shape")
+        run_effect_checks(schedule, topo, report, plan=plan, effects=effects)
+        report.checks_run.append("effects")
+        lap("effects")
     report.stage_seconds = seconds
     if inherit is None:
         return
     if key is not None and witness is None and report.ok and not report.skipped:
         assert form is not None
-        inherit.file(
-            key,
-            Certificate(
-                form.digest[:12], form.granule, tuple(report.checks_run)
-            ),
-        )
-    inherit.account(
-        seconds, inherited=witness is not None, quotientable=form is not None
-    )
+        certificate = Certificate(form.digest[:12], form.granule, tuple(report.checks_run))
+        inherit.file(key, digest, certificate, shape=shape is None)
+    path = "plan" if witness else "shape" if shape else "full"
+    inherit.account(seconds, path=path, quotientable=form is not None)
 
 
 def verify_schedule(
@@ -1044,15 +1044,15 @@ def certify_schedule(
     :class:`~repro.analyze.report.ScheduleValidationError` on any
     violation.  This is the ``verify_on_build`` hook.
 
-    With a certificate store to ``inherit`` from, what the block size
-    can change is re-checked at this block size and what it cannot is
-    inherited: the schedule is lowered and the instance stage runs as
-    always, but the shape stage runs only when no instance of the same
-    normal form, topology and kernel signature has been certified
-    before (:mod:`repro.analyze.certificates`).  A certificate is filed
-    only from a clean report in which nothing was skipped, so an
-    instance too large to simulate is covered by a smaller witness or
-    by nobody."""
+    With a certificate store to ``inherit`` from, the schedule is
+    lowered and the stages run only where no instance of the same
+    normal form, topology and plan shape has run them before: none, if
+    one had this lowering up to the block size (its plan digest); the
+    instance stage, if one had the shape alone
+    (:mod:`repro.analyze.certificates`).  A certificate is filed only
+    from a clean report in which nothing was skipped, so an instance
+    too large to simulate is covered by a smaller witness or by
+    nobody."""
     topo, report = _open_report(schedule, dims, periods)
     _run_stages(schedule, topo, report, inherit)
     report.raise_if_failed()
@@ -1348,7 +1348,7 @@ def _check_reduce_dataflow(
     ok = not scratch_reported
     for key, want in expected.items():
         got = state.get(key, Counter())
-        if got != want:
+        if got != want and key[2]:  # an empty region holds no contribution
             missing = want - got
             extra = got - want
             parts = []
@@ -1568,9 +1568,15 @@ class SweepRow(NamedTuple):
     certify_seconds: float
 
 
-def sweep_stencils(kinds: Sequence[str] = SWEEP_KINDS) -> list[SweepRow]:
+def sweep_stencils(
+    kinds: Sequence[str] = SWEEP_KINDS,
+    *,
+    block_bytes: int = 4,
+    inherit: Optional[CertificateStore] = None,
+) -> list[SweepRow]:
     """Build and verify every sweep kind for every paper stencil, timing
-    the two layers apart (certification sits on every cold path)."""
+    the two layers apart (certification sits on every cold path), through
+    the store to ``inherit`` from if one is given."""
     from repro.core.stencils import named_stencil
 
     results = []
@@ -1581,9 +1587,10 @@ def sweep_stencils(kinds: Sequence[str] = SWEEP_KINDS) -> list[SweepRow]:
         nbh.validate_for_dims(dims)
         for kind in kinds:
             t0 = time.perf_counter()
-            schedule = build_for_kind(kind, nbh)
+            schedule = build_for_kind(kind, nbh, block_bytes)
             t1 = time.perf_counter()
-            report = verify_schedule(schedule, dims, True)
+            topo, report = _open_report(schedule, dims, True)
+            _run_stages(schedule, topo, report, inherit)
             t2 = time.perf_counter()
             results.append(SweepRow(name, kind, dims, report, t1 - t0, t2 - t1))
     return results

@@ -252,10 +252,13 @@ class CartComm:
     def certificate_info() -> CertificateInfo:
         """Counters of the process-wide certificate store
         ``verify_on_build`` certifies through: certifications run in
-        full and inherited (see :mod:`repro.analyze.certificates`),
-        certificates on file, and the verifier's seconds on each path —
-        each a total with its split by stage (``.lowering``,
-        ``.kernels``, ``.effects``, ``.shape``)."""
+        full and inherited — ``.inherited.shape`` ran the instance
+        stage, ``.inherited.plan`` inherited the whole report (see
+        :mod:`repro.analyze.certificates`) — shapes on file, and the
+        verifier's seconds on each path (``full_seconds``,
+        ``inherited.shape_seconds``, ``inherited.plan_seconds``), each a
+        total with its split by stage (``.lowering``, ``.kernels``,
+        ``.effects``, ``.shape``)."""
         from repro.analyze.certificates import GLOBAL_STORE
 
         return GLOBAL_STORE.info()

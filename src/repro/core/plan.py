@@ -1246,7 +1246,8 @@ def _compile_batched_combines(
         lowered = []
         for step in steps:
             for ref in (step.src, step.dst):
-                cap = sizes.get(ref.buffer)
+                # a count-zero reduction names scratch no rank allocates
+                cap = sizes.get(ref.buffer, None if ref.nbytes else 0)
                 if cap is None:
                     raise UnknownBufferError(
                         f"combine step references unknown buffer "
@@ -1503,6 +1504,41 @@ class BatchedPlan:
         return self._fused
 
     @property
+    def fused_lane(self) -> Optional[int]:
+        """The word :attr:`fused` would move, read off the sizes without
+        lowering a map — ``None`` for an in-place plan, a reduction some
+        rank gets no contribution to, and maps over
+        :data:`FUSED_INDEX_PER_BLOCK_BYTE` (a phase that writes a byte
+        twice, which no size changes, is :attr:`fused`'s own refusal)."""
+        if self.reduce_missing.size or self.delivery == "in-place":
+            return None
+        prog = self.copy_program
+        moving = _moving(self)
+        programs = [k for phase in moving for r in phase for k in (r.send, r.recv)]
+        programs += [prog] if prog.fused else []
+        lane = _lane_of(
+            *self.sizes.values(),
+            *self.offsets.values(),
+            self.block_nbytes,
+            *(op[-1] for k in programs for op in k._sel_ops),
+            *(x for k in programs for op in k._run_ops for x in op[-3:]),
+        )
+        moved = self.p * prog.nbytes * prog.fused + sum(
+            (self.p if r.recv_rows is None else r.recv_rows.size) * r.wire_nbytes
+            for phase in moving
+            for r in phase
+        )
+        if 16 * moved > FUSED_INDEX_PER_BLOCK_BYTE * lane * self.block_nbytes:
+            return None
+        return lane
+
+    @property
+    def fused_if_lowered(self) -> Optional["FusedProgram"]:
+        """:attr:`fused` where it has been lowered (``None`` where it has
+        not, or cannot be): what a reader sees without lowering it."""
+        return None if self._fused is _UNLOWERED else self._fused
+
+    @property
     def selector_nbytes(self) -> int:
         """Bytes held by the index arrays of every kernel of the plan
         (the round programs' and the fused maps' from when they are
@@ -1742,6 +1778,14 @@ def _step(
     return dst, np.concatenate([none, *(s.ravel() for _, s in pieces)])
 
 
+def _moving(plan: BatchedPlan) -> list[list[BatchedRound]]:
+    """Per phase, the rounds that move a byte from a sender to a receiver."""
+    return [
+        [r for r in phase if r.send and r.recv and r.wire_nbytes]
+        for phase in plan.phases
+    ]
+
+
 def fuse_phases(plan: BatchedPlan) -> Optional[FusedProgram]:
     """Lower ``plan`` onto its block, composed from its own kernels: in
     each phase, rank ``recv_rows[k]`` (rank ``k`` without them) at the
@@ -1754,30 +1798,13 @@ def fuse_phases(plan: BatchedPlan) -> Optional[FusedProgram]:
     layout and every kernel allow.  ``None`` — the per-round kernels
     stay — for maps over :data:`FUSED_INDEX_PER_BLOCK_BYTE`, for a phase
     or fused local-copy set that writes a byte twice, for a reduction
-    some rank gets no contribution to, and for an in-place plan."""
-    if plan.reduce_missing.size or plan.delivery == "in-place":
+    some rank gets no contribution to, and for an in-place plan
+    (:attr:`BatchedPlan.fused_lane`)."""
+    lane = plan.fused_lane
+    if lane is None:
         return None
-    moving = [
-        [r for r in phase if r.send and r.recv and r.wire_nbytes]
-        for phase in plan.phases
-    ]
+    moving = _moving(plan)
     prog = plan.copy_program
-    programs = [k for phase in moving for r in phase for k in (r.send, r.recv)]
-    programs += [prog] if prog.fused else []
-    lane = _lane_of(
-        *plan.sizes.values(),
-        *plan.offsets.values(),
-        plan.block_nbytes,
-        *(op[-1] for k in programs for op in k._sel_ops),
-        *(x for k in programs for op in k._run_ops for x in op[-3:]),
-    )
-    moved = plan.p * prog.nbytes * prog.fused + sum(
-        (plan.p if r.recv_rows is None else r.recv_rows.size) * r.wire_nbytes
-        for phase in moving
-        for r in phase
-    )
-    if 16 * moved > FUSED_INDEX_PER_BLOCK_BYTE * lane * plan.block_nbytes:
-        return None
 
     def ops(program: Any) -> list[tuple]:
         # the selector ops, then the slice runs as selector ops at

@@ -26,12 +26,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analyze import effects, schedule_verifier
+from repro.analyze import effects, mutations, schedule_verifier
 from repro.analyze.certificates import (
     DERIVED_FIELDS,
     CertificateStore,
-    kernel_signature,
     normal_form,
+    plan_digest,
 )
 from repro.analyze.mutations import SCHEDULE_MUTANTS
 from repro.analyze.report import ScheduleValidationError
@@ -400,21 +400,24 @@ class TestInheritance:
         assert first.checks_run == verify_schedule(
             build_for_kind("alltoall", NBH9, 8), TORUS
         ).checks_run
-        assert second.checks_run == ["inherited-shape", "plan-lowering", "effects"]
+        # the same plan up to the factor: the whole report is inherited
+        assert second.checks_run == ["inherited-plan"]
+        assert second.plan.p == 16 and second.delivery.startswith("staged: 72 B")
         digest, granule, checks = second.inherited_from
         form = normal_form(build_for_kind("alltoall", NBH9, 24))
         assert form.digest.startswith(digest) and len(digest) == 12
         assert granule == 8 and checks == tuple(first.checks_run)
-        assert "certified at granule 8 B" in second.summary()
+        assert f"plan {digest} certified at granule 8 B" in second.summary()
         info = store.info()
         assert info[:4] == (1, 1, 0, 1)  # full, inherited, not q., entries
+        assert (info.inherited.shape, info.inherited.plan) == (0, 1)
         assert info.full_seconds > info.inherited_seconds > 0
 
     def test_without_a_store_nothing_is_inherited(self):
         report = certify_schedule(build_for_kind("alltoall", NBH9, 24), TORUS)
         assert report.inherited_from is None and "quantitative" in report.checks_run
 
-    def test_instance_stage_runs_for_every_instance(self, monkeypatch):
+    def test_instance_stage_runs_once_per_lowering(self, monkeypatch):
         calls = {"kernels": 0, "effects": 0, "matching": 0, "execution": 0}
 
         def counting(module, name, key):
@@ -431,11 +434,22 @@ class TestInheritance:
         counting(schedule_verifier, "_check_matching", "matching")
         counting(schedule_verifier, "_check_execution", "execution")
         store = CertificateStore()
-        sizes = (8, 16, 24, 40, 64, 800)
-        for m in sizes:
-            certify(store, "allgather", m)
-        assert calls["kernels"] == calls["effects"] == len(sizes)
-        assert calls["matching"] == calls["execution"] == store.info().full == 1
+        # on (3,3,3) the staged block pads 27 rows to 8 bytes, so the
+        # fused maps of m = 12 and m = 20 move words of 4 B: one shape,
+        # two plans
+        paths = [
+            certify(store, "allgather", m, moore(3), (3, 3, 3)).checks_run[0]
+            for m in (8, 16, 24, 12, 20, 28)
+        ]
+        assert paths == [
+            "quantitative", "inherited-plan", "inherited-plan",
+            "quantitative", "inherited-shape", "inherited-shape",
+        ]
+        info = store.info()
+        assert calls["kernels"] == calls["effects"] == 4
+        assert calls["kernels"] == info.full + info.inherited.shape
+        assert calls["matching"] == calls["execution"] == info.full == 2
+        assert info.inherited.plan == 2 and info.entries == 2
 
     def test_another_topology_is_another_certificate(self):
         store = CertificateStore()
@@ -483,7 +497,8 @@ class TestInheritance:
 
         def signature(m):
             sched = build_for_kind("alltoall", NBH9, m)
-            return kernel_signature(schedule_verifier._lower(sched, topo))
+            plan = schedule_verifier._lower(sched, topo)
+            return plan_digest(plan, normal_form(sched).granule)[0]
 
         assert signature(8) == signature(below) != signature(above)
         certify(store, "alltoall", 8)
@@ -504,10 +519,21 @@ class TestInheritance:
             sched = build_for_kind("trivial-alltoall", NBH9, m)
             return schedule_verifier._lower(sched, topo)
 
+        def kernels(plan):
+            return [
+                (type(op[1]), type(op[2]))
+                for phase in plan.phases
+                for rnd in phase
+                for kernel in (rnd.send, rnd.recv)
+                for op in (*kernel._sel_ops, *kernel._run_ops)
+            ]
+
         small, large = lowered(8), lowered(4096)
         assert (small.delivery, large.delivery) == ("staged", "in-place")
-        assert kernel_signature(small)[:3] == kernel_signature(large)[:3]
-        assert kernel_signature(small) != kernel_signature(large)
+        assert kernels(small) == kernels(large) == [(slice, slice)] * len(
+            kernels(small)
+        )
+        assert plan_digest(small, 8)[0] != plan_digest(large, 4096)[0]
         near = certify(store, "trivial-alltoall", 8)
         assert "plan staged: 15 B per copy ≤ 2048" in near.summary()
         far = certify(store, "trivial-alltoall", 4096)
@@ -516,6 +542,36 @@ class TestInheritance:
         assert "plan in-place: 7680 B per copy > 2048" in far.summary()
         again = certify(store, "trivial-alltoall", 4104)
         assert again.inherited_from.granule == 4096
+
+    def test_no_certificate_crosses_a_word_class_in_place(self):
+        """In place, with no fused maps: 4096 B and 4100 B blocks lower to
+        the same plan in granules, and only the word class of their lanes
+        (8 and 4) tells them apart."""
+        store = CertificateStore()
+        certify(store, "trivial-alltoall", 4096)
+        other = certify(store, "trivial-alltoall", 4100)
+        assert other.inherited_from is None and "matrix-execution" in other.checks_run
+        assert other.delivery.startswith("in-place")
+        assert certify(store, "trivial-alltoall", 4104).inherited_from.granule == 4096
+
+    def test_no_certificate_crosses_the_fused_unfused_boundary(self):
+        """The 9-point allgather at m = 3 keeps its rounds' kernels (its
+        maps would hold 16/3 index bytes per byte); at m = 5 it runs
+        fused maps, which only the full certification's sentinel
+        execution runs against the walk ("fused execution", V506)."""
+        store = CertificateStore()
+        topo = schedule_verifier.CartTopology(TORUS)
+        plans = {
+            m: schedule_verifier._lower(build_for_kind("allgather", NBH9, m), topo)
+            for m in (3, 5)
+        }
+        assert plans[3].fused is None and plans[5].fused is not None
+        assert plans[3].delivery == plans[5].delivery == "staged"
+        certify(store, "allgather", 3)
+        fused = certify(store, "allgather", 5)
+        assert fused.inherited_from is None
+        assert "matrix-execution" in fused.checks_run
+        assert certify(store, "allgather", 7).inherited_from.granule == 5
 
     def test_sentinel_execution_runs_an_in_place_plan_a_third_way(
         self, monkeypatch
@@ -540,16 +596,17 @@ class TestInheritance:
 
     def test_over_budget_first_sight_files_nothing(self, monkeypatch):
         store = CertificateStore()
-        monkeypatch.setattr(schedule_verifier, "CONTENT_BUDGET", 1 << 10)
+        monkeypatch.setattr(schedule_verifier, "CONTENT_BUDGET", 1 << 11)
         big = certify(store, "alltoall", 1000)
         assert big.ok and {c for c, _ in big.skipped} == {"matrix-execution"}
         assert store.info().entries == 0
         # a witness small enough to simulate files; the large instance
-        # then inherits checks it could not have run itself
-        small = certify(store, "alltoall", 1)
+        # then inherits checks it could not have run itself (both of
+        # odd lanes with fused maps: lane 1 has none)
+        small = certify(store, "alltoall", 3)
         assert not small.skipped and store.info().entries == 1
-        over = certify(store, "alltoall", 3)
-        assert over.inherited_from.granule == 1 and not over.skipped
+        over = certify(store, "alltoall", 5)
+        assert over.inherited_from.granule == 3 and not over.skipped
 
     def test_not_quotientable_takes_the_full_path_and_files_nothing(self):
         store = CertificateStore()
@@ -661,6 +718,67 @@ class TestNothingHidesBehindACertificate:
         assert "V503" in report.codes()
         assert report.codes() & {"V701", "V702", "V703", "V708", "V709"}
 
+    @pytest.fixture
+    def corrupt_second_lowering(self, monkeypatch):
+        """The verifier's lowering, corrupted by ``corrupt`` from the
+        second call on (the first, the clean witness, goes through
+        ``witness``)."""
+        real, calls = schedule_verifier._lower, []
+
+        def install(corrupt, witness=lambda plan: plan):
+            def lowering(schedule, topo):
+                plan = real(schedule, topo)
+                calls.append(plan)
+                return (corrupt if len(calls) > 1 else witness)(plan)
+
+            monkeypatch.setattr(schedule_verifier, "_lower", lowering)
+
+        return install
+
+    def test_rolled_index_selector_misses_its_plan_and_is_killed(
+        self, corrupt_second_lowering
+    ):
+        """The index array of one scatter, rolled by one word: every
+        form, lane and extent is the witness's, only its bytes differ."""
+
+        def roll(plan):
+            rnd = plan.phases[1][0]
+            (name, wire, buf, lane), *rest = rnd.recv._sel_ops
+            assert isinstance(buf, np.ndarray)
+            recv = copy.copy(rnd.recv)
+            recv._sel_ops = ((name, wire, np.roll(buf, 1), lane), *rest)
+            return mutations._replace_round(plan, 1, 0, recv=recv)
+
+        store = CertificateStore()
+        corrupt_second_lowering(roll)
+        certify(store, "alltoall", 8)
+        with pytest.raises(ScheduleValidationError) as caught:
+            certify(store, "alltoall", 24)
+        assert caught.value.report.checks_run[0] == "inherited-shape"
+        assert "V503" in caught.value.codes
+
+    def test_maps_lowered_before_certification_are_judged_in_full(
+        self, corrupt_second_lowering
+    ):
+        """A lowering that arrives with fused maps (here, two ranks'
+        sources traded; the witness's, of the same size, arrived lowered
+        too, and right) is another shape: only the full stage runs them."""
+
+        def swap(plan):
+            (dst, src), *rest = plan.fused.steps
+            src = src.copy()
+            src[[0, -1]] = src[[-1, 0]]
+            plan._fused = plan.fused._replace(steps=((dst, src), *rest))
+            return plan
+
+        store = CertificateStore()
+        corrupt_second_lowering(swap, witness=lambda plan: plan.fused and plan)
+        certify(store, "alltoall", 8)
+        with pytest.raises(ScheduleValidationError) as caught:
+            certify(store, "alltoall", 8)
+        assert caught.value.report.inherited_from is None
+        assert caught.value.codes == {"V506"}
+
     def test_lane_that_does_not_divide_is_killed_on_the_inherit_path(self, monkeypatch):
         """A lowering that chose the witness's lane where this size does
         not allow it has the witness's kernel signature — and is refused
@@ -679,12 +797,14 @@ class TestNothingHidesBehindACertificate:
 # ----------------------------------------------------------------------
 class TestZeroByteSchedules:
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
-    def test_nothing_to_deliver_certifies_and_reductions_stay_refused(self, kind):
+    def test_nothing_to_deliver_certifies_and_reductions_too(self, kind):
+        """MPI semantics: a count-zero collective is a no-op, and
+        reductions are no exception."""
         report = verify_schedule(build_for_kind(kind, NBH9, 0), (3, 3))
+        assert report.ok, report.summary()
         if kind in schedule_verifier.REDUCE_KINDS:
-            assert report.codes() == {"V501", "V803"}
+            assert "reduce-content" in report.checks_run
         else:
-            assert report.ok, report.summary()
             assert "definition" in report.checks_run
 
     @pytest.mark.parametrize("backend", ["threaded", "lockstep", "batched"])
@@ -699,6 +819,8 @@ class TestZeroByteSchedules:
             for op in (cart.alltoall, cart.allgather):
                 send, recv = np.zeros(0, np.uint8), np.zeros(0, np.uint8)
                 op(send, recv, algorithm=algorithm)
+            send, recv = np.zeros(0, np.int64), np.zeros(0, np.int64)
+            cart.reduce_neighbors(send, recv, op="sum", algorithm=algorithm)
             return True
 
         assert all(

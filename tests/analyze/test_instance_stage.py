@@ -4,9 +4,11 @@
   can change — two instances of one normal form and topology hand them
   identical inputs — and a full certification still reports them;
 * the cross-round sweep is the pairwise intersection it replaced;
-* one reading of a plan's ops serves the certificate key, the lane
-  check and the effect pass;
-* the store and the CLI say where the verifier's seconds went.
+* one reading of a plan's ops serves the lane check and the effect
+  pass;
+* certifying through a store gives the verdict a full verification
+  gives, whatever was certified before;
+* the store and the CLI say where the verifier's seconds went, per path.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analyze import effects, intervals, schedule_verifier
-from repro.analyze.certificates import (
-    STAGES,
-    CertificateStore,
-    kernel_signature,
-    normal_form,
-)
+from repro.analyze.certificates import STAGES, CertificateStore, normal_form
 from repro.analyze.intervals import IntervalSet, PlanEffects, shared_bytes
 from repro.analyze.report import VerificationReport
 from repro.analyze.schedule_verifier import (
@@ -268,11 +265,10 @@ class TestOneReading:
         assert len(calls) == kernels
         assert len({id(k) for k in calls}) == kernels
 
-    def test_signature_is_a_by_product_of_the_reading(self):
+    def test_reading_is_reused_only_for_its_plan(self):
         plan = _lower(build_for_kind("alltoall", NBH9, 4096), CartTopology((4, 4)))
         assert plan.delivery == "in-place"
         reading = PlanEffects(plan)
-        assert reading.signature() == kernel_signature(plan)
         assert intervals.read_plan(plan, reading) is reading
         other = copy.copy(plan)
         assert intervals.read_plan(other, reading).plan is other
@@ -292,23 +288,64 @@ class TestOneReading:
 
 
 # ----------------------------------------------------------------------
+# inheriting changes what runs, never the verdict
+# ----------------------------------------------------------------------
+class TestInheritedVerdict:
+    @given(
+        kind=st.sampled_from(SWEEP_KINDS),
+        shape=st.sampled_from(
+            [((4, 4), True), ((3, 4), (False, True)), ((3, 3, 3), True)]
+        ),
+        first=st.integers(1, 40),
+        second=st.integers(1, 40),
+    )
+    def test_second_size_gets_the_verdict_of_a_full_verification(
+        self, kind, shape, first, second
+    ):
+        dims, periods = shape
+        nbh = moore_neighborhood(len(dims), 1, include_self=False)
+        store = CertificateStore()
+        witness = build_for_kind(kind, nbh, 4 * first)
+        schedule_verifier._run_stages(
+            witness, *schedule_verifier._open_report(witness, dims, periods), store
+        )
+        instance = build_for_kind(kind, nbh, 4 * second)
+        topo, got = schedule_verifier._open_report(instance, dims, periods)
+        schedule_verifier._run_stages(instance, topo, got, store)
+        want = verify_schedule(build_for_kind(kind, nbh, 4 * second), dims, periods)
+        assert (got.ok, got.codes()) == (want.ok, want.codes())
+
+
+# ----------------------------------------------------------------------
 # where the seconds went
 # ----------------------------------------------------------------------
 class TestStageSeconds:
     def test_store_splits_both_paths_by_stage(self):
+        """Full, shape-inherited (m = 20 after 12 on (3,3,3): one shape,
+        another plan) and plan-inherited (m = 16 after 8)."""
         store = CertificateStore()
-        for m in (8, 24, 40):
+        nbh = moore_neighborhood(3, 1, include_self=False)
+        for m in (8, 16, 12, 20):
             report = certify_schedule(
-                build_for_kind("allgather", NBH9, m), (4, 4), inherit=store
+                build_for_kind("allgather", nbh, m), (3, 3, 3), inherit=store
             )
             assert set(report.stage_seconds) == set(STAGES)
         info = store.info()
-        for path in (info.full_seconds, info.inherited_seconds):
+        assert (info.full, info.inherited.shape, info.inherited.plan) == (2, 1, 1)
+        inherited = info.inherited
+        for path in (info.full_seconds, inherited.shape_seconds):
             parts = path.by_stage()
             assert list(parts) == list(STAGES)
             assert all(seconds > 0 for seconds in parts.values())
             assert path == pytest.approx(sum(parts.values()))
             assert path.lowering == parts["lowering"]
+        # a plan digest on file: one lowering and the look-up, no stage
+        plan = inherited.plan_seconds
+        assert plan.lowering > 0 and plan.shape > 0
+        assert plan.kernels == plan.effects == 0
+        assert info.inherited_seconds == pytest.approx(
+            inherited.shape_seconds + plan
+        )
         # the shape stage is what inheriting saves
         assert info.full_seconds.shape > 5 * info.inherited_seconds.shape
         store.clear()
@@ -317,11 +354,17 @@ class TestStageSeconds:
     def test_cli_prints_the_split(self, capsys, monkeypatch):
         from repro.analyze import __main__ as cli
 
-        row = schedule_verifier.SweepRow(
-            "9-point", "alltoall", (4, 4),
-            verify_schedule(build_for_kind("alltoall", NBH9), (4, 4)), 0.5, 2.0,
-        )
-        monkeypatch.setattr(cli, "sweep_stencils", lambda: [row])
+        rows = []
+
+        def sweep(*, block_bytes=4, inherit=None):
+            schedule = build_for_kind("alltoall", NBH9, block_bytes)
+            report = certify_schedule(schedule, (4, 4), inherit=inherit)
+            rows.append(schedule_verifier.SweepRow(
+                "9-point", "alltoall", (4, 4), report, 0.5, 2.0
+            ))
+            return rows[-1:]
+
+        monkeypatch.setattr(cli, "sweep_stencils", sweep)
         assert cli.main(["verify", "--all-stencils"]) == 0
         table = capsys.readouterr().out.splitlines()
         header = next(line for line in table if line.startswith("kind"))
@@ -329,5 +372,15 @@ class TestStageSeconds:
         line = next(line for line in table if line.startswith("alltoall "))
         split = [float(x) for x in line.split()[-4:]]
         assert split == [
-            pytest.approx(row.report.stage_seconds[s], abs=1e-3) for s in STAGES
+            pytest.approx(rows[0].report.stage_seconds[s], abs=1e-3)
+            for s in STAGES
         ]
+        # the 12-byte pass inherits the 4-byte one's plan
+        header = next(line for line in table if line.startswith("path"))
+        assert header.split()[-4:] == list(STAGES)
+        counts = {
+            line.split()[0]: int(line.split()[1])
+            for line in table
+            if line.split()[0] in ("full", "shape", "plan")
+        }
+        assert counts == {"full": 1, "shape": 0, "plan": 1}

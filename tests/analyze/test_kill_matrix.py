@@ -40,6 +40,7 @@ import pytest
 
 from repro.analyze import mutations
 from repro.analyze import schedule_verifier as sv
+from repro.analyze.certificates import CertificateStore
 from repro.analyze.effects import check_batched_peers, run_effect_checks
 from repro.analyze.report import CODES, ScheduleValidationError, VerificationReport
 from repro.core.alltoall_schedule import build_trivial_alltoall_blocksets
@@ -849,6 +850,20 @@ def _judge(
 
 
 @lru_cache(maxsize=None)
+def plan_mutants() -> dict[str, tuple[str, Schedule, CartTopology, BatchedPlan]]:
+    """Every plan mutant: its defect, schedule, topology and corrupted plan."""
+    out = {}
+    for name, (defect, dims, corrupt) in HALO_PLAN_ROWS.items():
+        schedule = Case("direct-alltoall", NBH9, halo=True).build()
+        topo = CartTopology(dims)
+        out[name] = (defect, schedule, topo, corrupt(sv._lower(schedule, topo)))
+    fx_topo = CartTopology(mutations._DIMS, mutations._PERIODS)
+    for name, (expect, schedule, plan) in _harness_plans().items():
+        out[name] = ("benign" if name in BENIGN else expect, schedule, fx_topo, plan)
+    return out
+
+
+@lru_cache(maxsize=None)
 def kill_matrix() -> tuple[Row, ...]:
     """Every mutant, judged whole and by every check alone."""
     rows = []
@@ -866,16 +881,9 @@ def kill_matrix() -> tuple[Row, ...]:
         del OPS[_NON_COMMUTATIVE]
     # a corrupted plan's rank views are its own, not memoized ones of
     # the plan it was copied from
-    for name, (defect, dims, corrupt) in HALO_PLAN_ROWS.items():
-        schedule = Case("direct-alltoall", NBH9, halo=True).build()
-        topo = CartTopology(dims)
-        plan = _put(corrupt(sv._lower(schedule, topo)), _views={})
-        rows.append(_judge(name, defect, schedule, topo, plan, ()))
-    fx_topo = CartTopology(mutations._DIMS, mutations._PERIODS)
-    for name, (expect, schedule, plan) in _harness_plans().items():
+    for name, (defect, schedule, topo, plan) in plan_mutants().items():
         plan = _put(plan, _views={})
-        defect = "benign" if name in BENIGN else expect
-        rows.append(_judge(name, defect, schedule, fx_topo, plan, ()))
+        rows.append(_judge(name, defect, schedule, topo, plan, ()))
     return tuple(rows)
 
 
@@ -935,6 +943,25 @@ def test_every_plan_mutant_is_killed_by_a_check():
     for row in kill_matrix():
         if row.name not in SCHEDULE_ROWS:
             assert row.kills, f"{row.name}: no check kills it alone"
+
+
+@pytest.mark.parametrize("name", sorted(plan_mutants()))
+def test_every_plan_mutant_is_killed_where_its_witness_is_on_file(
+    name, monkeypatch
+):
+    """The clean lowering of the mutant's schedule is certified through
+    a store first, so its shape and plan digest are on file; the
+    corrupted plan must still be refused, on whichever path its key
+    takes it."""
+    _, schedule, topo, plan = plan_mutants()[name]
+    store = CertificateStore()
+    sv.certify_schedule(copy.deepcopy(schedule), topo.dims, topo.periods, inherit=store)
+    assert store.info().entries == 1
+    monkeypatch.setattr(sv, "_lower", lambda *_: _put(plan, _views={}))
+    with pytest.raises(ScheduleValidationError):
+        sv.certify_schedule(
+            copy.deepcopy(schedule), topo.dims, topo.periods, inherit=store
+        )
 
 
 def test_every_harness_mutant_is_still_killed():
