@@ -4,8 +4,9 @@ This subpackage provides the message-passing substrate the paper's library
 is built on.  The real library sits on top of MPI; no MPI implementation is
 available here, so this is a from-scratch, faithful-in-semantics runtime:
 
-* :mod:`repro.mpisim.engine` — spawns one OS thread per rank and gives each
-  a :class:`~repro.mpisim.comm.Communicator`.
+* :mod:`repro.mpisim.engine` — runs each rank on a parked OS thread (one
+  per rank index, shared by every job; :func:`pool_info` counts them)
+  and gives each a :class:`~repro.mpisim.comm.Communicator`.
 * :mod:`repro.mpisim.mailbox` — per-rank mailboxes with MPI message
   matching: ``(source, tag, communicator)`` triples, wildcard source/tag,
   and the non-overtaking guarantee for identical envelopes.
@@ -31,7 +32,7 @@ from repro.mpisim.exceptions import (
     RankState,
     RecvTimeoutError,
 )
-from repro.mpisim.engine import Engine
+from repro.mpisim.engine import Engine, PoolInfo, pool_info
 from repro.mpisim.comm import Communicator, ANY_SOURCE, ANY_TAG
 from repro.mpisim.mailbox import WaitPolicy
 from repro.mpisim.request import Request, waitall
@@ -67,6 +68,8 @@ __all__ = [
     "RankState",
     "RecvTimeoutError",
     "Engine",
+    "PoolInfo",
+    "pool_info",
     "Communicator",
     "ANY_SOURCE",
     "ANY_TAG",

@@ -1,8 +1,11 @@
-"""The process engine: one thread per MPI rank.
+"""The process engine: one thread per MPI rank, parked between jobs.
 
-``Engine.run(fn)`` spawns ``nranks`` threads, hands each a
-:class:`~repro.mpisim.comm.Communicator` bound to its rank, and collects
-the per-rank return values.  Semantics mirrored from MPI:
+``Engine.run(fn)`` wakes one parked thread ``mpisim-rank-{r}`` per rank
+(spawning one only where none is idle), hands each a
+:class:`~repro.mpisim.comm.Communicator` bound to its rank, and waits
+for the job on one latch.  A job runs in a fresh :mod:`contextvars`
+context and a thread parks holding nothing of it, as if it were new
+(:func:`pool_info` counts them).  Semantics mirrored from MPI:
 
 * ranks communicate only through the engine — its mailboxes, and the
   per-communicator rendezvous at which all ranks meet by reference —
@@ -15,7 +18,8 @@ the per-rank return values.  Semantics mirrored from MPI:
 * a global timeout converts silent deadlock into a
   :class:`~repro.mpisim.exceptions.DeadlockError` naming the stuck ranks
   and, via per-rank :class:`~repro.mpisim.exceptions.RankState`, what
-  each was doing (operation, phase, round, in-flight receives).
+  each was doing (operation, phase, round, in-flight receives); a rank
+  still running :data:`ABORT_GRACE` s after the abort is abandoned.
 
 The engine is the *correctness* substrate: with Python threads, rank
 interleavings are real (if GIL-serialized), so deadlock-freedom claims
@@ -29,8 +33,11 @@ Modeled *performance* comes from replaying recorded traces through
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.mpisim.faults import FaultPlan
@@ -45,6 +52,102 @@ from repro.mpisim.mailbox import DEFAULT_WAIT_POLICY, Mailbox, WaitPolicy
 from repro.mpisim.rendezvous import Rendezvous
 from repro.mpisim.trace import TraceRecorder
 
+#: seconds a deadlocked job's ranks get, all together, to unwind after
+#: the abort; a worker still running then is abandoned
+ABORT_GRACE = 5.0
+
+
+class PoolInfo(NamedTuple):
+    """Rank workers: threads ever spawned, jobs taken by a parked one,
+    ones abandoned at a deadlock, and ones parked / running now."""
+
+    spawned: int
+    reused: int
+    abandoned: int
+    idle: int
+    busy: int
+
+
+class _Job:
+    """One ``Engine.run``: its ranks still running, and a latch on them."""
+
+    def __init__(self, nranks: int):
+        self.pending = set(range(nranks))
+        self.lock, self.done = threading.Lock(), threading.Lock()
+        self.done.acquire()
+
+    def finish(self, rank: int) -> None:
+        with self.lock:
+            self.pending.discard(rank)
+            if not self.pending:
+                self.done.release()
+
+    def wait(self, timeout: float) -> tuple[int, ...]:
+        """Wait up to ``timeout`` seconds; return the ranks still running."""
+        self.done.acquire(timeout=max(timeout, 0.0))
+        with self.lock:
+            return tuple(sorted(self.pending))
+
+
+class _Pool:
+    """Rank threads known by their job queues: at most one idle per rank
+    index, and a busy one is in no list, so no job reaches it."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Condition(threading.Lock())  # notified at busy == 0
+        self.idle: dict[int, queue.SimpleQueue] = {}
+        self.spawned = self.reused = self.abandoned = self.busy = 0
+
+    def start(self, runner: Callable[[int], None], job: _Job, nranks: int) -> None:
+        """Hand ``runner(r)`` to the idle worker of each index ``r``,
+        spawning one where there is none."""
+        with self.lock:
+            workers = [self.idle.pop(r, None) for r in range(nranks)]
+            fresh = workers.count(None)
+            self.spawned += fresh
+            self.reused += nranks - fresh
+            self.busy += nranks
+        for r, jobs in enumerate(workers):
+            if jobs is None:
+                jobs = queue.SimpleQueue()
+                threading.Thread(
+                    target=self._serve, args=(jobs, r),
+                    name=f"mpisim-rank-{r}", daemon=True,
+                ).start()
+            jobs.put((runner, job))
+
+    def _serve(self, jobs: queue.SimpleQueue, rank: int) -> None:
+        parked = True
+        while parked:
+            runner, job = jobs.get()
+            # a fresh context per job, as a new thread would start with
+            contextvars.Context().run(runner, rank)
+            runner = None  # park holding nothing of the job
+            # park before the latch counts this rank, so that the
+            # caller's next job finds this worker idle
+            with self.lock:
+                self.busy -= 1
+                parked = self.idle.setdefault(rank, jobs) is jobs
+                if not self.busy:
+                    self.lock.notify_all()
+            job.finish(rank)
+
+
+_POOL = _Pool()
+# a forked child has none of its parent's threads
+os.register_at_fork(after_in_child=_POOL.__init__)
+
+
+def pool_info(*, wait: float = 0.0) -> PoolInfo:
+    """Counters of the rank workers every :class:`Engine` shares, read
+    once none is busy or ``wait`` seconds have passed."""
+    with _POOL.lock:
+        _POOL.lock.wait_for(lambda: not _POOL.busy, timeout=wait)
+        return PoolInfo(
+            _POOL.spawned, _POOL.reused, _POOL.abandoned,
+            len(_POOL.idle), _POOL.busy,
+        )
+
 
 class Engine:
     """Runtime shared by all ranks of one virtual MPI job.
@@ -52,7 +155,7 @@ class Engine:
     Parameters
     ----------
     nranks:
-        number of MPI processes (threads) to run.
+        number of MPI processes (rank threads) to run.
     timeout:
         wall-clock seconds after which a run is declared deadlocked.
     tracing:
@@ -159,34 +262,25 @@ class Engine:
                     self._errors.append((rank, exc))
                 self.abort()
 
-        threads = [
-            threading.Thread(target=runner, args=(r,), name=f"mpisim-rank-{r}", daemon=True)
-            for r in range(self.nranks)
-        ]
-        for t in threads:
-            t.start()
-
-        import time
-
-        deadline = time.monotonic() + self.timeout
-        for r, t in enumerate(threads):
-            remaining = deadline - time.monotonic()
-            t.join(timeout=max(remaining, 0.0))
-            if t.is_alive():
-                # Declare deadlock: wake everyone and gather the stuck set
-                # *with* their in-flight state before they unwind.
-                stuck = tuple(
-                    i for i, th in enumerate(threads) if th.is_alive()
-                )
-                stuck_info = {i: self._stuck_state(i) for i in stuck}
-                self.abort()
-                for th in threads:
-                    th.join(timeout=5.0)
-                raise DeadlockError(
-                    self._deadlock_message(stuck, stuck_info),
-                    stuck_ranks=stuck,
-                    stuck_info=stuck_info,
-                )
+        job = _Job(self.nranks)
+        _POOL.start(runner, job, self.nranks)
+        stuck = job.wait(self.timeout)
+        if stuck:
+            # Declare deadlock: gather the stuck set *with* their
+            # in-flight state, then give them one window to unwind.
+            stuck_info = {i: self._stuck_state(i) for i in stuck}
+            self.abort()
+            abandoned = job.wait(ABORT_GRACE)
+            message = self._deadlock_message(stuck, stuck_info)
+            if abandoned:
+                with _POOL.lock:
+                    _POOL.abandoned += len(abandoned)
+                message += f"\n  abandoned {ABORT_GRACE:g}s after the abort: ranks {abandoned}"
+            raise DeadlockError(
+                message,
+                stuck_ranks=stuck,
+                stuck_info=stuck_info,
+            )
 
         if self._errors:
             self._errors.sort(key=lambda e: e[0])

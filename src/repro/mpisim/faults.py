@@ -58,6 +58,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
+from repro.mpisim.engine import pool_info
 from repro.mpisim.exceptions import FaultError, RankKilledError
 
 #: Fault kinds understood by :meth:`FaultPlan.sample`.
@@ -607,11 +608,12 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     )
     ok = sum(1 for c in results if c.outcome == "ok")
     clean = sum(1 for c in results if c.outcome == "clean-failure")
+    workers = pool_info(wait=1.0)  # 1 s for the last case's ranks to park
     print(
         f"chaos: {len(results)} cases, {ok} completed byte-correct, "
-        f"{clean} failed cleanly, 0 hangs, 0 corruptions"
+        f"{clean} failed cleanly, 0 hangs, 0 corruptions; {workers}"
     )
-    return 0
+    return 1 if workers.busy else 0  # a worker still busy is a leaked rank
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry
