@@ -21,20 +21,31 @@ Every app in :mod:`repro.apps` follows one contract:
   (``tobytes()`` identity, not approximate closeness) of every
   distributed result against the sequential oracle.
 
-Two drivers run an app, chosen from what the call shows.  The **rows
-driver** (``batched``, no ``engine``, one plan with a matrix form) runs
-on the calling thread: the exchange bound once on a communicator-less
+Two drivers run an app, chosen from what the call shows (``backend=None``
+reads ``$REPRO_BACKEND``).  The **rows driver** (``batched``, no
+``engine``, one plan with a matrix form) runs on the calling thread: the
+exchange bound once on a communicator-less
 :class:`~repro.core.cartcomm.CartComm`, every rank's state copied once
 into its row of the plan's staged block, an iteration the plan's
 execution in place on it and one step call on all ``p`` rows.  The
 **SPMD driver** (``threaded``, an ``engine``'s faults or trace) runs one
 rank thread per rank.  A ragged decomposition on ``batched`` is refused
 before any thread starts.
+
+An app holds what its runs share, derived once per instance from what
+construction fixed: the :class:`~repro.core.cartcomm.CommRecord` of
+``dims``, ``periods`` and ``nbh`` (so a repeat rows run's bind is a
+level-1 hit with its bounds verdict on file) and, for the grid apps,
+the decomposition's slabs.  A run re-derives only what is its own: the
+states, the bind and plan lookups, the staged block and the result.
+The SPMD driver lays out per job (:func:`~repro.core.api.run_cartesian`:
+that is where Section 2.2's isomorphism check meets).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -42,7 +53,7 @@ import numpy as np
 from repro.core import plan as plan_mod
 from repro.core.api import run_cartesian
 from repro.core.backend import batched, get_backend
-from repro.core.cartcomm import CartComm, lay_out
+from repro.core.cartcomm import CartComm, CommRecord, lay_out
 from repro.core.opstats import OpStats
 from repro.core.persistent import PersistentOp
 
@@ -134,15 +145,22 @@ class CartesianApp:
         raise NotImplementedError  # the global result and the aux arrays
 
     # -- the drivers ---------------------------------------------------
+    @cached_property
+    def _record(self) -> CommRecord:
+        """The layout of ``dims``, ``periods`` and ``nbh`` (fixed at
+        construction), laid out once: every rows run binds on it."""
+        return lay_out(self.dims, self.periods, self.nbh)
+
     def run(
         self,
         *,
-        backend: str = "threaded",
+        backend: Optional[str] = None,
         algorithm: str = "combining",
         engine: Optional[Any] = None,
     ) -> AppRun:
         """Run the problem distributed over ``dims`` ranks on ``backend``
-        (the module docstring says which driver runs)."""
+        (``None``: ``$REPRO_BACKEND``, else ``"threaded"``; the module
+        docstring says which driver runs)."""
         states = self._state()
         executor = get_backend(backend).name
         shapes = [{name: a.shape for name, a in s.items()} for s in states]
@@ -158,10 +176,10 @@ class CartesianApp:
         elif executor == "batched":
             stats, driver = self._run_rows(states, algorithm)
         if stats is None:
-            stats = self._run_spmd(states, backend, algorithm, engine)
+            stats = self._run_spmd(states, executor, algorithm, engine)
         output, aux = self._finish(states)
         return AppRun(
-            self.name, backend, algorithm, self.iterations, output, stats, aux, driver
+            self.name, executor, algorithm, self.iterations, output, stats, aux, driver
         )
 
     def _run_spmd(self, states, backend, algorithm, engine) -> OpStats:
@@ -185,7 +203,7 @@ class CartesianApp:
         """The rows driver, or ``None`` and why not.  It books what the
         SPMD ranks book: one lookup each, one execution each per step."""
         p, k = len(states), self.iterations
-        cart = CartComm(None, lay_out(self.dims, self.periods, self.nbh), backend="batched")
+        cart = CartComm(None, self._record, backend="batched")
         stats = cart.enable_stats()
         handle = self._exchange(cart, states[0], algorithm)
         try:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -17,11 +17,15 @@ class GridDecomposition:
 
     Dimension ``j`` of the grid is split into ``topo.dims[j]`` nearly
     equal contiguous pieces (the first ``remainder`` pieces one cell
-    longer), matching the usual MPI block distribution.
+    longer), matching the usual MPI block distribution.  Every rank's
+    slab is split once, at construction.
     """
 
     topo: CartTopology
     global_shape: tuple[int, ...]
+    #: per rank: its global-index slab and that slab's shape
+    _slices: tuple[tuple[slice, ...], ...] = field(init=False, repr=False, compare=False)
+    _shapes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.global_shape) != self.topo.ndim:
@@ -32,6 +36,15 @@ class GridDecomposition:
         if any(g <= 0 for g in self.global_shape):
             raise TopologyError(f"grid extents must be positive: {self.global_shape}")
         object.__setattr__(self, "global_shape", tuple(int(g) for g in self.global_shape))
+        bounds = [self._split(g, n) for g, n in zip(self.global_shape, self.topo.dims)]
+        slices = tuple(
+            tuple(slice(*b[c]) for b, c in zip(bounds, coords))
+            for coords in self.topo.all_coords()
+        )
+        object.__setattr__(self, "_slices", slices)
+        object.__setattr__(self, "_shapes", tuple(
+            tuple(s.stop - s.start for s in slab) for slab in slices
+        ))
 
     # ------------------------------------------------------------------
     def _split(self, extent: int, parts: int) -> list[tuple[int, int]]:
@@ -47,15 +60,12 @@ class GridDecomposition:
 
     def local_slices(self, rank: int) -> tuple[slice, ...]:
         """The global-index slab owned by ``rank``."""
-        coords = self.topo.coords(rank)
-        out = []
-        for c, extent, parts in zip(coords, self.global_shape, self.topo.dims):
-            lo, hi = self._split(extent, parts)[c]
-            out.append(slice(lo, hi))
-        return tuple(out)
+        self.topo.coords(rank)  # raises TopologyError out of range
+        return self._slices[rank]
 
     def local_shape(self, rank: int) -> tuple[int, ...]:
-        return tuple(s.stop - s.start for s in self.local_slices(rank))
+        self.topo.coords(rank)  # raises TopologyError out of range
+        return self._shapes[rank]
 
     def min_local_extent(self) -> int:
         """Smallest local extent across ranks and dimensions — halo depth
@@ -74,10 +84,7 @@ class GridDecomposition:
                 f"array shape {global_array.shape} != decomposition shape "
                 f"{self.global_shape}"
             )
-        return [
-            global_array[self.local_slices(r)].copy()
-            for r in range(self.topo.size)
-        ]
+        return [global_array[sl].copy() for sl in self._slices]
 
     def gather(self, locals_: Sequence[np.ndarray]) -> np.ndarray:
         """Reassemble per-rank local blocks into the global array."""
@@ -86,9 +93,7 @@ class GridDecomposition:
                 f"need {self.topo.size} local blocks, got {len(locals_)}"
             )
         out = np.empty(self.global_shape, dtype=np.asarray(locals_[0]).dtype)
-        for r, block in enumerate(locals_):
-            sl = self.local_slices(r)
-            expect = self.local_shape(r)
+        for r, (block, sl, expect) in enumerate(zip(locals_, self._slices, self._shapes)):
             if tuple(np.asarray(block).shape) != expect:
                 raise ValueError(
                     f"rank {r}: block shape {np.asarray(block).shape} != {expect}"

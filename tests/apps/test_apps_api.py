@@ -151,7 +151,7 @@ class TestHarness:
     def test_describe_names_the_leg(self):
         app = GameOfLife.glider((8, 8), (2, 2), 1)
         run = app.run(backend="lockstep", algorithm="trivial")
-        assert "life[trivial/lockstep]" in run.describe()
+        assert "life[trivial/batched]" in run.describe()  # the alias resolved
 
 
 class TestRegistry:
@@ -220,6 +220,16 @@ class TestDrivers:
             plan_mod.plan_cache_reset()
         app.check_against_oracle(run)
         assert run.driver == "rows: 6 ranks, one plan, round kernels"
+
+    @pytest.mark.parametrize("env, driver", [("batched", "rows:"), ("threaded", "spmd:")])
+    def test_run_without_backend_follows_repro_backend(self, env, driver, monkeypatch):
+        from repro.core.backend import BACKEND_ENV
+
+        monkeypatch.setenv(BACKEND_ENV, env)
+        app = GameOfLife.random((8, 8), (2, 2), 2, seed=6)
+        run = app.run()
+        app.check_against_oracle(run)
+        assert run.driver.startswith(driver) and run.backend == env
 
     def test_an_engine_runs_the_spmd_driver(self):
         from repro.mpisim.engine import Engine

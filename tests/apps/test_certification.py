@@ -27,6 +27,7 @@ from repro.apps import (
     WeightedStencil,
     registered_backends,
 )
+from repro.core.backend import get_backend
 from repro.stencil.kernels import heat_weights, jacobi_weights_9pt
 
 #: the two executors and the two aliases of ``batched``
@@ -54,7 +55,7 @@ def test_app_matches_oracle_bit_for_bit(name, algorithm, backend):
     app.check_against_oracle(run)
 
     s = run.stats
-    assert run.backend == backend and run.algorithm == algorithm
+    assert run.backend == get_backend(backend).name and run.algorithm == algorithm
     # one collective per rank per iteration
     assert s.total_calls == p * run.iterations
     # persistent init: one schedule-cache lookup per rank.  The

@@ -114,12 +114,23 @@ class TestOnePerProcess:
         cold_plans = CartComm.plan_cache_info()
         assert (cold_plans.misses, cold_plans.hits) == (1, 1)
 
-        # a second run — a new communicator, the process-wide caches
-        # warm: the first rank to bind takes the schedule from level 2
-        # into the communicator's level 1, where its 15 siblings find it
-        # (they used to count 15 more level-2 hits); the datatypes of
-        # this shape are on file; the plan layer sees the new handle's
-        # one lookup
+        # a second run of the same app binds on the record the first one
+        # laid out (once per app): a level-1 hit with its bounds verdict
+        # on file — no topology, no walk, no level-2 lookup; the plan
+        # layer sees the new handle's one lookup
+        run = app.run(backend="batched")
+        assert np.array_equal(run.output, app.sequential())
+        assert calls == {"regions": 16, "walks": 2 * 4, "topologies": 1}
+        info = schedule_cache.cache_info()
+        assert (info.misses, info.builds, info.hits) == (1, 1, cold_info.hits)
+        plans = CartComm.plan_cache_info()
+        assert (plans.misses, plans.hits) == (1, 2)
+
+        # a new app of the same problem — a new record, the process-wide
+        # caches warm: the first rank to bind takes the schedule from
+        # level 2 into the record's level 1, where its 15 siblings find
+        # it; the datatypes of this shape are on file
+        app = GameOfLife(_board((64, 64)), (4, 4), GENERATIONS)
         run = app.run(backend="batched")
         assert np.array_equal(run.output, app.sequential())
         assert calls == {"regions": 16, "walks": 2 * 2 * 4, "topologies": 2}
@@ -127,7 +138,7 @@ class TestOnePerProcess:
         assert (info.misses, info.builds) == (1, 1)
         assert info.hits == cold_info.hits + 1
         plans = CartComm.plan_cache_info()
-        assert (plans.misses, plans.hits) == (1, 2)
+        assert (plans.misses, plans.hits) == (1, 3)
 
         # per-rank accounting as before: every rank one look-up (a hit
         # is a hit at either level), every rank its own collectives

@@ -18,11 +18,27 @@ class TestDecomposition:
         assert [d.local_shape(r) for r in range(3)] == [(4,), (3,), (3,)]
 
     def test_slices_partition_grid(self):
-        d = GridDecomposition(CartTopology((2, 3)), (7, 11))
-        covered = np.zeros((7, 11), dtype=int)
-        for r in range(6):
-            covered[d.local_slices(r)] += 1
-        assert (covered == 1).all()
+        for dims, shape in [((2, 3), (7, 11)), ((4, 4), (65, 63)), ((3, 2), (65, 63))]:
+            topo = CartTopology(dims)
+            d = GridDecomposition(topo, shape)
+            covered = np.zeros(shape, dtype=int)
+            for r in range(topo.size):
+                covered[d.local_slices(r)] += 1
+                # the slabs held since construction are the ones split afresh
+                fresh = tuple(
+                    slice(*d._split(g, n)[c]) for g, n, c in zip(shape, dims, topo.coords(r))
+                )
+                assert d.local_slices(r) == fresh
+                assert d.local_shape(r) == tuple(s.stop - s.start for s in fresh)
+            assert (covered == 1).all()
+
+    def test_rank_out_of_range(self):
+        d = GridDecomposition(CartTopology((2, 2)), (8, 8))
+        for rank in (-1, 4):
+            with pytest.raises(TopologyError, match="out of range"):
+                d.local_slices(rank)
+            with pytest.raises(TopologyError, match="out of range"):
+                d.local_shape(rank)
 
     def test_min_local_extent(self):
         d = GridDecomposition(CartTopology((3, 2)), (10, 9))
