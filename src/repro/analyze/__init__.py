@@ -21,7 +21,6 @@ _LAZY = {
     "verify_effects": "repro.analyze.effects",
     "run_effect_checks": "repro.analyze.effects",
     "IntervalSet": "repro.analyze.intervals",
-    "run_mutations": "repro.analyze.mutations",
     "verify_on_build": "repro.analyze.config",
     "set_verify_on_build": "repro.analyze.config",
     "lint_paths": "repro.analyze.lint",

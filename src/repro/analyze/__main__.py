@@ -22,11 +22,6 @@
 
 ``python -m repro.analyze lint <paths...>``
     Run the custom concurrency/typing lint (rules L001-L009).
-
-``python -m repro.analyze mutations``
-    Run the mutation-adversary harness: corrupt real plans and sources
-    with ~20 seeded mutators and demand the analyzer kills every one
-    with its expected code.
 """
 
 from __future__ import annotations
@@ -149,12 +144,6 @@ def _cmd_effects(ns: argparse.Namespace) -> int:
     return _each_kind(ns, "effects", "--stencil NAME --dims DxD", verify_effects)
 
 
-def _cmd_mutations(ns: argparse.Namespace) -> int:
-    from repro.analyze.mutations import main as mutations_main
-
-    return mutations_main(verbose=ns.verbose)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analyze",
@@ -197,22 +186,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_lint = sub.add_parser("lint", help="run the custom lint (L001-L009)")
     p_lint.add_argument("paths", nargs="+", help="files or directories")
 
-    p_mut = sub.add_parser(
-        "mutations",
-        help="run the mutation-adversary harness over the analyzer",
-    )
-    p_mut.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print every mutator's reported codes",
-    )
-
     ns = parser.parse_args(argv)
     if ns.command == "verify":
         return _cmd_verify(ns)
     if ns.command == "effects":
         return _cmd_effects(ns)
-    if ns.command == "mutations":
-        return _cmd_mutations(ns)
     return lint_mod.main(ns.paths)
 
 

@@ -7,8 +7,9 @@ does); benchmarks leave it off so verification never lands in a timed
 region.
 
 The environment variable ``REPRO_VERIFY_SCHEDULES`` (``1``/``true``/
-``on`` vs ``0``/``false``/``off``) sets the initial state; it defaults
-to off so library users opt in explicitly.
+``yes``/``on`` vs ``0``/``false``/``no``/``off``, any case; empty is
+off) sets the initial state; it defaults to off so library users opt in
+explicitly, and any other value fails ``import repro``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,24 @@ from __future__ import annotations
 import os
 import threading
 
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
+_ENV = "REPRO_VERIFY_SCHEDULES"
+_TRUTHY = ("1", "true", "yes", "on")
+_FALSY = ("0", "false", "no", "off", "")
+
+
+def _from_environment() -> bool:
+    value = os.environ.get(_ENV, "0")
+    flag = value.strip().lower()
+    if flag not in _TRUTHY + _FALSY:
+        raise ValueError(
+            f"{_ENV}={value!r}: expected one of {'/'.join(_TRUTHY)} (on) "
+            f"or {'/'.join(_FALSY[:-1])} (off)"
+        )
+    return flag in _TRUTHY
+
 
 _lock = threading.Lock()
-_enabled = os.environ.get("REPRO_VERIFY_SCHEDULES", "0").strip().lower() in _TRUTHY
+_enabled = _from_environment()
 
 
 def verify_on_build() -> bool:

@@ -530,7 +530,8 @@ def check_batched_peers(bplan: BatchedPlan, report: VerificationReport) -> None:
     of every combine step list (the row half of V806).  Peers are a
     function of the topology and the rounds' offsets — the inputs are
     the same arrays at every block size — so the verifier runs this
-    with the shape stage, beside the rank views' peers (V502)."""
+    with the shape stage, after comparing the peers with translation
+    (V502, :func:`~repro.analyze.schedule_verifier._check_peers`)."""
     p = bplan.p
     for pi, phase in enumerate(bplan.phases):
         for ri, rnd in enumerate(phase):

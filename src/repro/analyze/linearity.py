@@ -800,7 +800,7 @@ def analyze_tree(path: Union[str, Path], tree: ast.Module) -> list[Finding]:
 
 
 def analyze_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Parse and analyze one source string (the mutation harness uses
-    this to lint corrupted copies of real modules)."""
+    """Parse and analyze one source string (the mutant registry's
+    source rows lint corrupted copies of real modules through it)."""
     tree = ast.parse(source, filename=path)
     return analyze_tree(path, tree)

@@ -26,10 +26,10 @@ else catches:
     reduction duals (V401–V403, V801);
 (d) **the declared buffers** — scratch and the recorded layouts —
     cover every block reference (V305);
-(e) **plan-lowering conformance** — the lowering's kernels, rank views
-    and copy program against the block sets and ``topo.translate``
-    (V501–V504), which guard the in-place and layout-free schedules no
-    definition can judge;
+(e) **plan-lowering conformance** — the lowering's kernels and copy
+    program against the block sets, its peer vectors against
+    translation at every rank (V501–V504), which guard the in-place and
+    layout-free schedules no definition can judge;
 (f) the byte-interval **effect pass** over the lowered plan
     (:mod:`repro.analyze.effects`, V70x) and the **reduction passes**
     (V802–V806).
@@ -365,19 +365,6 @@ def _check_buffer_bounds(schedule: Schedule, report: VerificationReport) -> None
 # ----------------------------------------------------------------------
 # check (e): plan-lowering conformance (V501-V504)
 # ----------------------------------------------------------------------
-#: rank views per torus whose peers are compared with translation
-#: (evenly spaced, both corners always included); full coverage up to
-#: this bound
-PLAN_SAMPLE_RANKS = 16
-
-
-def _sample_ranks(size: int) -> list[int]:
-    if size <= PLAN_SAMPLE_RANKS:
-        return list(range(size))
-    last = PLAN_SAMPLE_RANKS - 1
-    return [i * (size - 1) // last for i in range(PLAN_SAMPLE_RANKS)]
-
-
 def _plan_sizes(schedule: Schedule) -> dict[str, int]:
     """Synthesized buffer capacities for lowering: the max referenced end
     per named buffer, with the declared scratch requirement for temp —
@@ -672,51 +659,53 @@ def _check_plan_kernels(
     return plan
 
 
-def _check_rank_views(
+def _check_peers(
     schedule: Schedule,
     topo: CartTopology,
     plan: "BatchedPlan",
     report: VerificationReport,
 ) -> None:
-    """The rank-view half of lowering conformance, which no block size
-    can change: every sampled rank's row view must resolve exactly the
-    peers ``topo.translate`` gives (V502) and carry the plan's own
-    kernel objects for exactly the halves whose peer exists (V501).
-    With the kernel half clean this re-certifies Props. 3.1-3.3 for the
-    lowered form: structure, peers and per-round bytes are unchanged, so
-    the already-checked round counts and volumes carry over."""
-    for rank in _sample_ranks(topo.size):
-        view = plan.for_rank(rank)
-        for pi, (ph, plan_rounds) in enumerate(
-            zip(schedule.phases, plan.phases)
-        ):
-            for ri, (rnd, br) in enumerate(zip(ph.rounds, plan_rounds)):
-                pr = view.phases[pi][ri]
-                target = topo.translate(rank, rnd.offset)
-                source = topo.translate(
-                    rank, tuple(-o for o in rnd.recv_source_offset)
+    """Everything read off the plan's peer vectors, which no block size
+    can change.  Every round's ``sources`` and ``targets`` must be its
+    offsets translated at every rank, in one comparison over all p ranks
+    per round (V502); and the vectors must be a consistent, correctly
+    masked matching, with row masks to match
+    (:func:`~repro.analyze.effects.check_batched_peers`: V705, V706 and
+    the row half of V806).  Every rank view is read off these vectors,
+    so with the kernel half clean this re-certifies Props. 3.1-3.3 for
+    the lowered form: structure, peers and per-round bytes are
+    unchanged, so the already-checked round counts and volumes carry
+    over."""
+    from repro.analyze.effects import check_batched_peers
+    from repro.core.plan import translate_all
+
+    peers: dict[tuple[int, ...], np.ndarray] = {}
+
+    def resolve(offset: tuple[int, ...]) -> np.ndarray:
+        if offset not in peers:
+            peers[offset] = translate_all(topo, offset)
+        return peers[offset]
+
+    for pi, (ph, plan_rounds) in enumerate(zip(schedule.phases, plan.phases)):
+        for ri, (rnd, br) in enumerate(zip(ph.rounds, plan_rounds)):
+            sources, targets = np.asarray(br.sources), np.asarray(br.targets)
+            source = resolve(tuple(-o for o in rnd.recv_source_offset))
+            target = resolve(tuple(rnd.offset))
+            if sources.shape != source.shape or targets.shape != target.shape:
+                continue  # V705 names the shape
+            bad = np.flatnonzero((sources != source) | (targets != target))
+            if bad.size:
+                rank = int(bad[0])
+                report.add(
+                    "V502",
+                    f"plan resolves (source, target)=({sources[rank]}, "
+                    f"{targets[rank]}) at {bad.size} rank(s), translation "
+                    f"gives ({source[rank]}, {target[rank]}) (-1: none)",
+                    rank=rank,
+                    phase=pi,
+                    round_index=ri,
                 )
-                if (pr.source, pr.target) != (source, target):
-                    report.add(
-                        "V502",
-                        f"plan resolves (source, target)=({pr.source}, "
-                        f"{pr.target}), translation gives ({source}, "
-                        f"{target})",
-                        rank=rank,
-                        phase=pi,
-                        round_index=ri,
-                    )
-                elif pr.send is not (
-                    None if target is None else br.send
-                ) or pr.recv is not (None if source is None else br.recv):
-                    report.add(
-                        "V501",
-                        "rank view carries a block program for a missing "
-                        "peer (or drops one for a present peer)",
-                        rank=rank,
-                        phase=pi,
-                        round_index=ri,
-                    )
+    check_batched_peers(plan, report)
 
 
 # ----------------------------------------------------------------------
@@ -933,7 +922,7 @@ def _run_stages(
     The **shape stage** is every check that multiplying all byte extents
     of the schedule by one factor cannot change: the closed forms,
     matching and deadlock, the declared buffers, the reduction passes,
-    everything read off the peer vectors — the rank views' peers, the
+    everything read off the peer vectors — the peers at every rank, the
     batched permutation and masking, the combine row masks — and the
     sentinel execution of kernels built the way this plan's were, held
     to the collective's definition.  The **instance stage** is what the
@@ -947,7 +936,7 @@ def _run_stages(
     runs the instance stage only; a clean report in which nothing was
     skipped files what it ran.  The seconds of each stage are booked on
     ``report.stage_seconds`` (and, per path, on the store)."""
-    from repro.analyze.effects import check_batched_peers, run_effect_checks
+    from repro.analyze.effects import run_effect_checks
     from repro.analyze.intervals import PlanEffects
 
     seconds = dict.fromkeys(STAGES, 0.0)
@@ -996,8 +985,7 @@ def _run_stages(
         report.checks_run.append("plan-lowering")
         lap("kernels")
         if plan is not None and shape is None:
-            _check_rank_views(schedule, topo, plan, report)
-            check_batched_peers(plan, report)
+            _check_peers(schedule, topo, plan, report)
             _check_execution(schedule, topo, plan, report, definition=definition)
             lap("shape")
         run_effect_checks(schedule, topo, report, plan=plan, effects=effects)

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.analyze import config
 from repro.core import plan, schedule_cache
 from repro.core import reduce_schedule as rs
 from repro.core.backend import Backend, ThreadedBackend, get_backend
@@ -436,8 +437,6 @@ class CartComm:
         lowering a clean report judged is filed as the schedule's plan
         (:func:`repro.core.plan.adopt_certified`): the certified plan is
         the plan that runs, lowered once."""
-        from repro.analyze import config
-
         if not config.verify_on_build():
             return None
         from repro.analyze.certificates import GLOBAL_STORE

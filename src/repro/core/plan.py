@@ -138,9 +138,13 @@ class BufferPool:
 
     def __init__(self, max_retained_bytes: Optional[int] = None) -> None:
         if max_retained_bytes is None:
-            max_retained_bytes = int(
-                os.environ.get(_POOL_MAX_ENV, _DEFAULT_POOL_MAX)
-            )
+            value = os.environ.get(_POOL_MAX_ENV, str(_DEFAULT_POOL_MAX))
+            if not value.strip().isdecimal():
+                raise ValueError(
+                    f"{_POOL_MAX_ENV}={value!r}: expected a whole number "
+                    f"of bytes, e.g. {_DEFAULT_POOL_MAX} (0 retains none)"
+                )
+            max_retained_bytes = int(value)
         self.max_retained_bytes = max(0, max_retained_bytes)
         self._lock = threading.Lock()
         self._classes: dict[int, list[np.ndarray]] = {}

@@ -26,14 +26,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analyze import effects, mutations, schedule_verifier
+from repro.analyze import effects, schedule_verifier
 from repro.analyze.certificates import (
     DERIVED_FIELDS,
     CertificateStore,
     normal_form,
     plan_digest,
 )
-from repro.analyze.mutations import SCHEDULE_MUTANTS
 from repro.analyze.report import ScheduleValidationError
 from repro.analyze.schedule_verifier import (
     ALLTOALL_KINDS,
@@ -55,6 +54,7 @@ from repro.core.schedule import (
 )
 from repro.core.stencils import moore_neighborhood, named_stencil
 from repro.mpisim.datatypes import BlockRef, BlockSet
+from tests.analyze.mutants import SCHEDULE_MUTANTS, _replace_round
 
 NBH9 = named_stencil("9-point")
 TORUS = (4, 4)
@@ -663,7 +663,7 @@ class TestNothingHidesBehindACertificate:
         store = CertificateStore()
         certify(store, "reduce", 8)
         mutant = build_for_kind("reduce", NBH9, 24)
-        corrupt(mutant)
+        corrupt(mutant, schedule_verifier.CartTopology(TORUS))
         with pytest.raises(ScheduleValidationError) as caught:
             certify_schedule(mutant, TORUS, inherit=store)
         assert expect in caught.value.codes
@@ -747,7 +747,7 @@ class TestNothingHidesBehindACertificate:
             assert isinstance(buf, np.ndarray)
             recv = copy.copy(rnd.recv)
             recv._sel_ops = ((name, wire, np.roll(buf, 1), lane), *rest)
-            return mutations._replace_round(plan, 1, 0, recv=recv)
+            return _replace_round(plan, 1, 0, recv=recv)
 
         store = CertificateStore()
         corrupt_second_lowering(roll)

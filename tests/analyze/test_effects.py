@@ -3,8 +3,9 @@
 Positive direction: every compiled artifact of every sweep kind is
 effect-clean (the ``verify --all-stencils`` sweep in miniature).  Negative
 direction: hand-corrupted copies of *real* compiled kernels, copy
-programs and batched rounds trip exactly the expected code.  (The full 27-mutator adversary lives in
-``repro.analyze.mutations``; these are the direct unit-level probes.)
+programs and batched rounds trip exactly the expected code.  (The full
+mutant registry is ``tests/analyze/mutants.py``; these are the direct
+unit-level probes.)
 """
 
 import copy
@@ -338,7 +339,7 @@ class TestHazardVerdict:
         can run without the snapshot."""
         _sched, _topo, _sizes, plan = artifacts
         from repro.analyze.effects import check_batched_effects
-        from repro.analyze.mutations import _replace_round
+        from tests.analyze.mutants import _replace_round
 
         pi, ri = next(
             (pi, ri)

@@ -218,7 +218,7 @@ class TestCrossRoundSweep:
 
     def test_same_codes_and_messages_as_the_pairwise_form(self):
         """The two race mutants, message for message."""
-        from repro.analyze.mutations import _replace_round
+        from tests.analyze.mutants import _replace_round
 
         sched = build_for_kind("alltoall", NBH9, 4).prepare()
         plan = _lower(sched, CartTopology((4, 4)))

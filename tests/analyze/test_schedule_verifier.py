@@ -22,9 +22,7 @@ from repro.analyze.report import (
     Violation,
 )
 from repro.analyze.schedule_verifier import (
-    PLAN_SAMPLE_RANKS,
     SWEEP_KINDS,
-    _sample_ranks,
     build_for_kind,
     certify_schedule,
     paper_stencil_grid,
@@ -211,16 +209,6 @@ def test_delivery_table_must_follow_the_rounds():
         _, report = _open_report(sched, (4, 4), True)
         _check_plan_kernels(sched, report, mutated)
         assert report.codes() == {"V501"}
-
-
-def test_sampled_ranks_are_evenly_spaced_and_keep_both_corners():
-    for p in range(1, 601):
-        picked = _sample_ranks(p)
-        assert picked == sorted(set(picked))
-        assert len(picked) <= PLAN_SAMPLE_RANKS
-        assert picked[0] == 0 and picked[-1] == p - 1
-        gaps = [b - a for a, b in zip(picked, picked[1:])]
-        assert max(gaps, default=0) <= -(-p // (PLAN_SAMPLE_RANKS - 1))
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ Three families of randomized checks:
   the same round count and sends one block per routing-tree edge.
 
 * **Verifier soundness** — a drawn case corrupted by a drawn mutator of
-  the kill matrix (``tests/analyze/test_kill_matrix.py``): whatever the
+  the mutant registry (``tests/analyze/mutants.py``): whatever the
   static verifier certifies computes the collective's definition on
   the threaded and batched backends and on the walk.  The checks the
   kill matrix deleted rest on this.
@@ -80,7 +80,7 @@ from repro.core.trivial import (
 from repro.core.verify import verify_allgather, verify_alltoall
 from repro.mpisim.datatypes import BlockRef, BlockSet
 from repro.mpisim.exceptions import ScheduleError
-from tests.analyze.test_kill_matrix import SCHEDULE_MUTATORS
+from tests.analyze.mutants import SCHEDULE_MUTATORS
 from tests.conftest import with_deliveries
 
 # Grid shapes with at most 24 ranks: lockstep execution is O(p · V · m),

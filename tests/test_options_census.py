@@ -47,3 +47,34 @@ def test_environment_switches_are_the_documented_four():
     with open(os.path.join(ROOT, "README.md")) as fh:
         readme = set(NAME.findall(fh.read()))
     assert SWITCHES <= readme
+
+
+def _import_with(name, value):
+    """``import repro`` in a fresh interpreter with ``name=value``."""
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env[name] = value
+    return subprocess.run(
+        [sys.executable, "-c", "import repro"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_malformed_pool_bound_names_the_variable():
+    proc = _import_with("REPRO_BUFFER_POOL_MAX", "64M")
+    assert proc.returncode != 0
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "ValueError: REPRO_BUFFER_POOL_MAX='64M': expected a whole number "
+        "of bytes, e.g. 67108864 (0 retains none)"
+    )
+
+
+def test_malformed_verify_switch_names_the_variable():
+    proc = _import_with("REPRO_VERIFY_SCHEDULES", "ture")
+    assert proc.returncode != 0
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "ValueError: REPRO_VERIFY_SCHEDULES='ture': expected one of "
+        "1/true/yes/on (on) or 0/false/no/off (off)"
+    )
