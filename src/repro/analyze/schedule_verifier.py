@@ -401,13 +401,14 @@ def _lower(
 ) -> "BatchedPlan | ScheduleError":
     """The one lowering of a verification, at synthesized buffer sizes
     and outside the schedule's plan cache (inspecting a schedule leaves
-    nothing on it).  A refusal is returned, not raised: the kernel check
-    reports it as V501 in its place in the report."""
-    from repro.core.plan import compile_batched_plan
+    nothing on it; a class template's instance's scaled as it runs).  A
+    refusal is returned, not raised: the kernel check reports it as V501
+    in its place in the report."""
+    from repro.core.plan import lower
 
     schedule.prepare()
     try:
-        plan = compile_batched_plan(schedule, topo, _plan_sizes(schedule))
+        plan = lower(schedule, topo, _plan_sizes(schedule))
         # an in-place plan's round programs are judged with it (and run
         # with it, where the build hook hands the plan on): they are
         # part of the lowering, not of whoever first asks for them

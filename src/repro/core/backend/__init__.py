@@ -46,6 +46,11 @@ BACKENDS: dict[str, Backend] = {
 #: entry that runs their work now.
 ALIASES = {"lockstep": "batched", "shm": "batched"}
 
+# an unknown name fails at import, not in a rank's first collective
+if (os.environ.get(BACKEND_ENV) or "threaded") not in {*BACKENDS, *ALIASES}:
+    raise ValueError(f"{BACKEND_ENV}={os.environ[BACKEND_ENV]!r}: expected one of "
+                     f"{', '.join(sorted(BACKENDS))} (or an alias: {', '.join(sorted(ALIASES))})")
+
 
 def get_backend(spec: str | Backend | None = None) -> Backend:
     """Resolve a backend: an instance passes through, a name (or an

@@ -235,7 +235,7 @@ class CartComm:
     @staticmethod
     def schedule_cache_info() -> schedule_cache.CacheInfo:
         """Counters of the process-wide schedule cache (hits, misses,
-        builds, cumulative build time, size, bound)."""
+        builds, cumulative build time, size, bound, instantiations)."""
         return schedule_cache.cache_info()
 
     @staticmethod
@@ -245,8 +245,8 @@ class CartComm:
 
     @staticmethod
     def plan_cache_info() -> plan.PlanCacheInfo:
-        """Process-wide execution-plan counters (hits, compiles,
-        cumulative compile time); see :mod:`repro.core.plan`."""
+        """Process-wide execution-plan counters (hits, compiles and
+        their time, instantiations); see :mod:`repro.core.plan`."""
         return plan.plan_cache_info()
 
     @staticmethod
@@ -398,7 +398,9 @@ class CartComm:
             )
         return algorithm
 
-    def _cached(self, key: tuple, kind: str, make) -> Schedule:
+    def _cached(
+        self, key: tuple, kind: str, make, template: Optional[tuple] = None
+    ) -> Schedule:
         """Two-level schedule lookup.
 
         Level 1 is the communicator's dictionary (:class:`CommRecord`,
@@ -409,7 +411,8 @@ class CartComm:
         communicators with the same layout.
 
         ``make()`` is called only on a level-1 miss and returns
-        ``(layout_signature, build_callable)``.
+        ``(layout_signature, build_callable)``.  A regular collective
+        names its ``template`` class (:mod:`repro.core.schedule_cache`).
         """
         level1 = self.record.schedules
         sched = level1.get(key)
@@ -420,7 +423,7 @@ class CartComm:
                 kind, self.nbh, layout_sig, self.dims, self.periods
             )
             sched, hit, build_seconds = schedule_cache.get_or_build(
-                gkey, build, self._build_verifier()
+                gkey, build, self._build_verifier(), template
             )
             level1[key] = sched
         if self.stats is not None:
@@ -486,7 +489,8 @@ class CartComm:
             )
 
         return self._cached(
-            (_REGULAR_KEY[op], algorithm, m_bytes), f"{op}/{algorithm}", make
+            (_REGULAR_KEY[op], algorithm, m_bytes), f"{op}/{algorithm}", make,
+            (("uniform", send_t, t), m_bytes),
         )
 
     def _bind_layout(
@@ -748,7 +752,7 @@ class CartComm:
                 self.nbh, m_bytes=m_bytes, dtype=dtype, op=op
             )
 
-        sched = self._cached((kind, sig), kind, make)
+        sched = self._cached((kind, sig), kind, make, (sig[1:], m_bytes))
         return BoundOp(name, sched, {"send": sendbuf, "recv": recvbuf})
 
     def _bind_reduce(self, sendbuf, recvbuf, op="sum", algorithm="auto") -> BoundOp:

@@ -1,71 +1,51 @@
 """Schedule lowering: the rank-free execution plan and the buffer pool.
 
-Proposition 3.1 makes a schedule pure, rank-independent data — which is
-what lets one object serve every rank — but executing it still paid
-per-call Python costs: ``topo.translate`` per round, a Python loop over
-coalesced runs per pack/unpack, and fresh temp/wire allocations per
-invocation.  This module *lowers* a prepared
+Proposition 3.1 makes a schedule pure, rank-independent data, so one
+lowering serves every rank.  This module lowers a prepared
 :class:`~repro.core.schedule.Schedule` once, for all ranks of a
-topology, into an immutable :class:`BatchedPlan` in which all of that
-is precomputed:
+topology, into an immutable :class:`BatchedPlan`:
 
-* **peer ranks** — every round's sources and targets are resolved once
-  for the whole mesh as ``(p,)`` arrays (:func:`translate_all`), ``-1``
-  where a peer falls off a non-periodic mesh edge;
-* **gather/scatter programs** — each round's block sets become
-  :class:`CompiledBlockSet` kernels, compiled exactly once because they
-  are the same for every rank: contiguous layouts degrade to a single
-  slice copy, fragmented ``v``/``w`` layouts become one numpy gather or
-  scatter over precomputed ``int64`` index arrays that count *lanes* —
-  the gcd of every offset, length and capacity of the group, so a
-  layout of whole 256-byte blocks moves one block per index, not one
-  byte or word — and layouts with few large runs keep a precomputed
-  slice loop (a handful of big ``memcpy``\\ s beats index gathering at
-  any lane);
-* **a fused local-copy program** — the final non-communication phase is
-  compiled the same way (:class:`CompiledCopyProgram`), falling back to
-  the schedule's sequential order whenever source and destination
-  regions could interact;
-* **combine steps with row masks** — reductions lower to per-step
-  kernels whose ``when_round`` gating and first-write-wins timing are
-  resolved into per-step rank-row sets;
-* **pooled scratch** — temp and wire buffers come from the process-wide
-  size-classed :class:`BufferPool` instead of ``np.empty`` per
-  execution.
+* **peer ranks** — every round's sources and targets as ``(p,)``
+  arrays (:func:`translate_all`), ``-1`` off a non-periodic mesh edge;
+* **gather/scatter programs** — each round's block sets as
+  :class:`CompiledBlockSet` kernels, compiled once (they are the same on
+  every rank): a slice for a contiguous layout, one numpy gather or
+  scatter over an ``int64`` index array counting *lanes* (the gcd of the
+  group's offsets, lengths and capacities, so whole 256-byte blocks move
+  one per index) for a fragmented one, a slice loop for few large runs;
+* **a fused local-copy program** (:class:`CompiledCopyProgram`), in the
+  schedule's order wherever source and destination could interact;
+* **combine steps with row masks** — ``when_round`` gating and
+  first-write-wins timing resolved into per-step rank-row sets;
+* **pooled scratch** from the process-wide size-classed
+  :class:`BufferPool`.
 
-The plan runs three ways.  :meth:`BatchedPlan.execute` drives all
-``p`` ranks at once over ``(p, nbytes)`` matrices — the batched
-backend's *staged* form: buffers stacked in, every round packed into a
-wire matrix and scattered out of it.  :meth:`BatchedPlan.deliver` is
-its *in-place* form: a round is one copy program
-(:func:`compile_copies` over the send and receive runs zipped into
-aligned segments) run from the sender's own arrays to the receiver's,
-with no matrix and no wire.  Which of the two a plan takes is decided
-here, once (:attr:`BatchedPlan.delivery`): in place iff no phase reads
-what it writes and a launched copy moves more than
-:data:`INDEX_RUN_LIMIT` bytes on average.
-:meth:`BatchedPlan.for_rank` is one rank's memoized *row view* of the
-same plan — a :class:`RankPlan` of ``(source, target, send, recv)``
-rounds read off row ``r`` of the peer arrays, sharing the plan's kernel
-objects — which is what the
-:class:`~repro.core.backend.interpreter.ScheduleInterpreter` consumes on
-the threaded backend and the per-rank walk.
+The plan runs three ways: :meth:`BatchedPlan.execute` over ``(p,
+nbytes)`` matrices (the batched backend's *staged* form, every round
+packed into a wire matrix), :meth:`BatchedPlan.deliver` from the
+sender's own arrays to the receiver's (the *in-place* form, chosen once
+at lowering: :attr:`BatchedPlan.delivery`), and one rank's memoized row
+view :meth:`BatchedPlan.for_rank` (a :class:`RankPlan`, sharing the
+kernels), which the interpreter of the threaded backend consumes.
 
-Plans are cached on the schedule object itself (``Schedule._plans``),
-one entry per ``(dims, periods, buffer signature)``, so they share the
-lifetime of the schedule-cache entry they belong to and are invalidated
-with it; compilation is single-flight (:func:`get_or_compile`).
+Plans are cached on the schedule object (``Schedule._plans``), one per
+``(dims, periods, buffer signature)``, invalidated with its cache entry;
+compilation is single-flight (:func:`get_or_compile`).  A class
+template's instance (:class:`~repro.core.schedule.Template`) at the
+regular sizes is not lowered but scaled from a real lowering of its
+class whose size decisions all agree (:func:`lower`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
 import time
 import weakref
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -392,19 +372,22 @@ class CompiledBlockSet:
     or a precomputed slice loop for few-large-run layouts.
     """
 
-    __slots__ = ("total_nbytes", "_sel_ops", "_run_ops")
+    __slots__ = ("total_nbytes", "_sel_ops", "_run_ops", "groups")
 
     def __init__(
         self,
         total_nbytes: int,
         sel_ops: Sequence[tuple[str, Selector, Selector, int]],
         run_ops: Sequence[tuple[str, int, int, int]],
+        groups: Sequence[tuple[int, int]] = (),
     ) -> None:
         self.total_nbytes = total_nbytes
         #: (buffer name, wire selector, buffer selector, lane)
         self._sel_ops = tuple(sel_ops)
         #: (buffer name, wire offset, buffer offset, nbytes)
         self._run_ops = tuple(run_ops)
+        #: (runs, nbytes) of each group :func:`_index_kernel` judged
+        self.groups = tuple(groups)
 
     # -- execution surface (BlockSet-compatible) -----------------------
     def pack_into(
@@ -507,8 +490,9 @@ def compile_blockset(
         pos += b.nbytes
     sel_ops: list[tuple[str, Selector, Selector, int]] = []
     run_ops: list[tuple[str, int, int, int]] = []
-    for name, triples in per_buffer.items():
-        if _index_kernel(len(triples), sum(t[2] for t in triples)):
+    groups = [(len(ts), sum(t[2] for t in ts)) for ts in per_buffer.values()]
+    for (name, triples), group in zip(per_buffer.items(), groups):
+        if _index_kernel(*group):
             cap = sizes[name]
             lane = _lane_of(cap, pos, *(x for t in triples for x in t))
             wire_sel = _selector([(w, n) for w, _, n in triples], lane, pos)
@@ -516,7 +500,7 @@ def compile_blockset(
             sel_ops.append((name, wire_sel, buf_sel, lane))
         else:
             run_ops.extend((name, w, o, n) for w, o, n in triples)
-    return CompiledBlockSet(pos, sel_ops, run_ops)
+    return CompiledBlockSet(pos, sel_ops, run_ops, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +521,7 @@ class CompiledCopyProgram:
     is kept verbatim, so lowering can never change observable results.
     """
 
-    __slots__ = ("nbytes", "fused", "_sel_ops", "_run_ops")
+    __slots__ = ("nbytes", "fused", "_sel_ops", "_run_ops", "groups")
 
     def __init__(
         self,
@@ -545,6 +529,7 @@ class CompiledCopyProgram:
         fused: bool,
         sel_ops: Sequence[tuple[str, str, Selector, Selector, int]],
         run_ops: Sequence[tuple[str, str, int, int, int]],
+        groups: Sequence[tuple[int, int]] = (),
     ) -> None:
         self.nbytes = nbytes
         self.fused = fused
@@ -552,6 +537,8 @@ class CompiledCopyProgram:
         self._sel_ops = tuple(sel_ops)
         #: (src buffer, dst buffer, src offset, dst offset, nbytes)
         self._run_ops = tuple(run_ops)
+        #: (runs, nbytes) of each group :func:`_index_kernel` judged
+        self.groups = tuple(groups)
 
     def run(
         self,
@@ -662,8 +649,9 @@ def compile_copies(
         groups.setdefault((lc.src.buffer, lc.dst.buffer), []).append(lc)
     sel_ops: list[tuple[str, str, Selector, Selector, int]] = []
     run_ops: list[tuple[str, str, int, int, int]] = []
-    for (src, dst), group in groups.items():
-        if _index_kernel(len(group), sum(lc.src.nbytes for lc in group)):
+    sums = [(len(g), sum(lc.src.nbytes for lc in g)) for g in groups.values()]
+    for ((src, dst), group), judged in zip(groups.items(), sums):
+        if _index_kernel(*judged):
             src_spans = [(lc.src.offset, lc.src.nbytes) for lc in group]
             dst_spans = [(lc.dst.offset, lc.dst.nbytes) for lc in group]
             lane = _lane_of(
@@ -678,7 +666,7 @@ def compile_copies(
                 (src, dst, lc.src.offset, lc.dst.offset, lc.src.nbytes)
                 for lc in group
             )
-    return CompiledCopyProgram(nbytes, True, sel_ops, run_ops)
+    return CompiledCopyProgram(nbytes, True, sel_ops, run_ops, sums)
 
 
 def _run_pairs(
@@ -1374,6 +1362,7 @@ class BatchedPlan:
         "written",
         "_index_nbytes",
         "compile_seconds",
+        "instantiated",
         "_views",
         "__weakref__",
     )
@@ -1432,11 +1421,7 @@ class BatchedPlan:
         #: the staged form's one pooled block: every buffer's ``(p,
         #: nbytes)`` matrix back to back (:meth:`matrices`), each at an
         #: 8-byte boundary so that every lane's word view stays aligned
-        self.offsets: dict[str, int] = {}
-        self.block_nbytes = 0
-        for name, nbytes in self.sizes.items():
-            self.offsets[name] = self.block_nbytes
-            self.block_nbytes += -(-p * nbytes // 8) * 8
+        self.offsets, self.block_nbytes = _block_layout(p, self.sizes)
         self._fused: Any = _UNLOWERED
         self.wire_bytes = wire_bytes
         #: per rank, the wire bytes it sends (rounds whose target is off
@@ -1473,6 +1458,8 @@ class BatchedPlan:
                 written.update(step[2] for step in comb.steps)
         self.written = frozenset(written)
         self.compile_seconds = compile_seconds
+        #: scaled from a real lowering of its class (:func:`lower`)
+        self.instantiated = False
         self._views: dict[int, RankPlan] = {}
 
     @property
@@ -1505,6 +1492,9 @@ class BatchedPlan:
         programs.)"""
         if self._fused is _UNLOWERED:
             self._fused = fuse_phases(self)
+        elif isinstance(self._fused, BatchedPlan):  # an instance's template
+            maps = self._fused.fused
+            self._fused = maps and FusedProgram(_lane_dtype(self.fused_lane), maps.steps)
         return self._fused
 
     @property
@@ -1540,7 +1530,7 @@ class BatchedPlan:
     def fused_if_lowered(self) -> Optional["FusedProgram"]:
         """:attr:`fused` where it has been lowered (``None`` where it has
         not, or cannot be): what a reader sees without lowering it."""
-        return None if self._fused is _UNLOWERED else self._fused
+        return self._fused if isinstance(self._fused, FusedProgram) else None
 
     @property
     def selector_nbytes(self) -> int:
@@ -1742,6 +1732,12 @@ class BatchedPlan:
 
 #: :attr:`BatchedPlan.fused` before it is first asked for
 _UNLOWERED = object()
+
+
+def _block_layout(p: int, sizes: Mapping[str, int]) -> tuple[dict[str, int], int]:
+    """(offset of each buffer's matrix, total bytes) of a staged block."""
+    ends = [0, *itertools.accumulate(-(-p * n // 8) * 8 for n in sizes.values())]
+    return dict(zip(sizes, ends)), ends[-1]
 
 #: A plan's data movement on the block of its staged form
 #: (:attr:`BatchedPlan.offsets`), seen as one flat array of ``dtype``
@@ -2026,6 +2022,117 @@ def compile_plan(
 
 
 # ---------------------------------------------------------------------------
+# instantiation: a plan scaled from a real lowering of its class
+# ---------------------------------------------------------------------------
+
+
+def _scaled_kernel(kernel: Any, num: int, den: int) -> Any:
+    """A :class:`CompiledBlockSet` or :class:`CompiledCopyProgram` with
+    its byte extents and lanes × ``num / den``: the same selectors."""
+    if kernel is None:
+        return None
+    sel = [(*op[:-1], op[-1] * num // den) for op in kernel._sel_ops]
+    run = [(*op[:-3], *(x * num // den for x in op[-3:])) for op in kernel._run_ops]
+    groups = [(runs, n * num // den) for runs, n in kernel.groups]
+    if isinstance(kernel, CompiledBlockSet):
+        return CompiledBlockSet(kernel.total_nbytes * num // den, sel, run, groups)
+    return CompiledCopyProgram(kernel.nbytes * num // den, kernel.fused, sel, run, groups)
+
+
+def _decisions(plan: BatchedPlan, num: int = 1, den: int = 1) -> tuple:
+    """What lowering ``plan``'s schedule with every extent × ``num / den``
+    decides of its kernels by the lowering's own predicates: per group an
+    index kernel or a slice loop (:func:`_index_kernel`), per selector op
+    its word class ``gcd(8, lane)``; delivery and fused maps apart."""
+    out: list[object] = [plan.delivery]
+    kernels = [k for phase in plan.phases for r in phase for k in (r.send, r.recv)]
+    kernels += [plan.copy_program, *(k for row in plan.deliveries or () for k in row)]
+    for k in filter(None, kernels):
+        out += [_index_kernel(runs, n * num // den) for runs, n in k.groups]
+        out += [math.gcd(8, op[-1] * num // den) for op in k._sel_ops]
+    return tuple(out)
+
+
+def _with(obj: Any, **slots: Any) -> Any:
+    """A shallow copy of a slotted plan object with ``slots`` replaced."""
+    new = object.__new__(type(obj))
+    for name in type(obj).__slots__:
+        if name != "__weakref__":
+            setattr(new, name, slots[name] if name in slots else getattr(obj, name))
+    return new
+
+
+def _instantiate(
+    schedule: "Schedule", plan: BatchedPlan, decided: tuple, num: int, den: int,
+    key: tuple, sizes: Mapping[str, int],
+) -> Optional[BatchedPlan]:
+    """``schedule``'s plan as ``plan`` (of its class, whose
+    :func:`_decisions` are ``decided``) with every extent × ``num / den``,
+    sharing its peer vectors, row masks, selectors and fused word maps —
+    ``None`` where a size decision of the lowering would differ."""
+    t0 = time.perf_counter()
+    why, segments = _choose_delivery(schedule, plan.phases, plan.hazards)
+    decisions = _decisions(plan, num, den)  # plan.delivery first, as decided
+    if plan.matrix_error is not None or decisions != decided or (
+        (segments is None) != (plan.delivery == "staged")
+    ):
+        return None
+    scale = partial(_scaled_kernel, num=num, den=den)
+    combines = [
+        comb and BatchedReduceRound(comb.token, comb.dtype, [
+            (sb, so * num // den, db, do * num // den, n * num // den, *rows)
+            for sb, so, db, do, n, *rows in comb.steps
+        ])
+        for comb in (plan.pre_program, *plan.combine_programs)
+    ]
+    new = _with(
+        plan, key=key, sizes=dict(sizes), temp_nbytes=plan.temp_nbytes * num // den,
+        phases=tuple(
+            tuple(_with(r, send=scale(r.send), recv=scale(r.recv)) for r in phase)
+            for phase in plan.phases
+        ),
+        copy_program=scale(plan.copy_program),
+        pre_program=combines[0], combine_programs=tuple(combines[1:]),
+        wire_bytes=plan.wire_bytes * num // den,
+        _rank_wire_bytes=plan._rank_wire_bytes * num // den,
+        delivery_reason=why, _segments=segments,
+        _deliveries=plan.deliveries and tuple(tuple(map(scale, r)) for r in plan.deliveries),
+        _fused=_UNLOWERED, _views={}, instantiated=True,
+    )
+    new.offsets, new.block_nbytes = _block_layout(plan.p, new.sizes)
+    lane, scaled = plan.fused_lane, new.fused_lane
+    if lane is not None or scaled is not None:
+        if (
+            lane is None or scaled is None or scaled * den != lane * num
+            or math.gcd(8, scaled) != math.gcd(8, lane)
+            or any(new.offsets[n] * den != o * num for n, o in plan.offsets.items())
+        ):
+            return None
+        new._fused = plan  # its maps, moving words of the scaled lane
+    new.compile_seconds = time.perf_counter() - t0
+    return new
+
+
+def lower(
+    schedule: "Schedule", topo: "CartTopology", sizes: Mapping[str, int]
+) -> BatchedPlan:
+    """The plan of ``schedule`` for ``topo`` at ``sizes``, uncached: a
+    class template's instance's at the regular sizes is scaled from a
+    real lowering of the class (:func:`_instantiate`) where one agrees,
+    any other is :func:`compile_batched_plan`'s."""
+    if schedule._template is not None:
+        template, m = schedule._template
+        key = _plan_key(topo, sizes)
+        for (where, decided), (m0, plan) in list(template.plans.items()):
+            want = {n: v * m // m0 for n, v in plan.sizes.items()}
+            if where == key[1:3] and want == sizes:
+                scaled = _instantiate(schedule, plan, decided, m, m0, key, sizes)
+                if scaled is not None:
+                    return scaled
+    return compile_batched_plan(schedule, topo, sizes)
+
+
+# ---------------------------------------------------------------------------
 # the per-schedule plan cache
 # ---------------------------------------------------------------------------
 
@@ -2042,6 +2149,7 @@ _hits = 0
 _misses = 0
 _compile_seconds = 0.0
 _walked = 0
+_instantiated = 0
 
 PlanCacheInfo = namedtuple(
     "PlanCacheInfo",
@@ -2053,6 +2161,7 @@ PlanCacheInfo = namedtuple(
         "in_place_plans",
         "fused_plans",
         "walked",
+        "instantiated",
     ],
 )
 
@@ -2084,7 +2193,7 @@ def get_or_compile(
     itself outside the lock, and a generation guard so a compile racing
     :func:`invalidate_plans` is returned to its caller but never cached
     (no resurrected entries, no leaked plans)."""
-    global _hits, _misses, _compile_seconds
+    global _hits
     if sizes is None:
         if buffers is None:
             raise ValueError("need buffers or sizes to key a plan")
@@ -2107,13 +2216,8 @@ def get_or_compile(
         # another thread is compiling this key: wait and re-check
         pending.wait()
     try:
-        compiled = compile_batched_plan(schedule, topo, sizes)
-        with _CACHE_LOCK:
-            _misses += 1
-            _compile_seconds += compiled.compile_seconds
-            if schedule._plans_generation == generation:
-                cache[key] = compiled
-                _CACHED.add(compiled)
+        compiled = lower(schedule, topo, sizes)
+        _file(schedule, compiled, generation)
         return compiled, False
     finally:
         with _CACHE_LOCK:
@@ -2127,29 +2231,38 @@ def adopt_certified(
     """Run ``certify`` — the ``verify_on_build`` hook on the freshly
     built ``schedule``; it raises on a defect and returns the lowering
     its clean report judged — and file that plan as
-    :func:`get_or_compile` files its own: under the plan's own key (the
-    key a run-time call computes iff the caller's buffers have the
-    sizes the verifier synthesized — every regular collective), under
-    the module lock, behind the generation guard (read before the
-    lowering, so an invalidation that raced it wins), booked as the one
-    miss and the ``compile_seconds`` it was.  What then executes is the
-    object that was certified; a caller with other sizes (a padded
-    ``alltoallw``) misses and compiles at its own."""
-    global _misses, _compile_seconds
+    :func:`get_or_compile` files its own (:func:`_file`, the generation
+    read before the lowering, so an invalidation that raced it wins).
+    What then executes is the object that was certified; a caller whose
+    sizes are not the verifier's (a padded ``alltoallw``) compiles its
+    own."""
     with _CACHE_LOCK:
         generation = schedule._plans_generation
     plan = certify()
-    if plan is None:
-        return
+    if plan is not None:
+        _file(schedule, plan, generation)
+
+
+def _file(schedule: "Schedule", plan: BatchedPlan, generation: int) -> None:
+    """Book ``plan`` (a real lowering is a miss and its seconds) and file
+    it on ``schedule`` behind the generation guard — and a real lowering
+    at the regular sizes with the schedule's class, one per set of size
+    decisions."""
+    global _misses, _compile_seconds, _instantiated
     with _CACHE_LOCK:
-        _misses += 1
-        _compile_seconds += plan.compile_seconds
-        if (
-            schedule._plans_generation == generation
-            and plan.key not in schedule._plans
-        ):
-            schedule._plans[plan.key] = plan
-            _CACHED.add(plan)
+        if plan.instantiated:
+            _instantiated += 1
+        else:
+            _misses += 1
+            _compile_seconds += plan.compile_seconds
+        if schedule._plans_generation != generation or plan.key in schedule._plans:
+            return
+        schedule._plans[plan.key] = plan
+        _CACHED.add(plan)
+    if schedule._template is not None and not plan.instantiated:
+        template, m = schedule._template
+        if plan.sizes == {n: v * m // template.m for n, v in template.sizes.items()}:
+            template.plans[plan.key[1:3], _decisions(plan)] = (m, plan)
 
 
 def record_walk() -> None:
@@ -2161,11 +2274,12 @@ def record_walk() -> None:
 
 
 def plan_cache_info() -> PlanCacheInfo:
-    """Process-wide plan-compilation counters (all schedules); of the
-    plans cached right now, the index-array bytes they hold, how many of
-    them the batched backend delivers in place and how many have their
-    fused maps lowered; and how many of its executions took the
-    per-rank walk instead of a matrix form."""
+    """Process-wide plan-compilation counters (all schedules: ``misses``
+    and ``compile_seconds`` real lowerings, ``instantiated`` plans scaled
+    from their class's); of the plans cached right now, the index-array
+    bytes they hold, how many the batched backend delivers in place and
+    how many have their fused maps lowered; and how many executions took
+    the per-rank walk instead of a matrix form."""
     with _CACHE_LOCK:
         cached = list(_CACHED)
         return PlanCacheInfo(
@@ -2180,14 +2294,16 @@ def plan_cache_info() -> PlanCacheInfo:
                 isinstance(plan._fused, FusedProgram) for plan in cached
             ),
             walked=_walked,
+            instantiated=_instantiated,
         )
 
 
 def plan_cache_reset() -> None:
     """Reset the process-wide plan counters (tests)."""
-    global _hits, _misses, _compile_seconds, _walked
+    global _hits, _misses, _compile_seconds, _walked, _instantiated
     with _CACHE_LOCK:
         _hits = 0
         _misses = 0
         _compile_seconds = 0.0
         _walked = 0
+        _instantiated = 0

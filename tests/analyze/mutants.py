@@ -51,8 +51,9 @@ import numpy as np
 
 from repro.analyze import schedule_verifier as sv
 from repro.analyze.effects import run_effect_checks
+from repro.analyze.lint import RULES
 from repro.analyze.linearity import analyze_source
-from repro.analyze.report import VerificationReport
+from repro.analyze.report import CODES, VerificationReport
 from repro.core.alltoall_schedule import build_trivial_alltoall_blocksets
 from repro.core.builders import SCHEDULE_BUILDERS
 from repro.core.neighborhood import Neighborhood
@@ -1239,9 +1240,20 @@ def unique_kills(rows=None) -> dict[str, list[str]]:
     return out
 
 
+def unique_codes(rows=None) -> dict[str, list[str]]:
+    """Per verifier code and lint rule, the mutants on which it is the
+    only code to fire — in the verdict or from any check alone."""
+    out: dict[str, list[str]] = {code: [] for code in sorted({*CODES, *RULES})}
+    for row in rows or kill_matrix():
+        fired = set(row.verdict).union(*row.kills.values())
+        if len(fired) == 1 and row.defect != "benign":
+            out[fired.pop()].append(row.name)
+    return out
+
+
 def render() -> str:
-    """The matrix at 4 B as a markdown table, and each check's unique
-    kills."""
+    """The matrix at 4 B as a markdown table, each check's unique kills
+    and each code's."""
     rows = kill_matrix()
     head = ["mutant", "defect", "expect", "verdict", "lowering", *KILLERS]
     lines = ["| " + " | ".join(head) + " |", "|" + "---|" * len(head)]
@@ -1258,6 +1270,9 @@ def render() -> str:
     lines.append("")
     for check, names in unique_kills(rows).items():
         lines.append(f"- `{check}` alone kills: {', '.join(names) or 'nothing'}")
+    lines += ["", "| code | the only code to fire on |", "|---|---|"]
+    for code, names in unique_codes(rows).items():
+        lines.append(f"| {code} | {', '.join(names) or '—'} |")
     return "\n".join(lines) + "\n"
 
 

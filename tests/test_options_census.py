@@ -78,3 +78,13 @@ def test_malformed_verify_switch_names_the_variable():
         "ValueError: REPRO_VERIFY_SCHEDULES='ture': expected one of "
         "1/true/yes/on (on) or 0/false/no/off (off)"
     )
+
+
+def test_unknown_backend_names_the_variable_and_the_backends():
+    proc = _import_with("REPRO_BACKEND", "bogus")
+    assert proc.returncode != 0
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "ValueError: REPRO_BACKEND='bogus': expected one of batched, "
+        "threaded (or an alias: lockstep, shm)"
+    )
+    assert _import_with("REPRO_BACKEND", "lockstep").returncode == 0
