@@ -47,7 +47,6 @@ DERIVED_FIELDS = {
     "Schedule._totals": "memo of prepare(), sums over rounds and local_copies",
     "Schedule._plans": "cache of lowerings, filled by repro.core.plan",
     "Schedule._plans_generation": "invalidation counter of that cache",
-    "Schedule._template": "where a copy came from (a class template); its content is encoded",
 }
 
 

@@ -24,9 +24,6 @@ V702  two rounds of one phase write overlapping buffer bytes
 V703  a round reads bytes a round of the same phase writes
 V704  a fused local-copy program has order-dependent (overlapping)
       effects — fusion was unsound
-V705  batched ``sources``/``targets`` are not an injective partial
-      matching of ranks
-V706  batched ``-1`` masking disagrees with the derived recv rows
 V708  an effect interval exceeds its buffer's capacity
 V709  a round reads bytes no earlier effect ever wrote (wire gaps,
       or scratch reads before the writing phase)
@@ -35,10 +32,11 @@ V806  a combine step list has order-dependent effects on some rank
       row masks that both copy and fold one rank)
 ====  ==============================================================
 
-Two families read no byte at all: V705/V706 and the row-mask half of
-V806 look only at peer vectors and the row masks derived from them
-(:func:`check_batched_peers`).  No block size can change those, so the
-verifier runs them with its shape stage and inherits them with it;
+One family reads no byte at all: the row-mask half of V806 looks only
+at the row masks derived from the peer vectors
+(:func:`check_batched_peers`; the vectors themselves are V502's).  No
+block size can change those, so the verifier runs it with its shape
+stage and inherits it with it;
 everything else here is byte-level and runs on every instance, on the
 one reading of the plan's ops the verification makes
 (:class:`~repro.analyze.intervals.PlanEffects`).
@@ -77,7 +75,6 @@ from repro.analyze.schedule_verifier import _open_report, _plan_sizes
 from repro.core.plan import (
     BatchedPlan,
     BatchedReduceRound,
-    BatchedRound,
     CompiledBlockSet,
     CompiledCopyProgram,
     compile_batched_plan,
@@ -398,144 +395,19 @@ def _judge_copy_program(
 
 
 # ---------------------------------------------------------------------------
-# batched lowering: peer permutation + masking
+# batched lowering: the combine row masks
 # ---------------------------------------------------------------------------
 
 
-def check_batched_round(
-    rnd: BatchedRound,
-    p: int,
-    report: VerificationReport,
-    *,
-    phase: Optional[int] = None,
-    round_index: Optional[int] = None,
-) -> None:
-    """V705/V706 over one batched round's peer vectors.
-
-    The valid (non ``-1``) entries of ``targets`` must form an injective
-    partial map whose inverse is exactly the valid part of ``sources``
-    — otherwise the single row permutation ``wire[recv_sources]``
-    delivers one rank's payload to two ranks, or the wrong one.  The
-    derived masking fields must agree with the mask they were derived
-    from, or the masked scatter writes the wrong rows."""
-    sources = np.asarray(rnd.sources)
-    targets = np.asarray(rnd.targets)
-    for label, vec in (("sources", sources), ("targets", targets)):
-        if vec.shape != (p,):
-            report.add(
-                "V705",
-                f"{label} has shape {vec.shape}, expected ({p},)",
-                phase=phase,
-                round_index=round_index,
-            )
-            return
-        valid = vec[vec >= 0]
-        if valid.size and int(valid.max()) >= p:
-            report.add(
-                "V706",
-                f"{label} names rank {int(valid.max())} outside 0..{p - 1}",
-                phase=phase,
-                round_index=round_index,
-            )
-            return
-        if np.unique(valid).size != valid.size:
-            report.add(
-                "V705",
-                f"{label} names one rank twice: the round's row "
-                f"permutation is not injective",
-                phase=phase,
-                round_index=round_index,
-            )
-    recv_dsts = np.nonzero(sources >= 0)[0]
-    bad = np.nonzero(targets[sources[recv_dsts]] != recv_dsts)[0]
-    if bad.size:
-        j = int(recv_dsts[bad[0]])
-        report.add(
-            "V705",
-            f"rank {j} reads wire row {int(sources[j])}, whose target "
-            f"is rank {int(targets[sources[j]])}, not {j}",
-            phase=phase,
-            round_index=round_index,
-        )
-    send_srcs = np.nonzero(targets >= 0)[0]
-    bad = np.nonzero(sources[targets[send_srcs]] != send_srcs)[0]
-    if bad.size:
-        i = int(send_srcs[bad[0]])
-        report.add(
-            "V705",
-            f"rank {i} sends to rank {int(targets[i])}, which reads "
-            f"wire row {int(sources[targets[i]])}, not {i}",
-            phase=phase,
-            round_index=round_index,
-        )
-    if rnd.recv is not None and recv_dsts.size and rnd.send is None:
-        report.add(
-            "V705",
-            "round delivers to ranks with valid sources but packs no "
-            "send kernel",
-            phase=phase,
-            round_index=round_index,
-        )
-    # -- derived masking fields ----------------------------------------
-    if rnd.senders != int((targets >= 0).sum()):
-        report.add(
-            "V706",
-            f"senders={rnd.senders} but {int((targets >= 0).sum())} "
-            f"rank(s) have a valid target",
-            phase=phase,
-            round_index=round_index,
-        )
-    if rnd.recv is None:
-        return
-    if rnd.recv_rows is None:
-        if recv_dsts.size != p:
-            report.add(
-                "V706",
-                "recv_rows is None (scatter to every row) but some "
-                "sources are -1",
-                phase=phase,
-                round_index=round_index,
-            )
-        if not np.array_equal(np.asarray(rnd.recv_sources), sources):
-            report.add(
-                "V706",
-                "recv_sources differs from sources despite unmasked "
-                "delivery",
-                phase=phase,
-                round_index=round_index,
-            )
-        return
-    if not np.array_equal(np.asarray(rnd.recv_rows), recv_dsts):
-        report.add(
-            "V706",
-            "recv_rows differs from the rows whose source is valid",
-            phase=phase,
-            round_index=round_index,
-        )
-        return
-    if not np.array_equal(
-        np.asarray(rnd.recv_sources), sources[recv_dsts]
-    ):
-        report.add(
-            "V706",
-            "recv_sources differs from sources[recv_rows]",
-            phase=phase,
-            round_index=round_index,
-        )
-
-
 def check_batched_peers(bplan: BatchedPlan, report: VerificationReport) -> None:
-    """Everything the effect system reads off the peer vectors alone:
-    every round's permutation and masking (V705/V706) and the row masks
-    of every combine step list (the row half of V806).  Peers are a
-    function of the topology and the rounds' offsets — the inputs are
+    """What the effect system reads off the peer vectors alone: the row
+    masks of every combine step list (the row half of V806).  Peers are
+    a function of the topology and the rounds' offsets — the inputs are
     the same arrays at every block size — so the verifier runs this
-    with the shape stage, after comparing the peers with translation
-    (V502, :func:`~repro.analyze.schedule_verifier._check_peers`)."""
+    with the shape stage, after comparing the peers and what is derived
+    from them with translation (V502,
+    :func:`~repro.analyze.schedule_verifier._check_peers`)."""
     p = bplan.p
-    for pi, phase in enumerate(bplan.phases):
-        for ri, rnd in enumerate(phase):
-            check_batched_round(rnd, p, report, phase=pi, round_index=ri)
     if bplan.pre_program is not None:
         check_combine_rows(bplan.pre_program, p, report)
     for pi, folds in enumerate(bplan.combine_programs):
@@ -705,7 +577,7 @@ def run_effect_checks(
     ``plan`` is the lowering to check and ``effects`` its reading (the
     verifier passes the ones it already certified, and has the peer
     vectors checked with the shape stage); without a plan the schedule
-    is lowered here and its peer vectors are checked too."""
+    is lowered here and its combine row masks are checked too."""
     if plan is not None:
         sizes = plan.sizes
     elif sizes is None:
@@ -749,7 +621,6 @@ __all__ = [
     "check_copy_program",
     "check_batched_combine",
     "check_combine_rows",
-    "check_batched_round",
     "check_batched_peers",
     "check_batched_effects",
     "run_effect_checks",

@@ -50,7 +50,7 @@ CODES: dict[str, str] = {
     "V404": "delivered content differs from the collective's definition",
     # --- plan-lowering conformance and the sentinel execution ---------
     "V501": "lowered plan changes the schedule's round structure",
-    "V502": "lowered plan peer ranks differ from topology translation",
+    "V502": "lowered plan peer vectors or their masks differ from translation",
     "V503": "compiled pack/unpack bytes differ from the block sets",
     "V504": "compiled local-copy program differs from the schedule's",
     "V506": "matrix execution differs from lockstep over the rank views",
@@ -63,8 +63,6 @@ CODES: dict[str, str] = {
     "V702": "two rounds of one compiled phase write overlapping bytes",
     "V703": "compiled round reads bytes a round of the same phase writes",
     "V704": "fused local-copy program has overlapping effect intervals",
-    "V705": "batched peer vectors are not an injective partial matching",
-    "V706": "batched -1 masking inconsistent with recv row selection",
     "V708": "compiled effect interval exceeds its buffer capacity",
     "V709": "compiled round reads bytes no earlier effect ever wrote",
     # --- reduce-schedule verification ---------------------------------
@@ -86,6 +84,8 @@ RETIRED: frozenset[str] = frozenset(
         "V303",  # two rounds of a phase write one region: V702
         "V304",  # hop-parity discipline: the definition, V404
         "V405",  # scratch forwarded unwritten: V709, the definition
+        "V705",  # batched peers not an injective matching: V502
+        "V706",  # batched -1 masking off the derived recv rows: V502
         "V707",  # shm segment overlap: the forked shm backend is gone
     }
 )

@@ -40,8 +40,8 @@ first defect.
 
 The checks form two stages (:func:`_run_stages`).  The *shape stage* is
 everything that multiplying all byte extents by one factor cannot
-change — what is read off the peer vectors (V502, V705/V706, the row
-masks of V806) included; the *instance stage* — that the lowering
+change — what is read off the peer vectors (V502, the row masks of
+V806) included; the *instance stage* — that the lowering
 exists, its kernels against the block sets (V501/V503/V504) and the
 byte-level effect pass (V70x) — is what the block size can change.
 :func:`verify_schedule` runs both; :func:`certify_schedule`, given a
@@ -70,6 +70,7 @@ from repro.analyze import match_graph
 from repro.analyze.certificates import (
     STAGES,
     CertificateStore,
+    NormalForm,
     normal_form,
     plan_digest,
 )
@@ -397,18 +398,19 @@ def _sentinel_buffers(
 
 
 def _lower(
-    schedule: Schedule, topo: CartTopology
+    schedule: Schedule, topo: CartTopology, *form: Optional[NormalForm]
 ) -> "BatchedPlan | ScheduleError":
     """The one lowering of a verification, at synthesized buffer sizes
     and outside the schedule's plan cache (inspecting a schedule leaves
-    nothing on it; a class template's instance's scaled as it runs).  A
-    refusal is returned, not raised: the kernel check reports it as V501
-    in its place in the report."""
+    nothing on it), keyed by the schedule's normal ``form`` where the
+    caller has it (:func:`repro.core.plan.lower`).  A refusal is
+    returned, not raised: the kernel check reports it as V501 in its
+    place in the report."""
     from repro.core.plan import lower
 
     schedule.prepare()
     try:
-        plan = lower(schedule, topo, _plan_sizes(schedule))
+        plan = lower(schedule, topo, _plan_sizes(schedule), *form)
         # an in-place plan's round programs are judged with it (and run
         # with it, where the build hook hands the plan on): they are
         # part of the lowering, not of whoever first asks for them
@@ -668,17 +670,17 @@ def _check_peers(
 ) -> None:
     """Everything read off the plan's peer vectors, which no block size
     can change.  Every round's ``sources`` and ``targets`` must be its
-    offsets translated at every rank, in one comparison over all p ranks
-    per round (V502); and the vectors must be a consistent, correctly
-    masked matching, with row masks to match
-    (:func:`~repro.analyze.effects.check_batched_peers`: V705, V706 and
-    the row half of V806).  Every rank view is read off these vectors,
-    so with the kernel half clean this re-certifies Props. 3.1-3.3 for
-    the lowered form: structure, peers and per-round bytes are
-    unchanged, so the already-checked round counts and volumes carry
-    over."""
+    offsets translated at every rank, and ``senders``, ``recv_rows`` and
+    ``recv_sources`` what the lowering derives from those, in one
+    comparison over all p ranks per round (V502); the combine row masks
+    are the row half of V806
+    (:func:`~repro.analyze.effects.check_batched_peers`).  Every rank
+    view is read off these vectors, so with the kernel half clean this
+    re-certifies Props. 3.1-3.3 for the lowered form: structure, peers
+    and per-round bytes are unchanged, so the already-checked round
+    counts and volumes carry over."""
     from repro.analyze.effects import check_batched_peers
-    from repro.core.plan import translate_all
+    from repro.core.plan import BatchedRound, translate_all
 
     peers: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -693,7 +695,14 @@ def _check_peers(
             source = resolve(tuple(-o for o in rnd.recv_source_offset))
             target = resolve(tuple(rnd.offset))
             if sources.shape != source.shape or targets.shape != target.shape:
-                continue  # V705 names the shape
+                report.add(
+                    "V502",
+                    f"peer vectors have shapes {sources.shape} and "
+                    f"{targets.shape}, expected {source.shape}",
+                    phase=pi,
+                    round_index=ri,
+                )
+                continue
             bad = np.flatnonzero((sources != source) | (targets != target))
             if bad.size:
                 rank = int(bad[0])
@@ -703,6 +712,19 @@ def _check_peers(
                     f"{targets[rank]}) at {bad.size} rank(s), translation "
                     f"gives ({source[rank]}, {target[rank]}) (-1: none)",
                     rank=rank,
+                    phase=pi,
+                    round_index=ri,
+                )
+            derived = BatchedRound(source, target, br.send, br.recv)
+            off = [
+                name
+                for name in ("senders", "recv_rows", "recv_sources")
+                if not np.array_equal(getattr(br, name), getattr(derived, name))
+            ]
+            if off:
+                report.add(
+                    "V502",
+                    f"{', '.join(off)} differ(s) from what translation derives",
                     phase=pi,
                     round_index=ri,
                 )
@@ -949,9 +971,10 @@ def _run_stages(
         seconds[stage] += now - last
         last = now
 
-    lowered = _lower(schedule, topo)
+    form = normal_form(schedule.prepare())
+    lap("shape")
+    lowered = _lower(schedule, topo, form)
     lap("lowering")
-    form = None if inherit is None else normal_form(schedule)
     key: Optional[tuple[object, ...]] = None
     digest: Optional[str] = None
     shape: Optional[Certificate] = None

@@ -235,7 +235,7 @@ class CartComm:
     @staticmethod
     def schedule_cache_info() -> schedule_cache.CacheInfo:
         """Counters of the process-wide schedule cache (hits, misses,
-        builds, cumulative build time, size, bound, instantiations)."""
+        builds, cumulative build time, size, bound): every miss builds."""
         return schedule_cache.cache_info()
 
     @staticmethod
@@ -245,8 +245,9 @@ class CartComm:
 
     @staticmethod
     def plan_cache_info() -> plan.PlanCacheInfo:
-        """Process-wide execution-plan counters (hits, compiles and
-        their time, instantiations); see :mod:`repro.core.plan`."""
+        """Process-wide execution-plan counters (hits, real lowerings and
+        their time, plans scaled from a lowering of their normal form's
+        class); see :mod:`repro.core.plan`."""
         return plan.plan_cache_info()
 
     @staticmethod
@@ -398,9 +399,7 @@ class CartComm:
             )
         return algorithm
 
-    def _cached(
-        self, key: tuple, kind: str, make, template: Optional[tuple] = None
-    ) -> Schedule:
+    def _cached(self, key: tuple, kind: str, make) -> Schedule:
         """Two-level schedule lookup.
 
         Level 1 is the communicator's dictionary (:class:`CommRecord`,
@@ -411,8 +410,7 @@ class CartComm:
         communicators with the same layout.
 
         ``make()`` is called only on a level-1 miss and returns
-        ``(layout_signature, build_callable)``.  A regular collective
-        names its ``template`` class (:mod:`repro.core.schedule_cache`).
+        ``(layout_signature, build_callable)``.
         """
         level1 = self.record.schedules
         sched = level1.get(key)
@@ -423,7 +421,7 @@ class CartComm:
                 kind, self.nbh, layout_sig, self.dims, self.periods
             )
             sched, hit, build_seconds = schedule_cache.get_or_build(
-                gkey, build, self._build_verifier(), template
+                gkey, build, self._build_verifier()
             )
             level1[key] = sched
         if self.stats is not None:
@@ -489,8 +487,7 @@ class CartComm:
             )
 
         return self._cached(
-            (_REGULAR_KEY[op], algorithm, m_bytes), f"{op}/{algorithm}", make,
-            (("uniform", send_t, t), m_bytes),
+            (_REGULAR_KEY[op], algorithm, m_bytes), f"{op}/{algorithm}", make
         )
 
     def _bind_layout(
@@ -752,7 +749,7 @@ class CartComm:
                 self.nbh, m_bytes=m_bytes, dtype=dtype, op=op
             )
 
-        sched = self._cached((kind, sig), kind, make, (sig[1:], m_bytes))
+        sched = self._cached((kind, sig), kind, make)
         return BoundOp(name, sched, {"send": sendbuf, "recv": recvbuf})
 
     def _bind_reduce(self, sendbuf, recvbuf, op="sum", algorithm="auto") -> BoundOp:

@@ -30,10 +30,13 @@ kernels), which the interpreter of the threaded backend consumes.
 
 Plans are cached on the schedule object (``Schedule._plans``), one per
 ``(dims, periods, buffer signature)``, invalidated with its cache entry;
-compilation is single-flight (:func:`get_or_compile`).  A class
-template's instance (:class:`~repro.core.schedule.Template`) at the
-regular sizes is not lowered but scaled from a real lowering of its
-class whose size decisions all agree (:func:`lower`).
+compilation is single-flight (:func:`get_or_compile`).  Every
+lowering (:func:`lower`) is keyed by the schedule's normal form — its
+extents in granules and a digest,
+:func:`repro.analyze.certificates.normal_form` — with the topology and
+the buffer sizes in granules: a plan filed under that key, and still
+filed on a live schedule, is scaled to this one's granule (Proposition
+3.1) where every size decision agrees, instead of lowered again.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ import os
 import threading
 import time
 import weakref
-from collections import namedtuple
-from functools import lru_cache, partial
+from collections import OrderedDict, namedtuple
+from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -64,6 +67,7 @@ from repro.mpisim.datatypes import BlockRef, byte_view
 from repro.mpisim.exceptions import ScheduleError, TruncationError, UnknownBufferError
 
 if TYPE_CHECKING:
+    from repro.analyze.certificates import NormalForm
     from repro.core.schedule import LocalCombine, Phase, Schedule
     from repro.core.topology import CartTopology
 
@@ -1363,6 +1367,7 @@ class BatchedPlan:
         "_index_nbytes",
         "compile_seconds",
         "instantiated",
+        "class_key",
         "_views",
         "__weakref__",
     )
@@ -1458,8 +1463,11 @@ class BatchedPlan:
                 written.update(step[2] for step in comb.steps)
         self.written = frozenset(written)
         self.compile_seconds = compile_seconds
-        #: scaled from a real lowering of its class (:func:`lower`)
+        #: scaled from a plan of its class (:func:`lower`), not lowered
         self.instantiated = False
+        #: ``(class key, granule)`` :func:`lower` keyed it by (``None``:
+        #: its schedule has no normal form, or it was lowered directly)
+        self.class_key: Optional[tuple[tuple, int]] = None
         self._views: dict[int, RankPlan] = {}
 
     @property
@@ -1492,7 +1500,7 @@ class BatchedPlan:
         programs.)"""
         if self._fused is _UNLOWERED:
             self._fused = fuse_phases(self)
-        elif isinstance(self._fused, BatchedPlan):  # an instance's template
+        elif isinstance(self._fused, BatchedPlan):  # the plan it was scaled from
             maps = self._fused.fused
             self._fused = maps and FusedProgram(_lane_dtype(self.fused_lane), maps.steps)
         return self._fused
@@ -1504,27 +1512,7 @@ class BatchedPlan:
         rank gets no contribution to, and maps over
         :data:`FUSED_INDEX_PER_BLOCK_BYTE` (a phase that writes a byte
         twice, which no size changes, is :attr:`fused`'s own refusal)."""
-        if self.reduce_missing.size or self.delivery == "in-place":
-            return None
-        prog = self.copy_program
-        moving = _moving(self)
-        programs = [k for phase in moving for r in phase for k in (r.send, r.recv)]
-        programs += [prog] if prog.fused else []
-        lane = _lane_of(
-            *self.sizes.values(),
-            *self.offsets.values(),
-            self.block_nbytes,
-            *(op[-1] for k in programs for op in k._sel_ops),
-            *(x for k in programs for op in k._run_ops for x in op[-3:]),
-        )
-        moved = self.p * prog.nbytes * prog.fused + sum(
-            (self.p if r.recv_rows is None else r.recv_rows.size) * r.wire_nbytes
-            for phase in moving
-            for r in phase
-        )
-        if 16 * moved > FUSED_INDEX_PER_BLOCK_BYTE * lane * self.block_nbytes:
-            return None
-        return lane
+        return _fused_lane(self, self.sizes)
 
     @property
     def fused_if_lowered(self) -> Optional["FusedProgram"]:
@@ -1738,6 +1726,36 @@ def _block_layout(p: int, sizes: Mapping[str, int]) -> tuple[dict[str, int], int
     """(offset of each buffer's matrix, total bytes) of a staged block."""
     ends = [0, *itertools.accumulate(-(-p * n // 8) * 8 for n in sizes.values())]
     return dict(zip(sizes, ends)), ends[-1]
+
+
+def _fused_lane(
+    plan: BatchedPlan, sizes: Mapping[str, int], num: int = 1, den: int = 1
+) -> Optional[int]:
+    """:attr:`BatchedPlan.fused_lane` of ``plan`` with every extent ×
+    ``num / den`` and buffers of ``sizes``: arithmetic, no kernel built."""
+    if plan.reduce_missing.size or plan.delivery == "in-place":
+        return None
+    prog = plan.copy_program
+    moving = _moving(plan)
+    programs = [k for phase in moving for r in phase for k in (r.send, r.recv)]
+    programs += [prog] if prog.fused else []
+    offsets, block_nbytes = _block_layout(plan.p, sizes)
+    lane = _lane_of(
+        *sizes.values(),
+        *offsets.values(),
+        block_nbytes,
+        *(op[-1] * num // den for k in programs for op in k._sel_ops),
+        *(x * num // den for k in programs for op in k._run_ops for x in op[-3:]),
+    )
+    moved = plan.p * prog.nbytes * prog.fused + sum(
+        (plan.p if r.recv_rows is None else r.recv_rows.size) * r.wire_nbytes
+        for phase in moving
+        for r in phase
+    )
+    if 16 * moved * num // den > FUSED_INDEX_PER_BLOCK_BYTE * lane * block_nbytes:
+        return None
+    return lane
+
 
 #: A plan's data movement on the block of its staged form
 #: (:attr:`BatchedPlan.offsets`), seen as one flat array of ``dtype``
@@ -2069,15 +2087,26 @@ def _instantiate(
     """``schedule``'s plan as ``plan`` (of its class, whose
     :func:`_decisions` are ``decided``) with every extent × ``num / den``,
     sharing its peer vectors, row masks, selectors and fused word maps —
-    ``None`` where a size decision of the lowering would differ."""
+    ``None`` where a size decision of the lowering would differ, which
+    is read off ``plan`` and ``schedule`` before anything is copied."""
     t0 = time.perf_counter()
-    why, segments = _choose_delivery(schedule, plan.phases, plan.hazards)
-    decisions = _decisions(plan, num, den)  # plan.delivery first, as decided
-    if plan.matrix_error is not None or decisions != decided or (
-        (segments is None) != (plan.delivery == "staged")
+    if plan.matrix_error is not None or _decisions(plan, num, den) != decided:
+        return None
+    offsets, block_nbytes = _block_layout(plan.p, sizes)
+    lane, scaled = plan.fused_lane, _fused_lane(plan, sizes, num, den)
+    if (lane is not None or scaled is not None) and (
+        lane is None or scaled is None or scaled * den != lane * num
+        or math.gcd(8, scaled) != math.gcd(8, lane)
+        or any(offsets[n] * den != o * num for n, o in plan.offsets.items())
     ):
         return None
-    scale = partial(_scaled_kernel, num=num, den=den)
+    why, segments = _choose_delivery(schedule, plan.phases, plan.hazards)
+    if (segments is None) != (plan.delivery == "staged"):
+        return None
+
+    def scale(kernel: Any) -> Any:
+        return _scaled_kernel(kernel, num, den)
+
     combines = [
         comb and BatchedReduceRound(comb.token, comb.dtype, [
             (sb, so * num // den, db, do * num // den, n * num // den, *rows)
@@ -2093,43 +2122,64 @@ def _instantiate(
         ),
         copy_program=scale(plan.copy_program),
         pre_program=combines[0], combine_programs=tuple(combines[1:]),
+        offsets=offsets, block_nbytes=block_nbytes,
         wire_bytes=plan.wire_bytes * num // den,
         _rank_wire_bytes=plan._rank_wire_bytes * num // den,
         delivery_reason=why, _segments=segments,
         _deliveries=plan.deliveries and tuple(tuple(map(scale, r)) for r in plan.deliveries),
-        _fused=_UNLOWERED, _views={}, instantiated=True,
+        # the maps of ``plan``, moving words of the scaled lane
+        _fused=_UNLOWERED if lane is None else plan,
+        _views={}, instantiated=True,
     )
-    new.offsets, new.block_nbytes = _block_layout(plan.p, new.sizes)
-    lane, scaled = plan.fused_lane, new.fused_lane
-    if lane is not None or scaled is not None:
-        if (
-            lane is None or scaled is None or scaled * den != lane * num
-            or math.gcd(8, scaled) != math.gcd(8, lane)
-            or any(new.offsets[n] * den != o * num for n, o in plan.offsets.items())
-        ):
-            return None
-        new._fused = plan  # its maps, moving words of the scaled lane
     new.compile_seconds = time.perf_counter() - t0
     return new
 
 
+def _class_key(
+    form: Optional["NormalForm"], topo: "CartTopology", sizes: Mapping[str, int]
+) -> Optional[tuple]:
+    """What a lowering of a schedule of normal form ``form`` for ``topo``
+    at ``sizes`` is filed and looked up under: the form's digest, the
+    topology and the sizes in granules (``None`` without a form, or
+    where a size is not whole granules)."""
+    if form is None or any(n % form.granule for n in sizes.values()):
+        return None
+    in_granules = tuple(sorted((name, n // form.granule) for name, n in sizes.items()))
+    return (form.digest, topo.dims, topo.periods, in_granules)
+
+
+#: :func:`lower`'s ``form`` where its caller has not computed one
+_OWN_FORM: Any = object()
+
+
 def lower(
-    schedule: "Schedule", topo: "CartTopology", sizes: Mapping[str, int]
+    schedule: "Schedule", topo: "CartTopology", sizes: Mapping[str, int],
+    form: Any = _OWN_FORM,
 ) -> BatchedPlan:
-    """The plan of ``schedule`` for ``topo`` at ``sizes``, uncached: a
-    class template's instance's at the regular sizes is scaled from a
-    real lowering of the class (:func:`_instantiate`) where one agrees,
-    any other is :func:`compile_batched_plan`'s."""
-    if schedule._template is not None:
-        template, m = schedule._template
-        key = _plan_key(topo, sizes)
-        for (where, decided), (m0, plan) in list(template.plans.items()):
-            want = {n: v * m // m0 for n, v in plan.sizes.items()}
-            if where == key[1:3] and want == sizes:
-                scaled = _instantiate(schedule, plan, decided, m, m0, key, sizes)
-                if scaled is not None:
-                    return scaled
-    return compile_batched_plan(schedule, topo, sizes)
+    """The plan of ``schedule`` for ``topo`` at ``sizes``, uncached.
+    ``form`` is the schedule's normal form
+    (:func:`repro.analyze.certificates.normal_form`, computed here where
+    the caller passes none).  A plan filed under its :func:`_class_key`
+    (:func:`_file`) is scaled to it (:func:`_instantiate`) where one
+    agrees; else it is :func:`compile_batched_plan`'s."""
+    if form is _OWN_FORM:
+        from repro.analyze.certificates import normal_form
+
+        form = normal_form(schedule)
+    key, cls = _plan_key(topo, sizes), _class_key(form, topo, sizes)
+    plan = None
+    if cls is not None:
+        with _CACHE_LOCK:
+            filed = [(g, d, ref()) for d, (g, ref) in _CLASSES.get(cls, {}).items()]
+        for granule, decided, source in filed:
+            if source is not None:
+                plan = _instantiate(schedule, source, decided, form.granule, granule, key, sizes)
+                if plan is not None:
+                    break
+    if plan is None:
+        plan = compile_batched_plan(schedule, topo, sizes)
+    plan.class_key = None if cls is None else (cls, form.granule)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -2145,6 +2195,13 @@ _BUILDING: dict[tuple, threading.Event] = {}
 #: the plans currently filed on some schedule (weakly: a plan leaves
 #: with its schedule-cache entry)
 _CACHED: "weakref.WeakSet[BatchedPlan]" = weakref.WeakSet()
+#: :func:`_class_key` -> per set of size decisions (:func:`_decisions`)
+#: the newest plan filed with them, ``(granule, weak reference)``: what
+#: :func:`lower` scales.  A class lives while one of its plans is filed
+#: on a live schedule; least recently used keys out first
+_CLASSES: "OrderedDict[tuple, dict[tuple, tuple[int, weakref.ref[BatchedPlan]]]]" = OrderedDict()
+#: keys :data:`_CLASSES` holds at most
+_CLASS_LIMIT = 512
 _hits = 0
 _misses = 0
 _compile_seconds = 0.0
@@ -2244,11 +2301,12 @@ def adopt_certified(
 
 
 def _file(schedule: "Schedule", plan: BatchedPlan, generation: int) -> None:
-    """Book ``plan`` (a real lowering is a miss and its seconds) and file
-    it on ``schedule`` behind the generation guard — and a real lowering
-    at the regular sizes with the schedule's class, one per set of size
-    decisions."""
+    """Book ``plan`` (a real lowering is a miss and its seconds, a scaled
+    one an instantiation) and file it on ``schedule`` behind the
+    generation guard, and under its class key as the newest plan of its
+    size decisions."""
     global _misses, _compile_seconds, _instantiated
+    decided = None if plan.class_key is None else _decisions(plan)
     with _CACHE_LOCK:
         if plan.instantiated:
             _instantiated += 1
@@ -2259,10 +2317,12 @@ def _file(schedule: "Schedule", plan: BatchedPlan, generation: int) -> None:
             return
         schedule._plans[plan.key] = plan
         _CACHED.add(plan)
-    if schedule._template is not None and not plan.instantiated:
-        template, m = schedule._template
-        if plan.sizes == {n: v * m // template.m for n, v in template.sizes.items()}:
-            template.plans[plan.key[1:3], _decisions(plan)] = (m, plan)
+        if plan.class_key is not None:
+            cls, granule = plan.class_key
+            _CLASSES.setdefault(cls, {})[decided] = (granule, weakref.ref(plan))
+            _CLASSES.move_to_end(cls)
+            if len(_CLASSES) > _CLASS_LIMIT:
+                _CLASSES.popitem(last=False)
 
 
 def record_walk() -> None:
@@ -2299,7 +2359,8 @@ def plan_cache_info() -> PlanCacheInfo:
 
 
 def plan_cache_reset() -> None:
-    """Reset the process-wide plan counters (tests)."""
+    """Reset the process-wide plan counters and forget every class
+    (tests)."""
     global _hits, _misses, _compile_seconds, _walked, _instantiated
     with _CACHE_LOCK:
         _hits = 0
@@ -2307,3 +2368,4 @@ def plan_cache_reset() -> None:
         _compile_seconds = 0.0
         _walked = 0
         _instantiated = 0
+        _CLASSES.clear()

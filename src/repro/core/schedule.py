@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from repro.analyze.report import ScheduleValidationError
 from repro.core.neighborhood import Neighborhood
 from repro.mpisim.datatypes import BlockRef, BlockSet, byte_view
 from repro.mpisim.exceptions import ScheduleError
-
-if TYPE_CHECKING:
-    from repro.core.plan import BatchedPlan
 
 
 @dataclass
@@ -201,9 +198,6 @@ class Schedule:
     #: bumped by :meth:`clear_plans` (under the plan-module lock) so a
     #: plan compile racing an invalidation never files its result
     _plans_generation: int = field(default=0, repr=False, compare=False)
-    #: ``(class template, block size)`` of a regular collective's
-    #: schedule: the template's build scaled to that size, plans too
-    _template: Optional[tuple["Template", int]] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # metrics (Propositions 3.2 / 3.3)
@@ -341,65 +335,6 @@ class Schedule:
         """Bytes moved by the final non-communication phase."""
         return self.totals()[3]
 
-    def scaled(
-        self, num: int, den: int, link: Optional[tuple["Template", int]]
-    ) -> "Schedule":
-        """This schedule, prepared and linked to ``link``, with every byte
-        extent × ``num / den`` (each a multiple of ``den``): Prop. 3.1."""
-        refs: dict[int, BlockRef] = {}  # one copy of an object shared here
-        sets: dict[int, BlockSet] = {}
-
-        def ref(r: BlockRef) -> BlockRef:
-            if id(r) not in refs:
-                refs[id(r)] = BlockRef(r.buffer, r.offset * num // den, r.nbytes * num // den)
-            return refs[id(r)]
-
-        def blocks(bs: BlockSet) -> BlockSet:
-            if id(bs) not in sets:
-                sets[id(bs)] = out = BlockSet(list(map(ref, bs.blocks)))
-                out._runs = list(map(ref, bs.coalesced_runs()))
-            return sets[id(bs)]
-
-        def layout(lay: Optional[list[BlockSet]]) -> Optional[list[BlockSet]]:
-            return None if lay is None else [blocks(bs) for bs in lay]
-
-        def steps(cs: Sequence[LocalCombine]) -> list[LocalCombine]:
-            return [LocalCombine(ref(c.src), ref(c.dst), c.when_round) for c in cs]
-
-        rounds, vol_blocks, vol_bytes, copied = self.totals()
-        return Schedule(
-            self.kind, self.neighborhood,
-            [
-                Phase(ph.dim, [
-                    Round(r.offset, blocks(r.send_blocks), blocks(r.recv_blocks),
-                          r.logical_blocks, r.recv_offset)
-                    for r in ph.rounds
-                ], steps(ph.combine_steps))
-                for ph in self.phases
-            ],
-            [LocalCopy(ref(lc.src), ref(lc.dst)) for lc in self.local_copies],
-            self.temp_nbytes * num // den, self.buffer_names,
-            layout(self.send_layout), layout(self.recv_layout),
-            self.combine_op, self.combine_dtype, steps(self.pre_steps),
-            tuple(map(ref, self.required_outputs)),
-            [LocalCopy(ref(lc.src), ref(lc.dst)) for lc in self.prepared_copy_runs()],
-            (rounds, vol_blocks, vol_bytes * num // den, copied * num // den),
-            _template=link,
-        )
-
-    def as_template(self, m: int) -> Optional["Template"]:
-        """This freshly built schedule of block size ``m`` as its class's
-        template, linked to it — ``None`` unless it records its layouts
-        and every extent is a multiple of ``m`` (it survives scaling to 1
-        and back), so that scaling it is exact."""
-        if not (m and self.send_layout and self.recv_layout):
-            return None
-        back = self.scaled(1, m, None).scaled(m, 1, None)
-        if (back, back.send_layout, back.recv_layout) != (self, self.send_layout, self.recv_layout):
-            return None
-        self._template = (Template(self, m), m)
-        return self._template[0]
-
     def clear_plans(self) -> None:
         """Drop all lowered plans (called when this schedule's cache
         entry is evicted; plans recompile lazily on the next execution).
@@ -458,33 +393,6 @@ class BoundOp(NamedTuple):
     op: str
     schedule: Schedule
     buffers: Mapping[str, np.ndarray]
-
-
-class Template:
-    """A regular collective class (a kind on one neighbourhood and layout,
-    every block size) as its one real build, of block size ``m``, and its
-    real lowerings: Proposition 3.1 leaves the block size only scaling
-    extents, so other sizes are :meth:`instantiate`\\ d from them."""
-
-    __slots__ = ("schedule", "m", "sizes", "plans")
-
-    def __init__(self, schedule: Schedule, m: int) -> None:
-        self.schedule, self.m = schedule, m
-        #: the regular call's buffer sizes (the layouts' ends, the
-        #: scratch): the only ones whose plans are filed and scaled
-        layouts = {"send": schedule.send_layout, "recv": schedule.recv_layout}
-        self.sizes = {
-            name: max(r.end() for bs in layout or () for r in bs.blocks)
-            for name, layout in layouts.items()
-        }
-        if schedule.temp_nbytes:
-            self.sizes["temp"] = schedule.temp_nbytes
-        #: ``((dims, periods), size decisions) -> (block size, plan)``
-        self.plans: dict[tuple[object, ...], tuple[int, BatchedPlan]] = {}
-
-    def instantiate(self, m: int) -> Schedule:
-        """The class's schedule at block size ``m``."""
-        return self.schedule.scaled(m, self.m, (self, m))
 
 
 def uniform_block_layout(sizes: Sequence[int], buffer: str) -> list[BlockSet]:

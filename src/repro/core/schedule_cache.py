@@ -34,14 +34,9 @@ result is returned to its caller (it is a correct schedule for the
 request) but never cached, and its compiled plans are dropped so the
 invalidation cannot leak them.
 
-**Class templates.**  A regular collective (blocks of ``m`` bytes) names
-its class, the key without ``m``: the class's first build is its
-:class:`~repro.core.schedule.Template`, and a later miss of the class is
-that build scaled to its ``m`` (Proposition 3.1), ``instantiated``.
-
 The cache is observable via :func:`cache_info` (hits, misses, builds,
-cumulative build time, instantiations) and per communicator through the
-``OpStats`` cache counters; :func:`cache_clear` empties it (tests, long-running
+cumulative build time) and per communicator through the ``OpStats``
+cache counters; :func:`cache_clear` empties it (tests, long-running
 services rotating neighborhoods).
 """
 
@@ -53,7 +48,6 @@ from collections import OrderedDict, namedtuple
 from typing import Callable, Optional, Sequence
 
 from repro.core.neighborhood import Neighborhood
-from repro.core.schedule import Schedule, Template
 from repro.mpisim.datatypes import BlockSet
 
 #: Default number of distinct schedules kept.  Each entry is small (block
@@ -64,7 +58,7 @@ DEFAULT_MAXSIZE = 512
 
 CacheInfo = namedtuple(
     "CacheInfo",
-    ["hits", "misses", "builds", "build_seconds", "currsize", "maxsize", "instantiated"],
+    ["hits", "misses", "builds", "build_seconds", "currsize", "maxsize"],
 )
 
 
@@ -138,9 +132,6 @@ class ScheduleCache:
         self._misses = 0
         self._builds = 0
         self._build_seconds = 0.0
-        self._instantiated = 0
-        #: class key -> its template (the same bound, oldest out first)
-        self._templates: OrderedDict[tuple, Template] = OrderedDict()
         #: bumped by ``clear`` so builders that started before an
         #: invalidation never file their result afterwards
         self._generation = 0
@@ -151,7 +142,6 @@ class ScheduleCache:
         key: tuple,
         build: Callable[[], object],
         verify: Optional[Callable[[object], None]] = None,
-        template: Optional[tuple[tuple, int]] = None,
     ) -> tuple[object, bool, float]:
         """Return ``(schedule, hit, build_seconds)``.
 
@@ -165,10 +155,6 @@ class ScheduleCache:
         error propagates to every caller of this key's in-flight build —
         a defective schedule never enters the cache, and is rejected
         once, not once per waiting rank.  The next call builds anew.
-
-        ``template`` — ``(layout signature but the block size, block
-        size)`` of a regular collective — instantiates a miss from its
-        class's template; a build of a class with none becomes it.
         """
         while True:
             with self._lock:
@@ -192,30 +178,17 @@ class ScheduleCache:
 
         try:
             t0 = time.perf_counter()
-            # the class: the key with the layout signature but the block size
-            cls_key, m = ((*key[:-1], template[0]), template[1]) if template else ((), 0)
-            with self._lock:
-                cls = self._templates.get(cls_key) if template else None
-            sched = build() if cls is None else cls.instantiate(m)
+            sched = build()
             elapsed = time.perf_counter() - t0
             prepare = getattr(sched, "prepare", None)
             if prepare is not None:
                 prepare()
-            built = template and cls is None and isinstance(sched, Schedule)
-            new = sched.as_template(m) if built else None
             if verify is not None:
                 verify(sched)
             with self._lock:
-                if cls is not None:
-                    self._instantiated += 1
-                else:
-                    self._builds += 1
-                    self._build_seconds += elapsed
+                self._builds += 1
+                self._build_seconds += elapsed
                 stale = self._generation != generation
-                if new is not None and not stale:
-                    self._templates[cls_key] = new
-                if len(self._templates) > self.maxsize:
-                    self._templates.popitem(last=False)
                 if not stale:
                     self._entries[key] = sched
                     self._entries.move_to_end(key)
@@ -256,7 +229,6 @@ class ScheduleCache:
                 build_seconds=self._build_seconds,
                 currsize=len(self._entries),
                 maxsize=self.maxsize,
-                instantiated=self._instantiated,
             )
 
     def clear(self) -> None:
@@ -264,12 +236,10 @@ class ScheduleCache:
             for entry in self._entries.values():
                 _discard(entry)
             self._entries.clear()
-            self._templates.clear()
             self._hits = 0
             self._misses = 0
             self._builds = 0
             self._build_seconds = 0.0
-            self._instantiated = 0
             self._generation += 1
 
     def __len__(self) -> int:
@@ -285,9 +255,8 @@ def get_or_build(
     key: tuple,
     build: Callable[[], object],
     verify: Optional[Callable[[object], None]] = None,
-    template: Optional[tuple[tuple, int]] = None,
 ) -> tuple[object, bool, float]:
-    return GLOBAL_CACHE.get_or_build(key, build, verify, template)
+    return GLOBAL_CACHE.get_or_build(key, build, verify)
 
 
 def cache_info() -> CacheInfo:

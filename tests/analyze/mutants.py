@@ -131,7 +131,7 @@ class Case(NamedTuple):
             return compile_batched_plan(
                 schedule, self.topology(), {n: -(-c // 8) * 8 for n, c in sizes.items()}
             )
-        plan = sv._lower(schedule, self.topology())
+        plan = sv._lower(schedule, self.topology(), None)  # no class: a real lowering
         assert not isinstance(plan, ScheduleError), plan
         return plan
 
@@ -762,42 +762,42 @@ def _copy_dst_src(plan):
     return _put(plan, copy_program=_put(prog, fused=True, _run_ops=ops))
 
 
-# -- V705/V706: batched peer vectors -----------------------------------
-@_plan_row("duplicate-batched-targets", "wrong bytes", ALLTOALL, "V705")
+# -- V502: batched peer vectors and what is derived from them --------
+@_plan_row("duplicate-batched-targets", "wrong bytes", ALLTOALL, "V502")
 def _dup_targets(plan):
     targets = plan.phases[0][0].targets.copy()
     targets[0] = targets[1]
     return _replace_round(plan, 0, 0, targets=targets)
 
 
-@_plan_row("swap-batched-source-rows", "wrong bytes", ALLTOALL, "V705")
+@_plan_row("swap-batched-source-rows", "wrong bytes", ALLTOALL, "V502")
 def _swap_sources(plan):
     sources = plan.phases[0][0].sources.copy()
     sources[[0, 1]] = sources[[1, 0]]
     return _replace_round(plan, 0, 0, sources=sources, recv_sources=sources)
 
 
-@_plan_row("batched-peer-out-of-range", "wrong bytes", ALLTOALL, "V706")
+@_plan_row("batched-peer-out-of-range", "wrong bytes", ALLTOALL, "V502")
 def _peer_range(plan):
     targets = plan.phases[0][0].targets.copy()
     targets[0] = plan.p + 3
     return _replace_round(plan, 0, 0, targets=targets)
 
 
-@_plan_row("batched-senders-miscount", "benign", ALLTOALL, "V706")
+@_plan_row("batched-senders-miscount", "benign", ALLTOALL, "V502")
 def _senders(plan):
     """Only the lowering's wire-byte count reads it."""
     return _replace_round(plan, 0, 0, senders=plan.phases[0][0].senders - 1)
 
 
-@_plan_row("batched-recv-rows-corrupted", "wrong bytes", ALLTOALL, "V706")
+@_plan_row("batched-recv-rows-corrupted", "wrong bytes", ALLTOALL, "V502")
 def _recv_rows(plan):
     rows = np.arange(plan.p - 1, dtype=np.int64)
     sources = plan.phases[0][0].sources
     return _replace_round(plan, 0, 0, recv_rows=rows, recv_sources=sources[rows])
 
 
-@_plan_row("batched-recv-sources-rolled", "wrong bytes", ALLTOALL, "V706")
+@_plan_row("batched-recv-sources-rolled", "wrong bytes", ALLTOALL, "V502")
 def _recv_sources(plan):
     rolled = np.roll(plan.phases[0][0].recv_sources, 1)
     return _replace_round(plan, 0, 0, recv_sources=rolled)
@@ -1203,7 +1203,7 @@ def judge(name: str, block_bytes: int) -> Row:
     if name in SCHEDULE_ROWS:
         schedule, topo = row.case.build(block_bytes), row.case.topology()
         assert row.corrupt(schedule, topo), f"{name} does not apply"
-        plan = sv._lower(copy.deepcopy(schedule), topo)
+        plan = sv._lower(copy.deepcopy(schedule), topo, None)
         verdict = sv.verify_schedule(copy.deepcopy(schedule), topo.dims, topo.periods)
     else:
         schedule, topo, plan = plan_mutant(name, block_bytes)

@@ -693,6 +693,7 @@ class TestNothingHidesBehindACertificate:
     def test_shifted_selector_at_the_second_size_is_killed_on_the_inherit_path(
         self, monkeypatch
     ):
+        plan_mod.plan_cache_reset()  # the second size is lowered, not scaled
         store = CertificateStore()
         certify(store, "alltoall", 8)
         real, seen = plan_mod.compile_blockset, []
@@ -726,8 +727,8 @@ class TestNothingHidesBehindACertificate:
         real, calls = schedule_verifier._lower, []
 
         def install(corrupt, witness=lambda plan: plan):
-            def lowering(schedule, topo):
-                plan = real(schedule, topo)
+            def lowering(schedule, topo, *form):
+                plan = real(schedule, topo, *form)
                 calls.append(plan)
                 return (corrupt if len(calls) > 1 else witness)(plan)
 
@@ -783,6 +784,7 @@ class TestNothingHidesBehindACertificate:
         """A lowering that chose the witness's lane where this size does
         not allow it has the witness's kernel signature — and is refused
         by the instance stage."""
+        plan_mod.plan_cache_reset()  # the second size is lowered, not scaled
         store = CertificateStore()
         certify(store, "allgather", 8)
         monkeypatch.setattr(plan_mod, "_lane_of", lambda *extents: 8)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.analyze.effects import (
-    check_batched_round,
     check_copy_program,
     check_kernel,
     kernel_effects,
@@ -24,6 +23,7 @@ from repro.analyze.intervals import IntervalSet, summarize_selector
 from repro.analyze.report import VerificationReport
 from repro.analyze.schedule_verifier import (
     SWEEP_KINDS,
+    _check_peers,
     _plan_sizes,
     build_for_kind,
 )
@@ -234,52 +234,43 @@ class TestCopyProgram:
 
 
 class TestBatchedRound:
-    def bround(self, bplan):
-        for rounds in bplan.phases:
-            for br in rounds:
-                return br
-        raise AssertionError("no batched round")
+    """A round's peer vectors, and what the lowering derives from them,
+    against translation at every rank: V502."""
 
-    def mutate(self, rnd, **attrs):
-        r = copy.copy(rnd)
+    def check(self, artifacts, **attrs):
+        sched, topo, _, bplan = artifacts
+        rnd = copy.copy(bplan.phases[0][0])
         for k, v in attrs.items():
-            setattr(r, k, v)
-        return r
+            setattr(rnd, k, v)
+        plan = copy.copy(bplan)
+        plan.phases = ((rnd, *bplan.phases[0][1:]), *bplan.phases[1:])
+        rep = report()
+        _check_peers(sched, topo, plan, rep)
+        return rep
 
     def test_clean_round(self, artifacts):
-        *_, bplan = artifacts
-        rep = report()
-        check_batched_round(self.bround(bplan), bplan.p, rep)
+        rep = self.check(artifacts)
         assert rep.ok, rep.summary()
 
-    def test_duplicate_targets_is_v705(self, artifacts):
-        *_, bplan = artifacts
-        rnd = self.bround(bplan)
-        targets = rnd.targets.copy()
+    def test_duplicate_targets_is_v502(self, artifacts):
+        targets = artifacts[3].phases[0][0].targets.copy()
         targets[1] = targets[0]
-        rep = report()
-        check_batched_round(self.mutate(rnd, targets=targets), bplan.p, rep)
-        assert "V705" in rep.codes()
+        assert self.check(artifacts, targets=targets).codes() == {"V502"}
 
-    def test_out_of_range_peer_is_v706(self, artifacts):
-        *_, bplan = artifacts
-        rnd = self.bround(bplan)
-        sources = rnd.sources.copy()
-        sources[0] = bplan.p + 3
-        rep = report()
-        check_batched_round(self.mutate(rnd, sources=sources), bplan.p, rep)
-        assert rep.codes() & {"V705", "V706"}
+    def test_out_of_range_peer_is_v502(self, artifacts):
+        sources = artifacts[3].phases[0][0].sources.copy()
+        sources[0] = artifacts[3].p + 3
+        assert self.check(artifacts, sources=sources).codes() == {"V502"}
 
-    def test_corrupt_recv_rows_is_v706(self, artifacts):
-        *_, bplan = artifacts
-        rnd = self.bround(bplan)
-        rep = report()
-        check_batched_round(
-            self.mutate(rnd, recv_rows=np.arange(bplan.p - 1)),
-            bplan.p,
-            rep,
-        )
-        assert "V706" in rep.codes()
+    def test_corrupt_recv_rows_is_v502(self, artifacts):
+        rows = np.arange(artifacts[3].p - 1)
+        assert self.check(artifacts, recv_rows=rows).codes() == {"V502"}
+
+    def test_peer_vector_of_another_shape_is_v502(self, artifacts):
+        targets = artifacts[3].phases[0][0].targets[:-1]
+        rep = self.check(artifacts, targets=targets)
+        assert rep.codes() == {"V502"}
+        assert "shapes" in rep.by_code("V502")[0].message
 
 
 class TestSweep:

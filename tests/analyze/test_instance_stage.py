@@ -46,7 +46,7 @@ def _report(dims, periods):
 # the moved checks: size-invariant inputs, still reported in full
 # ----------------------------------------------------------------------
 def _peer_inputs(plan):
-    """Everything ``check_batched_round`` and ``check_combine_rows``
+    """Everything the peer comparison (V502) and ``check_combine_rows``
     read, as plain data."""
 
     def rows(vec):
@@ -93,8 +93,9 @@ class TestMovedChecksReadOnlyTheShape:
 
     @pytest.fixture
     def corrupt_lowering(self, monkeypatch):
-        """Make the verifier's one lowering hand back a corrupted plan."""
-        real = plan_mod.compile_batched_plan
+        """Make the verifier's one lowering hand back a corrupted plan
+        (a real one, or one scaled from a plan its class filed)."""
+        real = plan_mod.lower
 
         def install(corrupt):
             def lowering(*args, **kwargs):
@@ -102,7 +103,7 @@ class TestMovedChecksReadOnlyTheShape:
                 corrupt(plan)
                 return plan
 
-            monkeypatch.setattr(plan_mod, "compile_batched_plan", lowering)
+            monkeypatch.setattr(plan_mod, "lower", lowering)
 
         return install
 
@@ -116,14 +117,14 @@ class TestMovedChecksReadOnlyTheShape:
 
         corrupt_lowering(duplicate_target)
         report = verify_schedule(build_for_kind("alltoall", NBH9, 8), (4, 4))
-        assert "V705" in report.codes()
+        assert "V502" in report.codes()
 
         def miscount(plan):
             plan.phases[0][0].senders -= 1
 
         corrupt_lowering(miscount)
         report = verify_schedule(build_for_kind("alltoall", NBH9, 8), (4, 4))
-        assert report.codes() == {"V706"}
+        assert report.codes() == {"V502"}
 
     def test_full_certification_still_reports_row_masks(self, corrupt_lowering):
         def copy_and_fold_rank_zero(plan):

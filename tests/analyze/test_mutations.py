@@ -51,19 +51,18 @@ def test_every_mutant_dies_alike_at_another_block_size():
 
 
 def test_expected_codes_span_all_families():
-    """The expected codes cover the lowering conformance check, every
+    """The expected codes cover the lowering conformance checks, every
     V7xx effect family, the V80x reduce checks, and the
     linearity/lockset rules — a registry that drifts to one family
     stops certifying the rest."""
     expects = {row.expect for row in MUTANTS.values()}
     for code in (
+        "V502",
         "V503",
         "V701",
         "V702",
         "V703",
         "V704",
-        "V705",
-        "V706",
         "V708",
         "V709",
         "V801",

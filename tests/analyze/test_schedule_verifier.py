@@ -113,13 +113,13 @@ class TestCertification:
         from repro.core import plan as plan_mod
 
         lowerings = []
-        lower = plan_mod.compile_batched_plan
+        lower = plan_mod.lower  # real or scaled from the plan of its class
 
         def counting(*args, **kwargs):
             lowerings.append(args)
             return lower(*args, **kwargs)
 
-        monkeypatch.setattr(plan_mod, "compile_batched_plan", counting)
+        monkeypatch.setattr(plan_mod, "lower", counting)
         sched = build_for_kind(kind, named_stencil("9-point"))
         certify_schedule(sched, (4, 4), True)
         assert len(lowerings) == 1

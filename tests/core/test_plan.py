@@ -680,6 +680,12 @@ def _schedule_and_buffers(m=4):
 
 
 class TestPlanCacheLifetime:
+    @pytest.fixture(autouse=True)
+    def no_class_on_file(self):
+        """Each case's first lookup is a real lowering: no plan of its
+        normal form's class, filed by an earlier case, is scaled."""
+        plan_mod.plan_cache_reset()
+
     def test_hit_after_miss_and_counters(self):
         sched, bufs = _schedule_and_buffers()
         topo = CartTopology((3, 3))

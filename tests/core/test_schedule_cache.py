@@ -380,12 +380,10 @@ class TestCachedScheduleEquivalence:
 
 class TestCacheMissKeys:
     """The cache is missed — never wrongly shared — when the layout
-    fingerprint changes: a new entry is made, built or (another block
-    size of a class already built) instantiated from its template."""
+    fingerprint changes."""
 
-    def _entries_for(self, dims, periods, nbh, m):
-        info = schedule_cache.cache_info()
-        before = info.builds + info.instantiated
+    def _builds_for(self, dims, periods, nbh, m):
+        before = schedule_cache.cache_info().builds
 
         def fn(cart):
             t = cart.nbh.t
@@ -394,28 +392,25 @@ class TestCacheMissKeys:
             cart.alltoall(send, recv, algorithm="trivial")
 
         run_cartesian(dims, nbh, fn, periods=periods)
-        info = schedule_cache.cache_info()
-        return info.builds + info.instantiated - before
+        return schedule_cache.cache_info().builds - before
 
     def test_miss_on_dims_change(self):
-        assert self._entries_for((3, 3), None, NBH, 4) == 1
-        assert self._entries_for((9, 1), None, NBH, 4) == 1  # new dims: rebuild
-        assert self._entries_for((3, 3), None, NBH, 4) == 0  # back: cached
+        assert self._builds_for((3, 3), None, NBH, 4) == 1
+        assert self._builds_for((9, 1), None, NBH, 4) == 1  # new dims: rebuild
+        assert self._builds_for((3, 3), None, NBH, 4) == 0  # back: cached
 
     def test_miss_on_periods_change(self):
-        assert self._entries_for((3, 3), (True, True), NBH, 4) == 1
-        assert self._entries_for((3, 3), (True, False), NBH, 4) == 1
+        assert self._builds_for((3, 3), (True, True), NBH, 4) == 1
+        assert self._builds_for((3, 3), (True, False), NBH, 4) == 1
 
     def test_miss_on_block_size_change(self):
-        assert self._entries_for((3, 3), None, NBH, 4) == 1
-        builds = schedule_cache.cache_info().builds
-        assert self._entries_for((3, 3), None, NBH, 8) == 1
-        assert schedule_cache.cache_info().builds == builds  # instantiated
+        assert self._builds_for((3, 3), None, NBH, 4) == 1
+        assert self._builds_for((3, 3), None, NBH, 8) == 1
 
     def test_miss_on_neighborhood_change(self):
-        assert self._entries_for((3, 3), None, NBH, 4) == 1
+        assert self._builds_for((3, 3), None, NBH, 4) == 1
         bigger = moore_neighborhood(2, 1, include_self=True)
-        assert self._entries_for((3, 3), None, bigger, 4) == 1
+        assert self._builds_for((3, 3), None, bigger, 4) == 1
 
 
 class TestConcurrentRanks:
