@@ -12,10 +12,14 @@ bound collective through — and :meth:`Backend.start` starts a
 persistent handle there.  The defaults have the ranks meet by reference
 at the communicator's rendezvous, where one of them checks that all
 bound the same schedule, lowers it once and drives ``execute_all`` over
-every rank's own arrays; a handle's first start also leaves a
-:data:`Prepared` execution with every rank's handle, and a later start
-is one meeting that runs it.  The threaded backend overrides both with
-the interpreter over its own transport.
+every rank's own arrays.  The threaded backend overrides both with the
+interpreter over its own transport.  ``start`` has one contract on
+every backend: a handle's first start binds its execution — looks its
+plan up once — and leaves it in ``handle.prepared`` (a :data:`Prepared`);
+a later start runs that and books a plan hit.  On an all-ranks backend
+the one execution serves every rank and a later start is one meeting
+that runs it; on the threaded backend each rank binds its own: its
+plan view, its transport and its buffers.
 
 Split-phase (non-blocking) execution needs a per-rank transport and
 always runs over the threaded one, whatever backend is selected.
@@ -53,20 +57,12 @@ class BackendError(MpiSimError):
 def allocate_buffers(
     schedule: "Schedule",
     user_buffers: Mapping[str, np.ndarray],
-    pool: Any = None,
 ) -> dict[str, np.ndarray]:
     """Combine the caller's named buffers with the scratch buffer the
-    schedule requires (``"temp"``).
-
-    With ``pool`` (a :class:`repro.core.plan.BufferPool`), the scratch
-    comes from the pool instead of a fresh allocation; the caller is
-    then responsible for releasing it after the execution."""
+    schedule requires (``"temp"``)."""
     buffers = dict(user_buffers)
     if schedule.temp_nbytes > 0 and "temp" not in buffers:
-        if pool is not None:
-            buffers["temp"] = pool.acquire(schedule.temp_nbytes)
-        else:
-            buffers["temp"] = np.empty(schedule.temp_nbytes, dtype=np.uint8)
+        buffers["temp"] = np.empty(schedule.temp_nbytes, dtype=np.uint8)
     return buffers
 
 
@@ -135,9 +131,14 @@ def _equal_schedules(a: "Schedule", b: "Schedule") -> bool:
     )
 
 
-#: A persistent handle's execution, bound once for all ranks by the
-#: driver of its first start and kept by every rank's handle: a later
-#: start deposits the one object, and ``run()`` executes it for all.
+#: A persistent handle's execution, bound by its first start and kept in
+#: ``handle.prepared``: a later start runs ``run()``.  On an all-ranks
+#: backend the driver of the first start binds one for all ranks
+#: (``plan`` the :class:`~repro.core.plan.BatchedPlan`), a later start
+#: deposits the one object and ``run()`` executes it for all; on the
+#: threaded backend every rank binds its own (``plan`` its
+#: :class:`~repro.core.plan.RankPlan` view) and ``run()`` returns its
+#: ``(plan_hit, bytes_packed, bytes_copied)``.
 Prepared = namedtuple("Prepared", ["op", "schedule", "plan", "run"])
 
 

@@ -21,7 +21,10 @@ lives *only* here:
 Blocking execution is :meth:`run`.  Split-phase front-ends call
 :meth:`begin` / :meth:`post_next_phase` / :meth:`complete_phase` /
 :meth:`finish` themselves; all-ranks drivers interleave those calls
-across ranks to preserve the pack-all-then-unpack discipline.
+across ranks to preserve the pack-all-then-unpack discipline.  An
+interpreter may run again once an execution has ended: it keeps the
+plan view its first execution looked up (a persistent handle's bound
+execution on the threaded backend is one interpreter, run per start).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.core import plan as plan_mod
-from repro.core.backend.base import Transport, allocate_buffers
+from repro.core.backend.base import Transport
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.comm import CARTTAG
@@ -64,24 +67,21 @@ class ScheduleInterpreter:
         self.transport = transport
         self.topo = topo
         self.schedule = schedule
-        self.buffers = allocate_buffers(
-            schedule, buffers, pool=plan_mod.GLOBAL_POOL
-        )
-        #: pooled scratch to return in :meth:`finish` (ours only when the
-        #: caller did not bind a "temp" buffer themselves)
-        self._pooled_temp = (
-            self.buffers["temp"]
-            if schedule.temp_nbytes > 0 and "temp" not in buffers
-            else None
-        )
+        self.buffers = dict(buffers)
+        #: scratch bytes each execution takes from the pool (only when
+        #: the caller did not bind a "temp" buffer themselves)
+        self._temp_nbytes = schedule.temp_nbytes if "temp" not in buffers else 0
+        #: the pooled scratch to return in :meth:`finish`
+        self._pooled_temp: np.ndarray | None = None
+        self._take_temp()
         self.tag = tag
         self.observe = observe
         self.skip_empty_phases = skip_empty_phases
-        #: this rank's view of the lowered plan (fetched in
+        #: this rank's view of the lowered plan (fetched by the first
         #: :meth:`begin` unless injected here)
         self.plan = plan
         #: None until begin() looks the plan up; then True (cache hit) /
-        #: False (this call compiled it)
+        #: False (this call compiled it); True for every later execution
         self.plan_hit: bool | None = None
         #: wire bytes this execution packed / local bytes it copied
         #: (filled during the run; consumed by OpStats wiring)
@@ -108,12 +108,20 @@ class ScheduleInterpreter:
 
     # ------------------------------------------------------------------
     def begin(self) -> None:
-        """Prepare the schedule and open the (optional) trace region."""
-        # Idempotent: cached schedules arrive prepared; one-shot
-        # schedules get their coalesced-copy plans computed before the
-        # timed phases.
-        self.schedule.prepare()
+        """Start an execution and open the (optional) trace region.
+
+        The first execution binds: it prepares the schedule and looks
+        this rank's plan view up.  A later one (the interpreter run
+        again after an execution ended) only resets the walk — no
+        lookup, a plan hit."""
+        if self._finished:
+            self._phase_index, self._finished, self.plan_hit = 0, False, True
+            self._take_temp()
         if self.plan is None:
+            # Idempotent: cached schedules arrive prepared; one-shot
+            # schedules get their coalesced-copy plans computed before
+            # the timed phases.
+            self.schedule.prepare()
             plan, self.plan_hit = plan_mod.get_or_compile(
                 self.schedule, self.topo, self.buffers
             )
@@ -125,6 +133,11 @@ class ScheduleInterpreter:
         if self.observe:
             self.transport.mark(f"begin {self.schedule.kind}")
             self.transport.progress(op=self.schedule.kind)
+
+    def _take_temp(self) -> None:
+        if self._temp_nbytes:
+            self._pooled_temp = plan_mod.GLOBAL_POOL.acquire(self._temp_nbytes)
+            self.buffers["temp"] = self._pooled_temp
 
     def post_next_phase(self) -> bool:
         """Post the receives (first) and sends of the next phase.
@@ -216,8 +229,8 @@ class ScheduleInterpreter:
         self._finished = True
 
     # ------------------------------------------------------------------
-    def run(self) -> None:
-        """One full blocking execution."""
+    def run(self) -> tuple[bool, int, int]:
+        """One full blocking execution; returns its :attr:`outcome`."""
         try:
             self.begin()
             while self.post_next_phase():
@@ -226,6 +239,7 @@ class ScheduleInterpreter:
         except BaseException:
             self.abort()
             raise
+        return self.outcome
 
     def __repr__(self) -> str:
         return (

@@ -3,9 +3,10 @@
 The per-rank transport is a thin adapter over
 :class:`~repro.mpisim.comm.Communicator`'s block mode.  ``run`` is the
 interpreter over that transport on the calling rank's own thread;
-``execute_all`` exists for parity testing and certification: it spins
-up a fresh engine with one thread per rank and runs the interpreter in
-each.
+``start`` binds one such interpreter per rank and persistent handle and
+re-runs it; ``execute_all`` exists for parity testing and
+certification: it spins up a fresh engine with one thread per rank and
+runs the interpreter in each.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.backend.base import Backend, Transport
+from repro.core.backend.base import Backend, Prepared, Transport
 from repro.core.backend.interpreter import ScheduleInterpreter
 from repro.core.plan import BatchedPlan
 from repro.core.schedule import Schedule
@@ -82,18 +83,29 @@ class ThreadedBackend(Backend):
         """Per-rank execution: the interpreter right here, on the
         calling rank's transport — no meeting (a rank that calls a
         different collective fails at message matching)."""
-        interp = ScheduleInterpreter(
+        return ScheduleInterpreter(
             ThreadedTransport(comm), topo, schedule, buffers
-        )
-        interp.run()
-        return interp.outcome
+        ).run()
 
     def start(
         self, comm: Communicator, topo: CartTopology, handle: Any
     ) -> tuple[bool, int, int]:
-        """A handle's start is a :meth:`run`: a rank has nothing to
-        prepare with the others."""
-        return self.run(comm, topo, handle.schedule, handle.buffers, handle.op)
+        """A handle's first start binds this rank's execution: one
+        interpreter over the rank's transport and the handle's buffers,
+        which looks the rank's plan view up as it runs.  It is kept in
+        ``handle.prepared``, and a later start runs the phase loop
+        only (a plan hit).  No meeting: a rank has nothing to prepare
+        with the others."""
+        if handle.prepared is None:
+            interp = ScheduleInterpreter(
+                ThreadedTransport(comm), topo, handle.schedule, handle.buffers
+            )
+            outcome = interp.run()
+            handle.prepared = Prepared(
+                handle.op, handle.schedule, interp.plan, interp.run
+            )
+            return outcome
+        return handle.prepared.run()
 
     def execute_all(
         self,

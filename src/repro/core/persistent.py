@@ -43,8 +43,9 @@ class PersistentOp:
                 self, plan_mod.GLOBAL_POOL.release, temp
             )
         cart._check_bounds(BoundOp(self.op, schedule, self.buffers))
-        #: on an all-ranks backend, the execution the first start bound
-        #: for every rank (:data:`~repro.core.backend.base.Prepared`)
+        #: the execution the first start bound
+        #: (:data:`~repro.core.backend.base.Prepared`): on an all-ranks
+        #: backend one for every rank, on ``threaded`` this rank's own
         self.prepared = None
         self._started = False
         self._freed = False

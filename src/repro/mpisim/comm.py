@@ -113,9 +113,11 @@ class Communicator:
             self.engine, my_local, len(group), sub_id + (color,), group, self
         )
 
-    def _rec(self, event: TraceEvent) -> None:
-        if self.engine.trace is not None:
-            self.engine.trace.record(self._trace_rank, event)
+    def _rec(self, kind: str, **fields: Any) -> None:
+        """Record one trace event — built only when the engine traces."""
+        trace = self.engine.trace
+        if trace is not None:
+            trace.record(self._trace_rank, TraceEvent(kind=kind, **fields))
 
     def _fault_hook(self, op: str) -> None:
         """Operation-boundary fault injection point (stall / kill)."""
@@ -139,12 +141,12 @@ class Communicator:
 
     def mark(self, note: str) -> None:
         """Insert a free-form annotation into the trace."""
-        self._rec(TraceEvent(kind="mark", note=note))
+        self._rec("mark", note=note)
 
     def record_local(self, nbytes: int, note: str = "") -> None:
         """Attribute rank-local data movement (e.g. self-neighbor copies)
         to the trace, so the network model can charge memory time."""
-        self._rec(TraceEvent(kind="local", nbytes=nbytes, note=note))
+        self._rec("local", nbytes=nbytes, note=note)
 
     def _check_peer(self, peer: int, what: str) -> None:
         if not (0 <= peer < self.size):
@@ -158,29 +160,39 @@ class Communicator:
         identity here; sub-communicators override)."""
         return peer
 
+    # The message path below builds a trace event only when the engine
+    # traces and names its fault-injection point only when the engine
+    # injects: with neither, a message is its envelope, its match in
+    # the mailbox and its receive's latch.
     def _post_send(self, payload: Any, nbytes: int, dest: int, tag: int) -> SendRequest:
-        self._check_peer(dest, "destination")
-        self._fault_hook(f"send(dest={dest}, tag={tag})")
-        env = Envelope(
-            src=self.rank,
-            dst=dest,
-            tag=tag,
-            comm_id=self.comm_id,
-            payload=payload,
-            nbytes=nbytes,
-        )
-        self._rec(TraceEvent(kind="isend", peer=dest, nbytes=nbytes, tag=tag))
-        self.engine.mailbox(self._global_rank(dest)).put(env)
+        if not 0 <= dest < self.size:
+            self._check_peer(dest, "destination")
+        engine = self.engine
+        if engine.injector is not None:
+            engine.injector.on_op(self._trace_rank, f"send(dest={dest}, tag={tag})")
+        env = Envelope(self.rank, dest, tag, self.comm_id, payload, nbytes)
+        if engine.trace is not None:
+            engine.trace.record(
+                self._trace_rank,
+                TraceEvent(kind="isend", peer=dest, nbytes=nbytes, tag=tag),
+            )
+        engine.mailboxes[self._global_rank(dest)].put(env)
         return SendRequest()
 
     def _post_recv(
         self, source: int, tag: int, on_envelope: Callable[[Envelope], Any], nbytes_hint: int = 0
     ) -> RecvRequest:
-        if source != ANY_SOURCE:
+        if source != ANY_SOURCE and not 0 <= source < self.size:
             self._check_peer(source, "source")
-        self._fault_hook(f"recv(src={source}, tag={tag})")
+        engine = self.engine
+        if engine.injector is not None:
+            engine.injector.on_op(self._trace_rank, f"recv(src={source}, tag={tag})")
         posted = self._mailbox.post_recv(source, tag, self.comm_id)
-        self._rec(TraceEvent(kind="irecv", peer=source, nbytes=nbytes_hint, tag=tag))
+        if engine.trace is not None:
+            engine.trace.record(
+                self._trace_rank,
+                TraceEvent(kind="irecv", peer=source, nbytes=nbytes_hint, tag=tag),
+            )
         return RecvRequest(self._mailbox, posted, on_envelope)
 
     # ------------------------------------------------------------------
@@ -222,7 +234,7 @@ class Communicator:
         rreq = self.irecv(source, recvtag)
         self.isend(sendobj, dest, sendtag)
         out = rreq.wait()
-        self._rec(TraceEvent(kind="waitall"))
+        self._rec("waitall")
         return out
 
     # ------------------------------------------------------------------
@@ -265,7 +277,7 @@ class Communicator:
         rreq = self.irecv_into(recvbuf, source, tag)
         self.isend_buffer(sendbuf, dest, tag)
         out = rreq.wait()
-        self._rec(TraceEvent(kind="waitall"))
+        self._rec("waitall")
         return out
 
     # ------------------------------------------------------------------
@@ -348,12 +360,16 @@ class Communicator:
             self._mailbox.wait_for_arrival(min(0.05, remaining))
 
     def waitall(self, requests: Sequence[Request]) -> list:
+        """Complete ``requests`` in order (``MPI_Waitall``); a request
+        with a ``round_index`` names its round in this rank's progress
+        state while it is waited for."""
+        state = self.engine.rank_states[self._trace_rank]
         out = []
         for req in requests:
             if req.round_index is not None:
-                self.progress(round=req.round_index)
+                state.update(round=req.round_index)
             out.append(req.wait())
-        self._rec(TraceEvent(kind="waitall"))
+        self._rec("waitall")
         return out
 
     # ------------------------------------------------------------------

@@ -515,12 +515,13 @@ class BlockSet:
     regions are contiguous in memory collapse to a single slice copy.
     """
 
-    __slots__ = ("blocks", "_runs", "_sig", "_frozen")
+    __slots__ = ("blocks", "_runs", "_sig", "_nbytes", "_frozen")
 
     def __init__(self, blocks: Sequence[BlockRef] = ()):
         self.blocks: list[BlockRef] = list(blocks)
         self._runs: list[BlockRef] | None = None
         self._sig: tuple | None = None
+        self._nbytes: int | None = None
         self._frozen = False
 
     def append(self, ref: BlockRef) -> None:
@@ -530,7 +531,7 @@ class BlockSet:
                 "append on a frozen (shared) BlockSet; copy it: BlockSet(bs.blocks)"
             )
         self.blocks.append(ref)
-        self._runs = self._sig = None
+        self._runs = self._sig = self._nbytes = None
 
     def freeze(self) -> "BlockSet":
         """Close the block set to :meth:`append`, before sharing it
@@ -562,7 +563,11 @@ class BlockSet:
 
     @property
     def total_nbytes(self) -> int:
-        return sum(b.nbytes for b in self.blocks)
+        """Bytes on the wire — summed once, like :meth:`signature`."""
+        n = self._nbytes
+        if n is None:
+            n = self._nbytes = sum(b.nbytes for b in self.blocks)
+        return n
 
     def coalesced_runs(self) -> list[BlockRef]:
         """Order-preserving merge of adjacent blocks.

@@ -19,12 +19,16 @@ The implementation keeps envelopes and pending receives in arrival /
 posting order and always scans from the front, which realizes both
 non-overtaking guarantees.
 
-Waiting is event-based: a receive with no timeout blocks on its
-completion event without any periodic wakeup; the engine wakes blocked
-receivers explicitly on abort (:meth:`Mailbox.abort_all`).  A receive
-*with* a timeout — per-call or via the mailbox's default
+Waiting is latch-based: a posted receive completes on a one-shot
+:class:`Latch` (one bare lock, held from the post and released once, by
+the delivery or the abort that completes the receive).  A receive with
+no timeout blocks on it without any periodic wakeup; the engine wakes
+blocked receivers explicitly on abort (:meth:`Mailbox.abort_all`).  A
+receive *with* a timeout — per-call or via the mailbox's default
 :class:`WaitPolicy` — waits in exponentially growing backoff slices so
-the deadline is honoured without a hard-coded poll tick.
+the deadline is honoured without a hard-coded poll tick.  The mailbox's
+condition variable serves only the blocking probe: a delivery notifies
+it only while a probe waits on it.
 
 Fault injection (:mod:`repro.mpisim.faults`) hooks into delivery:
 :meth:`Mailbox.put` consults the engine's injector, which may hold a
@@ -39,6 +43,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from _thread import allocate_lock
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
@@ -99,7 +104,7 @@ class WaitPolicy:
 DEFAULT_WAIT_POLICY = WaitPolicy()
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """A message in flight.
 
@@ -115,7 +120,7 @@ class Envelope:
     comm_id: int
     payload: Any
     nbytes: int
-    seq: int = field(default_factory=lambda: next(_envelope_seq))
+    seq: int = field(default_factory=_envelope_seq.__next__)
     fault: Optional[str] = None
 
     def matches(self, source: int, tag: int, comm_id: int) -> bool:
@@ -130,23 +135,61 @@ class Envelope:
         return True
 
 
-@dataclass
+class Latch:
+    """A one-shot completion flag: one bare lock, held from creation and
+    released once by :meth:`set`.
+
+    The surface of :class:`threading.Event` that receives use
+    (``set``/``is_set``/``wait(timeout)``) at the cost of one lock —
+    an ``Event`` is a condition variable over a second lock, and its
+    ``set`` notifies through both.  A latch is never cleared, so
+    :meth:`set` releases at most once and a later call is a no-op;
+    :meth:`wait` returns whether the latch is set, like
+    ``Event.wait``.  :meth:`set` is a check-then-act, so a latch has
+    one setter: a receive's is whoever took it off the mailbox's
+    pending list (under the mailbox lock), or its poster when it
+    completed at once."""
+
+    __slots__ = ("_lock", "_set")
+
+    def __init__(self) -> None:
+        self._lock = allocate_lock()
+        self._lock.acquire()
+        self._set = False
+
+    def is_set(self) -> bool:
+        return self._set
+
+    def set(self) -> None:
+        if not self._set:
+            self._set = True
+            self._lock.release()
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        if self._set:
+            return True
+        if self._lock.acquire(True, -1 if timeout is None else timeout):
+            self._lock.release()  # open again for any later waiter
+            return True
+        return self._set
+
+
 class PostedRecv:
     """A receive that has been posted but not yet satisfied."""
 
-    source: int
-    tag: int
-    comm_id: int
-    #: filled in when matched
-    envelope: Optional[Envelope] = None
-    done: threading.Event = field(default_factory=threading.Event)
-    #: set by :meth:`Mailbox.abort_all` when the engine aborts the run
-    aborted: bool = False
-    #: backoff retries performed while waiting (diagnostics)
-    retries: int = 0
+    __slots__ = ("source", "tag", "comm_id", "envelope", "done", "aborted", "retries")
 
-    def accepts(self, env: Envelope) -> bool:
-        return env.matches(self.source, self.tag, self.comm_id)
+    def __init__(self, source: int, tag: int, comm_id: Any) -> None:
+        self.source = source
+        self.tag = tag
+        self.comm_id = comm_id
+        #: filled in when matched
+        self.envelope: Optional[Envelope] = None
+        self.done = Latch()
+        #: set by :meth:`Mailbox.abort_all` when the engine aborts the run
+        self.aborted = False
+        #: backoff retries performed while waiting (diagnostics)
+        self.retries = 0
 
 
 @dataclass
@@ -180,9 +223,12 @@ class Mailbox:
         self.owner_rank = owner_rank
         self._abort = abort_event
         self._lock = threading.Lock()
-        #: signalled on every delivery/abort; the blocking-probe
-        #: primitive (Condition.wait releases the mailbox lock)
+        #: the blocking-probe primitive (Condition.wait releases the
+        #: mailbox lock), signalled on abort and, while ``_probing`` is
+        #: non-zero, on every delivery
         self._cond = threading.Condition(self._lock)
+        #: blocking probes parked on ``_cond`` right now
+        self._probing = 0
         self._envelopes: list[Envelope] = []
         self._pending: list[PostedRecv] = []
         #: default wait behaviour (engine-configurable)
@@ -253,16 +299,15 @@ class Mailbox:
 
     def _deliver_locked(self, env: Envelope) -> None:
         """Match or queue one envelope.  Caller holds the lock."""
-        try:
-            for i, recv in enumerate(self._pending):
-                if recv.accepts(env):
-                    del self._pending[i]
-                    recv.envelope = env
-                    recv.done.set()
-                    return
-            self._envelopes.append(env)
-        finally:
+        if self._probing:
             self._cond.notify_all()
+        for i, recv in enumerate(self._pending):
+            if env.matches(recv.source, recv.tag, recv.comm_id):
+                del self._pending[i]
+                recv.envelope = env
+                recv.done.set()
+                return
+        self._envelopes.append(env)
 
     # ------------------------------------------------------------------
     # held-stream machinery (fault injection)
@@ -321,7 +366,7 @@ class Mailbox:
                 recv.done.set()
                 return recv
             for i, env in enumerate(self._envelopes):
-                if recv.accepts(env):
+                if env.matches(source, tag, comm_id):
                     del self._envelopes[i]
                     recv.envelope = env
                     recv.done.set()
@@ -338,7 +383,7 @@ class Mailbox:
         """Block until ``recv`` is satisfied or the engine aborts.
 
         With no timeout (neither the argument nor the effective policy
-        supplies one) the wait is a single event block — idle ranks do
+        supplies one) the wait is a single latch block — idle ranks do
         not spin.  With a timeout, the wait retries in the policy's
         backoff slices until the deadline.  Returns the matched envelope;
         raises :class:`AbortError` when the engine aborts,
@@ -346,38 +391,8 @@ class Mailbox:
         :class:`DuplicateMessageError` when the match is an injected
         duplicate.
         """
-        pol = policy or self.policy
-        effective = timeout if timeout is not None else pol.timeout
-        start = time.monotonic()
-        if self._abort.is_set() and not recv.done.is_set():
-            self.cancel(recv)
-            raise self._abort_error(recv)
-        if effective is None:
-            recv.done.wait()
-        else:
-            deadline = start + effective
-            intervals = pol.intervals()
-            while not recv.done.is_set():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self.cancel(recv)
-                    raise RecvTimeoutError(
-                        f"rank {self.owner_rank}: timed out after "
-                        f"{effective}s waiting for message from "
-                        f"{recv.source} (tag {recv.tag}, comm "
-                        f"{recv.comm_id}, {recv.retries} retries)",
-                        rank=self.owner_rank,
-                        source=recv.source,
-                        tag=recv.tag,
-                        waited=time.monotonic() - start,
-                        retries=recv.retries,
-                    )
-                if recv.done.wait(timeout=min(next(intervals), remaining)):
-                    break
-                recv.retries += 1
-                self.poll_wakeups += 1
-                if self._abort.is_set():
-                    break
+        if not recv.done.is_set():
+            self._block(recv, timeout, policy or self.policy)
         env = recv.envelope
         if env is not None:
             if env.fault == "duplicate":
@@ -391,6 +406,43 @@ class Mailbox:
         # woken without an envelope: engine abort
         self.cancel(recv)
         raise self._abort_error(recv)
+
+    def _block(
+        self, recv: PostedRecv, timeout: Optional[float], pol: WaitPolicy
+    ) -> None:
+        """:meth:`wait` for a receive not yet complete: return once it is
+        (or the engine aborted); raise on abort or deadline expiry."""
+        effective = timeout if timeout is not None else pol.timeout
+        start = time.monotonic()
+        if self._abort.is_set():
+            self.cancel(recv)
+            raise self._abort_error(recv)
+        if effective is None:
+            recv.done.wait()
+            return
+        deadline = start + effective
+        intervals = pol.intervals()
+        while not recv.done.is_set():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self.cancel(recv)
+                raise RecvTimeoutError(
+                    f"rank {self.owner_rank}: timed out after "
+                    f"{effective}s waiting for message from "
+                    f"{recv.source} (tag {recv.tag}, comm "
+                    f"{recv.comm_id}, {recv.retries} retries)",
+                    rank=self.owner_rank,
+                    source=recv.source,
+                    tag=recv.tag,
+                    waited=time.monotonic() - start,
+                    retries=recv.retries,
+                )
+            if recv.done.wait(timeout=min(next(intervals), remaining)):
+                return
+            recv.retries += 1
+            self.poll_wakeups += 1
+            if self._abort.is_set():
+                return
 
     def _abort_error(self, recv: PostedRecv) -> AbortError:
         state = None
@@ -415,7 +467,11 @@ class Mailbox:
         queued) or ``timeout`` seconds — the blocking-probe primitive.
         Spurious wakeups are fine: callers re-check their predicate."""
         with self._cond:
-            self._cond.wait(timeout)
+            self._probing += 1
+            try:
+                self._cond.wait(timeout)
+            finally:
+                self._probing -= 1
 
     # ------------------------------------------------------------------
     # engine hooks

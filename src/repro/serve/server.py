@@ -432,7 +432,12 @@ class ScheduleServer:
         )
 
         def check(sched: Any) -> None:
-            certify_schedule(sched, dims, periods)
+            # the lowering certification judged is filed as the
+            # schedule's plan, so a plan request at its sizes lowers
+            # nothing again
+            plan_mod.adopt_certified(
+                sched, lambda: certify_schedule(sched, dims, periods).plan
+            )
 
         return check
 

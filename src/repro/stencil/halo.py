@@ -30,6 +30,7 @@ zero-copy argument for needing the ``w`` variants).
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from typing import Sequence
 
@@ -116,7 +117,13 @@ def halo_specs(
     (ranks of an uneven decomposition keep their own).
     """
     interior = tuple(int(x) for x in interior_shape)
-    return _halo_specs(interior, int(depth), nbh, int(itemsize), buffer)
+    with _LAYING_OUT:
+        return _halo_specs(interior, int(depth), nbh, int(itemsize), buffer)
+
+
+#: one lay-out at a time: ``lru_cache`` alone lets two ranks that miss
+#: together (one pre-empted mid-build) each build and keep their own copy
+_LAYING_OUT = threading.Lock()
 
 
 @lru_cache(maxsize=64)  # an entry of a large 3-D grid is a long block list

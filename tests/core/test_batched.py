@@ -443,6 +443,40 @@ class TestPoolBalance:
         assert _outstanding() == before
         assert plan_mod.GLOBAL_POOL.stats().double_releases == 0
 
+    def test_interpreter_runs_again_on_fresh_pooled_scratch(self):
+        """An interpreter runs again once an execution ended (a threaded
+        handle's bound execution does): every run takes its scratch from
+        the pool and returns it, and a later run is a plan hit."""
+        from repro.core.backend.interpreter import ScheduleInterpreter
+        from repro.core.backend.lockstep import (
+            LockstepExchange,
+            LockstepTransport,
+            drive_lockstep,
+        )
+
+        topo = CartTopology((4, 4))
+        sched = make_sched(NBH)
+        assert sched.temp_nbytes > 0
+        bufs = make_bufs(topo.size, NBH.t, 6)
+        expected = [{k: v.copy() for k, v in b.items()} for b in bufs]
+        get_backend("batched").execute_all(topo, sched, expected)
+        before = _outstanding()
+        exchange = LockstepExchange()
+        interps = [
+            ScheduleInterpreter(
+                LockstepTransport(exchange, r), topo, sched, bufs[r], observe=False
+            )
+            for r in range(topo.size)
+        ]
+        for _ in range(2):
+            for b in bufs:
+                b["recv"][:] = 0
+            drive_lockstep(interps, exchange)
+            assert _outstanding() == before
+            for got, want in zip(bufs, expected):
+                np.testing.assert_array_equal(got["recv"], want["recv"])
+        assert all(it.plan_hit is True for it in interps)
+
     def test_chaos_sweep_balances(self):
         """Kill/stall fault injection on the threaded engine ends with
         no outstanding pooled scratch (interpreter abort on error)."""

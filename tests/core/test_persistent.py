@@ -115,6 +115,101 @@ class TestReuse:
         assert res[0] == (NBH.combining_rounds, NBH.alltoall_volume)
 
 
+class TestBoundHandle:
+    """A handle's first start binds its execution in ``handle.prepared``
+    on every backend; on ``threaded`` each rank binds its own plan
+    view, transport and buffers, and a later start runs the phase loop
+    only."""
+
+    N = 5
+
+    @staticmethod
+    def _starts(backend, n, *, warm=False, engine=None):
+        """Per rank: ``n`` starts of one handle (after one blocking call
+        when ``warm``); returns the rank's OpStats as JSON with the
+        backend name taken out, and whether the handle kept a binding."""
+
+        def fn(cart):
+            t = cart.nbh.t
+            send = np.arange(2 * t, dtype=np.float64) + cart.rank
+            recv = np.zeros(2 * t)
+            if warm:
+                cart.alltoall(send, recv, algorithm="combining")
+                cart.stats.reset()
+            op = cart.alltoall_init(send, recv, algorithm="combining")
+            try:
+                for _ in range(n):
+                    op.execute()
+                bound = op.prepared is not None
+            finally:
+                op.free()
+            stats = cart.stats.to_json()
+            for rec in stats["records"]:
+                rec.pop("backend")
+            for key in ("cache", "plans"):
+                stats[key].pop("by_backend")
+            stats["bytes_packed"] = sum(stats["bytes_packed"].values())
+            stats["bytes_copied"] = sum(stats["bytes_copied"].values())
+            return stats, bound
+
+        info = {"backend": backend, "collect_stats": True}
+        return run_cartesian((3, 3), NBH, fn, info=info, engine=engine)
+
+    def test_threaded_looks_its_plan_up_on_the_first_start_only(
+        self, monkeypatch
+    ):
+        from repro.core import plan as plan_mod
+
+        calls = []
+        real = plan_mod.get_or_compile
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(plan_mod, "get_or_compile", counted)
+        out = self._starts("threaded", self.N)
+        assert len(calls) == 9  # p lookups for N starts
+        assert all(bound for _stats, bound in out)
+        for stats, _bound in out:
+            assert stats["records"][0]["calls"] == self.N
+            assert stats["plans"]["hits"] + stats["plans"]["misses"] == self.N
+
+    def test_threaded_books_what_batched_books(self):
+        # warm: the plan is on file, so every lookup is a hit on both
+        threaded = self._starts("threaded", self.N, warm=True)
+        batched = self._starts("batched", self.N, warm=True)
+        assert [s for s, _ in threaded] == [s for s, _ in batched]
+        assert threaded[0][0]["plans"] == {"hits": self.N, "misses": 0}
+
+    def test_traced_starts_record_what_blocking_calls_record(self):
+        """Every start of a bound handle traces as a blocking call does —
+        begin/end marks, one isend and one irecv per round — so netsim
+        replays a persistent run unchanged."""
+        from repro.mpisim.engine import Engine
+
+        def blocking(cart):
+            t = cart.nbh.t
+            send = np.arange(2 * t, dtype=np.float64)
+            recv = np.zeros(2 * t)
+            for _ in range(self.N):
+                cart.alltoall(send, recv, algorithm="combining")
+
+        ref = Engine(9, timeout=60.0, tracing=True)
+        run_cartesian((3, 3), NBH, blocking, info={"backend": "threaded"}, engine=ref)
+        eng = Engine(9, timeout=60.0, tracing=True)
+        self._starts("threaded", self.N, engine=eng)
+        rounds = NBH.combining_rounds
+        for rank in range(9):
+            events = eng.trace.for_rank(rank)
+            kinds = [e.kind for e in events]
+            notes = [e.note for e in events if e.kind == "mark"]
+            assert kinds.count("isend") == kinds.count("irecv") == self.N * rounds
+            assert sum(n.startswith("begin ") for n in notes) == self.N
+            assert sum(n.startswith("end ") for n in notes) == self.N
+            assert events == ref.trace.for_rank(rank)
+
+
 class TestVariants:
     def test_alltoallv_init(self):
         topo = CartTopology((3, 3))

@@ -257,6 +257,33 @@ class TestHaloDatatypesAreCommittedOnce:
         assert len(mine) == len(sends[0]) + 1
         assert halo_specs((5, 7), 1, NBH, 8, buffer="other")[0] is not sends
 
+    def test_ranks_that_miss_together_share_one_lay_out(self, monkeypatch):
+        """Two threads asking for one shape at once get the same tuples,
+        even when the first is pre-empted in the middle of its build."""
+        import threading
+        import time
+
+        real = halo_mod.region_from_slices
+
+        def slow(*args, **kwargs):
+            time.sleep(0.001)  # hand the interpreter to the other thread
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(halo_mod, "region_from_slices", slow)
+        halo_mod._halo_specs.cache_clear()
+        got = []
+        threads = [
+            threading.Thread(target=lambda: got.append(halo_specs((6, 5), 1, NBH, 8)))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 2 and got[0] is got[1]
+        halo_mod._halo_specs.cache_clear()
+
     def test_signature_is_cached_and_dropped_by_append(self):
         bs = BlockSet([BlockRef("send", 0, 8)])
         first = bs.signature()

@@ -170,6 +170,14 @@ class TestBlockSet:
         assert bs.total_nbytes == 12
         assert bs.buffers_used() == {"send", "recv"}
 
+    def test_total_is_summed_once_and_append_invalidates_it(self):
+        bs = BlockSet([BlockRef("send", 0, 8)])
+        assert bs.total_nbytes == 8
+        bs.blocks[0] = BlockRef("send", 0, 99)  # behind the memo's back
+        assert bs.total_nbytes == 8  # memoised, not re-summed
+        bs.append(BlockRef("recv", 0, 4))
+        assert bs.total_nbytes == 103  # append dropped the memo
+
     def test_pack_unpack_multi_buffer(self):
         send = np.arange(4, dtype=np.int32)
         recv = np.zeros(4, dtype=np.int32)

@@ -427,6 +427,43 @@ class TestPlanService:
         drive(main())
 
 
+    def test_plan_at_the_verifiers_sizes_reuses_the_certified_lowering(
+        self, tmp_path
+    ):
+        """Certification files the plan it judged on the schedule, so a
+        plan request at the verifier's sizes lowers nothing again."""
+        from repro.analyze.schedule_verifier import _plan_sizes
+
+        async def main():
+            server = ScheduleServer(
+                sock_path(tmp_path), shm_plans=True, cache=ScheduleCache()
+            )
+            await server.start()
+            client = await connect(server)
+            try:
+                d = stencil_dict(dims=(4, 3))
+                await call(client.request, {"op": "schedule", **d})
+                req = ScheduleRequest.from_dict(d)
+                sched = req.build()
+                sched.prepare()
+                plan_d = req.to_dict("plan")
+                plan_d.update(rank=0, sizes=_plan_sizes(sched))
+                before = plan_mod.plan_cache_info()
+                plan, resp = await call(
+                    client.request_plan, ScheduleRequest.from_dict(plan_d)
+                )
+                del plan  # release shm views before the client detaches
+                after = plan_mod.plan_cache_info()
+                assert resp["plan_hit"] is False  # published just now
+                assert after.misses == before.misses
+                assert after.instantiated == before.instantiated
+                assert after.hits == before.hits + 1
+            finally:
+                await _stop_and_close(server, client)
+
+        drive(main())
+
+
 class TestStopReleasesSegment:
     def test_stop_cancelled_mid_drain_still_unlinks_plan_store(self, tmp_path):
         """Regression: ``stop()`` marks itself stopped first and used to
