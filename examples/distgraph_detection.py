@@ -23,7 +23,6 @@ import numpy as np
 from repro import moore_neighborhood
 from repro.core.cartcomm import cart_neighborhood_create
 from repro.core.distgraph import dist_graph_create_adjacent
-from repro.core.topology import CartTopology
 from repro.mpisim.engine import run_ranks
 
 DIMS = (4, 4)

@@ -137,9 +137,10 @@ def plan_digest(
     shape is what was decided from absolute sizes — per selector op its
     forms and word class ``gcd(8, lane)``, slice loops
     (``INDEX_RUN_LIMIT``), the delivery form, the copies' fusion, whether
-    fused maps exist — and a hash of what the shape stage reads (peer
-    vectors, row masks, maps already lowered).  The digest hashes what
-    the instance stage reads, selectors as bytes, extents and lanes in
+    fused maps exist and whether they or planes run (``plan.staging``)
+    — and a hash of what the shape stage reads (peer vectors, row masks,
+    maps and planes already lowered).  The digest hashes what the
+    instance stage reads, selectors as bytes, extents and lanes in
     granules (``None`` where one is not whole granules)."""
     peers, kernels = hashlib.sha256(), hashlib.sha256()
     peer_words: list[object] = [plan.p]
@@ -195,9 +196,10 @@ def plan_digest(
             for vec in rows:
                 array(vec)
     lane, maps = plan.fused_lane, plan.fused_if_lowered
-    decisions.append(lane and math.gcd(8, lane))
+    decisions.extend((lane and math.gcd(8, lane), plan.staging.split(":")[0]))
     words.append(lane and (lane // math.gcd(lane, granule), granule // math.gcd(lane, granule)))
-    peer_words.append(maps and maps.dtype.str)
+    planes = plan.planes_if_lowered
+    peer_words.extend((maps and maps.dtype.str, planes and repr(planes[2:4])))
     for vec in (plan.reduce_missing, *(v for step in (maps.steps if maps else ()) for v in step)):
         array(vec)
     peers.update(json.dumps(peer_words, default=int).encode())

@@ -26,6 +26,8 @@ L004      every ``except`` in ``mpisim/`` either catches a typed
           silently swallowing a generic exception hides rank failures.
 L005      public functions/methods in ``core``/``mpisim`` carry complete
           type annotations (every parameter and the return type).
+L010      every name an import binds is read (as a name, in a quoted
+          annotation or ``__all__``); ``__init__`` modules re-export.
 ========  =============================================================
 
 Suppression: a trailing comment ``# lint: allow(LXXX)`` on the flagged
@@ -52,6 +54,7 @@ RULES: dict[str, str] = {
     "L007": "pooled buffer may be released twice on one path",
     "L008": "condition wait/notify outside the condition's lock",
     "L009": "lock-order inversion between with-lock nestings",
+    "L010": "imported but unused",
 }
 
 #: attribute names whose call blocks the calling thread
@@ -398,6 +401,31 @@ class _FileLinter(ast.NodeVisitor):
             )
 
 
+def unused_imports(path: Path, tree: ast.Module) -> list[Finding]:
+    """L010 over one module's ``tree``."""
+    bound: dict[str, ast.stmt] = {}
+    used: set[str] = set()
+    notes: list[Optional[ast.expr]] = []  # annotations and ``__all__``: strings name names
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", "") != "__future__":
+                bound.update((a.asname or a.name.split(".")[0], node) for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes.append(getattr(node, "annotation", getattr(node, "returns", None)))
+        elif isinstance(node, ast.Assign):
+            notes += [node.value] * ("__all__" in [getattr(t, "id", 0) for t in node.targets])
+    for c in (c for note in filter(None, notes) for c in ast.walk(note)):
+        if isinstance(c, ast.Constant) and isinstance(c.value, str):
+            used.update(re.findall(r"[A-Za-z_]\w*", c.value))
+    return [
+        Finding(path.as_posix(), node.lineno, "L010", f"'{name}' imported but unused")
+        for name, node in bound.items()
+        if name not in used and name != "*" and path.name != "__init__.py"
+    ]
+
+
 def lint_file(path: Path) -> list[Finding]:
     source = path.read_text()
     try:
@@ -414,6 +442,8 @@ def lint_file(path: Path) -> list[Finding]:
     linter = _FileLinter(path, tree, source)
     linter.visit(tree)
     findings = list(linter.findings)
+    allowed = linter.allowed
+    findings += [f for f in unused_imports(path, tree) if "L010" not in allowed.get(f.line, ())]
     # the CFG linearity/lockset passes (L006-L009) live in their own
     # module, which imports Finding from here — import lazily to keep
     # the dependency one-directional at load time

@@ -53,7 +53,7 @@ CODES: dict[str, str] = {
     "V502": "lowered plan peer vectors or their masks differ from translation",
     "V503": "compiled pack/unpack bytes differ from the block sets",
     "V504": "compiled local-copy program differs from the schedule's",
-    "V506": "matrix execution differs from lockstep over the rank views",
+    "V506": "a plane, fused or in-place execution differs from the walk over the rank views",
     # --- all-to-all broadcast optimality (Jung & Sakho bounds) ---------
     "V601": "broadcast neighborhood does not cover the whole torus",
     "V602": "broadcast volume differs from the p-1 block optimum",

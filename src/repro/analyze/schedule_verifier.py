@@ -534,7 +534,7 @@ def _delivery(plan: "BatchedPlan") -> str:
     from repro.core.backend.batched import executor_form
 
     delivery, form = f"{plan.delivery}: {plan.delivery_reason}", executor_form(plan)
-    return delivery if form == delivery else f"{delivery}; runs as {form}"
+    return form if form.startswith(delivery) else f"{delivery}; runs as {form}"
 
 
 def _check_plan_kernels(
@@ -787,11 +787,11 @@ def _check_execution(
     :func:`_expected_slots`) and — with ``definition``, a reduction
     whose static passes are clean — every output region, on integer
     inputs of the combine dtype (V805, :func:`_reduce_wanted`).  A walk
-    that raises violates whichever of the two the kind has.  The matrix
-    form (:meth:`BatchedPlan.execute`), its fused maps (lowered here:
-    :meth:`BatchedPlan.execute_staged`) and an in-place plan's
-    :meth:`BatchedPlan.deliver` must leave every rank's buffers as the
-    walk left them (V506).  What ran goes on ``report.checks_run``; over
+    that raises violates whichever of the two the kind has.  The plan's
+    planes (:meth:`BatchedPlan.execute_planes`), its fused maps
+    (:meth:`BatchedPlan.execute_staged`), both lowered here, and an
+    in-place plan's :meth:`BatchedPlan.deliver` must leave every rank's
+    buffers as the walk left them (V506).  What ran goes on ``report.checks_run``; over
     :data:`CONTENT_BUDGET` nothing runs and ``report.skipped`` says so."""
     from repro.core.backend.interpreter import ScheduleInterpreter
     from repro.core.backend.lockstep import (
@@ -841,31 +841,36 @@ def _check_execution(
             f"the walk over the rank views raised {exc!r}",
         )
         return
-    block = np.zeros(plan.block_nbytes, np.uint8)
-    for name, matrix in plan.matrices(block).items():
-        matrix[:] = [byte_view(start[r][name]) for r in range(p)]
+    rows = {name: np.stack([byte_view(start[r][name]) for r in range(p)]) for name in sizes}
 
-    def run_staged(fused: bool) -> Optional[Sequence[Mapping[str, np.ndarray]]]:
-        if fused and plan.fused is None:  # lowered here for every later run
+    def run_fused() -> Optional[Sequence[Mapping[str, np.ndarray]]]:
+        if plan.fused is None:  # lowered here for every later run
             return None
-        staged = block.copy()  # every way runs on its own copy
-        matrices = plan.matrices(staged)
-        if fused:
-            plan.execute_staged(staged, matrices)
-        else:
-            plan.execute(matrices)
-            plan.run_local_copies(matrices)
+        block = np.zeros(plan.block_nbytes, np.uint8)
+        matrices = plan.matrices(block)
+        for name, matrix in matrices.items():
+            matrix[:] = rows[name]
+        plan.execute_staged(block, matrices)
         return [{name: matrices[name][rank] for name in sizes} for rank in range(p)]
+
+    def run_planes() -> Optional[Sequence[Mapping[str, np.ndarray]]]:
+        if plan.planes is None:  # lowered here for every later run
+            return None
+        block = np.zeros(plan.block_nbytes, np.uint8)
+        planes = plan.plane_views(block)
+        for name, plane in planes.items():
+            plane[...] = rows[name].reshape(p, *plane.shape[::2]).transpose(1, 0, 2)
+        plan.execute_planes(block)
+        return [{name: plane[:, rank] for name, plane in planes.items()} for rank in range(p)]
 
     def run_in_place() -> Sequence[Mapping[str, np.ndarray]]:
         # on the inputs themselves: everything else has its own copy
         plan.deliver(start)
         return start
 
-    # a plan without a matrix form is only ever walked: nothing to compare
+    # a plan without a staged form is only ever walked: nothing to compare
     ways = (
-        [("matrix execution", lambda: run_staged(False)),
-         ("fused execution", lambda: run_staged(True))]
+        [("plane execution", run_planes), ("fused execution", run_fused)]
         if plan.matrix_error is None
         else []
     )
@@ -880,14 +885,15 @@ def _check_execution(
                 "V506", f"{way} raised {exc!r} where the walk succeeded"
             )
             continue
-        if got_bufs is None:  # no fused maps
+        if got_bufs is None:  # no maps or no planes
             continue
         for rank in range(p):
             bad = [
                 name
                 for name in sizes
-                if not np.array_equal(
-                    byte_view(ref_bufs[rank][name]), got_bufs[rank][name]
+                if not np.array_equal(  # a plane's rank column is (words, lane)
+                    byte_view(ref_bufs[rank][name]).reshape(got_bufs[rank][name].shape),
+                    got_bufs[rank][name],
                 )
             ]
             if bad:

@@ -23,11 +23,13 @@ Every app in :mod:`repro.apps` follows one contract:
 
 Two drivers run an app, chosen from what the call shows (``backend=None``
 reads ``$REPRO_BACKEND``).  The **rows driver** (``batched``, no
-``engine``, one plan with a matrix form) runs on the calling thread: the
+``engine``, one plan with a staged form) runs on the calling thread: the
 exchange bound once on a communicator-less
 :class:`~repro.core.cartcomm.CartComm`, every rank's state copied once
-into its row of the plan's staged block, an iteration the plan's
-execution in place on it and one step call on all ``p`` rows.  The
+into its row of the plan's staged block (of a stack that an iteration
+transposes into and out of the plan's planes, where it runs in them),
+an iteration the plan's execution on it and one step call on all ``p``
+rows.  The
 **SPMD driver** (``threaded``, an ``engine``'s faults or trace) runs one
 rank thread per rank.  A ragged decomposition on ``batched`` is refused
 before any thread starts.
@@ -210,6 +212,9 @@ class CartesianApp:
             plan, hit = plan_mod.get_or_compile(handle.schedule, cart.topo, handle.buffers)
             if plan.matrix_error is not None:
                 return None, f"spmd: {plan.matrix_error}"
+            form = plan.staging.split(":")[0]
+            if form == "walk":
+                return None, f"spmd: {plan.staging}"
             staged = [
                 (name, [s[name] for s in states], True)
                 for name in handle.buffers if name in states[0]
@@ -230,7 +235,6 @@ class CartesianApp:
         for n, plan_hit in ((1, hit), (k - 1, True))[:k]:
             copied = n * p * handle.schedule.local_copy_bytes
             cart._record(handle, "batched", plan_hit, n * plan.wire_bytes, copied, n * p)
-        form = "round kernels" if plan.fused is None else "fused"
         return stats, f"rows: {p} ranks, one plan, {form}"
 
     # ------------------------------------------------------------------

@@ -111,13 +111,12 @@ class WeightedStencil(CartesianApp):
         return cart.alltoallw_init({"grid": grid}, sends, recvs, algorithm=algorithm)
 
     def _step(self, state: Mapping[str, np.ndarray], it: int) -> None:
-        """One kernel call per rank row: the weights' offsets have one
-        component per grid axis, not per axis of a stack of rows."""
-        grid, source = state["grid"], state["source"]
-        for rank in np.ndindex(grid.shape[: -len(self.dims)]):
-            out = weighted_stencil_local(grid[rank], self.weights, self.depth)
-            out += source[rank]
-            grid[rank][self.inner] = out
+        """One kernel call on one rank's grid or on the stack of all
+        ``p`` (the offsets' arity names the grid axes)."""
+        grid = state["grid"]
+        out = weighted_stencil_local(grid, self.weights, self.depth)
+        out += state["source"]
+        grid[(..., *self.inner)] = out
 
     def _finish(self, states: Sequence[Mapping[str, np.ndarray]]) -> tuple[np.ndarray, dict]:
         return self.decomp.gather([s["grid"][self.inner] for s in states]), {}

@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from repro.core.blockcopy import pair_copies
 from repro.core.neighborhood import Neighborhood
 from repro.core.schedule import LocalCopy, Phase, Round, Schedule

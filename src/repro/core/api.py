@@ -17,7 +17,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.cartcomm import CartComm, cart_neighborhood_create
+from repro.core.cartcomm import cart_neighborhood_create
 from repro.core.neighborhood import Neighborhood
 from repro.mpisim.engine import Engine, run_ranks  # run_ranks: re-exported
 

@@ -20,13 +20,13 @@ topology, into an immutable :class:`BatchedPlan`:
 * **pooled scratch** from the process-wide size-classed
   :class:`BufferPool`.
 
-The plan runs three ways: :meth:`BatchedPlan.execute` over ``(p,
-nbytes)`` matrices (the batched backend's *staged* form, every round
-packed into a wire matrix), :meth:`BatchedPlan.deliver` from the
-sender's own arrays to the receiver's (the *in-place* form, chosen once
-at lowering: :attr:`BatchedPlan.delivery`), and one rank's memoized row
-view :meth:`BatchedPlan.for_rank` (a :class:`RankPlan`, sharing the
-kernels), which the interpreter of the threaded backend consumes.
+The batched backend runs a plan staged — fused word maps on a
+rank-major block (:meth:`BatchedPlan.execute_staged`) or planes, each
+round a shift of the rank grid on a rank-minor one
+(:meth:`BatchedPlan.execute_planes`) — or in place, from the sender's
+own arrays to the receiver's (:meth:`BatchedPlan.deliver`).  One rank's
+memoized row view :meth:`BatchedPlan.for_rank` (a :class:`RankPlan`,
+sharing the kernels) is what the threaded backend's interpreter runs.
 
 Plans are cached on the schedule object (``Schedule._plans``), one per
 ``(dims, periods, buffer signature)``, invalidated with its cache entry;
@@ -332,30 +332,25 @@ def _copy_lanes(
     lane: int,
 ) -> None:
     """Copy ``src_sel`` of ``src`` to ``dst_sel`` of ``dst`` on the
-    ``lane``-wide word views of two byte arrays — flat rank buffers, or
-    ``(p, nbytes)`` matrices whose columns the selectors index.  An
-    index gather into a contiguous destination writes straight through
+    ``lane``-wide word views of two flat byte arrays.  An index gather
+    into a contiguous destination writes straight through
     ``take(out=)``; the bounds were proven at compile time, so
     ``"clip"`` only skips the per-call check.  (Plain indices and the
-    ``take`` method, not ``[..., sel]`` and ``np.take``: per-rank
-    kernels of a few words run this thousands of times per collective.)
+    ``take`` method, not ``np.take``: per-rank kernels of a few words
+    run this thousands of times per collective.)
     """
     dtype = _lane_dtype(lane)
     dst = dst.view(dtype)
     src = src.view(dtype)
-    dst_at: Any = dst_sel
-    src_at: Any = src_sel
-    if dst.ndim == 2:
-        dst_at, src_at = (_ALL_ROWS, dst_sel), (_ALL_ROWS, src_sel)
     if type(src_sel) is slice:
-        dst[dst_at] = src[src_at]
+        dst[dst_sel] = src[src_sel]
         return
     if type(dst_sel) is slice:
-        out = dst[dst_at]
+        out = dst[dst_sel]
         if out.flags.c_contiguous:
             src.take(src_sel, -1, out, "clip")
             return
-    dst[dst_at] = src.take(src_sel, -1, None, "clip")
+    dst[dst_sel] = src.take(src_sel, -1, None, "clip")
 
 
 def _index_nbytes(ops: Sequence[tuple]) -> int:
@@ -602,15 +597,16 @@ def _order_hazard(
     """Why the order of a set of copies matters — ``None`` when it does
     not, so they may fuse, or run from one rank's live buffers straight
     into another's."""
-    srcs = _spans(reads)
-    for name, spans in _spans(writes).items():
+    srcs, dsts = _spans(reads), _spans(writes)
+    for spans in dsts.values():
         spans.sort()
         # destination regions must not collide with each other (a later
         # copy overwriting an earlier one is order-dependent) …
         for (_s0, e0), (s1, _e1) in zip(spans, spans[1:]):
             if s1 < e0:
                 return "writes a byte twice"
-        # … nor with any source region of the same buffer.
+    # … nor with any source region of the same buffer
+    for name, spans in dsts.items():
         if _overlaps(sorted(srcs.get(name, [])), spans):
             return "reads what it writes"
     return None
@@ -752,11 +748,6 @@ def compile_delivery(
 # ---------------------------------------------------------------------------
 # combine (reduction) steps: one rank's rows
 # ---------------------------------------------------------------------------
-
-
-def _dtype_slice(off: int, nbytes: int, itemsize: int) -> slice:
-    """Byte region → element slice on a whole-buffer dtype view."""
-    return slice(off // itemsize, (off + nbytes) // itemsize)
 
 
 class RankReduceRound:
@@ -1015,53 +1006,6 @@ class BatchedRound:
         """Wire bytes per rank row of this round's ``(p, n)`` matrix."""
         return self.send.total_nbytes if self.send is not None else 0
 
-    def pack_into(
-        self, matrices: Mapping[str, np.ndarray], wire: np.ndarray
-    ) -> None:
-        """Gather every rank's payload row in one pass: ``wire`` is the
-        round's ``(p, n)`` matrix.  Rows of ranks without a send half
-        are packed too (they are never delivered; packing all rows is
-        cheaper than masking the gather)."""
-        assert self.send is not None
-        for name, wire_sel, buf_sel, lane in self.send._sel_ops:
-            _copy_lanes(wire, wire_sel, matrices[name], buf_sel, lane)
-        for name, wire_off, buf_off, n in self.send._run_ops:
-            wire[:, wire_off : wire_off + n] = matrices[name][
-                :, buf_off : buf_off + n
-            ]
-
-    def unpack_from(
-        self, matrices: Mapping[str, np.ndarray], wire: np.ndarray
-    ) -> None:
-        """Deliver: row ``j`` of the scatter reads row ``sources[j]`` of
-        the wire matrix — the all-ranks message exchange is a fancy-
-        indexed row permutation, applied kernel by kernel straight from
-        the wire (no permuted ``(p, n)`` copy of the whole round)."""
-        assert self.recv is not None
-        src = self.recv_sources
-        # ``None`` when every rank receives (the scatter is then a basic
-        # row slice); on a mesh edge, the receiving rows only
-        rows = self.recv_rows
-        dst_rows = slice(None) if rows is None else rows
-        for name, wire_sel, buf_sel, lane in self.recv._sel_ops:
-            dtype = _lane_dtype(lane)
-            words = wire.view(dtype)
-            if isinstance(wire_sel, slice):
-                payload = words[src, wire_sel]
-            else:
-                # the lane-granular column gather first, then whole rows
-                # (1.6x faster than the one-step ``wire[src[:, None], sel]``)
-                payload = words.take(wire_sel, axis=1).take(src, axis=0)
-            mat = matrices[name].view(dtype)
-            if rows is None or isinstance(buf_sel, slice):
-                mat[dst_rows, buf_sel] = payload
-            else:
-                mat[rows[:, None], buf_sel] = payload
-        for name, wire_off, buf_off, n in self.recv._run_ops:
-            matrices[name][dst_rows, buf_off : buf_off + n] = wire[
-                src, wire_off : wire_off + n
-            ]
-
     def __repr__(self) -> str:
         return (
             f"BatchedRound(senders={self.senders}, "
@@ -1088,7 +1032,7 @@ class BatchedReduceRound:
     driving ``p`` interpreters, each running its :meth:`for_rank` rows
     of the same step list."""
 
-    __slots__ = ("token", "dtype", "_steps", "_ops", "_ufunc", "_fn", "_rows")
+    __slots__ = ("token", "dtype", "steps", "_ufunc", "_fn", "_rows")
 
     def __init__(
         self,
@@ -1106,23 +1050,15 @@ class BatchedReduceRound:
 
         self.token = token
         self.dtype = dtype
-        self.steps = steps
+        #: (src buf, src off, dst buf, dst off, nbytes, copy rows, combine
+        #: rows), ``None`` rows for "all ranks"
+        self.steps = tuple(steps)
         self._ufunc = ufunc_for_token(token)
         self._fn = None if self._ufunc is not None else resolve_op_token(token)
         #: per-step (skip | copy | fold) pattern -> the row view every
         #: rank with that pattern shares (one entry on a torus; rank
         #: threads racing on a pattern build equal views)
         self._rows: dict[bytes, Optional[RankReduceRound]] = {}
-
-    @property
-    def steps(self) -> tuple:
-        """(src buf, src off, dst buf, dst off, nbytes, copy rows, combine
-        rows), ``None`` rows for "all ranks"; run as :func:`_merge_copies`."""
-        return self._steps
-
-    @steps.setter
-    def steps(self, steps: Sequence[tuple]) -> None:
-        self._steps, self._ops = tuple(steps), _merge_copies(steps)
 
     def for_rank(self, rank: int) -> Optional[RankReduceRound]:
         """Rank ``rank``'s rows: the steps whose copy rows or fold rows
@@ -1142,73 +1078,44 @@ class BatchedReduceRound:
             self._rows[pattern] = RankReduceRound(self, mine) if mine else None
         return self._rows[pattern]
 
-    def run(self, matrices: Mapping[str, np.ndarray]) -> None:
-        dt = self.dtype
-        isz = dt.itemsize
-        for step, k, ss, ds in self._ops:
-            sbuf, soff, dbuf, doff, n, copy_rows, comb_rows = step
-            src_m = matrices[sbuf]
-            dst_m = matrices[dbuf]
-            if k > 1:
-                _strided(dst_m, doff, ds, k, n)[...] = _strided(src_m, soff, ss, k, n)
-                continue
+    def run(self, arrays: Mapping[str, np.ndarray], lane: int = 0) -> None:
+        """Every step on all ranks: ``arrays`` are the ``(p, nbytes)``
+        matrices, or with ``lane`` the ``(words, p, lane)`` byte planes
+        (:meth:`BatchedPlan.plane_views`), where a step's rank rows are
+        the second axis and all its ranks one contiguous run."""
+        dt, ufunc, fn = self.dtype, self._ufunc, self._fn
+
+        def at(off: int, n: int, rows: Any = _ALL_ROWS) -> tuple:
+            if lane:
+                return slice(off // lane, (off + n) // lane), rows
+            return rows, slice(off, off + n)
+
+        for sbuf, soff, dbuf, doff, n, copy_rows, comb_rows in self.steps:
+            src, dst = arrays[sbuf], arrays[dbuf]
             if copy_rows is None:
-                dst_m[:, doff : doff + n] = src_m[:, soff : soff + n]
+                dst[at(doff, n)] = src[at(soff, n)]
             elif copy_rows.size:
-                dst_m[copy_rows, doff : doff + n] = src_m[
-                    copy_rows, soff : soff + n
-                ]
+                dst[at(doff, n, copy_rows)] = src[at(soff, n, copy_rows)]
             if comb_rows is not None and not comb_rows.size:
                 continue
-            sv = src_m.view(dt)
-            dv = dst_m.view(dt)
-            scols = _dtype_slice(soff, n, isz)
-            dcols = _dtype_slice(doff, n, isz)
             if comb_rows is None:
-                d = dv[:, dcols]
-                if self._ufunc is not None:
-                    self._ufunc(d, sv[:, scols], out=d)
+                d, s = dst[at(doff, n)].view(dt), src[at(soff, n)].view(dt)
+                if ufunc is not None:
+                    ufunc(d, s, out=d)
                 else:
-                    d[...] = self._fn(d, sv[:, scols])
+                    d[...] = fn(d, s)
             else:
-                d = dv[comb_rows, dcols]  # fancy row index: a copy
-                s = sv[comb_rows, scols]
-                dv[comb_rows, dcols] = (
-                    self._ufunc(d, s)
-                    if self._ufunc is not None
-                    else self._fn(d, s)
-                )
+                # fancy rank rows: copies, written back
+                d = dst[at(doff, n, comb_rows)].view(dt)
+                s = src[at(soff, n, comb_rows)].view(dt)
+                out = ufunc(d, s) if ufunc is not None else fn(d, s)
+                dst[at(doff, n, comb_rows)] = out.view(np.uint8)
 
     def __repr__(self) -> str:
         return (
             f"BatchedReduceRound({self.token}/{self.dtype.str}, "
             f"{len(self.steps)} steps)"
         )
-
-
-def _merge_copies(steps: Sequence[tuple]) -> list[list]:
-    """``steps`` as ``[step, count, source stride, destination stride]``:
-    all-rank copies of one size between two buffers whose offsets step
-    evenly into disjoint slots are one op (a broadcast at stride 0)."""
-    ops: list[list] = []
-    for step in steps:
-        sbuf, soff, dbuf, doff, n, copy_rows, comb_rows = step
-        copy = sbuf != dbuf and copy_rows is None and comb_rows is not None and not comb_rows.size
-        if copy and ops and ops[-1][1] and ops[-1][0][:5:2] == step[:5:2]:
-            (_, s0, _, d0, *_), k, ss, ds = ops[-1]
-            ss, ds = (soff - s0, doff - d0) if k == 1 else (ss, ds)
-            if 0 <= ss and n <= ds and (soff, doff) == (s0 + k * ss, d0 + k * ds):
-                ops[-1][1:] = k + 1, ss, ds
-                continue
-        ops.append([step, int(copy), 0, 0])
-    return ops
-
-
-def _strided(matrix: np.ndarray, off: int, stride: int, k: int, n: int) -> np.ndarray:
-    """Every row's ``k`` runs of ``n`` bytes from ``off`` on, ``stride`` apart."""
-    rows, col = matrix.strides
-    shape, strides = (matrix.shape[0], k, n), (rows, stride * col, col)
-    return np.lib.stride_tricks.as_strided(matrix[:, off:], shape, strides)
 
 
 def _compile_batched_combines(
@@ -1256,7 +1163,7 @@ def _compile_batched_combines(
                     )
                 if cap % dt.itemsize:
                     # rank views fold byte slices, not whole buffers:
-                    # only the matrix execution needs this
+                    # only the staged forms need this
                     unviewable.append(
                         f"buffer {ref.buffer!r} of {cap} B cannot be "
                         f"viewed as {dt.str} rank matrices"
@@ -1323,22 +1230,15 @@ class BatchedPlan:
     """The one plan IR: an immutable lowering of one schedule for all
     ranks of one topology and buffer signature.
 
-    :meth:`execute` runs the whole ``p``-rank lockstep execution as one
-    data-parallel numpy program.  Rank buffers are held as one
-    ``(p, nbytes)`` matrix per buffer name (``matrices``); each (phase,
-    round) packs a ``(p, n)`` wire matrix, and delivery is a row
-    permutation of it (``wire[sources]``).  The pack-all-then-
-    deliver-all discipline of the lockstep backend is kept per phase, so
-    the matrix execution is byte-identical to driving ``p`` per-rank
-    interpreters over the plan's :meth:`for_rank` views — there is
-    simply no per-rank Python loop left.
-
-    :meth:`deliver` runs the same rounds with neither matrix nor wire:
-    each round's program copies from the sending rank's own arrays to
-    the receiving rank's.  The wire's snapshot only matters to a phase
-    that reads what it writes, so a plan whose phases are all
-    hazard-free may take either form; ``delivery`` records which one
-    the lowering chose for it, ``delivery_reason`` why.
+    A staged execution runs all ``p`` ranks as one data-parallel numpy
+    program on one pooled block: :attr:`fused` word maps on it
+    rank-major, or :attr:`planes` on it rank-minor (:attr:`staging`
+    says which).  Both keep the walk's pack-all-then-deliver discipline
+    per phase, so they are byte-identical to driving ``p`` interpreters
+    over the :meth:`for_rank` views.  :meth:`deliver` copies each round
+    from the sending rank's own arrays to the receiving rank's; only a
+    phase that reads what it writes can tell, so ``delivery`` records
+    which form the lowering chose for the plan, ``delivery_reason`` why.
     """
 
     __slots__ = (
@@ -1361,6 +1261,8 @@ class BatchedPlan:
         "offsets",
         "block_nbytes",
         "_fused",
+        "_planes",
+        "_staging",
         "wire_bytes",
         "_rank_wire_bytes",
         "written",
@@ -1400,7 +1302,7 @@ class BatchedPlan:
         #: the effect pass reports as V703/V702) — or ``None``
         self.hazards = tuple(hazards)
         #: the form the batched backend runs: ``"in-place"``
-        #: (:meth:`deliver`) or ``"staged"`` (:meth:`execute`)
+        #: (:meth:`deliver`) or ``"staged"`` (:attr:`staging`)
         self.delivery = "staged" if segments is None else "in-place"
         self.delivery_reason = delivery_reason
         #: an in-place plan's rounds as zipped segments (``None`` for a
@@ -1418,7 +1320,7 @@ class BatchedPlan:
         #: ranks whose required reduction outputs receive no contribution
         #: (raises at execute, matching the per-rank interpreters)
         self.reduce_missing = reduce_missing
-        #: why :meth:`execute` must refuse (a combine buffer that is not
+        #: why the staged forms refuse (a combine buffer that is not
         #: a whole number of dtype elements); rank views are unaffected
         self.matrix_error = matrix_error
         self.temp_nbytes = temp_nbytes
@@ -1428,6 +1330,8 @@ class BatchedPlan:
         #: 8-byte boundary so that every lane's word view stays aligned
         self.offsets, self.block_nbytes = _block_layout(p, self.sizes)
         self._fused: Any = _UNLOWERED
+        self._planes: Any = _UNLOWERED
+        self._staging: Optional[str] = None
         self.wire_bytes = wire_bytes
         #: per rank, the wire bytes it sends (rounds whose target is off
         #: a mesh edge excluded; they add up to ``wire_bytes``)
@@ -1507,18 +1411,54 @@ class BatchedPlan:
 
     @property
     def fused_lane(self) -> Optional[int]:
-        """The word :attr:`fused` would move, read off the sizes without
-        lowering a map — ``None`` for an in-place plan, a reduction some
-        rank gets no contribution to, and maps over
-        :data:`FUSED_INDEX_PER_BLOCK_BYTE` (a phase that writes a byte
-        twice, which no size changes, is :attr:`fused`'s own refusal)."""
+        """The word :attr:`fused` would move — the widest that the buffer
+        sizes, the block's 8-byte layout and every kernel allow — read
+        off the sizes without lowering a map; ``None`` (no maps) for an
+        in-place plan, a reduction some rank gets no contribution to, a
+        phase that writes a byte twice and maps over
+        :data:`FUSED_INDEX_PER_BLOCK_BYTE`."""
         return _fused_lane(self, self.sizes)
+
+    @property
+    def planes(self) -> Optional["PlaneProgram"]:
+        """:func:`lower_planes` of the plan, lowered when first asked for."""
+        if self._planes is _UNLOWERED:
+            self._planes = lower_planes(self)
+        return self._planes
+
+    @property
+    def staging(self) -> str:
+        """How a staged execution runs and why — ``"fused: …"``,
+        ``"planes: …"`` or ``"walk: …"`` (neither exists) — from counts,
+        nothing lowered: planes where the fused maps are refused or each
+        slab copy moves :data:`PLANE_WORDS_PER_LAUNCH` words and
+        :data:`PLANE_BYTES_PER_LAUNCH` bytes (:func:`_launches`; ``≤``:
+        one per moving round assumed, which already rules planes out)."""
+        if self._staging is None:
+            lane, launches = _plane_lane(self), sum(map(len, _moving(self)))
+            moved = _moved(self) // (lane or 1)
+            least = max(PLANE_WORDS_PER_LAUNCH, PLANE_BYTES_PER_LAUNCH // (lane or 1))
+            counted = lane and moved >= launches * least
+            words = moved // max(_launches(self) if counted else launches, 1)
+            bulk = words >= PLANE_WORDS_PER_LAUNCH and words * (lane or 0) >= PLANE_BYTES_PER_LAUNCH
+            per = f"{'' if counted else '≤ '}{words} words of {lane} B per launch"
+            self._staging = (
+                (f"planes: {per}" if bulk else f"fused: {per}") if self.fused_lane
+                else "planes: no fused maps" if lane
+                else "walk: no fused maps, the plane lane is not whole combine elements"
+            )
+        return self._staging
 
     @property
     def fused_if_lowered(self) -> Optional["FusedProgram"]:
         """:attr:`fused` where it has been lowered (``None`` where it has
         not, or cannot be): what a reader sees without lowering it."""
         return self._fused if isinstance(self._fused, FusedProgram) else None
+
+    @property
+    def planes_if_lowered(self) -> Optional["PlaneProgram"]:
+        """:attr:`planes` where lowered, as :attr:`fused_if_lowered`."""
+        return self._planes if isinstance(self._planes, PlaneProgram) else None
 
     @property
     def selector_nbytes(self) -> int:
@@ -1590,66 +1530,62 @@ class BatchedPlan:
         )
         return view
 
-    def execute(self, matrices: Mapping[str, np.ndarray]) -> None:
-        """Run every communication phase on the stacked buffer matrices
-        (wire matrices are pooled and always returned, even when a
-        kernel raises).  Reduction schedules seed accumulators first and
-        fold each phase's staging rows right after its delivery — the
-        same pack-all / deliver-all / fold-all discipline per phase."""
-        if self.reduce_missing.size:
-            raise ScheduleError(
-                "reduction received no contributions "
-                "(all neighbors off the mesh)"
+    def plane_views(self, block: np.ndarray) -> dict[str, np.ndarray]:
+        """Every buffer's plane in ``block`` (laid out as :meth:`matrices`):
+        ``(words, p, lane)`` bytes, a word slot one row over all ranks."""
+        lane, p = self.planes.lane, self.p
+        return {
+            name: block[start : start + p * self.sizes[name]].reshape(
+                self.sizes[name] // lane, p, lane
             )
-        if self.matrix_error is not None:
-            raise ScheduleError(self.matrix_error)
-        if self.pre_program is not None:
-            self.pre_program.run(matrices)
-        for phase, combine in zip(self.phases, self.combine_programs):
-            wires: list[Optional[np.ndarray]] = []
-            try:
-                for rnd in phase:
-                    n = rnd.wire_nbytes
-                    if rnd.send is None or n == 0:
-                        wires.append(None)
-                        continue
-                    flat = GLOBAL_POOL.acquire(self.p * n)
-                    # hand ownership to the finally-released list *before*
-                    # packing, so a failing gather cannot leak the wire
-                    wires.append(flat)
-                    rnd.pack_into(matrices, flat.reshape(self.p, n))
-                for rnd, flat in zip(phase, wires):
-                    if flat is None or rnd.recv is None:
-                        continue
-                    rnd.unpack_from(
-                        matrices, flat.reshape(self.p, rnd.wire_nbytes)
-                    )
-                if combine is not None:
-                    combine.run(matrices)
-            finally:
-                for flat in wires:
-                    if flat is not None:
-                        GLOBAL_POOL.release(flat)
+            for name, start in self.offsets.items()
+        }
 
     def execute_staged(self, block: np.ndarray, matrices: Mapping[str, np.ndarray]) -> None:
-        """One execution on the staged ``block`` (``matrices`` its
-        :meth:`matrices`): through :attr:`fused` where the plan has the
-        maps — the seeding, each word map then its folds — else
-        :meth:`execute` and the local copies."""
-        fused = self.fused
-        if fused is None:
-            self.execute(matrices)
-            self.run_local_copies(matrices)
-            return
-        words = block.view(fused.dtype)
+        """One execution through :attr:`fused` on the rank-major
+        ``block`` (``matrices`` its :meth:`matrices`): the seeding, each
+        word map then its folds, the local copies."""
+        words = block.view(self.fused.dtype)
         if self.pre_program is not None:
             self.pre_program.run(matrices)
-        for (dst, src), combine in zip(fused.steps, (*self.combine_programs, None)):
+        for (dst, src), combine in zip(self.fused.steps, (*self.combine_programs, None)):
             words[dst] = words[src]
             if combine is not None:
                 combine.run(matrices)
-        if not self.copy_program.fused:
-            self.run_local_copies(matrices)
+        if not self.copy_program.fused:  # in the schedule's order, rank by rank
+            for rank in range(self.p):
+                self.copy_program.run({name: m[rank] for name, m in matrices.items()})
+
+    def execute_planes(self, block: np.ndarray) -> None:
+        """One execution through :attr:`planes` on the rank-minor
+        ``block``: the seeding; per phase its slab copies (from a snapshot
+        where it is in :attr:`hazards`) then its folds; the local copies."""
+        if self.reduce_missing.size:
+            raise ScheduleError("reduction received no contributions (all neighbors off the mesh)")
+        prog, dims = self.planes, self.key[1]
+        planes = self.plane_views(block)
+
+        def grid(views: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+            return {n: a.view(prog.dtype).reshape(len(a), *dims) for n, a in views.items()}
+
+        live = src = grid(planes)
+        if self.pre_program is not None:
+            self.pre_program.run(planes, prog.lane)
+        snapshot = GLOBAL_POOL.acquire(self.block_nbytes if any(self.hazards) else 0)
+        try:
+            for moves, hazard, combine in zip(prog.phases, self.hazards, self.combine_programs):
+                if hazard is not None:
+                    snapshot[:] = block
+                    src = grid(self.plane_views(snapshot))
+                for s, s_key, d, d_key in moves:
+                    live[d][d_key] = src[s][s_key]
+                src = live
+                if combine is not None:
+                    combine.run(planes, prog.lane)
+            for s, s_rows, d, d_rows in prog.copies:
+                live[d][d_rows] = live[s][s_rows]
+        finally:
+            GLOBAL_POOL.release(snapshot)
 
     def deliver(
         self, rank_buffers: Sequence[Mapping[str, np.ndarray]]
@@ -1692,19 +1628,6 @@ class BatchedPlan:
         finally:
             GLOBAL_POOL.release(scratch)
 
-    def run_local_copies(self, matrices: Mapping[str, np.ndarray]) -> int:
-        """The final non-communication phase, batched over rank rows
-        (op order matches the per-rank program, so the non-fused
-        sequential fallback keeps its semantics row-wise)."""
-        prog = self.copy_program
-        for src, dst, src_sel, dst_sel, lane in prog._sel_ops:
-            _copy_lanes(matrices[dst], dst_sel, matrices[src], src_sel, lane)
-        for src, dst, src_off, dst_off, n in prog._run_ops:
-            matrices[dst][:, dst_off : dst_off + n] = matrices[src][
-                :, src_off : src_off + n
-            ]
-        return prog.nbytes * self.p
-
     @property
     def num_rounds(self) -> int:
         return sum(len(rs) for rs in self.phases)
@@ -1733,7 +1656,9 @@ def _fused_lane(
 ) -> Optional[int]:
     """:attr:`BatchedPlan.fused_lane` of ``plan`` with every extent ×
     ``num / den`` and buffers of ``sizes``: arithmetic, no kernel built."""
-    if plan.reduce_missing.size or plan.delivery == "in-place":
+    if plan.reduce_missing.size or plan.delivery == "in-place" or (
+        "writes a byte twice" in plan.hazards
+    ):
         return None
     prog = plan.copy_program
     moving = _moving(plan)
@@ -1747,14 +1672,19 @@ def _fused_lane(
         *(op[-1] * num // den for k in programs for op in k._sel_ops),
         *(x * num // den for k in programs for op in k._run_ops for x in op[-3:]),
     )
-    moved = plan.p * prog.nbytes * prog.fused + sum(
-        (plan.p if r.recv_rows is None else r.recv_rows.size) * r.wire_nbytes
-        for phase in moving
-        for r in phase
-    )
-    if 16 * moved * num // den > FUSED_INDEX_PER_BLOCK_BYTE * lane * block_nbytes:
+    if 16 * _moved(plan) * num // den > FUSED_INDEX_PER_BLOCK_BYTE * lane * block_nbytes:
         return None
     return lane
+
+
+def _moved(plan: BatchedPlan) -> int:
+    """Bytes one execution moves: every delivery, the fused local copies."""
+    prog = plan.copy_program
+    return plan.p * prog.nbytes * prog.fused + sum(
+        (plan.p if r.recv_rows is None else r.recv_rows.size) * r.wire_nbytes
+        for phase in _moving(plan)
+        for r in phase
+    )
 
 
 #: A plan's data movement on the block of its staged form
@@ -1768,7 +1698,7 @@ FusedProgram = namedtuple("FusedProgram", ["dtype", "steps"])
 #: The fused maps hold two ``int64`` per word they move, ``16 / lane``
 #: bytes per byte; a plan whose maps would hold more than this many
 #: bytes per byte of its block — the staged form pools the block anyway
-#: — keeps its rounds' kernels.  Measured: Moore alltoall and allgather
+#: — runs in planes.  Measured: Moore alltoall and allgather
 #: at lane 8 at most 1.93, the lane-1 Life halo 3.51; at lane 1 they
 #: would be 9.6–15.
 FUSED_INDEX_PER_BLOCK_BYTE = 4
@@ -1783,17 +1713,10 @@ def _words(sel: Selector, lane: int, fused: int) -> np.ndarray:
     return sel if k == 1 else (sel[:, None] * k + np.arange(k)).ravel()
 
 
-def _step(
-    pieces: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """One step from its ``(dst, src)`` pieces (none: an empty step) —
-    ``None`` when it writes a word twice, where only the rounds' order
-    says which write wins."""
+def _step(pieces: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One step from its ``(dst, src)`` pieces (none: an empty step)."""
     none = np.empty(0, np.int64)
-    dst = np.concatenate([none, *(d.ravel() for d, _ in pieces)])
-    if (np.diff(np.sort(dst)) == 0).any():  # ``np.unique`` is 4-25x slower
-        return None
-    return dst, np.concatenate([none, *(s.ravel() for _, s in pieces)])
+    return tuple(np.concatenate([none, *(x[i].ravel() for x in pieces)]) for i in (0, 1))
 
 
 def _moving(plan: BatchedPlan) -> list[list[BatchedRound]]:
@@ -1810,28 +1733,13 @@ def fuse_phases(plan: BatchedPlan) -> Optional[FusedProgram]:
     word a round's ``recv`` kernel scatters wire word ``w`` to takes
     rank ``recv_sources[k]`` at the word its ``send`` kernel gathers
     ``w`` from.  NumPy gathers a step's whole right-hand side before it
-    writes, so a phase reads the snapshot the wire gives
-    :meth:`BatchedPlan.execute`; a reduction folds between the steps.
-    The lane is the widest that the buffer sizes, the block's 8-byte
-    layout and every kernel allow.  ``None`` — the per-round kernels
-    stay — for maps over :data:`FUSED_INDEX_PER_BLOCK_BYTE`, for a phase
-    or fused local-copy set that writes a byte twice, for a reduction
-    some rank gets no contribution to, and for an in-place plan
-    (:attr:`BatchedPlan.fused_lane`)."""
+    writes, so a phase reads its snapshot; a reduction folds between the
+    steps.  ``None`` where :attr:`BatchedPlan.fused_lane` is."""
     lane = plan.fused_lane
     if lane is None:
         return None
     moving = _moving(plan)
     prog = plan.copy_program
-
-    def ops(program: Any) -> list[tuple]:
-        # the selector ops, then the slice runs as selector ops at
-        # ``lane``: (*buffer names, selector, selector, its lane)
-        return [*program._sel_ops] + [
-            (*names, slice(a // lane, (a + n) // lane),
-             slice(b // lane, (b + n) // lane), lane)
-            for *names, a, b, n in program._run_ops
-        ]
 
     def at(rows: np.ndarray, name: str, sel: Selector, n: int) -> np.ndarray:
         # the words ``sel`` names in buffer ``name`` on each of ``rows``
@@ -1842,7 +1750,7 @@ def fuse_phases(plan: BatchedPlan) -> Optional[FusedProgram]:
     def side(rows: np.ndarray, kernel: CompiledBlockSet) -> np.ndarray:
         # per wire word of ``kernel``, the word it names on each row
         out = np.empty((rows.size, kernel.total_nbytes // lane), np.int64)
-        for name, wire, sel, n in ops(kernel):
+        for name, wire, sel, n in _ops(kernel, lane):
             out[:, _words(wire, n, lane)] = at(rows, name, sel, n)
         return out
 
@@ -1855,10 +1763,167 @@ def fuse_phases(plan: BatchedPlan) -> Optional[FusedProgram]:
     if prog.fused and prog.nbytes:  # the same words on every rank
         pieces.append([
             (at(ranks, dst, dst_sel, n), at(ranks, src, src_sel, n))
-            for src, dst, src_sel, dst_sel, n in ops(prog)
+            for src, dst, src_sel, dst_sel, n in _ops(prog, lane)
         ])
-    steps = tuple(map(_step, pieces))
-    return None if None in steps else FusedProgram(_lane_dtype(lane), steps)
+    return FusedProgram(_lane_dtype(lane), tuple(map(_step, pieces)))
+
+
+def _ops(program: Any, lane: int) -> list[tuple]:
+    """A kernel's selector ops, then its slice runs as selector ops at
+    ``lane``: ``(*buffer names, selector, selector, its lane)``."""
+    return [*program._sel_ops] + [
+        (*names, slice(a // lane, (a + n) // lane),
+         slice(b // lane, (b + n) // lane), lane)
+        for *names, a, b, n in program._run_ops
+    ]
+
+
+# ---------------------------------------------------------------------------
+# planes: a round is a shift of the rank grid
+# ---------------------------------------------------------------------------
+
+#: A plan's moves on its rank-minor block of ``dtype`` words: per phase its
+#: ``(src, (rows, *rank slices), dst, (rows, *rank slices))`` slab copies,
+#: the local copies ``(src, rows, dst, rows)``, the buffers staging is seen in.
+PlaneProgram = namedtuple("PlaneProgram", ["lane", "dtype", "phases", "copies", "stale"])
+
+#: What a slab copy must move for planes to beat fused maps (Moore alltoall, allgather,
+#: allreduce: fused win at p ≤ 64 and (8,8,8) in lane 8, planes from lane 64 at p ≥ 256).
+PLANE_WORDS_PER_LAUNCH = 64
+PLANE_BYTES_PER_LAUNCH = 4096
+
+
+def _plane_lane(plan: BatchedPlan) -> Optional[int]:
+    """The word a plane holds: the widest every buffer size and kernel,
+    fold and copy extent allow; ``None`` if not whole combine elements."""
+    kernels = [k for phase in _moving(plan) for r in phase for k in (r.send, r.recv)]
+    combines = [c for c in (plan.pre_program, *plan.combine_programs) if c]
+    lane = _lane_of(
+        *plan.sizes.values(),
+        *(op[-1] for k in (*kernels, plan.copy_program) for op in k._sel_ops),
+        *(x for k in (*kernels, plan.copy_program) for op in k._run_ops for x in op[-3:]),
+        *(x for c in combines for step in c.steps for x in step[1:5:2]),
+    )
+    return None if combines and lane % combines[0].dtype.itemsize else lane
+
+
+def _pieces(dims: Sequence[int], periods: Sequence[bool], sources: np.ndarray) -> tuple:
+    """A round's delivery as slabs of the rank grid: per side, the
+    receivers' and their senders' slices — one or two sides per shifted
+    torus dimension, no wrap side on a mesh."""
+    j = int(np.argmax(sources >= 0))
+    return _slabs(tuple(dims), tuple(periods), j, int(sources[j]))
+
+
+@lru_cache(maxsize=1024)
+def _slabs(dims: tuple, periods: tuple, rank: int, source: int) -> tuple:
+    """:func:`_pieces` of a round in which ``rank`` hears ``source``."""
+    sides = []
+    for n, per in zip(reversed(dims), reversed(periods)):
+        (rank, at), (source, to) = divmod(rank, n), divmod(source, n)
+        s = (to - at) % n if per else to - at
+        cut = [(slice(0, n - s), slice(s, n))] if s >= 0 else [(slice(-s, n), slice(0, n + s))]
+        sides.insert(0, cut + [(slice(n - s, n), slice(0, s))] if per and s else cut)
+    return tuple(tuple(zip(*side)) for side in itertools.product(*sides))
+
+
+def _launches(plan: BatchedPlan) -> int:
+    """The slab copies of :attr:`BatchedPlan.planes`: per moving round, pieces × runs."""
+    _, dims, periods, _ = plan.key
+
+    def runs(kernel: CompiledBlockSet) -> int:
+        sels = [sel for op in kernel._sel_ops for sel in op[1:3] if type(sel) is not slice]
+        breaks = sum(int((np.diff(sel) != 1).sum()) for sel in sels)
+        return len(kernel._run_ops) + len(kernel._sel_ops) + breaks
+
+    return sum(
+        len(_pieces(dims, periods, r.sources)) * max(runs(r.send), runs(r.recv))
+        for phase in _moving(plan) for r in phase
+    )
+
+
+def _runs(src: np.ndarray, dst: np.ndarray) -> list[tuple[slice, slice]]:
+    """Paired word slots as the longest runs in which both step by one:
+    ``(src rows, dst rows)`` slices, in order."""
+    src, dst, runs, a = src.tolist(), dst.tolist(), [], 0
+    for i in range(1, len(src) + 1):
+        if i == len(src) or src[i] != src[i - 1] + 1 or dst[i] != dst[i - 1] + 1:
+            runs.append((slice(src[a], src[i - 1] + 1), slice(dst[a], dst[i - 1] + 1)))
+            a = i
+    return runs
+
+
+def lower_planes(plan: BatchedPlan) -> Optional[PlaneProgram]:
+    """Lower ``plan`` onto its rank-minor block: a moving round's wire
+    words, paired send to receive word by its kernels, move as runs of
+    slot rows per buffer pair, shifted by the round's offset
+    (:func:`_pieces`).  ``None`` where :func:`_plane_lane` is."""
+    lane = _plane_lane(plan)
+    if lane is None:
+        return None
+    names = list(plan.sizes)
+    dims, periods = plan.key[1], plan.key[2]
+
+    def side(kernel: Any) -> np.ndarray:
+        # per wire word: its buffer's index × 2^32 + the word slot (a run
+        # of these codes, grouped by buffer pair, is a run of one buffer)
+        out = np.empty(kernel.total_nbytes // lane, np.int64)
+        for name, wire, sel, n in _ops(kernel, lane):
+            out[_words(wire, n, lane)] = (names.index(name) << 32) + _words(sel, n, lane)
+        return out
+
+    def moves(src: np.ndarray, dst: np.ndarray) -> list[tuple]:
+        order = np.argsort((src >> 32) * len(names) + (dst >> 32), kind="stable")
+        return [
+            (names[a.start >> 32], slice(a.start & 2**32 - 1, a.stop - (a.start >> 32 << 32)),
+             names[b.start >> 32], slice(b.start & 2**32 - 1, b.stop - (b.start >> 32 << 32)))
+            for a, b in _runs(src[order], dst[order])
+        ]
+
+    rounds = [
+        [(_pieces(dims, periods, r.sources), moves(side(r.send), side(r.recv)), r) for r in ph]
+        for ph in _moving(plan)
+    ]
+    copies = [
+        (src, s_rows, dst, d_rows)
+        for src, dst, s, d, n in _ops(plan.copy_program, lane)
+        for s_rows, d_rows in _runs(_words(s, n, lane), _words(d, n, lane))
+    ]
+    # staged in: the buffers read, or kept on some rank, before every
+    # rank's word is written (per buffer, a bit per slot all ranks wrote)
+    written = dict.fromkeys(names, 0)
+    stale: set[str] = set()
+
+    def bits(rows: slice) -> int:  # a run of word slots as a bit mask
+        return (1 << rows.stop) - (1 << rows.start)
+
+    def run(*ops: tuple) -> None:
+        # (src, src rows, dst, dst rows, every rank's dst written unread),
+        # read together (a phase reads its snapshot), then written
+        for s, s_rows, d, d_rows, whole in ops:
+            stale.update(n for n, r in ((s, s_rows), (d, d_rows))[: 2 - whole]
+                         if bits(r) & ~written[n])
+        for _, _, d, d_rows, whole in ops:
+            written[d] |= bits(d_rows) if whole else 0
+
+    def folds(combine: Optional[BatchedReduceRound]) -> None:
+        for sb, so, db, do, n, copy_rows, _ in combine.steps if combine else ():
+            run((sb, slice(so // lane, (so + n) // lane), db,
+                 slice(do // lane, (do + n) // lane), copy_rows is None))
+
+    folds(plan.pre_program)
+    for phase, combine in zip(rounds, plan.combine_programs):
+        run(*((*m, r.recv_rows is None) for _, ms, r in phase for m in ms))
+        folds(combine)
+    for copy_op in copies:
+        run((*copy_op, True))
+    stale.update(n for n in names if written[n] != bits(slice(0, plan.sizes[n] // lane)))
+    phases = tuple(
+        tuple((s, (s_rows, *at), d, (d_rows, *to))
+              for pieces, ms, _ in phase for s, s_rows, d, d_rows in ms for to, at in pieces)
+        for phase in rounds
+    )
+    return PlaneProgram(lane, _lane_dtype(lane), phases, copies, frozenset(stale))
 
 
 def _phase_hazard(
@@ -2129,7 +2194,7 @@ def _instantiate(
         _deliveries=plan.deliveries and tuple(tuple(map(scale, r)) for r in plan.deliveries),
         # the maps of ``plan``, moving words of the scaled lane
         _fused=_UNLOWERED if lane is None else plan,
-        _views={}, instantiated=True,
+        _planes=_UNLOWERED, _staging=None, _views={}, instantiated=True,
     )
     new.compile_seconds = time.perf_counter() - t0
     return new

@@ -25,7 +25,6 @@ mappings for the paper's stencils.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 import numpy as np

@@ -16,7 +16,6 @@ product) order.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 import numpy as np
 

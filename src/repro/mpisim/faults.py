@@ -469,7 +469,6 @@ def chaos_run(
     # imports deferred: repro.core sits on top of repro.mpisim
     import numpy as np
 
-    from repro.core.api import run_cartesian
     from repro.core.neighborhood import Neighborhood
     from repro.core.topology import CartTopology
     from repro.core.verify import (

@@ -29,8 +29,6 @@ paper's own analysis:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.netsim.machine import MachineModel, NoiseModel, VariantCosts
 
 #: Outstanding-request count above which the pathological per-request

@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import contextlib
 import json
+import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -156,6 +158,8 @@ class ScheduleServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._stopped: Optional[asyncio.Event] = None
+        #: set once the first stop() has released everything
+        self._closed: Optional[asyncio.Event] = None
         self._kick: Optional[asyncio.Event] = None
         #: canonical key -> future all concurrent requesters share
         self._inflight: dict[tuple, "asyncio.Future[tuple]"] = {}
@@ -176,6 +180,7 @@ class ScheduleServer:
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
         self._stopped = asyncio.Event()
+        self._closed = asyncio.Event()
         self._kick = asyncio.Event()
         self._drain_task = asyncio.create_task(self._drain_loop())
         if self.path is not None:
@@ -198,13 +203,18 @@ class ScheduleServer:
         return self._plan_store.name if self._plan_store is not None else None
 
     async def serve_forever(self) -> None:
+        """Serve until a stop() has released everything."""
         if self._server is None:
             await self.start()
-        assert self._stopped is not None
-        await self._stopped.wait()
+        assert self._closed is not None
+        await self._closed.wait()
 
     async def stop(self) -> None:
-        if self._stopped is None or self._stopped.is_set():
+        """Stop serving; a second call waits until the first is done."""
+        if self._stopped is None or self._closed is None:
+            return
+        if self._stopped.is_set():
+            await self._closed.wait()
             return
         self._stopped.set()
         try:
@@ -239,6 +249,10 @@ class ScheduleServer:
                 self._plan_store.close()
                 self._plan_store.unlink()
                 self._plan_store = None
+            if self.path is not None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(self.path)
+            self._closed.set()
 
     # -- connection handling -------------------------------------------
     async def _handle(

@@ -21,26 +21,26 @@ import numpy as np
 def weighted_stencil_local(
     grid: np.ndarray, weights: Mapping[tuple[int, ...], float], depth: int
 ) -> np.ndarray:
-    """Apply a weighted stencil to the interior of a ghosted local array.
+    """Apply a weighted stencil to the interior of a ghosted local array
+    — or of a stack of them: the offsets' arity is the grid's, and any
+    axes before those are stacked ranks (every slice starts ``...``).
 
     ``weights`` maps relative cell offsets (within ±depth) to
     coefficients.  Returns the new interior (a fresh array).
     """
-    d = grid.ndim
-    interior = tuple(
-        slice(depth, grid.shape[j] - depth) for j in range(d)
-    )
-    out = np.zeros(tuple(s.stop - s.start for s in interior), dtype=grid.dtype)
+    d = len(next(iter(weights))) if weights else grid.ndim
+    if d > grid.ndim:
+        raise ValueError(f"offsets of arity {d} for a {grid.ndim}-d grid")
+    interior = tuple(slice(depth, n - depth) for n in grid.shape[grid.ndim - d :])
+    shape = grid.shape[: grid.ndim - d] + tuple(s.stop - s.start for s in interior)
+    out = np.zeros(shape, dtype=grid.dtype)
     for off, w in weights.items():
         if len(off) != d:
-            raise ValueError(f"offset {off} has wrong arity for {d}-d grid")
+            raise ValueError(f"offset {off} has wrong arity for {d}-d offsets")
         if any(abs(o) > depth for o in off):
             raise ValueError(f"offset {off} exceeds ghost depth {depth}")
-        shifted = tuple(
-            slice(depth + o, grid.shape[j] - depth + o)
-            for j, o in enumerate(off)
-        )
-        out += w * grid[shifted]
+        shifted = tuple(slice(s.start + o, s.stop + o) for s, o in zip(interior, off))
+        out += w * grid[(..., *shifted)]
     return out
 
 

@@ -13,12 +13,13 @@ of mutants and one judge.  A row is one of three kinds:
   alone and together (the verifier handed that plan as its lowering);
 * a **source row** corrupts the source of a runtime module (``str →
   str``) and goes through the lint's linearity and lockset pass
-  (:func:`analyze_source`, rules L006–L009).
+  (:func:`analyze_source`, rules L006–L009) and its unused-import rule
+  (:func:`unused_imports`, L010).
 
 Every row names its defect: wrong bytes against the collective's
 definition on some backend, a hazard (a result that depends on the
-order ranks or rounds run in), a deadlock, a leak, a departure from the
-closed forms of Props. 3.1–3.3, or ``benign`` — a corruption that still
+order ranks or rounds run in), a deadlock, a leak, dead code, a
+departure from the closed forms of Props. 3.1–3.3, or ``benign`` — a corruption that still
 computes the definition, which earns no check its place.  A row with an
 expected code must report it.  The judge runs every row at 4-byte and
 24-byte blocks (word lanes, then block lanes of 24 and 72 bytes).
@@ -38,6 +39,7 @@ if a mutant survives.
 
 from __future__ import annotations
 
+import ast
 import copy
 import importlib
 import math
@@ -51,7 +53,7 @@ import numpy as np
 
 from repro.analyze import schedule_verifier as sv
 from repro.analyze.effects import run_effect_checks
-from repro.analyze.lint import RULES
+from repro.analyze.lint import RULES, unused_imports
 from repro.analyze.linearity import analyze_source
 from repro.analyze.report import CODES, VerificationReport
 from repro.core.alltoall_schedule import build_trivial_alltoall_blocksets
@@ -869,6 +871,20 @@ def _fused_pair_swapped(plan):
     return plan
 
 
+@_plan_row("plane-shift-reversed", "wrong bytes", ALLTOALL, "V506")
+def _plane_shift_reversed(plan):
+    """The first slab copy of the planes shifts the rank grid the other
+    way: every kernel, rank view and fused map is intact, only the
+    planes are wrong."""
+    plan = copy.copy(plan)  # lowered on the copy alone
+    phases = [list(phase) for phase in plan.planes.phases]
+    pi = next(i for i, phase in enumerate(phases) if phase)
+    s, (s_rows, *at), d, (d_rows, *to) = phases[pi][0]
+    phases[pi][0] = (s, (s_rows, *to), d, (d_rows, *at))
+    plan._planes = plan.planes._replace(phases=tuple(map(tuple, phases)))
+    return plan
+
+
 # -- V709: wire gaps and scratch lifetime ------------------------------
 @_plan_row("pack-kernel-wire-gap", "wrong bytes", ALLTOALL, "V709")
 def _wire_gap(plan):
@@ -1052,19 +1068,25 @@ def _drop_except_release(src):
     return _blank_line(src, "GLOBAL_POOL.release(wire)")
 
 
-@_source_row("batched-drop-ownership-append", "leak", PLAN, "L006")
-def _drop_append(src):
-    return _blank_line(src, "wires.append(flat)")
+@_source_row("planes-drop-finally-release", "leak", PLAN, "L006")
+def _drop_snapshot_release(src):
+    return _blank_line(src, "GLOBAL_POOL.release(snapshot)")
 
 
-@_source_row("batched-drop-finally-release", "leak", PLAN, "L006")
+@_source_row("deliver-drop-finally-release", "leak", PLAN, "L006")
 def _drop_finally_release(src):
-    return _blank_line(src, "GLOBAL_POOL.release(flat)")
+    return _blank_line(src, "GLOBAL_POOL.release(scratch)")
 
 
 @_source_row("lockstep-double-release", "hazard", LOCKSTEP, "L007")
 def _double_release(src):
     return _double_line(src, "GLOBAL_POOL.release(wire)")
+
+
+# -- L010: what CI's static job rejects --------------------------------
+@_source_row("plan-import-left-behind", "dead code", PLAN, "L010")
+def _import_left_behind(src):
+    return src.replace("import math\n", "import math\nimport fractions\n", 1)
 
 
 # -- L008/L009: lockset discipline over the mailbox --------------------
@@ -1198,7 +1220,9 @@ def judge(name: str, block_bytes: int) -> Row:
     row = MUTANTS[name]
     if name in SOURCE_ROWS:
         text, label = source(row.case)
-        verdict = tuple(sorted({f.rule for f in analyze_source(row.corrupt(text), label)}))
+        corrupt = row.corrupt(text)
+        found = [*analyze_source(corrupt, label), *unused_imports(Path(label), ast.parse(corrupt))]
+        verdict = tuple(sorted({f.rule for f in found}))
         return Row(name, row.defect, row.expect, verdict, False, {"lint": verdict} if verdict else {})
     if name in SCHEDULE_ROWS:
         schedule, topo = row.case.build(block_bytes), row.case.topology()

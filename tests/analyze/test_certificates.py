@@ -573,6 +573,19 @@ class TestInheritance:
         assert "matrix-execution" in fused.checks_run
         assert certify(store, "allgather", 7).inherited_from.granule == 5
 
+    def test_no_certificate_crosses_the_fused_planes_choice(self):
+        """On a (16, 16) torus the 9-point alltoall runs fused maps at
+        m = 8 and planes at m = 64: one normal form, one word class, but
+        the choice is part of the plan's shape, so the planes' size is
+        certified in full (its sentinel execution runs them, V506) and
+        only a size that also runs planes inherits that."""
+        store = CertificateStore()
+        fused = certify(store, "alltoall", 8, dims=(16, 16))
+        planes = certify(store, "alltoall", 64, dims=(16, 16))
+        assert "; fused:" in fused.delivery and "; planes:" in planes.delivery
+        assert planes.inherited_from is None and "matrix-execution" in planes.checks_run
+        assert certify(store, "alltoall", 128, dims=(16, 16)).inherited_from.granule == 64
+
     def test_sentinel_execution_runs_an_in_place_plan_a_third_way(
         self, monkeypatch
     ):

@@ -1,13 +1,16 @@
-"""Unit tests for the custom concurrency lint (rules L001-L005), plus
-the repo-wide gate: the shipped ``src/`` tree must lint clean.
+"""Unit tests for the custom lint (rules L001-L005 and L010), plus the
+repo-wide gates: the shipped ``src/`` tree must lint clean, and no
+module of ``src/``, ``tests/`` or ``examples/`` imports a name it never
+uses.
 """
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 
-from repro.analyze.lint import lint_file, lint_paths
+from repro.analyze.lint import iter_python_files, lint_file, lint_paths, unused_imports
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -266,6 +269,37 @@ class TestL005:
 
 
 # ----------------------------------------------------------------------
+# L010: imported but unused
+# ----------------------------------------------------------------------
+class TestL010:
+    def test_unused_names_flagged(self, tmp_path):
+        findings = _lint_source(
+            tmp_path,
+            """
+            import os, sys
+            from typing import TYPE_CHECKING, Optional
+            if TYPE_CHECKING:
+                from pathlib import Path
+            def f(x: "Optional[Path]") -> None:
+                print(sys.argv)
+            """,
+        )
+        assert [(f.rule, f.message) for f in findings] == [
+            ("L010", "'os' imported but unused")
+        ]
+
+    def test_exports_future_and_allow_comments_are_uses(self, tmp_path):
+        source = """
+            from __future__ import annotations
+            from json import dumps, loads  # lint: allow(L010)
+            from math import pi
+            __all__ = ["pi"]
+            """
+        assert _lint_source(tmp_path, source) == []
+        assert _lint_source(tmp_path, "import os\n", relpath="pkg/__init__.py") == []
+
+
+# ----------------------------------------------------------------------
 # syntax errors surface as findings, and the shipped tree is clean
 # ----------------------------------------------------------------------
 def test_syntax_error_reported(tmp_path):
@@ -275,4 +309,14 @@ def test_syntax_error_reported(tmp_path):
 
 def test_shipped_src_tree_is_clean():
     findings = lint_paths([str(REPO_ROOT / "src")])
+    assert findings == [], "\n".join(f.describe() for f in findings)
+
+
+def test_no_import_goes_unused_in_src_tests_or_examples():
+    """L010 over everything CI's static job reads (ruff's F401)."""
+    findings = [
+        finding
+        for path in iter_python_files(str(REPO_ROOT / d) for d in ("src", "tests", "examples"))
+        for finding in unused_imports(path, ast.parse(path.read_text()))
+    ]
     assert findings == [], "\n".join(f.describe() for f in findings)

@@ -12,7 +12,7 @@ import pytest
 from repro.analyze import verify_reduce_schedule, verify_schedule
 from repro.analyze.schedule_verifier import REDUCE_KINDS
 from repro.core.builders import SCHEDULE_BUILDERS
-from repro.core.reduce_schedule import OPS, build_reduce_schedule
+from repro.core.reduce_schedule import OPS
 from repro.core.stencils import named_stencil
 
 

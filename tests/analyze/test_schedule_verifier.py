@@ -168,7 +168,9 @@ def test_report_says_when_the_executor_would_walk():
     sched = build_trivial_reduce_schedule(
         named_stencil("9-point"), m_bytes=16, dtype="int64"
     )
-    assert verify_schedule(sched, (3, 3), True).delivery == "staged: reduction"
+    assert verify_schedule(sched, (3, 3), True).delivery == (
+        "staged: reduction; fused: ≤ 9 words of 16 B per launch"
+    )
     # three bytes past the elements, copied locally; the layouts name
     # them, so the buffers a caller hands over hold them (V305)
     src, dst = BlockRef("send", 16, 3), BlockRef("recv", 16, 3)

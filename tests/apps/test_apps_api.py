@@ -205,7 +205,9 @@ class TestDrivers:
         assert run.driver == "rows: 16 ranks, one plan, fused"
         assert run.driver in run.describe()
 
-    def test_rows_driver_runs_round_kernels_without_a_fused_program(self, monkeypatch):
+    def test_rows_driver_runs_planes_without_a_fused_program(self, monkeypatch):
+        """Refused fused maps leave the rows driver the planes: it
+        transposes the rows into them and back around every run."""
         from repro.core import plan as plan_mod
         from repro.core import schedule_cache
 
@@ -219,7 +221,7 @@ class TestDrivers:
             schedule_cache.cache_clear()
             plan_mod.plan_cache_reset()
         app.check_against_oracle(run)
-        assert run.driver == "rows: 6 ranks, one plan, round kernels"
+        assert run.driver == "rows: 6 ranks, one plan, planes"
 
     @pytest.mark.parametrize("env, driver", [("batched", "rows:"), ("threaded", "spmd:")])
     def test_run_without_backend_follows_repro_backend(self, env, driver, monkeypatch):

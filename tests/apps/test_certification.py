@@ -176,6 +176,16 @@ def test_weighted_stencil_matches_oracle_bit_for_bit(case, algorithm, backend):
     assert run.driver.startswith("rows" if backend != "threaded" else "spmd")
 
 
+@pytest.mark.parametrize("periods", [(True,) * 3, (False, True, False)])
+def test_weighted_rows_at_p64_equal_the_oracle(periods):
+    """64 rank rows stepped by one stacked kernel call, bit for bit the
+    oracle's grid, on a torus and on a mesh."""
+    app = _weighted((16, 16, 8), (4, 4, 4), heat_weights(3), periods, 50.0)()
+    run = app.run(backend="batched", algorithm="trivial")
+    app.check_against_oracle(run)
+    assert run.driver.startswith("rows: 64 ranks")
+
+
 def test_a_wrong_weighted_kernel_fails_certification(monkeypatch):
     """The weighted oracle is the ``np.roll`` stencil on the padded
     grid, not the kernel the ranks run: a kernel that drops one weight

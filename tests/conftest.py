@@ -111,6 +111,28 @@ def with_deliveries(schedule, plan):
     return forced
 
 
+def run_planes(plan, rank_buffers):
+    """Every rank's buffers after one execution of ``plan``'s planes on
+    copies of ``rank_buffers`` (all of them staged, ``temp`` included,
+    so scratch forwarded over mesh edges compares too), in their types."""
+    from repro.mpisim.datatypes import byte_view
+
+    block = np.zeros(plan.block_nbytes, np.uint8)
+    planes = plan.plane_views(block)
+    p = len(rank_buffers)
+    for name, plane in planes.items():
+        rows = np.stack([byte_view(b[name]) for b in rank_buffers])
+        plane[...] = rows.reshape(p, *plane.shape[::2]).transpose(1, 0, 2)
+    plan.execute_planes(block)
+    return [
+        {
+            name: plane[:, rank].reshape(-1).view(b[name].dtype).reshape(b[name].shape)
+            for name, plane in planes.items()
+        }
+        for rank, b in enumerate(rank_buffers)
+    ]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

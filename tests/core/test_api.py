@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.api import run_cartesian, run_ranks
 from repro.core.neighborhood import Neighborhood
-from repro.core.stencils import moore_neighborhood
 from repro.mpisim.engine import Engine
 
 NBH = Neighborhood([(0, 1), (1, 0)])

@@ -362,16 +362,16 @@ class TestReduceParityMatrix:
     ["reduce", "reduce-scatter", "allreduce", "trivial-reduce", "trivial-reduce-scatter"],
 )
 def test_a_reduction_runs_the_fused_maps(kind, periods, monkeypatch):
-    """``batched`` runs a reduction on its fused maps with the folds
-    between them from the first call on: the rounds' ``execute`` is
-    never called.  Every call leaves the walk's bytes, bit for bit, and
-    the pool ends empty."""
+    """``batched`` runs a small reduction on its fused maps with the
+    folds between them from the first call on: its planes are never
+    run.  Every call leaves the walk's bytes, bit for bit, and the pool
+    ends empty."""
     from repro.core import plan as plan_mod
 
     executed = []
-    execute = plan_mod.BatchedPlan.execute
+    execute = plan_mod.BatchedPlan.execute_planes
     monkeypatch.setattr(
-        plan_mod.BatchedPlan, "execute", lambda plan, m: executed.append(execute(plan, m))
+        plan_mod.BatchedPlan, "execute_planes", lambda plan, b: executed.append(execute(plan, b))
     )
     topo = CartTopology((3, 4), periods)
     sched, ssize, rsize = _make_reduce_case(kind, m=16)
@@ -404,7 +404,7 @@ def test_a_blocking_call_runs_the_fused_maps_through_execute_all(monkeypatch):
         execute_all(self, topo, schedule, rank_buffers, plan=plan)
 
     monkeypatch.setattr(BatchedBackend, "execute_all", spy)
-    monkeypatch.setattr(plan_mod.BatchedPlan, "execute", lambda plan, m: executed.append(m))
+    monkeypatch.setattr(plan_mod.BatchedPlan, "execute_planes", lambda plan, b: executed.append(b))
     topo = CartTopology((3, 3))
     sched, ssize, rsize = _make_case("alltoall", "combining", "regular", m=8)
     for call in range(2):
@@ -416,20 +416,6 @@ def test_a_blocking_call_runs_the_fused_maps_through_execute_all(monkeypatch):
         assert plan._fused is not plan_mod._UNLOWERED and not executed
         assert_matches_definition(topo, sched, before, after)
     assert len(brought) == 2
-
-
-def test_allreduce_seeds_its_accumulators_in_one_broadcast():
-    """An allreduce seeds its t accumulator slots from the one send
-    block: one strided op, while the step list that the rank views and
-    the verifier read keeps its t copies."""
-    from repro.core import plan as plan_mod
-
-    topo = CartTopology((3, 3))
-    sched, ssize, rsize = _make_reduce_case("allreduce")
-    plan, _ = plan_mod.get_or_compile(sched, topo, _make_bufs(topo.size, ssize, rsize)[0])
-    pre = plan.pre_program
-    assert len(pre.steps) == NBH.t
-    assert [(count, stride) for _, count, stride, _ in pre._ops] == [(NBH.t, 0)]
 
 
 def test_a_reduction_nobody_contributes_to_keeps_raising():
@@ -527,8 +513,74 @@ def _assert_same_buffers(got, want, what):
             )
 
 
+class TestPlanes:
+    """The planes — every round a shift of the rank grid, every fold a
+    whole-plane operation — forced on plans whatever ``plan.staging``
+    would choose, held to the walk and to the collective's definition."""
+
+    @pytest.fixture(autouse=True)
+    def _planes(self, monkeypatch):
+        from repro.core.plan import BatchedPlan
+
+        monkeypatch.setattr(BatchedPlan, "staging", "planes: forced")
+
+    @pytest.mark.parametrize("variant", ["regular", "v", "w"])
+    @pytest.mark.parametrize("algorithm", ["trivial", "direct", "combining"])
+    @pytest.mark.parametrize("op", ["alltoall", "allgather"])
+    @pytest.mark.parametrize("dims, periods", DELIVERY_TOPOLOGIES)
+    def test_planes_equal_the_walk_and_the_definition(
+        self, dims, periods, op, algorithm, variant
+    ):
+        nbh = moore_neighborhood(len(dims), 1, include_self=False)
+        topo = CartTopology(dims, periods)
+        sched, ssize, rsize = _make_case(op, algorithm, variant, nbh=nbh)
+        before = _make_bufs(topo.size, ssize, rsize)
+        want, got = _snapshot(before), _snapshot(before)
+        WALK.execute_all(topo, sched, want)
+        get_backend("batched").execute_all(topo, sched, got)
+        # (on a mesh, combining forwards scratch into slots off the edge)
+        if all(periods) or algorithm != "combining":
+            _assert_same_buffers(got, want, "planes vs the walk")
+        assert_matches_definition(topo, sched, before, got)
+
+    @pytest.mark.parametrize("periods", [(True, True), (False, True)], ids=["torus", "mesh"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["reduce", "reduce-scatter", "allreduce", "trivial-reduce", "trivial-reduce-scatter"],
+    )
+    def test_reductions_in_planes_equal_the_walk_and_the_definition(self, kind, periods):
+        """On the mesh the seeding and folds index the rank axis with
+        partial row masks."""
+        topo = CartTopology((3, 4), periods)
+        sched, ssize, rsize = _make_reduce_case(kind, m=16)
+        before = _make_bufs(topo.size, ssize, rsize)
+        want, got = _snapshot(before), _snapshot(before)
+        WALK.execute_all(topo, sched, want)
+        get_backend("batched").execute_all(topo, sched, got)
+        _assert_same_buffers(got, want, "planes vs the walk")
+        if all(periods):
+            assert_reduce_matches_definition(kind, "sum", topo, before, got, m=16)
+
+    def test_the_staging_rule_reproduces_the_probe(self, monkeypatch):
+        """Moore alltoall, combining: fused maps at p ≤ 27, planes at
+        (8, 8, 8) from m = 64 on."""
+        from repro.core.plan import BatchedPlan, compile_batched_plan, effective_sizes
+
+        monkeypatch.undo()
+        assert isinstance(BatchedPlan.staging, property)
+        for dims, m, form in (
+            ((4, 4), 8, "fused"), ((3, 3, 3), 512, "fused"),
+            ((8, 8, 8), 64, "planes"), ((8, 8, 8), 512, "planes"),
+        ):
+            nbh = moore_neighborhood(len(dims), 1, include_self=False)
+            sched, ssize, rsize = _make_case("alltoall", "combining", "regular", nbh=nbh, m=m)
+            bufs = {"send": np.zeros(ssize, np.uint8), "recv": np.zeros(rsize, np.uint8)}
+            plan = compile_batched_plan(sched, CartTopology(dims), effective_sizes(sched, bufs))
+            assert plan.staging.startswith(f"{form}: "), (dims, m, plan.staging)
+
+
 class TestDeliveryForms:
-    """``BatchedPlan.deliver`` (in place), ``BatchedPlan.execute``
+    """``BatchedPlan.deliver`` (in place), ``BatchedPlan.execute_planes``
     (staged) and the walk over the rank views are three ways to run the
     one plan; which of them the batched backend takes is decided by
     :func:`executor_form`, so here each is forced on the same inputs."""
@@ -544,7 +596,7 @@ class TestDeliveryForms:
         time — and every buffer: with the same ``temp`` bound on all
         three, even scratch forwarded over mesh edges is compared."""
         from repro.core import plan as plan_mod
-        from tests.conftest import with_deliveries
+        from tests.conftest import run_planes, with_deliveries
 
         nbh = moore_neighborhood(len(dims), 1, include_self=False)
         topo = CartTopology(dims, periods)
@@ -560,11 +612,7 @@ class TestDeliveryForms:
         )
         want = _snapshot(start)
         WALK.execute_all(topo, sched, want)
-        matrices = {n: np.stack([b[n] for b in start]) for n in sizes}
-        plan.execute(matrices)
-        plan.run_local_copies(matrices)
-        staged = [{n: matrices[n][r] for n in sizes} for r in range(topo.size)]
-        _assert_same_buffers(staged, want, "execute vs lockstep")
+        _assert_same_buffers(run_planes(plan, start), want, "planes vs lockstep")
         got = _snapshot(start)
         plan.deliver(got)
         _assert_same_buffers(got, want, "deliver vs lockstep")
@@ -629,7 +677,7 @@ class TestDeliveryForms:
         from repro.core import plan as plan_mod
         from repro.core.neighborhood import Neighborhood
         from repro.core.schedule import Phase, Round, Schedule
-        from tests.conftest import with_deliveries
+        from tests.conftest import run_planes, with_deliveries
 
         n = 4096
         rounds = [
@@ -660,6 +708,8 @@ class TestDeliveryForms:
         WALK.execute_all(topo, sched, want)
         get_backend("batched").execute_all(topo, sched, got)
         _assert_same_buffers(got, want, "batched vs lockstep")
+        # the planes read the phase's snapshot too
+        _assert_same_buffers(run_planes(plan, start), want, "planes vs lockstep")
         if hazard == "reads what it writes":
             # what the guard is for: without the snapshot some rank
             # forwards the bytes it has just been sent
@@ -680,14 +730,14 @@ class TestDeliveryForms:
         from tests.conftest import expected_alltoall, fill_send_alltoall
 
         m = 512  # int64s, 4 KiB: an in-place plan, were the names apart
-        forms, form = [], batched.executor_form
+        forms, scan = [], batched._scan
 
-        def spy(plan, rank_buffers=()):
-            got = form(plan, rank_buffers)
-            forms.extend([got] if rank_buffers else [])  # not the verifier's
+        def spy(plan, rank_buffers):
+            got = scan(plan, rank_buffers)
+            forms.extend([got[0]] if rank_buffers else [])  # not the verifier's
             return got
 
-        monkeypatch.setattr(batched, "executor_form", spy)
+        monkeypatch.setattr(batched, "_scan", spy)
 
         def fn(cart):
             t = cart.nbh.t
@@ -705,7 +755,7 @@ class TestDeliveryForms:
         assert all(
             run_cartesian((3, 3), NBH, fn, info={"backend": "batched"}, timeout=60)
         )
-        assert forms == ["staged: two buffers of a rank share memory"]
+        assert forms == ["staged: two buffers of a rank share memory; planes: no fused maps"]
 
     def test_non_uniform_layout_runs_and_equals_the_walk(self):
         """Ranks that bring differently sized buffers have no matrix
@@ -773,7 +823,7 @@ class TestDeliveryForms:
         )
         bufs[7]["recv"] = bufs[7]["send"]
         assert executor_form(plan, bufs) == (
-            "staged: two buffers of a rank share memory"
+            "staged: two buffers of a rank share memory; planes: no fused maps"
         )
 
     @pytest.mark.parametrize("m, word", [(5, 1), (16, 8)])

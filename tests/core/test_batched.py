@@ -15,7 +15,7 @@ import pytest
 from repro.core import plan as plan_mod
 from repro.core.alltoall_schedule import build_alltoall_schedule
 from repro.core.allgather_schedule import build_allgather_schedule
-from repro.core.backend import BACKENDS, allocate_buffers, get_backend
+from repro.core.backend import allocate_buffers, get_backend
 from repro.core.backend.lockstep import LockstepBackend
 from repro.core.plan import (
     BatchedPlan,
@@ -327,22 +327,23 @@ class TestPoolBalance:
         assert _outstanding() == before
 
     def test_batched_error_path_balances(self, monkeypatch):
-        """A kernel failure mid-phase must still return wire and buffer
-        matrices to the pool.  The staged form runs the rounds' kernels
-        only for a plan without fused maps, so this plan has none."""
-        from repro.core.plan import BatchedPlan, BatchedRound
+        """A failure in a run of the planes still returns the block and
+        the phase snapshot to the pool."""
+        from repro.core.plan import BatchedPlan
 
         before = _outstanding()
         topo = CartTopology((4, 4))
         sched = make_sched(NBH)
         bufs = make_bufs(topo.size, NBH.t, 6)
+        execute_planes = BatchedPlan.execute_planes
 
-        def boom(self, matrices, wire):
-            raise RuntimeError("injected unpack failure")
+        def boom(plan, block):
+            execute_planes(plan, block)
+            raise RuntimeError("injected failure after the planes")
 
-        monkeypatch.setattr(BatchedPlan, "fused", None)
-        monkeypatch.setattr(BatchedRound, "unpack_from", boom)
-        with pytest.raises(RuntimeError, match="injected unpack"):
+        monkeypatch.setattr(BatchedPlan, "staging", "planes: forced")
+        monkeypatch.setattr(BatchedPlan, "execute_planes", boom)
+        with pytest.raises(RuntimeError, match="after the planes"):
             get_backend("batched").execute_all(topo, sched, bufs)
         assert _outstanding() == before
 

@@ -9,13 +9,9 @@ from repro.core.cartcomm import (
     select_algorithm,
 )
 from repro.core.neighborhood import Neighborhood
-from repro.core.stencils import (
-    listing3_9point,
-    moore_neighborhood,
-    parameterized_stencil,
-)
+from repro.core.stencils import moore_neighborhood, parameterized_stencil
 from repro.core.topology import CartTopology
-from repro.mpisim.exceptions import NeighborhoodError, TopologyError
+from repro.mpisim.exceptions import NeighborhoodError
 
 from tests.conftest import (
     expected_allgather,

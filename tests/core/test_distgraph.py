@@ -1,7 +1,6 @@
 """Distributed graph topologies and Section 2.2 auto-detection."""
 
 import numpy as np
-import pytest
 
 from repro.core.cartcomm import cart_neighborhood_create
 from repro.core.distgraph import dist_graph_create_adjacent

@@ -6,7 +6,6 @@ import pytest
 from repro.core.cartcomm import cart_neighborhood_create
 from repro.core.distgraph import dist_graph_create
 from repro.core.stencils import moore_neighborhood
-from repro.core.topology import CartTopology
 from repro.mpisim.engine import run_ranks
 
 

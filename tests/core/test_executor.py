@@ -1,7 +1,6 @@
 """Threaded schedule execution (Listing 5) — correctness on the engine."""
 
 import numpy as np
-import pytest
 
 from repro.core.alltoall_schedule import build_alltoall_schedule
 from repro.core.allgather_schedule import build_allgather_schedule

@@ -11,7 +11,6 @@ from repro.core.mpi_like import (
     Cart_alltoall,
     Cart_alltoall_init,
     Cart_alltoallv,
-    Cart_alltoallw,
     Cart_alltoallw_init,
     Cart_neighbor_count,
     Cart_neighbor_get,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.neighborhood import Neighborhood, neighborhood_from_flat
-from repro.core.stencils import moore_neighborhood, parameterized_stencil
+from repro.core.stencils import parameterized_stencil
 from repro.mpisim.exceptions import NeighborhoodError
 
 

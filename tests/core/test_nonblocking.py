@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import run_cartesian
-from repro.core.stencils import moore_neighborhood, parameterized_stencil
+from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
 
 from tests.conftest import expected_alltoall, fill_send_alltoall

@@ -26,7 +26,6 @@ from repro.core.backend import get_backend
 from repro.core.opstats import OpStats
 from repro.core.plan import (
     BufferPool,
-    CompiledBlockSet,
     compile_blockset,
     compile_copies,
     compile_plan,

@@ -54,12 +54,10 @@ from repro.core.neighborhood import Neighborhood
 from repro.core.plan import (
     _UNLOWERED,
     GLOBAL_POOL,
-    BatchedRound,
     compile_batched_plan,
     compile_blockset,
     compile_copies,
     compile_delivery,
-    translate_all,
     zip_runs,
 )
 from repro.core.schedule import (
@@ -507,32 +505,28 @@ class TestLaneSelectors:
         0,
         False,
     )
-    def test_matrix_round_matches_blockset(self, layout, seed, periodic):
+    def test_plane_round_matches_blockset(self, layout, seed, periodic):
+        """One round run as a shift of the rank grid (a mesh drops its
+        wrap piece) leaves every rank as its block sets' pack and unpack
+        do, whatever the plane lane."""
+        from tests.conftest import run_planes
+
         _align, a_blocks, b_blocks, sizes = layout
         send_bs, recv_bs = BlockSet(a_blocks), BlockSet(b_blocks)
         topo = CartTopology((5,), (periodic,))
-        rnd = BatchedRound(
-            translate_all(topo, (-1,)),
-            translate_all(topo, (1,)),
-            compile_blockset(send_bs.coalesced_runs(), sizes),
-            compile_blockset(recv_bs.coalesced_runs(), sizes),
+        sched = Schedule(
+            "alltoall", Neighborhood([(1,)]), [Phase(0, [Round((1,), send_bs, recv_bs)])]
         )
-        assert (rnd.recv_rows is None) == periodic
+        plan = compile_batched_plan(sched, topo, sizes)
         ranks = [_random_buffers(sizes, seed + r) for r in range(topo.size)]
-        matrices = {
-            name: np.stack([bufs[name] for bufs in ranks]) for name in sizes
-        }
-        wire = np.zeros((topo.size, rnd.wire_nbytes), np.uint8)
-        rnd.pack_into(matrices, wire)
-        rnd.unpack_from(matrices, wire)
+        got = run_planes(plan, ranks)
         payloads = [send_bs.pack(bufs) for bufs in ranks]
         for rank, bufs in enumerate(ranks):
             source = topo.translate(rank, (-1,))
-            assert wire[rank].tobytes() == payloads[rank]
             if source is not None:
                 recv_bs.unpack(bufs, payloads[source])
             for name in sizes:
-                assert np.array_equal(matrices[name][rank], bufs[name])
+                assert np.array_equal(got[rank][name], bufs[name])
 
     @given(paired_layout(), st.integers(0, 2**16), st.booleans())
     def test_copy_program_matches_sequential_copies(
@@ -549,7 +543,9 @@ class TestLaneSelectors:
         prog = compile_copies(copies, sizes)
         assert prog.run(got) == sum(lc.src.nbytes for lc in copies)
         assert np.array_equal(got["b"], want["b"])
-        # the same program batched over rank rows
+        # the same program run in planes over all ranks
+        from tests.conftest import run_planes
+
         topo = CartTopology((3,))
         plan = compile_batched_plan(
             Schedule("alltoall", Neighborhood([(0,)]), [], copies),
@@ -557,12 +553,8 @@ class TestLaneSelectors:
             sizes,
         )
         start = _random_buffers(sizes, seed)
-        matrices = {
-            name: np.stack([start[name]] * topo.size) for name in sizes
-        }
-        plan.run_local_copies(matrices)
-        for rank in range(topo.size):
-            assert np.array_equal(matrices["b"][rank], want["b"])
+        for got in run_planes(plan, [start] * topo.size):
+            assert np.array_equal(got["b"], want["b"])
 
     @given(paired_layout(), st.integers(0, 2**16), st.booleans(), st.booleans())
     def test_delivery_matches_pack_then_unpack(

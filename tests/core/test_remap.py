@@ -1,6 +1,5 @@
 """Process remapping / traffic locality."""
 
-import numpy as np
 import pytest
 
 from repro.core.neighborhood import Neighborhood

@@ -1,7 +1,5 @@
 """Stencil factories."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -1,6 +1,5 @@
 """Schedule verification utilities and ASCII visualization."""
 
-import numpy as np
 import pytest
 
 from repro.core.allgather_schedule import AllgatherTree, build_allgather_schedule

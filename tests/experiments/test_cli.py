@@ -1,7 +1,5 @@
 """The ``python -m repro.experiments`` command-line driver."""
 
-import os
-
 import pytest
 
 from repro.experiments.__main__ import ARTIFACTS, main, run_artifact

@@ -1,6 +1,5 @@
 """Experiment-harness plumbing: tables, ascii plots, runner internals."""
 
-import numpy as np
 import pytest
 
 from repro.core.stencils import parameterized_stencil

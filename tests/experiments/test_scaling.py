@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.experiments.runner import INT_BYTES
 from repro.experiments.scaling import crossover_sweep, process_scaling
 
 

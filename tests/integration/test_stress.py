@@ -3,7 +3,6 @@ communicator, exercising tag management, schedule caching and buffer
 reuse under realistic (adversarial) call sequences."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -15,7 +15,6 @@ from repro.mpisim.datatypes import (
     Hindexed,
     Hvector,
     Indexed,
-    Primitive,
     Resized,
     Struct,
     Vector,

@@ -15,8 +15,6 @@ from repro.mpisim.exceptions import (
 )
 from repro.mpisim.faults import (
     FAULT_KINDS,
-    ChaosCase,
-    ChaosViolation,
     DeliveryFault,
     FaultInjector,
     FaultPlan,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.mpisim.engine import run_ranks
-from repro.mpisim.exceptions import TruncationError
 from repro.mpisim.mailbox import ANY_SOURCE, ANY_TAG
 
 

@@ -1,7 +1,5 @@
 """Probe semantics (MPI_Probe / MPI_Iprobe equivalents)."""
 
-import pytest
-
 from repro.mpisim.engine import run_ranks
 from repro.mpisim.mailbox import ANY_SOURCE, ANY_TAG
 

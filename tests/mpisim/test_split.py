@@ -1,7 +1,6 @@
 """Communicator splitting (MPI_Comm_split) and sub-communicators."""
 
 import numpy as np
-import pytest
 
 from repro.core.cartcomm import cart_neighborhood_create
 from repro.core.neighborhood import Neighborhood

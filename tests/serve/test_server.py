@@ -502,6 +502,36 @@ class TestStopReleasesSegment:
 
 
 class TestSyncClientAndShutdown:
+    def test_shutdown_with_two_clients_exits_cleanly(self, tmp_path):
+        """``python -m repro.serve`` told to shut down by one of two
+        connected clients: the other's handler is stopped, not cancelled
+        mid-stop, so the daemon exits 0 with nothing on stderr, and the
+        socket and the shared-memory segment are gone."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        path = sock_path(tmp_path)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--socket", path, "--shm-plans"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            assert "listening" in daemon.stdout.readline()
+            segment = daemon.stdout.readline().rsplit(":", 1)[1].strip()
+            with ScheduleClient(path) as first, ScheduleClient(path) as second:
+                assert first.ping() and second.ping()
+                first.shutdown()
+                _, err = daemon.communicate(timeout=TIMEOUT)
+        finally:
+            daemon.kill()
+        assert (daemon.returncode, err) == (0, "")
+        assert not os.path.exists(path)
+        assert not os.path.exists(f"/dev/shm/{segment}")
+
     def test_blocking_client_and_shutdown_op(self, tmp_path):
         """The blocking client drives a daemon thread end to end, and a
         shutdown request ends serve_forever."""

@@ -50,7 +50,18 @@ class TestWeightedStencil:
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError, match="arity"):
-            weighted_stencil_local(np.zeros((6, 6)), {(1,): 1.0}, 1)
+            weighted_stencil_local(np.zeros((6, 6)), {(1, 0, 0): 1.0}, 1)
+        with pytest.raises(ValueError, match="arity"):
+            weighted_stencil_local(np.zeros((6, 6)), {(0, 0): 0.5, (1,): 1.0}, 1)
+
+    def test_a_stack_of_grids_is_each_grid(self, rng):
+        """Leading axes are stacked ranks: one call equals one per grid,
+        bit for bit."""
+        grids = rng.random((3, 2, 6, 5))
+        w = {(0, 0): 0.5, (1, 0): 0.25, (0, -1): 0.125}
+        stacked = weighted_stencil_local(grids, w, 1)
+        for rank in np.ndindex(grids.shape[:2]):
+            assert stacked[rank].tobytes() == weighted_stencil_local(grids[rank], w, 1).tobytes()
 
     def test_heat_weights_sum_to_one(self):
         for d in (1, 2, 3):
