@@ -16,7 +16,6 @@ import numpy as np
 
 from repro import moore_neighborhood
 from repro.apps import WeightedStencil
-from repro.core.cartcomm import select_algorithm
 from repro.netsim.machines import get_machine
 from repro.stencil.kernels import heat_weights, weighted_stencil_global
 from repro.stencil.optimized_halo import halo_volume_comparison
@@ -34,9 +33,7 @@ def plan():
     machine = get_machine("hydra-openmpi")
     interior = tuple(g // d for g, d in zip(GRID, DIMS))
     block_bytes = 8 * interior[1] * interior[2]  # one face slab
-    pick = select_algorithm(
-        nbh, "alltoall", block_bytes, machine.alpha, machine.beta
-    )
+    pick = machine.select_algorithm(nbh, "alltoall", block_bytes)
     print(f"cut-off rule picks {pick!r} for ~{block_bytes} B face blocks "
           f"on {machine.name}")
     print("\nhalo strategies for the local block:")

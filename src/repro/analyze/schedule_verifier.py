@@ -734,17 +734,23 @@ def _check_peers(
 # ----------------------------------------------------------------------
 # check (a): the sentinel execution (V404, V506, V805)
 # ----------------------------------------------------------------------
+def _pack_rows(blocks: BlockSet, rows: Mapping[str, np.ndarray], p: int) -> np.ndarray:
+    """``blocks.pack`` at every rank at once, from ``{buffer: (p, bytes)}``."""
+    runs = [rows[b.buffer][:, b.offset : b.end()] for b in blocks.coalesced_runs()]
+    return np.concatenate(runs, axis=1) if runs else np.empty((p, 0), np.uint8)
+
+
 def _expected_slots(
-    schedule: Schedule,
-    topo: CartTopology,
-    start: Sequence[Mapping[str, np.ndarray]],
-) -> Optional[list[list[tuple[int, int, BlockSet, bytes]]]]:
-    """The V404 oracle, read off the sentinel inputs ``start``: per rank,
-    ``(slot i, its source translate(r, −N[i]), its receive blocks, the
-    source's send block i — or its one block, allgather kinds)`` where
-    the source exists.  ``None`` without a definition to hold the walk
+    schedule: Schedule, topo: CartTopology
+) -> Optional[list[tuple[np.ndarray, BlockSet]]]:
+    """The V404 oracle: per slot ``i``, every rank's source
+    ``translate(r, −N[i])`` (``-1`` off a mesh edge: nothing to hold)
+    and the source's send block the slot must hold (its one block,
+    allgather kinds).  ``None`` without a definition to hold the walk
     to: another kind, layouts not recorded or not one per neighbour, or
     layouts sharing a buffer (an in-place exchange rewrites its inputs)."""
+    from repro.core.plan import translate_all
+
     send, recv = schedule.send_layout, schedule.recv_layout
     allgather = schedule.kind in ALLGATHER_KINDS
     nbh = schedule.neighborhood
@@ -758,16 +764,10 @@ def _expected_slots(
         & {r.buffer for bs in recv for r in bs}
     ):
         return None
-    expected = []
-    for rank in range(topo.size):
-        slots = []
-        for i, off in enumerate(nbh):
-            src = topo.translate(rank, tuple(-o for o in off))
-            if src is not None:
-                block = send[0 if allgather else i]
-                slots.append((i, src, recv[i], block.pack(start[src])))
-        expected.append(slots)
-    return expected
+    return [
+        (translate_all(topo, tuple(-o for o in off)), send[0 if allgather else i])
+        for i, off in enumerate(nbh)
+    ]
 
 
 def _check_execution(
@@ -812,7 +812,7 @@ def _check_execution(
         _sentinel_buffers(sizes, _sentinel_stream(r, total)) for r in range(p)
     ]
     wanted = _reduce_wanted(schedule, topo, start) if definition else None
-    expected = _expected_slots(schedule, topo, start)
+    expected = _expected_slots(schedule, topo)
     ref_bufs = [{k: v.copy() for k, v in bufs.items()} for bufs in start]
     exchange = LockstepExchange()
     report.checks_run.append("matrix-execution")
@@ -841,6 +841,7 @@ def _check_execution(
             f"the walk over the rank views raised {exc!r}",
         )
         return
+    # the inputs, held for the oracle before any form runs on ``start``
     rows = {name: np.stack([byte_view(start[r][name]) for r in range(p)]) for name in sizes}
 
     def run_fused() -> Optional[Sequence[Mapping[str, np.ndarray]]]:
@@ -906,18 +907,22 @@ def _check_execution(
                 break
     if expected is not None:
         report.checks_run.append("definition")
-        wrong = [
-            (rank, i, src)
-            for rank, slots in enumerate(expected)
-            for i, src, blocks, want in slots
-            if blocks.pack(ref_bufs[rank]) != want
-        ]
-        if wrong:
-            rank, i, src = wrong[0]
+        recv = schedule.recv_layout or []
+        held = {ref.buffer for bs in recv for ref in bs}
+        done = {n: np.stack([byte_view(ref_bufs[r][n]) for r in range(p)]) for n in held}
+        wrong = np.zeros((p, len(expected)), dtype=bool)
+        for i, (src, block) in enumerate(expected):
+            want = _pack_rows(block, rows, p)[np.maximum(src, 0)]
+            got = _pack_rows(recv[i], done, p)
+            differs = (got != want).any(axis=1) if got.shape == want.shape else True
+            wrong[:, i] = (src >= 0) & differs
+        if wrong.any():
+            rank, i = (int(x) for x in np.argwhere(wrong)[0])  # rank-major
             report.add(
                 "V404",
                 f"receive slot {i} holds other bytes than the block of "
-                f"rank {src} ({len(wrong)} wrong slot(s) over all ranks)",
+                f"rank {expected[i][0][rank]} ({int(wrong.sum())} wrong "
+                f"slot(s) over all ranks)",
                 rank=rank,
                 block=i,
             )

@@ -19,8 +19,9 @@ check of Section 2.2 unless disabled.
   collective buffer conventions (block ``i`` in neighbor order), each
   selectable between the ``trivial`` (Listing 4), ``combining``
   (Algorithms 1/2) and ``direct`` (baseline) algorithms, with ``auto``
-  applying the paper's cut-off rule
-  ``m < (α/β)·(t−C)/(V−t)``;
+  applying the paper's cut-off rule ``Cα + βVm < t(α + βm)``
+  (:meth:`repro.netsim.machine.MachineModel.select_algorithm` on the
+  library's default model);
 * the persistent ``*_init`` variants which precompute and reuse the
   schedule (the paper's handles for the upcoming MPI persistent
   collectives), and the non-blocking ``ialltoall``/``iallgather``.
@@ -70,12 +71,6 @@ from repro.mpisim.exceptions import UnknownBufferError
 
 if TYPE_CHECKING:
     from repro.analyze.certificates import CertificateInfo
-
-#: Default linear-cost parameters for ``algorithm="auto"`` when the
-#: caller provides none: 1.5 µs latency, 10 GB/s bandwidth — ballpark for
-#: the paper's OmniPath cluster.
-DEFAULT_ALPHA = 1.5e-6
-DEFAULT_BETA = 1.0e-10
 
 ALGORITHMS = ("auto", "combining", "trivial", "direct")
 
@@ -157,29 +152,6 @@ def verify_isomorphic(rank: int, mine: CommRecord, root: CommRecord) -> CommReco
     return root if same else mine
 
 
-def select_algorithm(
-    nbh: Neighborhood,
-    kind: str,
-    m_bytes: int,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-) -> str:
-    """The paper's cut-off rule.
-
-    * alltoall: combining wins iff ``Cα + βVm < t(α + βm)``;
-    * allgather: for the benchmarked stencil families the combining
-      volume equals the trivial volume while rounds shrink
-      exponentially, so combining is compared the same way with the
-      allgather volume.
-    """
-    t = nbh.trivial_rounds
-    C = nbh.combining_rounds
-    V = nbh.alltoall_volume if kind == "alltoall" else nbh.allgather_volume
-    if C * alpha + beta * V * m_bytes < t * (alpha + beta * m_bytes):
-        return "combining"
-    return "trivial"
-
-
 def _check_algorithm(algorithm: str) -> None:
     if algorithm not in ALGORITHMS:
         raise ValueError(
@@ -210,8 +182,6 @@ class CartComm:
         self.comm: Communicator = comm  # type: ignore[assignment]
         self.record = record
         self.info = dict(info or {})
-        self.alpha = float(self.info.get("alpha", DEFAULT_ALPHA))
-        self.beta = float(self.info.get("beta", DEFAULT_BETA))
         # Execution backend: explicit argument, then info["backend"],
         # then $REPRO_BACKEND, then "threaded" (see repro.core.backend).
         self.backend = get_backend(
@@ -389,9 +359,10 @@ class CartComm:
                 # combining needs a torus; on meshes auto degrades to the
                 # trivial algorithm (which skips missing neighbors)
                 return "trivial"
-            algorithm = select_algorithm(
-                self.nbh, kind, m_bytes, self.alpha, self.beta
-            )
+            # the model is imported where auto decides, not with repro
+            from repro.netsim.machines import LIBRARY_DEFAULT
+
+            algorithm = LIBRARY_DEFAULT.select_algorithm(self.nbh, kind, m_bytes)
         if algorithm == "combining" and not periodic:
             raise TopologyError(
                 "message-combining schedules require a fully periodic "
@@ -982,9 +953,14 @@ def cart_neighborhood_create(
     :class:`Neighborhood`, a t×d array, or a flattened offset list with
     arity taken from ``dims``), and returns the Cartesian communicator.
 
-    ``reorder`` is accepted for interface fidelity; like the MPI
+    ``reorder`` and ``weights`` are Listing 1's interface: like the MPI
     libraries the paper measures (see [6] there), no remapping is
-    performed.  ``weights`` are stored for future remapping strategies.
+    performed, and the algorithms ignore the weights, which the
+    neighbourhood keeps (:meth:`CartComm.neighbor_weights`) and the
+    Section 2.2 comparison includes.
+
+    ``info`` is read for two keys: ``"backend"`` (below) and
+    ``"collect_stats"`` (record :mod:`repro.core.opstats` counters).
 
     ``backend`` selects the execution strategy (``"threaded"``,
     ``"batched"``, or a :class:`~repro.core.backend.base.Backend`

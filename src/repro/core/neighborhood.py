@@ -40,8 +40,8 @@ class Neighborhood:
         ``t`` offset vectors, each of arity ``d`` (any integers, positive
         or negative; repetitions and the zero vector allowed).
     weights:
-        optional per-neighbor weights (kept for process-remapping hooks;
-        the algorithms ignore them, matching the paper).
+        optional per-neighbor weights (Listing 1's interface; the
+        algorithms ignore them, matching the paper).
     """
 
     __slots__ = ("offsets", "weights", "__dict__")
@@ -163,26 +163,16 @@ class Neighborhood:
         return AllgatherTree.build(self).edge_count
 
     def cutoff_ratio(self) -> float:
-        """``(t − C)/(V − t)`` for the alltoall combining algorithm.
-
-        Message combining is preferable for block sizes
-        ``m < (α/β) · cutoff_ratio``.  Returns ``inf`` when the combining
-        volume does not exceed ``t`` (combining never loses on volume) and
-        ``0.0`` when combining saves no rounds.
-        """
+        """``(t − C)/(V − t)``: Table 1's published column, counting the
+        self block in ``t`` — not the decision ``auto`` makes, which
+        does not (:func:`repro.netsim.machine.cutoff_counts`).  ``inf``
+        when ``V ≤ t``, ``0.0`` when combining saves no rounds."""
         t, C, V = self.t, self.combining_rounds, self.alltoall_volume
         if t <= C:
             return 0.0
         if V <= t:
             return float("inf")
         return (t - C) / (V - t)
-
-    def combining_preferable(self, m_bytes: int, alpha: float, beta: float) -> bool:
-        """Decide ``Cα + βVm < t(α + βm)`` — should the combining
-        algorithm be chosen for block size ``m_bytes`` on a network with
-        latency ``alpha`` (s) and inverse bandwidth ``beta`` (s/byte)?"""
-        t, C, V = self.t, self.combining_rounds, self.alltoall_volume
-        return C * alpha + beta * V * m_bytes < t * (alpha + beta * m_bytes)
 
     # ------------------------------------------------------------------
     # structure helpers used by the schedules

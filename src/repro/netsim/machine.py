@@ -25,9 +25,12 @@ variant            corresponds to
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.core.neighborhood import Neighborhood
 
 
 @dataclass(frozen=True)
@@ -106,11 +109,6 @@ class MachineModel:
     hardware: str = ""
     mpi_library: str = ""
     compiler: str = ""
-    #: node-local (shared-memory) transport relative to the network:
-    #: latency and per-byte factors applied to the intra-node share of
-    #: the traffic (see cost.estimate_schedule_time's ``locality``)
-    intra_node_alpha_factor: float = 1.0
-    intra_node_beta_factor: float = 1.0
 
     def costs(self, variant: str) -> VariantCosts:
         try:
@@ -126,22 +124,6 @@ class MachineModel:
 
     def without_noise(self) -> "MachineModel":
         return replace(self, noise=None)
-
-    def with_locality(self, locality: float) -> "MachineModel":
-        """Effective α/β when ``locality`` (∈ [0, 1]) of the traffic is
-        node-local: a traffic-weighted mix of the network parameters and
-        the shared-memory transport (the payoff a good ``reorder``
-        mapping buys — see :mod:`repro.core.remap`)."""
-        if not (0.0 <= locality <= 1.0):
-            raise ValueError(f"locality must be in [0, 1], got {locality}")
-        mix = lambda base, factor: base * (
-            (1.0 - locality) + locality * factor
-        )
-        return replace(
-            self,
-            alpha=mix(self.alpha, self.intra_node_alpha_factor),
-            beta=mix(self.beta, self.intra_node_beta_factor),
-        )
 
     # ------------------------------------------------------------------
     def round_cost(self, nbytes: int, variant: str = "cart") -> float:
@@ -159,12 +141,31 @@ class MachineModel:
             return 0.0
         return nbytes / self.copy_bandwidth
 
+    def select_algorithm(self, nbh: "Neighborhood", kind: str, m_bytes: int) -> str:
+        """The paper's cut-off rule, the one decision ``algorithm="auto"``
+        makes: ``"combining"`` iff ``Cα + βVm < t(α + βm)`` on this
+        machine, counted by :func:`cutoff_counts`, else ``"trivial"``."""
+        t, C, V = cutoff_counts(nbh, kind)
+        alpha, beta = self.alpha, self.beta
+        if C * alpha + beta * V * m_bytes < t * (alpha + beta * m_bytes):
+            return "combining"
+        return "trivial"
+
     def cutoff_block_bytes(self, t: int, C: int, V: int) -> float:
-        """The paper's cut-off ``m < (α/β)·(t−C)/(V−t)`` evaluated for
-        this machine; ``inf``/``0`` edge cases as in
+        """The cut-off ``m < (α/β)·(t−C)/(V−t)`` in closed form, for
+        display (a tie or a float rounding can fall the other way: decide
+        with :meth:`select_algorithm`); ``inf``/``0`` edge cases as in
         :meth:`repro.core.neighborhood.Neighborhood.cutoff_ratio`."""
         if t <= C:
             return 0.0
         if V <= t:
             return float("inf")
         return (self.alpha / self.beta) * (t - C) / (V - t)
+
+
+def cutoff_counts(nbh: "Neighborhood", kind: str) -> tuple[int, int, int]:
+    """``(t, C, V)`` as the cut-off rule counts them: the trivial rounds
+    (a self block is a local copy, not a round), the combining rounds
+    and the combining volume of ``kind`` (Props. 3.2 and 3.3)."""
+    V = nbh.alltoall_volume if kind == "alltoall" else nbh.allgather_volume
+    return nbh.trivial_rounds, nbh.combining_rounds, V

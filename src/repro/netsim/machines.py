@@ -54,10 +54,6 @@ HYDRA_OPENMPI = MachineModel(
     hardware="36 x dual Intel Xeon Gold 6130 (16 cores) @ 2.1 GHz, Intel OmniPath",
     mpi_library="Open MPI 3.1.0",
     compiler="gcc 6.3.0",
-    # shared-memory transport within a node: much lower latency, copy
-    # bandwidth instead of the shared NIC slice
-    intra_node_alpha_factor=0.25,
-    intra_node_beta_factor=0.1,
 )
 
 HYDRA_INTELMPI = MachineModel(
@@ -79,8 +75,6 @@ HYDRA_INTELMPI = MachineModel(
     hardware="32 x dual Intel Xeon Gold 6130 (16 cores) @ 2.1 GHz, Intel OmniPath",
     mpi_library="Intel MPI 2018",
     compiler="icc 18.0.5",
-    intra_node_alpha_factor=0.25,
-    intra_node_beta_factor=0.1,
 )
 
 TITAN_CRAYMPI = MachineModel(
@@ -109,9 +103,13 @@ TITAN_CRAYMPI = MachineModel(
     hardware="Cray XK7, Opteron 6274 (16 cores) @ 2.2 GHz, Cray Gemini",
     mpi_library="cray-mpich/7.6.3",
     compiler="PGI 18.4.0",
-    intra_node_alpha_factor=0.3,
-    intra_node_beta_factor=0.15,
 )
+
+#: The model ``algorithm="auto"`` decides with (see
+#: :meth:`MachineModel.select_algorithm`): 1.5 µs latency and 10 GB/s,
+#: ballpark for the paper's OmniPath cluster.  A library default, not a
+#: Table 2 system, so not in :data:`MACHINES`.
+LIBRARY_DEFAULT = MachineModel(name="library-default", alpha=1.5e-6, beta=1.0e-10)
 
 MACHINES: dict[str, MachineModel] = {
     m.name: m for m in (HYDRA_OPENMPI, HYDRA_INTELMPI, TITAN_CRAYMPI)

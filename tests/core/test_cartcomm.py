@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.api import run_cartesian, run_ranks
-from repro.core.cartcomm import (
-    cart_neighborhood_create,
-    select_algorithm,
-)
+from repro.core.cartcomm import cart_neighborhood_create
 from repro.core.neighborhood import Neighborhood
 from repro.core.stencils import moore_neighborhood, parameterized_stencil
 from repro.core.topology import CartTopology
 from repro.mpisim.exceptions import NeighborhoodError
+from repro.netsim.machine import MachineModel
 
 from tests.conftest import (
     expected_allgather,
@@ -21,6 +19,7 @@ from tests.conftest import (
 )
 
 NBH9 = moore_neighborhood(2, 1, include_self=False)
+MODEL = MachineModel("test", alpha=1e-6, beta=1e-10)
 
 
 class TestCreate:
@@ -78,14 +77,14 @@ class TestCreate:
 
         assert run_ranks(4, fn, timeout=20) == [(5, 7)] * 4
 
-    def test_info_sets_model_params(self):
+    def test_info_selects_backend(self):
         def fn(comm):
             cart = cart_neighborhood_create(
-                comm, (2, 2), None, NBH9, info={"alpha": 1e-5, "beta": 1e-8}
+                comm, (2, 2), None, NBH9, info={"backend": "batched"}
             )
-            return (cart.alpha, cart.beta)
+            return cart.backend.name
 
-        assert run_ranks(4, fn, timeout=20)[0] == (1e-5, 1e-8)
+        assert run_ranks(4, fn, timeout=20) == ["batched"] * 4
 
 
 class TestIsomorphismCheck:
@@ -235,16 +234,16 @@ class TestAlgorithmSelection:
 
     def test_select_algorithm_small_blocks(self):
         nbh = parameterized_stencil(3, 3, -1)
-        assert select_algorithm(nbh, "alltoall", 4, 1e-6, 1e-10) == "combining"
+        assert MODEL.select_algorithm(nbh, "alltoall", 4) == "combining"
 
     def test_select_algorithm_large_blocks(self):
         nbh = parameterized_stencil(3, 3, -1)
-        assert select_algorithm(nbh, "alltoall", 10**8, 1e-6, 1e-10) == "trivial"
+        assert MODEL.select_algorithm(nbh, "alltoall", 10**8) == "trivial"
 
     def test_allgather_combining_always_for_moore(self):
         nbh = parameterized_stencil(3, 3, -1)
         # V_allgather == trivial volume, C << t: combining at any m
-        assert select_algorithm(nbh, "allgather", 10**8, 1e-6, 1e-10) == "combining"
+        assert MODEL.select_algorithm(nbh, "allgather", 10**8) == "combining"
 
 
 @pytest.mark.parametrize("algorithm", ["trivial", "combining", "direct", "auto"])

@@ -1,5 +1,5 @@
 """Edge-case coverage across modules: type-spec forms, contracted-tree
-rendering, locality bounds, trace annotations, random w-layouts."""
+rendering, trace annotations, random w-layouts."""
 
 import numpy as np
 import pytest
@@ -78,24 +78,6 @@ class TestTreeRenderingContraction:
         tree = AllgatherTree.build(nbh)
         text = render_tree(tree)
         assert "r [terminates [0]]" in text
-
-
-class TestLocalityBounds:
-    def test_rejects_out_of_range(self):
-        from repro.netsim.machines import get_machine
-
-        m = get_machine("hydra-openmpi")
-        with pytest.raises(ValueError):
-            m.with_locality(-0.1)
-        with pytest.raises(ValueError):
-            m.with_locality(1.5)
-
-    def test_zero_locality_identity(self):
-        from repro.netsim.machines import get_machine
-
-        m = get_machine("titan-craympi")
-        m0 = m.with_locality(0.0)
-        assert m0.alpha == m.alpha and m0.beta == m.beta
 
 
 class TestTraceAnnotations:

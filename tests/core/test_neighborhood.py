@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.neighborhood import Neighborhood, neighborhood_from_flat
 from repro.core.stencils import parameterized_stencil
 from repro.mpisim.exceptions import NeighborhoodError
+from repro.netsim.machine import MachineModel, cutoff_counts
 
 
 class TestConstruction:
@@ -173,19 +174,17 @@ class TestCutoff:
         assert nbh.combining_rounds >= nbh.t
         assert nbh.cutoff_ratio() == 0.0
 
-    def test_combining_preferable_small_blocks(self):
-        nbh = parameterized_stencil(3, 3, -1)
-        alpha, beta = 1e-6, 1e-9
-        assert nbh.combining_preferable(4, alpha, beta)
-        # enormous blocks: volume dominates
-        assert not nbh.combining_preferable(10**9, alpha, beta)
-
     def test_cutoff_matches_preference_boundary(self):
+        """The decision flips at the cut-off counted as the rule counts:
+        the self block is a local copy, not a round.  Table 1's ratio
+        counts it, so its boundary sits higher and is not the decision."""
         nbh = parameterized_stencil(2, 5, -1)
-        alpha, beta = 2e-6, 1e-9
-        m_star = (alpha / beta) * nbh.cutoff_ratio()
-        assert nbh.combining_preferable(int(m_star * 0.9), alpha, beta)
-        assert not nbh.combining_preferable(int(m_star * 1.1), alpha, beta)
+        machine = MachineModel("test", alpha=2e-6, beta=1e-9)
+        m_star = machine.cutoff_block_bytes(*cutoff_counts(nbh, "alltoall"))
+        assert m_star == pytest.approx(2000.0)  # (24 - 8)/(40 - 24) * 2000
+        assert machine.select_algorithm(nbh, "alltoall", int(m_star * 0.9)) == "combining"
+        assert machine.select_algorithm(nbh, "alltoall", int(m_star * 1.1)) == "trivial"
+        assert (2e-6 / 1e-9) * nbh.cutoff_ratio() > m_star * 1.1
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,7 +1,6 @@
 """The ablations and extensions EXPERIMENTS.md quotes beside the paper's
 figures: allgather dimension order (Section 3.4), Algorithm 1's scratch
-footprint, the reorder hook's locality payoff, and the modeled
-neighborhood reduction."""
+footprint, and the modeled neighborhood reduction."""
 
 import itertools
 
@@ -18,19 +17,11 @@ from repro.core.reduce_schedule import (
     build_reduce_schedule,
     build_trivial_reduce_schedule,
 )
-from repro.core.remap import (
-    best_blocked_mapping,
-    identity_mapping,
-    traffic_locality,
-)
 from repro.core.stencils import parameterized_stencil, random_neighborhood
-from repro.core.topology import CartTopology
 from repro.netsim.cost import estimate_schedule_time
 from repro.netsim.machines import get_machine
 
 FIGURE2 = Neighborhood([(-2, 1, 1), (-1, 1, 1), (1, 1, 1), (2, 1, 1)])
-#: ranks per Hydra node
-HYDRA_RPN = 32
 
 
 def _alltoall(nbh, m):
@@ -71,24 +62,6 @@ def test_scratch_is_only_the_multi_hop_blocks(d, n):
     multi_hop = sum(1 for z in nbh.hops if z >= 2)
     assert sched.temp_nbytes == multi_hop * m
     assert sched.temp_nbytes < nbh.t * m
-
-
-@pytest.mark.parametrize("dims,d,n", [((32, 36), 2, 3), ((8, 8, 18), 3, 3)])
-def test_locality_aware_model(dims, d, n):
-    """The reorder hook the measured MPI libraries ignore: the best
-    sub-torus blocking keeps more of the paper's stencil traffic on the
-    node than the identity mapping, and the modeled collective is faster
-    under it."""
-    machine = get_machine("hydra-openmpi")
-    topo = CartTopology(dims)
-    nbh = parameterized_stencil(d, n, -1, include_self=False)
-    ident = traffic_locality(topo, nbh, identity_mapping(topo), HYDRA_RPN)
-    _, _, best = best_blocked_mapping(topo, nbh, HYDRA_RPN)
-    assert best > ident
-    sched = _alltoall(nbh, 400)
-    assert estimate_schedule_time(
-        sched, machine.with_locality(best), "cart"
-    ) < estimate_schedule_time(sched, machine.with_locality(ident), "cart")
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (5, 3), (5, 5)])

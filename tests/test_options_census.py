@@ -1,4 +1,4 @@
-"""The environment switches are a closed set.
+"""The environment switches and the ``info`` keys are closed sets.
 
 Every ``REPRO_*`` name that code under ``src/repro`` spells as a string
 constant (docstrings are longer strings and do not count) is one of the
@@ -21,6 +21,8 @@ SWITCHES = {
     "REPRO_VERIFY_SCHEDULES",
 }
 NAME = re.compile(r"REPRO_[A-Z0-9_]+")
+#: The keys ``CartComm`` reads from a communicator's ``info`` dict.
+INFO_KEYS = {"backend", "collect_stats"}
 
 
 def _spelled():
@@ -47,6 +49,53 @@ def test_environment_switches_are_the_documented_four():
     with open(os.path.join(ROOT, "README.md")) as fh:
         readme = set(NAME.findall(fh.read()))
     assert SWITCHES <= readme
+
+
+def _info_keys():
+    """``{key: {module, ...}}``: every string constant read off an
+    ``info`` mapping (``info.get("k")``, ``self.info.get("k")``,
+    ``info["k"]``) under src/repro."""
+
+    def is_info(node):
+        return (isinstance(node, ast.Name) and node.id == "info") or (
+            isinstance(node, ast.Attribute) and node.attr == "info"
+        )
+
+    found = {}
+    pattern = os.path.join(ROOT, "src", "repro", "**", "*.py")
+    for path in glob.glob(pattern, recursive=True):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            key = None
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and is_info(node.func.value)
+                and node.args
+            ):
+                key = node.args[0]
+            elif isinstance(node, ast.Subscript) and is_info(node.value):
+                key = node.slice
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                found.setdefault(key.value, set()).add(os.path.relpath(path, ROOT))
+    return found
+
+
+def test_info_keys_are_the_documented_two():
+    """A new ``info`` knob fails here until it is pinned above and
+    documented in README.md (spelled ``info["key"]`` or in an
+    ``info={...}`` example)."""
+    read = _info_keys()
+    assert set(read) == INFO_KEYS
+    assert {k: m for k, m in read.items()} == dict.fromkeys(
+        INFO_KEYS, {os.path.join("src", "repro", "core", "cartcomm.py")}
+    )
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    for key in INFO_KEYS:
+        assert f'info["{key}"]' in readme or f'info={{"{key}"' in readme, key
 
 
 def _import_with(name, value):
