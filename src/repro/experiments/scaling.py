@@ -33,6 +33,7 @@ from repro.core.trivial import (
 )
 from repro.experiments.runner import INT_BYTES
 from repro.netsim.cost import estimate_schedule_time, sample_schedule_times
+from repro.netsim.machine import cutoff_counts
 from repro.netsim.machines import get_machine
 from repro.stats import summarize
 
@@ -92,7 +93,7 @@ def crossover_sweep(
     m_grid=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
 ) -> dict:
     """Deterministic combining-vs-trivial crossover in block size, and
-    the Table 1 cut-off prediction for comparison."""
+    the cut-off ``auto`` applies on this machine for comparison."""
     machine = get_machine(machine_name)
     nbh = parameterized_stencil(d, n, -1)
     ratios = {}
@@ -108,7 +109,7 @@ def crossover_sweep(
             comb, machine, "cart"
         ) / estimate_schedule_time(triv, machine, "cart")
     predicted_cutoff_ints = machine.cutoff_block_bytes(
-        nbh.t, nbh.combining_rounds, nbh.alltoall_volume
+        *cutoff_counts(nbh, "alltoall")
     ) / INT_BYTES
     return {
         "machine": machine_name,

@@ -55,12 +55,13 @@ from repro.core.reduce_schedule import op_token
 from repro.core.schedule import Schedule
 from repro.core.serialize import (
     FRAME_HEADER_SIZE,
+    TruncatedFrameError,
     frame_payload_length,
     pack_frame,
     unpack_frame,
 )
 from repro.mpisim.datatypes import BlockRef, BlockSet
-from repro.mpisim.exceptions import ScheduleError
+from repro.mpisim.exceptions import NeighborhoodError, ScheduleError
 
 #: bump when a request/response field changes incompatibly
 PROTOCOL_VERSION = 1
@@ -89,7 +90,8 @@ def decode_message(frame: bytes) -> dict:
     raw = unpack_frame(frame)
     try:
         data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals
         raise ProtocolError(f"frame payload is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ProtocolError(
@@ -98,12 +100,21 @@ def decode_message(frame: bytes) -> dict:
     return data
 
 
-async def read_message(reader: asyncio.StreamReader) -> dict:
-    """Read exactly one framed message from an asyncio stream."""
-    header = await reader.readexactly(FRAME_HEADER_SIZE)
-    length = frame_payload_length(header)
-    payload = await reader.readexactly(length)
-    return decode_message(header + payload)
+async def read_frame(reader: asyncio.StreamReader) -> bytes:
+    """Read one frame's raw bytes; a stream that ends inside a frame is a
+    ``TruncatedFrameError``, one that ends between frames is not."""
+    header = b""
+    try:
+        header = await reader.readexactly(FRAME_HEADER_SIZE)
+        payload = await reader.readexactly(frame_payload_length(header))
+    except asyncio.IncompleteReadError as exc:
+        if not header and not exc.partial:
+            raise
+        raise TruncatedFrameError(
+            f"stream ended inside a frame ({len(header + exc.partial)} "
+            f"bytes of it arrived)"
+        ) from exc
+    return header + payload
 
 
 def read_message_sync(sock: Any) -> dict:
@@ -187,7 +198,7 @@ class ScheduleRequest:
             offsets = tuple(
                 tuple(int(x) for x in row) for row in data["offsets"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(
                 f"schedule request needs 'kind' and 'offsets': {exc}"
             ) from exc
@@ -249,7 +260,7 @@ class ScheduleRequest:
                     else None
                 ),
             )
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(
                 f"malformed schedule request field: {exc} (layouts are "
                 f"lists of [buffer, offset, nbytes] triples; dims, weights, "
@@ -260,6 +271,13 @@ class ScheduleRequest:
                 f"({kind!r}, {algorithm!r}) needs explicit 'send' and "
                 f"'recv' block layouts"
             )
+        width = len(offsets[0])
+        if any(v is not None and len(v) != width for v in (req.dims, req.periods)):
+            raise ProtocolError(f"'dims' and 'periods' need {width} entries, one per axis")
+        try:
+            req.neighborhood()  # keying needs it; refuse it here if invalid
+        except (NeighborhoodError, OverflowError) as exc:
+            raise ProtocolError(f"invalid neighborhood: {exc}") from exc
         return req
 
     def to_dict(self, op: str = "schedule") -> dict:

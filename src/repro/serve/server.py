@@ -20,12 +20,15 @@ thread pool.  Three mechanisms keep the daemon ahead of its clients:
   inside the cache's single-flight section, so no uncertified schedule
   is ever answered — and no schedule is certified twice.
 
-Served payloads (the schedule's serialized dict) are memoized in a
-bounded mirror keyed by the same fingerprint: a repeat request is
-answered straight off the event loop without touching the pool.  This
-mirror can never go stale — the fingerprint *determines* the schedule
-content (schedules are pure data), so eviction from the underlying
-build cache does not invalidate it.
+A ready hit is a byte lookup.  A bounded mirror keyed by the same
+fingerprint (by the plan digest for plan-store hits) holds each hit's
+encoded reply frame, and a bounded map sends every remembered request
+frame, byte for byte, to its key: such a frame is answered with the
+stored reply and booked as a decoded one, with nothing decoded, keyed
+or encoded (``replayed``).  Only replies two identical frames cannot
+see differ are stored: no ``ping``/``stats``/``shutdown``, error, cold
+build or single-flight join.  Nothing goes stale: the fingerprint
+*determines* the schedule (pure data), and plan-store entries never move.
 
 With ``shm_plans=True`` the daemon also owns a
 :class:`~repro.serve.shm_plans.ShmPlanStore`: ``plan`` requests lower
@@ -38,11 +41,10 @@ same-machine clients map zero-copy.
 from __future__ import annotations
 
 import asyncio
-import bisect
 import contextlib
 import json
 import os
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -59,15 +61,19 @@ from repro.serve.protocol import (
     ProtocolError,
     ScheduleRequest,
     ServeError,
+    decode_message,
     encode_message,
-    read_message,
+    read_frame,
 )
 from repro.serve.shm_plans import ShmPlanStore, key_digest, plan_to_image
 
-#: served-payload mirror entries kept (responses, not schedules)
+#: ready-mirror entries kept (reply frames, not schedules)
 READY_MIRROR_SIZE = 1024
-#: build-latency samples kept for the p50/p99 telemetry
-LATENCY_RESERVOIR = 4096
+#: request frames remembered for replay, and the bytes they may hold
+FRAME_MAP_SIZE = 4096
+FRAME_MAP_BYTES = 4 << 20
+#: the most recent builds whose latency the p50/p99 telemetry reads
+LATENCY_WINDOW = 4096
 
 
 @dataclass
@@ -76,8 +82,10 @@ class ServerStats:
 
     connections: int = 0
     requests: dict = field(default_factory=dict)
-    #: answered from the served-payload mirror, no pool round trip
+    #: answered from the ready mirror, no pool round trip
     ready_hits: int = 0
+    #: answered from a remembered request frame, nothing decoded
+    replayed: int = 0
     #: joined another connection's in-flight build
     single_flight_hits: int = 0
     #: drain-loop batches and the largest batch seen
@@ -87,30 +95,29 @@ class ServerStats:
     build_failures: int = 0
     protocol_errors: int = 0
     plans_published: int = 0
-    #: sorted build-latency reservoir (seconds)
-    build_latency: list = field(default_factory=list)
+    #: latencies of the most recent builds (seconds)
+    build_latency: deque = field(
+        default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
+    )
 
     def count(self, op: str) -> None:
         self.requests[op] = self.requests.get(op, 0) + 1
 
     def note_latency(self, seconds: float) -> None:
-        if len(self.build_latency) < LATENCY_RESERVOIR:
-            bisect.insort(self.build_latency, seconds)
+        self.build_latency.append(seconds)
 
     def latency_percentile(self, q: float) -> float:
         if not self.build_latency:
             return 0.0
-        index = min(
-            len(self.build_latency) - 1,
-            int(q * (len(self.build_latency) - 1)),
-        )
-        return self.build_latency[index]
+        ordered = sorted(self.build_latency)
+        return ordered[int(q * (len(ordered) - 1))]
 
     def to_json(self) -> dict:
         return {
             "connections": self.connections,
             "requests": dict(sorted(self.requests.items())),
             "ready_hits": self.ready_hits,
+            "replayed": self.replayed,
             "single_flight_hits": self.single_flight_hits,
             "batches": self.batches,
             "batch_max": self.batch_max,
@@ -167,8 +174,12 @@ class ScheduleServer:
         self._plan_inflight: dict[str, "asyncio.Future[tuple]"] = {}
         #: requests awaiting the next drain: (key, request)
         self._pending: list[tuple[tuple, ScheduleRequest]] = []
-        #: canonical key -> served schedule dict (see module docstring)
-        self._ready: "OrderedDict[tuple, dict]" = OrderedDict()
+        #: canonical key or plan digest -> stored reply frame, and
+        #: request frame -> (op, that key) (see module docstring)
+        self._ready: "OrderedDict[Any, bytes]" = OrderedDict()
+        self._frames: "OrderedDict[bytes, tuple[str, Any]]" = OrderedDict()
+        self._ready_bytes = 0
+        self._frame_bytes = 0
         #: live connection handler tasks and writers (closed by stop())
         self._conn_tasks: set = set()
         self._writers: set = set()
@@ -221,7 +232,7 @@ class ScheduleServer:
             if self._server is not None:
                 self._server.close()
                 await self._server.wait_closed()
-            # unblock handlers parked in read_message, then wait them out
+            # unblock handlers parked in read_frame, then wait them out
             for writer in list(self._writers):
                 writer.close()
             if self._conn_tasks:
@@ -267,7 +278,10 @@ class ScheduleServer:
         try:
             while not stop_after:
                 try:
-                    message = await read_message(reader)
+                    frame = await read_frame(reader)
+                    reply = self._replay(frame)
+                    if reply is None:
+                        message = decode_message(frame)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
                 except (FrameError, ProtocolError) as exc:
@@ -276,12 +290,10 @@ class ScheduleServer:
                     writer.write(encode_message(_error_payload(exc)))
                     await writer.drain()
                     break
-                response = await self._dispatch(message)
-                stop_after = (
-                    message.get("op") == "shutdown"
-                    and response.get("status") == "ok"
-                )
-                writer.write(encode_message(response))
+                if reply is None:
+                    stop_after = message.get("op") == "shutdown"
+                    reply = await self._dispatch(message, frame)
+                writer.write(reply)
                 await writer.drain()
         finally:
             self._writers.discard(writer)
@@ -295,53 +307,94 @@ class ScheduleServer:
         if stop_after:
             await self.stop()
 
-    async def _dispatch(self, message: dict) -> dict:
+    async def _dispatch(self, message: dict, frame: bytes) -> bytes:
+        """Answer one decoded request: its reply frame."""
         op = str(message.get("op", ""))
         self.stats.count(op or "?")
         try:
             if op == "ping":
-                return {
-                    "status": "ok",
-                    "protocol": PROTOCOL_VERSION,
-                    "pong": True,
-                }
-            if op == "stats":
-                return self._stats_payload()
-            if op == "shutdown":
-                return {"status": "ok", "bye": True}
-            if op == "schedule":
-                return await self._resolve_schedule(
-                    ScheduleRequest.from_dict(message)
+                reply: Any = {"status": "ok", "protocol": PROTOCOL_VERSION, "pong": True}
+            elif op == "stats":
+                reply = self._stats_payload()
+            elif op == "shutdown":
+                reply = {"status": "ok", "bye": True}
+            elif op in ("schedule", "plan"):
+                request = ScheduleRequest.from_dict(message)
+                resolve = self._resolve_schedule if op == "schedule" else self._resolve_plan
+                reply, key = await resolve(request)
+                if key in self._ready and frame not in self._frames:
+                    self._learn(frame, op, key)
+            else:
+                raise ProtocolError(
+                    f"unknown op {op!r} (ping/schedule/plan/stats/shutdown)"
                 )
-            if op == "plan":
-                return await self._resolve_plan(
-                    ScheduleRequest.from_dict(message)
-                )
-            raise ProtocolError(
-                f"unknown op {op!r} (ping/schedule/plan/stats/shutdown)"
-            )
         except asyncio.CancelledError:
             raise
         except Exception as exc:
             if isinstance(exc, ProtocolError):
                 self.stats.protocol_errors += 1
-            return _error_payload(exc)
+            reply = _error_payload(exc)
+        return reply if isinstance(reply, bytes) else encode_message(reply)
+
+    # -- the ready mirror ----------------------------------------------
+    def _replay(self, frame: bytes) -> Optional[bytes]:
+        """The stored reply of a remembered request frame, booked as the
+        decode path books a ready hit; ``None`` sends the frame down the
+        decode path (it is new, or its key has left the mirror)."""
+        known = self._frames.get(frame)
+        if known is None:
+            return None
+        reply = self._hit(*known)
+        if reply is None:
+            del self._frames[frame]
+            self._frame_bytes -= len(frame)
+            return None
+        self._frames.move_to_end(frame)
+        self.stats.count(known[0])
+        self.stats.replayed += 1
+        return reply
+
+    def _hit(self, op: str, key: Any) -> Optional[bytes]:
+        """The stored reply under ``key``, booked as a hit, or ``None``."""
+        reply = self._ready.get(key)
+        if reply is not None:
+            self._ready.move_to_end(key)
+            if op == "schedule":
+                self.stats.ready_hits += 1
+                self.opstats.record_cache(True, backend="serve")
+        return reply
+
+    def _learn(self, frame: bytes, op: str, key: Any) -> None:
+        self._frames[frame] = (op, key)
+        self._frame_bytes += len(frame)
+        while len(self._frames) > FRAME_MAP_SIZE or self._frame_bytes > FRAME_MAP_BYTES:
+            old, _ = self._frames.popitem(last=False)
+            self._frame_bytes -= len(old)
+
+    def _remember(self, key: Any, reply: bytes) -> bytes:
+        self._ready_bytes += len(reply) - len(self._ready.get(key, b""))
+        self._ready[key] = reply
+        self._ready.move_to_end(key)
+        while len(self._ready) > READY_MIRROR_SIZE:
+            _, old = self._ready.popitem(last=False)
+            self._ready_bytes -= len(old)
+        return reply
 
     # -- the schedule pipeline -----------------------------------------
-    async def _resolve_schedule(self, request: ScheduleRequest) -> dict:
+    async def _resolve_schedule(
+        self, request: ScheduleRequest
+    ) -> tuple[Any, tuple]:
+        """The reply (a stored frame, or a dict to encode) and the key."""
         key = request.canonical_key()
-        ready = self._ready.get(key)
+        ready = self._hit("schedule", key)
         if ready is not None:
-            self._ready.move_to_end(key)
-            self.stats.ready_hits += 1
-            self.opstats.record_cache(True, backend="serve")
-            return self._ok_schedule(ready, hit=True, single_flight=False)
+            return ready, key
         inflight = self._inflight.get(key)
         if inflight is not None:
             self.stats.single_flight_hits += 1
             payload, _seconds, _hit = await asyncio.shield(inflight)
             self.opstats.record_cache(True, backend="serve")
-            return self._ok_schedule(payload, hit=True, single_flight=True)
+            return self._ok_schedule(payload, hit=True, single_flight=True), key
         assert self._loop is not None and self._kick is not None
         future: "asyncio.Future[tuple]" = self._loop.create_future()
         self._inflight[key] = future
@@ -351,7 +404,7 @@ class ScheduleServer:
         self.opstats.record_cache(hit, seconds, backend="serve")
         return self._ok_schedule(
             payload, hit=hit, single_flight=False, build_seconds=seconds
-        )
+        ), key
 
     def _ok_schedule(
         self,
@@ -399,13 +452,13 @@ class ScheduleServer:
             return
         assert self._loop is not None and self._pool is not None
         try:
-            payload, seconds, hit = await self._loop.run_in_executor(
+            payload, ready, seconds, hit = await self._loop.run_in_executor(
                 self._pool, self._build_certified, request, key
             )
             if not hit:
                 self.stats.builds += 1
                 self.stats.note_latency(seconds)
-            self._remember(key, payload)
+            self._remember(key, ready)
             if not future.done():
                 future.set_result((payload, seconds, hit))
         except Exception as exc:
@@ -419,15 +472,17 @@ class ScheduleServer:
 
     def _build_certified(
         self, request: ScheduleRequest, key: tuple
-    ) -> tuple[dict, float, bool]:
+    ) -> tuple[dict, bytes, float, bool]:
         """Worker-thread body: build-or-fetch through the cache
-        (certification runs inside its single-flight section) and
-        serialize the schedule once."""
+        (certification runs inside its single-flight section), serialize
+        the schedule once and encode the ready-hit reply frame."""
         sched, hit, seconds = self._cache.get_or_build(
             key, request.build, self._verifier(request)
         )
         assert isinstance(sched, Schedule)
-        return schedule_to_dict(sched), seconds, hit
+        payload = schedule_to_dict(sched)
+        ready = self._ok_schedule(payload, hit=True, single_flight=False)
+        return payload, encode_message(ready), seconds, hit
 
     def _verifier(
         self, request: ScheduleRequest
@@ -455,14 +510,9 @@ class ScheduleServer:
 
         return check
 
-    def _remember(self, key: tuple, payload: dict) -> None:
-        self._ready[key] = payload
-        self._ready.move_to_end(key)
-        while len(self._ready) > READY_MIRROR_SIZE:
-            self._ready.popitem(last=False)
-
     # -- plans ---------------------------------------------------------
-    async def _resolve_plan(self, request: ScheduleRequest) -> dict:
+    async def _resolve_plan(self, request: ScheduleRequest) -> tuple[Any, str]:
+        """The reply (a stored frame, or a dict to encode) and the digest."""
         if self._plan_store is None:
             raise ServeError(
                 "this server has no shared plan store "
@@ -477,16 +527,20 @@ class ScheduleServer:
             raise ProtocolError("plan requests need 'dims'")
         key = request.canonical_key()
         digest = key_digest((key, request.rank, request.sizes))
+        ready = self._hit("plan", digest)
+        if ready is not None:  # a store hit answered before
+            return ready, digest
         published = self._plan_store.locate(digest)
         if published is not None:
             # a store hit is a dict lookup: answer on the loop instead
             # of hopping through a worker thread behind running builds
-            return self._ok_plan(digest, *published, True)
+            reply = self._ok_plan(digest, *published, True)
+            return self._remember(digest, encode_message(reply)), digest
         inflight = self._plan_inflight.get(digest)
         if inflight is not None:
             self.stats.single_flight_hits += 1
             offset, nbytes, plan_hit = await asyncio.shield(inflight)
-            return self._ok_plan(digest, offset, nbytes, plan_hit)
+            return self._ok_plan(digest, offset, nbytes, plan_hit), digest
         assert self._loop is not None and self._pool is not None
         future: "asyncio.Future[tuple]" = self._loop.create_future()
         self._plan_inflight[digest] = future
@@ -504,7 +558,7 @@ class ScheduleServer:
             self._plan_inflight.pop(digest, None)
         if not plan_hit:
             self.stats.plans_published += 1
-        return self._ok_plan(digest, offset, nbytes, plan_hit)
+        return self._ok_plan(digest, offset, nbytes, plan_hit), digest
 
     def _ok_plan(
         self, digest: str, offset: int, nbytes: int, plan_hit: bool
@@ -557,7 +611,8 @@ class ScheduleServer:
             "cache": info._asdict(),
             "plan_cache": plan_mod.plan_cache_info()._asdict(),
             "opstats": self.opstats.to_json(),
-            "ready_mirror": len(self._ready),
+            "ready_mirror": {"entries": len(self._ready), "bytes": self._ready_bytes,
+                             "frames": len(self._frames), "frame_bytes": self._frame_bytes},
             "verify": self.verify,
         }
         if self._plan_store is not None:

@@ -1,8 +1,14 @@
 """Supplementary scaling experiment invariants."""
 
+import math
+
 import pytest
 
+from repro.core.stencils import parameterized_stencil
+from repro.experiments.runner import INT_BYTES
 from repro.experiments.scaling import crossover_sweep, process_scaling
+from repro.netsim.machine import cutoff_counts
+from repro.netsim.machines import get_machine
 
 
 class TestProcessScaling:
@@ -48,6 +54,21 @@ class TestCrossover:
         assert wins and loses
         crossover_lo, crossover_hi = max(wins), min(loses)
         assert crossover_lo / 4 <= predicted <= crossover_hi * 4
+
+    def test_predicted_cutoff_is_the_one_auto_applies(self, sweep):
+        """The printed cut-off is the rule's: counted by ``cutoff_counts``
+        (the self block is no round), not Table 1's self-inclusive ``t``
+        (89.7 ints here), and the machine's decision flips at it."""
+        machine = get_machine(sweep["machine"])
+        nbh = parameterized_stencil(sweep["d"], sweep["n"], -1)
+        counts = cutoff_counts(nbh, "alltoall")
+        predicted = sweep["predicted_cutoff_ints"]
+        assert predicted == machine.cutoff_block_bytes(*counts) / INT_BYTES
+        assert round(predicted, 1) == 82.4
+        cutoff_bytes = predicted * INT_BYTES
+        pick = lambda m: machine.select_algorithm(nbh, "alltoall", m)  # noqa: E731
+        assert pick(math.floor(cutoff_bytes)) == "combining"
+        assert pick(math.ceil(cutoff_bytes)) == "trivial"
 
     def test_small_blocks_strong_win(self, sweep):
         assert sweep["ratios"][1] < 0.35

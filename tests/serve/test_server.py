@@ -16,10 +16,11 @@ from repro.serve.client import ScheduleClient
 from repro.serve.protocol import (
     ScheduleRequest,
     ServeError,
+    decode_message,
     encode_message,
-    read_message,
+    read_frame,
 )
-from repro.serve.server import ScheduleServer
+from repro.serve.server import LATENCY_WINDOW, ScheduleServer, ServerStats
 
 TIMEOUT = 60.0
 
@@ -118,6 +119,24 @@ class _GatedCache(ScheduleCache):
     def get_or_build(self, key, build, verify=None):
         assert self.release.wait(TIMEOUT), "test never released the gate"
         return super().get_or_build(key, build, verify)
+
+
+class TestServerStats:
+    def test_build_latency_follows_the_most_recent_builds(self):
+        """A long-lived daemon's p50/p99 describe its latest builds, not
+        its first ``LATENCY_WINDOW``."""
+        stats = ServerStats()
+        for _ in range(LATENCY_WINDOW):
+            stats.note_latency(0.001)
+        assert stats.latency_percentile(0.5) == stats.latency_percentile(0.99) == 0.001
+        for _ in range(LATENCY_WINDOW // 50):
+            stats.note_latency(1.0)
+        assert stats.latency_percentile(0.5) == 0.001
+        assert stats.latency_percentile(0.99) == 1.0
+        for _ in range(LATENCY_WINDOW // 2):
+            stats.note_latency(1.0)
+        assert stats.latency_percentile(0.5) == 1.0
+        assert stats.to_json()["build_latency_samples"] == LATENCY_WINDOW
 
 
 class TestDaemon:
@@ -289,6 +308,7 @@ class TestErrors:
             stencil_dict() | {"dims": ["three", 3]},
             reduce_dict(m_bytes="eight"),
             stencil_dict() | {"rank": [0], "sizes": {"send": 32}},
+            stencil_dict(dims=(3, 3, 3)),  # 2-D offsets on a 3-D torus
         ]
 
         async def main():
@@ -302,7 +322,7 @@ class TestErrors:
                             client.request, {"op": "schedule", **payload}
                         )
                 assert await call(client.ping)
-                assert server.stats.protocol_errors == len(malformed) == 4
+                assert server.stats.protocol_errors == len(malformed) == 5
                 assert server.stats.builds == 0
             finally:
                 await _stop_and_close(server, client)
@@ -353,7 +373,7 @@ class TestErrors:
                 frame[-1] ^= 0xFF  # break the payload CRC
                 writer.write(bytes(frame))
                 await writer.drain()
-                resp = await read_message(reader)
+                resp = decode_message(await read_frame(reader))
                 assert resp["status"] == "error"
                 assert resp["etype"] == "CorruptFrameError"
                 # a desynchronized stream is closed after the answer
