@@ -16,16 +16,17 @@ forms are verified and tested against.
 
 *In place* — ``plan.delivery == "in-place"`` (large blocks, no phase
 that reads what it writes) and no two buffers of a rank sharing memory:
-:meth:`~repro.core.plan.BatchedPlan.deliver` copies every round from
-the sending rank's own arrays to the receiving rank's.
+every round copies from the sending rank's own arrays to the receiving
+rank's, as one pass over the ``(destination, source)`` pairs that
+:meth:`~repro.core.plan.BatchedPlan.bind` sliced once per rank set.
 
 *Staged* — everything else (small blocks, reductions), as
 ``plan.staging`` chose: *fused* concatenates each buffer name's ``p``
 arrays into a ``(p, nbytes)`` matrix of one pooled block and runs one
 gather/scatter of words per phase; *planes* stacks them rank-minor, a
 word slot one row over the rank grid, and runs each round as a few
-shifted slab copies.  A persistent handle decides its form once
-(:meth:`BatchedBackend.prepare`).
+shifted slab copies.  A persistent handle decides its form — and binds
+an in-place one — once (:meth:`BatchedBackend.prepare`).
 
 Semantics are identical whichever form runs (it is the very same plan):
 the staged forms keep the walk's pack-all-then-deliver discipline per
@@ -60,8 +61,9 @@ def executor_form(
     ``"in-place: …"`` or ``"staged: …; fused: …"`` (``planes`` in
     place of ``fused``).  ``plan`` is the lowering for rank 0's sizes;
     without buffers the answer is the one for uniformly sized, unaliased
-    ones."""
-    return _scan(plan, rank_buffers)[0]
+    ones.  An in-place form names its launch count (``plan.num_launches``)."""
+    form = _scan(plan, rank_buffers)[0]
+    return f"{form}; {plan.num_launches} launches" if form.startswith("in-place") else form
 
 
 def _scan(
@@ -146,7 +148,9 @@ def _runner(
     :func:`executor_form` picks, as a call to repeat."""
     form, mixed, strided = _scan(plan, rank_buffers)
     if form.startswith("in-place"):
-        return partial(plan.deliver, rank_buffers)
+        if plan.temp_nbytes and "temp" not in rank_buffers[0]:  # pooled rows: bound per run
+            return partial(plan.deliver, rank_buffers)
+        return plan.bind(rank_buffers)
     if form.startswith("walk"):
 
         def walk() -> None:

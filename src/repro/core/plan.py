@@ -54,6 +54,7 @@ from typing import (
     Any,
     Callable,
     Iterable,
+    Iterator,
     Mapping,
     Optional,
     Sequence,
@@ -340,8 +341,11 @@ def _copy_lanes(
     run this thousands of times per collective.)
     """
     dtype = _lane_dtype(lane)
-    dst = dst.view(dtype)
-    src = src.view(dtype)
+    _copy_words(dst.view(dtype), dst_sel, src.view(dtype), src_sel)
+
+
+def _copy_words(dst: np.ndarray, dst_sel: Selector, src: np.ndarray, src_sel: Selector) -> None:
+    """:func:`_copy_lanes` on the lane-wide word views themselves."""
     if type(src_sel) is slice:
         dst[dst_sel] = src[src_sel]
         return
@@ -669,28 +673,51 @@ def compile_copies(
     return CompiledCopyProgram(nbytes, True, sel_ops, run_ops, sums)
 
 
-def _run_pairs(
+class _Gather:
+    """The destination of an index launch of a :class:`BoundDelivery`:
+    ``gather[...] = words`` copies the sender's lane ``words`` at
+    ``src_sel`` to the receiver's at ``dst_sel`` (:func:`_copy_words`)."""
+
+    __slots__ = ("dst", "dst_sel", "src_sel")
+
+    def __init__(self, dst: np.ndarray, dst_sel: Selector, src_sel: Selector) -> None:
+        self.dst, self.dst_sel, self.src_sel = dst, dst_sel, src_sel
+
+    def __setitem__(self, _all: object, words: np.ndarray) -> None:
+        _copy_words(self.dst, self.dst_sel, words, self.src_sel)
+
+
+class BoundDelivery(list):
+    """An in-place plan bound to one rank set's arrays
+    (:meth:`BatchedPlan.bind`): every copy of an execution as a
+    pre-sliced ``(destination, source)`` pair, in order; a call is one
+    pass of ``destination[...] = source`` over them."""
+
+    def __call__(self) -> None:
+        for dst, src in self:
+            dst[...] = src
+
+
+def _bind_program(
     program: CompiledCopyProgram,
-    views: Sequence[Mapping[str, np.ndarray]],
-    receivers: Iterable[int],
-    senders: Iterable[int],
-) -> None:
-    """:meth:`CompiledCopyProgram.run` for many ranks at once: from the
-    byte views of ``senders[k]`` into those of ``receivers[k]``, op by
-    op, so an op's names resolve once and a launch is a slice
-    assignment and nothing else."""
-    pairs = list(zip(receivers, senders))
+    views: Callable[[str, int], Sequence[np.ndarray]],
+    pairs: Sequence[tuple[int, int]],
+) -> list[tuple[Any, np.ndarray]]:
+    """``program``'s launches from each (receiver, sender) pair's sender
+    into its receiver, op by op, on ``views(name, lane)`` (every rank's
+    words of a buffer): pre-sliced, or an index launch."""
+    out: list[tuple[Any, np.ndarray]] = []
     for src, dst, src_sel, dst_sel, lane in program._sel_ops:
-        for j, source in pairs:
-            _copy_lanes(
-                views[j][dst], dst_sel, views[source][src], src_sel, lane
-            )
+        d, s = views(dst, lane), views(src, lane)
+        if type(src_sel) is slice and type(dst_sel) is slice:
+            out += [(d[j][dst_sel], s[k][src_sel]) for j, k in pairs]
+        else:
+            out += [(_Gather(d[j], dst_sel, src_sel), s[k]) for j, k in pairs]
     for src, dst, src_off, dst_off, n in program._run_ops:
-        dst_end, src_end = dst_off + n, src_off + n
-        for j, source in pairs:
-            views[j][dst][dst_off:dst_end] = views[source][src][
-                src_off:src_end
-            ]
+        to, at = slice(dst_off, dst_off + n), slice(src_off, src_off + n)
+        d, s = views(dst, 1), views(src, 1)
+        out += [(d[j][to], s[k][at]) for j, k in pairs]
+    return out
 
 
 #: One aligned stretch of a round's byte stream: (src buffer, src
@@ -1587,44 +1614,51 @@ class BatchedPlan:
         finally:
             GLOBAL_POOL.release(snapshot)
 
-    def deliver(
-        self, rank_buffers: Sequence[Mapping[str, np.ndarray]]
-    ) -> None:
-        """Run every phase and the local copies on the ranks' own arrays
-        (one uniformly laid-out mapping per rank): for each round and
-        receiving rank ``j``, the round's program copies from the
-        buffers of ``sources[j]`` to the buffers of ``j``.  Nothing is
-        stacked and nothing handed back; a buffer no kernel writes is
-        only read.  Ranks that bring no ``"temp"`` get rows of one
-        pooled scratch matrix, returned even when a kernel raises."""
-        deliveries = self.deliveries
-        if deliveries is None:
-            raise ScheduleError(
-                f"plan has no in-place form ({self.delivery_reason})"
-            )
-        p = self.p
+    def _delivering(self) -> Iterator[tuple[CompiledCopyProgram, list[tuple[int, int]]]]:
+        """:meth:`bind`'s order: each delivering round's program with its
+        (receiver, sender) pairs, then the local copies with each rank's."""
+        ranks = range(self.p)
+        for rounds, programs in zip(self.phases, self.deliveries or ()):
+            for rnd, prog in zip(rounds, programs):
+                if prog is not None:
+                    rows = ranks if rnd.recv_rows is None else rnd.recv_rows.tolist()
+                    yield prog, list(zip(rows, rnd.recv_sources.tolist()))
+        yield self.copy_program, list(zip(ranks, ranks))
+
+    @property
+    def num_launches(self) -> int:
+        """How many ``(destination, source)`` pairs :meth:`bind` makes."""
+        return sum(len(p._sel_ops + p._run_ops) * len(pairs) for p, pairs in self._delivering())
+
+    def bind(self, rank_buffers: Sequence[Mapping[str, np.ndarray]]) -> BoundDelivery:
+        """The in-place form on the ranks' own arrays (one uniformly laid
+        out mapping per rank): per round and receiving rank ``j``, its
+        program's copies from the buffers of ``sources[j]`` to those of
+        ``j``, then every rank's local copies.  Nothing is stacked."""
+        if self.deliveries is None:
+            raise ScheduleError(f"plan has no in-place form ({self.delivery_reason})")
+        names = {name: [byte_view(b[name]) for b in rank_buffers] for name in rank_buffers[0]}
+
+        @lru_cache(maxsize=None)
+        def views(name: str, lane: int) -> list[np.ndarray]:
+            return names[name] if lane == 1 else [v.view(_lane_dtype(lane)) for v in names[name]]
+
+        launches = BoundDelivery()
+        for prog, pairs in self._delivering():
+            launches += _bind_program(prog, views, pairs)
+        return launches
+
+    def deliver(self, rank_buffers: Sequence[Mapping[str, np.ndarray]]) -> None:
+        """One execution in place: :meth:`bind`, then run.  Ranks that
+        bring no ``"temp"`` get rows of one pooled scratch matrix,
+        returned even when a kernel raises."""
         pooled = self.temp_nbytes > 0 and "temp" not in rank_buffers[0]
-        scratch = GLOBAL_POOL.acquire(p * self.temp_nbytes if pooled else 0)
+        scratch = GLOBAL_POOL.acquire(self.p * self.temp_nbytes if pooled else 0)
         try:
-            views = [
-                {name: byte_view(arr) for name, arr in buffers.items()}
-                for buffers in rank_buffers
-            ]
             if pooled:
-                for view, row in zip(views, scratch.reshape(p, -1)):
-                    view["temp"] = row
-            ranks = range(p)
-            for phase, programs in zip(self.phases, deliveries):
-                for rnd, program in zip(phase, programs):
-                    if program is not None:
-                        rows = rnd.recv_rows
-                        _run_pairs(
-                            program,
-                            views,
-                            ranks if rows is None else rows.tolist(),
-                            rnd.recv_sources.tolist(),
-                        )
-            _run_pairs(self.copy_program, views, ranks, ranks)
+                rows = scratch.reshape(self.p, -1)
+                rank_buffers = [{**b, "temp": row} for b, row in zip(rank_buffers, rows)]
+            self.bind(rank_buffers)()
         finally:
             GLOBAL_POOL.release(scratch)
 

@@ -278,6 +278,11 @@ class ScheduleRequest:
             req.neighborhood()  # keying needs it; refuse it here if invalid
         except (NeighborhoodError, OverflowError) as exc:
             raise ProtocolError(f"invalid neighborhood: {exc}") from exc
+        if req.is_reduction:
+            try:
+                op_token(req.reduce_op)  # keying needs a named op
+            except ValueError as exc:
+                raise ProtocolError(str(exc)) from exc
         return req
 
     def to_dict(self, op: str = "schedule") -> dict:

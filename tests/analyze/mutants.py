@@ -885,6 +885,34 @@ def _plane_shift_reversed(plan):
     return plan
 
 
+class _LossyBind(BatchedPlan):
+    """A plan whose bound in-place form leaves its last launch out."""
+
+    __slots__ = ()
+
+    def bind(self, *args):
+        bound = super().bind(*args)
+        del bound[-1]
+        return bound
+
+
+#: plan rows that corrupt the code a plan runs, not the plan's data: the
+#: digest a certificate is filed under cannot tell them from the clean
+#: lowering, so a store holding its witness inherits the certificate and
+#: only a full certification can refuse them
+CODE_ROWS = frozenset({"bound-launch-dropped"})
+
+
+@_plan_row("bound-launch-dropped", "wrong bytes", ALLTOALL._replace(scale=1024), "V506")
+def _bound_launch_dropped(plan):
+    """At KiB blocks the plan delivers in place, and binding it to the
+    ranks' arrays drops one (destination, source) pair: every kernel
+    and round program is intact, only running the bound form is wrong."""
+    plan = copy.copy(plan)
+    plan.__class__ = _LossyBind
+    return plan
+
+
 # -- V709: wire gaps and scratch lifetime ------------------------------
 @_plan_row("pack-kernel-wire-gap", "wrong bytes", ALLTOALL, "V709")
 def _wire_gap(plan):

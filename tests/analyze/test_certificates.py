@@ -538,7 +538,7 @@ class TestInheritance:
         assert "plan staged: 15 B per copy ≤ 2048" in near.summary()
         far = certify(store, "trivial-alltoall", 4096)
         assert far.inherited_from is None and "matrix-execution" in far.checks_run
-        assert far.delivery == "in-place: 7680 B per copy > 2048"
+        assert far.delivery == "in-place: 7680 B per copy > 2048; 128 launches"
         assert "plan in-place: 7680 B per copy > 2048" in far.summary()
         again = certify(store, "trivial-alltoall", 4104)
         assert again.inherited_from.granule == 4096
@@ -589,22 +589,24 @@ class TestInheritance:
     def test_sentinel_execution_runs_an_in_place_plan_a_third_way(
         self, monkeypatch
     ):
-        """A ``deliver`` that drops a round's last launch: every kernel
-        and round program is still right (V503 is silent), only running
-        the plan in place shows it — as V506, at the size where the
-        plan is in-place and not below."""
-        real = plan_mod._run_pairs
+        """A bound in-place form that drops its last launch: every
+        kernel and round program is still right (V503 is silent), only
+        running the plan in place shows it — as V506, at the size where
+        the plan is in-place and not below."""
+        real = plan_mod.BatchedPlan.bind
 
-        def lossy(program, views, receivers, senders):
-            real(program, views, list(receivers)[:-1], list(senders)[:-1])
+        def lossy(plan, *args):
+            bound = real(plan, *args)
+            del bound[-1]
+            return bound
 
-        monkeypatch.setattr(plan_mod, "_run_pairs", lossy)
+        monkeypatch.setattr(plan_mod.BatchedPlan, "bind", lossy)
         small = verify_schedule(build_for_kind("alltoall", NBH9, 8), TORUS)
         assert small.ok and small.delivery.startswith("staged")
         large = verify_schedule(build_for_kind("alltoall", NBH9, 4096), TORUS)
         assert large.codes() == {"V506"}
         assert "in-place delivery leaves" in large.by_code("V506")[0].message
-        monkeypatch.setattr(plan_mod, "_run_pairs", real)
+        monkeypatch.setattr(plan_mod.BatchedPlan, "bind", real)
         assert verify_schedule(build_for_kind("alltoall", NBH9, 4096), TORUS).ok
 
     def test_over_budget_first_sight_files_nothing(self, monkeypatch):

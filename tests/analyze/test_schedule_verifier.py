@@ -201,7 +201,7 @@ def test_delivery_table_must_follow_the_rounds():
     plan = compile_batched_plan(sched, topo, _plan_sizes(sched))
     assert plan.delivery == "in-place"
     assert _check_plan_kernels(sched, clean, plan) is plan and clean.ok
-    assert clean.delivery == "in-place: 8192 B per copy > 2048"
+    assert clean.delivery == "in-place: 8192 B per copy > 2048; 192 launches"
     for table in (
         plan.deliveries[:-1],
         ((None,) + plan.deliveries[0][1:],) + plan.deliveries[1:],

@@ -655,7 +655,7 @@ class TestDeliveryForms:
         def boom(*args):
             raise RuntimeError("injected copy failure")
 
-        monkeypatch.setattr(plan_mod, "_run_pairs", boom)
+        monkeypatch.setattr(plan_mod.BoundDelivery, "__call__", boom)
         with pytest.raises(RuntimeError, match="injected copy"):
             get_backend("batched").execute_all(topo, sched, bufs)
         assert plan_mod.GLOBAL_POOL.stats().outstanding_bytes == 0
@@ -819,7 +819,7 @@ class TestDeliveryForms:
         bufs = _make_bufs(topo.size, ssize, rsize)
         plan, _ = get_or_compile(large, topo, bufs[0])
         assert executor_form(plan, bufs) == (
-            f"in-place: {plan.delivery_reason}"
+            f"in-place: {plan.delivery_reason}; {plan.num_launches} launches"
         )
         bufs[7]["recv"] = bufs[7]["send"]
         assert executor_form(plan, bufs) == (

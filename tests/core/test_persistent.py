@@ -210,6 +210,138 @@ class TestBoundHandle:
             assert events == ref.trace.for_rank(rank)
 
 
+class TestBoundInPlace:
+    """A ``batched`` handle whose plan runs in place binds it once, in
+    its ``Prepared``, as a list of pre-sliced (destination, source)
+    pairs; every later start is one pass over that list."""
+
+    #: bytes per block: large enough for the in-place form
+    M = 4096
+    STARTS = 4
+    #: tori combine; meshes (``recv_rows`` masks, rounds with a
+    #: missing half) take the trivial schedule
+    CASES = [
+        ("alltoall", "combining", (3, 3), (True, True), np.uint8),
+        ("alltoall", "trivial", (2, 4), (False, True), np.float64),
+        ("allgather", "combining", (3, 3), (True, True), np.int32),
+        ("allgather", "trivial", (2, 3), (False, False), np.float64),
+    ]
+
+    @classmethod
+    def _starts(cls, kind, algorithm, dims, periods, dtype, backend):
+        """Per rank: ``recv`` after each start of one handle
+        whose ``send`` is rewritten before every start, and the handle's
+        bound execution."""
+        nbh = moore_neighborhood(len(dims), 1, include_self=False)
+        n = cls.M // np.dtype(dtype).itemsize
+
+        def fn(cart):
+            send = np.zeros((nbh.t if kind == "alltoall" else 1) * n, dtype)
+            recv = np.zeros(nbh.t * n, dtype)
+            init = cart.alltoall_init if kind == "alltoall" else cart.allgather_init
+            op = init(send, recv, algorithm=algorithm)
+            seen = []
+            try:
+                for epoch in range(cls.STARTS):
+                    send[:] = (np.arange(send.size) * 7 + cart.rank * 31 + epoch * 13) % 127
+                    op.execute()
+                    seen.append(recv.copy())
+                prepared = op.prepared
+            finally:
+                op.free()
+            return seen, prepared
+
+        return run_cartesian(dims, nbh, fn, periods=periods, info={"backend": backend}, timeout=60)
+
+    @pytest.mark.parametrize("kind, algorithm, dims, periods, dtype", CASES)
+    def test_every_start_equals_the_walk(self, kind, algorithm, dims, periods, dtype):
+        from repro.core.backend import LockstepBackend
+        from repro.core.backend.batched import executor_form
+        from repro.core.plan import GLOBAL_POOL, BoundDelivery
+
+        case = (kind, algorithm, dims, periods, dtype)
+        got = self._starts(*case, "batched")
+        want = self._starts(*case, LockstepBackend())
+        assert GLOBAL_POOL.stats().outstanding_bytes == 0
+        [prepared] = {id(p): p for _, p in got}.values()  # one binding for all ranks
+        assert isinstance(prepared.run, BoundDelivery)
+        assert executor_form(prepared.plan).startswith("in-place: ")
+        assert len(prepared.run) == prepared.plan.num_launches
+        masked = any(r.recv_rows is not None for ph in prepared.plan.phases for r in ph)
+        assert masked == (not all(periods))
+        for (seen, _), (ref, _) in zip(got, want):
+            assert len(seen) == self.STARTS
+            for a, b in zip(seen, ref):
+                assert a.tobytes() == b.tobytes()
+        # the walk's last start differs from its first: the rewrites count
+        assert want[0][0][0].tobytes() != want[0][0][-1].tobytes()
+
+    @pytest.mark.parametrize("kind, algorithm, dims, periods, dtype", CASES)
+    def test_one_shot_execute_all_is_the_bound_run(self, kind, algorithm, dims, periods, dtype):
+        """``execute_all`` in place, with and without a bound ``temp``,
+        leaves what a bound run of the same plan leaves."""
+        from repro.core.alltoall_schedule import build_trivial_alltoall_blocksets
+        from repro.core.backend import allocate_buffers, get_backend
+        from repro.core.builders import SCHEDULE_BUILDERS
+        from repro.core.plan import GLOBAL_POOL, get_or_compile
+        from repro.core.schedule import uniform_block_layout
+        from repro.mpisim.datatypes import BlockRef, BlockSet
+
+        nbh = moore_neighborhood(len(dims), 1, include_self=False)
+        topo = CartTopology(dims, periods)
+        m, t = self.M, nbh.t
+        if kind == "alltoall":
+            layout = build_trivial_alltoall_blocksets([m] * t)
+        else:
+            layout = (BlockSet([BlockRef("send", 0, m)]), uniform_block_layout([m] * t, "recv"))
+        sched = SCHEDULE_BUILDERS[kind if algorithm == "combining" else f"trivial-{kind}"](
+            nbh, *layout
+        )
+        rng = np.random.default_rng(5)
+        n = m // np.dtype(dtype).itemsize
+        bound = [
+            allocate_buffers(sched, {
+                "send": rng.integers(0, 100, (t if kind == "alltoall" else 1) * n).astype(dtype),
+                "recv": np.zeros(t * n, dtype),
+            })
+            for _ in range(topo.size)
+        ]
+        plan, _ = get_or_compile(sched, topo, bound[0])
+        assert plan.delivery == "in-place"
+        with_temp = [{k: v.copy() for k, v in b.items()} for b in bound]
+        pooled = [{k: v.copy() for k, v in b.items() if k != "temp"} for b in bound]
+        plan.bind(bound)()
+        get_backend("batched").execute_all(topo, sched, with_temp)
+        get_backend("batched").execute_all(topo, sched, pooled)
+        assert GLOBAL_POOL.stats().outstanding_bytes == 0
+        for a, b, c in zip(bound, with_temp, pooled):
+            assert a["recv"].any()
+            assert a["recv"].tobytes() == b["recv"].tobytes() == c["recv"].tobytes()
+            assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+    def test_launch_count_is_the_bound_list(self):
+        """The in-place form names its launch count, and it is the
+        length of the list a binding makes."""
+        from repro.core.backend import allocate_buffers
+        from repro.core.backend.batched import executor_form
+        from repro.core.builders import SCHEDULE_BUILDERS
+        from repro.core.alltoall_schedule import build_trivial_alltoall_blocksets
+        from repro.core.plan import get_or_compile
+
+        nbh = moore_neighborhood(3, 1, include_self=False)
+        topo = CartTopology((3, 3, 3))
+        m = 16384
+        sched = SCHEDULE_BUILDERS["alltoall"](nbh, *build_trivial_alltoall_blocksets([m] * nbh.t))
+        bufs = [
+            allocate_buffers(sched, {"send": np.zeros(nbh.t * m, np.uint8), "recv": np.zeros(nbh.t * m, np.uint8)})
+            for _ in range(topo.size)
+        ]
+        plan, _ = get_or_compile(sched, topo, bufs[0])
+        launches = len(plan.bind(bufs))
+        assert launches == plan.num_launches == 1458  # 54 per rank
+        assert executor_form(plan, bufs) == f"in-place: 16384 B per copy > 2048; {launches} launches"
+
+
 class TestVariants:
     def test_alltoallv_init(self):
         topo = CartTopology((3, 3))

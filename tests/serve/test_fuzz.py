@@ -120,6 +120,7 @@ class TestTypedErrors:
     @example(reduce_dict(m_bytes=float("inf")))
     @example(reduce_dict(offsets=[[10**30, 0]]))
     @example(reduce_dict(weights=[1, 2]))
+    @example(reduce_dict(reduce_op=None))
     def test_from_dict_raises_only_protocol_errors(self, data):
         try:
             request = ScheduleRequest.from_dict(data)
